@@ -1,13 +1,11 @@
 //! Criterion micro-benchmarks for the hot paths: string metrics, the text
-//! pipeline, kNN search, k-means, the field-distance vector, the distributed
-//! classifier on a small workload — and the three hot-path kernel
-//! comparisons behind `BENCH_hotpath.json` (retained reference vs the
-//! allocation-free replacement).
+//! pipeline, kNN search, k-means, the field-distance vector (interned
+//! sorted-merge Jaccard, `DistVec`, fixed-arity Euclidean) and the
+//! distributed classifier on a small workload.
 //!
 //! Run with `cargo bench -p bench`.
 
 use adr_synth::{Dataset, SynthConfig};
-use bench::hotpath::{dual_corpus, pair_distance_strings};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dedup::pair_distance;
 use dedup::workload::{build_workload_on, ProcessedCorpus};
@@ -52,44 +50,28 @@ fn text_pipeline(c: &mut Criterion) {
     });
 }
 
-/// Kernel 1 of the hot-path comparison: HashSet Jaccard over string token
-/// sets vs the sorted-merge walk over interned ids, on realistic narrative
-/// term sets (~30–50 stems).
+/// Sorted-merge Jaccard over interned ids, on realistic narrative term sets
+/// (~30–50 stems).
 fn kernel_jaccard(c: &mut Criterion) {
-    let ds = Dataset::generate(&SynthConfig::small(40, 3, 21));
-    let dual = dual_corpus(&ds.reports);
-    let (sa, sb) = (
-        &dual.strings[0].narrative_terms,
-        &dual.strings[1].narrative_terms,
-    );
-    let (ia, ib) = (
-        &dual.interned[0].narrative_terms,
-        &dual.interned[1].narrative_terms,
-    );
-    c.bench_function("kernel/jaccard_strings_hashset", |bench| {
-        bench.iter(|| jaccard_distance(black_box(sa), black_box(sb)))
-    });
+    let corpus = ProcessedCorpus::new(Dataset::generate(&SynthConfig::small(40, 3, 21)));
+    let (a, b) = (&corpus.processed[0], &corpus.processed[1]);
     c.bench_function("kernel/jaccard_interned_sorted", |bench| {
-        bench.iter(|| jaccard_distance_sorted(black_box(ia), black_box(ib)))
-    });
-}
-
-/// Kernel 2: the full §4.2 pair distance — seed `Vec<f64>` + string sets vs
-/// `DistVec` + interned sets.
-fn kernel_pair_distance(c: &mut Criterion) {
-    let ds = Dataset::generate(&SynthConfig::small(200, 10, 1));
-    let dual = dual_corpus(&ds.reports);
-    c.bench_function("pair_distance/vec_string_reference", |bench| {
         bench.iter(|| {
-            pair_distance_strings(black_box(&dual.strings[0]), black_box(&dual.strings[1]))
+            jaccard_distance_sorted(black_box(&a.narrative_terms), black_box(&b.narrative_terms))
         })
     });
+}
+
+/// The full §4.2 pair distance: `DistVec` over interned sets.
+fn kernel_pair_distance(c: &mut Criterion) {
+    let corpus = ProcessedCorpus::new(Dataset::generate(&SynthConfig::small(200, 10, 1)));
+    let (a, b) = (&corpus.processed[0], &corpus.processed[1]);
     c.bench_function("pair_distance/distvec_interned", |bench| {
-        bench.iter(|| pair_distance(black_box(&dual.interned[0]), black_box(&dual.interned[1])))
+        bench.iter(|| pair_distance(black_box(a), black_box(b)))
     });
 }
 
-/// Kernel 3: 8-dim Euclidean — dynamic-length slice loop vs the fixed-arity
+/// 8-dim Euclidean — dynamic-length slice loop vs the fixed-arity
 /// kernel the compiler fully unrolls, linear vs squared.
 fn kernel_euclidean(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(7);

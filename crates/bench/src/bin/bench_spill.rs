@@ -1,16 +1,14 @@
 //! Out-of-core execution benchmark: a multi-million-report blocking +
 //! pairwise run, capped vs uncapped, written to `BENCH_spill.json`.
 //!
-//! Three legs over the same streamed corpus (see [`bench::spill`]):
+//! Two legs over the same streamed corpus (see [`bench::spill`]):
 //!
 //! * **uncapped** — the in-memory baseline (no spill traffic allowed);
-//! * **capped + spill** — executor memory ~3× below the shuffle's resident
-//!   needs; the run must complete by spilling, with the same digest;
-//! * **capped, no spill** — the pre-disk-tier engine; must abort with the
-//!   memory-cap error (this is what the engine did before spill existed).
+//! * **capped** — executor memory ~3× below the shuffle's resident needs;
+//!   the run must complete by spilling, with the same digest.
 //!
-//! **Gate**: the no-spill leg aborts, the spill leg completes with nonzero
-//! spill traffic, and the capped and uncapped digests are bit-identical.
+//! **Gate**: the capped leg completes with nonzero spill traffic both ways,
+//! and the capped and uncapped digests are bit-identical.
 //!
 //! Usage: `cargo run --release -p bench --bin bench_spill [--quick] [out.json]`
 //!
@@ -19,7 +17,8 @@
 //! The gate applies in both modes — out-of-core correctness is a property
 //! of the execution, not of scale.
 
-use bench::spill::{is_memory_abort, run_blocking_pairwise, spill_to_json, SpillWorkload};
+use bench::harness::{gates_all_passed, gates_summary};
+use bench::spill::{run_blocking_pairwise, spill_gates, spill_to_json, SpillWorkload};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -45,7 +44,7 @@ fn main() {
         "  uncapped baseline ({} MiB/executor)…",
         w.uncapped_memory >> 20
     );
-    let uncapped = run_blocking_pairwise(&w, w.uncapped_memory, true).expect("uncapped run");
+    let uncapped = run_blocking_pairwise(&w, w.uncapped_memory).expect("uncapped run");
     eprintln!(
         "    {} pairs, {} near-duplicates, makespan {} us, {} bytes spilled",
         uncapped.pairs_compared,
@@ -55,7 +54,7 @@ fn main() {
     );
 
     eprintln!("  capped + spill ({} MiB/executor)…", w.capped_memory >> 20);
-    let capped = run_blocking_pairwise(&w, w.capped_memory, true).expect("capped run");
+    let capped = run_blocking_pairwise(&w, w.capped_memory).expect("capped run");
     eprintln!(
         "    {} pairs, makespan {} us, {} MiB spilled / {} MiB read back, peak resident {} MiB",
         capped.pairs_compared,
@@ -65,39 +64,13 @@ fn main() {
         capped.peak_resident_max >> 20
     );
 
-    eprintln!("  capped, spill disabled (must abort)…");
-    let no_spill_error = match run_blocking_pairwise(&w, w.capped_memory, false) {
-        Err(err) if is_memory_abort(&err) => {
-            let msg = err.to_string();
-            eprintln!("    aborted as expected: {msg}");
-            Some(msg)
-        }
-        Err(err) => {
-            eprintln!("    FAILED with the wrong error: {err}");
-            None
-        }
-        Ok(run) => {
-            eprintln!(
-                "    FAILED: completed under the cap without spill (digest {:#x})",
-                run.digest
-            );
-            None
-        }
-    };
-
-    let doc = spill_to_json(&w, &uncapped, &capped, no_spill_error.as_deref());
+    let doc = spill_to_json(&w, &uncapped, &capped);
     std::fs::write(&out_path, &doc).expect("write BENCH_spill.json");
     eprintln!("wrote {out_path}");
 
-    let passed = doc.contains("\"passed\": true");
-    let digest_match = capped.digest == uncapped.digest;
-    eprintln!(
-        "gate: abort_without_spill={} completes_with_spill={} digest_match={digest_match} -> {}",
-        no_spill_error.is_some(),
-        capped.bytes_spilled > 0 && capped.bytes_read_back > 0,
-        if passed { "PASSED" } else { "FAILED" }
-    );
-    if !passed {
+    let gates = spill_gates(&uncapped, &capped);
+    eprintln!("{}", gates_summary(&gates));
+    if !gates_all_passed(&gates) {
         std::process::exit(1);
     }
 }

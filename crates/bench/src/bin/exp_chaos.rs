@@ -1,23 +1,16 @@
 //! Chaos sweep: rerun the dedup pipeline under executor-kill schedules and
 //! task-fault seeds, asserting the output digest never drifts from the
 //! fault-free run. `--quick` for a smoke run, `--seed N` (repeatable) to
-//! choose the task-fault seeds, `--steal-off` to run the whole sweep under
-//! static placement (no morsel splitting or stealing — the digest must not
-//! depend on the scheduler either way), `--report <path>` to dump the
-//! recovery job reports as JSON. Exits nonzero if any schedule changes the
-//! output.
-
-use sparklet::SchedConfig;
+//! choose the task-fault seeds, `--report <path>` to dump the recovery job
+//! reports as JSON. Exits nonzero if any schedule changes the output.
 
 fn main() {
     let mut quick = false;
-    let mut sched = SchedConfig::default();
     let mut seeds: Vec<u64> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--steal-off" => sched = SchedConfig::static_placement(),
             "--seed" => {
                 let v = args.next().expect("--seed needs a value");
                 seeds.push(v.parse().expect("--seed must be a u64"));
@@ -32,7 +25,7 @@ fn main() {
     if seeds.is_empty() {
         seeds = vec![11, 22, 33];
     }
-    let (results, identical) = bench::experiments::chaos::run_seeded_sched(quick, &seeds, sched);
+    let (results, identical) = bench::experiments::chaos::run_seeded(quick, &seeds);
     for result in results {
         println!("{result}");
     }

@@ -14,7 +14,7 @@ use crate::harness::{capture_run, f3, ExperimentResult};
 use adr_model::{AdrReport, PairId};
 use adr_synth::{Dataset, SynthConfig};
 use dedup::{DedupConfig, DedupSystem};
-use sparklet::{stable_hash, Cluster, ClusterConfig, FaultConfig, JobReport, SchedConfig};
+use sparklet::{stable_hash, Cluster, ClusterConfig, FaultConfig, JobReport};
 
 struct ChaosOutcome {
     digest: u64,
@@ -57,11 +57,9 @@ fn run_pipeline(quick: bool, label: &str, config: ClusterConfig) -> sparklet::Re
     })
 }
 
-fn config_with(fault: FaultConfig, speculation: bool, sched: SchedConfig) -> ClusterConfig {
+fn config_with(fault: FaultConfig) -> ClusterConfig {
     let mut config = ClusterConfig::local(4);
     config.fault = fault;
-    config.speculation = speculation;
-    config.sched = sched;
     config
 }
 
@@ -69,21 +67,10 @@ fn config_with(fault: FaultConfig, speculation: bool, sched: SchedConfig) -> Clu
 /// schedule reproduced the fault-free digest (the binary exits nonzero
 /// when this is false).
 pub fn run_seeded(quick: bool, fault_seeds: &[u64]) -> (Vec<ExperimentResult>, bool) {
-    run_seeded_sched(quick, fault_seeds, SchedConfig::default())
-}
-
-/// [`run_seeded`] with an explicit scheduler configuration: the whole sweep
-/// (baseline included) runs under `sched`, so CI can assert the digest is
-/// failure-proof both with morsel stealing on and with static placement.
-pub fn run_seeded_sched(
-    quick: bool,
-    fault_seeds: &[u64],
-    sched: SchedConfig,
-) -> (Vec<ExperimentResult>, bool) {
     let baseline = run_pipeline(
         quick,
         "fault-free baseline",
-        config_with(FaultConfig::disabled(), false, sched),
+        config_with(FaultConfig::disabled()),
     )
     .expect("fault-free run");
     let total = baseline.report.virtual_us;
@@ -91,11 +78,7 @@ pub fn run_seeded_sched(
     let mut schedules: Vec<(String, ClusterConfig)> = vec![
         (
             "kill executor 1 at t/2".into(),
-            config_with(
-                FaultConfig::disabled().kill_at_time(1, total / 2),
-                false,
-                sched,
-            ),
+            config_with(FaultConfig::disabled().kill_at_time(1, total / 2)),
         ),
         (
             "kill executors 1,2,3 staggered".into(),
@@ -104,33 +87,23 @@ pub fn run_seeded_sched(
                     .kill_at_time(1, total / 4)
                     .kill_at_time(2, total / 2)
                     .kill_at_time(3, 3 * total / 4),
-                false,
-                sched,
             ),
         ),
         (
             "kill executor 0 mid shuffle write".into(),
-            config_with(
-                FaultConfig::disabled().kill_in_stage(
-                    0,
-                    "shuffle#1-write[map_partitions_with_ctx]",
-                    1,
-                ),
-                false,
-                sched,
-            ),
+            config_with(FaultConfig::disabled().kill_in_stage(
+                0,
+                "shuffle#1-write[map_partitions_with_ctx]",
+                1,
+            )),
         ),
     ];
     for &seed in fault_seeds {
         schedules.push((
             format!("task faults p=0.05 seed {seed}"),
-            config_with(FaultConfig::with_probability(0.05, seed), false, sched),
+            config_with(FaultConfig::with_probability(0.05, seed)),
         ));
     }
-    schedules.push((
-        "speculation + faults p=0.02".into(),
-        config_with(FaultConfig::with_probability(0.02, 7), true, sched),
-    ));
 
     let mut r = ExperimentResult::new(
         "Chaos — dedup output under executor failures",
@@ -142,7 +115,6 @@ pub fn run_seeded_sched(
             "fetch fails",
             "recomputed",
             "tasks lost",
-            "spec (win)",
             "overhead",
             "output",
         ],
@@ -162,7 +134,6 @@ pub fn run_seeded_sched(
             rec.fetch_failures.to_string(),
             rec.recomputed_map_tasks.to_string(),
             rec.tasks_lost.to_string(),
-            format!("{} ({})", rec.speculative_launched, rec.speculative_wins),
             format!("{}%", f3(overhead)),
             if identical {
                 "identical".into()
@@ -172,15 +143,10 @@ pub fn run_seeded_sched(
         ]);
     }
     r.note(format!(
-        "fault-free digest {:#018x}, virtual time {:.1} s, scheduling {}; \
+        "fault-free digest {:#018x}, virtual time {:.1} s; \
          every schedule must read 'identical'.",
         baseline.digest,
         total as f64 / 1e6,
-        if sched.steal {
-            "morsels + stealing"
-        } else {
-            "static placement"
-        }
     ));
     if !all_identical {
         r.note("OUTPUT DRIFTED under at least one schedule — recovery is not semantically free.");
@@ -200,7 +166,7 @@ mod tests {
         let (out, ok) = super::run_seeded(true, &[11]);
         assert!(ok, "output drifted under faults:\n{}", out[0]);
         let rows = &out[0].rows;
-        assert_eq!(rows.len(), 5);
+        assert_eq!(rows.len(), 4);
         for row in rows {
             assert_eq!(row.last().unwrap(), "identical");
         }

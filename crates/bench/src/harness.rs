@@ -94,12 +94,8 @@ pub fn experiment_cluster_config(executors: usize, cores: usize) -> ClusterConfi
         cores_per_executor: cores,
         memory_per_executor: 32 << 30, // the paper's 32 GB executors
         max_task_attempts: 4,
-        speculation: false,
         fault: FaultConfig::disabled(),
         cost: paper_cost(),
-        sched: sparklet::SchedConfig::default(),
-        batch: sparklet::BatchConfig::default(),
-        spill: sparklet::SpillConfig::default(),
     }
 }
 
@@ -364,7 +360,8 @@ mod tests {
             .expect("count");
         assert_eq!(n, 100);
         capture_run("harness \"smoke\" run", &cluster);
-        let dir = std::env::temp_dir().join("bench_harness_report_test");
+        let dir =
+            std::env::temp_dir().join(format!("bench_harness_report_test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let path = dir.join("report.json");
         write_captured_reports(path.to_str().expect("utf8 path")).expect("write");

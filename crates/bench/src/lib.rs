@@ -17,14 +17,10 @@
 //! virtual times in the paper's ballpark while the *shapes* (who wins,
 //! where the knees are) come entirely from measured counts.
 
-pub mod batch;
 pub mod corpora;
 pub mod experiments;
 pub mod harness;
-pub mod hotpath;
 pub mod ingest;
-pub mod ops;
 pub mod prune;
-pub mod sched;
 pub mod serve;
 pub mod spill;

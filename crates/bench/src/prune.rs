@@ -136,15 +136,14 @@ pub fn run_classification(w: &PruneWorkload, workers: usize, prune: bool) -> Pru
         ..FastKnnConfig::default()
     };
     let model = FastKnn::fit(&cluster, &w.train, config).expect("fit");
-    let fit_stages = cluster.clock().stages().len();
+    let fit_stages = cluster.clock().stage_count();
     let outputs = model.classify(&w.tests).expect("classify");
-    let classify_us = cluster
-        .clock()
-        .stages()
-        .iter()
-        .skip(fit_stages)
-        .map(|s| s.makespan_us(workers))
-        .sum();
+    let classify_us = cluster.clock().with_stages(|stages| {
+        stages[fit_stages..]
+            .iter()
+            .map(|s| s.makespan_us(workers))
+            .sum()
+    });
     let report = cluster.job_report();
     let m = cluster.metrics();
     let evals = m.counter(fastknn::counters::INTRA_COMPARISONS).get()

@@ -111,8 +111,8 @@ fn weight_in(corpus: &CorpusIndex, pid: &PairId) -> u64 {
 /// Distributed pairwise-distance computation — the separately-timed first
 /// stage of the workflow (the paper's Fig. 10b) — over a caller-chosen pair
 /// partitioning. Each partition is cut into op-weight-bounded morsels and
-/// scheduled with work stealing (see [`Cluster::run_morsel_job`] and
-/// [`sparklet::SchedConfig`]); every pair charges its honest
+/// scheduled with work stealing (see [`Cluster::run_morsel_job`]); every
+/// pair charges its honest
 /// [`pair_op_weight`], so skewed partitions show up in the virtual clock and
 /// get balanced rather than hidden.
 ///

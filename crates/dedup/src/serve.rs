@@ -1,4 +1,4 @@
-//! Low-latency serving over the live dedup system (ROADMAP item 2).
+//! Low-latency serving over the live dedup system.
 //!
 //! The Fig. 1 pipeline exists so downstream pharmacovigilance queries can be
 //! answered from a clean store. This module serves the two canonical read
@@ -711,12 +711,14 @@ impl ServeService {
             }
             let memo_lookups0 = self.memo.lookups();
             let memo_hits0 = self.memo.hits();
-            let stages_seen = self.cluster.clock().stages().len();
+            let stages_seen = self.cluster.clock().stage_count();
             self.answer_batch(&requests[i..end], &mut answers[i..end])?;
-            let engine_us: u64 = self.cluster.clock().stages()[stages_seen..]
-                .iter()
-                .map(|s| s.makespan_us(slots))
-                .sum();
+            let engine_us: u64 = self.cluster.clock().with_stages(|stages| {
+                stages[stages_seen..]
+                    .iter()
+                    .map(|s| s.makespan_us(slots))
+                    .sum()
+            });
             let batch_len = (end - i) as u64;
             let service_us = self.config.dispatch_overhead_us
                 + self.config.per_request_us * batch_len

@@ -12,7 +12,7 @@ use fastknn::{FastKnn, FastKnnConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sparklet::{Cluster, EventKind, Result};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use textprep::{Pipeline, TokenInterner};
 
@@ -148,9 +148,11 @@ impl DedupSystem {
         for r in reports {
             self.add_report(r);
         }
-        let dup_set: std::collections::HashSet<PairId> =
-            labelled_duplicates.iter().copied().collect();
+        let dup_set: HashSet<PairId> = labelled_duplicates.iter().copied().collect();
+        // Acceptance order lives in `wanted`; membership in `sampled`, so a
+        // rejection test is O(1) rather than a scan of everything drawn.
         let mut wanted: Vec<PairId> = labelled_duplicates.to_vec();
+        let mut sampled: HashSet<PairId> = HashSet::new();
         let n = self.arrival_order.len() as u64;
         let mut guard = 0;
         while wanted.len() < labelled_duplicates.len() + self.config.bootstrap_negatives {
@@ -172,7 +174,7 @@ impl DedupSystem {
                 self.arrival_order[a as usize],
                 self.arrival_order[b as usize],
             );
-            if dup_set.contains(&pid) || wanted.contains(&pid) {
+            if dup_set.contains(&pid) || !sampled.insert(pid) {
                 continue;
             }
             wanted.push(pid);
@@ -425,6 +427,17 @@ mod tests {
         assert_eq!(sys.report_count(), 250);
         assert_eq!(sys.store().duplicate_count(), 15);
         assert!(sys.store().non_duplicate_count() >= 300);
+    }
+
+    #[test]
+    fn bootstrap_store_snapshot_is_pinned() {
+        // Captured before negative sampling tracked membership in a set: the
+        // RNG draw sequence and acceptance order must not move.
+        let (mut sys, ds) = system_with_corpus(1);
+        sys.bootstrap(&ds.reports, &ds.duplicate_pairs).unwrap();
+        let snapshot = sys.store().snapshot();
+        assert_eq!(snapshot.len(), 59_508);
+        assert_eq!(sparklet::stable_hash(&snapshot), 10515812461782158190);
     }
 
     #[test]

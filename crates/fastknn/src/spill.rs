@@ -117,7 +117,7 @@ mod tests {
     use sparklet::ClusterMetrics;
 
     fn mgr() -> SpillManager {
-        let m = SpillManager::new(1, true, 1024, ClusterMetrics::new());
+        let m = SpillManager::new(1, 1024, ClusterMetrics::new());
         register_spill_codecs::<4>(&m);
         m
     }

@@ -4,7 +4,10 @@
 //!
 //! A counting global allocator makes the contract falsifiable — any stray
 //! `Vec` growth, `clear`-then-`collect`, or hidden clone inside the hot
-//! loop turns the count non-zero and fails the test.
+//! loop turns the count non-zero and fails the test. The count is kept per
+//! thread: the test runner runs this file's tests on parallel threads, and
+//! the kernels under test are single-threaded, so each test must see its
+//! own thread's allocations and nobody else's warm-up.
 
 use fastknn::serial::classify_batch;
 use fastknn::voronoi::VoronoiPartition;
@@ -14,15 +17,31 @@ use fastknn::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and `Drop`-free: first access neither allocates nor
+    // registers a destructor, so bumping it from inside `alloc` is safe.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_allocation() {
+    // `try_with`: an allocation during thread teardown must not panic.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made by the calling thread so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: every call forwards unchanged to `System`; the only addition is a
+// thread-local counter bump that itself never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -31,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -76,9 +95,9 @@ fn warm_classify_batch_does_not_allocate() {
     classify_batch(&partition, &batch, 7, 0.5, &mut scratch, &mut out);
     let cold = out.clone();
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     classify_batch(&partition, &batch, 7, 0.5, &mut scratch, &mut out);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -143,9 +162,9 @@ fn warm_scratch_pool_with_many_in_flight_batches_does_not_allocate() {
     run(&pool, &mut outs);
     let cold = outs.clone();
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     run(&pool, &mut outs);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

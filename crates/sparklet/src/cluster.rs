@@ -2,12 +2,12 @@
 //!
 //! Scheduling is driver-authoritative: workers run exactly one task attempt
 //! and report back; the driver collects a whole *wave* of outcomes, processes
-//! them in task order, and only then decides retries, lineage recovery,
-//! rescheduling of attempts lost with a killed executor, and speculative
-//! clones. Pushing every decision to a deterministic point on the driver is
-//! what makes a run with a fault schedule reproduce the exact same failure
-//! and recovery history — and, for deterministic user code, the exact same
-//! output — as a fault-free run.
+//! them in task order, and only then decides retries, lineage recovery and
+//! rescheduling of attempts lost with a killed executor. Pushing every
+//! decision to a deterministic point on the driver is what makes a run with
+//! a fault schedule reproduce the exact same failure and recovery history —
+//! and, for deterministic user code, the exact same output — as a fault-free
+//! run.
 
 use crate::config::{ClusterConfig, KillWhen};
 use crate::error::{Result, SparkletError};
@@ -17,7 +17,7 @@ use crate::journal::{EventKind, JobReport, RunJournal};
 use crate::metrics::ClusterMetrics;
 use crate::rdd::Rdd;
 use crate::shuffle::ShuffleService;
-use crate::simtime::{simulate_morsels, MorselInfo, StageRecord, VirtualClock, VirtualDuration};
+use crate::simtime::{simulate_morsels, StageRecord, VirtualClock, VirtualDuration};
 use crate::spill::SpillManager;
 use crate::storage::BlockManager;
 use crate::task::TaskContext;
@@ -30,6 +30,17 @@ use std::sync::{Arc, Weak};
 use std::thread;
 
 type Job = Box<dyn FnOnce(usize) + Send>;
+
+/// Op-weight budget per morsel in [`Cluster::run_morsel_job`]. With the
+/// default 400 ns/op cost this is ~6.5 ms of virtual compute per morsel —
+/// small enough to balance skewed partitions, large enough that the
+/// per-morsel dispatch overhead stays in the noise.
+pub(crate) const MORSEL_OPS: u64 = 16_384;
+
+/// Fraction of executor memory that shuffle map outputs may keep resident
+/// per executor before they spill (Spark 1.x's `spark.shuffle.memoryFraction`
+/// default).
+const SHUFFLE_FRACTION: f64 = 0.2;
 
 /// A lineage-recovery handler for one shuffle: re-run the given map tasks of
 /// the parent stage and re-register their outputs. Owned (strongly) by the
@@ -79,8 +90,7 @@ impl Cluster {
             (config.memory_per_executor as f64 * BlockManager::STORAGE_FRACTION) as usize;
         let spill = SpillManager::new(
             config.num_executors,
-            config.spill.enabled,
-            config.spill.shuffle_capacity(config.memory_per_executor),
+            (config.memory_per_executor as f64 * SHUFFLE_FRACTION) as usize,
             metrics.clone(),
         );
         let (sender, receiver) = unbounded::<Job>();
@@ -393,18 +403,18 @@ impl Cluster {
     }
 
     /// Run one stage morsel-driven: each of `partitions` is cut into
-    /// contiguous *morsels* whose summed `weight` stays at or under
-    /// [`crate::SchedConfig::morsel_ops`], and `f(partition, slice, ctx)`
-    /// runs once per morsel. Virtual placement is owner-queues plus work
-    /// stealing (see [`simulate_morsels`]); the first morsel of a partition
-    /// pays the full task launch overhead, follow-ups only
+    /// contiguous *morsels* whose summed `weight` stays at or under a fixed
+    /// budget of 16 384 ops, and `f(partition, slice, ctx)` runs once per
+    /// morsel. Virtual placement is owner-queues plus work stealing (see
+    /// [`simulate_morsels`]); the first morsel of a partition pays the full
+    /// task launch overhead, follow-ups only
     /// [`crate::CostModelConfig::morsel_dispatch_overhead_us`], so an
     /// unsplit stage costs exactly what [`Cluster::run_job`] charges.
     ///
     /// Results are reassembled in (partition, morsel-index) order, so the
     /// returned per-partition outputs are bit-identical regardless of worker
-    /// count, morsel budget or steal interleaving — for deterministic `f`,
-    /// `run_morsel_job` and whole-partition execution agree byte-for-byte.
+    /// count or steal interleaving — for deterministic `f`, `run_morsel_job`
+    /// and whole-partition execution agree byte-for-byte.
     pub fn run_morsel_job<T, U, W, F>(
         &self,
         stage: &str,
@@ -418,26 +428,8 @@ impl Cluster {
         W: Fn(&T) -> u64,
         F: Fn(usize, &[T], &TaskContext) -> Result<Vec<U>> + Send + Sync + 'static,
     {
-        let budget = self.inner.config.sched.morsel_ops.max(1);
         let cost = &self.inner.config.cost;
-        // Cut each partition into contiguous weight-bounded morsels. Every
-        // partition emits at least one morsel (even an empty one), so the
-        // output keeps one entry per input partition.
-        let mut ranges: Vec<(usize, usize, usize)> = Vec::new();
-        for (p, part) in partitions.iter().enumerate() {
-            let mut start = 0usize;
-            let mut acc = 0u64;
-            for (i, item) in part.iter().enumerate() {
-                let w = weight(item);
-                if i > start && acc.saturating_add(w) > budget {
-                    ranges.push((p, start, i));
-                    start = i;
-                    acc = 0;
-                }
-                acc = acc.saturating_add(w);
-            }
-            ranges.push((p, start, part.len()));
-        }
+        let ranges = cut_morsels(&partitions, weight, MORSEL_OPS);
         let mut partition_of = Vec::with_capacity(ranges.len());
         let mut overhead_of = Vec::with_capacity(ranges.len());
         for (m, &(p, ..)) in ranges.iter().enumerate() {
@@ -452,7 +444,6 @@ impl Cluster {
         let meta = MorselMeta {
             partition_of,
             overhead_of,
-            steal: self.inner.config.sched.steal,
         };
         let num_partitions = partitions.len();
         let data = Arc::new(partitions);
@@ -494,13 +485,7 @@ impl Cluster {
         });
         let f = Arc::new(f);
         let (morsel_info, overheads) = match morsel {
-            Some(m) => (
-                Some(MorselInfo {
-                    partition_of: m.partition_of,
-                    steal: m.steal,
-                }),
-                m.overhead_of,
-            ),
+            Some(m) => (Some(m.partition_of), m.overhead_of),
             None => (
                 None,
                 vec![self.inner.config.cost.task_launch_overhead_us; num_tasks],
@@ -640,34 +625,6 @@ impl Cluster {
             });
         }
 
-        if self.inner.config.speculation && num_tasks >= 2 {
-            // A stolen morsel already ran away from its home worker — a
-            // speculative clone would be a second in-flight attempt of it.
-            // Replay the steal schedule to find and skip those.
-            let skip = match &morsel_info {
-                Some(info) if info.steal => {
-                    simulate_morsels(
-                        &task_us,
-                        &info.partition_of,
-                        self.inner.config.total_slots(),
-                        true,
-                    )
-                    .stolen
-                }
-                _ => vec![false; num_tasks],
-            };
-            self.speculate(
-                stage,
-                job_id,
-                &attempts_used,
-                &mut task_us,
-                &overheads,
-                &skip,
-                morsel_info.is_none(),
-                &f,
-            );
-        }
-
         self.finish_stage(stage, task_us, shuffle_bytes, retries, morsel_info);
         Ok(results
             .into_iter()
@@ -721,75 +678,6 @@ impl Cluster {
             .collect()
     }
 
-    /// Speculative execution: after a stage's regular attempts succeed, run
-    /// one clean clone of every task slower than twice the stage median on a
-    /// rotated executor. A clone wins only if it is strictly cheaper than
-    /// the original's accumulated cost; losers are discarded (shuffle writes
-    /// are keep-first, so a losing clone cannot alter state). Speculative
-    /// attempts are tracked by the `speculative_*` counters only — they
-    /// never perturb `tasks_succeeded` / `tasks_failed`.
-    #[allow(clippy::too_many_arguments)]
-    fn speculate<T, F>(
-        &self,
-        stage: &str,
-        job_id: u64,
-        attempts_used: &[u32],
-        task_us: &mut [u64],
-        overheads: &[u64],
-        skip: &[bool],
-        journal_launches: bool,
-        f: &Arc<F>,
-    ) where
-        T: Data,
-        F: Fn(usize, &TaskContext) -> Result<Vec<T>> + Send + Sync + 'static,
-    {
-        let mut sorted = task_us.to_vec();
-        sorted.sort_unstable();
-        let median = sorted[(sorted.len() - 1) / 2];
-        if median == 0 {
-            return;
-        }
-        let mut wave = Vec::new();
-        for (task, &us) in task_us.iter().enumerate() {
-            if us > 2 * median && !skip[task] {
-                if let Some((executor, incarnation)) =
-                    self.inner.executors.place(task, attempts_used[task])
-                {
-                    self.inner.metrics.speculative_launched.inc();
-                    wave.push((
-                        task,
-                        attempts_used[task],
-                        executor,
-                        incarnation,
-                        overheads[task],
-                    ));
-                }
-            }
-        }
-        if wave.is_empty() {
-            return;
-        }
-        let mut outcomes = self.run_wave(stage, job_id, &wave, journal_launches, f);
-        outcomes.sort_by_key(|o| (o.task, o.attempt));
-        for outcome in outcomes {
-            let won = outcome.result.is_ok()
-                && self
-                    .inner
-                    .executors
-                    .is_current(outcome.executor, outcome.incarnation)
-                && outcome.virtual_us < task_us[outcome.task];
-            if won {
-                self.inner.metrics.speculative_wins.inc();
-                task_us[outcome.task] = outcome.virtual_us;
-            }
-            self.inner.journal.record(EventKind::Speculative {
-                stage: stage.to_string(),
-                task: outcome.task,
-                won,
-            });
-        }
-    }
-
     /// Close a stage out: record its cost, advance the journal's virtual
     /// stamp and journal the stage end. Morsel stages also replay the steal
     /// schedule once to emit coalesced per-stage `MorselStolen` /
@@ -801,20 +689,15 @@ impl Cluster {
         task_us: Vec<u64>,
         shuffle_bytes: u64,
         retries: u64,
-        morsels: Option<MorselInfo>,
+        morsels: Option<Vec<usize>>,
     ) {
         let stage_work: u64 = task_us.iter().sum();
-        if let Some(info) = &morsels {
+        if let Some(partition_of) = &morsels {
             self.inner
                 .metrics
                 .morsels_executed
                 .add(task_us.len() as u64);
-            let sim = simulate_morsels(
-                &task_us,
-                &info.partition_of,
-                self.inner.config.total_slots(),
-                info.steal,
-            );
+            let sim = simulate_morsels(&task_us, partition_of, self.inner.config.total_slots());
             self.inner.metrics.morsels_stolen.add(sim.stolen_count());
             for &(thief, victim, count) in &sim.steals {
                 self.inner.journal.record(EventKind::MorselStolen {
@@ -852,12 +735,38 @@ impl Cluster {
 }
 
 /// Driver-side metadata of a morsel stage: the home partition and launch
-/// overhead of every morsel, plus whether stealing is on. Built by
-/// [`Cluster::run_morsel_job`], consumed by the scheduler core.
+/// overhead of every morsel. Built by [`Cluster::run_morsel_job`], consumed
+/// by the scheduler core.
 struct MorselMeta {
     partition_of: Vec<usize>,
     overhead_of: Vec<u64>,
-    steal: bool,
+}
+
+/// Cut each partition into contiguous morsels `(partition, start, end)` whose
+/// summed `weight` stays at or under `budget` (a single item heavier than the
+/// budget is its own morsel). Every partition emits at least one morsel, even
+/// an empty one, so the job's output keeps one entry per input partition.
+fn cut_morsels<T>(
+    partitions: &[Vec<T>],
+    weight: impl Fn(&T) -> u64,
+    budget: u64,
+) -> Vec<(usize, usize, usize)> {
+    let mut ranges = Vec::new();
+    for (p, part) in partitions.iter().enumerate() {
+        let mut start = 0usize;
+        let mut acc = 0u64;
+        for (i, item) in part.iter().enumerate() {
+            let w = weight(item);
+            if i > start && acc.saturating_add(w) > budget {
+                ranges.push((p, start, i));
+                start = i;
+                acc = 0;
+            }
+            acc = acc.saturating_add(w);
+        }
+        ranges.push((p, start, part.len()));
+    }
+    ranges
 }
 
 struct AttemptOutcome<T> {
@@ -956,7 +865,8 @@ fn fault_fires(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{FaultConfig, SchedConfig};
+    use crate::config::FaultConfig;
+    use proptest::prelude::*;
 
     #[test]
     fn driver_fault_point_fires_exactly_at_its_armed_index() {
@@ -990,9 +900,18 @@ mod tests {
         let before = c.journal().now_us();
         c.charge_driver_stage("ingest-checkpoint", 5_000);
         assert_eq!(c.journal().now_us(), before + 5_000);
-        let stages = c.clock().stages();
-        let s = stages.iter().find(|s| s.name == "ingest-checkpoint");
-        assert_eq!(s.map(|s| s.task_us.clone()), Some(vec![5_000]));
+        let task_us = c.clock().with_stages(|stages| {
+            let s = stages.iter().find(|s| s.name == "ingest-checkpoint");
+            s.map(|s| s.task_us.clone())
+        });
+        assert_eq!(task_us, Some(vec![5_000]));
+    }
+
+    #[test]
+    fn shuffle_pool_is_a_fifth_of_executor_memory() {
+        let mut cfg = ClusterConfig::local(2);
+        cfg.memory_per_executor = 1000;
+        assert_eq!(Cluster::new(cfg).spill().shuffle_capacity(), 200);
     }
 
     #[test]
@@ -1060,9 +979,9 @@ mod tests {
         })
         .unwrap();
         assert_eq!(c.clock().stage_count(), 1);
-        let stages = c.clock().stages();
-        assert_eq!(stages[0].task_us.len(), 3);
-        assert!(stages[0].task_us.iter().all(|&t| t > 0));
+        let task_us = c.clock().with_stages(|stages| stages[0].task_us.clone());
+        assert_eq!(task_us.len(), 3);
+        assert!(task_us.iter().all(|&t| t > 0));
     }
 
     #[test]
@@ -1097,11 +1016,11 @@ mod tests {
         let _ = c
             .run_job::<u8, _>("doomed", 1, |_, _| Ok(vec![]))
             .unwrap_err();
-        let stages = c.clock().stages();
-        assert_eq!(stages.len(), 1);
+        assert_eq!(c.clock().stage_count(), 1);
         // Two wasted attempts, but only the first is followed by a retry —
         // exactly one reschedule penalty is paid.
-        assert_eq!(stages[0].task_us[0], 2 * overhead + penalty);
+        let task_us = c.clock().with_stages(|stages| stages[0].task_us[0]);
+        assert_eq!(task_us, 2 * overhead + penalty);
     }
 
     #[test]
@@ -1282,44 +1201,6 @@ mod tests {
     }
 
     #[test]
-    fn speculation_clones_stragglers_and_keeps_the_faster_result() {
-        let mut cfg = ClusterConfig::local(2);
-        cfg.speculation = true;
-        let overhead = cfg.cost.task_launch_overhead_us;
-        let c = Cluster::new(cfg);
-        // Task 0 fails its first attempt (paying the retry penalty, which
-        // makes it a straggler); the speculative clone runs clean and wins.
-        let out = c
-            .run_job("skewed", 4, |i, ctx| {
-                if i == 0 && ctx.attempt() == 0 {
-                    return Err(SparkletError::User("slow".into()));
-                }
-                Ok(vec![i as u32])
-            })
-            .unwrap();
-        assert_eq!(out, vec![vec![0], vec![1], vec![2], vec![3]]);
-        assert_eq!(c.metrics().speculative_launched.get(), 1);
-        assert_eq!(c.metrics().speculative_wins.get(), 1);
-        // The winning clone's cost replaced the straggler's accumulated one.
-        assert_eq!(c.clock().stages()[0].task_us[0], overhead);
-        let tags: Vec<&str> = c.journal().events().iter().map(|e| e.kind.tag()).collect();
-        assert!(tags.contains(&"speculative"));
-    }
-
-    #[test]
-    fn speculation_stays_off_by_default() {
-        let c = Cluster::local(2);
-        c.run_job("skewed", 4, |i, ctx| {
-            if i == 0 {
-                ctx.charge_ops(10_000_000);
-            }
-            Ok(vec![i as u32])
-        })
-        .unwrap();
-        assert_eq!(c.metrics().speculative_launched.get(), 0);
-    }
-
-    #[test]
     fn morsel_job_reassembles_partition_outputs_in_order() {
         let c = Cluster::local(4);
         let partitions: Vec<Vec<u32>> = (0..6)
@@ -1345,40 +1226,69 @@ mod tests {
         );
     }
 
-    #[test]
-    fn morsel_output_is_invariant_under_budget_and_stealing() {
-        let baseline: Vec<Vec<u64>> = vec![
-            (0..40).map(|x| x * 2).collect(),
-            (40..45).map(|x| x * 2 + 1).collect(),
-            vec![],
-        ];
-        for (morsel_ops, steal) in [(u64::MAX, false), (1, true), (7, false), (7, true)] {
-            let mut cfg = ClusterConfig::local(3);
-            cfg.sched = SchedConfig { morsel_ops, steal };
-            let c = Cluster::new(cfg);
-            let partitions: Vec<Vec<u64>> = vec![(0..40).collect(), (40..45).collect(), Vec::new()];
-            let out = c
-                .run_morsel_job(
-                    "m",
-                    partitions,
-                    |&x| x.max(1),
-                    move |p, items, ctx| {
-                        ctx.charge_ops(items.len() as u64);
-                        Ok(items.iter().map(|&x| x * 2 + (p as u64 & 1)).collect())
-                    },
-                )
-                .unwrap();
-            assert_eq!(out, baseline, "morsel_ops={morsel_ops} steal={steal}");
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whatever the budget, morsels are contiguous, cover every
+        /// partition exactly once in order, and never exceed the budget
+        /// unless they hold a single over-budget item.
+        #[test]
+        fn cut_morsels_is_a_contiguous_cover_at_any_budget(
+            partitions in prop::collection::vec(
+                prop::collection::vec(0u64..40, 0..60), 0..8),
+            budget in prop::sample::select(vec![1u64, 7, MORSEL_OPS, u64::MAX]),
+        ) {
+            let ranges = cut_morsels(&partitions, |&w| w, budget);
+            let mut next = 0usize;
+            for (p, part) in partitions.iter().enumerate() {
+                let mut at = 0usize;
+                let mut morsels = 0usize;
+                while next < ranges.len() && ranges[next].0 == p {
+                    let (_, start, end) = ranges[next];
+                    prop_assert_eq!(start, at, "morsels of a partition are contiguous");
+                    prop_assert!(end > start || part.is_empty(), "only an empty partition cuts empty");
+                    let load: u64 = part[start..end].iter().sum();
+                    prop_assert!(load <= budget || end - start == 1, "over budget: {}", load);
+                    at = end;
+                    morsels += 1;
+                    next += 1;
+                }
+                prop_assert!(morsels >= 1, "partition {} emitted no morsel", p);
+                prop_assert_eq!(at, part.len(), "partition {} not covered", p);
+                if budget == u64::MAX {
+                    prop_assert_eq!(morsels, 1, "an unbounded budget never splits");
+                }
+            }
+            prop_assert_eq!(next, ranges.len(), "ranges are grouped in partition order");
         }
     }
 
     #[test]
+    fn cut_morsels_splits_greedily_in_item_order() {
+        let parts = vec![vec![3u64, 3, 3, 9, 1], vec![], vec![2]];
+        assert_eq!(
+            cut_morsels(&parts, |&w| w, 7),
+            vec![
+                (0, 0, 2),
+                (0, 2, 3),
+                (0, 3, 4),
+                (0, 4, 5),
+                (1, 0, 0),
+                (2, 0, 1)
+            ]
+        );
+        assert_eq!(
+            cut_morsels(&parts, |&w| w, 1).len(),
+            5 + 1 + 1,
+            "budget 1 is one morsel per item, plus the empty partition's"
+        );
+    }
+
+    #[test]
     fn unsplit_morsel_stage_costs_the_same_as_run_job() {
-        // morsel_ops = MAX: one morsel per partition, each paying the full
-        // launch overhead — the cost model must match run_job exactly.
-        let mut cfg = ClusterConfig::local(2);
-        cfg.sched = SchedConfig::static_placement();
-        let c = Cluster::new(cfg);
+        // Both partitions fit the morsel budget: one morsel each, paying the
+        // full launch overhead — the cost model must match run_job exactly.
+        let c = Cluster::local(2);
         c.run_morsel_job(
             "m",
             vec![vec![1u64; 10], vec![1; 4]],
@@ -1389,6 +1299,7 @@ mod tests {
             },
         )
         .unwrap();
+        assert_eq!(c.metrics().morsels_executed.get(), 2);
         let d = Cluster::local(2);
         d.run_job("j", 2, |i, ctx| {
             let n = if i == 0 { 10 } else { 4 };
@@ -1396,7 +1307,9 @@ mod tests {
             Ok(vec![1u64; n])
         })
         .unwrap();
-        assert_eq!(c.clock().stages()[0].task_us, d.clock().stages()[0].task_us);
+        let morsel_us = c.clock().with_stages(|st| st[0].task_us.clone());
+        let job_us = d.clock().with_stages(|st| st[0].task_us.clone());
+        assert_eq!(morsel_us, job_us);
     }
 
     #[test]
@@ -1417,44 +1330,6 @@ mod tests {
         );
         assert!(c.metrics().tasks_lost.get() >= 1, "the kill lost a result");
         assert_eq!(c.metrics().executors_lost.get(), 1);
-    }
-
-    #[test]
-    fn speculation_skips_stolen_morsels() {
-        // One straggler morsel (m1, the second of partition 0) under a kill
-        // schedule that loses its first attempt. In the steal replay worker 1
-        // finishes its tiny queue and steals m1, so the speculative pass must
-        // leave it alone; with stealing off the same straggler is cloned.
-        let run = |steal: bool| {
-            let mut cfg = ClusterConfig::local(2);
-            cfg.speculation = true;
-            cfg.sched = SchedConfig {
-                morsel_ops: 1,
-                steal,
-            };
-            cfg.fault = FaultConfig::disabled().kill_in_stage(1, "spec", 1);
-            let c = Cluster::new(cfg);
-            let partitions: Vec<Vec<u64>> = vec![vec![1_000_000, 2_000_000], vec![1_000]];
-            let out = c
-                .run_morsel_job(
-                    "spec",
-                    partitions,
-                    |_| 1,
-                    |_, items, ctx| {
-                        ctx.charge_ops(items.iter().sum());
-                        Ok(items.to_vec())
-                    },
-                )
-                .unwrap();
-            assert_eq!(out, vec![vec![1_000_000, 2_000_000], vec![1_000]]);
-            assert!(c.metrics().tasks_lost.get() >= 1, "kill must engage");
-            c.metrics().speculative_launched.get()
-        };
-        assert!(
-            run(false) >= 1,
-            "static placement speculates on the straggler"
-        );
-        assert_eq!(run(true), 0, "a stolen morsel is never cloned");
     }
 
     #[test]

@@ -23,21 +23,10 @@ pub struct ClusterConfig {
     pub memory_per_executor: usize,
     /// Maximum attempts per task (Spark's `spark.task.maxFailures`, 4).
     pub max_task_attempts: u32,
-    /// Speculative execution (Spark's `spark.speculation`, default off):
-    /// after a stage's regular attempts finish, tasks slower than twice the
-    /// stage median get one clean clone on another executor; the faster
-    /// finisher wins and the loser's result is discarded deterministically.
-    pub speculation: bool,
     /// Fault injection settings.
     pub fault: FaultConfig,
     /// Virtual-time cost model.
     pub cost: CostModelConfig,
-    /// Morsel-driven scheduling knobs (see [`SchedConfig`]).
-    pub sched: SchedConfig,
-    /// Chunked operator-at-a-time execution knobs (see [`BatchConfig`]).
-    pub batch: BatchConfig,
-    /// Out-of-core execution knobs (see [`SpillConfig`]).
-    pub spill: SpillConfig,
 }
 
 impl ClusterConfig {
@@ -51,12 +40,8 @@ impl ClusterConfig {
             cores_per_executor: 1,
             memory_per_executor: 512 << 20,
             max_task_attempts: 4,
-            speculation: false,
             fault: FaultConfig::disabled(),
             cost: CostModelConfig::default(),
-            sched: SchedConfig::default(),
-            batch: BatchConfig::default(),
-            spill: SpillConfig::default(),
         }
     }
 
@@ -74,163 +59,6 @@ impl ClusterConfig {
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig::local(4)
-    }
-}
-
-/// Morsel-driven scheduling configuration.
-///
-/// [`crate::Cluster::run_morsel_job`] cuts each input partition into
-/// *morsels* — contiguous runs whose summed op weight stays at or under
-/// `morsel_ops` — and schedules morsels instead of whole partitions. Each
-/// worker owns the queue of morsels whose home partition maps to it; when
-/// `steal` is on, a worker that drains its queue takes the *tail* morsel of
-/// the queue with the most remaining work. Results are reassembled in
-/// (partition, morsel-index) order, so output is bit-identical regardless of
-/// how morsels interleave across workers.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct SchedConfig {
-    /// Op-weight budget per morsel. A partition whose total weight fits the
-    /// budget stays a single morsel; `u64::MAX` disables splitting entirely
-    /// (whole-partition tasks, as `run_job` schedules).
-    pub morsel_ops: u64,
-    /// Work stealing between worker queues. With `false`, every morsel runs
-    /// on its home worker (`partition % workers`) — static placement, the
-    /// pre-morsel behaviour and the baseline the scheduler bench compares
-    /// against.
-    pub steal: bool,
-}
-
-impl Default for SchedConfig {
-    fn default() -> Self {
-        SchedConfig {
-            morsel_ops: Self::DEFAULT_MORSEL_OPS,
-            steal: true,
-        }
-    }
-}
-
-impl SchedConfig {
-    /// Default morsel budget: with the default 400 ns/op cost this is ~6.5 ms
-    /// of virtual compute per morsel — small enough to balance skewed
-    /// partitions, large enough that the per-morsel dispatch overhead stays
-    /// in the noise.
-    pub const DEFAULT_MORSEL_OPS: u64 = 16_384;
-
-    /// Morsel splitting disabled, stealing off: whole partitions placed
-    /// statically, exactly like [`crate::Cluster::run_job`].
-    pub fn static_placement() -> Self {
-        SchedConfig {
-            morsel_ops: u64::MAX,
-            steal: false,
-        }
-    }
-}
-
-/// Chunked operator-at-a-time execution configuration.
-///
-/// Narrow transformations (`map`, `filter`, `flat_map` and the explicit
-/// `*_batches` operators) and the shuffle map side move records through the
-/// DAG in contiguous `Vec<T>` slabs ([`crate::Chunk`]) of at most
-/// `target_chunk_records` rows. Each chunk pays one dispatch cost
-/// ([`CostModelConfig::chunk_dispatch_ns`]) regardless of how many records
-/// it carries, so larger chunks amortize per-record closure dispatch the
-/// same way morsels amortize task launch. Output is bit-identical for every
-/// chunk size — chunks are processed sequentially, in order, within a task.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct BatchConfig {
-    /// Target records per chunk. `1` degenerates to record-at-a-time
-    /// dispatch (the pre-batch behaviour and the bench baseline);
-    /// `usize::MAX` hands each partition to the operator as one slab.
-    pub target_chunk_records: usize,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            target_chunk_records: Self::DEFAULT_CHUNK_RECORDS,
-        }
-    }
-}
-
-impl BatchConfig {
-    /// Default chunk size: large enough that the per-chunk dispatch cost is
-    /// noise next to per-record work, small enough that chunks stay
-    /// cache-resident and can later become the spill unit.
-    pub const DEFAULT_CHUNK_RECORDS: usize = 1024;
-
-    /// Record-at-a-time dispatch: every record is its own chunk and pays
-    /// its own dispatch cost. The baseline `bench_ops` gates against.
-    pub fn row_at_a_time() -> Self {
-        BatchConfig {
-            target_chunk_records: 1,
-        }
-    }
-
-    /// Chunking disabled: each partition moves as a single slab.
-    pub fn unchunked() -> Self {
-        BatchConfig {
-            target_chunk_records: usize::MAX,
-        }
-    }
-}
-
-/// Out-of-core execution configuration.
-///
-/// The engine accounts two per-executor memory pools: the cache pool
-/// ([`crate::storage::BlockManager`], `STORAGE_FRACTION` of executor
-/// memory) and a resident-shuffle pool (`shuffle_fraction` of executor
-/// memory, Spark's `spark.shuffle.memoryFraction`). A shuffle write that
-/// would push an executor's resident map outputs over the pool — or a
-/// cache block that does not fit its pool — goes to a per-executor spill
-/// file instead, provided a spill codec is registered for the element type
-/// (see [`crate::spill::SpillManager`]). With `enabled = false` the pool
-/// limits are still enforced: an over-budget shuffle write fails the task
-/// with [`crate::SparkletError::MemoryExceeded`] (the paper's Fig. 8b abort
-/// regime), and over-budget cache blocks are dropped and recomputed from
-/// lineage on access.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct SpillConfig {
-    /// Whether the disk tier is available. Off: the memory caps become hard
-    /// limits (shuffle writes error, cache blocks drop).
-    pub enabled: bool,
-    /// Fraction of [`ClusterConfig::memory_per_executor`] that shuffle map
-    /// outputs may keep resident per executor. Values `<= 0` disable the
-    /// resident-shuffle cap entirely (pre-spill behaviour).
-    pub shuffle_fraction: f64,
-}
-
-impl Default for SpillConfig {
-    fn default() -> Self {
-        SpillConfig {
-            enabled: true,
-            shuffle_fraction: Self::DEFAULT_SHUFFLE_FRACTION,
-        }
-    }
-}
-
-impl SpillConfig {
-    /// Default resident-shuffle fraction (Spark 1.x's
-    /// `spark.shuffle.memoryFraction` default).
-    pub const DEFAULT_SHUFFLE_FRACTION: f64 = 0.2;
-
-    /// Disk tier off, caps still enforced: over-budget shuffle writes fail
-    /// the task and over-budget cache blocks are dropped. The baseline
-    /// `bench_spill` aborts against.
-    pub fn disabled() -> Self {
-        SpillConfig {
-            enabled: false,
-            ..SpillConfig::default()
-        }
-    }
-
-    /// Resident-shuffle byte budget per executor for a given executor
-    /// memory size; `usize::MAX` when the cap is disabled.
-    pub fn shuffle_capacity(&self, memory_per_executor: usize) -> usize {
-        if self.shuffle_fraction <= 0.0 {
-            usize::MAX
-        } else {
-            (memory_per_executor as f64 * self.shuffle_fraction) as usize
-        }
     }
 }
 
@@ -388,10 +216,8 @@ pub struct CostModelConfig {
     /// exactly as expensive as the equivalent `run_job` stage.
     pub morsel_dispatch_overhead_us: u64,
     /// Virtual nanoseconds charged per chunk dispatched on the batch path
-    /// (closure call, bounds setup, downstream handoff). With
-    /// [`BatchConfig::row_at_a_time`] every record pays this; at the
-    /// default chunk size it is amortized ~1000× — the gap `bench_ops`
-    /// measures.
+    /// (closure call, bounds setup, downstream handoff); amortized over the
+    /// ~1024 records a chunk carries.
     pub chunk_dispatch_ns: u64,
     /// Virtual nanoseconds per byte serialized to a spill file when a
     /// shuffle bucket or cache block overflows its memory pool. Higher than
@@ -452,46 +278,6 @@ mod tests {
         assert_eq!(
             FaultConfig::with_probability(-1.0, 1).task_failure_prob,
             0.0
-        );
-    }
-
-    #[test]
-    fn static_placement_disables_splitting_and_stealing() {
-        let s = SchedConfig::static_placement();
-        assert_eq!(s.morsel_ops, u64::MAX);
-        assert!(!s.steal);
-        let d = SchedConfig::default();
-        assert!(d.steal, "morsel scheduling is the default");
-        assert!(d.morsel_ops < u64::MAX);
-    }
-
-    #[test]
-    fn batch_config_presets_cover_the_extremes() {
-        let d = BatchConfig::default();
-        assert_eq!(d.target_chunk_records, BatchConfig::DEFAULT_CHUNK_RECORDS);
-        assert_eq!(BatchConfig::row_at_a_time().target_chunk_records, 1);
-        assert_eq!(BatchConfig::unchunked().target_chunk_records, usize::MAX);
-        assert!(
-            CostModelConfig::default().chunk_dispatch_ns > 0,
-            "row-at-a-time must cost something for the batch path to amortize"
-        );
-    }
-
-    #[test]
-    fn spill_capacity_follows_the_fraction() {
-        let s = SpillConfig::default();
-        assert!(s.enabled, "the disk tier is on by default");
-        assert_eq!(s.shuffle_capacity(1000), 200);
-        let off = SpillConfig {
-            shuffle_fraction: 0.0,
-            ..SpillConfig::default()
-        };
-        assert_eq!(off.shuffle_capacity(1000), usize::MAX, "cap disabled");
-        assert!(!SpillConfig::disabled().enabled);
-        let c = CostModelConfig::default();
-        assert!(
-            c.spill_write_ns > c.shuffle_byte_ns,
-            "spilling must cost more than keeping bytes resident"
         );
     }
 

@@ -89,8 +89,8 @@ impl ExecutorRegistry {
     /// Deterministically place `(task, attempt)` on an alive executor:
     /// `alive[(task + attempt) mod alive_count]`. Returns the executor id
     /// and its current incarnation, or `None` when every executor is
-    /// blacklisted. Rotating by attempt moves retries (and speculative
-    /// clones) off the executor that hosted the previous attempt.
+    /// blacklisted. Rotating by attempt moves retries off the executor
+    /// that hosted the previous attempt.
     pub fn place(&self, task: usize, attempt: u32) -> Option<(usize, u32)> {
         let slots = self.slots.lock();
         let alive: Vec<&ExecutorInfo> = slots.iter().filter(|e| e.alive).collect();

@@ -123,7 +123,7 @@ pub enum EventKind {
         bytes: usize,
     },
     /// A cache put was refused outright: the block exceeded the executor
-    /// pool and the disk tier could not take it (no codec / spill disabled).
+    /// pool and no spill codec is registered for its type.
     /// The partition will recompute from lineage on every access.
     CacheSkipped {
         /// RDD id.
@@ -198,15 +198,6 @@ pub enum EventKind {
         shuffle: u64,
         /// Map task that was re-run.
         map_task: usize,
-    },
-    /// A speculative clone of a straggler finished.
-    Speculative {
-        /// Stage name.
-        stage: String,
-        /// Task index.
-        task: usize,
-        /// Whether the clone beat the original attempt.
-        won: bool,
     },
     /// A task's result was discarded because its executor died mid-flight;
     /// the task is rescheduled on a survivor (not counted as a failure).
@@ -388,7 +379,6 @@ impl EventKind {
             EventKind::ExecutorLost { .. } => "executor_lost",
             EventKind::FetchFailed { .. } => "fetch_failed",
             EventKind::Recomputed { .. } => "recomputed",
-            EventKind::Speculative { .. } => "speculative",
             EventKind::TaskLost { .. } => "task_lost",
             EventKind::MorselStolen { .. } => "morsel_stolen",
             EventKind::WorkerIdle { .. } => "worker_idle",
@@ -617,10 +607,6 @@ pub struct RecoveryReport {
     pub recomputed_map_tasks: u64,
     /// In-flight results discarded with their executor and rescheduled.
     pub tasks_lost: u64,
-    /// Speculative clones launched for stragglers.
-    pub speculative_launched: u64,
-    /// Speculative clones that beat the original.
-    pub speculative_wins: u64,
 }
 
 impl RecoveryReport {
@@ -676,23 +662,25 @@ impl SchedReport {
         let mut busy = vec![0u64; workers];
         let mut morsels_run = vec![0u64; workers];
         let mut steals_by = vec![0u64; workers];
-        for record in cluster.clock().stages() {
-            let Some(info) = &record.morsels else {
-                continue;
-            };
-            let sim = simulate_morsels(&record.task_us, &info.partition_of, workers, info.steal);
-            report.morsel_stages += 1;
-            report.morsels += record.task_us.len() as u64;
-            report.steals += sim.stolen_count();
-            report.makespan_us += sim.makespan_us;
-            for w in 0..workers {
-                busy[w] += sim.busy_us[w];
-                morsels_run[w] += sim.morsels_run[w];
+        cluster.clock().with_stages(|stages| {
+            for record in stages {
+                let Some(partition_of) = &record.morsels else {
+                    continue;
+                };
+                let sim = simulate_morsels(&record.task_us, partition_of, workers);
+                report.morsel_stages += 1;
+                report.morsels += record.task_us.len() as u64;
+                report.steals += sim.stolen_count();
+                report.makespan_us += sim.makespan_us;
+                for w in 0..workers {
+                    busy[w] += sim.busy_us[w];
+                    morsels_run[w] += sim.morsels_run[w];
+                }
+                for &(thief, _, n) in &sim.steals {
+                    steals_by[thief] += n;
+                }
             }
-            for &(thief, _, n) in &sim.steals {
-                steals_by[thief] += n;
-            }
-        }
+        });
         if report.morsel_stages == 0 {
             return report;
         }
@@ -719,19 +707,13 @@ impl SchedReport {
 }
 
 /// Chunked-execution aggregates captured into a [`JobReport`]: one row per
-/// (stage, operator) that ran through the batch path, plus run-wide totals
-/// and the dispatch overhead chunking saved against a row-at-a-time
-/// execution of the same record volume.
+/// (stage, operator) that ran through the batch path, plus run-wide totals.
 #[derive(Debug, Clone, Default)]
 pub struct BatchReport {
     /// Chunks dispatched across all batch stages.
     pub chunks: u64,
     /// Records carried through the batch path.
     pub records: u64,
-    /// Virtual time saved versus dispatching every record as its own chunk:
-    /// `(records − chunks) × chunk_dispatch_ns / 1000` (µs) at the
-    /// cluster's own [`crate::CostModelConfig::chunk_dispatch_ns`].
-    pub dispatch_saved_us: u64,
     /// Per-(stage, operator) rows in first-seen order.
     pub stages: Vec<BatchStageReport>,
 }
@@ -781,11 +763,7 @@ impl BatchReport {
                 entry.3.push(mean);
             }
         }
-        let mut report = drain_batch_rows(order, rows);
-        report.dispatch_saved_us = report.records.saturating_sub(report.chunks)
-            * cluster.config().cost.chunk_dispatch_ns
-            / 1000;
-        report
+        drain_batch_rows(order, rows)
     }
 
     /// Did anything run through the batch path?
@@ -851,7 +829,7 @@ pub struct SpillReport {
     pub blocks_spilled: u64,
     /// Shuffle buckets written to disk under memory pressure.
     pub buckets_spilled: u64,
-    /// Cache puts refused outright (oversized, no codec / spill disabled).
+    /// Cache puts refused outright (oversized, no spill codec).
     pub cache_skipped: u64,
     /// Peak resident bytes per executor (cache + shuffle pools jointly).
     pub peak_resident: Vec<u64>,
@@ -1130,14 +1108,14 @@ pub struct JobReport {
     pub stages: Vec<StageReport>,
     /// Engine counter totals.
     pub totals: ReportTotals,
-    /// Failure-recovery totals: executor losses, fetch failures, lineage
-    /// recomputation and speculation.
+    /// Failure-recovery totals: executor losses, fetch failures and lineage
+    /// recomputation.
     pub recovery: RecoveryReport,
     /// Morsel-scheduling aggregates: steal counts and the per-worker
     /// utilization table (empty when no stage ran morsel-driven).
     pub sched: SchedReport,
-    /// Chunked-execution aggregates: chunks/records per stage-operator and
-    /// the dispatch overhead saved (empty when nothing ran batch-path).
+    /// Chunked-execution aggregates: chunks/records per stage-operator
+    /// (empty when nothing ran batch-path).
     pub batch: BatchReport,
     /// Out-of-core aggregates: spill volume both ways, file counts and the
     /// per-executor peak-resident high-water marks (empty when the run
@@ -1167,8 +1145,11 @@ pub struct JobReport {
 impl JobReport {
     /// Current JSON schema version (2 added the `recovery` section, 3 the
     /// `sched` section, 4 the `batch` section, 5 the `spill` section, 6 the
-    /// `prune` section, 7 the `ingest` section, 8 the `serve` section).
-    pub const SCHEMA_VERSION: u32 = 8;
+    /// `prune` section, 7 the `ingest` section, 8 the `serve` section; 9
+    /// removed `batch.dispatch_saved_us` and the two straggler-clone counters
+    /// of `recovery` with the switches they described — DESIGN.md "Retired
+    /// baselines" lists them by name).
+    pub const SCHEMA_VERSION: u32 = 9;
 
     /// Snapshot a cluster's clock, metrics and journal into a report.
     pub fn capture(cluster: &Cluster) -> Self {
@@ -1198,10 +1179,7 @@ impl JobReport {
             schema_version: Self::SCHEMA_VERSION,
             stages: cluster
                 .clock()
-                .stages()
-                .iter()
-                .map(StageReport::from_record)
-                .collect(),
+                .with_stages(|st| st.iter().map(StageReport::from_record).collect()),
             totals: ReportTotals {
                 jobs_submitted: m.jobs_submitted.get(),
                 tasks_launched: m.tasks_launched.get(),
@@ -1229,8 +1207,6 @@ impl JobReport {
                 fetch_failures: m.fetch_failures.get(),
                 recomputed_map_tasks: m.recomputed_tasks.get(),
                 tasks_lost: m.tasks_lost.get(),
-                speculative_launched: m.speculative_launched.get(),
-                speculative_wins: m.speculative_wins.get(),
             },
             failures,
             user_counters: m.user_counters(),
@@ -1279,15 +1255,12 @@ impl JobReport {
         out.push_str("  \"recovery\": {");
         out.push_str(&format!(
             "\"executors_lost\": {}, \"executors_blacklisted\": {}, \"fetch_failures\": {}, \
-             \"recomputed_map_tasks\": {}, \"tasks_lost\": {}, \"speculative_launched\": {}, \
-             \"speculative_wins\": {}",
+             \"recomputed_map_tasks\": {}, \"tasks_lost\": {}",
             r.executors_lost,
             r.executors_blacklisted,
             r.fetch_failures,
             r.recomputed_map_tasks,
             r.tasks_lost,
-            r.speculative_launched,
-            r.speculative_wins,
         ));
         out.push_str("},\n");
         let sc = &self.sched;
@@ -1317,8 +1290,8 @@ impl JobReport {
         let b = &self.batch;
         out.push_str("  \"batch\": {");
         out.push_str(&format!(
-            "\"chunks\": {}, \"records\": {}, \"dispatch_saved_us\": {}, \"stages\": [",
-            b.chunks, b.records, b.dispatch_saved_us,
+            "\"chunks\": {}, \"records\": {}, \"stages\": [",
+            b.chunks, b.records,
         ));
         for (i, s) in b.stages.iter().enumerate() {
             if i > 0 {
@@ -1588,15 +1561,12 @@ impl fmt::Display for JobReport {
             writeln!(
                 f,
                 "recovery: {} executors lost ({} blacklisted), {} fetch failures, \
-                 {} map tasks recomputed, {} in-flight results rescheduled, \
-                 speculation {}/{} wins",
+                 {} map tasks recomputed, {} in-flight results rescheduled",
                 r.executors_lost,
                 r.executors_blacklisted,
                 r.fetch_failures,
                 r.recomputed_map_tasks,
                 r.tasks_lost,
-                r.speculative_wins,
-                r.speculative_launched,
             )?;
         }
         if self.sched.morsel_stages > 0 {
@@ -1632,12 +1602,10 @@ impl fmt::Display for JobReport {
             let b = &self.batch;
             writeln!(
                 f,
-                "batch: {} chunks / {} records across {} stage-ops, \
-                 ~{:.1} ms dispatch saved vs row-at-a-time",
+                "batch: {} chunks / {} records across {} stage-ops",
                 b.chunks,
                 b.records,
                 b.stages.len(),
-                b.dispatch_saved_us as f64 / 1e3,
             )?;
         }
         if self.ingest.any() {
@@ -1924,7 +1892,7 @@ mod tests {
         .unwrap();
         let json = c.job_report().to_json();
         for key in [
-            "\"schema_version\": 8",
+            "\"schema_version\": 9",
             "\"batch\"",
             "\"ingest\"",
             "\"serve\"",
@@ -1937,7 +1905,6 @@ mod tests {
             "\"checkpoint_fallbacks\"",
             "\"driver_kills\"",
             "\"checkpoint_bytes\"",
-            "\"dispatch_saved_us\"",
             "\"prune\"",
             "\"cells_skipped\"",
             "\"evals_avoided\"",
@@ -1956,7 +1923,7 @@ mod tests {
             "\"executors_lost\"",
             "\"fetch_failures\"",
             "\"recomputed_map_tasks\"",
-            "\"speculative_wins\"",
+            "\"tasks_lost\"",
             "\"sched\"",
             "\"morsel_stages\"",
             "\"utilization\"",
@@ -2115,8 +2082,6 @@ mod tests {
         assert_eq!(row.op, "map");
         assert_eq!(row.p50_chunk_records, 1024);
         assert_eq!(row.max_chunk_records, 1024);
-        // (records − chunks) at the default 2 µs per dispatch.
-        assert_eq!(report.batch.dispatch_saved_us, (6144 - 6) * 2000 / 1000);
         let json = report.to_json();
         assert!(json.contains("\"batch\": {\"chunks\": 6"), "{json}");
         assert!(report.to_string().contains("batch: 6 chunks"));
@@ -2245,7 +2210,7 @@ mod tests {
         // 200 morsels from one hot partition (each item fills a whole morsel
         // budget): without coalescing this would journal O(morsels) steal
         // events; the bound is workers² + workers.
-        let partitions: Vec<Vec<u64>> = vec![vec![crate::SchedConfig::DEFAULT_MORSEL_OPS; 200]];
+        let partitions: Vec<Vec<u64>> = vec![vec![crate::cluster::MORSEL_OPS; 200]];
         c.run_morsel_job("hot", partitions, |&w| w, |_, items, _| Ok(items.to_vec()))
             .unwrap();
         let events = c.journal().events();

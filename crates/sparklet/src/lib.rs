@@ -66,10 +66,7 @@ pub mod storage;
 pub mod task;
 
 pub use cluster::Cluster;
-pub use config::{
-    BatchConfig, ClusterConfig, CostModelConfig, ExecutorKill, FaultConfig, KillWhen, SchedConfig,
-    SpillConfig,
-};
+pub use config::{ClusterConfig, CostModelConfig, ExecutorKill, FaultConfig, KillWhen};
 pub use error::{Result, SparkletError};
 pub use executor::{ExecutorInfo, ExecutorRegistry, KillOutcome};
 pub use hash::{stable_hash, SipHasher13};
@@ -82,7 +79,7 @@ pub use pair::PairRdd;
 pub use partitioner::{HashPartitioner, Partitioner};
 pub use rdd::{Chunk, Rdd};
 pub use report::ClusterReport;
-pub use simtime::{simulate_morsels, MorselInfo, SchedSim};
+pub use simtime::{simulate_morsels, SchedSim};
 pub use spill::{FixedBytes, SpillManager};
 pub use task::TaskContext;
 

@@ -69,17 +69,13 @@ pub struct ClusterMetrics {
     /// Task results discarded because their executor died mid-flight
     /// (rescheduled on survivors without counting as failures).
     pub tasks_lost: Counter,
-    /// Speculative clone attempts launched for stragglers.
-    pub speculative_launched: Counter,
-    /// Speculative clones that beat the original attempt.
-    pub speculative_wins: Counter,
     /// Morsels executed by morsel-driven stages (see
     /// [`crate::Cluster::run_morsel_job`]).
     pub morsels_executed: Counter,
     /// Morsels that ran on a worker other than their home (work stealing).
     pub morsels_stolen: Counter,
     /// Chunks dispatched through the batch operator path (see
-    /// [`crate::BatchConfig`]).
+    /// [`crate::rdd::batch`]).
     pub chunks_executed: Counter,
     /// Bytes serialized to spill files (shuffle buckets + cache blocks).
     pub spill_bytes_written: Counter,
@@ -148,8 +144,6 @@ impl ClusterMetrics {
         self.fetch_failures.reset();
         self.recomputed_tasks.reset();
         self.tasks_lost.reset();
-        self.speculative_launched.reset();
-        self.speculative_wins.reset();
         self.morsels_executed.reset();
         self.morsels_stolen.reset();
         self.chunks_executed.reset();
@@ -225,13 +219,13 @@ mod tests {
         m.tasks_launched.add(3);
         m.executors_lost.add(2);
         m.fetch_failures.add(4);
-        m.speculative_wins.inc();
+        m.tasks_lost.inc();
         m.reset();
         assert_eq!(m.counter("x").get(), 0);
         assert_eq!(m.tasks_launched.get(), 0);
         assert_eq!(m.executors_lost.get(), 0);
         assert_eq!(m.fetch_failures.get(), 0);
-        assert_eq!(m.speculative_wins.get(), 0);
+        assert_eq!(m.tasks_lost.get(), 0);
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! Record-at-a-time dispatch pays one boxed-closure call per element; with
 //! the narrow operators lowered to this module, a partition instead moves
-//! through the DAG as a sequence of [`Chunk`] slabs of
-//! [`crate::BatchConfig::target_chunk_records`] rows, paying one dispatch
+//! through the DAG as a sequence of [`Chunk`] slabs of at most 1024 rows
+//! (`CHUNK_RECORDS`), paying one dispatch
 //! ([`crate::CostModelConfig::chunk_dispatch_ns`]) per chunk and per-record
-//! cost only for the work itself. Output is bit-identical for every chunk
-//! size: chunks are cut and re-concatenated in row order, so `map`, `filter`
+//! cost only for the work itself. Output does not depend on where the cuts
+//! fall: chunks are cut and re-concatenated in row order, so `map`, `filter`
 //! and `flat_map` remain thin adapters over [`BatchMapNode`] with unchanged
 //! semantics.
 
@@ -17,6 +17,11 @@ use crate::journal::EventKind;
 use crate::task::TaskContext;
 use crate::Data;
 use std::sync::Arc;
+
+/// Rows per chunk on the batch path (narrow operators and the shuffle map
+/// side): large enough that the per-chunk dispatch cost is noise next to
+/// per-record work, small enough that a chunk stays cache-resident.
+pub(crate) const CHUNK_RECORDS: usize = 1024;
 
 /// A contiguous slab of rows flowing through a batch operator.
 ///
@@ -77,8 +82,7 @@ impl<T> IntoIterator for Chunk<T> {
 
 /// Cut a partition into chunks of at most `target` rows, moving each element
 /// exactly once. A partition at or under the target passes through as a
-/// single chunk without touching its elements (the `usize::MAX`
-/// "unchunked" preset always takes this path); an empty partition is one
+/// single chunk without touching its elements; an empty partition is one
 /// empty chunk, so every (task, operator) pair dispatches at least once.
 pub(crate) fn split_chunks<T>(data: Vec<T>, target: usize) -> Vec<Vec<T>> {
     let target = target.max(1);
@@ -110,7 +114,6 @@ pub struct BatchMapNode<T: Data, U: Data> {
     name: String,
     cluster: Cluster,
     parent: Arc<dyn RddNode<T>>,
-    target: usize,
     #[allow(clippy::type_complexity)]
     f: Arc<dyn Fn(&TaskContext, usize, Chunk<T>) -> Result<Chunk<U>> + Send + Sync>,
 }
@@ -122,7 +125,6 @@ impl<T: Data, U: Data> BatchMapNode<T, U> {
         name: &str,
         cluster: Cluster,
         parent: Arc<dyn RddNode<T>>,
-        target: usize,
         f: Arc<dyn Fn(&TaskContext, usize, Chunk<T>) -> Result<Chunk<U>> + Send + Sync>,
     ) -> Self {
         BatchMapNode {
@@ -130,7 +132,6 @@ impl<T: Data, U: Data> BatchMapNode<T, U> {
             name: name.to_string(),
             cluster,
             parent,
-            target,
             f,
         }
     }
@@ -152,7 +153,7 @@ impl<T: Data, U: Data> RddNode<U> for BatchMapNode<T, U> {
     fn compute(&self, split: usize, ctx: &TaskContext) -> Result<Vec<U>> {
         let input = self.parent.compute(split, ctx)?;
         let records = input.len() as u64;
-        let chunks = split_chunks(input, self.target);
+        let chunks = split_chunks(input, CHUNK_RECORDS);
         ctx.add_chunks(chunks.len() as u64);
         let mut max_chunk = 0u64;
         let n_chunks = chunks.len() as u64;
@@ -202,12 +203,26 @@ mod tests {
 
     #[test]
     fn split_chunks_empty_partition_is_one_empty_chunk() {
-        let chunks = split_chunks(Vec::<u8>::new(), 4);
-        assert_eq!(chunks, vec![Vec::<u8>::new()]);
+        for target in [1, 4, CHUNK_RECORDS, usize::MAX] {
+            let chunks = split_chunks(Vec::<u8>::new(), target);
+            assert_eq!(chunks, vec![Vec::<u8>::new()], "target {target}");
+        }
     }
 
     #[test]
-    fn split_chunks_target_one_is_row_at_a_time() {
+    fn split_chunks_preserves_order_and_content_at_every_target() {
+        let rows: Vec<u32> = (0..2_500).map(|i| i * 7 % 1_013).collect();
+        for (target, expect_chunks) in [(1, 2_500), (CHUNK_RECORDS, 3), (usize::MAX, 1)] {
+            let chunks = split_chunks(rows.clone(), target);
+            assert_eq!(chunks.len(), expect_chunks, "target {target}");
+            assert!(chunks.iter().all(|c| !c.is_empty() && c.len() <= target));
+            let flat: Vec<u32> = chunks.into_iter().flatten().collect();
+            assert_eq!(flat, rows, "target {target}");
+        }
+    }
+
+    #[test]
+    fn split_chunks_target_one_is_one_row_per_chunk() {
         let chunks = split_chunks(vec![7u8, 8, 9], 1);
         assert_eq!(chunks, vec![vec![7], vec![8], vec![9]]);
     }

@@ -161,7 +161,6 @@ impl<T: Data> Rdd<T> {
         f: impl Fn(&TaskContext, usize, Chunk<T>) -> Result<Chunk<U>> + Send + Sync + 'static,
     ) -> Rdd<U> {
         let id = self.cluster.new_rdd_id();
-        let target = self.cluster.config().batch.target_chunk_records;
         Rdd::from_node(
             self.cluster.clone(),
             Arc::new(BatchMapNode::new(
@@ -169,7 +168,6 @@ impl<T: Data> Rdd<T> {
                 name,
                 self.cluster.clone(),
                 self.node.clone(),
-                target,
                 Arc::new(f),
             )),
         )

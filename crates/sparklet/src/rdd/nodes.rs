@@ -1,5 +1,6 @@
 //! Concrete lineage-node implementations.
 
+use super::batch::CHUNK_RECORDS;
 use super::node::RddNode;
 use crate::cluster::{Cluster, RecoveryFn};
 use crate::error::{Result, SparkletError};
@@ -340,13 +341,12 @@ fn run_map_stage<K: KeyData, V: Data>(
     let maps: Arc<Vec<usize>> = Arc::new(maps.to_vec());
     let parent = parent.clone();
     let partitioner = partitioner.clone();
-    let chunk_target = cluster.config().batch.target_chunk_records;
     let cl = cluster.clone();
     cluster.run_job::<u8, _>(&stage, maps.len(), move |i, ctx| {
         let m = maps[i];
         let data = parent.compute(m, ctx)?;
         let records = data.len();
-        let (buckets, chunks) = bucket_by_partition(data, partitioner.as_ref(), chunk_target);
+        let (buckets, chunks) = bucket_by_partition(data, partitioner.as_ref(), CHUNK_RECORDS);
         ctx.add_chunks(chunks);
         let bytes = (records * std::mem::size_of::<(K, V)>().max(1)) as u64;
         ctx.add_shuffle_bytes(bytes);
@@ -355,7 +355,7 @@ fn run_map_stage<K: KeyData, V: Data>(
             op: "shuffle-bucket".into(),
             chunks,
             records: records as u64,
-            max_chunk: chunk_target.min(records) as u64,
+            max_chunk: CHUNK_RECORDS.min(records) as u64,
         });
         cl.shuffles()
             .write_map_output(sid, m, total, nr, ctx.executor(), buckets, bytes)?;

@@ -69,10 +69,7 @@ impl ClusterReport {
         ClusterReport {
             stages: cluster
                 .clock()
-                .stages()
-                .iter()
-                .map(StageSummary::from_record)
-                .collect(),
+                .with_stages(|st| st.iter().map(StageSummary::from_record).collect()),
             jobs: m.jobs_submitted.get(),
             tasks_launched: m.tasks_launched.get(),
             tasks_failed: m.tasks_failed.get(),

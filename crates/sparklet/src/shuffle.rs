@@ -11,7 +11,7 @@
 //! produced them. That gives three properties the failure domain needs:
 //! reads concatenate buckets in map-task order (deterministic regardless of
 //! which worker finished first), duplicate writes of the same map task are
-//! ignored (a speculative clone or recomputation cannot double records), and
+//! ignored (a racing recomputation cannot double records), and
 //! killing an executor invalidates exactly its map outputs
 //! ([`ShuffleService::invalidate_executor`]) so the next read surfaces
 //! [`SparkletError::FetchFailed`] and the scheduler recomputes just the
@@ -19,14 +19,14 @@
 //!
 //! With a [`SpillManager`] attached (see [`ShuffleService::with_spill`],
 //! wired by [`crate::Cluster::new`]), each executor's *resident* shuffle
-//! bytes are capped ([`crate::SpillConfig::shuffle_capacity`], Spark's
+//! bytes are capped ([`SpillManager::shuffle_capacity`], Spark's
 //! `shuffle.memoryFraction` pool). A map output that would overflow the pool
 //! is serialized bucket-by-bucket into the executor's spill file instead of
 //! being held in memory — read-back happens transparently in
-//! [`ShuffleService::read_bucket`]. When the disk tier is disabled the same
-//! write fails with [`SparkletError::MemoryExceeded`], failing the task and,
-//! once attempts are exhausted, the job: exactly the abort a memory-capped
-//! run hits without out-of-core execution.
+//! [`ShuffleService::read_bucket`]. A payload type with no registered spill
+//! codec cannot go out of core: the same write fails with
+//! [`SparkletError::MemoryExceeded`], failing the task and, once attempts
+//! are exhausted, the job.
 
 use crate::error::{Result, SparkletError};
 use crate::journal::{EventKind, RunJournal};
@@ -108,7 +108,7 @@ impl ShuffleService {
     /// Attach the disk tier (builder, used by [`crate::Cluster::new`]): caps
     /// each executor's resident shuffle bytes at the spill manager's shuffle
     /// capacity, spilling over-cap map outputs (or failing them with
-    /// [`SparkletError::MemoryExceeded`] when spill is disabled).
+    /// [`SparkletError::MemoryExceeded`] when their type has no codec).
     pub fn with_spill(mut self, spill: SpillManager) -> Self {
         self.spill = Some(spill);
         self
@@ -128,15 +128,15 @@ impl ShuffleService {
     /// on `executor`: `chunks[r]` is the data destined for reduce partition
     /// `r`. `bytes` is the estimated serialized volume (for metrics /
     /// virtual time). Keep-first: if the map task already has a live
-    /// output (a speculative clone or a racing recomputation lost), the
+    /// output (a racing recomputation lost), the
     /// write is ignored and `Ok(false)` is returned — nothing is journaled
     /// or counted for a discarded duplicate.
     ///
     /// With a disk tier attached, a write that would push the executor's
     /// resident shuffle bytes over the spill capacity is serialized
-    /// bucket-by-bucket to the executor's spill file (spill enabled + codec
-    /// registered for `T`) or fails with [`SparkletError::MemoryExceeded`],
-    /// which fails the task like any other attempt error.
+    /// bucket-by-bucket to the executor's spill file (codec registered for
+    /// `T`) or fails with [`SparkletError::MemoryExceeded`], which fails the
+    /// task like any other attempt error.
     #[allow(clippy::too_many_arguments)]
     pub fn write_map_output<T: Send + Sync + 'static>(
         &self,
@@ -182,14 +182,6 @@ impl ShuffleService {
             } else {
                 // Over the pool: spill every bucket or fail the attempt.
                 let sp = self.spill.as_ref().expect("finite capacity implies spill");
-                let exceeded = SparkletError::MemoryExceeded {
-                    requested: (resident_now.saturating_add(bytes)) as usize,
-                    budget: capacity as usize,
-                };
-                if !sp.enabled() {
-                    self.metrics.memory_kills.inc();
-                    return Err(exceeded);
-                }
                 let mut buckets = Vec::with_capacity(chunks.len());
                 for chunk in &chunks {
                     match sp.write(executor, chunk) {
@@ -198,7 +190,10 @@ impl ShuffleService {
                             // No codec for T: out-of-core is impossible for
                             // this payload, surface the memory failure.
                             self.metrics.memory_kills.inc();
-                            return Err(exceeded);
+                            return Err(SparkletError::MemoryExceeded {
+                                requested: resident_now.saturating_add(bytes) as usize,
+                                budget: capacity as usize,
+                            });
                         }
                     }
                 }
@@ -458,7 +453,7 @@ mod tests {
         assert!(
             !svc.write_map_output(1, 0, 1, 1, 1, vec![vec![9u8]], 1)
                 .unwrap(),
-            "speculative duplicate ignored"
+            "duplicate write ignored"
         );
         svc.mark_complete(1);
         let got: Vec<u8> = svc.read_bucket(1, 0).unwrap();
@@ -572,9 +567,9 @@ mod tests {
         assert!(got.is_empty());
     }
 
-    fn spilling_svc(cap: usize, enabled: bool) -> (ShuffleService, ClusterMetrics, SpillManager) {
+    fn spilling_svc(cap: usize) -> (ShuffleService, ClusterMetrics, SpillManager) {
         let metrics = ClusterMetrics::new();
-        let spill = SpillManager::new(2, enabled, cap, metrics.clone());
+        let spill = SpillManager::new(2, cap, metrics.clone());
         let svc = ShuffleService::new(metrics.clone()).with_spill(spill.clone());
         (svc, metrics, spill)
     }
@@ -584,7 +579,7 @@ mod tests {
         // Cap 64 B; each map output is 800 B of u64s, so both writes go
         // over the pool and spill. Content must round-trip in map-task
         // order regardless of tier.
-        let (svc, metrics, _spill) = spilling_svc(64, true);
+        let (svc, metrics, _spill) = spilling_svc(64);
         let a: Vec<u64> = (0..50).collect();
         let b: Vec<u64> = (50..100).collect();
         svc.write_map_output(1, 0, 2, 2, 0, vec![a.clone(), b.clone()], 800)
@@ -608,7 +603,7 @@ mod tests {
 
     #[test]
     fn under_cap_writes_stay_resident() {
-        let (svc, metrics, _spill) = spilling_svc(1024, true);
+        let (svc, metrics, _spill) = spilling_svc(1024);
         svc.write_map_output(1, 0, 1, 1, 0, vec![vec![1u64, 2, 3]], 24)
             .unwrap();
         assert_eq!(svc.resident_bytes(0), 24);
@@ -622,10 +617,12 @@ mod tests {
     }
 
     #[test]
-    fn over_cap_with_spill_disabled_is_memory_exceeded() {
-        let (svc, metrics, _spill) = spilling_svc(16, false);
+    fn over_cap_without_codec_is_memory_exceeded() {
+        // String has no default codec: out-of-core is impossible, the write
+        // must fail rather than silently dropping data.
+        let (svc, metrics, _spill) = spilling_svc(4);
         let err = svc
-            .write_map_output(1, 0, 1, 1, 0, vec![vec![0u64; 100]], 800)
+            .write_map_output(1, 0, 1, 1, 0, vec![vec!["x".to_string(); 64]], 1024)
             .unwrap_err();
         assert!(matches!(err, SparkletError::MemoryExceeded { .. }));
         assert_eq!(metrics.memory_kills.get(), 1);
@@ -633,19 +630,8 @@ mod tests {
     }
 
     #[test]
-    fn over_cap_without_codec_is_memory_exceeded() {
-        // String has no default codec: out-of-core is impossible, the write
-        // must fail rather than silently dropping data.
-        let (svc, _metrics, _spill) = spilling_svc(4, true);
-        let err = svc
-            .write_map_output(1, 0, 1, 1, 0, vec![vec!["x".to_string(); 64]], 1024)
-            .unwrap_err();
-        assert!(matches!(err, SparkletError::MemoryExceeded { .. }));
-    }
-
-    #[test]
     fn dead_spill_file_surfaces_fetch_failed_and_marks_map_missing() {
-        let (svc, _metrics, spill) = spilling_svc(8, true);
+        let (svc, _metrics, spill) = spilling_svc(8);
         svc.write_map_output(1, 0, 1, 1, 0, vec![vec![7u64; 32]], 256)
             .unwrap();
         assert!(svc.mark_complete(1));
@@ -663,7 +649,7 @@ mod tests {
 
     #[test]
     fn invalidate_executor_releases_resident_bytes() {
-        let (svc, _metrics, _spill) = spilling_svc(4096, true);
+        let (svc, _metrics, _spill) = spilling_svc(4096);
         svc.write_map_output(1, 0, 2, 1, 0, vec![vec![1u8; 100]], 100)
             .unwrap();
         svc.write_map_output(1, 1, 2, 1, 1, vec![vec![2u8; 50]], 50)

@@ -25,20 +25,6 @@ use crate::config::CostModelConfig;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// Morsel-scheduling metadata of a stage run through
-/// [`crate::Cluster::run_morsel_job`]: which input partition each task
-/// (morsel) belongs to, and whether work stealing was enabled. Present on a
-/// [`StageRecord`] it switches makespan queries from LPT list scheduling to
-/// the deterministic steal simulation ([`simulate_morsels`]).
-#[derive(Debug, Clone)]
-pub struct MorselInfo {
-    /// Home partition of each task; morsels of one partition are contiguous
-    /// and in order.
-    pub partition_of: Vec<usize>,
-    /// Whether drained workers stole from the busiest queue.
-    pub steal: bool,
-}
-
 /// Cost record of one completed stage.
 #[derive(Debug, Clone)]
 pub struct StageRecord {
@@ -50,9 +36,12 @@ pub struct StageRecord {
     pub shuffle_bytes: u64,
     /// Failed attempts across the stage.
     pub retries: u64,
-    /// Morsel metadata when the stage ran morsel-driven; `None` for
-    /// whole-partition stages.
-    pub morsels: Option<MorselInfo>,
+    /// Home partition of each task when the stage ran morsel-driven through
+    /// [`crate::Cluster::run_morsel_job`] (morsels of one partition are
+    /// contiguous and in order); `None` for whole-partition stages. Present,
+    /// it switches makespan queries from LPT list scheduling to the
+    /// deterministic steal simulation ([`simulate_morsels`]).
+    pub morsels: Option<Vec<usize>>,
 }
 
 impl StageRecord {
@@ -62,9 +51,7 @@ impl StageRecord {
     /// to ties).
     pub fn makespan_us(&self, slots: usize) -> u64 {
         match &self.morsels {
-            Some(info) => {
-                simulate_morsels(&self.task_us, &info.partition_of, slots, info.steal).makespan_us
-            }
+            Some(partition_of) => simulate_morsels(&self.task_us, partition_of, slots).makespan_us,
             None => self.lpt_makespan_us(slots),
         }
     }
@@ -102,8 +89,6 @@ pub struct SchedSim {
     /// Coalesced steal edges `(thief, victim, count)`, ordered by first
     /// occurrence.
     pub steals: Vec<(usize, usize, u64)>,
-    /// Per-morsel flag: did the morsel run on a worker other than its home?
-    pub stolen: Vec<bool>,
 }
 
 impl SchedSim {
@@ -119,20 +104,13 @@ impl SchedSim {
 /// Each worker starts with the queue of morsels whose home partition maps to
 /// it (`partition_of[m] % workers`), in morsel order. The event loop always
 /// advances the worker with the smallest virtual time (ties: lowest id): it
-/// pops the front of its own queue, or — with `steal` and an empty queue —
-/// the *tail* of the queue with the most remaining work (ties: lowest victim
-/// id). With `steal` off a worker only drains its own queue, which makes the
-/// makespan the max over home-worker load sums: static placement.
+/// pops the front of its own queue, or — once that is empty — the *tail* of
+/// the queue with the most remaining work (ties: lowest victim id).
 ///
 /// A pure function of its inputs, so any recorded run can be replayed at any
 /// worker count — the morsel analogue of the LPT query, and the authority
 /// for the steal/idle events and the job report's utilization table.
-pub fn simulate_morsels(
-    task_us: &[u64],
-    partition_of: &[usize],
-    workers: usize,
-    steal: bool,
-) -> SchedSim {
+pub fn simulate_morsels(task_us: &[u64], partition_of: &[usize], workers: usize) -> SchedSim {
     use std::collections::VecDeque;
     let workers = workers.max(1);
     debug_assert_eq!(task_us.len(), partition_of.len());
@@ -148,7 +126,6 @@ pub fn simulate_morsels(
         busy_us: vec![0; workers],
         morsels_run: vec![0; workers],
         idle_us: vec![0; workers],
-        stolen: vec![false; task_us.len()],
         ..SchedSim::default()
     };
     let mut steal_edges: Vec<(usize, usize, u64)> = Vec::new();
@@ -156,12 +133,10 @@ pub fn simulate_morsels(
         if queues.iter().all(|q| q.is_empty()) {
             break;
         }
-        // The next worker to act: smallest virtual time among those that can
-        // get work, lowest id on ties.
+        // The next worker to act: smallest virtual time, lowest id on ties.
         let actor = (0..workers)
-            .filter(|&w| steal || !queues[w].is_empty())
             .min_by_key(|&w| (t[w], w))
-            .expect("some queue is non-empty");
+            .expect("workers >= 1");
         let morsel = match queues[actor].pop_front() {
             Some(m) => {
                 remaining[actor] -= task_us[m];
@@ -175,7 +150,6 @@ pub fn simulate_morsels(
                     .expect("some queue is non-empty");
                 let m = queues[victim].pop_back().expect("victim queue non-empty");
                 remaining[victim] -= task_us[m];
-                sim.stolen[m] = true;
                 match steal_edges
                     .iter_mut()
                     .find(|(th, vi, _)| *th == actor && *vi == victim)
@@ -253,9 +227,11 @@ impl VirtualClock {
         self.stages.lock().len()
     }
 
-    /// Snapshot of recorded stages.
-    pub fn stages(&self) -> Vec<StageRecord> {
-        self.stages.lock().clone()
+    /// Read the recorded stages in place. The clock stays locked while `f`
+    /// runs, so `f` must not call back into the clock; slice from a
+    /// [`VirtualClock::stage_count`] mark to read only what ran since.
+    pub fn with_stages<R>(&self, f: impl FnOnce(&[StageRecord]) -> R) -> R {
+        f(&self.stages.lock())
     }
 
     /// Total virtual elapsed time of the recorded run on a cluster of
@@ -403,42 +379,23 @@ mod tests {
     }
 
     #[test]
-    fn static_simulation_is_max_home_load() {
-        // Partitions 0 and 2 land on worker 0, partition 1 on worker 1.
-        let task_us = [10, 20, 30];
-        let partition_of = [0, 1, 2];
-        let sim = simulate_morsels(&task_us, &partition_of, 2, false);
-        assert_eq!(sim.busy_us, vec![40, 20]);
-        assert_eq!(sim.makespan_us, 40);
-        assert_eq!(sim.stolen_count(), 0);
-        assert!(sim.steals.is_empty());
-        assert_eq!(sim.idle_us, vec![0, 20]);
-    }
-
-    #[test]
     fn stealing_balances_a_hot_queue() {
-        // All four morsels home on worker 0; with stealing, worker 1 takes
-        // from the tail and the makespan halves.
-        let task_us = [10, 10, 10, 10];
-        let partition_of = [0, 0, 0, 0];
-        let no_steal = simulate_morsels(&task_us, &partition_of, 2, false);
-        assert_eq!(no_steal.makespan_us, 40);
-        let steal = simulate_morsels(&task_us, &partition_of, 2, true);
-        assert_eq!(steal.makespan_us, 20);
-        assert_eq!(steal.stolen_count(), 2);
-        assert_eq!(steal.steals, vec![(1, 0, 2)]);
-        assert_eq!(steal.morsels_run, vec![2, 2]);
+        // All four morsels home on worker 0; worker 1 takes from the tail
+        // and the makespan is half the home-queue load of 40.
+        let sim = simulate_morsels(&[10, 10, 10, 10], &[0, 0, 0, 0], 2);
+        assert_eq!(sim.makespan_us, 20);
+        assert_eq!(sim.stolen_count(), 2);
+        assert_eq!(sim.steals, vec![(1, 0, 2)]);
+        assert_eq!(sim.morsels_run, vec![2, 2]);
     }
 
     #[test]
     fn steal_victims_are_the_busiest_queue_tail() {
         // Worker 0 is idle; queues 1 (heavy) and 2 (light) have work. The
-        // thief must take from 1's tail — the last morsel of partition 1.
-        let task_us = [100, 100, 5];
-        let partition_of = [1, 1, 2];
-        let sim = simulate_morsels(&task_us, &partition_of, 3, true);
-        assert!(sim.stolen[1], "tail of the heavy queue is stolen");
-        assert!(!sim.stolen[0] && !sim.stolen[2]);
+        // thief must take from 1's tail — the 60 µs morsel, not the head.
+        let sim = simulate_morsels(&[100, 60, 5], &[1, 1, 2], 3);
+        assert_eq!(sim.steals, vec![(0, 1, 1)]);
+        assert_eq!(sim.busy_us, vec![60, 100, 5]);
         assert_eq!(sim.makespan_us, 100);
     }
 
@@ -447,67 +404,62 @@ mod tests {
         let task_us: Vec<u64> = (0..97).map(|i| (i * 37) % 113 + 1).collect();
         let partition_of: Vec<usize> = (0..97).map(|i| i / 13).collect();
         for workers in [1, 2, 5, 8] {
-            for steal in [false, true] {
-                let a = simulate_morsels(&task_us, &partition_of, workers, steal);
-                let b = simulate_morsels(&task_us, &partition_of, workers, steal);
-                assert_eq!(a.makespan_us, b.makespan_us);
-                assert_eq!(a.busy_us, b.busy_us);
-                assert_eq!(a.steals, b.steals);
-                let total: u64 = task_us.iter().sum();
-                assert_eq!(a.busy_us.iter().sum::<u64>(), total, "work conserved");
-                assert!(a.makespan_us >= total / workers as u64);
-                assert!(a.makespan_us <= total);
-            }
+            let a = simulate_morsels(&task_us, &partition_of, workers);
+            let b = simulate_morsels(&task_us, &partition_of, workers);
+            assert_eq!(a.makespan_us, b.makespan_us);
+            assert_eq!(a.busy_us, b.busy_us);
+            assert_eq!(a.steals, b.steals);
+            let total: u64 = task_us.iter().sum();
+            assert_eq!(a.busy_us.iter().sum::<u64>(), total, "work conserved");
+            assert!(a.makespan_us >= total / workers as u64);
+            assert!(a.makespan_us <= total);
         }
     }
 
     #[test]
     fn stealing_never_slows_a_stage_down() {
+        // Reference: every morsel on its home worker, makespan = the largest
+        // home-queue load.
         let task_us: Vec<u64> = (0..64).map(|i| ((i * 29) % 71 + 1) * 10).collect();
         let partition_of: Vec<usize> = (0..64).map(|i| i / 9).collect();
         for workers in [2, 4, 8] {
-            let fixed = simulate_morsels(&task_us, &partition_of, workers, false);
-            let stealing = simulate_morsels(&task_us, &partition_of, workers, true);
+            let mut home_load = vec![0u64; workers];
+            for (m, &p) in partition_of.iter().enumerate() {
+                home_load[p % workers] += task_us[m];
+            }
+            let fixed = home_load.into_iter().max().unwrap_or(0);
+            let stealing = simulate_morsels(&task_us, &partition_of, workers).makespan_us;
             assert!(
-                stealing.makespan_us <= fixed.makespan_us,
-                "{workers} workers: steal {} > static {}",
-                stealing.makespan_us,
-                fixed.makespan_us
+                stealing <= fixed,
+                "{workers} workers: steal {stealing} > home load {fixed}"
             );
         }
     }
 
     #[test]
     fn empty_simulation_is_zero() {
-        let sim = simulate_morsels(&[], &[], 4, true);
+        let sim = simulate_morsels(&[], &[], 4);
         assert_eq!(sim.makespan_us, 0);
         assert_eq!(sim.busy_us, vec![0; 4]);
         // Degenerate worker count clamps rather than panicking.
-        let sim = simulate_morsels(&[5], &[0], 0, true);
+        let sim = simulate_morsels(&[5], &[0], 0);
         assert_eq!(sim.makespan_us, 5);
     }
 
     #[test]
     fn morsel_stage_records_answer_makespans_via_the_simulation() {
+        // Owner queues: worker 0 runs 10 then 50, worker 1 runs 40 and finds
+        // nothing left to steal — 60, where LPT would pack 50 | 40 + 10.
         let r = StageRecord {
             name: "m".into(),
-            task_us: vec![10, 10, 10, 10],
+            task_us: vec![10, 50, 40],
             shuffle_bytes: 0,
             retries: 0,
-            morsels: Some(MorselInfo {
-                partition_of: vec![0, 0, 0, 0],
-                steal: true,
-            }),
+            morsels: Some(vec![0, 0, 1]),
         };
-        assert_eq!(r.makespan_us(2), 20, "steal replay, not LPT");
-        let static_r = StageRecord {
-            morsels: Some(MorselInfo {
-                partition_of: vec![0, 0, 0, 0],
-                steal: false,
-            }),
-            ..r.clone()
-        };
-        assert_eq!(static_r.makespan_us(2), 40, "static placement replay");
+        assert_eq!(r.makespan_us(2), 60, "steal replay, not LPT");
+        let plain = StageRecord { morsels: None, ..r };
+        assert_eq!(plain.makespan_us(2), 50);
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! [`crate::storage::BlockManager`] spills cache blocks instead of dropping
 //! them when a codec for the block's element type is registered, and the
 //! [`crate::shuffle::ShuffleService`] spills whole map outputs once an
-//! executor's resident shuffle bytes exceed the
-//! [`crate::SpillConfig::shuffle_fraction`] pool. Lineage recompute remains
-//! the *last* resort: it is only taken when no codec exists (cache) or the
-//! spill file died with its executor (shuffle → `FetchFailed` → recovery).
+//! executor's resident shuffle bytes exceed the resident-shuffle pool (a
+//! fifth of executor memory). Lineage recompute remains the *last* resort:
+//! it is only taken when no codec exists (cache) or the spill file died with
+//! its executor (shuffle → `FetchFailed` → recovery).
 //!
 //! # Codecs
 //!
@@ -215,7 +215,6 @@ struct ExecFile {
 
 struct SpillInner {
     dir: PathBuf,
-    enabled: bool,
     shuffle_capacity: usize,
     codecs: RwLock<HashMap<TypeId, Codec>>,
     execs: Vec<Mutex<ExecFile>>,
@@ -247,16 +246,9 @@ pub struct SpillManager {
 impl SpillManager {
     /// Create a disk tier for `num_executors` executors.
     ///
-    /// `shuffle_capacity` is the per-executor resident-shuffle byte budget
-    /// (see [`crate::SpillConfig::shuffle_capacity`]); `enabled` selects
-    /// spill-vs-fail when a pool overflows. No directory or file is created
-    /// until the first actual spill.
-    pub fn new(
-        num_executors: usize,
-        enabled: bool,
-        shuffle_capacity: usize,
-        metrics: ClusterMetrics,
-    ) -> Self {
+    /// `shuffle_capacity` is the per-executor resident-shuffle byte budget.
+    /// No directory or file is created until the first actual spill.
+    pub fn new(num_executors: usize, shuffle_capacity: usize, metrics: ClusterMetrics) -> Self {
         let seq = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
         let dir =
             std::env::temp_dir().join(format!("sparklet-spill-{}-{}", std::process::id(), seq));
@@ -274,7 +266,6 @@ impl SpillManager {
         let mgr = SpillManager {
             inner: Arc::new(SpillInner {
                 dir,
-                enabled,
                 shuffle_capacity,
                 codecs: RwLock::new(HashMap::new()),
                 execs,
@@ -285,11 +276,6 @@ impl SpillManager {
         };
         mgr.register_default_codecs();
         mgr
-    }
-
-    /// Whether the disk tier may absorb overflow (vs. failing/dropping).
-    pub fn enabled(&self) -> bool {
-        self.inner.enabled
     }
 
     /// Per-executor resident-shuffle byte budget.
@@ -511,7 +497,6 @@ impl SpillManager {
 impl std::fmt::Debug for SpillManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpillManager")
-            .field("enabled", &self.inner.enabled)
             .field("shuffle_capacity", &self.inner.shuffle_capacity)
             .field("peak_resident", &self.peak_resident())
             .finish()
@@ -523,7 +508,7 @@ mod tests {
     use super::*;
 
     fn mgr() -> SpillManager {
-        SpillManager::new(2, true, 1024, ClusterMetrics::new())
+        SpillManager::new(2, 1024, ClusterMetrics::new())
     }
 
     fn erase<T: Send + Sync + 'static>(v: Vec<T>) -> Arc<dyn Any + Send + Sync> {
@@ -639,7 +624,7 @@ mod tests {
     #[test]
     fn spill_metrics_count_bytes_both_ways() {
         let metrics = ClusterMetrics::new();
-        let m = SpillManager::new(1, true, 64, metrics.clone());
+        let m = SpillManager::new(1, 64, metrics.clone());
         let slot = m.write(0, &*erase(vec![0u64; 10])).unwrap();
         m.read(&slot).unwrap();
         assert_eq!(metrics.spill_bytes_written.get(), 80);

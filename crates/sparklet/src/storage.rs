@@ -100,7 +100,7 @@ impl BlockManager {
 
     /// Attach the disk tier (builder, used by [`crate::Cluster::new`]).
     /// Pressure evictions and oversized puts then spill instead of dropping
-    /// when the spill manager is enabled and has a codec for the block type.
+    /// when the spill manager has a codec for the block type.
     pub fn with_spill(mut self, spill: SpillManager) -> Self {
         self.spill = Some(spill);
         self
@@ -251,8 +251,8 @@ impl BlockManager {
             s.used[old.owner] -= old.size;
             self.sub_resident(old.owner, old.size);
             if old.owner != owner {
-                // Cross-owner re-put (e.g. a speculative clone recomputed
-                // the partition elsewhere): the old owner's copy is gone —
+                // Cross-owner re-put (e.g. a retry recomputed the partition
+                // on another executor): the old owner's copy is gone —
                 // journal the implicit eviction instead of adjusting
                 // accounting silently.
                 self.metrics.cache_evictions.inc();
@@ -318,9 +318,6 @@ impl BlockManager {
         let Some(spill) = self.spill.as_ref() else {
             return false;
         };
-        if !spill.enabled() {
-            return false;
-        }
         let Some(slot) = spill.write(owner, data) else {
             return false;
         };
@@ -546,7 +543,7 @@ mod tests {
     fn bm_spill(cap: usize) -> (BlockManager, ClusterMetrics, SpillManager, RunJournal) {
         let metrics = ClusterMetrics::new();
         let journal = RunJournal::new();
-        let spill = SpillManager::new(1, true, usize::MAX, metrics.clone());
+        let spill = SpillManager::new(1, usize::MAX, metrics.clone());
         let m = BlockManager::new(cap, 1, metrics.clone())
             .with_journal(journal.clone())
             .with_spill(spill.clone());

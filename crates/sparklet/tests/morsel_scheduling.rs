@@ -1,12 +1,12 @@
 //! Property-based guarantees for the morsel-driven scheduler: for any
-//! partitioning, morsel budget, worker count and steal setting — and under
-//! injected executor kills — `run_morsel_job` must return bit-identical
-//! output in (partition, element) order. Stealing and splitting are pure
-//! scheduling decisions; they may move virtual time around but can never
-//! change a byte of the result.
+//! partitioning and worker count — and under injected executor kills —
+//! `run_morsel_job` must return bit-identical output in (partition, element)
+//! order. Stealing and splitting are pure scheduling decisions; they may
+//! move virtual time around but can never change a byte of the result. (The
+//! cut itself is proptested at every budget next to `cut_morsels`.)
 
 use proptest::prelude::*;
-use sparklet::{Cluster, ClusterConfig, EventKind, FaultConfig, SchedConfig};
+use sparklet::{Cluster, ClusterConfig, EventKind, FaultConfig};
 
 /// Reference result: what the job computes, independent of any scheduling.
 fn reference(partitions: &[Vec<u32>]) -> Vec<Vec<u64>> {
@@ -17,20 +17,20 @@ fn reference(partitions: &[Vec<u32>]) -> Vec<Vec<u64>> {
         .collect()
 }
 
+/// Item weights up to ~1/8 of the morsel budget, so partitions of a few
+/// dozen items split into several morsels.
 fn run(
     partitions: Vec<Vec<u32>>,
     workers: usize,
-    sched: SchedConfig,
     fault: FaultConfig,
 ) -> sparklet::Result<Vec<Vec<u64>>> {
     let mut config = ClusterConfig::local(workers);
-    config.sched = sched;
     config.fault = fault;
     let cluster = Cluster::new(config);
     cluster.run_morsel_job(
         "morsel-prop",
         partitions,
-        |&x| u64::from(x % 97) + 1,
+        |&x| u64::from(x % 97) * 21 + 1,
         |p, items, ctx| {
             ctx.charge_ops(items.len() as u64);
             Ok(items.iter().map(|&x| u64::from(x) * 3 + p as u64).collect())
@@ -41,30 +41,17 @@ fn run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The tentpole invariant: any (budget, steal, workers) combination
-    /// reproduces the static single-task-per-partition result exactly.
+    /// The tentpole invariant: any worker count reproduces the unscheduled
+    /// single-pass-per-partition result exactly.
     #[test]
     fn morsel_output_is_bit_identical_to_static(
         partitions in prop::collection::vec(
             prop::collection::vec(0u32..10_000, 0..60), 0..10),
-        budget in 0u64..2_000,
-        steal in prop::bool::ANY,
         workers in prop::sample::select(vec![1usize, 2, 8]),
     ) {
         let expect = reference(&partitions);
-        // budget 0 doubles as "no splitting" — one morsel per partition.
-        let morsel_ops = if budget == 0 { u64::MAX } else { budget };
-        let sched = SchedConfig { morsel_ops, steal };
-        let got = run(partitions.clone(), workers, sched, FaultConfig::disabled()).unwrap();
-        prop_assert_eq!(&got, &expect, "scheduling changed the output");
-        let static_got = run(
-            partitions,
-            workers,
-            SchedConfig::static_placement(),
-            FaultConfig::disabled(),
-        )
-        .unwrap();
-        prop_assert_eq!(got, static_got, "morsel run diverged from static placement");
+        let got = run(partitions, workers, FaultConfig::disabled()).unwrap();
+        prop_assert_eq!(got, expect, "scheduling changed the output");
     }
 
     /// Same invariant under chaos: a mid-stage executor kill (lost wave
@@ -74,50 +61,41 @@ proptest! {
     fn morsel_output_survives_executor_kills(
         partitions in prop::collection::vec(
             prop::collection::vec(0u32..10_000, 1..40), 1..8),
-        morsel_ops in 1u64..1_500,
-        steal in prop::bool::ANY,
         workers in prop::sample::select(vec![2usize, 8]),
         victim in 0usize..8,
         after in 0usize..6,
     ) {
         let expect = reference(&partitions);
-        let sched = SchedConfig { morsel_ops, steal };
         let fault = FaultConfig::disabled().kill_in_stage(
             victim % workers,
             "morsel-prop",
             after,
         );
-        let got = run(partitions, workers, sched, fault).unwrap();
+        let got = run(partitions, workers, fault).unwrap();
         prop_assert_eq!(got, expect, "a kill changed the output");
     }
 }
 
-/// Satellite #6 regression: on a run with ~100k pairs of work split into
-/// hundreds of morsels, the journal must stay bounded — steal events
-/// coalesce to one per (thief, victim) edge per stage and idle events to
-/// one per worker per stage, so journal growth is O(stages · workers²),
-/// never O(morsels).
+/// On a run split into hundreds of morsels the journal must stay bounded —
+/// steal events coalesce to one per (thief, victim) edge per stage and idle
+/// events to one per worker per stage, so journal growth is
+/// O(stages · workers²), never O(morsels).
 #[test]
 fn journal_stays_bounded_on_a_hundred_thousand_pair_run() {
     const WORKERS: usize = 8;
-    // 100_000 unit-weight items over a deliberately skewed partitioning:
-    // one hot partition with half the work, the rest spread thin. Budget
-    // 256 ops → ~400 morsels.
+    // 100_000 items of weight 64 over a deliberately skewed partitioning:
+    // one hot partition with half the work, the rest spread thin. 256 items
+    // fill a morsel → ~400 morsels.
     let mut partitions = vec![(0..50_000u32).collect::<Vec<_>>()];
     for p in 0..10 {
         partitions.push((0..5_000u32).map(|i| i + p).collect());
     }
-    let mut config = ClusterConfig::local(WORKERS);
-    config.sched = SchedConfig {
-        morsel_ops: 256,
-        steal: true,
-    };
-    let cluster_cfg = Cluster::new(config);
-    let out = cluster_cfg
+    let cluster = Cluster::local(WORKERS);
+    let out = cluster
         .run_morsel_job(
             "hundred-k",
             partitions.clone(),
-            |_| 1,
+            |_| 64,
             |_, items, ctx| {
                 ctx.charge_ops(items.len() as u64);
                 Ok(vec![items.len() as u64])
@@ -125,13 +103,13 @@ fn journal_stays_bounded_on_a_hundred_thousand_pair_run() {
         )
         .unwrap();
     assert_eq!(out.len(), partitions.len());
-    let report = cluster_cfg.job_report();
+    let report = cluster.job_report();
     assert!(
         report.sched.morsels >= 300,
         "expected hundreds of morsels, got {}",
         report.sched.morsels
     );
-    let events = cluster_cfg.journal().events();
+    let events = cluster.journal().events();
     let steal_events = events
         .iter()
         .filter(|e| matches!(e.kind, EventKind::MorselStolen { .. }))

@@ -6,8 +6,8 @@
 //! * **Classification** — a proptest sweep over random workloads and model
 //!   shapes asserting pruned ≡ unpruned classification, result for result.
 //! * **detect_new digests** — the seeded pipeline of `refactor_baseline.rs`
-//!   re-run with pruning on *and* off across 1/4/16 partitions, chunk
-//!   sizes, work stealing on/off, and chaos kill schedules; every leg must
+//!   re-run with pruning on *and* off across 1/4/16 partitions and chaos
+//!   kill and fault schedules; every leg must
 //!   reproduce the pinned baseline digest bit for bit. The baseline was
 //!   captured before the pruning engine existed, so the prune-on legs prove
 //!   losslessness end to end and the prune-off legs prove the refactor
@@ -18,7 +18,7 @@ use adr_synth::{Dataset, SynthConfig};
 use dedup::{DedupConfig, DedupSystem};
 use fastknn::{FastKnn, FastKnnConfig, LabeledPair, UnlabeledPair};
 use proptest::prelude::*;
-use sparklet::{stable_hash, Cluster, ClusterConfig, FaultConfig, SchedConfig};
+use sparklet::{stable_hash, Cluster, ClusterConfig, FaultConfig};
 
 /// The fault-free `detect_new` digest pinned in `refactor_baseline.rs`,
 /// captured on the pre-pruning tree.
@@ -73,38 +73,6 @@ fn digest_is_pinned_across_partition_counts_with_pruning_on_and_off() {
 }
 
 #[test]
-fn digest_is_pinned_across_chunk_sizes_with_pruning_on_and_off() {
-    // Record-at-a-time dispatch and one-slab-per-partition bracket the
-    // default chunking.
-    for chunk in [1usize, usize::MAX] {
-        for prune in [true, false] {
-            let mut config = ClusterConfig::local(4);
-            config.batch.target_chunk_records = chunk;
-            let digest = detect_digest(config, prune).expect("pipeline run");
-            assert_eq!(
-                digest, BASELINE_DIGEST,
-                "digest drifted at chunk={chunk}, prune={prune}"
-            );
-        }
-    }
-}
-
-#[test]
-fn digest_is_pinned_without_work_stealing_with_pruning_on_and_off() {
-    // Stealing on is the default exercised everywhere else; pin the
-    // static-placement schedule explicitly.
-    for prune in [true, false] {
-        let mut config = ClusterConfig::local(4);
-        config.sched = SchedConfig::static_placement();
-        let digest = detect_digest(config, prune).expect("pipeline run");
-        assert_eq!(
-            digest, BASELINE_DIGEST,
-            "static placement drifted with prune={prune}"
-        );
-    }
-}
-
-#[test]
 fn digest_is_pinned_under_mid_stage_kills_with_pruning_on_and_off() {
     // Pruning shrinks the probe shuffle (stage-2 records carry the stage-1
     // cutoff and far cells drop out), but the stage graph is unchanged —
@@ -123,15 +91,11 @@ fn digest_is_pinned_under_mid_stage_kills_with_pruning_on_and_off() {
 
 #[test]
 fn digest_is_pinned_under_random_faults_and_stealing_with_pruning_on_and_off() {
-    // Random task faults perturb retry interleavings and (with stealing on)
-    // the morsel schedule; neither may reach the output.
+    // Random task faults perturb retry interleavings and the morsel steal
+    // schedule; neither may reach the output.
     for prune in [true, false] {
         let mut config = ClusterConfig::local(4);
         config.fault = FaultConfig::with_probability(0.05, 23);
-        config.sched = SchedConfig {
-            steal: true,
-            ..SchedConfig::default()
-        };
         let digest = detect_digest(config, prune).expect("pipeline run");
         assert_eq!(
             digest, BASELINE_DIGEST,

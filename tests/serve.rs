@@ -253,12 +253,12 @@ fn hundred_thousand_signal_requests_stay_bounded() {
     // Attaching runs the contingency aggregation (engine jobs); the flood
     // itself must add none.
     let mut serve = ServeService::attach(&sys, ServeConfig::default()).expect("attach");
-    let stages_before = sys.cluster().clock().stages().len();
+    let stages_before = sys.cluster().clock().stage_count();
     let events_before = sys.cluster().journal().len();
     let out = serve.run_open_loop(&requests).expect("signal flood");
     assert_eq!(out.requests(), 100_000);
     assert_eq!(
-        sys.cluster().clock().stages().len(),
+        sys.cluster().clock().stage_count(),
         stages_before,
         "signal-only batches must not run engine jobs"
     );
