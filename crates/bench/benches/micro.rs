@@ -19,7 +19,7 @@ use simmetrics::{
     euclidean, jaccard_distance, jaccard_distance_sorted, jaro_winkler, levenshtein,
     squared_euclidean, squared_euclidean_fixed,
 };
-use textprep::{stem, Pipeline};
+use textprep::{stem, Pipeline, TokenInterner};
 
 fn string_metrics(c: &mut Criterion) {
     let a = "the patient experienced uncontrollable coughing and severe headache";
@@ -47,6 +47,16 @@ fn text_pipeline(c: &mut Criterion) {
     let pipeline = Pipeline::paper();
     c.bench_function("pipeline/narrative_280ch", |bench| {
         bench.iter(|| pipeline.process(black_box(narrative)))
+    });
+    // The production path. Cold: every word is new to the interner, so each
+    // is filtered, stemmed and interned. Warm: every word is a memo hit.
+    c.bench_function("pipeline/intern_narrative_280ch_cold", |bench| {
+        bench.iter(|| pipeline.intern(black_box(narrative), &mut TokenInterner::new()))
+    });
+    let mut warm = TokenInterner::new();
+    pipeline.intern(narrative, &mut warm);
+    c.bench_function("pipeline/intern_narrative_280ch_warm", |bench| {
+        bench.iter(|| pipeline.intern(black_box(narrative), &mut warm))
     });
 }
 

@@ -41,12 +41,14 @@ pub struct ProcessedReport {
 }
 
 fn name_token_ids(names: &[&str], interner: &mut TokenInterner) -> Vec<u32> {
-    interner.intern_set(
-        names
-            .iter()
-            .flat_map(|n| n.split_whitespace())
-            .map(|t| t.to_lowercase()),
-    )
+    let mut ids: Vec<u32> = names
+        .iter()
+        .flat_map(|n| n.split_whitespace())
+        .map(|word| interner.intern_lowercase(word))
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
 }
 
 impl ProcessedReport {
@@ -62,7 +64,7 @@ impl ProcessedReport {
             outcome: r.reaction.reaction_outcome_description.clone(),
             drug_tokens: name_token_ids(&r.drug_names(), interner),
             adr_tokens: name_token_ids(&r.adr_names(), interner),
-            narrative_terms: interner.intern_set(pipeline.process(&r.reaction.report_description)),
+            narrative_terms: pipeline.intern(&r.reaction.report_description, interner),
         }
     }
 }
@@ -108,22 +110,107 @@ mod tests {
         r
     }
 
+    /// The construction `from_report` replaced: a `String` per name word and
+    /// per narrative term, each interned on its own.
+    fn reference_from_report(
+        r: &AdrReport,
+        pipeline: &Pipeline,
+        interner: &mut TokenInterner,
+    ) -> ProcessedReport {
+        let mut names = |names: Vec<&str>| {
+            interner.intern_set(
+                names
+                    .iter()
+                    .flat_map(|n| n.split_whitespace())
+                    .map(|t| t.to_lowercase()),
+            )
+        };
+        ProcessedReport {
+            id: r.id,
+            age: r.patient.calculated_age,
+            sex: r.patient.sex.map(|s| s.as_str().to_string()),
+            state: r.patient.residential_state.clone(),
+            onset_date: r.reaction.onset_date.clone(),
+            outcome: r.reaction.reaction_outcome_description.clone(),
+            drug_tokens: names(r.drug_names()),
+            adr_tokens: names(r.adr_names()),
+            narrative_terms: interner.intern_set(pipeline.process(&r.reaction.report_description)),
+        }
+    }
+
+    #[test]
+    fn from_report_matches_the_unfused_reference_over_a_corpus() {
+        for seed in [5, 2016] {
+            let ds = Dataset::generate(&SynthConfig::small(2_000, 100, seed));
+            let p = Pipeline::paper();
+            let (mut fused, mut unfused) = (TokenInterner::new(), TokenInterner::new());
+            for r in &ds.reports {
+                assert_eq!(
+                    ProcessedReport::from_report(r, &p, &mut fused),
+                    reference_from_report(r, &p, &mut unfused),
+                    "report {}",
+                    r.id
+                );
+            }
+            assert_eq!(fused.len(), unfused.len());
+            for id in 0..fused.len() as u32 {
+                assert_eq!(fused.resolve(id), unfused.resolve(id));
+            }
+        }
+    }
+
+    #[test]
+    fn non_ascii_names_lower_like_str_to_lowercase() {
+        let p = Pipeline::paper();
+        let mut interner = TokenInterner::new();
+        let r = report(0, 1.0, Sex::F, "ΟΔΟΣ Forte,İlaç", "Ödem", "x");
+        let a = ProcessedReport::from_report(&r, &p, &mut interner);
+        assert_eq!(a, reference_from_report(&r, &p, &mut TokenInterner::new()));
+        let drugs: Vec<&str> = a.drug_tokens.iter().map(|&t| interner.resolve(t)).collect();
+        assert_eq!(drugs, vec!["οδος", "forte", "i\u{307}laç"]);
+    }
+
     #[test]
     fn identical_reports_have_zero_vector() {
         let p = Pipeline::paper();
         let mut interner = TokenInterner::new();
-        let r = report(
-            0,
-            46.0,
-            Sex::M,
-            "Atorvastatin",
-            "Rhabdomyolysis",
-            "severe myalgia",
+        let giant_token = "a1".repeat(5_000);
+        // (drugs, ADRs, narrative, narrative terms expected): an ordinary
+        // report, then the degenerate inputs of each text field.
+        let cases = [
+            ("Atorvastatin", "Rhabdomyolysis", "severe myalgia", 2),
+            ("Atorvastatin", "Rhabdomyolysis", "", 0),
+            ("Atorvastatin", "Rhabdomyolysis", "the of and was with", 0),
+            ("Atorvastatin", "Rhabdomyolysis", "--- ,,, !!! \n\t…", 0),
+            ("Atorvastatin", "Rhabdomyolysis", giant_token.as_str(), 1),
+            ("", "", "severe myalgia", 2),
+            (" , ,", ",", "", 0),
+        ];
+        let processed: Vec<ProcessedReport> = cases
+            .iter()
+            .zip(0..)
+            .map(|(&(drugs, adrs, narrative, terms), id)| {
+                let r = report(id, 46.0, Sex::M, drugs, adrs, narrative);
+                let a = ProcessedReport::from_report(&r, &p, &mut interner);
+                assert_eq!(a.narrative_terms.len(), terms, "{narrative:.40?}");
+                assert_eq!(a.drug_tokens.is_empty(), r.drug_names().is_empty());
+                assert_eq!(a.adr_tokens.is_empty(), r.adr_names().is_empty());
+                a
+            })
+            .collect();
+        for a in &processed {
+            let v = pair_distance(a, a);
+            assert_eq!(v.len(), 8);
+            assert!(v.iter().all(|&d| d == 0.0), "{v:?}");
+            for b in &processed {
+                let v = pair_distance(a, b);
+                assert!(v.iter().all(|d| (0.0..=1.0).contains(d)), "{v:?}");
+            }
+        }
+        assert_eq!(
+            interner.resolve(processed[4].narrative_terms[0]).len(),
+            10_000
         );
-        let a = ProcessedReport::from_report(&r, &p, &mut interner);
-        let v = pair_distance(&a, &a);
-        assert_eq!(v.len(), 8);
-        assert!(v.iter().all(|&d| d == 0.0), "{v:?}");
     }
 
     #[test]

@@ -293,7 +293,9 @@ pub struct ServeService {
     /// ids; novel tokens get fresh ids that provably cannot change any
     /// Jaccard distance (intersections only ever involve corpus-known ids
     /// and union sizes are id-independent), so serve results are invariant
-    /// to probe interleaving order.
+    /// to probe interleaving order. The clone carries the interner's
+    /// raw-token memo, so probe narratives take the same memoised path as
+    /// ingest; what probes add to it dies with the copy at the next refresh.
     interner: TokenInterner,
     corpus: CorpusIndex,
     blocking: BlockingIndex,
@@ -518,8 +520,8 @@ impl ServeService {
     fn signal_stats(&mut self, drug: &str, event: &str) -> (SignalStats, SignalStats) {
         // Corpus-known words resolve to their stable token ids; a novel word
         // interns a fresh id whose counts are zero in every table.
-        let d = self.interner.intern(&drug.to_lowercase());
-        let e = self.interner.intern(&event.to_lowercase());
+        let d = self.interner.intern_lowercase(drug);
+        let e = self.interner.intern_lowercase(event);
         if let Some(hit) = self.memo.get(d, e) {
             return hit;
         }

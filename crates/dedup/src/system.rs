@@ -145,6 +145,7 @@ impl DedupSystem {
         reports: &[AdrReport],
         labelled_duplicates: &[PairId],
     ) -> Result<()> {
+        self.reserve_reports(reports.len());
         for r in reports {
             self.add_report(r);
         }
@@ -191,6 +192,13 @@ impl DedupSystem {
         Ok(())
     }
 
+    /// Room for a batch of `n` arrivals up front, so neither the corpus map
+    /// nor the arrival log regrows report by report.
+    fn reserve_reports(&mut self, n: usize) {
+        Arc::make_mut(&mut self.processed).reserve(n);
+        self.arrival_order.reserve(n);
+    }
+
     pub(crate) fn add_report(&mut self, r: &AdrReport) {
         let processed = ProcessedReport::from_report(r, &self.pipeline, &mut self.interner);
         if self
@@ -220,6 +228,7 @@ impl DedupSystem {
             return Ok(Vec::new());
         }
         let existing: Vec<ReportId> = self.arrival_order.clone();
+        self.reserve_reports(new_reports.len());
         for r in new_reports {
             self.add_report(r);
         }
@@ -634,6 +643,62 @@ mod tests {
             control.store().snapshot(),
             "stores (incl. reservoir RNG state) must match bit-for-bit"
         );
+    }
+
+    #[test]
+    fn rollback_then_a_different_batch_leaves_no_stale_token_ids() {
+        // A rolled-back batch must not leave the interner's raw-token memo
+        // pointing at ids the next batch hands to other stems: ingest A,
+        // roll back, ingest a *different* B whose narratives reuse A's new
+        // words after a new word of their own, and compare with a control
+        // that only ever saw B.
+        let build = || {
+            let (mut sys, ds) = system_with_corpus(6);
+            sys.config.use_blocking = true;
+            let base: Vec<AdrReport> = ds.reports.iter().take(240).cloned().collect();
+            let labelled: Vec<PairId> = ds
+                .duplicate_pairs
+                .iter()
+                .filter(|p| p.hi < 240)
+                .copied()
+                .collect();
+            sys.bootstrap(&base, &labelled).unwrap();
+            // Corpus-known drug and ADR names, so the narratives' new words
+            // are the only new ids either batch introduces.
+            let batch = |ids: std::ops::Range<usize>, narrative: &str| -> Vec<AdrReport> {
+                ids.map(|i| {
+                    let mut r = ds.reports[i].clone();
+                    r.medicine.generic_name_description =
+                        ds.reports[0].medicine.generic_name_description.clone();
+                    r.reaction.meddra_pt_code = ds.reports[0].reaction.meddra_pt_code.clone();
+                    r.reaction.report_description = narrative.to_string();
+                    r
+                })
+                .collect()
+            };
+            let a = batch(240..245, "Zyxwalgia with flurbitis.");
+            let b = batch(245..250, "Quorbosis, then zyxwalgia and FLURBITIS.");
+            (sys, a, b)
+        };
+        let (mut sys, batch_a, batch_b) = build();
+        let (mut control, _, control_b) = build();
+
+        let guard = sys.begin_batch();
+        sys.detect_new(&batch_a).unwrap();
+        assert_eq!(sys.interner_len(), guard.interner_mark + 2);
+        sys.rollback_batch(guard);
+        let after = sys.detect_new(&batch_b).unwrap();
+        let clean = control.detect_new(&control_b).unwrap();
+
+        assert_eq!(after, clean);
+        for r in &batch_b {
+            assert_eq!(sys.processed[&r.id], control.processed[&r.id]);
+            assert_eq!(sys.processed[&r.id].narrative_terms.len(), 3);
+        }
+        assert_eq!(sys.interner_len(), control.interner_len());
+        for id in 0..sys.interner_len() as u32 {
+            assert_eq!(sys.interner.resolve(id), control.interner.resolve(id));
+        }
     }
 
     #[test]

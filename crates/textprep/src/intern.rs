@@ -8,14 +8,38 @@
 //!
 //! Ids are assigned densely in first-seen order, so a corpus processed in a
 //! fixed order yields a deterministic interner.
+//!
+//! The interner also memoises the narrative pipeline per *raw* token (see
+//! [`crate::Pipeline::intern`]): a corpus repeats a few tens of
+//! thousands of distinct words millions of times, and the memo is what makes
+//! the stop-word lookup, the stemmer and the stem's interning run once per
+//! distinct word. It lives here, not in [`crate::Pipeline`], because it holds
+//! ids and so has to be rolled back with them.
 
 use std::collections::HashMap;
+use std::sync::Arc;
+
+use crate::pipeline::term;
+use crate::tokenizer::for_each_token;
 
 #[derive(Debug, Default, Clone)]
 pub struct TokenInterner {
-    ids: HashMap<String, u32>,
-    /// Arena of interned strings, indexed by id.
-    tokens: Vec<String>,
+    ids: HashMap<Arc<str>, u32>,
+    /// Arena of interned strings, indexed by id; each shares its allocation
+    /// with its key in `ids`.
+    tokens: Vec<Arc<str>>,
+    /// Raw lowercase narrative token → what [`term`] made of it: `None` if
+    /// the filters dropped it, else the id of its stem. Every `Some(id)`
+    /// here is `< tokens.len()` — [`TokenInterner::truncate`] keeps it so.
+    memo: HashMap<Box<str>, Option<u32>>,
+    /// Lowercasing buffer reused across calls.
+    scratch: String,
+}
+
+fn sorted_set(mut ids: Vec<u32>) -> Vec<u32> {
+    ids.sort_unstable();
+    ids.dedup();
+    ids
 }
 
 impl TokenInterner {
@@ -29,8 +53,25 @@ impl TokenInterner {
             return id;
         }
         let id = u32::try_from(self.tokens.len()).expect("interner overflow: > 4G tokens");
-        self.ids.insert(token.to_string(), id);
-        self.tokens.push(token.to_string());
+        let token: Arc<str> = Arc::from(token);
+        self.ids.insert(Arc::clone(&token), id);
+        self.tokens.push(token);
+        id
+    }
+
+    /// Intern `word.to_lowercase()` without allocating for an ASCII word.
+    /// (Not per-`char` lowering: `str::to_lowercase` alone knows the Greek
+    /// final sigma.)
+    pub fn intern_lowercase(&mut self, word: &str) -> u32 {
+        if !word.is_ascii() {
+            return self.intern(&word.to_lowercase());
+        }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        scratch.push_str(word);
+        scratch.make_ascii_lowercase();
+        let id = self.intern(&scratch);
+        self.scratch = scratch;
         id
     }
 
@@ -41,13 +82,35 @@ impl TokenInterner {
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let mut ids: Vec<u32> = tokens
-            .into_iter()
-            .map(|t| self.intern(t.as_ref()))
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+        sorted_set(
+            tokens
+                .into_iter()
+                .map(|t| self.intern(t.as_ref()))
+                .collect(),
+        )
+    }
+
+    /// The body of [`crate::Pipeline::intern`]: one scan of `text`, each raw
+    /// token resolved through the memo. A token's first occurrence runs
+    /// [`term`] and interns the stem exactly where the unmemoised path
+    /// would, so ids still come out in first-seen order; later occurrences
+    /// are one hash lookup.
+    pub(crate) fn intern_terms(&mut self, text: &str) -> Vec<u32> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut ids = Vec::new();
+        for_each_token(text, &mut scratch, |raw| {
+            let id = match self.memo.get(raw) {
+                Some(&known) => known,
+                None => {
+                    let id = term(raw).map(|stem| self.intern(&stem));
+                    self.memo.insert(raw.into(), id);
+                    id
+                }
+            };
+            ids.extend(id);
+        });
+        self.scratch = scratch;
+        sorted_set(ids)
     }
 
     /// The string a given id was assigned to. Panics on an id this interner
@@ -75,11 +138,18 @@ impl TokenInterner {
     /// interned since. Ids assigned before the mark are untouched, so a
     /// retried ingest re-assigns the *same* dense ids it would have gotten
     /// on a first try — the property batch rollback relies on for
-    /// bit-identical replays. Marks past the current length are a no-op.
+    /// bit-identical replays. Memo entries pointing at a forgotten id go
+    /// with it: a retry may hand that id to a different stem. Marks past
+    /// the current length are a no-op.
     pub fn truncate(&mut self, mark: usize) {
-        for token in self.tokens.drain(mark.min(self.tokens.len())..) {
-            self.ids.remove(&token);
+        if mark >= self.tokens.len() {
+            return;
         }
+        for token in self.tokens.drain(mark..) {
+            self.ids.remove(&*token);
+        }
+        self.memo
+            .retain(|_, id| id.is_none_or(|id| (id as usize) < mark));
     }
 }
 
@@ -120,23 +190,46 @@ mod tests {
     }
 
     #[test]
+    fn intern_lowercase_is_str_to_lowercase() {
+        let mut interner = TokenInterner::new();
+        let a = interner.intern_lowercase("Atorvastatin");
+        assert_eq!(interner.resolve(a), "atorvastatin");
+        assert_eq!(interner.intern_lowercase("ATORVASTATIN"), a);
+        // Whole-string lowering, not per-`char`: the final sigma.
+        let greek = interner.intern_lowercase("ΟΔΟΣ");
+        assert_eq!(interner.resolve(greek), "οδος");
+        assert_eq!(interner.resolve(greek), "ΟΔΟΣ".to_lowercase());
+        assert_eq!(interner.len(), 2);
+    }
+
+    #[test]
     fn truncate_rolls_back_to_mark_and_replays_same_ids() {
         let mut interner = TokenInterner::new();
         interner.intern("keep");
+        // One memoised raw token on each side of the mark.
+        assert_eq!(interner.intern_terms("coughing"), vec![1]);
         let mark = interner.mark();
-        assert_eq!(mark, 1);
+        assert_eq!(mark, 2);
         interner.intern_set(["lost", "gone"]);
-        assert_eq!(interner.len(), 3);
+        assert_eq!(interner.intern_terms("Vomiting, the coughing"), vec![1, 4]);
+        assert_eq!(interner.len(), 5);
         interner.truncate(mark);
-        assert_eq!(interner.len(), 1);
+        assert_eq!(interner.len(), 2);
         assert_eq!(interner.intern("keep"), 0, "pre-mark ids untouched");
         // A replay after rollback hands out the exact ids the failed
         // attempt got — dense, first-seen order.
-        assert_eq!(interner.intern("gone"), 1);
-        assert_eq!(interner.intern("lost"), 2);
-        assert_eq!(interner.resolve(1), "gone");
+        assert_eq!(interner.intern("gone"), 2);
+        assert_eq!(interner.intern("lost"), 3);
+        assert_eq!(interner.resolve(2), "gone");
+        // The memo still answers for the stem below the mark, and has
+        // forgotten the one above it: id 4 now goes to whoever comes first.
+        assert_eq!(interner.intern_terms("coughing"), vec![1]);
+        assert_eq!(interner.intern_terms("headaches"), vec![4]);
+        assert_eq!(interner.intern_terms("vomiting"), vec![5]);
+        assert_eq!(interner.resolve(4), "headach");
+        assert_eq!(interner.resolve(5), "vomit");
         // Truncating past the end is a no-op.
         interner.truncate(99);
-        assert_eq!(interner.len(), 3);
+        assert_eq!(interner.len(), 6);
     }
 }

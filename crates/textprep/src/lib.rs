@@ -6,14 +6,19 @@
 //!
 //! This crate provides exactly that pipeline, from scratch:
 //!
-//! * [`tokenize`] — lowercasing alphanumeric tokenizer;
+//! * [`for_each_token`] — the one lowercasing alphanumeric token scanner
+//!   ([`tokenize`] collects its tokens as strings);
 //! * [`stopwords`] — a standard English stopword list with medical-report
 //!   additions;
 //! * [`porter`] — the full Porter (1980) suffix-stripping stemmer;
 //! * [`Pipeline`] — tokenize → stop-word filter → stem, the unit the
-//!   pairwise-distance module calls per free-text field;
+//!   pairwise-distance module calls per free-text field:
+//!   [`Pipeline::intern`] in production, [`Pipeline::process`] as the
+//!   string-returning reference;
 //! * [`TokenInterner`] — string → `u32` interning so token sets compare as
-//!   sorted integer slices, never re-hashing strings on the pairwise hot path.
+//!   sorted integer slices, never re-hashing strings on the pairwise hot
+//!   path, plus the raw-token memo that lets `Pipeline::intern` filter, stem
+//!   and intern once per distinct word.
 
 pub mod intern;
 pub mod pipeline;
@@ -25,4 +30,4 @@ pub use intern::TokenInterner;
 pub use pipeline::Pipeline;
 pub use porter::stem;
 pub use stopwords::is_stopword;
-pub use tokenizer::tokenize;
+pub use tokenizer::{for_each_token, tokenize};

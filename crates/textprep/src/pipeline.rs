@@ -1,62 +1,154 @@
 //! The tokenize → stopword-filter → stem pipeline of §4.2.
 
+use crate::intern::TokenInterner;
 use crate::porter::stem;
 use crate::stopwords::is_stopword;
-use crate::tokenizer::tokenize;
+use crate::tokenizer::for_each_token;
 
-/// Configurable free-text preprocessing pipeline.
-///
-/// The default configuration matches the paper: tokenize, drop stopwords,
-/// Porter-stem. Both filters can be toggled for ablations.
-#[derive(Debug, Clone, Copy)]
-pub struct Pipeline {
-    /// Drop stopwords after tokenization.
-    pub remove_stopwords: bool,
-    /// Porter-stem surviving tokens.
-    pub stem: bool,
-    /// Drop tokens shorter than this many characters (0 = keep all).
-    pub min_token_len: usize,
-}
+/// Tokens shorter than this many characters are dropped.
+const MIN_TOKEN_CHARS: usize = 2;
 
-impl Default for Pipeline {
-    fn default() -> Self {
-        Pipeline {
-            remove_stopwords: true,
-            stem: true,
-            min_token_len: 2,
-        }
+/// What the pipeline does to one raw lowercase token: `None` when the
+/// length or stop-word filter drops it, else its Porter stem. A pure
+/// function of the token — the property [`TokenInterner`]'s raw-token memo
+/// rests on.
+pub(crate) fn term(raw: &str) -> Option<String> {
+    if raw.chars().nth(MIN_TOKEN_CHARS - 1).is_none() || is_stopword(raw) {
+        None
+    } else {
+        Some(stem(raw))
     }
 }
+
+/// The paper's free-text preprocessing: tokenize, drop tokens under two
+/// characters and stopwords, Porter-stem. It has exactly one configuration,
+/// which is what lets [`TokenInterner`] memoise its per-token outcome.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Pipeline;
 
 impl Pipeline {
     /// The paper's pipeline.
     pub fn paper() -> Self {
-        Self::default()
+        Pipeline
     }
 
-    /// Tokenize only (ablation baseline).
-    pub fn tokenize_only() -> Self {
-        Pipeline {
-            remove_stopwords: false,
-            stem: false,
-            min_token_len: 0,
-        }
-    }
-
-    /// Process a free-text field into comparison-ready terms.
+    /// Process a free-text field into comparison-ready terms, as strings.
+    /// The reference the interned path ([`Pipeline::intern`]) is tested
+    /// against; production code never needs the strings.
     pub fn process(&self, text: &str) -> Vec<String> {
-        tokenize(text)
-            .into_iter()
-            .filter(|t| t.chars().count() >= self.min_token_len)
-            .filter(|t| !self.remove_stopwords || !is_stopword(t))
-            .map(|t| if self.stem { stem(&t) } else { t })
-            .collect()
+        let mut terms = Vec::new();
+        for_each_token(text, &mut String::new(), |raw| terms.extend(term(raw)));
+        terms
+    }
+
+    /// Process a free-text field straight into its sorted, deduplicated
+    /// term-id set: the same ids, and the same interner contents afterwards,
+    /// as `interner.intern_set(self.process(text))`, in one pass over the
+    /// text with no `String` per token and the stop-word lookup, stemming
+    /// and interning done once per *distinct* raw token the interner has
+    /// seen rather than once per occurrence.
+    pub fn intern(&self, text: &str, interner: &mut TokenInterner) -> Vec<u32> {
+        interner.intern_terms(text)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Feed the same texts, in order, through the fused path on one fresh
+    /// interner and through the unfused path it replaced in production on
+    /// another: every id set and the final interner contents must agree.
+    fn assert_fused_matches_reference(texts: &[String]) {
+        let p = Pipeline::paper();
+        let (mut fused, mut unfused) = (TokenInterner::new(), TokenInterner::new());
+        for text in texts {
+            assert_eq!(
+                p.intern(text, &mut fused),
+                unfused.intern_set(p.process(text)),
+                "id sets differ on {text:?}"
+            );
+        }
+        assert_eq!(fused.len(), unfused.len());
+        for id in 0..fused.len() as u32 {
+            assert_eq!(fused.resolve(id), unfused.resolve(id), "id {id}");
+        }
+    }
+
+    /// Words an ADR narrative is made of, repeated across cases so the memo
+    /// is hit, plus the lowercasing oddities: `İ` grows to two chars, `ß`
+    /// and `ẞ`, `Σ` (no final sigma per `char`), accents, digits, dates.
+    const WORDS: &[&str] = &[
+        "the",
+        "The",
+        "patient",
+        "PATIENT",
+        "was",
+        "of",
+        "a",
+        "x",
+        "experienced",
+        "experiencing",
+        "rhabdomyolysis",
+        "Rhabdomyolysis",
+        "headache",
+        "headaches",
+        "HEADACHES",
+        "vomiting",
+        "vomited",
+        "atorvastatin",
+        "80mg",
+        "80",
+        "mg",
+        "01-05-2013",
+        "30-Apr-2013",
+        "2013",
+        "year-old",
+        "İ",
+        "İstanbul",
+        "ß",
+        "straße",
+        "STRAẞE",
+        "Σ",
+        "ΣΊΣΥΦΟΣ",
+        "naïve",
+        "NAÏVE",
+        "café",
+        "٣",
+    ];
+    const SEPARATORS: &[&str] = &[" ", " ", ", ", ". ", "-", "", "\n", " — ", "/", "\u{307}"];
+
+    proptest! {
+        // A character class, not `.`: the vendored proptest's `.` is
+        // printable ASCII only.
+        #[test]
+        fn fused_path_matches_reference_on_arbitrary_text(
+            texts in prop::collection::vec(
+                "[ -~İßẞΣςσǅÅéïÏ٣Ⅷ²ª一\u{307}\u{2003}]{0,200}",
+                1..6,
+            ),
+        ) {
+            assert_fused_matches_reference(&texts);
+        }
+
+        #[test]
+        fn fused_path_matches_reference_on_adr_like_narratives(
+            narratives in prop::collection::vec(
+                prop::collection::vec(
+                    (prop::sample::select(WORDS.to_vec()), prop::sample::select(SEPARATORS.to_vec())),
+                    0..40,
+                ),
+                1..8,
+            ),
+        ) {
+            let texts: Vec<String> = narratives
+                .iter()
+                .map(|words| words.iter().flat_map(|&(w, sep)| [w, sep]).collect())
+                .collect();
+            assert_fused_matches_reference(&texts);
+        }
+    }
 
     #[test]
     fn full_pipeline_strips_boilerplate_and_stems() {
@@ -87,15 +179,6 @@ mod tests {
         assert!(
             inter >= 5,
             "stemmed narratives of the same event should overlap heavily, got {inter}: {a:?} vs {b:?}"
-        );
-    }
-
-    #[test]
-    fn tokenize_only_preserves_everything() {
-        let p = Pipeline::tokenize_only();
-        assert_eq!(
-            p.process("The patient was ill"),
-            vec!["the", "patient", "was", "ill"]
         );
     }
 

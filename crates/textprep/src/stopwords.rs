@@ -1,10 +1,10 @@
 //! English stopword list with spontaneous-report additions.
 
 /// Standard English stopwords plus terms that are boilerplate in ADR report
-/// narratives ("patient", "subject", "reported", reference-number scaffolding)
-/// and therefore carry no duplicate-detection signal.
+/// narratives and therefore carry no duplicate-detection signal ("patient",
+/// "subject", "reported", "received", "via", reference-number scaffolding).
+/// Sorted, so [`is_stopword`] can binary-search it.
 pub const STOPWORDS: &[&str] = &[
-    // --- core English function words ---
     "a",
     "about",
     "above",
@@ -30,6 +30,8 @@ pub const STOPWORDS: &[&str] = &[
     "but",
     "by",
     "can",
+    "case",
+    "concerning",
     "could",
     "did",
     "do",
@@ -73,6 +75,7 @@ pub const STOPWORDS: &[&str] = &[
     "nor",
     "not",
     "now",
+    "number",
     "of",
     "off",
     "on",
@@ -86,11 +89,20 @@ pub const STOPWORDS: &[&str] = &[
     "out",
     "over",
     "own",
+    "patient",
+    "pertaining",
+    "received",
+    "reference",
+    "regarding",
+    "report",
+    "reported",
+    "reporting",
     "same",
     "she",
     "should",
     "so",
     "some",
+    "subject",
     "such",
     "than",
     "that",
@@ -112,6 +124,7 @@ pub const STOPWORDS: &[&str] = &[
     "until",
     "up",
     "very",
+    "via",
     "was",
     "we",
     "were",
@@ -131,28 +144,11 @@ pub const STOPWORDS: &[&str] = &[
     "yours",
     "yourself",
     "yourselves",
-    // --- report boilerplate ---
-    "patient",
-    "subject",
-    "report",
-    "reported",
-    "reporting",
-    "reference",
-    "number",
-    "case",
-    "pertaining",
-    "received",
-    "concerning",
-    "regarding",
-    "via",
 ];
 
 /// Is `token` (already lowercased) a stopword?
 pub fn is_stopword(token: &str) -> bool {
-    // The list is small enough that a sorted binary search beats building a
-    // HashSet per call site; it is sorted within each section, so do a plain
-    // linear scan — ~150 entries, negligible against the distance math.
-    STOPWORDS.contains(&token)
+    STOPWORDS.binary_search(&token).is_ok()
 }
 
 #[cfg(test)]
@@ -195,6 +191,14 @@ mod tests {
         let before = sorted.len();
         sorted.dedup();
         assert_eq!(before, sorted.len(), "duplicate stopword entries");
+    }
+
+    #[test]
+    fn list_is_sorted() {
+        assert!(
+            STOPWORDS.windows(2).all(|w| w[0] < w[1]),
+            "binary search needs STOPWORDS strictly ascending"
+        );
     }
 
     #[test]
