@@ -11,6 +11,7 @@ use dedup::pair_distance;
 use dedup::workload::{build_workload_on, ProcessedCorpus};
 use fastknn::serial::{classify_brute, classify_fast_serial};
 use fastknn::voronoi::VoronoiPartition;
+use fastknn::{stage1_row, ClassifyScratch, LabeledPair, Neighborhood};
 use mlcore::kmeans::KMeans;
 use mlcore::knn::nearest_neighbors;
 use rand::rngs::StdRng;
@@ -127,6 +128,45 @@ fn classifier(c: &mut Criterion) {
     });
     c.bench_function("classify/fast_serial_100tests_10ktrain_b16", |bench| {
         bench.iter(|| classify_fast_serial(black_box(&vp), black_box(&w.test), 9, 0.0))
+    });
+
+    // The cutoff gate's reject path: a full hood offered a candidate beyond
+    // its k-th distance — what almost every candidate of a cell scan is.
+    let mut hood = Neighborhood::new(9);
+    for i in 0..9u64 {
+        hood.push_sq(i as f64 * 0.01, i, false);
+    }
+    c.bench_function("classify/push_sq_full_hood_reject", |bench| {
+        bench.iter(|| hood.push_sq(black_box(0.5), black_box(77), false))
+    });
+
+    // One stage-1 row (intra window scan, positive window scan, shortcut,
+    // Algorithm 1) on the bulk job's shape: one 2,500-resident cell, 200
+    // positives in the low-distance corner.
+    let mut rng = StdRng::seed_from_u64(14);
+    let mut train: Vec<LabeledPair> = Vec::with_capacity(2_700);
+    for i in 0..2_500u64 {
+        let v = std::array::from_fn(|_| rng.gen_range(0.0..1.0));
+        train.push(LabeledPair::new(i, v, false));
+    }
+    for i in 2_500..2_700u64 {
+        let v = std::array::from_fn(|_| rng.gen_range(0.0..0.15));
+        train.push(LabeledPair::new(i, v, true));
+    }
+    let one_cell = VoronoiPartition::build(&train, 1, 14);
+    let query: [f64; 8] = std::array::from_fn(|_| rng.gen_range(0.0..1.0));
+    let mut scratch = ClassifyScratch::default();
+    c.bench_function("classify/stage1_row_2500cell_200pos", |bench| {
+        bench.iter(|| {
+            stage1_row(
+                black_box(&one_cell),
+                &one_cell.negative_clusters[0],
+                0,
+                black_box(&query),
+                9,
+                &mut scratch,
+            )
+        })
     });
 }
 

@@ -46,6 +46,20 @@ fn main() {
         bench::harness::PAPER_SCALE
     )
     .unwrap();
+    writeln!(doc).unwrap();
+    writeln!(
+        doc,
+        "**What a virtual minute counts.** Classification is charged one \
+         operation per distance *evaluated*. Residents that the \
+         triangle-inequality window rejects were never charged; since the \
+         positives became one more windowed cell (DESIGN.md §13) neither are \
+         the positives it rejects, where every test pair used to be charged \
+         for every positive. The execution times of Figs. 6(b), 8(b), 9, \
+         10(a) and 11 therefore read lower than in copies of this file \
+         generated before that change; comparison *counts* (Fig. 7) and every \
+         quality figure are unchanged."
+    )
+    .unwrap();
     if quick {
         writeln!(doc).unwrap();
         writeln!(

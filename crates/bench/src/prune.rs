@@ -12,7 +12,9 @@
 //! * **avoided fraction** — share of the would-be pair-distance
 //!   evaluations the triangle-inequality window and the annulus cell bound
 //!   eliminated, from the journal's `prune` section (by the conservation
-//!   invariant, `evals_on + avoided == evals_off` exactly).
+//!   invariant, `evals_on + avoided == evals_off` exactly, evaluations
+//!   being intra + cross + positive comparisons: the positives are one
+//!   more windowed cell).
 //!
 //! The corpus is skewed the way §4.2 distance vectors are in practice:
 //! pair-distance mass concentrates along low-dimensional manifolds (most
@@ -114,8 +116,9 @@ pub struct PruneRun {
     /// Summed virtual makespan of the classification stages (µs), fit
     /// excluded.
     pub classify_us: u64,
-    /// Pair-distance evaluations performed against the negative cells
-    /// (intra + cross comparison counters; k-means leaves them untouched).
+    /// Pair-distance evaluations performed against the negative cells and
+    /// the positives (intra + cross + positive comparison counters; k-means
+    /// leaves them untouched).
     pub evals: u64,
     /// The journal's prune aggregates (all zeros when pruning is off).
     pub prune: PruneReport,
@@ -147,7 +150,8 @@ pub fn run_classification(w: &PruneWorkload, workers: usize, prune: bool) -> Pru
     let report = cluster.job_report();
     let m = cluster.metrics();
     let evals = m.counter(fastknn::counters::INTRA_COMPARISONS).get()
-        + m.counter(fastknn::counters::CROSS_COMPARISONS).get();
+        + m.counter(fastknn::counters::CROSS_COMPARISONS).get()
+        + m.counter(fastknn::counters::POSITIVE_COMPARISONS).get();
     PruneRun {
         tests: w.tests.len(),
         classify_us,

@@ -910,10 +910,21 @@ mod tests {
                 raw_a += raw.a;
                 dedup_a += deduped.a;
                 assert!(raw.a >= deduped.a, "dedup can only remove reports");
-                assert!(raw.a + raw.b + raw.c + raw.d == raw.a + raw.b + raw.c + raw.d);
+                // The 2×2 table partitions the store it was counted over.
+                let counted = serve.raw.reports;
+                let excluded = serve.excluded_table.reports;
+                assert_eq!(raw.a + raw.b + raw.c + raw.d, counted);
+                assert_eq!(
+                    deduped.a + deduped.b + deduped.c + deduped.d,
+                    counted - excluded
+                );
             }
         }
         assert!(raw_a >= dedup_a);
+        assert!(
+            serve.excluded_table.reports > 0,
+            "the corpus plants duplicates"
+        );
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! | 1. k-means partition of `T` into `b` clusters | [`VoronoiPartition::build`] at [`FastKnn::fit`] |
 //! | 2–3. map: assign each `s ∈ S` its closest centre | per-block `map` + `partition_by` on cluster id |
 //! | 4. split `S` into `c` partitions | driver loop over `c` test blocks |
-//! | 6–8. join with `T⁻` on cluster id + top-k aggregate | `zip_partitions` of the block with the cached negative-cluster dataset |
-//! | 9–10. distances to `T⁺`, merge | same task (positives are broadcast) |
-//! | 11–12. Algorithm 1 partition selection | [`additional_partitions_into`] inside the task |
+//! | 6–8. join with `T⁻` on cluster id + top-k aggregate | `zip_partitions` of the block with the cached negative-cluster dataset; per row, [`stage1_row`] |
+//! | 9–10. distances to `T⁺`, merge | same routine (positives are broadcast, and windowed like a cell) |
+//! | 11–12. Algorithm 1 partition selection | same routine |
 //! | 13–15. join with additional partitions, union + reduce to merge top-k | probe shuffle + second `zip_partitions` + `union` + `reduce_by_key` |
 //! | 17. score per Eq. 5 | `map` over merged neighbourhoods |
 //!
@@ -24,8 +24,8 @@
 use crate::counters;
 use crate::prune::scan_cell_pruned;
 use crate::score::{label_for, score_neighbors};
-use crate::select::{additional_partitions_into, additional_partitions_pruned_into};
-use crate::soa::{distances_to_point, from_unlabeled, ScratchPool, VecBatch};
+use crate::soa::{from_unlabeled, ScratchPool, VecBatch};
+use crate::stage1::{stage1_row, Stage1Row};
 use crate::types::{LabeledPair, Neighborhood, ScoredPair, UnlabeledPair, PAIR_DIMS};
 use crate::voronoi::VoronoiPartition;
 use simmetrics::squared_euclidean_fixed;
@@ -48,9 +48,13 @@ pub struct FastKnnConfig {
     /// Seed for k-means.
     pub seed: u64,
     /// Bound-driven candidate pruning: triangle-inequality window scans
-    /// over distance-sorted cells plus annulus cell skips. Lossless — the
-    /// classification is bit-identical either way — so `false` exists only
-    /// to measure what the bounds save (see `bench_prune`).
+    /// over the distance-sorted cells and positives plus annulus cell
+    /// skips. Lossless — the classification is bit-identical either way —
+    /// so `false` exists only to measure what the bounds save (see
+    /// `bench_prune`). `false` is not another code path: the model is
+    /// fitted [`VoronoiPartition::without_prune_metadata`], and the same
+    /// routines, finding no sorted distances, sweep every resident and
+    /// every positive and skip no cell.
     pub prune: bool,
 }
 
@@ -77,8 +81,7 @@ enum StageOut<const D: usize> {
     /// Probe to run against cluster `target`. Carries the stage-1
     /// neighbourhood's k-th distance² so the stage-2 scan starts with a
     /// tight cutoff: any candidate beyond it is already beaten by k known
-    /// candidates and cannot enter the merged top-k. `+∞` when pruning is
-    /// off (scan everything).
+    /// candidates and cannot enter the merged top-k.
     Probe {
         target: usize,
         id: u64,
@@ -118,7 +121,11 @@ impl<const D: usize> FastKnn<D> {
         // and all three classification shuffles must be able to overflow to
         // the disk tier instead of aborting under a tight memory budget.
         crate::spill::register_spill_codecs::<D>(cluster.spill());
-        let voronoi = Arc::new(VoronoiPartition::build(train, config.b, config.seed));
+        let mut voronoi = VoronoiPartition::build(train, config.b, config.seed);
+        if !config.prune {
+            voronoi = voronoi.without_prune_metadata();
+        }
+        let voronoi = Arc::new(voronoi);
         let b = voronoi.b();
         let keyed: Vec<(usize, Arc<VecBatch<D>>)> = voronoi
             .negative_clusters
@@ -176,7 +183,6 @@ impl<const D: usize> FastKnn<D> {
         let b = self.voronoi.b();
         let k = self.config.k;
         let theta = self.config.theta;
-        let prune = self.config.prune;
         let voronoi = self.voronoi.clone();
         let snap = |name: &str| self.cluster.metrics().counter(name).get();
         let before = [
@@ -185,6 +191,7 @@ impl<const D: usize> FastKnn<D> {
             snap(counters::PRUNE_EVALS_AVOIDED),
             snap(counters::INTRA_COMPARISONS),
             snap(counters::CROSS_COMPARISONS),
+            snap(counters::POSITIVE_COMPARISONS),
         ];
 
         // Steps 2–3: assign each test pair to its Voronoi cell. Each
@@ -226,124 +233,40 @@ impl<const D: usize> FastKnn<D> {
                 move |ctx,
                       tests: Vec<(usize, UnlabeledPair<D>)>,
                       negs: Vec<(usize, Arc<VecBatch<D>>)>| {
-                    let cell: Option<&Arc<VecBatch<D>>> = negs.first().map(|(_, c)| c);
-                    let negs_len = cell.map_or(0, |c| c.len());
+                    let empty = VecBatch::new();
+                    let cell: &VecBatch<D> = negs.first().map_or(&empty, |(_, c)| c);
                     // Model executor memory: the joined block must be
                     // resident (paper Fig. 8b: small b ⇒ oversized joined
                     // partitions ⇒ task kills and retries).
-                    let bytes = (tests.len() + negs_len) * D * 8;
+                    let bytes = (tests.len() + cell.len()) * D * 8;
                     ctx.hold_memory(bytes)?;
-                    let intra = ctx.counter(counters::INTRA_COMPARISONS);
-                    let posc = ctx.counter(counters::POSITIVE_COMPARISONS);
-                    let extra_clusters = ctx.counter(counters::ADDITIONAL_CLUSTERS);
-                    let skips = ctx.counter(counters::SHORTCUT_SKIPS);
-                    let cells_skipped_c = ctx.counter(counters::PRUNE_CELLS_SKIPPED);
-                    let bound_rejected_c = ctx.counter(counters::PRUNE_BOUND_REJECTED);
-                    let avoided_c = ctx.counter(counters::PRUNE_EVALS_AVOIDED);
                     let mut out = Vec::with_capacity(tests.len());
+                    let mut total = Stage1Row::default();
+                    let mut shortcuts = 0u64;
+                    let mut extra_cells = 0u64;
                     stage1_scratch.with(|s| {
                         for (assigned_cid, t) in tests {
-                            let mut hood = Neighborhood::new(k);
-                            let mut evaluated = 0u64;
-                            if let Some(cell) = cell {
-                                if prune {
-                                    // Triangle-inequality window scan over
-                                    // the distance-sorted cell — fills the
-                                    // hood bit-identically to a full sweep.
-                                    let ds = squared_euclidean_fixed(
-                                        &t.vector,
-                                        &vor_stage1.centers[assigned_cid],
-                                    )
-                                    .sqrt();
-                                    let cds = vor_stage1
-                                        .center_dists
-                                        .get(assigned_cid)
-                                        .map(|c| c.as_slice())
-                                        .unwrap_or(&[]);
-                                    let stats = scan_cell_pruned(
-                                        cell,
-                                        cds,
-                                        &t.vector,
-                                        ds,
-                                        f64::INFINITY,
-                                        &mut hood,
-                                        &mut s.dists,
-                                    );
-                                    evaluated = stats.evaluated;
-                                    bound_rejected_c.add(stats.bound_rejected);
-                                    avoided_c.add(stats.bound_rejected);
-                                } else {
-                                    distances_to_point(cell, &t.vector, &mut s.dists);
-                                    for (j, &d_sq) in s.dists.iter().enumerate() {
-                                        hood.push_sq(d_sq, cell.id(j), cell.label(j));
-                                    }
-                                    evaluated = negs_len as u64;
-                                }
-                            }
-                            intra.add(evaluated);
-                            // Algorithm 1 line 2: d(s, s_k) over the
-                            // intra-cluster neighbours only, BEFORE merging
-                            // the positives.
-                            let intra_kth_sq = hood.kth_distance_sq();
-                            distances_to_point(&vor_stage1.positives, &t.vector, &mut s.pos_dists);
-                            let mut min_pos_sq = f64::INFINITY;
-                            for (j, &d_sq) in s.pos_dists.iter().enumerate() {
-                                min_pos_sq = min_pos_sq.min(d_sq);
-                                hood.push_sq(d_sq, vor_stage1.positives.id(j), true);
-                            }
-                            posc.add(vor_stage1.positives.len() as u64);
-                            ctx.charge_ops(evaluated + vor_stage1.positives.len() as u64);
-                            if intra_kth_sq <= min_pos_sq {
-                                skips.inc();
-                                let score = score_neighbors(&hood);
-                                out.push(StageOut::Done(ScoredPair {
-                                    id: t.id,
-                                    score,
-                                    positive: label_for(score, theta),
-                                    shortcut: true,
-                                }));
-                                continue;
-                            }
-                            if prune {
-                                let (cells, residents) = additional_partitions_pruned_into(
-                                    &t.vector,
-                                    assigned_cid,
-                                    intra_kth_sq,
-                                    min_pos_sq,
-                                    &vor_stage1,
-                                    &mut s.extra,
-                                );
-                                cells_skipped_c.add(cells);
-                                avoided_c.add(residents);
-                            } else {
-                                additional_partitions_into(
-                                    &t.vector,
-                                    assigned_cid,
-                                    intra_kth_sq,
-                                    min_pos_sq,
-                                    &vor_stage1.centers,
-                                    &mut s.extra,
-                                );
-                            }
-                            extra_clusters.add(s.extra.len() as u64);
+                            let row = stage1_row(&vor_stage1, cell, assigned_cid, &t.vector, k, s);
+                            total.add(&row);
+                            shortcuts += u64::from(row.shortcut);
+                            extra_cells += s.extra.len() as u64;
                             if s.extra.is_empty() {
-                                let score = score_neighbors(&hood);
+                                let score = score_neighbors(&s.hood);
                                 out.push(StageOut::Done(ScoredPair {
                                     id: t.id,
                                     score,
                                     positive: label_for(score, theta),
-                                    shortcut: false,
+                                    shortcut: row.shortcut,
                                 }));
                                 continue;
                             }
                             // The stage-1 kth travels with each probe so the
                             // stage-2 scan starts with a tight cutoff.
-                            let kth_sq = if prune {
-                                hood.kth_distance_sq()
-                            } else {
-                                f64::INFINITY
-                            };
-                            out.push(StageOut::Base { id: t.id, hood });
+                            let kth_sq = s.hood.kth_distance_sq();
+                            out.push(StageOut::Base {
+                                id: t.id,
+                                hood: s.hood.clone(),
+                            });
                             for &target in &s.extra {
                                 out.push(StageOut::Probe {
                                     target,
@@ -354,6 +277,21 @@ impl<const D: usize> FastKnn<D> {
                             }
                         }
                     });
+                    // Positives are charged as evaluated, like residents:
+                    // the window leaves most of both unevaluated.
+                    ctx.charge_ops(total.intra_evaluated + total.positives_evaluated);
+                    ctx.counter(counters::INTRA_COMPARISONS)
+                        .add(total.intra_evaluated);
+                    ctx.counter(counters::POSITIVE_COMPARISONS)
+                        .add(total.positives_evaluated);
+                    ctx.counter(counters::ADDITIONAL_CLUSTERS).add(extra_cells);
+                    ctx.counter(counters::SHORTCUT_SKIPS).add(shortcuts);
+                    ctx.counter(counters::PRUNE_CELLS_SKIPPED)
+                        .add(total.cells_skipped);
+                    ctx.counter(counters::PRUNE_BOUND_REJECTED)
+                        .add(total.bound_rejected);
+                    ctx.counter(counters::PRUNE_EVALS_AVOIDED)
+                        .add(total.evals_avoided);
                     ctx.release_memory(bytes);
                     Ok(out)
                 },
@@ -389,56 +327,41 @@ impl<const D: usize> FastKnn<D> {
             .zip_partitions(
                 &self.negatives,
                 move |ctx, probes: Vec<Probe<D>>, negs: Vec<(usize, Arc<VecBatch<D>>)>| {
-                    let cid = negs.first().map_or(0, |(cid, _)| *cid);
-                    let cell: Option<&Arc<VecBatch<D>>> = negs.first().map(|(_, c)| c);
-                    let negs_len = cell.map_or(0, |c| c.len());
-                    let cross = ctx.counter(counters::CROSS_COMPARISONS);
-                    let bound_rejected_c = ctx.counter(counters::PRUNE_BOUND_REJECTED);
-                    let avoided_c = ctx.counter(counters::PRUNE_EVALS_AVOIDED);
+                    let empty = VecBatch::new();
+                    let (cid, cell): (usize, &VecBatch<D>) =
+                        negs.first().map_or((0, &empty), |(cid, cell)| (*cid, cell));
                     let mut out = Vec::with_capacity(probes.len());
+                    let mut evaluated = 0u64;
+                    let mut bound_rejected = 0u64;
                     stage2_scratch.with(|s| {
                         for (_, (id, vector, kth_sq)) in probes {
+                            // The probe's stage-1 kth seeds the cutoff;
+                            // candidates beyond it cannot enter the merged
+                            // top-k, so the local hood it fills merges
+                            // losslessly.
                             let mut hood = Neighborhood::new(k);
-                            let mut evaluated = 0u64;
-                            if let Some(cell) = cell {
-                                if prune {
-                                    // The probe's stage-1 kth seeds the
-                                    // cutoff; candidates beyond it cannot
-                                    // enter the merged top-k, so the local
-                                    // hood it fills merges losslessly.
-                                    let ds =
-                                        squared_euclidean_fixed(&vector, &vor_stage2.centers[cid])
-                                            .sqrt();
-                                    let cds = vor_stage2
-                                        .center_dists
-                                        .get(cid)
-                                        .map(|c| c.as_slice())
-                                        .unwrap_or(&[]);
-                                    let stats = scan_cell_pruned(
-                                        cell,
-                                        cds,
-                                        &vector,
-                                        ds,
-                                        kth_sq,
-                                        &mut hood,
-                                        &mut s.dists,
-                                    );
-                                    evaluated = stats.evaluated;
-                                    bound_rejected_c.add(stats.bound_rejected);
-                                    avoided_c.add(stats.bound_rejected);
-                                } else {
-                                    distances_to_point(cell, &vector, &mut s.dists);
-                                    for (j, &d_sq) in s.dists.iter().enumerate() {
-                                        hood.push_sq(d_sq, cell.id(j), cell.label(j));
-                                    }
-                                    evaluated = negs_len as u64;
-                                }
-                            }
-                            cross.add(evaluated);
-                            ctx.charge_ops(evaluated);
+                            let ds =
+                                squared_euclidean_fixed(&vector, &vor_stage2.centers[cid]).sqrt();
+                            let stats = scan_cell_pruned(
+                                cell,
+                                vor_stage2.center_dists_of(cid),
+                                &vector,
+                                ds,
+                                kth_sq,
+                                &mut hood,
+                                &mut s.dists,
+                            );
+                            evaluated += stats.evaluated;
+                            bound_rejected += stats.bound_rejected;
                             out.push((id, hood));
                         }
                     });
+                    ctx.charge_ops(evaluated);
+                    ctx.counter(counters::CROSS_COMPARISONS).add(evaluated);
+                    ctx.counter(counters::PRUNE_BOUND_REJECTED)
+                        .add(bound_rejected);
+                    ctx.counter(counters::PRUNE_EVALS_AVOIDED)
+                        .add(bound_rejected);
                     Ok(out)
                 },
             )?;
@@ -465,13 +388,14 @@ impl<const D: usize> FastKnn<D> {
         // driver-side (tasks have no journal access): counter deltas across
         // the block's jobs. One event per block bounds journal volume by
         // `c`, never by test-pair count.
-        if prune {
+        if self.config.prune {
             let after = [
                 snap(counters::PRUNE_CELLS_SKIPPED),
                 snap(counters::PRUNE_BOUND_REJECTED),
                 snap(counters::PRUNE_EVALS_AVOIDED),
                 snap(counters::INTRA_COMPARISONS),
                 snap(counters::CROSS_COMPARISONS),
+                snap(counters::POSITIVE_COMPARISONS),
             ];
             let delta = |i: usize| after[i].saturating_sub(before[i]);
             self.cluster.journal().record(EventKind::PruneApplied {
@@ -479,7 +403,7 @@ impl<const D: usize> FastKnn<D> {
                 cells_skipped: delta(0),
                 bound_rejected: delta(1),
                 evals_avoided: delta(2),
-                evals_done: delta(3) + delta(4),
+                evals_done: delta(3) + delta(4) + delta(5),
                 memo_hits: 0,
             });
         }
@@ -637,8 +561,10 @@ mod tests {
             let model = FastKnn::fit(&cluster, &train, cfg).unwrap();
             let out = model.classify(&test).unwrap();
             let m = cluster.metrics();
+            let positive = m.counter(counters::POSITIVE_COMPARISONS).get();
             let evals = m.counter(counters::INTRA_COMPARISONS).get()
-                + m.counter(counters::CROSS_COMPARISONS).get();
+                + m.counter(counters::CROSS_COMPARISONS).get()
+                + positive;
             let avoided = m.counter(counters::PRUNE_EVALS_AVOIDED).get();
             let events = cluster
                 .journal()
@@ -646,19 +572,29 @@ mod tests {
                 .iter()
                 .filter(|e| e.kind.tag() == "prune_applied")
                 .count();
-            (out, evals, avoided, events)
+            (out, evals, positive, avoided, events)
         };
-        let (pruned, evals_on, avoided, events_on) = run(true);
-        let (full, evals_off, avoided_off, events_off) = run(false);
+        let (pruned, evals_on, positive_on, avoided, events_on) = run(true);
+        let (full, evals_off, positive_off, avoided_off, events_off) = run(false);
         assert_eq!(pruned, full, "pruning must not change a single result");
         assert!(avoided > 0, "the workload must exercise the bounds");
+        assert_eq!(
+            positive_off,
+            90 * 12,
+            "unpruned: every positive, every test"
+        );
+        assert!(
+            positive_on < positive_off,
+            "the window must reject positives too: {positive_on} evaluated"
+        );
         assert_eq!(avoided_off, 0, "no pruning, nothing avoided");
         assert!(events_on > 0, "each block journals one prune event");
         assert_eq!(events_off, 0);
-        // Conservation: every comparison the unpruned run performs is either
-        // performed or explicitly accounted as avoided by the pruned run
-        // (scan invariant: evaluated + bound_rejected = cell size; skipped
-        // cells contribute their whole population).
+        // Conservation, over intra + cross + positive comparisons: every
+        // one the unpruned run performs is either performed or explicitly
+        // accounted as avoided by the pruned run (scan invariant: evaluated
+        // + bound_rejected = cell size, the positives being one more cell;
+        // skipped cells contribute their whole population).
         assert_eq!(
             evals_on + avoided,
             evals_off,

@@ -32,6 +32,7 @@ pub mod select;
 pub mod serial;
 pub mod soa;
 pub mod spill;
+pub mod stage1;
 pub mod types;
 pub mod voronoi;
 
@@ -41,13 +42,12 @@ pub use prune::{
     PRUNE_SLACK_REL,
 };
 pub use score::{label_for, score_neighbors, SCORE_EPS};
-pub use select::{
-    additional_partitions, additional_partitions_into, additional_partitions_pruned_into,
-};
+pub use select::{additional_partitions, additional_partitions_pruned_into};
 pub use soa::{
     from_labeled, from_unlabeled, to_labeled, to_unlabeled, ClassifyScratch, ScratchPool, VecBatch,
 };
 pub use spill::register_spill_codecs;
+pub use stage1::{stage1_row, Stage1Row};
 pub use types::{LabeledPair, Neighborhood, ScoredPair, UnlabeledPair, PAIR_DIMS};
 pub use voronoi::{hyperplane_distance, VoronoiPartition};
 
@@ -58,7 +58,9 @@ pub mod counters {
     pub const CENTER_COMPARISONS: &str = "fastknn.center_comparisons";
     /// Stage-1 intra-cluster pair comparisons (Fig. 7a).
     pub const INTRA_COMPARISONS: &str = "fastknn.intra_comparisons";
-    /// Comparisons against the global positive set.
+    /// Comparisons against the global positive set: positives whose
+    /// distance was evaluated (the window scan rejects the rest unevaluated,
+    /// into [`PRUNE_BOUND_REJECTED`]).
     pub const POSITIVE_COMPARISONS: &str = "fastknn.positive_comparisons";
     /// Stage-2 cross-cluster pair comparisons (Fig. 7c).
     pub const CROSS_COMPARISONS: &str = "fastknn.cross_comparisons";
@@ -68,7 +70,8 @@ pub mod counters {
     pub const SHORTCUT_SKIPS: &str = "fastknn.shortcut_skips";
     /// Voronoi cells skipped wholesale by the annulus bound (lossless).
     pub const PRUNE_CELLS_SKIPPED: &str = "fastknn.prune_cells_skipped";
-    /// Cell residents rejected by the triangle-inequality window (lossless).
+    /// Cell residents and positives rejected by the triangle-inequality
+    /// window (lossless).
     pub const PRUNE_BOUND_REJECTED: &str = "fastknn.prune_bound_rejected";
     /// Distance evaluations avoided: bound-rejected residents plus the
     /// populations of wholesale-skipped cells.

@@ -16,7 +16,9 @@
 //! Besides §4.3.4's *test-set* pruning above, this module hosts the
 //! *candidate* pruning engine: the triangle-inequality window scan over a
 //! Voronoi cell whose residents are sorted by distance-to-centre (see
-//! [`crate::voronoi::VoronoiPartition::center_dists`]). For a query `s`
+//! [`crate::voronoi::VoronoiPartition::center_dists`]) — and over the
+//! positives, which are laid out as one more such cell around their mean
+//! (see [`crate::stage1`]). For a query `s`
 //! with `d(s, c)` to the cell centre and a running k-th-neighbour cutoff
 //! `kth`, any resident `x` satisfies
 //!
@@ -191,13 +193,52 @@ impl<const D: usize> TestPruner<D> {
     }
 }
 
-/// Relative slack applied to the admissible window radius: float rounding
-/// in the `sqrt`s and squared-distance sums is bounded by a few ulps, so a
-/// `1e-9` relative margin can never wrongly prune — in particular a
-/// candidate at *exactly* the cutoff distance (whose smaller id could still
-/// displace the current k-th neighbour) always survives.
+/// Relative slack applied to the admissible window radius.
+///
+/// # Why `1e-9` relative and `1e-12` absolute are enough
+///
+/// The window rejects a resident `x` unevaluated when
+/// `|ds − cd_x| > kth + slack`, with `ds`, `cd_x` and `kth` the *computed*
+/// `√d²(s, c)`, `√d²(x, c)` and `√cutoff²`. It is wrong only if the kernel
+/// would have computed `d²(s, x) ≤ cutoff²` for that `x` (it could have
+/// entered the hood, or tied with the k-th and won on id). In exact
+/// arithmetic `d(s, x) ≥ |d(s, c) − d(x, c)|`, so the slack has to cover
+/// what rounding adds to the two sides, with `u = 2⁻⁵³ ≈ 1.1e-16`:
+///
+/// * a `D`-term sum of squared differences, all terms non-negative,
+///   carries a relative error of at most `(D + 2)·u`; its square root
+///   halves that and adds `u`. For `D = 8`: `ds` and `cd_x` are each
+///   within `6u` of the true distances, `kth` within `u` of `√cutoff²`,
+///   and a kernel `d²(s, x) ≤ cutoff²` bounds the true `d(s, x)` by
+///   `kth·(1 + 6u)`;
+/// * an `x` the kernel would admit has `d(x, c) ≤ d(s, c) + d(s, x)`, so
+///   the computed `|ds − cd_x|` exceeds the true one by at most
+///   `6u·(ds + cd_x) + u·|ds − cd_x| ≤ 13u·(ds + kth)`.
+///
+/// Together the computed left side can overshoot the computed `kth` by at
+/// most `≈ 20u·(ds + kth) ≈ 2.2e-15·(ds + kth)` for an `x` that must be
+/// kept. `PRUNE_SLACK_REL·(ds + kth)` is that bound with five orders of
+/// magnitude to spare — it would still hold at `D` in the hundreds of
+/// thousands — and widens the window by one part in `10⁹`.
+///
+/// The relative bounds fail only where squares underflow (coordinate
+/// differences below `≈ 1e-154`): a distance can then be computed as `0`
+/// with no relative accuracy at all, but it is also absolutely smaller
+/// than `1e-153`, which [`PRUNE_SLACK_ABS`] covers with room to spare.
+/// That, not "tiny magnitudes" in general, is what the absolute floor is
+/// for; with `ds = kth = 0` exactly it also admits the residents
+/// coincident with the query, which the `≤` comparison admits anyway.
+///
+/// The argument never uses what `c` is, so it holds unchanged for the
+/// second scan the window now guards: the positives, sorted around their
+/// mean ([`crate::voronoi::VoronoiPartition::positive_ref`]). The check
+/// that goes with it is the lattice proptest in [`crate::stage1`]: pair
+/// vectors drawn from `{0, ¼, ½, 1}` put candidates at *exactly* the
+/// cutoff, on both sides of the k-th id, and that test fails with the
+/// slack removed where the continuous-valued ones below do not.
 pub const PRUNE_SLACK_REL: f64 = 1e-9;
-/// Absolute slack floor for the admissible window (guards tiny magnitudes).
+/// Absolute slack floor for the admissible window: covers distances whose
+/// squares underflow (see [`PRUNE_SLACK_REL`]).
 pub const PRUNE_SLACK_ABS: f64 = 1e-12;
 
 /// Rows evaluated per ranged-kernel call inside [`scan_cell_pruned`]: large
@@ -205,14 +246,29 @@ pub const PRUNE_SLACK_ABS: f64 = 1e-12;
 /// enough that the cutoff re-tightens frequently while scanning a big cell.
 const SCAN_BLOCK: usize = 64;
 
-/// Outcome counts of one pruned cell scan.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Outcome of one pruned cell scan.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellScanStats {
     /// Residents whose distance to the query was actually computed.
     pub evaluated: u64,
     /// Residents skipped because their triangle-inequality lower bound
     /// exceeded the (slackened) cutoff — distance evaluations avoided.
     pub bound_rejected: u64,
+    /// Smallest squared distance among the evaluated residents; `+∞` when
+    /// none was evaluated. Over the positive cell this is stage 1's
+    /// `min(s, T⁺)²` (see [`crate::stage1`] for why the window keeps it
+    /// exact whenever Algorithm 1 reads it).
+    pub min_sq: f64,
+}
+
+impl Default for CellScanStats {
+    fn default() -> Self {
+        CellScanStats {
+            evaluated: 0,
+            bound_rejected: 0,
+            min_sq: f64::INFINITY,
+        }
+    }
 }
 
 /// The admissible window radius around `d(s, c)` for cutoff `cutoff_sq`:
@@ -232,9 +288,10 @@ pub fn admissible_radius(ds: f64, cutoff_sq: f64) -> f64 {
 ///
 /// * `center_dists` — the cell's sorted linear distances-to-centre
 ///   (parallel to its rows). If its length does not match the cell (a
-///   hand-assembled partition without metadata), the scan falls back to a
-///   full unpruned sweep.
-/// * `ds` — linear distance from the query to this cell's centre.
+///   partition without metadata: assembled by hand, or fitted with
+///   `prune: false`), the scan is a full unpruned sweep.
+/// * `ds` — linear distance from the query to this cell's centre (for the
+///   positives: to their reference point).
 /// * `initial_cutoff_sq` — an externally-known squared cutoff (a stage-1
 ///   k-th distance carried to a stage-2 probe); `+∞` when none. The
 ///   effective cutoff at any instant is
@@ -260,10 +317,7 @@ pub fn scan_cell_pruned<const D: usize>(
         return stats;
     }
     if center_dists.len() != n {
-        distances_to_point(cell, query, dists);
-        for (j, &d_sq) in dists.iter().enumerate() {
-            hood.push_sq(d_sq, cell.id(j), cell.label(j));
-        }
+        stats.min_sq = offer_rows(cell, query, 0, n, hood, dists);
         stats.evaluated = n as u64;
         return stats;
     }
@@ -288,28 +342,44 @@ pub fn scan_cell_pruned<const D: usize>(
             (false, true) => false,
             _ => ds - center_dists[left - 1] <= center_dists[right] - ds,
         };
-        if take_left {
+        let (start, end) = if take_left {
             let lo_limit = center_dists[..left].partition_point(|&cd| cd < ds - r);
-            let start = left.saturating_sub(SCAN_BLOCK).max(lo_limit);
-            distances_to_point_range(cell, query, start, left, dists);
-            for (off, &d_sq) in dists.iter().enumerate() {
-                let j = start + off;
-                hood.push_sq(d_sq, cell.id(j), cell.label(j));
-            }
-            stats.evaluated += (left - start) as u64;
-            left = start;
+            let block = (left.saturating_sub(SCAN_BLOCK).max(lo_limit), left);
+            left = block.0;
+            block
         } else {
             let hi_limit = right + center_dists[right..].partition_point(|&cd| cd <= ds + r);
-            let end = (right + SCAN_BLOCK).min(hi_limit);
-            distances_to_point_range(cell, query, right, end, dists);
-            for (off, &d_sq) in dists.iter().enumerate() {
-                let j = right + off;
-                hood.push_sq(d_sq, cell.id(j), cell.label(j));
-            }
-            stats.evaluated += (end - right) as u64;
-            right = end;
-        }
+            let block = (right, (right + SCAN_BLOCK).min(hi_limit));
+            right = block.1;
+            block
+        };
+        stats.min_sq = stats
+            .min_sq
+            .min(offer_rows(cell, query, start, end, hood, dists));
+        stats.evaluated += (end - start) as u64;
     }
+}
+
+/// Evaluate rows `start..end` of `cell` against `query` and offer each to
+/// `hood`; returns the smallest squared distance among them.
+#[inline]
+fn offer_rows<const D: usize>(
+    cell: &VecBatch<D>,
+    query: &[f64; D],
+    start: usize,
+    end: usize,
+    hood: &mut Neighborhood,
+    dists: &mut Vec<f64>,
+) -> f64 {
+    distances_to_point_range(cell, query, start, end, dists);
+    let ids = &cell.ids()[start..end];
+    let labels = &cell.labels()[start..end];
+    let mut min_sq = f64::INFINITY;
+    for ((&d_sq, &id), &label) in dists.iter().zip(ids).zip(labels) {
+        min_sq = min_sq.min(d_sq);
+        hood.push_sq(d_sq, id, label);
+    }
+    min_sq
 }
 
 #[cfg(test)]

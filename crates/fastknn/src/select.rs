@@ -38,32 +38,10 @@ pub fn additional_partitions<const D: usize>(
     min_positive_distance_sq: f64,
     centers: &[[f64; D]],
 ) -> Vec<usize> {
-    let mut partitions = Vec::new();
-    additional_partitions_into(
-        s,
-        assigned,
-        kth_distance_sq,
-        min_positive_distance_sq,
-        centers,
-        &mut partitions,
-    );
-    partitions
-}
-
-/// Algorithm 1 into a caller-owned buffer (cleared first) — the
-/// allocation-free variant the batch classifier's scratch arena uses.
-pub fn additional_partitions_into<const D: usize>(
-    s: &[f64; D],
-    assigned: usize,
-    kth_distance_sq: f64,
-    min_positive_distance_sq: f64,
-    centers: &[[f64; D]],
-    out: &mut Vec<usize>,
-) {
-    out.clear();
+    let mut out = Vec::new();
     // Lines 2–5: all-negative shortcut (monotone in the square).
     if kth_distance_sq <= min_positive_distance_sq {
-        return;
+        return out;
     }
     // Lines 6–12: hyperplane pruning. Eq. 7 yields a linear distance, so
     // take the one root here rather than squaring every hyperplane bound
@@ -78,6 +56,7 @@ pub fn additional_partitions_into<const D: usize>(
             out.push(j);
         }
     }
+    out
 }
 
 /// Algorithm 1 with an additional **annulus bound** per surviving cell:

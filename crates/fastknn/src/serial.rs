@@ -15,8 +15,8 @@
 
 use crate::prune::scan_cell_pruned;
 use crate::score::{label_for, score_neighbors};
-use crate::select::additional_partitions_pruned_into;
-use crate::soa::{distances_to_point, from_unlabeled, ClassifyScratch, VecBatch};
+use crate::soa::{from_unlabeled, ClassifyScratch, VecBatch};
+use crate::stage1::stage1_row;
 use crate::types::{LabeledPair, Neighborhood, ScoredPair, UnlabeledPair};
 use crate::voronoi::VoronoiPartition;
 use simmetrics::squared_euclidean_fixed;
@@ -69,8 +69,8 @@ pub fn classify_fast_serial<const D: usize>(
 /// Fast kNN over a column batch of test pairs, appending one [`ScoredPair`]
 /// per row to `out` (cleared first).
 ///
-/// All candidate scans run as tiled [`distances_to_point`] sweeps over the
-/// partition's SoA cells; every buffer lives in `scratch`, so a warm call
+/// All candidate scans run the tiled column kernels over the partition's
+/// SoA cells; every buffer lives in `scratch`, so a warm call
 /// allocates nothing. Results are bit-identical to the historical per-pair
 /// path: the kernels preserve the scalar accumulation order, and the
 /// neighbourhood's `(distance², id)` total order makes candidate push order
@@ -84,65 +84,35 @@ pub fn classify_batch<const D: usize>(
     out: &mut Vec<ScoredPair>,
 ) {
     out.clear();
-    let ClassifyScratch {
-        hood,
-        dists,
-        pos_dists,
-        extra,
-    } = scratch;
     for i in 0..tests.len() {
         let v = tests.row(i);
         let assigned = partition.assign(&v);
-        hood.reset(k);
         let cell = &partition.negative_clusters[assigned];
-        // Triangle-inequality window scan over the sorted cell — the hood
-        // it fills is bit-identical to pushing every resident.
-        let ds = squared_euclidean_fixed(&v, &partition.centers[assigned]).sqrt();
-        let cds = partition
-            .center_dists
-            .get(assigned)
-            .map(|c| c.as_slice())
-            .unwrap_or(&[]);
-        scan_cell_pruned(cell, cds, &v, ds, f64::INFINITY, hood, dists);
-        // Algorithm 1 line 2: d(s, s_k) over the intra-cluster neighbours
-        // only, BEFORE merging the positives.
-        let intra_kth_sq = hood.kth_distance_sq();
-        distances_to_point(&partition.positives, &v, pos_dists);
-        let mut min_pos_sq = f64::INFINITY;
-        for (j, &d_sq) in pos_dists.iter().enumerate() {
-            min_pos_sq = min_pos_sq.min(d_sq);
-            hood.push_sq(d_sq, partition.positives.id(j), true);
-        }
-        let shortcut = intra_kth_sq <= min_pos_sq;
-        if !shortcut {
-            additional_partitions_pruned_into(
+        let row = stage1_row(partition, cell, assigned, &v, k, scratch);
+        let ClassifyScratch {
+            hood, dists, extra, ..
+        } = scratch;
+        for &cid in extra.iter() {
+            let ds = squared_euclidean_fixed(&v, &partition.centers[cid]).sqrt();
+            // The cross-cell scan inherits the running cutoff: the hood
+            // already holds the intra candidates and positives, so
+            // hood.kth alone tightens the window.
+            scan_cell_pruned(
+                &partition.negative_clusters[cid],
+                partition.center_dists_of(cid),
                 &v,
-                assigned,
-                intra_kth_sq,
-                min_pos_sq,
-                partition,
-                extra,
+                ds,
+                f64::INFINITY,
+                hood,
+                dists,
             );
-            for &cid in extra.iter() {
-                let cell = &partition.negative_clusters[cid];
-                let ds = squared_euclidean_fixed(&v, &partition.centers[cid]).sqrt();
-                let cds = partition
-                    .center_dists
-                    .get(cid)
-                    .map(|c| c.as_slice())
-                    .unwrap_or(&[]);
-                // The cross-cell scan inherits the running cutoff: the hood
-                // already holds the intra candidates and positives, so
-                // hood.kth alone tightens the window.
-                scan_cell_pruned(cell, cds, &v, ds, f64::INFINITY, hood, dists);
-            }
         }
         let score = score_neighbors(hood);
         out.push(ScoredPair {
             id: tests.id(i),
             score,
             positive: label_for(score, theta),
-            shortcut,
+            shortcut: row.shortcut,
         });
     }
 }

@@ -1,0 +1,259 @@
+//! Stage 1 of Algorithm 2 for one test pair (steps 6–12): intra-cell kNN,
+//! the positives, the all-negative shortcut and Algorithm 1.
+//!
+//! The one copy of the sequence; [`crate::classify`] runs it inside the
+//! engine's stage-1 task and [`crate::serial`] in its row loop.
+//!
+//! # The positives are one more sorted cell
+//!
+//! [`VoronoiPartition::build`] sorts the positives around their mean, so
+//! the positive step is the same [`scan_cell_pruned`] walk as the intra
+//! step, over a hood that already holds the intra-cell neighbours. The walk
+//! must deliver two things the full loop delivered — the merged hood and
+//! `min(s, T⁺)²` — and delivers both exactly where they are read:
+//!
+//! * **The hood.** The scan's cutoff starts at `intra_kth_sq` (the hood's
+//!   own k-th distance) and only tightens, so a positive outside the
+//!   slackened window is strictly farther than k candidates the hood
+//!   already holds: it cannot enter. The hood equals the full loop's.
+//! * **`min_pos_sq`, case "no evaluated positive beats `intra_kth_sq`".**
+//!   Then nothing tightened the cutoff (a positive admitted at exactly
+//!   `intra_kth` on the id tie-break leaves the k-th distance where it
+//!   was), so it stayed at `intra_kth_sq` and every positive outside the
+//!   window is strictly farther than `intra_kth`. No positive at all beats
+//!   it, the true minimum is `≥ intra_kth_sq` too, and the shortcut test
+//!   `intra_kth_sq <= min_pos_sq` fires as it would have. `min_pos_sq` is
+//!   read nowhere else on that branch.
+//! * **`min_pos_sq`, case "one does".** Let `p*` be the nearest positive,
+//!   at `d* < intra_kth`. Were the running cutoff ever below `d*`, the hood
+//!   would hold k candidates nearer than every positive — k intra-cell
+//!   negatives — and `intra_kth ≤ cutoff < d*`, a contradiction. So the
+//!   cutoff stays `≥ d*`, `p*` is inside the window, it is evaluated, and
+//!   the `min_pos_sq` handed to Algorithm 1 is exact.
+//!
+//! A hood that is not full has `intra_kth_sq = +∞` and the scan sweeps
+//! every positive until it fills.
+
+use crate::prune::scan_cell_pruned;
+use crate::select::additional_partitions_pruned_into;
+use crate::soa::{ClassifyScratch, VecBatch};
+use crate::voronoi::VoronoiPartition;
+use simmetrics::squared_euclidean_fixed;
+
+/// What stage 1 did for one test pair, in the units the counters use.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Stage1Row {
+    /// The all-negative shortcut fired: the hood is final and `extra` empty.
+    pub shortcut: bool,
+    /// Residents of the assigned cell whose distance was computed.
+    pub intra_evaluated: u64,
+    /// Positives whose distance was computed.
+    pub positives_evaluated: u64,
+    /// Residents and positives the window bound rejected unevaluated.
+    pub bound_rejected: u64,
+    /// Cells Algorithm 1's annulus bound skipped wholesale.
+    pub cells_skipped: u64,
+    /// Distance evaluations avoided: `bound_rejected` plus the populations
+    /// of the skipped cells.
+    pub evals_avoided: u64,
+}
+
+impl Stage1Row {
+    /// Accumulate another row's counts (`shortcut` is per row and is left
+    /// alone).
+    pub fn add(&mut self, other: &Stage1Row) {
+        self.intra_evaluated += other.intra_evaluated;
+        self.positives_evaluated += other.positives_evaluated;
+        self.bound_rejected += other.bound_rejected;
+        self.cells_skipped += other.cells_skipped;
+        self.evals_avoided += other.evals_avoided;
+    }
+}
+
+/// Run stage 1 for the test vector `v`, assigned to Voronoi cell
+/// `assigned` whose residents are `cell`.
+///
+/// On return `scratch.hood` (reset to capacity `k` first) holds the top-k
+/// of the assigned cell's residents and all positives — bit-identical to
+/// offering every one of them — and `scratch.extra` holds the additional
+/// cells Algorithm 1 selected (empty when the shortcut fired).
+///
+/// A partition without distance metadata
+/// ([`VoronoiPartition::without_prune_metadata`], or one assembled by hand)
+/// takes the same route: both scans find no sorted distances and sweep, and
+/// Algorithm 1 finds no radius bounds and falls back to the hyperplane test.
+pub fn stage1_row<const D: usize>(
+    partition: &VoronoiPartition<D>,
+    cell: &VecBatch<D>,
+    assigned: usize,
+    v: &[f64; D],
+    k: usize,
+    scratch: &mut ClassifyScratch<D>,
+) -> Stage1Row {
+    let ClassifyScratch {
+        hood,
+        dists,
+        pos_dists,
+        extra,
+    } = scratch;
+    hood.reset(k);
+    let ds = squared_euclidean_fixed(v, &partition.centers[assigned]).sqrt();
+    let intra = scan_cell_pruned(
+        cell,
+        partition.center_dists_of(assigned),
+        v,
+        ds,
+        f64::INFINITY,
+        hood,
+        dists,
+    );
+    // Algorithm 1 line 2: d(s, s_k) over the intra-cluster neighbours only,
+    // BEFORE merging the positives.
+    let intra_kth_sq = hood.kth_distance_sq();
+    let ds_pos = squared_euclidean_fixed(v, &partition.positive_ref).sqrt();
+    let pos = scan_cell_pruned(
+        &partition.positives,
+        &partition.positive_ref_dists,
+        v,
+        ds_pos,
+        intra_kth_sq,
+        hood,
+        pos_dists,
+    );
+    // Lines 2–5, the shortcut, are Algorithm 1's first test: it leaves
+    // `extra` empty when `intra_kth_sq <= pos.min_sq`.
+    let (cells_skipped, residents) =
+        additional_partitions_pruned_into(v, assigned, intra_kth_sq, pos.min_sq, partition, extra);
+    let bound_rejected = intra.bound_rejected + pos.bound_rejected;
+    Stage1Row {
+        shortcut: intra_kth_sq <= pos.min_sq,
+        intra_evaluated: intra.evaluated,
+        positives_evaluated: pos.evaluated,
+        bound_rejected,
+        cells_skipped,
+        evals_avoided: bound_rejected + residents,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::types::{LabeledPair, Neighborhood};
+    use proptest::prelude::*;
+
+    /// Coordinates the §4.2 distance space really produces: exact-match
+    /// fields are 0 or 1 and short-set Jaccard lands on simple fractions, so
+    /// many pairs coincide and candidates sit *exactly* on the cutoff.
+    const LATTICE: [f64; 4] = [0.0, 0.25, 0.5, 1.0];
+
+    /// Three lattice indices per point.
+    fn lattice_points(
+        size: std::ops::Range<usize>,
+    ) -> impl Strategy<Value = Vec<(usize, usize, usize)>> {
+        prop::collection::vec((0usize..4, 0usize..4, 0usize..4), size)
+    }
+
+    fn on_lattice(points: Vec<(usize, usize, usize)>) -> Vec<[f64; 3]> {
+        points
+            .into_iter()
+            .map(|(x, y, z)| [LATTICE[x], LATTICE[y], LATTICE[z]])
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The windowed positive scan against the full loop: same hood,
+        /// same shortcut decision, same Algorithm 1 output, and the exact
+        /// `min(s, T⁺)²` whenever a positive beats the intra-cell k-th
+        /// distance — with metadata and with it stripped.
+        ///
+        /// `shape` picks the positive set: none, one, all coincident, a
+        /// random set, and a random set plus one positive at the query.
+        /// Small cells against `k` up to 11 give cutoff `+∞` (k larger
+        /// than the cell) and k larger than the positive set. Negative ids
+        /// are even and positive ids odd, so distance ties at the cutoff
+        /// fall on both sides of the k-th id.
+        #[test]
+        fn windowed_positives_equal_the_full_loop_on_lattice_vectors(
+            negatives in lattice_points(1..40),
+            positives in lattice_points(1..12),
+            shape in 0usize..5,
+            queries in lattice_points(1..6),
+            k in 1usize..12,
+            b in 1usize..4,
+            seed in 0u64..50,
+        ) {
+            let (negatives, positives) = (on_lattice(negatives), on_lattice(positives));
+            let mut queries = on_lattice(queries);
+            let positives: Vec<[f64; 3]> = match shape {
+                0 => Vec::new(),
+                1 => positives[..1].to_vec(),
+                2 => vec![positives[0]; positives.len()],
+                3 => positives,
+                _ => {
+                    queries.push(positives[0]);
+                    positives
+                }
+            };
+            let mut train: Vec<LabeledPair<3>> = Vec::new();
+            for (i, v) in negatives.iter().enumerate() {
+                train.push(LabeledPair::new(2 * i as u64, *v, false));
+            }
+            for (i, v) in positives.iter().enumerate() {
+                train.push(LabeledPair::new(2 * i as u64 + 1, *v, true));
+            }
+            let sorted = VoronoiPartition::build(&train, b, seed);
+            let stripped = sorted.clone().without_prune_metadata();
+            let mut scratch = ClassifyScratch::default();
+            for v in &queries {
+                let assigned = sorted.assign(v);
+                let cell = &sorted.negative_clusters[assigned];
+                // The full loop, as stage 1 ran it before the window.
+                let mut full = Neighborhood::new(k);
+                for j in 0..cell.len() {
+                    full.push_sq(squared_euclidean_fixed(v, &cell.row(j)), cell.id(j), false);
+                }
+                let intra_only = full.clone();
+                let intra_kth_sq = full.kth_distance_sq();
+                let min_pos_sq = sorted.min_positive_distance_sq(v);
+                for j in 0..sorted.positives.len() {
+                    let p = &sorted.positives;
+                    full.push_sq(squared_euclidean_fixed(v, &p.row(j)), p.id(j), true);
+                }
+                let mut extra = Vec::new();
+                additional_partitions_pruned_into(
+                    v, assigned, intra_kth_sq, min_pos_sq, &sorted, &mut extra);
+
+                let row = stage1_row(&sorted, cell, assigned, v, k, &mut scratch);
+                prop_assert_eq!(&scratch.hood, &full);
+                prop_assert_eq!(row.shortcut, intra_kth_sq <= min_pos_sq);
+                prop_assert_eq!(&scratch.extra, &extra);
+                prop_assert_eq!(
+                    row.intra_evaluated + row.positives_evaluated + row.bound_rejected,
+                    (cell.len() + positives.len()) as u64,
+                    "every resident and positive is evaluated or bound-rejected"
+                );
+
+                // The minimum itself, straight from the positive scan.
+                let mut hood = intra_only;
+                let ds_pos = squared_euclidean_fixed(v, &sorted.positive_ref).sqrt();
+                let pos = scan_cell_pruned(
+                    &sorted.positives, &sorted.positive_ref_dists, v, ds_pos,
+                    intra_kth_sq, &mut hood, &mut scratch.pos_dists);
+                if min_pos_sq < intra_kth_sq {
+                    prop_assert_eq!(pos.min_sq.to_bits(), min_pos_sq.to_bits());
+                } else {
+                    prop_assert!(pos.min_sq >= intra_kth_sq);
+                }
+
+                // No metadata: the same routine sweeps, to the same result.
+                let swept = stage1_row(&stripped, cell, assigned, v, k, &mut scratch);
+                prop_assert_eq!(&scratch.hood, &full);
+                prop_assert_eq!(swept.shortcut, row.shortcut);
+                prop_assert_eq!(swept.positives_evaluated, positives.len() as u64);
+                prop_assert_eq!(swept.evals_avoided, 0);
+            }
+        }
+    }
+}

@@ -96,14 +96,35 @@ impl Neighborhood {
 
     /// Insert a candidate by **squared** distance (ties broken by `id`),
     /// keeping the `k` closest.
+    ///
+    /// Gated on the cutoff: against a full neighbourhood a candidate whose
+    /// `(distance_sq, id)` key is not below the current k-th key returns
+    /// here, before the search and the insert — it would have been inserted
+    /// behind the k-th entry and popped again. Almost every candidate a
+    /// cell scan offers takes this exit (only ~k·ln(n/k) of n can enter a
+    /// top-k), so the common case is two compares. A NaN distance fails
+    /// both rejecting comparisons and falls through to the ungated search,
+    /// as before; `k == 0` keeps nothing, as before.
+    #[inline]
     pub fn push_sq(&mut self, distance_sq: f64, id: u64, positive: bool) {
+        if self.entries.len() >= self.k {
+            match self.entries.last() {
+                Some(&(kth_sq, kth_id, _)) => {
+                    if distance_sq > kth_sq || (distance_sq == kth_sq && id >= kth_id) {
+                        return;
+                    }
+                }
+                None => return,
+            }
+            // Admitted against a full hood: the k-th entry is the one that
+            // leaves. Dropping it first keeps `entries` within the capacity
+            // `new(k)` reserved.
+            self.entries.pop();
+        }
         let pos = self
             .entries
             .partition_point(|(d, i, _)| *d < distance_sq || (*d == distance_sq && *i <= id));
         self.entries.insert(pos, (distance_sq, id, positive));
-        if self.entries.len() > self.k {
-            self.entries.pop();
-        }
     }
 
     /// Reset to an empty neighbourhood of capacity `k`, keeping the entry
@@ -253,7 +274,61 @@ mod tests {
         (e.0.to_bits(), e.1)
     }
 
+    /// `push_sq` as it was before the cutoff gate: search, insert, pop.
+    fn push_ungated(n: &mut Neighborhood, distance_sq: f64, id: u64, positive: bool) {
+        let pos = n
+            .entries
+            .partition_point(|(d, i, _)| *d < distance_sq || (*d == distance_sq && *i <= id));
+        n.entries.insert(pos, (distance_sq, id, positive));
+        if n.entries.len() > n.k {
+            n.entries.pop();
+        }
+    }
+
+    /// Bit view of the entries, so a NaN compares equal to itself.
+    fn bits(n: &Neighborhood) -> Vec<(u64, u64, bool)> {
+        n.entries
+            .iter()
+            .map(|(d, i, p)| (d.to_bits(), *i, *p))
+            .collect()
+    }
+
     proptest! {
+        /// The gate is invisible: after every offer the gated hood equals
+        /// the ungated reference. Distances sit on a quarter lattice and
+        /// ids come from a range narrower than the sequence, so offers tie
+        /// with the k-th entry on distance with ids below, equal to and
+        /// above its id; `k` starts at 0; and the sequence may end with a
+        /// NaN, which meets a full hood when the sequence is longer than
+        /// `k` and a non-full one when it is shorter.
+        #[test]
+        fn gated_push_equals_ungated_reference(
+            offers in prop::collection::vec((0u8..12, 0u64..10, prop::bool::ANY), 0..40),
+            k in 0usize..8,
+            nan_last in prop::bool::ANY,
+            nan_id in 0u64..10,
+        ) {
+            let mut offers: Vec<(f64, u64, bool)> = offers
+                .into_iter()
+                .map(|(q, id, p)| (f64::from(q) * 0.25, id, p))
+                .collect();
+            if nan_last {
+                offers.push((f64::NAN, nan_id, false));
+            }
+            let mut gated = Neighborhood::new(k);
+            let mut reference = Neighborhood::new(k);
+            for (d, id, p) in offers {
+                gated.push_sq(d, id, p);
+                push_ungated(&mut reference, d, id, p);
+                prop_assert_eq!(bits(&gated), bits(&reference), "after offering ({}, {})", d, id);
+            }
+            prop_assert_eq!(
+                gated.entries.capacity(),
+                Neighborhood::new(k).entries.capacity(),
+                "the hood outgrew what new(k) reserved"
+            );
+        }
+
         #[test]
         fn neighborhood_invariants(
             ds in prop::collection::vec((0.0f64..10.0, prop::bool::ANY), 0..40),

@@ -34,7 +34,24 @@ pub struct VoronoiPartition<const D: usize = PAIR_DIMS> {
     /// simply disables windowed pruning for those cells.
     pub center_dists: Vec<Vec<f64>>,
     /// All positive training pairs (global), as one column batch.
+    ///
+    /// After [`VoronoiPartition::build`] the positives are laid out as one
+    /// more sorted cell: rows ordered by `(distance to`
+    /// [`VoronoiPartition::positive_ref`]`, id)`, so stage 1 walks them
+    /// with the same window scan as a negative cell instead of evaluating
+    /// every positive for every test pair.
     pub positives: VecBatch<D>,
+    /// The reference point the positives are sorted around: their mean.
+    /// Any point would keep the scan lossless (the triangle inequality
+    /// holds about every point); the mean keeps the window narrow.
+    pub positive_ref: [f64; D],
+    /// **Linear** distance of each positive to
+    /// [`VoronoiPartition::positive_ref`], parallel to the (sorted) rows of
+    /// [`VoronoiPartition::positives`] — ascending by construction. Same
+    /// rule as [`VoronoiPartition::center_dists`]: a hand-assembled
+    /// partition may leave it empty, and the scan then sweeps every
+    /// positive.
+    pub positive_ref_dists: Vec<f64>,
 }
 
 /// How many training vectors k-means fits on at most; larger sets are
@@ -96,14 +113,29 @@ impl<const D: usize> VoronoiPartition<D> {
             negative_clusters,
             center_dists: Vec::new(),
             positives,
+            positive_ref: [0.0; D],
+            positive_ref_dists: Vec::new(),
         };
         partition.rebalance();
         partition.sort_cells_by_center_distance();
         partition
     }
 
+    /// The same partition with the distance metadata the bound-driven
+    /// pruning reads removed: every scan over it is a full sweep and no
+    /// cell has radius bounds for the annulus test. Cell membership and
+    /// row order stay, so classification is bit-identical. This is what
+    /// [`crate::FastKnnConfig::prune`]` = false` fits.
+    pub fn without_prune_metadata(mut self) -> Self {
+        self.center_dists.clear();
+        self.positive_ref_dists.clear();
+        self
+    }
+
     /// Sort each cell's residents by `(distance-to-centre, id)` and record
-    /// the sorted linear distances in [`VoronoiPartition::center_dists`].
+    /// the sorted linear distances in [`VoronoiPartition::center_dists`];
+    /// then the same for the positives around their mean
+    /// ([`VoronoiPartition::positive_ref`]).
     ///
     /// Runs after [`VoronoiPartition::rebalance`] so cell *membership* is
     /// untouched — only intra-cell row order changes, which classification
@@ -111,27 +143,28 @@ impl<const D: usize> VoronoiPartition<D> {
     /// neighbourhood top-k is insertion-order-independent).
     fn sort_cells_by_center_distance(&mut self) {
         self.center_dists = Vec::with_capacity(self.negative_clusters.len());
-        let mut d2: Vec<f64> = Vec::new();
-        let mut idx: Vec<usize> = Vec::new();
         for (cid, cell) in self.negative_clusters.iter_mut().enumerate() {
-            distances_to_point(cell, &self.centers[cid], &mut d2);
-            idx.clear();
-            idx.extend(0..cell.len());
-            idx.sort_unstable_by(|&a, &b| {
-                d2[a]
-                    .total_cmp(&d2[b])
-                    .then_with(|| cell.id(a).cmp(&cell.id(b)))
-            });
-            *cell = cell.gather(&idx);
             self.center_dists
-                .push(idx.iter().map(|&i| d2[i].sqrt()).collect());
+                .push(sort_by_distance_to(cell, &self.centers[cid]));
         }
+        let n = self.positives.len();
+        if n > 0 {
+            self.positive_ref =
+                std::array::from_fn(|d| self.positives.col(d).iter().sum::<f64>() / n as f64);
+        }
+        self.positive_ref_dists = sort_by_distance_to(&mut self.positives, &self.positive_ref);
+    }
+
+    /// Cell `cid`'s sorted resident-to-centre distances; empty when the
+    /// partition carries no metadata for it (the scan then sweeps).
+    pub fn center_dists_of(&self, cid: usize) -> &[f64] {
+        self.center_dists.get(cid).map_or(&[], Vec::as_slice)
     }
 
     /// `(min, max)` resident-to-centre linear distance of a cell, when the
     /// cell is non-empty and its distance metadata is present.
     pub fn cell_radius_bounds(&self, cid: usize) -> Option<(f64, f64)> {
-        let cds = self.center_dists.get(cid)?;
+        let cds = self.center_dists_of(cid);
         match (cds.first(), cds.last()) {
             (Some(&lo), Some(&hi)) => Some((lo, hi)),
             _ => None,
@@ -272,16 +305,32 @@ impl<const D: usize> VoronoiPartition<D> {
         self.negative_clusters.iter().map(|c| c.len()).collect()
     }
 
-    /// Minimum **squared** distance from `v` to any positive pair; `+∞`
-    /// when there are no positives. Squared on purpose: every consumer
-    /// compares it against other squared distances.
-    pub fn min_positive_distance_sq(&self, v: &[f64; D]) -> f64 {
+    /// Minimum **squared** distance from `v` to any positive pair, by the
+    /// obvious scalar loop; `+∞` when there are no positives. The oracle
+    /// the windowed positive scan's `min_sq` is tested against.
+    #[cfg(test)]
+    pub(crate) fn min_positive_distance_sq(&self, v: &[f64; D]) -> f64 {
         let mut best = f64::INFINITY;
         for i in 0..self.positives.len() {
             best = best.min(squared_euclidean_fixed(v, &self.positives.row(i)));
         }
         best
     }
+}
+
+/// Reorder `cell`'s rows by `(distance to point, id)` and return the sorted
+/// **linear** distances, parallel to the new row order.
+fn sort_by_distance_to<const D: usize>(cell: &mut VecBatch<D>, point: &[f64; D]) -> Vec<f64> {
+    let mut d2: Vec<f64> = Vec::new();
+    distances_to_point(cell, point, &mut d2);
+    let mut idx: Vec<usize> = (0..cell.len()).collect();
+    idx.sort_unstable_by(|&a, &b| {
+        d2[a]
+            .total_cmp(&d2[b])
+            .then_with(|| cell.id(a).cmp(&cell.id(b)))
+    });
+    *cell = cell.gather(&idx);
+    idx.iter().map(|&i| d2[i].sqrt()).collect()
 }
 
 /// Distance from `s` to the hyperplane separating the Voronoi cells of
@@ -379,6 +428,8 @@ mod tests {
             negative_clusters: vec![VecBatch::new(), VecBatch::new(), VecBatch::new()],
             center_dists: Vec::new(),
             positives: VecBatch::new(),
+            positive_ref: [0.0; 2],
+            positive_ref_dists: Vec::new(),
         };
         let a = dup.assign_balanced(&[0.1, 0.0], 0);
         let b = dup.assign_balanced(&[0.1, 0.0], 1);
@@ -419,6 +470,27 @@ mod tests {
                 assert!(cell.is_empty());
             }
         }
+        // The positives are one more sorted cell, around their mean.
+        let (p, pds) = (&vp.positives, &vp.positive_ref_dists);
+        assert_eq!(pds.len(), p.len());
+        for d in 0..2 {
+            // Summed here in sorted row order, at build in training order.
+            let mean = p.col(d).iter().sum::<f64>() / p.len() as f64;
+            assert!((vp.positive_ref[d] - mean).abs() < 1e-12);
+        }
+        for (r, pd) in pds.iter().enumerate() {
+            let want = euclidean(&p.row(r), &vp.positive_ref);
+            assert_eq!(pd.to_bits(), want.to_bits(), "stale positive distance");
+        }
+        for w in 0..p.len() - 1 {
+            assert!(
+                pds[w] < pds[w + 1] || (pds[w] == pds[w + 1] && p.id(w) < p.id(w + 1)),
+                "positives not sorted by (distance, id) at row {w}"
+            );
+        }
+        let bare = vp.clone().without_prune_metadata();
+        assert!(bare.center_dists.is_empty() && bare.positive_ref_dists.is_empty());
+        assert!((0..bare.b()).all(|c| bare.cell_radius_bounds(c).is_none()));
     }
 
     #[test]
@@ -468,6 +540,8 @@ mod tests {
                 negative_clusters: vec![VecBatch::new(); centers.len()],
                 center_dists: Vec::new(),
                 positives: VecBatch::new(),
+                positive_ref: [0.0; 2],
+                positive_ref_dists: Vec::new(),
                 centers,
             };
             let best = vp
@@ -500,6 +574,8 @@ mod tests {
                 negative_clusters: vec![VecBatch::new(); centers.len()],
                 center_dists: Vec::new(),
                 positives: VecBatch::new(),
+                positive_ref: [0.0; 2],
+                positive_ref_dists: Vec::new(),
                 centers,
             };
             let mut batch = VecBatch::<2>::new();

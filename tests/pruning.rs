@@ -155,7 +155,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Pruned ≡ unpruned classification over random workloads, model
-    /// shapes, and parallelism — every score, label, and shortcut flag.
+    /// shapes, and parallelism — every score, label, and shortcut flag —
+    /// with the positive window doing its share of the pruning: the
+    /// unpruned leg evaluates every positive for every test pair, the
+    /// pruned leg bound-rejects some of them.
     #[test]
     fn pruned_classification_is_identical_to_unpruned(
         seed in 0u64..10_000,
@@ -173,11 +176,23 @@ proptest! {
                 prune,
                 ..FastKnnConfig::default()
             };
-            FastKnn::fit(&cluster, &train, config)
+            let out = FastKnn::fit(&cluster, &train, config)
                 .expect("fit")
                 .classify(&test)
-                .expect("classify")
+                .expect("classify");
+            let positives_evaluated = cluster
+                .metrics()
+                .counter(fastknn::counters::POSITIVE_COMPARISONS)
+                .get();
+            (out, positives_evaluated)
         };
-        prop_assert_eq!(run(true), run(false));
+        let (pruned, positives_on) = run(true);
+        let (full, positives_off) = run(false);
+        prop_assert_eq!(pruned, full);
+        prop_assert_eq!(positives_off, 60 * 12);
+        prop_assert!(
+            positives_on < positives_off,
+            "no positive was bound-rejected: {} evaluated", positives_on
+        );
     }
 }
