@@ -1,14 +1,16 @@
 //! Criterion micro-benchmarks for the hot paths: string metrics, the text
 //! pipeline, kNN search, k-means, the field-distance vector (interned
-//! sorted-merge Jaccard, `DistVec`, fixed-arity Euclidean) and the
-//! distributed classifier on a small workload.
+//! sorted-merge Jaccard, `DistVec`, fixed-arity Euclidean), the
+//! distributed classifier on a small workload and the pair store's
+//! checkpoint encoders.
 //!
 //! Run with `cargo bench -p bench`.
 
+use adr_model::PairId;
 use adr_synth::{Dataset, SynthConfig};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dedup::pair_distance;
 use dedup::workload::{build_workload_on, ProcessedCorpus};
+use dedup::{pair_distance, PairStore};
 use fastknn::serial::{classify_brute, classify_fast_serial};
 use fastknn::voronoi::VoronoiPartition;
 use fastknn::{stage1_row, ClassifyScratch, LabeledPair, Neighborhood};
@@ -170,6 +172,42 @@ fn classifier(c: &mut Criterion) {
     });
 }
 
+/// What an ingest commit pays to make the store durable, at the
+/// `stream-ingest` shape: a full 20,000-negative reservoir, of which a
+/// commit's feedback rewrites about a thousand slots.
+fn store_checkpoint(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(15);
+    let mut offer = |store: &mut PairStore, i: u64, duplicate: bool| {
+        let v = std::array::from_fn(|_| rng.gen_range(0.0..1.0));
+        store.add(PairId::new(i, i + 10_000_000), v, duplicate);
+    };
+    let mut store = PairStore::new(20_000, 15);
+    for i in 0..100 {
+        offer(&mut store, i, true);
+    }
+    for i in 100..40_100 {
+        offer(&mut store, i, false);
+    }
+    let snapshot = store.snapshot();
+    c.bench_function("store/snapshot_20k", |bench| {
+        bench.iter(|| black_box(&store).snapshot())
+    });
+    c.bench_function("store/restore_20k", |bench| {
+        bench.iter(|| PairStore::restore(black_box(&snapshot)))
+    });
+    // Offers 40,000..43,000 of a 20,000-slot reservoir: each lands with
+    // probability about a half, on about a thousand distinct slots.
+    store.mark_checkpointed();
+    for i in 40_100..42_300 {
+        offer(&mut store, i, false);
+    }
+    let changed = store.delta().lines().count() - 5;
+    assert!((900..1_200).contains(&changed), "{changed} changed lines");
+    c.bench_function("store/delta_1k_of_20k", |bench| {
+        bench.iter(|| black_box(&store).delta())
+    });
+}
+
 criterion_group!(
     benches,
     string_metrics,
@@ -178,6 +216,7 @@ criterion_group!(
     kernel_pair_distance,
     kernel_euclidean,
     learning_primitives,
-    classifier
+    classifier,
+    store_checkpoint
 );
 criterion_main!(benches);

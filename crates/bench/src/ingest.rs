@@ -13,11 +13,12 @@
 //!   point midway through the schedule, then a recovery open from the
 //!   checkpoint directory that finishes the run.
 //!
-//! **Gate**: the last detect quarter commits within
+//! **Gates**: the last detect quarter commits within
 //! [`LATENCY_GATE_FACTOR`]× the first detect quarter's latency (bounded
 //! stores and blocking keep per-quarter work from tracking database
-//! growth), and the kill + recover leg's cumulative digest is
-//! bit-identical to the steady leg's.
+//! growth), the kill + recover leg's cumulative digest is bit-identical to
+//! the steady leg's, and the steady leg's checkpoint bytes stay under
+//! [`COMMIT_BYTES_GATE_SHARE`] of a whole store per commit.
 
 use crate::harness::{gates_json, Gate};
 use adr_synth::{QuarterlyReplay, StreamingCorpus, SynthConfig};
@@ -29,6 +30,15 @@ use std::path::PathBuf;
 /// Gate: the last detect quarter must commit within this factor of the
 /// first detect quarter's latency.
 pub const LATENCY_GATE_FACTOR: f64 = 2.0;
+
+/// Gate: checkpoint bytes the steady leg wrote, as a share of what a full
+/// base per commit would have written (commits × the final store's
+/// snapshot). A service that rewrites the store on every commit scores 1.
+/// The bootstrap base alone is `1 / commits` of it (0.14 at full scale),
+/// and a 300-report quarter offers 32–53k negatives to the 20,000-slot
+/// reservoir, so its delta carries 0.2–0.65 of the slots: 0.52 measured at
+/// full scale, 0.38 at `--quick`.
+pub const COMMIT_BYTES_GATE_SHARE: f64 = 0.60;
 
 /// One benchmark scenario: corpus scale, quarter size and cluster shape.
 #[derive(Debug, Clone)]
@@ -144,6 +154,9 @@ pub struct IngestRunSummary {
     pub makespan_us: u64,
     /// Total checkpoint bytes written.
     pub checkpoint_bytes: u64,
+    /// Bytes of the final store's snapshot — what one more full base
+    /// would write.
+    pub final_base_bytes: u64,
     /// Fault points the driver passed (arms the kill leg).
     pub driver_points: u64,
     /// Recovery opens observed by the journal.
@@ -159,6 +172,7 @@ fn summarise(svc: &IngestService) -> IngestRunSummary {
         rows: report.ingest.batches.clone(),
         makespan_us: report.virtual_us,
         checkpoint_bytes: report.ingest.checkpoint_bytes,
+        final_base_bytes: svc.system().store().snapshot().len() as u64,
         driver_points: svc.system().cluster().driver_points_passed(),
         recoveries: report.ingest.recoveries,
         report_text: format!("{report}"),
@@ -235,6 +249,13 @@ pub fn latency_ratio(rows: &[IngestBatchRow]) -> Option<(u64, u64, f64)> {
     Some((first, last, last as f64 / first.max(1) as f64))
 }
 
+/// Checkpoint bytes written per commit, as a share of the final store's
+/// snapshot (see [`COMMIT_BYTES_GATE_SHARE`]).
+pub fn commit_bytes_share(run: &IngestRunSummary) -> f64 {
+    let whole_store_per_commit = run.rows.len() as u64 * run.final_base_bytes;
+    run.checkpoint_bytes as f64 / whole_store_per_commit.max(1) as f64
+}
+
 /// Render `BENCH_ingest.json`.
 pub fn ingest_to_json(
     w: &IngestWorkload,
@@ -252,8 +273,8 @@ pub fn ingest_to_json(
     );
     out.push_str(&format!(
         "  \"steady\": {{\"digest\": \"{:#018x}\", \"makespan_us\": {}, \
-         \"checkpoint_bytes\": {}, \"batches\": [\n",
-        steady.digest, steady.makespan_us, steady.checkpoint_bytes
+         \"checkpoint_bytes\": {}, \"final_base_bytes\": {}, \"batches\": [\n",
+        steady.digest, steady.makespan_us, steady.checkpoint_bytes, steady.final_base_bytes
     ));
     for (i, r) in steady.rows.iter().enumerate() {
         out.push_str(&format!(
@@ -282,6 +303,11 @@ pub fn ingest_to_json(
         Gate::at_most("latency_ratio", LATENCY_GATE_FACTOR, ratio),
         Gate::holds("recovery_digest_match", digest_match),
         Gate::holds("recovered", recovered_once),
+        Gate::at_most(
+            "commit_bytes_share",
+            COMMIT_BYTES_GATE_SHARE,
+            commit_bytes_share(steady),
+        ),
     ]));
     out.push_str("\n}\n");
     out
@@ -308,6 +334,7 @@ mod tests {
         let steady = run_steady(&w).expect("steady leg");
         assert_eq!(steady.rows.len(), 4, "bootstrap + 3 detect quarters");
         assert!(steady.checkpoint_bytes > 0);
+        assert!(steady.final_base_bytes > 0);
         assert!(steady.driver_points >= 8);
         let recovered =
             run_killed_and_recovered(&w, steady.driver_points / 2).expect("kill + recover leg");
@@ -342,6 +369,7 @@ mod tests {
             rows: vec![row(0, 0), row(1, 1000), row(2, 1500)],
             makespan_us: 10_000,
             checkpoint_bytes: 300,
+            final_base_bytes: 200,
             driver_points: 12,
             recoveries: 0,
             report_text: String::new(),
@@ -359,6 +387,17 @@ mod tests {
         let doc = ingest_to_json(&w, &steady, &drifted);
         assert!(doc.contains(
             "\"recovery_digest_match\": {\"threshold\": 1.00, \"value\": 0.0000, \"passed\": false}"
+        ));
+
+        // 300 B over three commits of a 200 B store: half a store a commit.
+        assert!(doc.contains(
+            "\"commit_bytes_share\": {\"threshold\": 0.60, \"value\": 0.5000, \"passed\": true}"
+        ));
+        let mut rewriting = steady.clone();
+        rewriting.checkpoint_bytes = 600;
+        let doc = ingest_to_json(&w, &rewriting, &recovered);
+        assert!(doc.contains(
+            "\"commit_bytes_share\": {\"threshold\": 0.60, \"value\": 1.0000, \"passed\": false}"
         ));
 
         let mut slow = steady.clone();

@@ -8,15 +8,28 @@
 //! quarterly-style micro-batches (an [`adr_synth::QuarterlyReplay`]
 //! schedule), each committed batch folds its detections into a cumulative
 //! digest, and an [`IngestService::open`]-able checkpoint (schema-
-//! versioned, atomic rename-into-place, CRC-guarded) persists everything a
-//! restart needs:
+//! versioned, CRC-guarded) persists everything a restart needs:
 //!
-//! * the [`PairStore`] snapshot (bit-exact, with reservoir-RNG replay) —
-//!   which *is* the Voronoi-centre state, since Fast kNN centres are a
-//!   deterministic function of the training set refit per batch,
+//! * the [`PairStore`] (bit-exact, with reservoir-RNG replay) — which *is*
+//!   the Voronoi-centre state, since Fast kNN centres are a deterministic
+//!   function of the training set refit per batch,
 //! * the batch high-water mark, cumulative digest and skipped-batch list,
 //! * cross-checks (report count, interner size, training-set digest) that
 //!   the recovery replay reconstructed the exact pre-crash ingest state.
+//!
+//! On disk that is a *base* plus a *delta log*. `ckpt-<g>.ckpt` holds the
+//! header fields and a full [`PairStore::snapshot`] as of commit `g`,
+//! written to a temp file, fsynced and renamed into place. Each later
+//! commit appends one record — `record <len>`, the same header fields, the
+//! [`PairStore::delta`] since the commit before, `crc <hash>` over all of
+//! it — to `ckpt-<g>.log` and syncs it, so a commit writes what the batch
+//! changed rather than what the store holds. When the log has grown to the
+//! size of its base the next commit writes a new base instead
+//! (compaction), and bases beyond `keep_checkpoints` go, with their logs.
+//! Recovery takes the newest base that parses and applies its records in
+//! order up to the first that fails its length or CRC: a torn tail loses
+//! that one commit, an unparseable base falls back to the previous base
+//! and its complete log, which also loses one.
 //!
 //! Everything *not* in the checkpoint is a pure function of the replay
 //! schedule: recovery re-ingests the reports of every committed batch
@@ -30,7 +43,7 @@
 //! (transient engine faults roll back via `DedupSystem::begin_batch` and
 //! replay bit-identically), poison-batch quarantine (journaled, dumped to
 //! `quarantine.log`, skipped), torn-write detection with previous-
-//! generation fallback, and a bounded-lag admission gate that defers the
+//! commit fallback, and a bounded-lag admission gate that defers the
 //! next batch while spill-resident bytes or the in-flight pair count
 //! exceed their caps ([`EventKind::IngestDeferred`]).
 
@@ -39,9 +52,9 @@ use crate::system::{DedupConfig, DedupSystem, Detection};
 use adr_model::AdrReport;
 use adr_synth::QuarterlyReplay;
 use sparklet::{stable_hash, Cluster, EventKind, SparkletError};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs;
-use std::io::Write;
+use std::io::Write as _;
 use std::path::PathBuf;
 
 /// Errors surfaced by the ingest service.
@@ -56,6 +69,8 @@ pub enum IngestError {
     Io(String),
     /// A checkpoint (or the recovery replay it drives) is inconsistent.
     Checkpoint(String),
+    /// The [`IngestConfig`] cannot be run.
+    Config(String),
 }
 
 impl IngestError {
@@ -72,6 +87,7 @@ impl fmt::Display for IngestError {
             IngestError::Engine(e) => write!(f, "engine: {e}"),
             IngestError::Io(msg) => write!(f, "checkpoint io: {msg}"),
             IngestError::Checkpoint(msg) => write!(f, "checkpoint: {msg}"),
+            IngestError::Config(msg) => write!(f, "ingest config: {msg}"),
         }
     }
 }
@@ -88,14 +104,15 @@ fn io_err(e: std::io::Error) -> IngestError {
     IngestError::Io(e.to_string())
 }
 
-/// Seeded torn-write fault: the checkpoint of `generation` is truncated to
-/// `keep_bytes` before the rename, modelling a partial flush that made it
-/// into place. Recovery must detect the bad CRC and fall back a generation.
+/// Seeded torn-write fault: what commit `generation` writes — a log record,
+/// or a base when that commit compacts — is truncated to `keep_bytes` before
+/// it reaches the file, modelling a partial flush that made it into place.
+/// Recovery must detect the bad CRC and fall back one commit.
 #[derive(Debug, Clone, Copy)]
 pub struct TornWrite {
-    /// Checkpoint generation to corrupt.
+    /// Commit to corrupt (commits count from 0, the bootstrap).
     pub generation: u64,
-    /// Bytes of the serialised checkpoint to keep.
+    /// Bytes of the serialised base or record to keep.
     pub keep_bytes: usize,
 }
 
@@ -117,8 +134,8 @@ pub struct IngestConfig {
     /// Deterministic jitter added to each backoff, drawn from
     /// `stable_hash(seed, batch, attempt) % (jitter + 1)`.
     pub backoff_jitter_us: u64,
-    /// Checkpoint generations kept on disk (≥ 1; 2 gives torn-write
-    /// fallback one generation of headroom).
+    /// Base checkpoints kept on disk, each with its delta log (≥ 1; 2
+    /// gives a corrupt newest base an older one to fall back to).
     pub keep_checkpoints: usize,
     /// Admission gate: defer the next batch while spill-resident bytes
     /// exceed this cap. `0` disables the resident-bytes gate.
@@ -174,10 +191,15 @@ pub const CHECKPOINT_VERSION: u32 = 1;
 const CHECKPOINT_BASE_US: u64 = 2_000;
 const CHECKPOINT_US_PER_KIB: u64 = 50;
 
-/// Parsed checkpoint contents (internal).
-struct Checkpoint {
+/// `crc ` + 16 hex digits + newline: the trailer of a base and of every
+/// log record.
+const CRC_LINE_BYTES: usize = 21;
+
+/// What a commit records besides the store — the fields a base checkpoint
+/// and a log record share.
+#[derive(Debug, Clone, PartialEq)]
+struct CommitState {
     generation: u64,
-    config_digest: u64,
     batch_high_water: u64,
     cumulative_digest: u64,
     lagged_pairs: u64,
@@ -185,6 +207,13 @@ struct Checkpoint {
     interner_tokens: u64,
     centres_digest: u64,
     skipped: Vec<u64>,
+}
+
+/// A parsed base checkpoint.
+#[cfg_attr(test, derive(Clone))]
+struct Checkpoint {
+    config_digest: u64,
+    state: CommitState,
     store: PairStore,
 }
 
@@ -193,9 +222,11 @@ struct Checkpoint {
 /// of. Recovery cross-checks it after restoring the store.
 fn centres_digest(store: &PairStore) -> u64 {
     let mut d = 0xC3A7u64;
-    for p in store.training_pairs() {
-        let bits: Vec<u64> = p.vector.iter().map(|x| x.to_bits()).collect();
-        d = stable_hash(&(d, p.id, bits, p.positive));
+    for (id, (vector, positive)) in store.labelled_vectors().enumerate() {
+        // An array hashes as a length-prefixed slice, like the `Vec<u64>`
+        // this digest was first defined over.
+        let bits: [u64; adr_model::DETECTION_DIMS] = vector.map(f64::to_bits);
+        d = stable_hash(&(d, id as u64, bits, positive));
     }
     d
 }
@@ -226,35 +257,50 @@ pub struct IngestService {
     batch_high_water: u64,
     cumulative_digest: u64,
     skipped: Vec<u64>,
-    /// Next checkpoint generation to write.
+    /// Next commit generation to write.
     generation: u64,
     /// Detections of the most recently committed batch — the in-flight
     /// feedback lag the admission gate bounds.
     lagged_pairs: u64,
     recovered_fallback: bool,
+    /// Base generations on disk, ascending.
+    bases: Vec<u64>,
+    /// The base commits are logged against (`None` before the bootstrap),
+    /// its size, and the size of its log: the two sizes decide compaction.
+    base_generation: Option<u64>,
+    base_bytes: u64,
+    log_bytes: u64,
 }
 
 impl IngestService {
     /// Open the service: recover from the newest valid checkpoint in
-    /// `config.checkpoint_dir` (falling back past corrupt generations), or
-    /// start fresh if none exists. Recovery restores the store snapshot,
-    /// re-ingests the reports of every committed batch from `replay`, and
-    /// cross-checks the reconstruction before resuming.
+    /// `config.checkpoint_dir` (falling back past a corrupt base or a torn
+    /// log tail), or start fresh if none exists. Recovery restores the base
+    /// snapshot, applies its delta log, re-ingests the reports of every
+    /// committed batch from `replay`, and cross-checks the reconstruction
+    /// before resuming.
     pub fn open(
         cluster: Cluster,
         dedup: DedupConfig,
         config: IngestConfig,
         replay: &QuarterlyReplay,
     ) -> Result<IngestService, IngestError> {
-        assert!(config.bootstrap_quarters >= 1, "bootstrap needs a quarter");
-        assert!(config.keep_checkpoints >= 1, "must keep a checkpoint");
+        if config.bootstrap_quarters == 0 {
+            return Err(IngestError::Config(
+                "bootstrap_quarters is 0: the labelled bootstrap needs a quarter".into(),
+            ));
+        }
+        if config.keep_checkpoints == 0 {
+            return Err(IngestError::Config(
+                "keep_checkpoints is 0: recovery needs a base checkpoint".into(),
+            ));
+        }
         fs::create_dir_all(&config.checkpoint_dir).map_err(io_err)?;
         let config_digest = stable_hash(&format!(
             "{dedup:?} quarter_size={} bootstrap={}",
             replay.quarter_size(),
             config.bootstrap_quarters
         ));
-        let mut system = DedupSystem::new(cluster, dedup);
         let mut service = IngestService {
             batch_high_water: 0,
             cumulative_digest: 0,
@@ -262,72 +308,82 @@ impl IngestService {
             generation: 0,
             lagged_pairs: 0,
             recovered_fallback: false,
+            bases: Vec::new(),
+            base_generation: None,
+            base_bytes: 0,
+            log_bytes: 0,
             config_digest,
-            system,
+            system: DedupSystem::new(cluster, dedup),
             config,
         };
-        let Some((ckpt, fallback)) = service.load_newest_checkpoint()? else {
+        let Some(Checkpoint {
+            config_digest: stored_digest,
+            state,
+            store,
+        }) = service.recover()?
+        else {
             return Ok(service);
         };
-        if ckpt.config_digest != config_digest {
+        if stored_digest != config_digest {
             return Err(IngestError::Checkpoint(format!(
-                "config digest mismatch: checkpoint {:016x}, service {:016x}",
-                ckpt.config_digest, config_digest
+                "config digest mismatch: checkpoint {stored_digest:016x}, service {config_digest:016x}"
             )));
         }
         // Recovery replay: everything outside the store is a pure function
         // of the replay schedule. Re-ingest the committed batches' reports
         // in arrival order (skipped batches never arrived), then restore
-        // the store snapshot over the top.
-        system = std::mem::replace(
-            &mut service.system,
-            DedupSystem::new(Cluster::local(1), DedupConfig::default()),
-        );
-        for batch in 0..ckpt.batch_high_water {
-            if ckpt.skipped.contains(&batch) {
+        // the store over the top.
+        if state.batch_high_water > replay.quarters() {
+            return Err(IngestError::Checkpoint(format!(
+                "high-water mark {} is beyond the replay's {} quarters",
+                state.batch_high_water,
+                replay.quarters()
+            )));
+        }
+        let system = &mut service.system;
+        for batch in 0..state.batch_high_water {
+            if state.skipped.contains(&batch) {
                 continue;
             }
             for r in replay.quarter_reports(batch) {
                 system.add_report(&r);
             }
         }
-        system.restore_store(ckpt.store);
-        if system.report_count() as u64 != ckpt.reports {
+        system.restore_store(store);
+        if system.report_count() as u64 != state.reports {
             return Err(IngestError::Checkpoint(format!(
                 "recovery replay mismatch: {} reports, checkpoint says {}",
                 system.report_count(),
-                ckpt.reports
+                state.reports
             )));
         }
-        if system.interner_len() as u64 != ckpt.interner_tokens {
+        if system.interner_len() as u64 != state.interner_tokens {
             return Err(IngestError::Checkpoint(format!(
                 "recovery replay mismatch: {} interned tokens, checkpoint says {}",
                 system.interner_len(),
-                ckpt.interner_tokens
+                state.interner_tokens
             )));
         }
         let centres = centres_digest(system.store());
-        if centres != ckpt.centres_digest {
+        if centres != state.centres_digest {
             return Err(IngestError::Checkpoint(format!(
                 "restored training set digest {:016x} != checkpointed {:016x}",
-                centres, ckpt.centres_digest
+                centres, state.centres_digest
             )));
         }
         system
             .cluster()
             .journal()
             .record(EventKind::IngestRecovered {
-                generation: ckpt.generation,
-                batch_high_water: ckpt.batch_high_water,
-                fallback,
+                generation: state.generation,
+                batch_high_water: state.batch_high_water,
+                fallback: service.recovered_fallback,
             });
-        service.system = system;
-        service.batch_high_water = ckpt.batch_high_water;
-        service.cumulative_digest = ckpt.cumulative_digest;
-        service.skipped = ckpt.skipped;
-        service.lagged_pairs = ckpt.lagged_pairs;
-        service.generation = ckpt.generation + 1;
-        service.recovered_fallback = fallback;
+        service.batch_high_water = state.batch_high_water;
+        service.cumulative_digest = state.cumulative_digest;
+        service.skipped = state.skipped;
+        service.lagged_pairs = state.lagged_pairs;
+        service.generation = state.generation + 1;
         Ok(service)
     }
 
@@ -354,7 +410,7 @@ impl IngestService {
     }
 
     /// Did the most recent [`IngestService::open`] fall back past a corrupt
-    /// newest checkpoint generation?
+    /// newest base or a torn log tail?
     pub fn recovered_with_fallback(&self) -> bool {
         self.recovered_fallback
     }
@@ -610,62 +666,122 @@ impl IngestService {
             .join(format!("ckpt-{generation:08}.ckpt"))
     }
 
-    /// Serialise the current state, write it to a temp file, fsync, and
-    /// atomically rename it into place; then garbage-collect generations
-    /// beyond `keep_checkpoints`. A crash anywhere before the rename
-    /// leaves only the previous generations visible; the torn-write fault
-    /// truncates the serialised bytes first, so the renamed file fails its
-    /// CRC and recovery falls back.
+    /// The delta log of the base written at `generation`.
+    fn log_path(&self, generation: u64) -> PathBuf {
+        self.config
+            .checkpoint_dir
+            .join(format!("ckpt-{generation:08}.log"))
+    }
+
+    /// Make a file creation or rename in the checkpoint directory durable.
+    fn sync_dir(&self) -> Result<(), IngestError> {
+        fs::File::open(&self.config.checkpoint_dir)
+            .and_then(|dir| dir.sync_all())
+            .map_err(io_err)
+    }
+
+    /// Make the current state durable as commit `self.generation`.
+    ///
+    /// Normally that appends one CRC-framed record — the commit's header
+    /// fields and the store's [`PairStore::delta`] — to the current base's
+    /// log and syncs it: the cost of what the batch changed. When there is
+    /// no base yet (the bootstrap), or the log has grown to the size of its
+    /// base, the commit instead writes a new base — the header fields and
+    /// the full [`PairStore::snapshot`] to a temp file, fsync, atomic
+    /// rename — and garbage-collects bases (with their logs) beyond
+    /// `keep_checkpoints`. Either way nothing is visible to recovery until
+    /// it is complete: a crash before the rename leaves the previous base
+    /// and its whole log, a crash inside the append leaves a tail that
+    /// fails its CRC. The torn-write fault truncates the serialised bytes
+    /// first, to the same effect. Returns the bytes written.
     fn write_checkpoint(&mut self) -> Result<u64, IngestError> {
         let generation = self.generation;
-        let store_snapshot = self.system.store().snapshot();
-        let mut body = String::with_capacity(store_snapshot.len() + 512);
-        body.push_str(&format!("ingest v{CHECKPOINT_VERSION}\n"));
-        body.push_str(&format!("config {:016x}\n", self.config_digest));
-        body.push_str(&format!("generation {generation}\n"));
-        body.push_str(&format!("batch_high_water {}\n", self.batch_high_water));
-        body.push_str(&format!(
-            "cumulative_digest {:016x}\n",
-            self.cumulative_digest
-        ));
-        body.push_str(&format!("lagged_pairs {}\n", self.lagged_pairs));
-        body.push_str(&format!("reports {}\n", self.system.report_count()));
-        body.push_str(&format!("interner_tokens {}\n", self.system.interner_len()));
-        body.push_str(&format!(
-            "centres {:016x}\n",
-            centres_digest(self.system.store())
-        ));
-        body.push_str(&format!("skipped {}\n", self.skipped.len()));
-        for b in &self.skipped {
-            body.push_str(&format!("{b}\n"));
-        }
-        body.push_str(&format!("store {}\n", store_snapshot.len()));
-        body.push_str(&store_snapshot);
-        let crc = stable_hash(&body);
-        body.push_str(&format!("crc {crc:016x}\n"));
-        let mut bytes = body.into_bytes();
+        let state = CommitState {
+            generation,
+            batch_high_water: self.batch_high_water,
+            cumulative_digest: self.cumulative_digest,
+            lagged_pairs: self.lagged_pairs,
+            reports: self.system.report_count() as u64,
+            interner_tokens: self.system.interner_len() as u64,
+            centres_digest: centres_digest(self.system.store()),
+            skipped: self.skipped.clone(),
+        };
+        // The compaction rule: log against the current base until its log
+        // is as large as the base itself, then start a new base.
+        let log_base = self
+            .base_generation
+            .filter(|_| self.log_bytes < self.base_bytes);
+        let store = self.system.store();
+        let payload = match log_base {
+            Some(_) => store.delta(),
+            None => store.snapshot(),
+        };
+        let mut commit = String::new();
+        state.push_lines(&mut commit);
+        let _ = writeln!(commit, "store {}", payload.len());
+        let mut framed = String::with_capacity(commit.len() + payload.len() + 96);
+        let _ = match log_base {
+            Some(_) => writeln!(framed, "record {}", commit.len() + payload.len()),
+            None => writeln!(
+                framed,
+                "ingest v{CHECKPOINT_VERSION}\nconfig {:016x}",
+                self.config_digest
+            ),
+        };
+        framed.push_str(&commit);
+        framed.push_str(&payload);
+        let crc = stable_hash(framed.as_str());
+        let _ = writeln!(framed, "crc {crc:016x}");
+        let mut bytes = framed.into_bytes();
         if let Some(torn) = self.config.torn_write {
             if torn.generation == generation {
                 bytes.truncate(torn.keep_bytes);
             }
         }
         let written = bytes.len() as u64;
-        let tmp = self
-            .config
-            .checkpoint_dir
-            .join(format!("ckpt-{generation:08}.tmp"));
-        {
-            let mut f = fs::File::create(&tmp).map_err(io_err)?;
-            f.write_all(&bytes).map_err(io_err)?;
-            f.sync_all().map_err(io_err)?;
+        if let Some(base) = log_base {
+            self.cluster().driver_fault_point("commit-append")?;
+            let mut log = fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(self.log_path(base))
+                .map_err(io_err)?;
+            log.write_all(&bytes).map_err(io_err)?;
+            log.sync_data().map_err(io_err)?;
+            if self.log_bytes == 0 {
+                self.sync_dir()?;
+            }
+            self.log_bytes += written;
+        } else {
+            let tmp = self
+                .config
+                .checkpoint_dir
+                .join(format!("ckpt-{generation:08}.tmp"));
+            {
+                let mut f = fs::File::create(&tmp).map_err(io_err)?;
+                f.write_all(&bytes).map_err(io_err)?;
+                f.sync_all().map_err(io_err)?;
+            }
+            self.cluster().driver_fault_point("commit-rename")?;
+            // A log left under this name by an earlier life of the
+            // directory describes a base this one replaces.
+            let _ = fs::remove_file(self.log_path(generation));
+            fs::rename(&tmp, self.checkpoint_path(generation)).map_err(io_err)?;
+            self.sync_dir()?;
+            self.base_generation = Some(generation);
+            self.base_bytes = written;
+            self.log_bytes = 0;
+            if let Err(at) = self.bases.binary_search(&generation) {
+                self.bases.insert(at, generation);
+            }
+            while self.bases.len() > self.config.keep_checkpoints && self.bases[0] < generation {
+                let stale = self.bases.remove(0);
+                let _ = fs::remove_file(self.checkpoint_path(stale));
+                let _ = fs::remove_file(self.log_path(stale));
+            }
         }
-        self.cluster().driver_fault_point("commit-rename")?;
-        fs::rename(&tmp, self.checkpoint_path(generation)).map_err(io_err)?;
+        self.system.mark_store_checkpointed();
         self.generation = generation + 1;
-        if generation >= self.config.keep_checkpoints as u64 {
-            let stale = generation - self.config.keep_checkpoints as u64;
-            let _ = fs::remove_file(self.checkpoint_path(stale));
-        }
         self.cluster().charge_driver_stage(
             "ingest-checkpoint",
             CHECKPOINT_BASE_US + written.div_ceil(1024) * CHECKPOINT_US_PER_KIB,
@@ -673,11 +789,16 @@ impl IngestService {
         Ok(written)
     }
 
-    /// Find and parse the newest valid checkpoint, trying older
-    /// generations when the newest is corrupt or truncated. Returns the
-    /// checkpoint and whether a fallback happened.
-    fn load_newest_checkpoint(&self) -> Result<Option<(Checkpoint, bool)>, IngestError> {
-        let mut generations: Vec<u64> = Vec::new();
+    /// Rebuild the newest recoverable state from the checkpoint directory:
+    /// the newest base that parses, then its log records in order up to the
+    /// first that fails its framing (length, CRC) — a torn tail, which is
+    /// cut off the file so later appends follow the last good record. An
+    /// unparseable base falls back to the previous base with its complete
+    /// log. A record that passes its CRC but does not continue the state
+    /// before it is not a torn write, and is an error. Records which base
+    /// the service now logs against, the two sizes, and whether anything
+    /// was fallen back past; returns the recovered state.
+    fn recover(&mut self) -> Result<Option<Checkpoint>, IngestError> {
         for entry in fs::read_dir(&self.config.checkpoint_dir).map_err(io_err)? {
             let name = entry.map_err(io_err)?.file_name();
             let Some(name) = name.to_str() else { continue };
@@ -686,71 +807,85 @@ impl IngestService {
                 .and_then(|s| s.strip_suffix(".ckpt"))
                 .and_then(|s| s.parse::<u64>().ok())
             {
-                generations.push(g);
+                self.bases.push(g);
             }
         }
-        generations.sort_unstable_by(|a, b| b.cmp(a));
-        for (rank, &generation) in generations.iter().enumerate() {
-            let raw = fs::read_to_string(self.checkpoint_path(generation)).map_err(io_err)?;
-            match parse_checkpoint(&raw) {
-                Ok(ckpt) => return Ok(Some((ckpt, rank > 0))),
-                Err(_) => continue, // corrupt/torn: fall back a generation
+        self.bases.sort_unstable();
+        for (rank, &generation) in self.bases.iter().rev().enumerate() {
+            let raw = fs::read(self.checkpoint_path(generation)).map_err(io_err)?;
+            let Some(mut checkpoint) = std::str::from_utf8(&raw)
+                .ok()
+                .and_then(|raw| parse_checkpoint(raw).ok())
+            else {
+                continue; // corrupt/torn: fall back a base
+            };
+            let log_path = self.log_path(generation);
+            let log = match fs::read(&log_path) {
+                Ok(log) => log,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+                Err(e) => return Err(io_err(e)),
+            };
+            let replayed = replay_log(&log, &mut checkpoint).map_err(IngestError::Checkpoint)?;
+            if replayed < log.len() {
+                let file = fs::OpenOptions::new()
+                    .write(true)
+                    .open(&log_path)
+                    .map_err(io_err)?;
+                file.set_len(replayed as u64).map_err(io_err)?;
+                file.sync_all().map_err(io_err)?;
             }
+            self.base_generation = Some(generation);
+            self.base_bytes = raw.len() as u64;
+            self.log_bytes = replayed as u64;
+            self.recovered_fallback = rank > 0 || replayed < log.len();
+            return Ok(Some(checkpoint));
         }
         Ok(None)
     }
 }
 
-/// Parse and CRC-verify a serialised checkpoint. Pure; never panics on
-/// corrupt input.
-fn parse_checkpoint(raw: &str) -> Result<Checkpoint, String> {
-    // The CRC line covers every byte before it.
-    let crc_at = raw
-        .rfind("crc ")
-        .ok_or_else(|| "missing crc line".to_string())?;
-    if crc_at == 0 || raw.as_bytes()[crc_at - 1] != b'\n' {
-        return Err("crc marker not at line start".into());
+impl CommitState {
+    fn push_lines(&self, out: &mut String) {
+        let _ = writeln!(out, "generation {}", self.generation);
+        let _ = writeln!(out, "batch_high_water {}", self.batch_high_water);
+        let _ = writeln!(out, "cumulative_digest {:016x}", self.cumulative_digest);
+        let _ = writeln!(out, "lagged_pairs {}", self.lagged_pairs);
+        let _ = writeln!(out, "reports {}", self.reports);
+        let _ = writeln!(out, "interner_tokens {}", self.interner_tokens);
+        let _ = writeln!(out, "centres {:016x}", self.centres_digest);
+        let _ = writeln!(out, "skipped {}", self.skipped.len());
+        for b in &self.skipped {
+            let _ = writeln!(out, "{b}");
+        }
     }
-    let body = &raw[..crc_at];
-    let crc_line = raw[crc_at..].trim_end();
-    let stated = u64::from_str_radix(crc_line.trim_start_matches("crc ").trim(), 16)
-        .map_err(|_| format!("bad crc line: {crc_line:?}"))?;
-    let actual = stable_hash(&body.to_string());
-    if stated != actual {
-        return Err(format!(
-            "crc mismatch: stated {stated:016x}, actual {actual:016x}"
-        ));
-    }
-    fn next_line<'a>(rest: &mut &'a str) -> Result<&'a str, String> {
-        let nl = rest.find('\n').ok_or("truncated checkpoint")?;
-        let line = &rest[..nl];
-        *rest = &rest[nl + 1..];
-        Ok(line)
-    }
-    fn field<'a>(rest: &mut &'a str, name: &str) -> Result<&'a str, String> {
-        let line = next_line(rest)?;
-        line.strip_prefix(name)
-            .map(|s| s.trim())
-            .ok_or_else(|| format!("expected {name}, got {line:?}"))
-    }
-    fn hex(s: &str, name: &str) -> Result<u64, String> {
-        u64::from_str_radix(s, 16).map_err(|_| format!("bad {name}: {s:?}"))
-    }
-    fn int(s: &str, name: &str) -> Result<u64, String> {
-        s.parse().map_err(|_| format!("bad {name}: {s:?}"))
-    }
-    let mut rest = body;
-    let header = next_line(&mut rest)?;
-    let version: u32 = header
-        .strip_prefix("ingest v")
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| format!("bad checkpoint header: {header:?}"))?;
-    if version != CHECKPOINT_VERSION {
-        return Err(format!(
-            "unsupported checkpoint version {version} (supported: {CHECKPOINT_VERSION})"
-        ));
-    }
-    let config_digest = hex(field(&mut rest, "config")?, "config")?;
+}
+
+fn next_line<'a>(rest: &mut &'a str) -> Result<&'a str, String> {
+    let nl = rest.find('\n').ok_or("truncated checkpoint")?;
+    let line = &rest[..nl];
+    *rest = &rest[nl + 1..];
+    Ok(line)
+}
+
+fn field<'a>(rest: &mut &'a str, name: &str) -> Result<&'a str, String> {
+    let line = next_line(rest)?;
+    line.strip_prefix(name)
+        .map(|s| s.trim())
+        .ok_or_else(|| format!("expected {name}, got {line:?}"))
+}
+
+fn hex(s: &str, name: &str) -> Result<u64, String> {
+    u64::from_str_radix(s, 16).map_err(|_| format!("bad {name}: {s:?}"))
+}
+
+fn int(s: &str, name: &str) -> Result<u64, String> {
+    s.parse().map_err(|_| format!("bad {name}: {s:?}"))
+}
+
+/// Parse what a base and a log record share: the commit's header fields,
+/// then `store <len>` and exactly `len` bytes of store payload (a snapshot
+/// in a base, a delta in a record), which is returned unparsed.
+fn parse_commit(mut rest: &str) -> Result<(CommitState, &str), String> {
     let generation = int(field(&mut rest, "generation")?, "generation")?;
     let batch_high_water = int(field(&mut rest, "batch_high_water")?, "batch_high_water")?;
     let cumulative_digest = hex(field(&mut rest, "cumulative_digest")?, "cumulative_digest")?;
@@ -764,24 +899,19 @@ fn parse_checkpoint(raw: &str) -> Result<Checkpoint, String> {
             "skipped count {skipped_count} exceeds high-water mark {batch_high_water}"
         ));
     }
-    let mut skipped = Vec::with_capacity(skipped_count);
+    let mut skipped = Vec::with_capacity(skipped_count.min(rest.len()));
     for _ in 0..skipped_count {
         skipped.push(int(next_line(&mut rest)?, "skipped batch")?);
     }
     let store_len = int(field(&mut rest, "store")?, "store")? as usize;
-    if store_len > rest.len() {
+    if store_len != rest.len() {
         return Err(format!(
-            "store length {store_len} exceeds remaining {} bytes",
+            "store length {store_len}, but {} bytes follow",
             rest.len()
         ));
     }
-    let store = PairStore::restore(&rest[..store_len])?;
-    if !rest[store_len..].is_empty() {
-        return Err("trailing data after store snapshot".into());
-    }
-    Ok(Checkpoint {
+    let state = CommitState {
         generation,
-        config_digest,
         batch_high_water,
         cumulative_digest,
         lagged_pairs,
@@ -789,8 +919,93 @@ fn parse_checkpoint(raw: &str) -> Result<Checkpoint, String> {
         interner_tokens,
         centres_digest,
         skipped,
-        store,
+    };
+    Ok((state, rest))
+}
+
+/// Parse and CRC-verify a serialised base checkpoint. Pure; never panics on
+/// corrupt input.
+fn parse_checkpoint(raw: &str) -> Result<Checkpoint, String> {
+    // The CRC line covers every byte before it.
+    let crc_at = raw
+        .rfind("crc ")
+        .ok_or_else(|| "missing crc line".to_string())?;
+    if crc_at == 0 || raw.as_bytes()[crc_at - 1] != b'\n' {
+        return Err("crc marker not at line start".into());
+    }
+    let body = &raw[..crc_at];
+    let crc_line = raw[crc_at..].trim_end();
+    let stated = u64::from_str_radix(crc_line.trim_start_matches("crc ").trim(), 16)
+        .map_err(|_| format!("bad crc line: {crc_line:?}"))?;
+    let actual = stable_hash(body);
+    if stated != actual {
+        return Err(format!(
+            "crc mismatch: stated {stated:016x}, actual {actual:016x}"
+        ));
+    }
+    let mut rest = body;
+    let header = next_line(&mut rest)?;
+    let version: u32 = header
+        .strip_prefix("ingest v")
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("bad checkpoint header: {header:?}"))?;
+    if version != CHECKPOINT_VERSION {
+        return Err(format!(
+            "unsupported checkpoint version {version} (supported: {CHECKPOINT_VERSION})"
+        ));
+    }
+    let config_digest = hex(field(&mut rest, "config")?, "config")?;
+    let (state, snapshot) = parse_commit(rest)?;
+    Ok(Checkpoint {
+        config_digest,
+        state,
+        store: PairStore::restore(snapshot)?,
     })
+}
+
+/// The next record of a delta log: `record <len>`, `len` bytes of commit,
+/// `crc <hex>` over everything before it. Returns the commit text and the
+/// record's total size, or `None` when the bytes at the head of `log` are
+/// not a whole record that matches its CRC — a torn tail.
+fn next_record(log: &[u8]) -> Option<(&str, usize)> {
+    let header_end = log.iter().take(32).position(|&b| b == b'\n')?;
+    let len: usize = std::str::from_utf8(&log[..header_end])
+        .ok()?
+        .strip_prefix("record ")?
+        .parse()
+        .ok()?;
+    let commit_end = (header_end + 1).checked_add(len)?;
+    let end = commit_end.checked_add(CRC_LINE_BYTES)?;
+    let framed = std::str::from_utf8(log.get(..commit_end)?).ok()?;
+    let crc_line = std::str::from_utf8(log.get(commit_end..end)?).ok()?;
+    let stated = crc_line.strip_prefix("crc ")?.strip_suffix('\n')?;
+    if u64::from_str_radix(stated, 16).ok()? != stable_hash(framed) {
+        return None;
+    }
+    Some((&framed[header_end + 1..], end))
+}
+
+/// Apply the records of a base's delta log to the checkpoint parsed from
+/// that base, in order, and return how many bytes of the log replayed.
+/// Replay ends at the first torn record (see [`next_record`]). A record
+/// whose CRC holds must continue the state before it — the next generation,
+/// a delta that applies to the store — or the log is inconsistent.
+fn replay_log(log: &[u8], checkpoint: &mut Checkpoint) -> Result<usize, String> {
+    let mut at = 0;
+    while let Some((commit, size)) = next_record(&log[at..]) {
+        let (state, delta) = parse_commit(commit)?;
+        let expected = checkpoint.state.generation + 1;
+        if state.generation != expected {
+            return Err(format!(
+                "log record has generation {}, expected {expected}",
+                state.generation
+            ));
+        }
+        checkpoint.store.apply_delta(delta)?;
+        checkpoint.state = state;
+        at += size;
+    }
+    Ok(at)
 }
 
 #[cfg(test)]
@@ -880,13 +1095,21 @@ mod tests {
         )
         .unwrap();
         svc.run(&rp, 3).unwrap();
-        let newest = svc.checkpoint_path(svc.generation - 1);
-        let raw = fs::read_to_string(newest).unwrap();
-        let ckpt = parse_checkpoint(&raw).unwrap();
-        assert_eq!(ckpt.batch_high_water, 3);
-        assert_eq!(ckpt.cumulative_digest, svc.cumulative_digest());
-        assert_eq!(ckpt.reports, svc.system().report_count() as u64);
-        assert_eq!(ckpt.centres_digest, centres_digest(svc.system().store()));
+        let base = svc.base_generation.expect("a base was written");
+        let raw = fs::read_to_string(svc.checkpoint_path(base)).unwrap();
+        let mut ckpt = parse_checkpoint(&raw).unwrap();
+        assert_eq!(ckpt.state.generation, base);
+        let log = fs::read(svc.log_path(base)).unwrap_or_default();
+        assert_eq!(replay_log(&log, &mut ckpt), Ok(log.len()));
+        assert_eq!(ckpt.state.generation, svc.generation - 1);
+        assert_eq!(ckpt.state.batch_high_water, 3);
+        assert_eq!(ckpt.state.cumulative_digest, svc.cumulative_digest());
+        assert_eq!(ckpt.state.reports, svc.system().report_count() as u64);
+        assert_eq!(
+            ckpt.state.centres_digest,
+            centres_digest(svc.system().store())
+        );
+        assert_eq!(ckpt.store.snapshot(), svc.system().store().snapshot());
         // Flipping any byte of the body breaks the CRC.
         let mut torn = raw.clone().into_bytes();
         torn[20] ^= 1;
@@ -905,7 +1128,7 @@ mod tests {
     #[test]
     fn old_generations_are_garbage_collected() {
         let dir = temp_dir("gc");
-        let rp = replay(240, 14, 11, 40);
+        let rp = replay(240, 14, 11, 20);
         let mut svc = IngestService::open(
             Cluster::local(2),
             dedup_config(),
@@ -913,14 +1136,285 @@ mod tests {
             &rp,
         )
         .unwrap();
-        svc.run(&rp, 6).unwrap();
-        let kept: Vec<String> = fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| n.ends_with(".ckpt"))
-            .collect();
+        // Long enough to compact twice after the bootstrap base.
+        let mut bases_written = Vec::new();
+        for through in 1..=rp.quarters() {
+            svc.run(&rp, through).unwrap();
+            if bases_written.last() != svc.base_generation.as_ref() {
+                bases_written.extend(svc.base_generation);
+            }
+        }
+        assert!(bases_written.len() >= 3, "bases at {bases_written:?}");
+        let generations_of = |suffix: &str| -> Vec<String> {
+            let mut kept: Vec<String> = fs::read_dir(&dir)
+                .unwrap()
+                .filter_map(|e| e.ok())
+                .map(|e| e.file_name().to_string_lossy().into_owned())
+                .filter_map(|n| n.strip_suffix(suffix).map(str::to_string))
+                .collect();
+            kept.sort();
+            kept
+        };
+        let kept = generations_of(".ckpt");
         assert_eq!(kept.len(), 2, "keep_checkpoints=2: {kept:?}");
+        assert_eq!(svc.bases.len(), 2);
+        // Logs live and die with their bases.
+        for log in generations_of(".log") {
+            assert!(kept.contains(&log), "orphan log {log}, bases {kept:?}");
+        }
+        assert!(generations_of(".tmp").is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_rejects_zero_bootstrap_quarters() {
+        let dir = temp_dir("cfg-bootstrap");
+        let mut config = IngestConfig::new(&dir);
+        config.bootstrap_quarters = 0;
+        let rp = replay(240, 14, 11, 60);
+        let err = IngestService::open(Cluster::local(1), dedup_config(), config, &rp)
+            .err()
+            .expect("a bootstrap of no quarters cannot run");
+        assert!(matches!(&err, IngestError::Config(m) if m.contains("bootstrap_quarters")));
+        assert!(!dir.exists(), "rejected before touching the directory");
+    }
+
+    #[test]
+    fn open_rejects_zero_keep_checkpoints() {
+        let dir = temp_dir("cfg-keep");
+        let mut config = IngestConfig::new(&dir);
+        config.keep_checkpoints = 0;
+        let rp = replay(240, 14, 11, 60);
+        let err = IngestService::open(Cluster::local(1), dedup_config(), config, &rp)
+            .err()
+            .expect("keeping no checkpoint cannot recover");
+        assert!(matches!(&err, IngestError::Config(m) if m.contains("keep_checkpoints")));
+        assert!(!dir.exists(), "rejected before touching the directory");
+    }
+
+    #[test]
+    fn centres_digest_equals_its_training_pairs_form() {
+        // The digest was defined over `training_pairs()` with each vector
+        // collected into a `Vec<u64>`; checkpoints written that way must
+        // still pass the recovery cross-check.
+        let mut store = PairStore::new(6, 3);
+        for i in 0..40u64 {
+            let v = std::array::from_fn(|d| (i * 8 + d as u64) as f64 * 0.37 - 1.0);
+            store.add(adr_model::PairId::new(i, i + 100), v, i % 7 == 0);
+        }
+        let mut old = 0xC3A7u64;
+        for p in store.training_pairs() {
+            let bits: Vec<u64> = p.vector.iter().map(|x| x.to_bits()).collect();
+            old = stable_hash(&(old, p.id, bits, p.positive));
+        }
+        assert_eq!(centres_digest(&store), old);
+        assert_ne!(centres_digest(&PairStore::new(6, 3)), old);
+    }
+
+    /// A service run over `rp` whose final quarter holds two reports, so
+    /// the last record of the current log is small enough to fuzz bytewise.
+    fn run_with_a_small_last_record(tag: &str) -> (IngestService, QuarterlyReplay, PathBuf) {
+        let dir = temp_dir(tag);
+        let rp = replay(122, 8, 7, 30);
+        let mut svc = IngestService::open(
+            Cluster::local(2),
+            dedup_config(),
+            IngestConfig::new(&dir),
+            &rp,
+        )
+        .unwrap();
+        svc.run(&rp, rp.quarters()).unwrap();
+        (svc, rp, dir)
+    }
+
+    /// Offsets at which the records of `log` start, and its length.
+    fn record_bounds(log: &[u8]) -> Vec<usize> {
+        let mut bounds = vec![0];
+        while let Some((_, size)) = next_record(&log[*bounds.last().unwrap()..]) {
+            bounds.push(bounds.last().unwrap() + size);
+        }
+        bounds
+    }
+
+    #[test]
+    fn log_cut_or_scrambled_at_any_byte_of_its_last_record_loses_that_commit_only() {
+        let (svc, _, dir) = run_with_a_small_last_record("log-bytes");
+        let base = svc.base_generation.unwrap();
+        let raw = fs::read_to_string(svc.checkpoint_path(base)).unwrap();
+        let log = fs::read(svc.log_path(base)).unwrap();
+        let bounds = record_bounds(&log);
+        assert!(bounds.len() >= 3, "two records at least: {bounds:?}");
+        assert_eq!(*bounds.last().unwrap(), log.len(), "whole log replays");
+        let last_at = bounds[bounds.len() - 2];
+        let mut before = parse_checkpoint(&raw).unwrap();
+        assert_eq!(replay_log(&log[..last_at], &mut before), Ok(last_at));
+        assert_eq!(before.state.generation, svc.generation - 2);
+        let last = &log[last_at..];
+        // A torn tail ends replay before anything is applied, so one
+        // checkpoint serves every case and must come through untouched.
+        let mut ckpt = before.clone();
+        let mut scrambled = last.to_vec();
+        for at in 0..last.len() {
+            assert_eq!(replay_log(&last[..at], &mut ckpt), Ok(0), "cut at {at}");
+            for flip in [0x01, 0x80] {
+                scrambled[at] ^= flip;
+                assert_eq!(
+                    replay_log(&scrambled, &mut ckpt),
+                    Ok(0),
+                    "byte {at} ^ {flip:#x} must read as a torn tail"
+                );
+                scrambled[at] ^= flip;
+            }
+            assert_eq!(ckpt.state, before.state, "byte {at}");
+        }
+        assert_eq!(ckpt.store.snapshot(), before.store.snapshot());
+        // Garbage after a whole record is a torn tail too, not an error.
+        let mut trailing = last.to_vec();
+        trailing.extend_from_slice(b"record 12\ngarbage");
+        assert_eq!(replay_log(&trailing, &mut ckpt), Ok(last.len()));
+        assert_eq!(ckpt.state.generation, svc.generation - 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn records_that_pass_their_crc_but_do_not_continue_the_state_are_typed_errors() {
+        let (svc, rp, dir) = run_with_a_small_last_record("hostile-log");
+        let base = svc.base_generation.unwrap();
+        let log_path = svc.log_path(base);
+        let good_log = fs::read(&log_path).unwrap();
+        let clean_delta = svc.system().store().delta();
+        let generation = svc.generation;
+        let state = CommitState {
+            generation,
+            batch_high_water: svc.batch_high_water,
+            cumulative_digest: svc.cumulative_digest,
+            lagged_pairs: svc.lagged_pairs,
+            reports: svc.system().report_count() as u64,
+            interner_tokens: svc.system().interner_len() as u64,
+            centres_digest: centres_digest(svc.system().store()),
+            skipped: Vec::new(),
+        };
+        let duplicates = svc.system().store().duplicate_count();
+        drop(svc);
+        let open_with = |state: &CommitState, delta: &str| {
+            let mut commit = String::new();
+            state.push_lines(&mut commit);
+            commit.push_str(&format!("store {}\n{delta}", delta.len()));
+            let mut framed = format!("record {}\n{commit}", commit.len());
+            let crc = stable_hash(framed.as_str());
+            framed.push_str(&format!("crc {crc:016x}\n"));
+            let mut log = good_log.clone();
+            log.extend_from_slice(framed.as_bytes());
+            fs::write(&log_path, log).unwrap();
+            IngestService::open(
+                Cluster::local(2),
+                dedup_config(),
+                IngestConfig::new(&dir),
+                &rp,
+            )
+        };
+        let rejects = |state: &CommitState, delta: &str, why: &str| match open_with(state, delta) {
+            Err(IngestError::Checkpoint(msg)) => {
+                assert!(msg.contains(why), "{msg:?} should mention {why:?}")
+            }
+            Err(other) => panic!("expected a checkpoint error, got {other}"),
+            Ok(_) => panic!("hostile record ({why}) was accepted"),
+        };
+        // Control: the same framing around an honest (empty) commit opens.
+        let svc = open_with(&state, &clean_delta).expect("honest record");
+        assert_eq!(svc.generation, generation + 1);
+        assert!(!svc.recovered_with_fallback());
+        drop(svc);
+
+        let pair = format!("7 9{}", " 0000000000000000".repeat(8));
+        rejects(
+            &state,
+            &clean_delta.replace("slots 0\n", &format!("slots 1\n20000 {pair}\n")),
+            "slot 20000 outside the reservoir",
+        );
+        let dup_header = format!("duplicates {duplicates} 0");
+        assert!(clean_delta.contains(&dup_header));
+        rejects(
+            &state,
+            &clean_delta.replace(&dup_header, &format!("duplicates {} 0", duplicates + 1)),
+            "duplicates delta starts at",
+        );
+        rejects(
+            &state,
+            &clean_delta.replace(
+                &dup_header,
+                &format!("duplicates {duplicates} {}", u64::MAX),
+            ),
+            "exceeds delta size",
+        );
+        for generation in [generation + 1, generation - 1, 0] {
+            let skewed = CommitState {
+                generation,
+                ..state.clone()
+            };
+            rejects(&skewed, &clean_delta, "expected");
+        }
+        let beyond = CommitState {
+            batch_high_water: rp.quarters() + 1,
+            ..state.clone()
+        };
+        rejects(&beyond, &clean_delta, "beyond the replay");
+        let mut overcounted = state.clone();
+        overcounted.skipped = vec![1; state.batch_high_water as usize + 1];
+        rejects(&overcounted, &clean_delta, "exceeds high-water mark");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_directory_of_bases_without_logs_still_opens() {
+        // What the service wrote before it kept a log: a full base per
+        // commit, the last two kept. Forgetting the current base before
+        // each commit makes every commit write one.
+        let rp = replay(160, 10, 42, 40);
+        let reference = {
+            let dir = temp_dir("bases-only-ref");
+            let mut svc = IngestService::open(
+                Cluster::local(2),
+                dedup_config(),
+                IngestConfig::new(&dir),
+                &rp,
+            )
+            .unwrap();
+            svc.run(&rp, rp.quarters()).unwrap();
+            let _ = fs::remove_dir_all(&dir);
+            svc.cumulative_digest()
+        };
+        let dir = temp_dir("bases-only");
+        let mut svc = IngestService::open(
+            Cluster::local(2),
+            dedup_config(),
+            IngestConfig::new(&dir),
+            &rp,
+        )
+        .unwrap();
+        for through in 1..=3 {
+            svc.base_generation = None;
+            svc.run(&rp, through).unwrap();
+        }
+        drop(svc);
+        let mut names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["ckpt-00000001.ckpt", "ckpt-00000002.ckpt"]);
+        let mut svc = IngestService::open(
+            Cluster::local(2),
+            dedup_config(),
+            IngestConfig::new(&dir),
+            &rp,
+        )
+        .unwrap();
+        assert_eq!(svc.batch_high_water(), 3);
+        assert!(!svc.recovered_with_fallback());
+        svc.run(&rp, rp.quarters()).unwrap();
+        assert_eq!(svc.cumulative_digest(), reference);
+        assert!(svc.log_path(2).exists(), "the next commit starts a log");
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -92,6 +92,9 @@ impl ServeConfig {
 }
 
 /// One serving request.
+// The wall-clock benchmark constructs `ServeQuery::Duplicate { report }`
+// directly, so boxing the report would change a frozen caller.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum ServeQuery {
     /// Is this report a duplicate of something in the database?
@@ -560,8 +563,9 @@ impl ServeService {
         // id, so a positional id would let batch composition leak into cell
         // choice and thence into scores. Hashing the pair keeps every row's
         // entire classify path identical whatever else shares the batch.
-        let mut row_meta: HashMap<u64, ((ReportId, ReportId), Vec<(usize, ReportId)>)> =
-            HashMap::new();
+        /// A row's pair, and the (request slot, candidate) answers it feeds.
+        type RowMeta = ((ReportId, ReportId), Vec<(usize, ReportId)>);
+        let mut row_meta: HashMap<u64, RowMeta> = HashMap::new();
         for (slot, req) in requests.iter().enumerate() {
             match &req.query {
                 ServeQuery::Duplicate { report } => {
@@ -639,7 +643,7 @@ impl ServeService {
             // in candidate-id order.
             for a in answers.iter_mut() {
                 if let Some(ServeAnswer::Duplicate { matches, .. }) = a {
-                    matches.sort_by(|x, y| x.candidate.cmp(&y.candidate));
+                    matches.sort_by_key(|x| x.candidate);
                 }
             }
         }

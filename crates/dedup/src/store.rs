@@ -46,6 +46,142 @@ pub struct PairStore {
     rng: StdRng,
     /// Negatives offered after the reservoir filled.
     overflow_offers: u64,
+    /// What changed since the last checkpoint; cloned (and so rolled back)
+    /// with the store.
+    dirty: Dirty,
+}
+
+/// Change tracking behind [`PairStore::delta`]. The store only ever changes
+/// in three ways — a duplicate is appended, a negative is appended while the
+/// reservoir fills, a reservoir slot is overwritten — so two lengths and one
+/// bit per slot describe any number of offers: the size is bounded by
+/// `max_non_duplicates`, never by how long the feedback loop has run.
+#[derive(Debug, Clone, Default)]
+struct Dirty {
+    /// `duplicates[dup_from..]` were appended since the checkpoint.
+    dup_from: usize,
+    /// `non_duplicates[neg_from..]` were appended since the checkpoint.
+    neg_from: usize,
+    /// Bit `s` is set when reservoir slot `s` was overwritten. Empty until
+    /// the first overwrite, then `max_non_duplicates.div_ceil(64)` words.
+    slots: Vec<u64>,
+}
+
+impl Dirty {
+    fn mark_slot(&mut self, slot: usize, capacity: usize) {
+        if self.slots.len() * 64 <= slot {
+            self.slots.resize(capacity.div_ceil(64), 0);
+        }
+        self.slots[slot / 64] |= 1 << (slot % 64);
+    }
+
+    /// Overwritten slots below `neg_from`, ascending (slots at or above it
+    /// are covered by the appended range).
+    fn overwritten(&self) -> impl Iterator<Item = usize> + '_ {
+        let below = self.neg_from;
+        self.slots
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| {
+                (0..64)
+                    .filter(move |b| word >> b & 1 == 1)
+                    .map(move |b| w * 64 + b)
+            })
+            .take_while(move |&slot| slot < below)
+    }
+}
+
+/// Two lower-case hex digits per byte value: the snapshot writer emits a
+/// 16-digit word as eight table reads.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut table = [[0u8; 2]; 256];
+    let mut i = 0;
+    while i < 256 {
+        table[i] = [DIGITS[i >> 4], DIGITS[i & 15]];
+        i += 1;
+    }
+    table
+};
+
+fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// `"{name} {n}\n"`.
+fn push_field(out: &mut Vec<u8>, name: &str, n: u64) {
+    out.extend_from_slice(name.as_bytes());
+    out.push(b' ');
+    push_decimal(out, n);
+    out.push(b'\n');
+}
+
+/// One pair line: `"{lo} {hi}"`, each component as `" {:016x}"` of its
+/// bits, newline.
+fn push_pair(out: &mut Vec<u8>, id: &PairId, v: &DistVec) {
+    push_decimal(out, id.lo);
+    out.push(b' ');
+    push_decimal(out, id.hi);
+    for x in v {
+        out.push(b' ');
+        for byte in x.to_bits().to_be_bytes() {
+            out.extend_from_slice(&HEX_PAIRS[byte as usize]);
+        }
+    }
+    out.push(b'\n');
+}
+
+/// Upper bound on a pair line: two 20-digit ids, eight 17-byte components,
+/// separator and newline.
+const PAIR_LINE_MAX: usize = 2 * 20 + 8 * 17 + 2;
+
+fn into_text(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).expect("the snapshot writer emits ASCII only")
+}
+
+/// Parse the `lo hi c0 … c7` remainder of a pair line.
+fn parse_pair(parts: &mut std::str::SplitAsciiWhitespace<'_>) -> Result<(PairId, DistVec), String> {
+    let mut id_part = |name: &str| -> Result<u64, String> {
+        let word = parts.next().ok_or_else(|| format!("missing {name}"))?;
+        word.parse().map_err(|_| format!("bad {name}: {word:?}"))
+    };
+    let lo = id_part("lo")?;
+    let hi = id_part("hi")?;
+    let mut v: DistVec = [0.0; adr_model::DETECTION_DIMS];
+    for (d, slot) in v.iter_mut().enumerate() {
+        let word = parts
+            .next()
+            .ok_or_else(|| format!("missing component {d}"))?;
+        let bits =
+            u64::from_str_radix(word, 16).map_err(|_| format!("bad component {d}: {word:?}"))?;
+        *slot = f64::from_bits(bits);
+    }
+    if parts.next().is_some() {
+        return Err("trailing data on pair line".into());
+    }
+    Ok((PairId { lo, hi }, v))
+}
+
+/// `"{name} {value}"` line → `value`.
+fn field<'a>(lines: &mut std::str::Lines<'a>, name: &str) -> Result<&'a str, String> {
+    let line = lines.next().ok_or_else(|| format!("missing {name}"))?;
+    line.strip_prefix(name)
+        .map(str::trim)
+        .ok_or_else(|| format!("expected {name}, got {line:?}"))
+}
+
+fn parse_u64(s: &str, name: &str) -> Result<u64, String> {
+    s.parse().map_err(|_| format!("bad {name}: {s:?}"))
 }
 
 impl PairStore {
@@ -61,6 +197,7 @@ impl PairStore {
             seed,
             rng: StdRng::seed_from_u64(seed),
             overflow_offers: 0,
+            dirty: Dirty::default(),
         }
     }
 
@@ -91,10 +228,7 @@ impl PairStore {
             return;
         }
         if is_duplicate {
-            self.duplicates.push((id, vector));
-            self.duplicate_ids.insert(id);
-            *self.duplicate_members.entry(id.lo).or_insert(0) += 1;
-            *self.duplicate_members.entry(id.hi).or_insert(0) += 1;
+            self.push_duplicate(id, vector);
             return;
         }
         if self.non_duplicates.len() < self.max_non_duplicates {
@@ -110,8 +244,18 @@ impl PairStore {
                 self.negative_ids.remove(&evicted);
                 self.negative_ids.insert(id);
                 self.non_duplicates[slot as usize] = (id, vector);
+                self.dirty.mark_slot(slot as usize, self.max_non_duplicates);
             }
         }
+    }
+
+    /// Append a duplicate and index it. The member index is derived state,
+    /// rebuilt by `restore` and `apply_delta` rather than serialised.
+    fn push_duplicate(&mut self, id: PairId, vector: DistVec) {
+        self.duplicates.push((id, vector));
+        self.duplicate_ids.insert(id);
+        *self.duplicate_members.entry(id.lo).or_insert(0) += 1;
+        *self.duplicate_members.entry(id.hi).or_insert(0) += 1;
     }
 
     /// Materialise the training set for the classifier: all duplicates as
@@ -128,6 +272,14 @@ impl PairStore {
             id += 1;
         }
         out
+    }
+
+    /// Every stored vector with its label, in [`training_pairs`] order.
+    ///
+    /// [`training_pairs`]: PairStore::training_pairs
+    pub(crate) fn labelled_vectors(&self) -> impl Iterator<Item = (&DistVec, bool)> {
+        let positives = self.duplicates.iter().map(|(_, v)| (v, true));
+        positives.chain(self.non_duplicates.iter().map(|(_, v)| (v, false)))
     }
 
     /// Is this pair currently stored (under either label)?
@@ -171,26 +323,82 @@ impl PairStore {
     /// draws. A restored store therefore continues the reservoir stream
     /// exactly where the original would have.
     pub fn snapshot(&self) -> String {
-        let mut out =
-            String::with_capacity(64 + 32 * (self.duplicates.len() + self.non_duplicates.len()));
-        out.push_str(&format!("pairstore v{}\n", Self::SNAPSHOT_VERSION));
-        out.push_str(&format!("max_non_duplicates {}\n", self.max_non_duplicates));
-        out.push_str(&format!("seed {}\n", self.seed));
-        out.push_str(&format!("overflow_offers {}\n", self.overflow_offers));
+        let pairs = self.duplicates.len() + self.non_duplicates.len();
+        let mut out = Vec::with_capacity(128 + PAIR_LINE_MAX * pairs);
+        out.extend_from_slice(b"pairstore v");
+        push_decimal(&mut out, Self::SNAPSHOT_VERSION as u64);
+        out.push(b'\n');
+        push_field(
+            &mut out,
+            "max_non_duplicates",
+            self.max_non_duplicates as u64,
+        );
+        push_field(&mut out, "seed", self.seed);
+        push_field(&mut out, "overflow_offers", self.overflow_offers);
         for (section, pairs) in [
             ("duplicates", &self.duplicates),
             ("non_duplicates", &self.non_duplicates),
         ] {
-            out.push_str(&format!("{section} {}\n", pairs.len()));
-            for (id, v) in pairs.iter() {
-                out.push_str(&format!("{} {}", id.lo, id.hi));
-                for x in v.iter() {
-                    out.push_str(&format!(" {:016x}", x.to_bits()));
-                }
-                out.push('\n');
+            push_field(&mut out, section, pairs.len() as u64);
+            for (id, v) in pairs {
+                push_pair(&mut out, id, v);
             }
         }
-        out
+        into_text(out)
+    }
+
+    /// Current delta schema version (see [`PairStore::delta`]).
+    pub const DELTA_VERSION: u32 = 1;
+
+    /// Serialise what changed since the last
+    /// [`mark_checkpointed`](PairStore::mark_checkpointed) (or since
+    /// `new` / `restore`): the duplicates and filling-phase negatives
+    /// appended, the reservoir slots overwritten — each with its *current*
+    /// pair, however often it changed — and `overflow_offers`. Pair lines
+    /// are the snapshot's, so the cost is that of the changed lines, not of
+    /// the store. [`PairStore::apply_delta`] on a store in the checkpointed
+    /// state reproduces this one bit for bit, RNG included.
+    pub fn delta(&self) -> String {
+        let new_duplicates = &self.duplicates[self.dirty.dup_from..];
+        let new_negatives = &self.non_duplicates[self.dirty.neg_from..];
+        let overwritten: Vec<usize> = self.dirty.overwritten().collect();
+        let lines = new_duplicates.len() + new_negatives.len() + overwritten.len();
+        let mut out = Vec::with_capacity(128 + PAIR_LINE_MAX * lines);
+        out.extend_from_slice(b"pairstore-delta v");
+        push_decimal(&mut out, Self::DELTA_VERSION as u64);
+        out.push(b'\n');
+        push_field(&mut out, "overflow_offers", self.overflow_offers);
+        for (section, from, pairs) in [
+            ("duplicates", self.dirty.dup_from, new_duplicates),
+            ("non_duplicates", self.dirty.neg_from, new_negatives),
+        ] {
+            out.extend_from_slice(section.as_bytes());
+            out.push(b' ');
+            push_decimal(&mut out, from as u64);
+            out.push(b' ');
+            push_decimal(&mut out, pairs.len() as u64);
+            out.push(b'\n');
+            for (id, v) in pairs {
+                push_pair(&mut out, id, v);
+            }
+        }
+        push_field(&mut out, "slots", overwritten.len() as u64);
+        for slot in overwritten {
+            let (id, v) = &self.non_duplicates[slot];
+            push_decimal(&mut out, slot as u64);
+            out.push(b' ');
+            push_pair(&mut out, id, v);
+        }
+        into_text(out)
+    }
+
+    /// Declare the current state checkpointed: the next
+    /// [`delta`](PairStore::delta) describes changes from here on. Call it
+    /// once the bytes of the snapshot or delta just taken are durable.
+    pub fn mark_checkpointed(&mut self) {
+        self.dirty.dup_from = self.duplicates.len();
+        self.dirty.neg_from = self.non_duplicates.len();
+        self.dirty.slots.fill(0);
     }
 
     /// Largest `overflow_offers` a snapshot may claim. Restore replays one
@@ -217,32 +425,16 @@ impl PairStore {
                 Self::SNAPSHOT_VERSION
             ));
         }
-        fn field<'a>(lines: &mut std::str::Lines<'a>, name: &str) -> Result<&'a str, String> {
-            let line = lines.next().ok_or_else(|| format!("missing {name}"))?;
-            line.strip_prefix(name)
-                .map(str::trim)
-                .ok_or_else(|| format!("expected {name}, got {line:?}"))
-        }
-        let parse_u64 = |s: &str, name: &str| -> Result<u64, String> {
-            s.parse().map_err(|_| format!("bad {name}: {s:?}"))
-        };
         let max_non_duplicates = parse_u64(
             field(&mut lines, "max_non_duplicates")?,
             "max_non_duplicates",
         )? as usize;
         let seed = parse_u64(field(&mut lines, "seed")?, "seed")?;
-        let overflow_offers = parse_u64(field(&mut lines, "overflow_offers")?, "overflow_offers")?;
-        if overflow_offers > Self::MAX_OVERFLOW_OFFERS {
-            return Err(format!(
-                "overflow_offers {overflow_offers} exceeds sanity cap {}",
-                Self::MAX_OVERFLOW_OFFERS
-            ));
-        }
         let mut store = PairStore::new(max_non_duplicates, seed);
-        store.overflow_offers = overflow_offers;
-        for _ in 0..overflow_offers {
-            let _ = store.rng.next_u64();
-        }
+        store.advance_overflow_offers(parse_u64(
+            field(&mut lines, "overflow_offers")?,
+            "overflow_offers",
+        )?)?;
         // No section can legitimately hold more pairs than the snapshot has
         // lines; rejecting overflowed counts up front keeps a corrupt count
         // from driving a huge pre-allocation or a line-by-line crawl.
@@ -259,29 +451,9 @@ impl PairStore {
             }
             for _ in 0..count {
                 let line = lines.next().ok_or_else(|| format!("truncated {section}"))?;
-                let mut parts = line.split_ascii_whitespace();
-                let lo = parse_u64(parts.next().ok_or("missing lo")?, "lo")?;
-                let hi = parse_u64(parts.next().ok_or("missing hi")?, "hi")?;
-                let mut v: DistVec = [0.0; adr_model::DETECTION_DIMS];
-                for (d, slot) in v.iter_mut().enumerate() {
-                    let word = parts
-                        .next()
-                        .ok_or_else(|| format!("missing component {d}"))?;
-                    let bits = u64::from_str_radix(word, 16)
-                        .map_err(|_| format!("bad component {d}: {word:?}"))?;
-                    *slot = f64::from_bits(bits);
-                }
-                if parts.next().is_some() {
-                    return Err(format!("trailing data on pair line: {line:?}"));
-                }
-                let id = PairId { lo, hi };
+                let (id, v) = parse_pair(&mut line.split_ascii_whitespace())?;
                 if section == "duplicates" {
-                    store.duplicates.push((id, v));
-                    store.duplicate_ids.insert(id);
-                    // The member index is derived state: rebuilt here rather
-                    // than serialised, so the snapshot format is unchanged.
-                    *store.duplicate_members.entry(id.lo).or_insert(0) += 1;
-                    *store.duplicate_members.entry(id.hi).or_insert(0) += 1;
+                    store.push_duplicate(id, v);
                 } else {
                     store.non_duplicates.push((id, v));
                     store.negative_ids.insert(id);
@@ -291,7 +463,152 @@ impl PairStore {
         if lines.next().is_some() {
             return Err("trailing data after snapshot".into());
         }
+        store.mark_checkpointed();
         Ok(store)
+    }
+
+    /// Move the reservoir RNG forward to `overflow_offers` draws. A delta
+    /// can only ever move it forward; the cap bounds the replay loop.
+    fn advance_overflow_offers(&mut self, overflow_offers: u64) -> Result<(), String> {
+        if overflow_offers > Self::MAX_OVERFLOW_OFFERS {
+            return Err(format!(
+                "overflow_offers {overflow_offers} exceeds sanity cap {}",
+                Self::MAX_OVERFLOW_OFFERS
+            ));
+        }
+        if overflow_offers < self.overflow_offers {
+            return Err(format!(
+                "overflow_offers {overflow_offers} is behind the store's {}",
+                self.overflow_offers
+            ));
+        }
+        for _ in self.overflow_offers..overflow_offers {
+            let _ = self.rng.next_u64();
+        }
+        self.overflow_offers = overflow_offers;
+        Ok(())
+    }
+
+    /// Apply a [`PairStore::delta`] taken from a store that was, at its
+    /// last checkpoint, in exactly this store's state. Like
+    /// [`restore`](PairStore::restore) it never panics or loops unboundedly
+    /// on hostile input: a delta that does not continue this store — an
+    /// append that does not start at the current length, a slot outside the
+    /// reservoir, a count larger than the delta itself, a pair already
+    /// stored — is an error. On error the store may be partly updated and
+    /// must be discarded. On success the store is left checkpointed.
+    pub fn apply_delta(&mut self, delta: &str) -> Result<(), String> {
+        let mut lines = delta.lines();
+        let header = lines.next().ok_or("empty delta")?;
+        let version: u32 = header
+            .strip_prefix("pairstore-delta v")
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| format!("bad delta header: {header:?}"))?;
+        if version != Self::DELTA_VERSION {
+            return Err(format!(
+                "unsupported delta version {version} (supported: {})",
+                Self::DELTA_VERSION
+            ));
+        }
+        self.advance_overflow_offers(parse_u64(
+            field(&mut lines, "overflow_offers")?,
+            "overflow_offers",
+        )?)?;
+        let line_budget = delta.len() / 4 + 1;
+        let mut appended = [Vec::new(), Vec::new()];
+        for (section, pairs) in ["duplicates", "non_duplicates"]
+            .into_iter()
+            .zip(&mut appended)
+        {
+            let mut words = field(&mut lines, section)?.split_ascii_whitespace();
+            let mut word = |name: &str| -> Result<usize, String> {
+                let w = words
+                    .next()
+                    .ok_or_else(|| format!("missing {section} {name}"))?;
+                Ok(parse_u64(w, name)? as usize)
+            };
+            let (from, count) = (word("from")?, word("count")?);
+            let current = if section == "duplicates" {
+                self.duplicates.len()
+            } else {
+                self.non_duplicates.len()
+            };
+            if from != current {
+                return Err(format!(
+                    "{section} delta starts at {from}, the store holds {current}"
+                ));
+            }
+            if count > line_budget {
+                return Err(format!("{section} count {count} exceeds delta size"));
+            }
+            if section == "non_duplicates"
+                && count > self.max_non_duplicates.saturating_sub(current)
+            {
+                return Err(format!(
+                    "non_duplicates {current} + {count} exceeds capacity {}",
+                    self.max_non_duplicates
+                ));
+            }
+            pairs.reserve(count);
+            for _ in 0..count {
+                let line = lines.next().ok_or_else(|| format!("truncated {section}"))?;
+                pairs.push(parse_pair(&mut line.split_ascii_whitespace())?);
+            }
+        }
+        let count = parse_u64(field(&mut lines, "slots")?, "slots")? as usize;
+        if count > line_budget {
+            return Err(format!("slots count {count} exceeds delta size"));
+        }
+        let mut overwrites: Vec<(usize, (PairId, DistVec))> = Vec::with_capacity(count);
+        for _ in 0..count {
+            let line = lines.next().ok_or("truncated slots")?;
+            let mut parts = line.split_ascii_whitespace();
+            let slot = parse_u64(parts.next().ok_or("missing slot")?, "slot")? as usize;
+            if slot >= self.non_duplicates.len() {
+                return Err(format!(
+                    "slot {slot} outside the reservoir ({} of {} filled)",
+                    self.non_duplicates.len(),
+                    self.max_non_duplicates
+                ));
+            }
+            if overwrites.last().is_some_and(|(prev, _)| *prev >= slot) {
+                return Err(format!("slot {slot} out of order"));
+            }
+            overwrites.push((slot, parse_pair(&mut parts)?));
+        }
+        if lines.next().is_some() {
+            return Err("trailing data after delta".into());
+        }
+        // A pair evicted from one slot may have come back through another
+        // (or, once the reservoir filled, through an appended one), so
+        // forget every evicted id before admitting any new one.
+        for (slot, _) in &overwrites {
+            self.negative_ids.remove(&self.non_duplicates[*slot].0);
+        }
+        let [new_duplicates, new_negatives] = appended;
+        let repeated = |id: PairId| format!("delta repeats stored pair {id:?}");
+        for (id, v) in new_duplicates {
+            if self.contains(&id) {
+                return Err(repeated(id));
+            }
+            self.push_duplicate(id, v);
+        }
+        for (id, v) in new_negatives {
+            if self.contains(&id) {
+                return Err(repeated(id));
+            }
+            self.non_duplicates.push((id, v));
+            self.negative_ids.insert(id);
+        }
+        for (slot, (id, v)) in overwrites {
+            if self.contains(&id) {
+                return Err(repeated(id));
+            }
+            self.negative_ids.insert(id);
+            self.non_duplicates[slot] = (id, v);
+        }
+        self.mark_checkpointed();
+        Ok(())
     }
 }
 
@@ -394,7 +711,21 @@ mod tests {
                 store.tracked_id_count() <= store.duplicate_count() + cap,
                 "tracked ids must never exceed retained pairs (at offer {i})"
             );
+            // No checkpoint is ever taken here, so the change tracking
+            // covers every offer so far — in one bit per slot.
+            assert!(
+                store.dirty.slots.len() <= cap.div_ceil(64),
+                "dirty bitmap must stay at capacity bits (at offer {i})"
+            );
         }
+        let dirty_bits: u32 = store.dirty.slots.iter().map(|w| w.count_ones()).sum();
+        assert!(dirty_bits as usize <= cap, "{dirty_bits} dirty bits");
+        assert_eq!(store.dirty.overwritten().count(), 0, "all appended");
+        let mut rebuilt = PairStore::new(cap, 7);
+        rebuilt
+            .apply_delta(&store.delta())
+            .expect("delta of everything");
+        assert_eq!(rebuilt.snapshot(), store.snapshot());
         assert_eq!(store.non_duplicate_count(), cap);
         assert_eq!(store.tracked_id_count(), store.duplicate_count() + cap);
         for (id, _) in &store.non_duplicates {
@@ -575,6 +906,183 @@ mod tests {
              duplicates 0\nnon_duplicates 3\n";
         let err = PairStore::restore(over_capacity).unwrap_err();
         assert!(err.contains("exceeds capacity"), "{err}");
+    }
+
+    /// A store with 3 duplicates, a full 8-slot reservoir and 40 overflow
+    /// offers, checkpointed; and the same store 60 offers later.
+    fn checkpointed_and_later() -> (PairStore, PairStore) {
+        let mut store = PairStore::new(8, 5);
+        for i in 0..3u64 {
+            store.add(pid(i, i + 1_000), dv(0.1), true);
+        }
+        for i in 0..48u64 {
+            store.add(pid(i, i + 10_000), dv(0.5 + i as f64), false);
+        }
+        store.mark_checkpointed();
+        let base = store.clone();
+        store.add(pid(7, 1_007), dv(0.2), true);
+        for i in 48..108u64 {
+            store.add(pid(i, i + 10_000), dv(0.5 + i as f64), false);
+        }
+        (base, store)
+    }
+
+    #[test]
+    fn delta_carries_only_what_changed_and_applies_exactly() {
+        let (mut base, later) = checkpointed_and_later();
+        assert_eq!(base.delta().lines().count(), 5, "a clean store: headers");
+        let delta = later.delta();
+        let changed = later
+            .non_duplicates
+            .iter()
+            .zip(&base.non_duplicates)
+            .filter(|(a, b)| a != b)
+            .count();
+        assert!(changed > 0, "60 overflow offers must replace something");
+        assert_eq!(delta.lines().count(), 5 + 1 + changed);
+        base.apply_delta(&delta).expect("apply");
+        assert_eq!(base.snapshot(), later.snapshot());
+        for (id, _) in &later.non_duplicates {
+            assert!(base.contains(id));
+        }
+        assert_eq!(base.tracked_id_count(), later.tracked_id_count());
+        assert_eq!(base.duplicate_memberships(7), 1);
+        assert_eq!(base.delta().lines().count(), 5, "applied: clean again");
+    }
+
+    #[test]
+    fn apply_delta_rejects_hostile_deltas() {
+        let (base, later) = checkpointed_and_later();
+        let good = later.delta();
+        let pair = "9 9 0000000000000000 0000000000000000 0000000000000000 0000000000000000 \
+                    0000000000000000 0000000000000000 0000000000000000 0000000000000000";
+        let rejects = |delta: &str, why: &str| {
+            let err = base
+                .clone()
+                .apply_delta(delta)
+                .expect_err("hostile delta must be rejected");
+            assert!(err.contains(why), "{err:?} should mention {why:?}");
+        };
+        let with = |overflow: &str, dups: &str, negs: &str, slots: &str| {
+            format!(
+                "pairstore-delta v1\noverflow_offers {overflow}\nduplicates {dups}\n\
+                 non_duplicates {negs}\nslots {slots}\n"
+            )
+        };
+        assert!(base
+            .clone()
+            .apply_delta(&with("40", "3 0", "8 0", "0"))
+            .is_ok());
+        rejects("", "empty delta");
+        rejects(&good.replace(" v1", " v9"), "unsupported delta version");
+        // The reservoir RNG cannot run backwards, nor for centuries.
+        rejects(&with("39", "3 0", "8 0", "0"), "behind the store");
+        rejects(
+            &with(&u64::MAX.to_string(), "3 0", "8 0", "0"),
+            "sanity cap",
+        );
+        // Appends must start where the store ends.
+        rejects(
+            &with("40", "2 0", "8 0", "0"),
+            "duplicates delta starts at 2",
+        );
+        rejects(
+            &with("40", "3 0", "7 0", "0"),
+            "non_duplicates delta starts at 7",
+        );
+        // Counts larger than the delta, or than the reservoir.
+        rejects(
+            &with("40", &format!("3 {}", u64::MAX), "8 0", "0"),
+            "exceeds delta size",
+        );
+        rejects(&with("40", "3 0", "8 1", "0"), "exceeds capacity");
+        rejects(
+            &with("40", "3 0", "8 0", &u64::MAX.to_string()),
+            "exceeds delta size",
+        );
+        rejects(&with("40", "3 2", "8 0", "0"), "bad lo");
+        rejects(&with("40", "3 0", "8 0", "1"), "truncated slots");
+        // Slots outside the reservoir, repeated, or holding a stored pair.
+        rejects(
+            &with("40", "3 0", "8 0", &format!("1\n8 {pair}")),
+            "outside the reservoir",
+        );
+        rejects(
+            &with("40", "3 0", "8 0", &format!("2\n4 {pair}\n4 {pair}")),
+            "out of order",
+        );
+        rejects(
+            &with("40", "3 0", "8 0", &format!("2\n3 {pair}\n4 {pair}")),
+            "repeats stored pair",
+        );
+        let stored = pair.replacen("9 9", "0 1000", 1);
+        rejects(
+            &with("40", &format!("3 1\n{stored}"), "8 0", "0"),
+            "repeats stored pair",
+        );
+        rejects(&format!("{good}extra\n"), "trailing data");
+    }
+
+    mod delta_fuzz {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Offer `(a, b, label)`: ids from a small space so re-offers of
+        /// stored, evicted and differently-labelled pairs all occur; one
+        /// offer in eight is a duplicate.
+        fn offer(store: &mut PairStore, (a, b, label): (u64, u64, u8)) {
+            store.add(pid(a, b + 100), dv(a as f64 + 0.01 * b as f64), label == 0);
+        }
+
+        proptest! {
+            #[test]
+            fn base_plus_deltas_tracks_the_live_store(
+                cap in 0usize..24,
+                seed in 0u64..50,
+                offers in proptest::collection::vec((0u64..40, 0u64..40, 0u8..8), 0..400),
+                commits in 1usize..=12,
+                base_after in 0usize..60,
+            ) {
+                let mut live = PairStore::new(cap, seed);
+                let base_after = base_after.min(offers.len());
+                for &o in &offers[..base_after] {
+                    offer(&mut live, o);
+                }
+                let mut restored = PairStore::restore(&live.snapshot()).unwrap();
+                live.mark_checkpointed();
+                let rest = &offers[base_after..];
+                for chunk in rest.chunks(rest.len().div_ceil(commits).max(1)) {
+                    for &o in chunk {
+                        offer(&mut live, o);
+                    }
+                    restored.apply_delta(&live.delta()).unwrap();
+                    live.mark_checkpointed();
+                    prop_assert_eq!(restored.snapshot(), live.snapshot());
+                    prop_assert_eq!(restored.tracked_id_count(), live.tracked_id_count());
+                }
+                // The restored reservoir continues the stream identically.
+                for i in 0..200u64 {
+                    let id = pid(i % 50, 100 + i % 37);
+                    live.add(id, dv(i as f64), i % 9 == 0);
+                    restored.add(id, dv(i as f64), i % 9 == 0);
+                }
+                prop_assert_eq!(restored.snapshot(), live.snapshot());
+                prop_assert_eq!(restored.delta(), live.delta());
+            }
+
+            #[test]
+            fn scrambled_deltas_never_panic(
+                pos in 0usize..4096, byte in 0u8..128, frac in 0.0f64..1.0
+            ) {
+                let (base, later) = checkpointed_and_later();
+                let delta = later.delta();
+                let _ = base.clone().apply_delta(&delta[..(delta.len() as f64 * frac) as usize]);
+                let mut bytes = delta.into_bytes();
+                let pos = pos % bytes.len();
+                bytes[pos] = byte;
+                let _ = base.clone().apply_delta(std::str::from_utf8(&bytes).unwrap());
+            }
+        }
     }
 
     mod restore_fuzz {

@@ -361,6 +361,11 @@ impl DedupSystem {
         self.store = store;
     }
 
+    /// The store's state is durable: its next delta starts here.
+    pub(crate) fn mark_store_checkpointed(&mut self) {
+        self.store.mark_checkpointed();
+    }
+
     /// Distinct tokens interned so far — a cheap cross-check that a
     /// recovery replay reconstructed the exact ingest state.
     pub(crate) fn interner_len(&self) -> usize {
@@ -629,10 +634,16 @@ mod tests {
         let (mut sys, batch) = build();
         let (mut control, control_batch) = build();
 
+        // As after a commit: the store's change tracking starts empty.
+        sys.mark_store_checkpointed();
+        control.mark_store_checkpointed();
+        let clean = sys.store().delta();
         let guard = sys.begin_batch();
         let first = sys.detect_new(&batch).unwrap();
+        assert_ne!(sys.store().delta(), clean, "feedback dirtied the store");
         sys.rollback_batch(guard);
         assert_eq!(sys.report_count(), 240, "arrival order rolled back");
+        assert_eq!(sys.store().delta(), clean, "rollback leaves no delta");
         let retry = sys.detect_new(&batch).unwrap();
         let once = control.detect_new(&control_batch).unwrap();
         assert_eq!(retry, first, "retry reproduces the rolled-back attempt");
@@ -642,6 +653,11 @@ mod tests {
             sys.store().snapshot(),
             control.store().snapshot(),
             "stores (incl. reservoir RNG state) must match bit-for-bit"
+        );
+        assert_eq!(
+            sys.store().delta(),
+            control.store().delta(),
+            "the retry's delta is the clean run's"
         );
     }
 

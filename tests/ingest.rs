@@ -11,7 +11,7 @@ use adr_synth::{QuarterlyReplay, StreamingCorpus, SynthConfig};
 use dedup::{DedupConfig, IngestConfig, IngestService, TornWrite};
 use fastknn::FastKnnConfig;
 use sparklet::{Cluster, ClusterConfig, FaultConfig};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn replay(reports: usize, dups: usize, seed: u64, quarter: u64) -> QuarterlyReplay {
     QuarterlyReplay::new(
@@ -37,6 +37,25 @@ fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ingest-it-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+fn file_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("read checkpoint dir")
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+/// A fresh copy of a (flat) checkpoint directory.
+fn copy_dir(from: &Path, tag: &str) -> PathBuf {
+    let to = temp_dir(tag);
+    std::fs::create_dir_all(&to).expect("create copy");
+    for name in file_names(from) {
+        std::fs::copy(from.join(&name), to.join(&name)).expect("copy checkpoint file");
+    }
+    to
 }
 
 /// Run the whole replay on a fresh directory and return the digest.
@@ -84,6 +103,14 @@ fn driver_kill_at_every_point_recovers_bit_identically() {
     svc.run(&rp, quarters).expect("clean run");
     let want = svc.cumulative_digest();
     let points = svc.system().cluster().driver_points_passed();
+    // The schedule both appends to a delta log and compacts into a new
+    // base, so the sweep crosses the fault points of either kind of commit.
+    let files = file_names(&dir);
+    let count = |suffix: &str| files.iter().filter(|n| n.ends_with(suffix)).count();
+    assert!(
+        count(".ckpt") >= 2 && count(".log") >= 1,
+        "the clean run must compact and log: {files:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
     assert!(
         points >= 8,
@@ -165,6 +192,91 @@ fn torn_checkpoint_write_falls_back_one_generation() {
     svc.run(&rp, quarters).expect("replay the lost batch");
     assert_eq!(svc.cumulative_digest(), want);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Damage the newest checkpoint files byte by byte — the last record of
+/// the current log cut short or scrambled, then the same for the current
+/// base — and recover: `open` must come back on an earlier commit (never
+/// panic, never a later or a made-up state), and finishing the run from
+/// there must land on the uninterrupted digest.
+#[test]
+fn damaged_log_tail_or_base_recovers_to_an_earlier_commit() {
+    let rp = replay(120, 8, 7, 30);
+    let quarters = rp.quarters();
+    let clean = temp_dir("damage-clean");
+    let mut svc = IngestService::open(
+        Cluster::local(2),
+        dedup_config(),
+        IngestConfig::new(&clean),
+        &rp,
+    )
+    .expect("open fresh");
+    svc.run(&rp, quarters).expect("clean run");
+    let want = svc.cumulative_digest();
+    drop(svc);
+    let files = file_names(&clean);
+    let newest = |suffix: &str| {
+        files
+            .iter()
+            .rfind(|n| n.ends_with(suffix))
+            .unwrap_or_else(|| panic!("no {suffix} in {files:?}"))
+            .clone()
+    };
+    let (log, base) = (newest(".log"), newest(".ckpt"));
+    assert_eq!(
+        log.trim_end_matches(".log"),
+        base.trim_end_matches(".ckpt"),
+        "the final commit was logged against the newest base: {files:?}"
+    );
+
+    let recover = |file: &str, damage: &dyn Fn(&mut Vec<u8>), what: &str| {
+        let dir = copy_dir(&clean, "damage");
+        let mut bytes = std::fs::read(dir.join(file)).expect("read");
+        damage(&mut bytes);
+        std::fs::write(dir.join(file), bytes).expect("write damaged");
+        let mut svc = IngestService::open(
+            Cluster::local(2),
+            dedup_config(),
+            IngestConfig::new(&dir),
+            &rp,
+        )
+        .unwrap_or_else(|e| panic!("{what}: open failed: {e}"));
+        // (A log cut to nothing is a commit that never started: there is
+        // no damage to notice, only an earlier state.)
+        assert!(
+            svc.recovered_with_fallback() || what == "log cut at 0",
+            "{what}: damage unnoticed"
+        );
+        let resumed_at = svc.batch_high_water();
+        assert!(resumed_at < quarters, "{what}: resumed at {resumed_at}");
+        svc.run(&rp, quarters)
+            .unwrap_or_else(|e| panic!("{what}: resumed run failed: {e}"));
+        assert_eq!(svc.cumulative_digest(), want, "{what}: digest diverged");
+        let _ = std::fs::remove_dir_all(&dir);
+        resumed_at
+    };
+
+    // The log holds one record here (the final commit): every cut inside
+    // it, and a scramble of bytes all along it, loses exactly that commit.
+    let log_len = std::fs::read(clean.join(&log)).expect("read log").len();
+    let sampled = |len: usize| (0..len).step_by(len / 8 + 1).chain([len - 1]);
+    for at in sampled(log_len) {
+        let resumed = recover(&log, &|b| b.truncate(at), &format!("log cut at {at}"));
+        assert_eq!(resumed, quarters - 1, "log cut at {at}");
+        let resumed = recover(&log, &|b| b[at] ^= 0x01, &format!("log byte {at}"));
+        assert_eq!(resumed, quarters - 1, "log byte {at}");
+    }
+    // A damaged base takes its log with it: recovery falls back to the
+    // previous base and that base's complete log.
+    // (Its last byte is the newline after the CRC, which the base parser
+    // does not insist on.)
+    let base_len = std::fs::read(clean.join(&base)).expect("read base").len();
+    for at in sampled(base_len - 1) {
+        let resumed = recover(&base, &|b| b.truncate(at), &format!("base cut at {at}"));
+        assert_eq!(resumed, quarters - 2, "base cut at {at}");
+        recover(&base, &|b| b[at] ^= 0x01, &format!("base byte {at}"));
+    }
+    let _ = std::fs::remove_dir_all(&clean);
 }
 
 /// Satellite: a poisoned batch is quarantined after its retries, later

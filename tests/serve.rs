@@ -273,7 +273,7 @@ fn hundred_thousand_signal_requests_stay_bounded() {
         "100k requests must coalesce into few batches, got {}",
         out.batches
     );
-    assert!((journal.len() as usize) < RunJournal::MAX_EVENTS / 2);
+    assert!(journal.len() < RunJournal::MAX_EVENTS / 2);
 
     // The job report's serve section reflects the run.
     let report = sys.job_report();
