@@ -1,19 +1,19 @@
 //! Criterion micro-benchmarks for the hot paths: string metrics, the text
 //! pipeline, kNN search, k-means, the field-distance vector (interned
 //! sorted-merge Jaccard, `DistVec`, fixed-arity Euclidean), the
-//! distributed classifier on a small workload and the pair store's
-//! checkpoint encoders.
+//! distributed classifier on a small workload, the pair store's checkpoint
+//! encoders, and what a commit's publish and a serve refresh cost.
 //!
 //! Run with `cargo bench -p bench`.
 
-use adr_model::PairId;
-use adr_synth::{Dataset, SynthConfig};
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use adr_model::{AdrReport, PairId};
+use adr_synth::{Dataset, QuarterlyReplay, StreamingCorpus, SynthConfig};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use dedup::workload::{build_workload_on, ProcessedCorpus};
-use dedup::{pair_distance, PairStore};
+use dedup::{pair_distance, DedupConfig, DedupSystem, PairStore, ServeConfig, ServeService};
 use fastknn::serial::{classify_brute, classify_fast_serial};
 use fastknn::voronoi::VoronoiPartition;
-use fastknn::{stage1_row, ClassifyScratch, LabeledPair, Neighborhood};
+use fastknn::{stage1_row, ClassifyScratch, FastKnn, FastKnnConfig, LabeledPair, Neighborhood};
 use mlcore::kmeans::KMeans;
 use mlcore::knn::nearest_neighbors;
 use rand::rngs::StdRng;
@@ -22,6 +22,7 @@ use simmetrics::{
     euclidean, jaccard_distance, jaccard_distance_sorted, jaro_winkler, levenshtein,
     squared_euclidean, squared_euclidean_fixed,
 };
+use sparklet::Cluster;
 use textprep::{stem, Pipeline, TokenInterner};
 
 fn string_metrics(c: &mut Criterion) {
@@ -208,6 +209,82 @@ fn store_checkpoint(c: &mut Criterion) {
     });
 }
 
+/// The two halves of an epoch at the `serve-refresh` shape — a 2,400-report
+/// database on two executors, 20,000 negatives in the store, arrivals in
+/// batches of 40. `system/publish_20k` is what ends every commit: the
+/// training set out of the store and the fit on it, the model before it
+/// dropped (its cached cells evicted) first. `serve/refresh_40_of_2400` is
+/// what a service pays to move to the epoch of a commit of 40: pointer
+/// clones, the interner copy, 40 reports folded into the contingency
+/// tables, and the drop of the epoch it held.
+fn epoch_publish_and_refresh(c: &mut Criterion) {
+    const BASE: usize = 2_400;
+    const BATCH: usize = 40;
+    // Batches one database takes before a fresh one replaces it, so the
+    // refresh is measured at 2,400-2,560 reports however long the run.
+    const BATCHES_PER_SYSTEM: u64 = 4;
+    let total = BASE + BATCH * BATCHES_PER_SYSTEM as usize;
+    let replay = QuarterlyReplay::new(
+        StreamingCorpus::new(SynthConfig::small(total, total / 20, 2016)),
+        BATCH as u64,
+    );
+    let base_quarters = (BASE / BATCH) as u64;
+    let base: Vec<AdrReport> = (0..base_quarters)
+        .flat_map(|q| replay.quarter_reports(q))
+        .collect();
+    let config = DedupConfig {
+        use_blocking: true,
+        bootstrap_negatives: 20_000,
+        knn: FastKnnConfig {
+            theta: 10.0,
+            b: 8,
+            ..FastKnnConfig::default()
+        },
+        ..DedupConfig::default()
+    };
+    let build = || {
+        let mut sys = DedupSystem::new(Cluster::local(2), config);
+        sys.bootstrap(&base, &replay.labelled_pairs_within(BASE as u64))
+            .expect("bootstrap");
+        let serve = ServeService::attach(&sys, ServeConfig::default()).expect("attach");
+        (sys, serve, base_quarters)
+    };
+
+    let (sys, _, _) = build();
+    assert_eq!(sys.store().non_duplicate_count(), 20_000);
+    let mut live = None;
+    c.bench_function("system/publish_20k", |bench| {
+        bench.iter(|| {
+            live = None;
+            let train = sys.store().training_pairs();
+            live = Some(FastKnn::fit(sys.cluster(), &train, config.knn).expect("fit"));
+        })
+    });
+    drop((live, sys));
+
+    // Setup writes the system the routine then reads.
+    let bed = std::cell::RefCell::new(build());
+    c.bench_function("serve/refresh_40_of_2400", |bench| {
+        bench.iter_batched(
+            || {
+                let mut bed = bed.borrow_mut();
+                if bed.2 == base_quarters + BATCHES_PER_SYSTEM {
+                    *bed = build();
+                }
+                let (sys, _, quarter) = &mut *bed;
+                sys.detect_new(&replay.quarter_reports(*quarter))
+                    .expect("detect_new");
+                *quarter += 1;
+            },
+            |()| {
+                let (sys, serve, _) = &mut *bed.borrow_mut();
+                serve.refresh(sys).expect("refresh")
+            },
+            BatchSize::PerIteration,
+        )
+    });
+}
+
 criterion_group!(
     benches,
     string_metrics,
@@ -217,6 +294,7 @@ criterion_group!(
     kernel_euclidean,
     learning_primitives,
     classifier,
-    store_checkpoint
+    store_checkpoint,
+    epoch_publish_and_refresh
 );
 criterion_main!(benches);

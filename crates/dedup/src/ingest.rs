@@ -12,7 +12,8 @@
 //!
 //! * the [`PairStore`] (bit-exact, with reservoir-RNG replay) — which *is*
 //!   the Voronoi-centre state, since Fast kNN centres are a deterministic
-//!   function of the training set refit per batch,
+//!   function of the training set, refitted once per commit (recovery
+//!   publishes the restored store's model the same way),
 //! * the batch high-water mark, cumulative digest and skipped-batch list,
 //! * cross-checks (report count, interner size, training-set digest) that
 //!   the recovery replay reconstructed the exact pre-crash ingest state.
@@ -40,8 +41,9 @@
 //!
 //! Around that spine sit the service's robustness surfaces: per-batch retry
 //! with exponential backoff + deterministic jitter on the virtual clock
-//! (transient engine faults roll back via `DedupSystem::begin_batch` and
-//! replay bit-identically), poison-batch quarantine (journaled, dumped to
+//! (transient engine faults roll back via `DedupSystem::begin_batch` — a
+//! pointer swap to the pre-attempt epoch, model included — and replay
+//! bit-identically), poison-batch quarantine (journaled, dumped to
 //! `quarantine.log`, skipped), torn-write detection with previous-
 //! commit fallback, and a bounded-lag admission gate that defers the
 //! next batch while spill-resident bytes or the in-flight pair count
@@ -217,8 +219,8 @@ struct Checkpoint {
     store: PairStore,
 }
 
-/// Digest of the store's training set — the state the per-batch Fast kNN
-/// refit (and through it the Voronoi centres) is a deterministic function
+/// Digest of the store's training set — the state the per-commit Fast kNN
+/// fit (and through it the Voronoi centres) is a deterministic function
 /// of. Recovery cross-checks it after restoring the store.
 fn centres_digest(store: &PairStore) -> u64 {
     let mut d = 0xC3A7u64;
@@ -349,7 +351,7 @@ impl IngestService {
                 system.add_report(&r);
             }
         }
-        system.restore_store(store);
+        system.restore_store(store)?;
         if system.report_count() as u64 != state.reports {
             return Err(IngestError::Checkpoint(format!(
                 "recovery replay mismatch: {} reports, checkpoint says {}",

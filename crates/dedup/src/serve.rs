@@ -7,14 +7,15 @@
 //! * **duplicate lookups** — is this incoming report a duplicate of
 //!   something already in the database? Probes run through the blocking
 //!   index and [`fastknn::FastKnn::classify_batch`], with an O(1)
-//!   short-circuit through [`PairStore`]'s per-report member index for
-//!   reports already known to be duplicates;
+//!   short-circuit through [`crate::store::PairStore`]'s per-report member
+//!   index for reports already known to be duplicates;
 //! * **signal queries** — how strong is a drug–event association? Answered
 //!   as a reporting odds ratio (ROR) with Bayesian shrinkage from 2×2
-//!   contingency tables maintained incrementally as sparklet aggregations
-//!   and refreshed after each ingest commit. Every query is answered from
-//!   both the raw and the deduplicated store, quantifying the ROR inflation
-//!   duplicates cause — the "why dedup matters" experiment.
+//!   contingency tables maintained incrementally — each refresh folds the
+//!   token sets of the reports that arrived since the last one into them,
+//!   on the driver. Every query is answered from both the raw and the
+//!   deduplicated store, quantifying the ROR inflation duplicates cause —
+//!   the "why dedup matters" experiment.
 //!
 //! The performance core is an **adaptive micro-batching admission queue** on
 //! the virtual clock: requests coalesce under a batch-or-deadline policy
@@ -22,20 +23,21 @@
 //! bounded by the deadline) into one contiguous [`DistBatch`] per
 //! micro-batch, so a single classify job amortises chunk dispatch across
 //! every probe in the batch — exactly like the batch-columnar operators.
-//! Serving is read-only: the service snapshots what it needs at
-//! [`ServeService::refresh`] and never mutates the [`DedupSystem`], so
-//! ingest and serve interleave without interference.
+//! Serving is read-only and fits nothing. [`ServeService::refresh`] takes
+//! the epoch the system's last commit published — the classifier, the pair
+//! store, the blocking index and the corpus, four `Arc`s it *shares* with
+//! the system — and *copies* one thing, the token interner, because probes
+//! intern into it. The service never mutates the [`DedupSystem`], and the
+//! system's next write copies a snapshot the service still holds instead of
+//! changing it, so ingest and serve interleave without interference and a
+//! service keeps answering from its epoch until it refreshes.
 
-use crate::blocking::BlockingIndex;
 use crate::distance::{pair_distance, ProcessedReport};
 use crate::pairing::{CorpusIndex, DistBatch};
-use crate::store::PairStore;
-use crate::system::DedupSystem;
+use crate::system::{DedupSystem, Epoch};
 use adr_model::{AdrReport, ReportId};
-use fastknn::{FastKnn, FastKnnConfig};
 use sparklet::{stable_hash, Cluster, EventKind, Result, SparkletError};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 use textprep::{Pipeline, TokenInterner};
 
 /// Serving knobs: the batch-or-deadline admission policy and the virtual
@@ -61,8 +63,6 @@ pub struct ServeConfig {
     pub shrinkage: f64,
     /// Capacity of the bounded signal-query memo. `0` disables it.
     pub memo_entries: usize,
-    /// Partitions for the contingency aggregation jobs.
-    pub agg_partitions: usize,
 }
 
 impl Default for ServeConfig {
@@ -75,7 +75,6 @@ impl Default for ServeConfig {
             max_candidates: 256,
             shrinkage: 0.5,
             memo_entries: 1 << 16,
-            agg_partitions: 4,
         }
     }
 }
@@ -187,7 +186,7 @@ pub enum ServeAnswer {
 
 /// Incrementally-maintained contingency counts: per-(drug, event) pair
 /// co-mention counts plus the two marginals and the report total.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct ContingencyTable {
     pair: HashMap<(u32, u32), u64>,
     drug: HashMap<u32, u64>,
@@ -196,14 +195,21 @@ struct ContingencyTable {
 }
 
 impl ContingencyTable {
-    fn absorb(&mut self, counts: HashMap<(u8, u32, u32), u64>, reports: u64) {
-        self.reports += reports;
-        for ((kind, x, y), n) in counts {
-            match kind {
-                0 => *self.pair.entry((x, y)).or_insert(0) += n,
-                1 => *self.drug.entry(x).or_insert(0) += n,
-                _ => *self.event.entry(x).or_insert(0) += n,
+    /// Count report `id` in: one for each of its distinct drug tokens, for
+    /// each of its distinct ADR tokens and for each (drug, ADR) combination.
+    fn count(&mut self, corpus: &CorpusIndex, id: ReportId) {
+        self.reports += 1;
+        let Some(r) = corpus.get(&id) else {
+            return;
+        };
+        for &d in &r.drug_tokens {
+            *self.drug.entry(d).or_insert(0) += 1;
+            for &e in &r.adr_tokens {
+                *self.pair.entry((d, e)).or_insert(0) += 1;
             }
+        }
+        for &e in &r.adr_tokens {
+            *self.event.entry(e).or_insert(0) += 1;
         }
     }
 
@@ -283,27 +289,27 @@ impl SignalMemo {
     }
 }
 
-/// The serving service: read-only snapshots of the dedup system's state
-/// (refreshed after each ingest commit) plus the adaptive micro-batching
+/// The serving service: the epoch the dedup system's last commit published
+/// (re-shared after each ingest commit) plus the adaptive micro-batching
 /// admission queue and the incremental signal stores.
 pub struct ServeService {
     cluster: Cluster,
     config: ServeConfig,
-    knn: FastKnnConfig,
     pipeline: Pipeline,
-    /// Clone of the system interner at the last refresh. Probe reports
-    /// intern into this copy: corpus-known tokens resolve to their stable
-    /// ids; novel tokens get fresh ids that provably cannot change any
-    /// Jaccard distance (intersections only ever involve corpus-known ids
-    /// and union sizes are id-independent), so serve results are invariant
-    /// to probe interleaving order. The clone carries the interner's
-    /// raw-token memo, so probe narratives take the same memoised path as
-    /// ingest; what probes add to it dies with the copy at the next refresh.
+    /// The one thing a refresh copies: a clone of the system interner as of
+    /// the last refresh (everything else the service reads is the shared
+    /// `epoch`). It has to be a copy because probe reports intern into it:
+    /// corpus-known tokens resolve to their stable ids; novel tokens get
+    /// fresh ids that provably cannot change any Jaccard distance
+    /// (intersections only ever involve corpus-known ids and union sizes
+    /// are id-independent), so serve results are invariant to probe
+    /// interleaving order. The clone carries the interner's raw-token memo,
+    /// so probe narratives take the same memoised path as ingest; what
+    /// probes add to it dies with the copy at the next refresh.
     interner: TokenInterner,
-    corpus: CorpusIndex,
-    blocking: BlockingIndex,
-    store: PairStore,
-    model: Option<FastKnn>,
+    /// Model, pair store, blocking index and corpus as of the last refresh,
+    /// shared with the system (pointers, not copies) and never written.
+    epoch: Epoch,
     /// Contingency counts over every counted report.
     raw: ContingencyTable,
     /// Contingency contributions of excluded (later-duplicate) reports;
@@ -381,18 +387,14 @@ impl ServeRunSummary {
 
 impl ServeService {
     /// Build a service over a system's current state ([`ServeService::refresh`]
-    /// runs once, fitting the classifier and the contingency stores).
+    /// runs once, counting every report into the contingency stores).
     pub fn attach(system: &DedupSystem, config: ServeConfig) -> Result<Self> {
         let mut svc = ServeService {
             cluster: system.cluster().clone(),
             config,
-            knn: system.config().knn,
             pipeline: *system.pipeline(),
             interner: TokenInterner::new(),
-            corpus: Arc::new(HashMap::new()),
-            blocking: BlockingIndex::default(),
-            store: PairStore::new(0, 0),
-            model: None,
+            epoch: system.epoch().clone(),
             raw: ContingencyTable::default(),
             excluded_table: ContingencyTable::default(),
             counted: HashSet::new(),
@@ -410,22 +412,33 @@ impl ServeService {
         &self.memo
     }
 
-    /// Re-snapshot the system after an ingest commit: clone the interner,
-    /// blocking index and pair store, re-share the corpus `Arc`, refit the
-    /// classifier from the live labelled stores (amortised across every
-    /// serve batch until the next refresh), fold the *new* arrival-order
-    /// suffix into the contingency stores (a re-ingested report forces a
-    /// full recount — its earlier contribution may be stale), and purge the
-    /// signal memo.
+    /// Move to the epoch the system's last commit published. Shares its
+    /// model, pair store, blocking index and corpus (pointer clones: no fit,
+    /// no engine job, no copy), copies the interner, folds the *new*
+    /// arrival-order suffix into the contingency stores (a re-ingested
+    /// report forces a full recount — its earlier contribution may be
+    /// stale), and purges the signal memo: work in the size of the batch,
+    /// plus the interner copy and the drop of the epoch held before.
+    ///
+    /// A system that holds labelled pairs but no model — its last publish
+    /// failed — has no epoch to serve: that is a [`SparkletError::User`],
+    /// and the service stays on the epoch it had.
     pub fn refresh(&mut self, system: &DedupSystem) -> Result<()> {
+        let epoch = system.epoch();
+        let labelled = epoch.store.duplicate_count() + epoch.store.non_duplicate_count();
+        if epoch.model.is_none() && labelled > 0 {
+            return Err(SparkletError::User(
+                "serve: the system's last publish failed, so no model matches its stores — \
+                 run the next detect_new (it republishes) before refreshing"
+                    .into(),
+            ));
+        }
         self.pipeline = *system.pipeline();
         self.interner = system.interner().clone();
-        self.corpus = Arc::clone(system.corpus());
-        self.blocking = system.blocking().clone();
-        self.store = system.store().clone();
+        self.epoch = epoch.clone();
 
         let order = system.arrival_order();
-        let start = self.counted_len.min(order.len());
+        let mut start = self.counted_len.min(order.len());
         let reingested = order.len() < self.counted_len
             || order[start..].iter().any(|id| self.counted.contains(id));
         if reingested {
@@ -433,90 +446,26 @@ impl ServeService {
             self.excluded_table = ContingencyTable::default();
             self.counted.clear();
             self.excluded.clear();
-            let mut distinct: Vec<ReportId> = Vec::with_capacity(order.len());
-            for &id in order {
-                if self.counted.insert(id) {
-                    distinct.push(id);
-                }
-            }
-            let n = distinct.len() as u64;
-            let counts = self.count_contributions(distinct)?;
-            self.raw.absorb(counts, n);
-        } else {
-            let mut fresh: Vec<ReportId> = Vec::new();
-            for &id in &order[start..] {
-                if self.counted.insert(id) {
-                    fresh.push(id);
-                }
-            }
-            if !fresh.is_empty() {
-                let n = fresh.len() as u64;
-                let counts = self.count_contributions(fresh)?;
-                self.raw.absorb(counts, n);
+            start = 0;
+        }
+        for &id in &order[start..] {
+            if self.counted.insert(id) {
+                self.raw.count(&self.epoch.corpus, id);
             }
         }
         self.counted_len = order.len();
 
         // Newly known duplicate pairs exclude their later (hi) member from
-        // the deduplicated store; only the new exclusions are re-counted.
-        let mut newly_excluded: Vec<ReportId> = Vec::new();
-        for pid in self.store.duplicate_pairs() {
+        // the deduplicated store; only the new exclusions are counted.
+        for pid in self.epoch.store.duplicate_pairs() {
             if self.counted.contains(&pid.hi) && self.excluded.insert(pid.hi) {
-                newly_excluded.push(pid.hi);
+                self.excluded_table.count(&self.epoch.corpus, pid.hi);
             }
-        }
-        if !newly_excluded.is_empty() {
-            newly_excluded.sort_unstable();
-            newly_excluded.dedup();
-            let n = newly_excluded.len() as u64;
-            let counts = self.count_contributions(newly_excluded)?;
-            self.excluded_table.absorb(counts, n);
         }
 
         // Any commit may have changed any contingency cell.
         self.memo.purge();
-
-        let train = self.store.training_pairs();
-        self.model = if train.is_empty() {
-            None
-        } else {
-            Some(FastKnn::fit(&self.cluster, &train, self.knn)?)
-        };
         Ok(())
-    }
-
-    /// Count the contingency contributions of `ids` as a sparklet
-    /// aggregation: one key per distinct drug token, per distinct ADR token
-    /// and per (drug, ADR) combination of each report, counted by value
-    /// across the cluster.
-    fn count_contributions(&self, ids: Vec<ReportId>) -> Result<HashMap<(u8, u32, u32), u64>> {
-        if ids.is_empty() {
-            return Ok(HashMap::new());
-        }
-        let corpus = Arc::clone(&self.corpus);
-        let parts = self.config.agg_partitions.max(1);
-        self.cluster
-            .parallelize(ids, parts)
-            .flat_map(move |id| {
-                let Some(r) = corpus.get(&id) else {
-                    return Vec::new();
-                };
-                let pairs = r.drug_tokens.len() * r.adr_tokens.len();
-                let mut keys = Vec::with_capacity(r.drug_tokens.len() + r.adr_tokens.len() + pairs);
-                for &d in &r.drug_tokens {
-                    keys.push((1u8, d, 0u32));
-                }
-                for &e in &r.adr_tokens {
-                    keys.push((2u8, e, 0u32));
-                }
-                for &d in &r.drug_tokens {
-                    for &e in &r.adr_tokens {
-                        keys.push((0u8, d, e));
-                    }
-                }
-                keys
-            })
-            .count_by_value()
     }
 
     /// Answer one signal query from the stores (memoised).
@@ -569,7 +518,7 @@ impl ServeService {
         for (slot, req) in requests.iter().enumerate() {
             match &req.query {
                 ServeQuery::Duplicate { report } => {
-                    let memberships = self.store.duplicate_memberships(report.id);
+                    let memberships = self.epoch.store.duplicate_memberships(report.id);
                     if memberships > 0 {
                         // O(1) through the store's per-report member index:
                         // the probe is already part of known duplicate pairs.
@@ -581,10 +530,10 @@ impl ServeService {
                     }
                     let processed =
                         ProcessedReport::from_report(report, &self.pipeline, &mut self.interner);
-                    let mut candidates = self.blocking.probe_candidates(&processed);
+                    let mut candidates = self.epoch.blocking.probe_candidates(&processed);
                     candidates.truncate(self.config.max_candidates);
                     for cand in candidates {
-                        let Some(other) = self.corpus.get(&cand) else {
+                        let Some(other) = self.epoch.corpus.get(&cand) else {
                             continue;
                         };
                         let key = (report.id, cand);
@@ -620,7 +569,7 @@ impl ServeService {
             }
         }
         if !rows.is_empty() {
-            let model = self.model.as_ref().ok_or_else(|| {
+            let model = self.epoch.model.as_ref().ok_or_else(|| {
                 SparkletError::User(
                     "serve: no trained model — refresh from a bootstrapped system".into(),
                 )
@@ -831,6 +780,17 @@ mod tests {
         ServeRequest { arrival_us, query }
     }
 
+    /// Copies of `ds.reports[range]` arriving under fresh ids `base + i`.
+    fn arrivals(ds: &Dataset, range: std::ops::Range<usize>, base: u64) -> Vec<AdrReport> {
+        range
+            .map(|i| {
+                let mut r = ds.reports[i].clone();
+                r.id = base + i as u64;
+                r
+            })
+            .collect()
+    }
+
     #[test]
     fn known_duplicate_member_short_circuits() {
         let (sys, ds) = served_system(1);
@@ -967,6 +927,172 @@ mod tests {
         assert!(batched.batches <= single.batches);
     }
 
+    /// What the contingency stores held before they were folded on the
+    /// driver — a sparklet aggregation, one key per distinct drug token, per
+    /// distinct ADR token and per (drug, ADR) combination of each report,
+    /// counted by value across the cluster — kept as the reference the fold
+    /// is checked against.
+    fn aggregated(sys: &DedupSystem, ids: Vec<ReportId>) -> ContingencyTable {
+        let mut table = ContingencyTable {
+            reports: ids.len() as u64,
+            ..ContingencyTable::default()
+        };
+        let corpus = std::sync::Arc::clone(&sys.epoch().corpus);
+        let counts = sys
+            .cluster()
+            .parallelize(ids, 4)
+            .flat_map(move |id| {
+                let r = &corpus[&id];
+                let mut keys = Vec::new();
+                for &d in &r.drug_tokens {
+                    keys.push((1u8, d, 0u32));
+                    for &e in &r.adr_tokens {
+                        keys.push((0u8, d, e));
+                    }
+                }
+                for &e in &r.adr_tokens {
+                    keys.push((2u8, e, 0u32));
+                }
+                keys
+            })
+            .count_by_value()
+            .unwrap();
+        for ((kind, x, y), n) in counts {
+            match kind {
+                0 => table.pair.insert((x, y), n),
+                1 => table.drug.insert(x, n),
+                _ => table.event.insert(x, n),
+            };
+        }
+        table
+    }
+
+    /// The service's two tables equal the aggregation over the reports it
+    /// says it counted and excluded.
+    fn assert_tables_match_the_aggregation(serve: &ServeService, sys: &DedupSystem) {
+        let sorted = |ids: &HashSet<ReportId>| {
+            let mut ids: Vec<ReportId> = ids.iter().copied().collect();
+            ids.sort_unstable();
+            ids
+        };
+        assert_eq!(serve.raw, aggregated(sys, sorted(&serve.counted)));
+        assert_eq!(
+            serve.excluded_table,
+            aggregated(sys, sorted(&serve.excluded))
+        );
+    }
+
+    #[test]
+    fn driver_side_fold_equals_the_aggregation_it_replaced() {
+        let (mut sys, ds) = served_system(5);
+        let mut serve = ServeService::attach(&sys, ServeConfig::default()).unwrap();
+        assert_eq!(serve.counted.len(), 250);
+        assert!(!serve.excluded.is_empty(), "the corpus plants duplicates");
+        assert_tables_match_the_aggregation(&serve, &sys);
+        // The incremental suffix: ten arrivals under fresh ids.
+        sys.detect_new(&arrivals(&ds, 0..10, 2_000_000)).unwrap();
+        serve.refresh(&sys).unwrap();
+        assert_eq!(serve.counted.len(), 260);
+        assert_tables_match_the_aggregation(&serve, &sys);
+        // A re-ingested report (changed content under a counted id) forces
+        // the full recount: its earlier contribution is stale.
+        let mut followup = ds.reports[20].clone();
+        followup.id = 2_000_003;
+        sys.detect_new(&[followup]).unwrap();
+        serve.refresh(&sys).unwrap();
+        assert_eq!(serve.counted.len(), 260, "same distinct reports");
+        assert_eq!(serve.raw.reports, 260);
+        assert_tables_match_the_aggregation(&serve, &sys);
+    }
+
+    #[test]
+    fn refresh_shares_the_published_epoch_and_runs_no_job() {
+        let (mut sys, ds) = served_system(7);
+        let mut serve = ServeService::attach(&sys, ServeConfig::default()).unwrap();
+        let shares = |serve: &ServeService, sys: &DedupSystem| {
+            let (mine, theirs) = (&serve.epoch, sys.epoch());
+            let model = match (&mine.model, &theirs.model) {
+                (Some(a), Some(b)) => std::sync::Arc::ptr_eq(a, b),
+                _ => false,
+            };
+            [
+                model,
+                std::sync::Arc::ptr_eq(&mine.store, &theirs.store),
+                std::sync::Arc::ptr_eq(&mine.blocking, &theirs.blocking),
+                std::sync::Arc::ptr_eq(&mine.corpus, &theirs.corpus),
+            ]
+        };
+        sys.detect_new(&arrivals(&ds, 0..10, 3_000_000)).unwrap();
+        let jobs = sys.cluster().metrics().jobs_submitted.get();
+        serve.refresh(&sys).unwrap();
+        assert_eq!(
+            sys.cluster().metrics().jobs_submitted.get() - jobs,
+            0,
+            "a refresh submits no engine job"
+        );
+        assert_eq!(shares(&serve, &sys), [true; 4]);
+
+        let requests: Vec<ServeRequest> = (0..12u64)
+            .map(|i| {
+                let mut probe = ds.reports[(i as usize * 11) % 200].clone();
+                probe.id = 4_000_000 + i;
+                at(i * 100, ServeQuery::Duplicate { report: probe })
+            })
+            .chain([at(
+                1_200,
+                ServeQuery::Signal {
+                    drug: "panadol".into(),
+                    event: "rash".into(),
+                },
+            )])
+            .collect();
+        let before = serve.run_open_loop(&requests).unwrap();
+        // The system moves on; the service's epoch does not move with it.
+        sys.detect_new(&arrivals(&ds, 0..10, 5_000_000)).unwrap();
+        assert_eq!(shares(&serve, &sys), [false; 4]);
+        let during = serve.run_open_loop(&requests).unwrap();
+        assert_eq!(before.answers, during.answers);
+        serve.refresh(&sys).unwrap();
+        assert_eq!(shares(&serve, &sys), [true; 4]);
+    }
+
+    #[test]
+    fn refresh_without_a_published_model_is_a_typed_error() {
+        // The fault point inside the bootstrap's publish stands in for a
+        // fit that fails: the stores fill, no model is published.
+        let ds = Dataset::generate(&SynthConfig::small(250, 15, 8));
+        let mut cluster = sparklet::ClusterConfig::local(2);
+        cluster.fault = sparklet::FaultConfig::disabled().kill_driver_at_point(0);
+        let mut sys = DedupSystem::new(
+            Cluster::new(cluster),
+            DedupConfig {
+                bootstrap_negatives: 400,
+                ..DedupConfig::default()
+            },
+        );
+        let failed = sys.bootstrap(&ds.reports, &ds.duplicate_pairs);
+        assert!(failed.is_err_and(|e| e.is_driver_kill()));
+        assert!(sys.store().non_duplicate_count() > 0);
+        let err = ServeService::attach(&sys, ServeConfig::default())
+            .err()
+            .expect("nothing to serve from");
+        assert!(
+            matches!(&err, SparkletError::User(m) if m.contains("publish")),
+            "{err}"
+        );
+        // An empty system is not that case: it attaches, with no model yet.
+        let empty = DedupSystem::new(Cluster::local(2), DedupConfig::default());
+        let mut serve = ServeService::attach(&empty, ServeConfig::default()).unwrap();
+        // The next batch republishes, and the refresh goes through — while
+        // a refused one leaves the service on the epoch it had.
+        assert!(serve.refresh(&sys).is_err());
+        assert!(serve.epoch.model.is_none() && serve.counted.is_empty());
+        sys.detect_new(&arrivals(&ds, 0..1, 6_000_000)).unwrap();
+        serve.refresh(&sys).unwrap();
+        assert!(serve.epoch.model.is_some());
+        assert_eq!(serve.counted.len(), 251);
+    }
+
     #[test]
     fn refresh_is_incremental_and_purges_the_memo() {
         let (mut sys, ds) = served_system(5);
@@ -986,14 +1112,7 @@ mod tests {
         assert_eq!(serve.memo().hits(), 1, "second ask hits the memo");
         assert_eq!(before.answers, again.answers);
         // Ingest more reports, refresh: the memo purges, counts grow.
-        let extra: Vec<adr_model::AdrReport> = (0..10)
-            .map(|i| {
-                let mut r = ds.reports[i].clone();
-                r.id = 2_000_000 + i as u64;
-                r
-            })
-            .collect();
-        sys.detect_new(&extra).unwrap();
+        sys.detect_new(&arrivals(&ds, 0..10, 2_000_000)).unwrap();
         let counted_before = serve.raw.reports;
         serve.refresh(&sys).unwrap();
         assert!(serve.memo().is_empty(), "refresh purges the memo");

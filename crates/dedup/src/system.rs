@@ -11,7 +11,7 @@ use adr_model::{AdrReport, PairId, ReportId};
 use fastknn::{FastKnn, FastKnnConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sparklet::{Cluster, EventKind, Result};
+use sparklet::{Cluster, EventKind, Result, SparkletError};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use textprep::{Pipeline, TokenInterner};
@@ -69,8 +69,29 @@ pub struct Detection {
     pub is_duplicate: bool,
 }
 
+/// What one commit of the system publishes: the classifier and the three
+/// snapshots it was fitted beside, each behind an `Arc`. Cloning an epoch
+/// clones four pointers. A holder — the serving layer between refreshes, a
+/// [`BatchGuard`] during an attempt — reads a state that can no longer
+/// change: the system writes through [`Arc::make_mut`], which copies a
+/// snapshot on the first write of the next batch only while somebody still
+/// holds the previous epoch, and writes in place otherwise.
+#[derive(Clone)]
+pub(crate) struct Epoch {
+    /// Fitted on exactly the training pairs of `store`; `None` iff the
+    /// store is empty or the last publish failed.
+    pub(crate) model: Option<Arc<FastKnn>>,
+    /// The labelled-pair stores.
+    pub(crate) store: Arc<PairStore>,
+    pub(crate) blocking: Arc<BlockingIndex>,
+    /// The processed reports; distance jobs share this `Arc` too, and drop
+    /// their reference on completion.
+    pub(crate) corpus: CorpusIndex,
+}
+
 /// The duplicate-detection system: a report database, the two labelled-pair
-/// stores, and a Fast kNN classifier retrained from the stores on demand.
+/// stores, and a Fast kNN classifier refitted from the stores once per
+/// commit and shared by detection, ingest and serving.
 pub struct DedupSystem {
     cluster: Cluster,
     config: DedupConfig,
@@ -78,12 +99,8 @@ pub struct DedupSystem {
     /// System-wide token interner: every report ever ingested interns into
     /// this one table, so id sets stay comparable across batches.
     interner: TokenInterner,
-    /// Arc-shared corpus snapshot handed to the distributed distance job —
-    /// the job clones the `Arc`, never the reports.
-    processed: CorpusIndex,
+    epoch: Epoch,
     arrival_order: Vec<ReportId>,
-    store: PairStore,
-    blocking: BlockingIndex,
     /// Cross-batch distance memo for the blocked candidate path.
     memo: DistanceMemo,
     rng: StdRng,
@@ -97,13 +114,16 @@ impl DedupSystem {
         // cache overflow from the very first job under a tight memory cap.
         fastknn::register_spill_codecs::<{ fastknn::PAIR_DIMS }>(cluster.spill());
         DedupSystem {
-            store: PairStore::new(config.max_negative_store, config.seed),
+            epoch: Epoch {
+                model: None,
+                store: Arc::new(PairStore::new(config.max_negative_store, config.seed)),
+                blocking: Arc::default(),
+                corpus: Arc::new(HashMap::new()),
+            },
             rng: StdRng::seed_from_u64(config.seed ^ 0xD5DA),
             pipeline: Pipeline::paper(),
             interner: TokenInterner::new(),
-            processed: Arc::new(HashMap::new()),
             arrival_order: Vec::new(),
-            blocking: BlockingIndex::default(),
             memo: DistanceMemo::with_capacity(config.memo_pairs),
             cluster,
             config,
@@ -122,7 +142,7 @@ impl DedupSystem {
 
     /// The labelled-pair stores.
     pub fn store(&self) -> &PairStore {
-        &self.store
+        &self.epoch.store
     }
 
     /// The engine cluster the system runs on (metrics, journal, clock).
@@ -137,9 +157,9 @@ impl DedupSystem {
     }
 
     /// Ingest an expert-labelled corpus: add all reports, store every known
-    /// duplicate pair as a positive, and sample
+    /// duplicate pair as a positive, sample
     /// [`DedupConfig::bootstrap_negatives`] random non-duplicate pairs as
-    /// the initial negative store.
+    /// the initial negative store, and publish the first model.
     pub fn bootstrap(
         &mut self,
         reports: &[AdrReport],
@@ -182,27 +202,46 @@ impl DedupSystem {
         }
         let distances = pairwise_distances(
             &self.cluster,
-            &self.processed,
+            &self.epoch.corpus,
             wanted,
             self.config.pair_partitions,
         )?;
+        let store = Arc::make_mut(&mut self.epoch.store);
         for (pid, vector) in distances {
-            self.store.add(pid, vector, dup_set.contains(&pid));
+            store.add(pid, vector, dup_set.contains(&pid));
         }
+        self.publish()
+    }
+
+    /// End a commit: fit the classifier on the store as it now stands and
+    /// make it the epoch's model — the one fit per commit, which the next
+    /// [`detect_new`](DedupSystem::detect_new) classifies with and the
+    /// serving layer shares. The model is cleared first, so a fit that
+    /// fails leaves no model rather than one that does not match the store.
+    fn publish(&mut self) -> Result<()> {
+        self.epoch.model = None;
+        let train = self.epoch.store.training_pairs();
+        if train.is_empty() {
+            return Ok(());
+        }
+        self.cluster.driver_fault_point("publish")?;
+        let model = FastKnn::fit(&self.cluster, &train, self.config.knn)?;
+        self.epoch.model = Some(Arc::new(model));
         Ok(())
     }
 
     /// Room for a batch of `n` arrivals up front, so neither the corpus map
     /// nor the arrival log regrows report by report.
     fn reserve_reports(&mut self, n: usize) {
-        Arc::make_mut(&mut self.processed).reserve(n);
+        Arc::make_mut(&mut self.epoch.corpus).reserve(n);
         self.arrival_order.reserve(n);
     }
 
     pub(crate) fn add_report(&mut self, r: &AdrReport) {
         let processed = ProcessedReport::from_report(r, &self.pipeline, &mut self.interner);
         if self
-            .processed
+            .epoch
+            .corpus
             .get(&r.id)
             .is_some_and(|old| *old != processed)
         {
@@ -211,22 +250,37 @@ impl DedupSystem {
             // re-submission keeps its entries — the distances still hold.
             self.memo.purge_report(r.id);
         }
-        self.blocking.insert(&processed);
-        // Mutating the shared snapshot: `make_mut` copies the map only if a
-        // distance job still holds a reference (jobs drop theirs on
-        // completion), so a batch of inserts costs at most one copy.
-        Arc::make_mut(&mut self.processed).insert(r.id, processed);
+        // Mutating shared snapshots: `make_mut` copies one only while a
+        // previous epoch is still held (see [`Epoch`]), so a batch of
+        // inserts costs at most one copy of each.
+        Arc::make_mut(&mut self.epoch.blocking).insert(&processed);
+        Arc::make_mut(&mut self.epoch.corpus).insert(r.id, processed);
         self.arrival_order.push(r.id);
     }
 
     /// Process a batch of newly arrived reports (§3): compare them against
-    /// the whole database and each other, classify every candidate pair,
-    /// feed the decisions back into the stores, and add the reports to the
-    /// database. Returns all candidate decisions, duplicates first.
+    /// the whole database and each other, classify every candidate pair
+    /// with the model the previous commit published, feed the decisions
+    /// back into the stores, add the reports to the database, and publish
+    /// the model of the stores as they now stand. Returns all candidate
+    /// decisions, duplicates first.
+    ///
+    /// A system whose stores are empty (never bootstrapped) has nothing to
+    /// classify against: that is a [`SparkletError::User`], returned before
+    /// anything is touched.
     pub fn detect_new(&mut self, new_reports: &[AdrReport]) -> Result<Vec<Detection>> {
         if new_reports.is_empty() {
             return Ok(Vec::new());
         }
+        if self.epoch.model.is_none() {
+            // The last publish failed (or nothing was ever stored).
+            self.publish()?;
+        }
+        let model = self.epoch.model.clone().ok_or_else(|| {
+            SparkletError::User(
+                "detect_new: the labelled stores are empty — bootstrap the system first".into(),
+            )
+        })?;
         let existing: Vec<ReportId> = self.arrival_order.clone();
         self.reserve_reports(new_reports.len());
         for r in new_reports {
@@ -249,13 +303,13 @@ impl DedupSystem {
             // results (and their digests) partition- and memo-free: the
             // candidate pair set is duplicate-free, making the by-id sort a
             // total order regardless of which rows came from the memo.
-            let (groups, multi_key) = self.blocking.candidate_pair_groups_counted(&new_ids);
+            let (groups, multi_key) = self.epoch.blocking.candidate_pair_groups_counted(&new_ids);
             let (unknown, known) = self.memo.split_known(groups);
             let computed: u64 = unknown.iter().map(|g| g.len() as u64).sum();
             let memo_hits = known.len() as u64;
-            let partitions = pack_pairs(&self.processed, unknown, self.config.pair_partitions);
+            let partitions = pack_pairs(&self.epoch.corpus, unknown, self.config.pair_partitions);
             let (mut pairs, mut vectors) =
-                pairwise_distance_batches(&self.cluster, &self.processed, partitions)?;
+                pairwise_distance_batches(&self.cluster, &self.epoch.corpus, partitions)?;
             for (row, pid) in pairs.iter().enumerate() {
                 self.memo.insert(*pid, vectors.row(row));
             }
@@ -285,7 +339,7 @@ impl DedupSystem {
         } else {
             pairwise_distance_batches(
                 &self.cluster,
-                &self.processed,
+                &self.epoch.corpus,
                 contiguous_partitions(
                     pairs_involving_new(&new_ids, &existing),
                     self.config.pair_partitions,
@@ -293,10 +347,13 @@ impl DedupSystem {
             )?
         };
 
-        let train = self.store.training_pairs();
-        let model = FastKnn::fit(&self.cluster, &train, self.config.knn)?;
         let scored = model.classify_batch(&vectors)?;
+        // The batch is done with the previous epoch's model: if nobody else
+        // holds it, its cells leave the block manager before the next
+        // model's are cached.
+        drop(model);
 
+        let store = Arc::make_mut(&mut self.epoch.store);
         let mut detections: Vec<Detection> = scored
             .iter()
             .map(|s| {
@@ -304,7 +361,7 @@ impl DedupSystem {
                 let pid = pairs[row];
                 // Feedback: the classified pair joins the labelled stores
                 // (Fig. 1's dashed line).
-                self.store.add(pid, vectors.row(row), s.positive);
+                store.add(pid, vectors.row(row), s.positive);
                 Detection {
                     pair: pid,
                     score: s.score,
@@ -319,21 +376,22 @@ impl DedupSystem {
                     .unwrap_or(std::cmp::Ordering::Equal),
             )
         });
+        self.publish()?;
         Ok(detections)
     }
 
-    /// Snapshot the mutable state a [`detect_new`](DedupSystem::detect_new)
-    /// or [`bootstrap`](DedupSystem::bootstrap) call touches, so a failed
-    /// attempt can be rolled back and retried as if it never ran. The
-    /// cross-batch [`DistanceMemo`] is deliberately *not* captured: a §4.2
+    /// Hold on to the state a [`detect_new`](DedupSystem::detect_new) or
+    /// [`bootstrap`](DedupSystem::bootstrap) call touches — the current
+    /// epoch, by pointer, and three marks — so a failed attempt can be
+    /// rolled back and retried as if it never ran. Nothing is copied here;
+    /// the attempt's first write to a snapshot the guard holds copies it.
+    /// The cross-batch [`DistanceMemo`] is deliberately *not* captured: a §4.2
     /// distance is a pure function of its reports, so entries a failed
     /// attempt left behind are bit-identical to recomputation and results
     /// never see them.
     pub(crate) fn begin_batch(&self) -> BatchGuard {
         BatchGuard {
-            store: self.store.clone(),
-            blocking: self.blocking.clone(),
-            processed: Arc::clone(&self.processed),
+            epoch: self.epoch.clone(),
             arrival_len: self.arrival_order.len(),
             interner_mark: self.interner.mark(),
             rng: self.rng.clone(),
@@ -341,29 +399,28 @@ impl DedupSystem {
     }
 
     /// Undo everything since the matching
-    /// [`begin_batch`](DedupSystem::begin_batch): stores, blocking index,
-    /// corpus snapshot, arrival order, interner ids and the negative-
-    /// sampling RNG all return to their pre-attempt state, so a retry
-    /// re-assigns the exact same dense ids and draws the attempt would have
-    /// gotten on a clean first try.
+    /// [`begin_batch`](DedupSystem::begin_batch): the epoch (model, stores,
+    /// blocking index, corpus snapshot — four pointers, no refit), arrival
+    /// order, interner ids and the negative-sampling RNG all return to
+    /// their pre-attempt state, so a retry re-assigns the exact same dense
+    /// ids and draws the attempt would have gotten on a clean first try.
     pub(crate) fn rollback_batch(&mut self, guard: BatchGuard) {
-        self.store = guard.store;
-        self.blocking = guard.blocking;
-        self.processed = guard.processed;
+        self.epoch = guard.epoch;
         self.arrival_order.truncate(guard.arrival_len);
         self.interner.truncate(guard.interner_mark);
         self.rng = guard.rng;
     }
 
     /// Replace the labelled-pair stores with a snapshot-restored instance
-    /// (checkpoint recovery; see [`crate::ingest`]).
-    pub(crate) fn restore_store(&mut self, store: PairStore) {
-        self.store = store;
+    /// and publish their model (checkpoint recovery; see [`crate::ingest`]).
+    pub(crate) fn restore_store(&mut self, store: PairStore) -> Result<()> {
+        self.epoch.store = Arc::new(store);
+        self.publish()
     }
 
     /// The store's state is durable: its next delta starts here.
     pub(crate) fn mark_store_checkpointed(&mut self) {
-        self.store.mark_checkpointed();
+        Arc::make_mut(&mut self.epoch.store).mark_checkpointed();
     }
 
     /// Distinct tokens interned so far — a cheap cross-check that a
@@ -377,9 +434,14 @@ impl DedupSystem {
         &self.config
     }
 
-    // Read-only views the serving layer snapshots at refresh time (see
-    // [`crate::serve`]). Serve never mutates the system — it clones what it
-    // needs — so ingest and serve interleave without interference.
+    // Read-only views the serving layer takes at refresh time (see
+    // [`crate::serve`]). Serve never mutates the system — it shares the
+    // epoch and copies the interner — so ingest and serve interleave
+    // without interference.
+
+    pub(crate) fn epoch(&self) -> &Epoch {
+        &self.epoch
+    }
 
     pub(crate) fn pipeline(&self) -> &Pipeline {
         &self.pipeline
@@ -387,14 +449,6 @@ impl DedupSystem {
 
     pub(crate) fn interner(&self) -> &TokenInterner {
         &self.interner
-    }
-
-    pub(crate) fn corpus(&self) -> &CorpusIndex {
-        &self.processed
-    }
-
-    pub(crate) fn blocking(&self) -> &BlockingIndex {
-        &self.blocking
     }
 
     pub(crate) fn arrival_order(&self) -> &[ReportId] {
@@ -405,9 +459,7 @@ impl DedupSystem {
 /// Pre-attempt snapshot of [`DedupSystem`]'s batch-mutable state; see
 /// [`DedupSystem::begin_batch`].
 pub(crate) struct BatchGuard {
-    store: PairStore,
-    blocking: BlockingIndex,
-    processed: CorpusIndex,
+    epoch: Epoch,
     arrival_len: usize,
     interner_mark: usize,
     rng: StdRng,
@@ -417,6 +469,7 @@ pub(crate) struct BatchGuard {
 mod tests {
     use super::*;
     use adr_synth::{Dataset, SynthConfig};
+    use sparklet::{ClusterConfig, FaultConfig};
 
     fn system_with_corpus(seed: u64) -> (DedupSystem, Dataset) {
         let ds = Dataset::generate(&SynthConfig::small(250, 15, seed));
@@ -708,13 +761,206 @@ mod tests {
 
         assert_eq!(after, clean);
         for r in &batch_b {
-            assert_eq!(sys.processed[&r.id], control.processed[&r.id]);
-            assert_eq!(sys.processed[&r.id].narrative_terms.len(), 3);
+            assert_eq!(sys.epoch.corpus[&r.id], control.epoch.corpus[&r.id]);
+            assert_eq!(sys.epoch.corpus[&r.id].narrative_terms.len(), 3);
         }
         assert_eq!(sys.interner_len(), control.interner_len());
         for id in 0..sys.interner_len() as u32 {
             assert_eq!(sys.interner.resolve(id), control.interner.resolve(id));
         }
+    }
+
+    /// `sys.epoch.model` answers `probe` exactly as a model fitted here and
+    /// now on the store does; no model iff nothing is stored.
+    fn assert_model_matches_store(sys: &DedupSystem, probe: &crate::pairing::DistBatch) {
+        let train = sys.store().training_pairs();
+        let Some(model) = &sys.epoch.model else {
+            assert!(train.is_empty(), "a non-empty store has a model");
+            return;
+        };
+        let fresh = FastKnn::fit(sys.cluster(), &train, sys.config().knn).unwrap();
+        assert_eq!(
+            model.classify_batch(probe).unwrap(),
+            fresh.classify_batch(probe).unwrap(),
+            "the published model is the model of the current store"
+        );
+    }
+
+    /// Labelled base of 60 reports and six arrival batches of 10.
+    fn base_and_batches(ds: &Dataset) -> (Vec<AdrReport>, Vec<PairId>, Vec<Vec<AdrReport>>) {
+        let base = ds.reports[..60].to_vec();
+        let labelled = ds
+            .duplicate_pairs
+            .iter()
+            .filter(|p| p.hi < 60)
+            .copied()
+            .collect();
+        let batches = ds.reports[60..].chunks(10).map(<[_]>::to_vec).collect();
+        (base, labelled, batches)
+    }
+
+    mod published_model {
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone, Copy)]
+        enum Op {
+            Bootstrap,
+            Detect,
+            DetectThenRollback,
+            Restore,
+        }
+
+        proptest! {
+            // Each case refits after every step, so few cases; the op
+            // alphabet is small enough for them to cover it.
+            #![proptest_config(ProptestConfig::with_cases(6))]
+            #[test]
+            fn every_step_leaves_the_model_of_the_current_store(
+                seed in 0u64..1000,
+                ops in prop::collection::vec(
+                    prop::sample::select(vec![
+                        Op::Bootstrap,
+                        Op::Detect,
+                        Op::DetectThenRollback,
+                        Op::Restore,
+                    ]),
+                    1..7,
+                ),
+            ) {
+                let ds = Dataset::generate(&SynthConfig::small(120, 8, seed));
+                let (base, labelled, batches) = base_and_batches(&ds);
+                let mut sys = DedupSystem::new(
+                    Cluster::local(2),
+                    DedupConfig {
+                        bootstrap_negatives: 150,
+                        use_blocking: seed % 2 == 0,
+                        knn: FastKnnConfig { b: 4, ..FastKnnConfig::default() },
+                        ..DedupConfig::default()
+                    },
+                );
+                let mut probe = crate::pairing::DistBatch::new();
+                let mut rng = StdRng::seed_from_u64(seed);
+                for id in 0..24 {
+                    probe.push(id, &std::array::from_fn(|_| rng.gen_range(0.0..1.0)), false);
+                }
+                let mut next = 0;
+                for op in ops {
+                    let bootstrapped = sys.epoch.model.is_some();
+                    match op {
+                        Op::Bootstrap => sys.bootstrap(&base, &labelled).unwrap(),
+                        Op::Detect if !bootstrapped => {
+                            prop_assert!(sys.detect_new(&batches[next]).is_err());
+                        }
+                        Op::Detect => {
+                            sys.detect_new(&batches[next]).unwrap();
+                            next += 1;
+                        }
+                        Op::DetectThenRollback => {
+                            let before = sys.epoch.model.clone();
+                            let guard = sys.begin_batch();
+                            let _ = sys.detect_new(&batches[next]);
+                            sys.rollback_batch(guard);
+                            match (&before, &sys.epoch.model) {
+                                (Some(a), Some(b)) => prop_assert!(Arc::ptr_eq(a, b)),
+                                (None, None) => {}
+                                _ => prop_assert!(false, "rollback changed the model"),
+                            }
+                        }
+                        Op::Restore => {
+                            let restored = PairStore::restore(&sys.store().snapshot()).unwrap();
+                            sys.restore_store(restored).unwrap();
+                        }
+                    }
+                    assert_model_matches_store(&sys, &probe);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn detect_new_before_bootstrap_is_a_typed_error() {
+        let (mut sys, ds) = system_with_corpus(3);
+        let err = sys.detect_new(&ds.reports[..5]).unwrap_err();
+        assert!(
+            matches!(&err, SparkletError::User(m) if m.contains("bootstrap")),
+            "{err}"
+        );
+        assert_eq!(sys.report_count(), 0, "refused before anything is touched");
+        // The system is as usable as before the refusal.
+        sys.bootstrap(&ds.reports[..240], &[]).unwrap();
+        sys.detect_new(&ds.reports[240..]).unwrap();
+    }
+
+    #[test]
+    fn a_failed_publish_clears_the_model_and_the_next_batch_republishes() {
+        // The fault point inside the publish stands in for a fit that
+        // fails: armed at the publish that ends the first batch.
+        let build = |fault: FaultConfig| {
+            let ds = Dataset::generate(&SynthConfig::small(120, 8, 12));
+            let mut cluster = ClusterConfig::local(2);
+            cluster.fault = fault;
+            let mut sys = DedupSystem::new(
+                Cluster::new(cluster),
+                DedupConfig {
+                    bootstrap_negatives: 150,
+                    ..DedupConfig::default()
+                },
+            );
+            let (base, labelled, batches) = base_and_batches(&ds);
+            sys.bootstrap(&base, &labelled).unwrap();
+            (sys, batches)
+        };
+        let (mut sys, batches) = build(FaultConfig::disabled().kill_driver_at_point(1));
+        let (mut control, _) = build(FaultConfig::disabled());
+        let published = sys.epoch.model.clone().expect("bootstrap publishes");
+
+        let err = sys.detect_new(&batches[0]).unwrap_err();
+        assert!(err.is_driver_kill(), "{err}");
+        assert!(
+            sys.epoch.model.is_none(),
+            "no model rather than a stale one"
+        );
+        control.detect_new(&batches[0]).unwrap();
+        assert_eq!(
+            sys.store().snapshot(),
+            control.store().snapshot(),
+            "the feedback was stored before the publish failed"
+        );
+        assert!(!Arc::ptr_eq(
+            &published,
+            control.epoch.model.as_ref().expect("published")
+        ));
+
+        let after = sys.detect_new(&batches[1]).unwrap();
+        assert_eq!(after, control.detect_new(&batches[1]).unwrap());
+        assert!(sys.epoch.model.is_some());
+    }
+
+    #[test]
+    fn k_beyond_the_training_set_gives_short_neighbourhoods_not_a_panic() {
+        // Four labelled pairs, k = 9: every neighbourhood holds all four.
+        let ds = Dataset::generate(&SynthConfig::small(40, 2, 8));
+        let mut sys = DedupSystem::new(
+            Cluster::local(2),
+            DedupConfig {
+                bootstrap_negatives: 2,
+                ..DedupConfig::default()
+            },
+        );
+        sys.bootstrap(&ds.reports, &ds.duplicate_pairs).unwrap();
+        assert_eq!(sys.store().training_pairs().len(), 4);
+        assert!(sys.config().knn.k > 4);
+        let arrivals: Vec<AdrReport> = (0..2)
+            .map(|i| {
+                let mut r = ds.reports[i].clone();
+                r.id = 1_000 + i as u64;
+                r
+            })
+            .collect();
+        let detections = sys.detect_new(&arrivals).unwrap();
+        assert_eq!(detections.len(), 2 * 40 + 1, "every candidate is scored");
+        assert!(detections.iter().all(|d| d.score.is_finite()));
     }
 
     #[test]

@@ -611,6 +611,33 @@ mod tests {
     }
 
     #[test]
+    fn fifty_fits_on_one_cluster_hold_one_models_blocks() {
+        // A model's cached cells (and a classification's cached stage-1
+        // output) leave the block manager with it, not under LRU pressure
+        // some hundred fits later.
+        let (train, test) = workload(400, 12, 30, 9);
+        let cluster = Cluster::local(2);
+        let config = FastKnnConfig::default();
+        let one_model = {
+            let model = FastKnn::fit(&cluster, &train, config).unwrap();
+            model.classify(&test).unwrap();
+            cluster.blocks().used()
+        };
+        assert!(one_model > 0, "the negative cells are cached");
+        assert_eq!(cluster.blocks().used(), 0, "and go with the model");
+        let mut live = FastKnn::fit(&cluster, &train, config).unwrap();
+        for _ in 0..50 {
+            // As a commit does: the next model is fitted, then replaces
+            // the previous one.
+            live = FastKnn::fit(&cluster, &train, config).unwrap();
+            live.classify(&test).unwrap();
+        }
+        assert_eq!(cluster.blocks().used(), one_model);
+        drop(live);
+        assert_eq!(cluster.blocks().block_count(), 0);
+    }
+
+    #[test]
     fn classify_batch_equals_classify_rows() {
         let (train, test) = workload(300, 10, 60, 77);
         let cluster = Cluster::local(3);

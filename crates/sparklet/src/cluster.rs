@@ -665,6 +665,12 @@ impl Cluster {
                     journal_launches,
                     &*f,
                 );
+                // Let go of the task closure (and through it the lineage)
+                // before the driver can see the outcome: once the job
+                // returns, the caller's handles are the only ones left, so a
+                // cached node dropped after it evicts its blocks there and
+                // then, not whenever this worker gets round to it.
+                drop(f);
                 let _ = tx.send(outcome);
             });
             self.inner

@@ -573,6 +573,27 @@ mod tests {
     }
 
     #[test]
+    fn cached_blocks_live_exactly_as_long_as_the_node() {
+        let c = Cluster::local(2);
+        let cached = c.parallelize((0..100u32).collect(), 4).cache();
+        let derived = cached.map(|x| x + 1);
+        derived.count().unwrap();
+        let held = c.blocks().used();
+        assert_eq!(c.blocks().block_count(), 4);
+        // The derived RDD holds the node through its lineage: dropping the
+        // handle the cache was declared on releases nothing.
+        drop(cached);
+        assert_eq!(c.blocks().used(), held);
+        let hits = c.metrics().cache_hits.get();
+        derived.count().unwrap();
+        assert_eq!(c.metrics().cache_hits.get(), hits + 4);
+        // The last holder takes the blocks with it.
+        drop(derived);
+        assert_eq!(c.blocks().block_count(), 0);
+        assert_eq!(c.blocks().used(), 0);
+    }
+
+    #[test]
     fn zip_partitions_mismatch_errors() {
         let c = Cluster::local(2);
         let a = c.parallelize(vec![1u8], 2);

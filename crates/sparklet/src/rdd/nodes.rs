@@ -275,6 +275,9 @@ impl<T: Data> RddNode<T> for CoalesceNode<T> {
 
 /// Caching node: partitions are stored in the block manager on first
 /// computation; evicted blocks are transparently recomputed from lineage.
+/// The blocks live as long as the node: every RDD derived from it holds it
+/// through its lineage, and when the last holder drops it the blocks go with
+/// it (memory and disk tier) instead of waiting for LRU pressure.
 pub struct CachedNode<T: Data> {
     id: u64,
     cluster: Cluster,
@@ -317,6 +320,12 @@ impl<T: Data> RddNode<T> for CachedNode<T> {
             ctx.executor(),
         );
         Ok(data)
+    }
+}
+
+impl<T: Data> Drop for CachedNode<T> {
+    fn drop(&mut self) {
+        self.cluster.blocks().evict_rdd(self.id);
     }
 }
 

@@ -8,9 +8,9 @@
 //! bit-identity here is bit-identity of the system's entire output.
 
 use adr_synth::{QuarterlyReplay, StreamingCorpus, SynthConfig};
-use dedup::{DedupConfig, IngestConfig, IngestService, TornWrite};
+use dedup::{DedupConfig, IngestConfig, IngestError, IngestService, TornWrite};
 use fastknn::FastKnnConfig;
-use sparklet::{Cluster, ClusterConfig, FaultConfig};
+use sparklet::{Cluster, ClusterConfig, FaultConfig, SparkletError};
 use std::path::{Path, PathBuf};
 
 fn replay(reports: usize, dups: usize, seed: u64, quarter: u64) -> QuarterlyReplay {
@@ -147,6 +147,54 @@ fn driver_kill_at_every_point_recovers_bit_identically() {
             want,
             "kill at point {p}: recovered digest diverged"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The publish that ends a commit — the fit on the stores the batch just
+/// fed — has a fault point of its own, between the feedback and the
+/// checkpoint write. A driver that dies there has changed stores and no
+/// model for them, neither of them durable: recovery must come back on the
+/// commit before and replay the batch to the same digest.
+#[test]
+fn driver_kill_inside_the_publish_recovers_bit_identically() {
+    let rp = replay(120, 8, 7, 30);
+    let quarters = rp.quarters();
+    let want = reference_digest(&rp, "publish-ref");
+    // Points 0–4 are the bootstrap's (start, publish, done, rename,
+    // committed); every detect batch then passes start, publish, detected,
+    // append or rename, committed.
+    for (p, committed) in [(1, 0), (6, 1), (11, 2)] {
+        let dir = temp_dir(&format!("publish-{p}"));
+        let mut cfg = ClusterConfig::local(2);
+        cfg.fault = FaultConfig::disabled().kill_driver_at_point(p);
+        let err = IngestService::open(
+            Cluster::new(cfg),
+            dedup_config(),
+            IngestConfig::new(&dir),
+            &rp,
+        )
+        .expect("open armed")
+        .run(&rp, quarters)
+        .expect_err("armed run must die in the publish");
+        assert!(
+            matches!(
+                &err,
+                IngestError::Engine(SparkletError::DriverKilled { label, .. }) if label == "publish"
+            ),
+            "point {p} is not a publish: {err}"
+        );
+        let mut svc = IngestService::open(
+            Cluster::local(2),
+            dedup_config(),
+            IngestConfig::new(&dir),
+            &rp,
+        )
+        .unwrap_or_else(|e| panic!("point {p}: recovery open failed: {e}"));
+        assert_eq!(svc.batch_high_water(), committed, "point {p}");
+        svc.run(&rp, quarters)
+            .unwrap_or_else(|e| panic!("point {p}: resumed run failed: {e}"));
+        assert_eq!(svc.cumulative_digest(), want, "point {p}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -250,8 +250,8 @@ fn hundred_thousand_signal_requests_stay_bounded() {
         })
         .collect();
 
-    // Attaching runs the contingency aggregation (engine jobs); the flood
-    // itself must add none.
+    // Neither attaching (it shares the published epoch and counts on the
+    // driver) nor the flood runs an engine job.
     let mut serve = ServeService::attach(&sys, ServeConfig::default()).expect("attach");
     let stages_before = sys.cluster().clock().stage_count();
     let events_before = sys.cluster().journal().len();
