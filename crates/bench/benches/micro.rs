@@ -2,7 +2,8 @@
 //! pipeline, kNN search, k-means, the field-distance vector (interned
 //! sorted-merge Jaccard, `DistVec`, fixed-arity Euclidean), the
 //! distributed classifier on a small workload, the pair store's checkpoint
-//! encoders, and what a commit's publish and a serve refresh cost.
+//! encoders, what a commit's publish and a serve refresh cost, and what the
+//! engine charges for launching a stage — alone and under a served lookup.
 //!
 //! Run with `cargo bench -p bench`.
 
@@ -10,7 +11,10 @@ use adr_model::{AdrReport, PairId};
 use adr_synth::{Dataset, QuarterlyReplay, StreamingCorpus, SynthConfig};
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use dedup::workload::{build_workload_on, ProcessedCorpus};
-use dedup::{pair_distance, DedupConfig, DedupSystem, PairStore, ServeConfig, ServeService};
+use dedup::{
+    pair_distance, DedupConfig, DedupSystem, PairStore, ServeConfig, ServeQuery, ServeRequest,
+    ServeService,
+};
 use fastknn::serial::{classify_brute, classify_fast_serial};
 use fastknn::voronoi::VoronoiPartition;
 use fastknn::{stage1_row, ClassifyScratch, FastKnn, FastKnnConfig, LabeledPair, Neighborhood};
@@ -209,6 +213,20 @@ fn store_checkpoint(c: &mut Criterion) {
     });
 }
 
+/// The system configuration of the wall-clock benchmark's serve workloads.
+fn serve_shape_config() -> DedupConfig {
+    DedupConfig {
+        use_blocking: true,
+        bootstrap_negatives: 20_000,
+        knn: FastKnnConfig {
+            theta: 10.0,
+            b: 8,
+            ..FastKnnConfig::default()
+        },
+        ..DedupConfig::default()
+    }
+}
+
 /// The two halves of an epoch at the `serve-refresh` shape — a 2,400-report
 /// database on two executors, 20,000 negatives in the store, arrivals in
 /// batches of 40. `system/publish_20k` is what ends every commit: the
@@ -232,16 +250,7 @@ fn epoch_publish_and_refresh(c: &mut Criterion) {
     let base: Vec<AdrReport> = (0..base_quarters)
         .flat_map(|q| replay.quarter_reports(q))
         .collect();
-    let config = DedupConfig {
-        use_blocking: true,
-        bootstrap_negatives: 20_000,
-        knn: FastKnnConfig {
-            theta: 10.0,
-            b: 8,
-            ..FastKnnConfig::default()
-        },
-        ..DedupConfig::default()
-    };
+    let config = serve_shape_config();
     let build = || {
         let mut sys = DedupSystem::new(Cluster::local(2), config);
         sys.bootstrap(&base, &replay.labelled_pairs_within(BASE as u64))
@@ -285,6 +294,64 @@ fn epoch_publish_and_refresh(c: &mut Criterion) {
     });
 }
 
+/// The engine's own price for a stage, with tasks that do nothing: eight
+/// of them on two executors, the shape of every stage of a served lookup.
+/// `hot` launches back to back, so the pool's workers are still awake from
+/// the stage before; `parked` lets them fall asleep for 2 ms first, as they
+/// do between the lookups of a service at 50 requests a second.
+fn engine_stage_launch(c: &mut Criterion) {
+    let cluster = Cluster::local(2);
+    let stage = || {
+        cluster
+            .run_job("noop", 8, |task, _| Ok(vec![task]))
+            .expect("noop stage")
+    };
+    c.bench_function("sparklet/stage_8_noop_hot", |bench| bench.iter(stage));
+    c.bench_function("sparklet/stage_8_noop_parked", |bench| {
+        bench.iter_batched(
+            || {
+                let parked = std::time::Instant::now();
+                while parked.elapsed() < std::time::Duration::from_millis(2) {
+                    std::hint::spin_loop();
+                }
+            },
+            |()| stage(),
+            BatchSize::PerIteration,
+        )
+    });
+}
+
+/// One duplicate probe through `run_open_loop` on the `serve-lookup` shape
+/// (2,400 reports, two executors): blocking probe, a few dozen candidate
+/// distances, and one classify block of four engine stages.
+fn serve_single_probe(c: &mut Criterion) {
+    const BASE: usize = 2_400;
+    let corpus = StreamingCorpus::new(SynthConfig::small(BASE, BASE / 20, 2016));
+    let replay = QuarterlyReplay::new(corpus, BASE as u64);
+    let reports = replay.quarter_reports(0);
+    let config = serve_shape_config();
+    let mut sys = DedupSystem::new(Cluster::local(2), config);
+    sys.bootstrap(&reports, &replay.labelled_pairs_within(BASE as u64))
+        .expect("bootstrap");
+    let mut serve = ServeService::attach(&sys, ServeConfig::default()).expect("attach");
+    // Fresh-id copies of database reports: never a known member, always
+    // classified.
+    let mut next = 0usize;
+    c.bench_function("serve/lookup_single_probe", |bench| {
+        bench.iter(|| {
+            let mut report = reports[next % reports.len()].clone();
+            report.id = 10_000_000 + next as u64;
+            next += 1;
+            serve
+                .run_open_loop(&[ServeRequest {
+                    arrival_us: 0,
+                    query: ServeQuery::Duplicate { report },
+                }])
+                .expect("lookup")
+        })
+    });
+}
+
 criterion_group!(
     benches,
     string_metrics,
@@ -295,6 +362,8 @@ criterion_group!(
     learning_primitives,
     classifier,
     store_checkpoint,
-    epoch_publish_and_refresh
+    epoch_publish_and_refresh,
+    engine_stage_launch,
+    serve_single_probe
 );
 criterion_main!(benches);

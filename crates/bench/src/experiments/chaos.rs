@@ -93,7 +93,7 @@ pub fn run_seeded(quick: bool, fault_seeds: &[u64]) -> (Vec<ExperimentResult>, b
             "kill executor 0 mid shuffle write".into(),
             config_with(FaultConfig::disabled().kill_in_stage(
                 0,
-                "shuffle#1-write[map_partitions_with_ctx]",
+                "shuffle#0-write[map_partitions_with_ctx]",
                 1,
             )),
         ),

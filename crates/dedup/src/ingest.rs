@@ -570,7 +570,7 @@ impl IngestService {
 
     /// Bounded-lag admission gate: while the engine's spill-resident bytes
     /// or the in-flight pair count exceed their caps, defer the batch on
-    /// the virtual clock and drain completed shuffle/cache state. Returns
+    /// the virtual clock and drain the cache state. Returns
     /// the deferrals charged. Deferrals never touch detection state, so
     /// they cannot perturb the digest.
     fn admission_gate(&mut self, batch: u64) -> u64 {
@@ -593,10 +593,10 @@ impl IngestService {
             });
             self.cluster()
                 .charge_driver_stage("ingest-defer", self.config.defer_us);
-            // Model the drain the wait buys: completed shuffle buckets and
-            // cached blocks release their resident accounting, and the
-            // previous batch's feedback pairs are fully absorbed.
-            self.cluster().shuffles().clear();
+            // Model the drain the wait buys: cached blocks release their
+            // resident accounting (a finished job's shuffle buckets already
+            // went with its datasets), and the previous batch's feedback
+            // pairs are fully absorbed.
             self.cluster().blocks().clear();
             self.lagged_pairs = 0;
         }

@@ -6,7 +6,7 @@
 //!
 //! * **duplicate lookups** — is this incoming report a duplicate of
 //!   something already in the database? Probes run through the blocking
-//!   index and [`fastknn::FastKnn::classify_batch`], with an O(1)
+//!   index and [`fastknn::FastKnn::classify_blocks`], with an O(1)
 //!   short-circuit through [`crate::store::PairStore`]'s per-report member
 //!   index for reports already known to be duplicates;
 //! * **signal queries** — how strong is a drug–event association? Answered
@@ -21,8 +21,12 @@
 //! the virtual clock: requests coalesce under a batch-or-deadline policy
 //! (the batch target adapts to the observed arrival rate; queueing delay is
 //! bounded by the deadline) into one contiguous [`DistBatch`] per
-//! micro-batch, so a single classify job amortises chunk dispatch across
-//! every probe in the batch — exactly like the batch-columnar operators.
+//! micro-batch, so a single classify job — one block, one engine action of
+//! four stages (assign, stage 1, stage 2, merge), whether the batch holds
+//! one probe or sixty-four; a batch with nothing to classify launches none
+//! — amortises stage launch and chunk dispatch across every probe in the
+//! batch, exactly like the batch-columnar operators. (A batch is cut into a
+//! second block only past 4,096 candidate rows; see `system::BLOCK_ROWS`.)
 //! Serving is read-only and fits nothing. [`ServeService::refresh`] takes
 //! the epoch the system's last commit published — the classifier, the pair
 //! store, the blocking index and the corpus, four `Arc`s it *shares* with
@@ -34,7 +38,7 @@
 
 use crate::distance::{pair_distance, ProcessedReport};
 use crate::pairing::{CorpusIndex, DistBatch};
-use crate::system::{DedupSystem, Epoch};
+use crate::system::{classify_rows, DedupSystem, Epoch};
 use adr_model::{AdrReport, ReportId};
 use sparklet::{stable_hash, Cluster, EventKind, Result, SparkletError};
 use std::collections::{HashMap, HashSet};
@@ -499,8 +503,10 @@ impl ServeService {
 
     /// Answer one admitted micro-batch. All duplicate probes' candidate
     /// pairs coalesce into a single contiguous column batch, so one
-    /// classify job (through the model's `ScratchPool`) amortises chunk
-    /// dispatch across the whole batch.
+    /// classify job (through the model's `ScratchPool`) amortises stage
+    /// launch and chunk dispatch across the whole batch: four engine
+    /// stages for the batch's one block, none when no probe needs
+    /// classifying.
     fn answer_batch(
         &mut self,
         requests: &[ServeRequest],
@@ -576,7 +582,7 @@ impl ServeService {
             })?;
             // Per-row independent, so each request's matches are identical
             // whatever else shares the batch.
-            for s in model.classify_batch(&rows)? {
+            for s in classify_rows(model, &rows)? {
                 let (_, slots) = &row_meta[&s.id];
                 for &(slot, cand) in slots {
                     if let Some(ServeAnswer::Duplicate { matches, .. }) = answers[slot].as_mut() {
@@ -925,6 +931,75 @@ mod tests {
         assert_eq!(batched.digest, single.digest);
         assert!(single.batches == 40, "batch=1 dispatches per request");
         assert!(batched.batches <= single.batches);
+    }
+
+    #[test]
+    fn a_lookup_launches_one_block_whatever_the_batch_and_leaves_no_shuffle() {
+        let (sys, ds) = served_system(4);
+        let cluster = sys.cluster().clone();
+        let mut serve = ServeService::attach(&sys, ServeConfig::default()).unwrap();
+        let probe = |i: u64| {
+            let mut report = ds.reports[(i as usize * 7) % 200].clone();
+            report.id = 1_000_000 + i;
+            at(0, ServeQuery::Duplicate { report })
+        };
+        let shuffles = || {
+            let s = cluster.shuffles();
+            (s.shuffle_count(), s.resident_bytes(0), s.resident_bytes(1))
+        };
+        let before = shuffles();
+        let mut jobs_of = |requests: &[ServeRequest]| {
+            let jobs = cluster.metrics().jobs_submitted.get();
+            let out = serve.run_open_loop(requests).unwrap();
+            assert_eq!(out.batches, 1, "all due at once: one micro-batch");
+            assert_eq!(shuffles(), before, "a lookup's shuffles die with it");
+            (cluster.metrics().jobs_submitted.get() - jobs, out)
+        };
+        // One probe, and the largest batch the queue admits: four stages.
+        let (jobs, one) = jobs_of(&[probe(1)]);
+        assert_eq!(jobs, 4);
+        assert!(
+            matches!(&one.answers[0], ServeAnswer::Duplicate { matches, .. } if !matches.is_empty())
+        );
+        let full: Vec<ServeRequest> = (0..64).map(probe).collect();
+        let (jobs, all) = jobs_of(&full);
+        assert_eq!(jobs, 4);
+        assert_eq!(all.answers[1], one.answers[0], "whatever shares the batch");
+        // Signal queries and known members classify nothing: no stage.
+        let known = ds.duplicate_pairs[0].hi;
+        let member = ds.reports.iter().find(|r| r.id == known).unwrap().clone();
+        let (jobs, _) = jobs_of(&[
+            at(0, ServeQuery::Duplicate { report: member }),
+            at(
+                0,
+                ServeQuery::Signal {
+                    drug: "panadol".into(),
+                    event: "nausea".into(),
+                },
+            ),
+        ]);
+        assert_eq!(jobs, 0);
+        // The stream of `batching_policy_never_changes_results`, answered as
+        // it was when every batch, of any size, ran four blocks of five
+        // stages (the digest is that commit's).
+        let stream: Vec<ServeRequest> = (0..40u64)
+            .map(|i| {
+                if i % 3 == 0 {
+                    let (drug, event) = ("panadol".into(), "nausea".into());
+                    at(i * 100, ServeQuery::Signal { drug, event })
+                } else {
+                    ServeRequest {
+                        arrival_us: i * 100,
+                        ..probe(i)
+                    }
+                }
+            })
+            .collect();
+        let served = ServeService::attach(&sys, ServeConfig::default())
+            .unwrap()
+            .run_open_loop(&stream)
+            .unwrap();
+        assert_eq!(served.digest, 5961368362150543505);
     }
 
     /// What the contingency stores held before they were folded on the

@@ -6,12 +6,18 @@
 //! |---|---|
 //! | 1. k-means partition of `T` into `b` clusters | [`VoronoiPartition::build`] at [`FastKnn::fit`] |
 //! | 2–3. map: assign each `s ∈ S` its closest centre | per-block `map` + `partition_by` on cluster id |
-//! | 4. split `S` into `c` partitions | driver loop over `c` test blocks |
+//! | 4. split `S` into `c` partitions | driver loop over the test blocks — `c` of them, or the count the caller gives [`FastKnn::classify_blocks`] |
 //! | 6–8. join with `T⁻` on cluster id + top-k aggregate | `zip_partitions` of the block with the cached negative-cluster dataset; per row, [`stage1_row`] |
 //! | 9–10. distances to `T⁺`, merge | same routine (positives are broadcast, and windowed like a cell) |
 //! | 11–12. Algorithm 1 partition selection | same routine |
 //! | 13–15. join with additional partitions, union + reduce to merge top-k | probe shuffle + second `zip_partitions` + `union` + `reduce_by_key` |
 //! | 17. score per Eq. 5 | `map` over merged neighbourhoods |
+//!
+//! A block is **one action of four stages**: the assignment shuffle's map
+//! side, the probe shuffle's (which runs stage 1 and caches its output), the
+//! merge shuffle's (stage 2 plus the cached stage-1 neighbourhoods), and the
+//! final collect, where each partition's merged rows are joined by the rows
+//! stage 1 had already resolved.
 //!
 //! Each task works on contiguous struct-of-arrays batches: the cached
 //! negative dataset is one `Arc<VecBatch>` per Voronoi cell, test blocks are
@@ -99,10 +105,10 @@ pub struct FastKnn<const D: usize = PAIR_DIMS> {
     config: FastKnnConfig,
     cluster: Cluster,
     voronoi: Arc<VoronoiPartition<D>>,
-    /// Negative training cells keyed by cluster id — one contiguous
-    /// `Arc<VecBatch>` per Voronoi cell, partitioned so cell `i` lives in
-    /// engine partition `i` and cached in the block manager (the paper
-    /// relies on Spark's in-memory RDD caching for exactly this dataset).
+    /// Negative training cells keyed by cluster id — the partition's own
+    /// `Arc<VecBatch>` per Voronoi cell, cell `i` in engine partition `i`,
+    /// cached in the block manager (the paper relies on Spark's in-memory
+    /// RDD caching for exactly this dataset).
     negatives: Rdd<(usize, Arc<VecBatch<D>>)>,
     /// Per-worker scratch buffers shared by all classification tasks.
     scratch: Arc<ScratchPool<D>>,
@@ -127,16 +133,15 @@ impl<const D: usize> FastKnn<D> {
         }
         let voronoi = Arc::new(voronoi);
         let b = voronoi.b();
+        // `b` cells over `b` partitions: cell `i` is partition `i`, and the
+        // engine shares the partition's cell, it does not copy it.
         let keyed: Vec<(usize, Arc<VecBatch<D>>)> = voronoi
             .negative_clusters
             .iter()
+            .cloned()
             .enumerate()
-            .map(|(cid, cell)| (cid, Arc::new(cell.clone())))
             .collect();
-        let negatives = cluster
-            .parallelize(keyed, b)
-            .partition_by(Arc::new(IndexPartitioner::new(b)))
-            .cache();
+        let negatives = cluster.parallelize(keyed, b).cache();
         // Materialise the cache so classification jobs hit memory.
         negatives.count()?;
         Ok(FastKnn {
@@ -164,14 +169,25 @@ impl<const D: usize> FastKnn<D> {
         self.classify_batch(&from_unlabeled(test))
     }
 
-    /// Classify a column batch of test pairs. Returns one [`ScoredPair`]
-    /// per row, sorted by id. Runs `c` sequential blocks, each a stage-1
-    /// `zip_partitions` against the cached negative clusters followed (when
-    /// needed) by a stage-2 probe shuffle.
+    /// Classify a column batch of test pairs in the configured
+    /// [`FastKnnConfig::c`] blocks: [`FastKnn::classify_blocks`] at
+    /// `blocks = c`.
     pub fn classify_batch(&self, test: &VecBatch<D>) -> Result<Vec<ScoredPair>> {
+        self.classify_blocks(test, self.config.c)
+    }
+
+    /// Classify a column batch of test pairs, cut into `blocks` sequential
+    /// blocks of equal size (at least one; never more than there are rows).
+    /// Returns one [`ScoredPair`] per row, sorted by id. Each block is one
+    /// engine action of four stages — assignment, stage 1 against the
+    /// cached negative clusters, the stage-2 probes, the merge — so the
+    /// block count trades the size of the joined partitions against the
+    /// per-block launch cost (the paper's Fig. 9). Rows are classified
+    /// independently of one another, so the result is bit-identical at
+    /// every block count.
+    pub fn classify_blocks(&self, test: &VecBatch<D>, blocks: usize) -> Result<Vec<ScoredPair>> {
         let mut results: Vec<ScoredPair> = Vec::with_capacity(test.len());
-        let c = self.config.c.max(1);
-        let block_size = test.len().div_ceil(c).max(1);
+        let block_size = test.len().div_ceil(blocks.max(1)).max(1);
         for block in test.chunk_rows(block_size) {
             results.extend(self.classify_block(block)?);
         }
@@ -298,13 +314,6 @@ impl<const D: usize> FastKnn<D> {
             )?
             .cache();
 
-        let done: Vec<ScoredPair> = stage_out
-            .flat_map(|o| match o {
-                StageOut::Done(s) => vec![s],
-                _ => vec![],
-            })
-            .collect()?;
-
         let bases: Rdd<(u64, Neighborhood)> = stage_out.flat_map(|o| match o {
             StageOut::Base { id, hood } => vec![(id, hood)],
             _ => vec![],
@@ -366,23 +375,33 @@ impl<const D: usize> FastKnn<D> {
                 },
             )?;
 
-        let theta2 = theta;
-        let merged: Vec<ScoredPair> = probe_hits
+        // The rows stage 1 resolved ride along with the merge's last stage
+        // (both sides have `b` partitions), so the block is one action.
+        let out: Vec<ScoredPair> = probe_hits
             .union(&bases)
             .reduce_by_key(Neighborhood::merge, b)
-            .map(move |(id, hood)| {
-                let score = score_neighbors(&hood);
-                ScoredPair {
-                    id,
-                    score,
-                    positive: label_for(score, theta2),
-                    shortcut: false,
-                }
-            })
+            .zip_partitions(
+                &stage_out,
+                move |_, merged: Vec<(u64, Neighborhood)>, stage1: Vec<StageOut<D>>| {
+                    let mut out = Vec::with_capacity(merged.len() + stage1.len());
+                    for (id, hood) in merged {
+                        let score = score_neighbors(&hood);
+                        out.push(ScoredPair {
+                            id,
+                            score,
+                            positive: label_for(score, theta),
+                            shortcut: false,
+                        });
+                    }
+                    for o in stage1 {
+                        if let StageOut::Done(s) = o {
+                            out.push(s);
+                        }
+                    }
+                    Ok(out)
+                },
+            )?
             .collect()?;
-
-        let mut out = done;
-        out.extend(merged);
 
         // Coalesce the block's pruning effect into one journal event,
         // driver-side (tasks have no journal access): counter deltas across
@@ -638,6 +657,31 @@ mod tests {
     }
 
     #[test]
+    fn a_fit_and_a_classification_leave_no_shuffle_behind() {
+        let (train, test) = workload(400, 12, 70, 5);
+        let cluster = Cluster::local(2);
+        let resident =
+            |c: &Cluster| c.shuffles().resident_bytes(0) + c.shuffles().resident_bytes(1);
+        let model = FastKnn::fit(&cluster, &train, FastKnnConfig::default()).unwrap();
+        assert_eq!(
+            cluster.shuffles().shuffle_count(),
+            0,
+            "a fit shuffles nothing"
+        );
+        let jobs = cluster.metrics().jobs_submitted.get();
+        let shuffled = cluster.metrics().shuffle_bytes_written.get();
+        model.classify(&test).unwrap();
+        assert_eq!(
+            cluster.metrics().jobs_submitted.get() - jobs,
+            4 * 4,
+            "c = 4 blocks of four stages"
+        );
+        assert!(cluster.metrics().shuffle_bytes_written.get() > shuffled);
+        assert_eq!(cluster.shuffles().shuffle_count(), 0);
+        assert_eq!(resident(&cluster), 0);
+    }
+
+    #[test]
     fn classify_batch_equals_classify_rows() {
         let (train, test) = workload(300, 10, 60, 77);
         let cluster = Cluster::local(3);
@@ -645,6 +689,44 @@ mod tests {
         let rows = model.classify(&test).unwrap();
         let batch = model.classify_batch(&from_unlabeled(&test)).unwrap();
         assert_eq!(rows, batch);
+    }
+
+    mod block_count_invariance {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            // Rows are classified independently of one another, so how many
+            // blocks a batch is cut into — one, more than it has rows, none
+            // to cut — never shows. Exact equality, scores included.
+            #![proptest_config(ProptestConfig::with_cases(6))]
+            #[test]
+            fn classify_blocks_is_bit_identical_at_any_block_count(
+                seed in 0u64..1000,
+                rows in prop::sample::select(vec![0usize, 1, 4, 23, 57]),
+                c in 1usize..=6,
+            ) {
+                let (train, test) = workload(300, 9, rows, seed);
+                let cluster = Cluster::local(2);
+                let cfg = FastKnnConfig { b: 6, c, seed, ..FastKnnConfig::default() };
+                let model = FastKnn::fit(&cluster, &train, cfg).unwrap();
+                let batch = from_unlabeled(&test);
+                let one = model.classify_blocks(&batch, 1).unwrap();
+                prop_assert_eq!(one.len(), rows);
+                for m in 2..=6 {
+                    prop_assert_eq!(&model.classify_blocks(&batch, m).unwrap(), &one, "m = {}", m);
+                }
+                // Zero blocks is one block, not a division by zero.
+                prop_assert_eq!(&model.classify_blocks(&batch, 0).unwrap(), &one);
+                prop_assert_eq!(&model.classify_batch(&batch).unwrap(), &one, "c = {}", c);
+                // ... and it is c blocks of ⌈rows / c⌉ rows that ran, four
+                // stages each.
+                let blocks = rows.div_ceil(rows.div_ceil(c).max(1));
+                let jobs = cluster.metrics().jobs_submitted.get();
+                model.classify_batch(&batch).unwrap();
+                prop_assert_eq!(cluster.metrics().jobs_submitted.get() - jobs, 4 * blocks as u64);
+            }
+        }
     }
 
     mod parallelism_invariance {

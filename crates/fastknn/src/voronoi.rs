@@ -5,6 +5,7 @@ use crate::soa::{assign_min, distances_to_point, VecBatch};
 use crate::types::{LabeledPair, PAIR_DIMS};
 use mlcore::kmeans::{nearest_centroid, KMeans};
 use simmetrics::{euclidean_fixed, squared_euclidean_fixed};
+use std::sync::Arc;
 
 /// The k-means Voronoi partition of a training set.
 ///
@@ -26,7 +27,10 @@ pub struct VoronoiPartition<const D: usize = PAIR_DIMS> {
     /// an early-exit sweep. Resident order within a cell never affects
     /// classification (the neighbourhood is a total-order top-k over the
     /// candidate *set*), so the sort is lossless.
-    pub negative_clusters: Vec<VecBatch<D>>,
+    ///
+    /// Each cell sits behind an `Arc`, so [`crate::FastKnn::fit`] hands the
+    /// engine these very cells instead of a copy of the negative store.
+    pub negative_clusters: Vec<Arc<VecBatch<D>>>,
     /// Per cell, the **linear** distance of each resident to its own centre,
     /// parallel to the (sorted) cell rows — ascending by construction.
     /// Empty cells have empty lists. Maintained by `build`; callers that
@@ -110,7 +114,7 @@ impl<const D: usize> VoronoiPartition<D> {
         }
         let mut partition = VoronoiPartition {
             centers: model.centroids,
-            negative_clusters,
+            negative_clusters: negative_clusters.into_iter().map(Arc::new).collect(),
             center_dists: Vec::new(),
             positives,
             positive_ref: [0.0; D],
@@ -145,7 +149,7 @@ impl<const D: usize> VoronoiPartition<D> {
         self.center_dists = Vec::with_capacity(self.negative_clusters.len());
         for (cid, cell) in self.negative_clusters.iter_mut().enumerate() {
             self.center_dists
-                .push(sort_by_distance_to(cell, &self.centers[cid]));
+                .push(sort_by_distance_to(Arc::make_mut(cell), &self.centers[cid]));
         }
         let n = self.positives.len();
         if n > 0 {
@@ -194,9 +198,9 @@ impl<const D: usize> VoronoiPartition<D> {
             while self.negative_clusters[cid].len() > cap {
                 let keep = self.negative_clusters[cid].len()
                     - cap.min(self.negative_clusters[cid].len() / 2);
-                let chunk = self.negative_clusters[cid].split_off(keep);
+                let chunk = Arc::make_mut(&mut self.negative_clusters[cid]).split_off(keep);
                 extra_centers.push(self.centers[cid]);
-                extra_clusters.push(chunk);
+                extra_clusters.push(Arc::new(chunk));
             }
         }
         self.centers.extend(extra_centers);
@@ -425,7 +429,7 @@ mod tests {
         // Duplicated centres (as rebalance produces): ties spread by id.
         let dup = VoronoiPartition::<2> {
             centers: vec![[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]],
-            negative_clusters: vec![VecBatch::new(), VecBatch::new(), VecBatch::new()],
+            negative_clusters: vec![Arc::default(); 3],
             center_dists: Vec::new(),
             positives: VecBatch::new(),
             positive_ref: [0.0; 2],
@@ -537,7 +541,7 @@ mod tests {
                 centers.into_iter().map(|c| c.try_into().unwrap()).collect();
             let v: [f64; 2] = v.try_into().unwrap();
             let vp = VoronoiPartition::<2> {
-                negative_clusters: vec![VecBatch::new(); centers.len()],
+                negative_clusters: vec![Arc::default(); centers.len()],
                 center_dists: Vec::new(),
                 positives: VecBatch::new(),
                 positive_ref: [0.0; 2],
@@ -571,7 +575,7 @@ mod tests {
             let centers: Vec<[f64; 2]> =
                 centers.into_iter().map(|c| c.try_into().unwrap()).collect();
             let vp = VoronoiPartition::<2> {
-                negative_clusters: vec![VecBatch::new(); centers.len()],
+                negative_clusters: vec![Arc::default(); centers.len()],
                 center_dists: Vec::new(),
                 positives: VecBatch::new(),
                 positive_ref: [0.0; 2],

@@ -23,13 +23,15 @@ use crate::storage::BlockManager;
 use crate::task::TaskContext;
 use crate::Data;
 use crossbeam::channel::{unbounded, Sender};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Weak};
 use std::thread;
 
-type Job = Box<dyn FnOnce(usize) + Send>;
+/// What the pool's workers receive: a wake-up to help drain one wave.
+type WakeUp = Arc<dyn Drain>;
 
 /// Op-weight budget per morsel in [`Cluster::run_morsel_job`]. With the
 /// default 400 ns/op cost this is ~6.5 ms of virtual compute per morsel —
@@ -46,8 +48,8 @@ const SHUFFLE_FRACTION: f64 = 0.2;
 /// the parent stage and re-register their outputs. Owned (strongly) by the
 /// shuffle's RDD node; the cluster keeps only a [`Weak`] reference so the
 /// registry cannot keep lineage graphs (and through them the cluster itself)
-/// alive — once the node is dropped, the shuffle is simply unrecoverable and
-/// readers exhaust their retries.
+/// alive. The node's `Drop` removes the entry together with the shuffle's
+/// map outputs (see [`Cluster::release_shuffle`]).
 pub(crate) type RecoveryFn = dyn Fn(&Cluster, &[usize]) -> Result<()> + Send + Sync;
 
 /// Handle to an embedded sparklet cluster.
@@ -68,7 +70,7 @@ pub(crate) struct ClusterInner {
     pub clock: VirtualClock,
     pub journal: RunJournal,
     pub executors: ExecutorRegistry,
-    sender: Sender<Job>,
+    sender: Sender<WakeUp>,
     next_rdd_id: AtomicU64,
     next_shuffle_id: AtomicU64,
     next_job_id: AtomicU64,
@@ -93,14 +95,14 @@ impl Cluster {
             (config.memory_per_executor as f64 * SHUFFLE_FRACTION) as usize,
             metrics.clone(),
         );
-        let (sender, receiver) = unbounded::<Job>();
+        let (sender, receiver) = unbounded::<WakeUp>();
         for worker_id in 0..config.worker_threads() {
             let rx = receiver.clone();
             thread::Builder::new()
                 .name(format!("sparklet-worker-{worker_id}"))
                 .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        job(worker_id);
+                    while let Ok(wave) = rx.recv() {
+                        wave.drain();
                     }
                 })
                 .expect("failed to spawn worker thread");
@@ -276,6 +278,14 @@ impl Cluster {
             .shuffle_recovery
             .lock()
             .insert(shuffle_id, (total_maps, Arc::downgrade(handler)));
+    }
+
+    /// Forget `shuffle_id` — its node is gone, so nothing can read its map
+    /// outputs or rebuild them any more: release the outputs (memory and
+    /// resident accounting) and the recovery registry's entry.
+    pub(crate) fn release_shuffle(&self, shuffle_id: u64) {
+        self.inner.shuffles.discard(shuffle_id);
+        self.inner.shuffle_recovery.lock().remove(&shuffle_id);
     }
 
     /// Rebuild the missing map outputs of `shuffle_id` from lineage, if a
@@ -510,9 +520,13 @@ impl Cluster {
             let mut wave = Vec::with_capacity(pending.len());
             for &(task, attempt) in &pending {
                 match self.inner.executors.place(task, attempt) {
-                    Some((executor, incarnation)) => {
-                        wave.push((task, attempt, executor, incarnation, overheads[task]))
-                    }
+                    Some((executor, incarnation)) => wave.push(Placed {
+                        task,
+                        attempt,
+                        executor,
+                        incarnation,
+                        overhead_us: overheads[task],
+                    }),
                     None => {
                         self.finish_stage(stage, task_us, shuffle_bytes, retries, morsel_info);
                         return Err(SparkletError::NoHealthyExecutors {
@@ -522,7 +536,7 @@ impl Cluster {
                 }
             }
             pending.clear();
-            let mut outcomes = self.run_wave(stage, job_id, &wave, morsel_info.is_none(), &f);
+            let mut outcomes = self.run_wave(stage, job_id, wave, morsel_info.is_none(), &f);
             outcomes.sort_by_key(|o| (o.task, o.attempt));
             let mut failed_shuffles: Vec<u64> = Vec::new();
             for outcome in outcomes {
@@ -632,13 +646,17 @@ impl Cluster {
             .collect())
     }
 
-    /// Submit one wave of placed attempts to the worker pool and collect
-    /// every outcome (no decisions are made here).
+    /// Run one wave of placed attempts and hand back every outcome (no
+    /// decisions are made here). The wave is one shared [`Wave`]: the driver
+    /// wakes at most one worker per attempt beyond the one it will run
+    /// itself, then claims attempts off the wave's cursor beside them, and
+    /// sleeps only if a worker still holds an attempt once the cursor is
+    /// spent. A single attempt wakes nobody and runs here.
     fn run_wave<T, F>(
         &self,
         stage: &str,
         job_id: u64,
-        wave: &[(usize, u32, usize, u32, u64)],
+        attempts: Vec<Placed>,
         journal_launches: bool,
         f: &Arc<F>,
     ) -> Vec<AttemptOutcome<T>>
@@ -646,42 +664,31 @@ impl Cluster {
         T: Data,
         F: Fn(usize, &TaskContext) -> Result<Vec<T>> + Send + Sync + 'static,
     {
-        let (tx, rx) = unbounded::<AttemptOutcome<T>>();
-        for &(task, attempt, executor, incarnation, overhead_us) in wave {
-            let f = f.clone();
-            let tx = tx.clone();
-            let inner = self.inner.clone();
-            let stage_name = stage.to_string();
-            let job: Job = Box::new(move |_worker_id| {
-                let outcome = run_one_attempt(
-                    &inner,
-                    &stage_name,
-                    job_id,
-                    task,
-                    attempt,
-                    executor,
-                    incarnation,
-                    overhead_us,
-                    journal_launches,
-                    &*f,
-                );
-                // Let go of the task closure (and through it the lineage)
-                // before the driver can see the outcome: once the job
-                // returns, the caller's handles are the only ones left, so a
-                // cached node dropped after it evicts its blocks there and
-                // then, not whenever this worker gets round to it.
-                drop(f);
-                let _ = tx.send(outcome);
-            });
+        let n = attempts.len();
+        let wave = Arc::new(Wave {
+            inner: self.inner.clone(),
+            stage: stage.to_string(),
+            job_id,
+            journal_launches,
+            f: RwLock::new(Some(f.clone())),
+            cursor: AtomicUsize::new(0),
+            outcomes: std::sync::Mutex::new(Vec::with_capacity(n)),
+            complete: Condvar::new(),
+            attempts,
+        });
+        let helpers = n.saturating_sub(1).min(self.inner.config.worker_threads());
+        for _ in 0..helpers {
             self.inner
                 .sender
-                .send(job)
+                .send(wave.clone())
                 .expect("worker pool unavailable");
         }
-        drop(tx);
-        (0..wave.len())
-            .map(|_| rx.recv().expect("task result channel closed early"))
-            .collect()
+        wave.drain();
+        let mut filed = wave.outcomes.lock().expect(OUTCOMES_POISONED);
+        while filed.len() < n {
+            filed = wave.complete.wait(filed).expect(OUTCOMES_POISONED);
+        }
+        std::mem::take(&mut *filed)
     }
 
     /// Close a stage out: record its cost, advance the journal's virtual
@@ -775,6 +782,18 @@ fn cut_morsels<T>(
     ranges
 }
 
+/// One attempt of a wave, as the driver placed it.
+#[derive(Clone, Copy)]
+struct Placed {
+    task: usize,
+    attempt: u32,
+    executor: usize,
+    incarnation: u32,
+    /// Launch overhead this attempt pays: morsels after the first of a
+    /// partition pay dispatch, not full launch.
+    overhead_us: u64,
+}
+
 struct AttemptOutcome<T> {
     task: usize,
     attempt: u32,
@@ -785,37 +804,109 @@ struct AttemptOutcome<T> {
     shuffle_bytes: u64,
 }
 
-/// Worker-side body: run exactly one attempt and report what happened. All
-/// retry/recovery decisions belong to the driver.
-#[allow(clippy::too_many_arguments)]
-fn run_one_attempt<T: Data>(
-    inner: &ClusterInner,
-    stage: &str,
+/// The only way the outcome lock poisons is a panic between its `lock` and
+/// the `push` under it — an allocation failure.
+const OUTCOMES_POISONED: &str = "a thread panicked while filing a task outcome";
+
+/// A wave as the threads that run it see it; type-erased so one pool serves
+/// every job's task and output types.
+trait Drain: Send + Sync {
+    /// Claim and run attempts until none is left unclaimed.
+    fn drain(&self);
+}
+
+/// One wave of a stage: everything the driver and the workers it woke need
+/// to run the wave's attempts between them, in whatever order they get to
+/// them. Which thread runs an attempt is not recorded anywhere — virtual
+/// placement was fixed by the driver in [`Placed`] — so the outcomes, once
+/// sorted, do not depend on it.
+struct Wave<T, F> {
+    inner: Arc<ClusterInner>,
+    stage: String,
     job_id: u64,
-    task: usize,
-    attempt: u32,
-    executor: usize,
-    incarnation: u32,
-    overhead_us: u64,
-    journal_launch: bool,
-    f: &(dyn Fn(usize, &TaskContext) -> Result<Vec<T>> + Send + Sync),
-) -> AttemptOutcome<T> {
+    journal_launches: bool,
+    attempts: Vec<Placed>,
+    /// The task closure, until the wave's last attempt has run: whoever
+    /// files the last outcome takes the closure (and through it the
+    /// lineage) out *before* filing it. Once the driver has every outcome
+    /// the caller's handles are the only ones left — so a cached node
+    /// dropped after the job evicts its blocks there and then — even while
+    /// a wake-up nobody needed still holds the wave in the pool's queue.
+    f: RwLock<Option<Arc<F>>>,
+    /// Next unclaimed index into `attempts`. `Relaxed`: the index publishes
+    /// nothing — every field a claimant reads was written before the wave
+    /// was shared.
+    cursor: AtomicUsize,
+    outcomes: std::sync::Mutex<Vec<AttemptOutcome<T>>>,
+    /// Signalled once, by the thread that files the last outcome.
+    complete: Condvar,
+}
+
+impl<T, F> Drain for Wave<T, F>
+where
+    T: Data,
+    F: Fn(usize, &TaskContext) -> Result<Vec<T>> + Send + Sync + 'static,
+{
+    fn drain(&self) {
+        let n = self.attempts.len();
+        loop {
+            let claimed = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if claimed >= n {
+                return;
+            }
+            let outcome = {
+                let f = self.f.read();
+                let f = f
+                    .as_ref()
+                    .expect("the task closure stays until the last attempt has run");
+                run_one_attempt(self, &self.attempts[claimed], f)
+            };
+            let mut filed = self.outcomes.lock().expect(OUTCOMES_POISONED);
+            if filed.len() + 1 == n {
+                // Every other attempt has filed, and let go of its read
+                // guard before it did.
+                *self.f.write() = None;
+            }
+            filed.push(outcome);
+            if filed.len() == n {
+                self.complete.notify_one();
+            }
+        }
+    }
+}
+
+/// Run exactly one attempt, on whichever thread claimed it, and report what
+/// happened. All retry/recovery decisions belong to the driver. A task that
+/// panics is a failed attempt like any other — the thread survives it, and
+/// the driver is never left waiting for an outcome that will not come.
+fn run_one_attempt<T, F>(wave: &Wave<T, F>, placed: &Placed, f: &F) -> AttemptOutcome<T>
+where
+    T: Data,
+    F: Fn(usize, &TaskContext) -> Result<Vec<T>>,
+{
+    let inner = &*wave.inner;
+    let &Placed {
+        task,
+        attempt,
+        executor,
+        incarnation,
+        overhead_us,
+    } = placed;
     inner.metrics.tasks_launched.inc();
     // Morsel stages skip per-attempt launch records — the journal would
     // otherwise grow O(morsels); see `run_job_inner`.
-    if journal_launch {
+    if wave.journal_launches {
         inner.journal.record(EventKind::TaskLaunched {
-            stage: stage.to_string(),
+            stage: wave.stage.clone(),
             task,
             attempt,
             executor,
         });
     }
-    // Morsels after the first of a partition pay dispatch, not full launch.
     let mut cost = inner.config.cost;
     cost.task_launch_overhead_us = overhead_us;
     let ctx = TaskContext::new(
-        stage,
+        &wave.stage,
         task,
         attempt,
         executor,
@@ -825,10 +916,17 @@ fn run_one_attempt<T: Data>(
     );
     let result = {
         let _guard = ctx.install();
-        if fault_fires(&inner.config, job_id, stage, task, attempt) {
+        if fault_fires(&inner.config, wave.job_id, &wave.stage, task, attempt) {
             Err(SparkletError::InjectedFault)
         } else {
-            f(task, &ctx)
+            catch_unwind(AssertUnwindSafe(|| f(task, &ctx))).unwrap_or_else(|payload| {
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .map(|m| m.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "a payload that is not a string".into());
+                Err(SparkletError::TaskPanicked(message))
+            })
         }
     };
     if let Ok(data) = &result {
@@ -1367,5 +1465,259 @@ mod tests {
         // The same schedule fires again on the next run.
         c.run_job("work", 2, |i, _| Ok(vec![i])).unwrap();
         assert_eq!(c.metrics().executors_lost.get(), 1);
+    }
+
+    #[test]
+    fn shuffle_outputs_live_exactly_as_long_as_the_node() {
+        use crate::pair::PairRdd;
+        // Armed for `derived`'s first collect below: executor 0 dies once
+        // the first reader's result is in.
+        let mut cfg = ClusterConfig::local(2);
+        cfg.fault = FaultConfig::disabled().kill_in_stage(0, "collect[map]", 1);
+        let c = Cluster::new(cfg);
+        let resident = |c: &Cluster| {
+            [
+                c.shuffles().resident_bytes(0),
+                c.shuffles().resident_bytes(1),
+            ]
+        };
+        let pairs = c.parallelize((0..100u32).map(|x| (x % 7, x)).collect(), 4);
+        // An action on a temporary: the shuffle is gone when it returns.
+        let sums = pairs.reduce_by_key(|a, b| a + b, 3).collect().unwrap();
+        assert_eq!(sums.len(), 7);
+        assert_eq!(c.shuffles().shuffle_count(), 0);
+        assert_eq!(resident(&c), [0, 0]);
+        // A held dataset keeps its shuffle, through a derived RDD too.
+        let shuffled = pairs.partition_by_hash(3);
+        let derived = shuffled.map(|(k, v)| k + v);
+        let first = derived.collect().unwrap();
+        assert_eq!(c.metrics().executors_lost.get(), 1);
+        assert_eq!(c.shuffles().shuffle_count(), 1);
+        assert!(resident(&c).iter().sum::<u64>() > 0);
+        drop(shuffled);
+        assert_eq!(
+            c.shuffles().shuffle_count(),
+            1,
+            "the lineage holds the node"
+        );
+        // Held, it was recoverable: the kill took executor 0's map outputs
+        // and its unprocessed reader (task 2) with them; rescheduled, the
+        // reader failed its fetch, the outputs were rebuilt from lineage
+        // through the node's handler, and the retry read them.
+        assert_eq!(c.metrics().tasks_lost.get(), 1);
+        assert_eq!(c.metrics().fetch_failures.get(), 1);
+        assert_eq!(c.metrics().recomputed_tasks.get(), 2);
+        assert_eq!(derived.collect().unwrap(), first);
+        // The last holder takes the outputs and the recovery entry with it.
+        drop(derived);
+        assert_eq!(c.shuffles().shuffle_count(), 0);
+        assert_eq!(resident(&c), [0, 0]);
+        assert!(c.inner.shuffle_recovery.lock().is_empty());
+    }
+
+    /// What a run leaves on the clock, in a comparable shape.
+    type Recorded = (String, Vec<u64>, u64, u64, Option<Vec<usize>>);
+
+    fn recorded_stages(c: &Cluster) -> Vec<Recorded> {
+        c.clock().with_stages(|stages| {
+            stages
+                .iter()
+                .map(|s| {
+                    (
+                        s.name.clone(),
+                        s.task_us.clone(),
+                        s.shuffle_bytes,
+                        s.retries,
+                        s.morsels.clone(),
+                    )
+                })
+                .collect()
+        })
+    }
+
+    #[test]
+    fn outputs_and_stage_records_do_not_depend_on_who_ran_what() {
+        // Which thread claims an attempt — a worker, or the driver beside
+        // them — must show nowhere: not in the outputs, not in a virtual
+        // cost. One worker, two, eight; no task, one (inline on the
+        // driver), two (one wake-up), more than the pool has threads.
+        for fault in [
+            FaultConfig::disabled(),
+            FaultConfig::with_probability(0.3, 99),
+        ] {
+            for tasks in [0usize, 1, 2, 37] {
+                let run = |parallelism: usize| {
+                    let mut cfg = ClusterConfig::local(parallelism);
+                    cfg.fault = fault.clone();
+                    cfg.max_task_attempts = 12;
+                    let c = Cluster::new(cfg);
+                    let out = c
+                        .run_job("work", tasks, |i, ctx| {
+                            ctx.charge_ops(100 * (i as u64 + 1));
+                            Ok(vec![i as u64; i % 3])
+                        })
+                        .unwrap();
+                    let morsels = c
+                        .run_morsel_job(
+                            "morsels",
+                            (0..tasks).map(|p| vec![p as u64; 2 * p + 1]).collect(),
+                            |_| 6_000,
+                            |_, items, _| Ok(items.to_vec()),
+                        )
+                        .unwrap();
+                    (out, morsels, recorded_stages(&c))
+                };
+                let one = run(1);
+                assert_eq!(one.0.len(), tasks);
+                assert_eq!(one.2.len(), 2, "one record per stage, even an empty one");
+                assert_eq!(one, run(2), "{tasks} tasks, {fault:?}");
+                assert_eq!(one, run(8), "{tasks} tasks, {fault:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn two_drivers_sharing_one_cluster_both_finish() {
+        // Neither driver can starve the other: each drains its own wave,
+        // with or without the pool's help. The barrier makes every round's
+        // two jobs overlap.
+        let c = Cluster::local(2);
+        let rounds = 200;
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let drivers: Vec<_> = (0..2u64)
+            .map(|d| {
+                let c = c.clone();
+                let start = start.clone();
+                thread::spawn(move || {
+                    (0..rounds)
+                        .map(|round| {
+                            start.wait();
+                            let out = c
+                                .run_job("shared", 5, move |i, _| Ok(vec![d * 1_000 + i as u64]))
+                                .unwrap();
+                            assert_eq!(out.len(), 5);
+                            out.into_iter().flatten().sum::<u64>() + round
+                        })
+                        .sum::<u64>()
+                })
+            })
+            .collect();
+        let sums: Vec<u64> = drivers.into_iter().map(|h| h.join().unwrap()).collect();
+        let rounds_sum: u64 = (0..rounds).sum();
+        assert_eq!(
+            sums,
+            vec![rounds * 10 + rounds_sum, rounds * 5_010 + rounds_sum]
+        );
+        assert_eq!(c.metrics().tasks_succeeded.get(), 2 * rounds * 5);
+    }
+
+    /// Threads that run a task of a job one task wider than the pool: every
+    /// task waits until as many distinct threads as there are tasks have
+    /// arrived (or ten seconds pass), so each thread takes exactly one.
+    fn threads_that_share_a_wave(c: &Cluster) -> usize {
+        let wanted = c.config().worker_threads() + 1;
+        let seen = Arc::new(Mutex::new(std::collections::HashSet::new()));
+        let arrived = seen.clone();
+        c.run_job("rendezvous", wanted, move |_, _| {
+            arrived.lock().insert(thread::current().id());
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while arrived.lock().len() < wanted && std::time::Instant::now() < deadline {
+                thread::yield_now();
+            }
+            Ok(vec![0u8])
+        })
+        .unwrap();
+        let n = seen.lock().len();
+        n
+    }
+
+    #[test]
+    fn a_wave_is_shared_by_the_driver_and_every_worker() {
+        let c = Cluster::local(3);
+        assert_eq!(threads_that_share_a_wave(&c), 4);
+    }
+
+    #[test]
+    fn a_panicking_attempt_is_a_failed_attempt_and_the_job_retries() {
+        // `tasks == 1` runs inline: the panic unwinds on the driver thread.
+        for tasks in [1usize, 6] {
+            let c = Cluster::local(2);
+            let out = c
+                .run_job("flaky", tasks, |i, ctx| {
+                    if i == 0 && ctx.attempt() == 0 {
+                        panic!("first attempt");
+                    }
+                    Ok(vec![i])
+                })
+                .unwrap();
+            assert_eq!(out, (0..tasks).map(|i| vec![i]).collect::<Vec<_>>());
+            assert_eq!(c.metrics().tasks_failed.get(), 1);
+            assert_eq!(c.metrics().tasks_succeeded.get(), tasks as u64);
+            let failure = c
+                .journal()
+                .events()
+                .into_iter()
+                .find_map(|e| match e.kind {
+                    EventKind::TaskFailed {
+                        reason, will_retry, ..
+                    } => Some((reason, will_retry)),
+                    _ => None,
+                })
+                .expect("the panic is journaled as a failed attempt");
+            assert_eq!(failure, ("task panicked: first attempt".to_string(), true));
+        }
+    }
+
+    #[test]
+    fn a_task_that_always_panics_fails_the_job_and_costs_the_pool_no_thread() {
+        for tasks in [1usize, 6] {
+            let mut cfg = ClusterConfig::local(2);
+            cfg.max_task_attempts = 3;
+            let c = Cluster::new(cfg);
+            let doomed = tasks - 1;
+            let err = c
+                .run_job("doomed", tasks, move |i, _| {
+                    if i == doomed {
+                        panic!("task {i} cannot run");
+                    }
+                    Ok(vec![i])
+                })
+                .unwrap_err();
+            assert_eq!(
+                err,
+                SparkletError::TaskFailed {
+                    stage: "doomed".into(),
+                    task: doomed,
+                    attempts: 3,
+                    reason: format!("task panicked: task {doomed} cannot run"),
+                }
+            );
+            assert_eq!(c.metrics().tasks_failed.get(), 3);
+            // The driver returned, and every thread that unwound is back.
+            assert_eq!(threads_that_share_a_wave(&c), 3);
+            let out = c.run_job("after", 4, |i, _| Ok(vec![i])).unwrap();
+            assert_eq!(out, vec![vec![0], vec![1], vec![2], vec![3]]);
+        }
+    }
+
+    #[test]
+    fn a_finished_job_holds_no_reference_to_its_task_closure() {
+        // The wave lets go of the closure before the driver has the last
+        // outcome, whoever ran the last attempt and however many wake-ups
+        // are still queued: what the closure captured is the caller's alone
+        // the moment `run_job` returns.
+        let c = Cluster::local(4);
+        for tasks in [1usize, 2, 9] {
+            for _ in 0..200 {
+                let captured = Arc::new(());
+                let held = captured.clone();
+                c.run_job("holds", tasks, move |i, _| {
+                    let _ = &held;
+                    Ok(vec![i])
+                })
+                .unwrap();
+                assert_eq!(Arc::strong_count(&captured), 1);
+            }
+        }
     }
 }

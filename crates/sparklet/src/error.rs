@@ -73,6 +73,10 @@ pub enum SparkletError {
     },
     /// User code inside a task failed with a message.
     User(String),
+    /// User code inside a task panicked; carries the panic message. The
+    /// attempt failed, the thread that ran it did not: it is retried and
+    /// exhausted like any other failure.
+    TaskPanicked(String),
 }
 
 impl SparkletError {
@@ -114,6 +118,7 @@ impl fmt::Display for SparkletError {
                 write!(f, "driver killed at fault point {point} ('{label}')")
             }
             SparkletError::User(msg) => write!(f, "user error: {msg}"),
+            SparkletError::TaskPanicked(msg) => write!(f, "task panicked: {msg}"),
         }
     }
 }

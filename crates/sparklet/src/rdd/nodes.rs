@@ -410,9 +410,12 @@ pub(crate) fn bucket_by_partition<K: KeyData, V: Data>(
 ///
 /// The node owns the strong reference to its shuffle's lineage-recovery
 /// handler (see `cluster::RecoveryFn`); the cluster registry only holds it
-/// weakly,
-/// so dropping the node makes the shuffle unrecoverable without creating a
-/// node ↔ cluster reference cycle.
+/// weakly, so there is no node ↔ cluster reference cycle. The map outputs
+/// live as long as the node, like a [`CachedNode`]'s blocks: every RDD
+/// derived from it holds it through its lineage, and when the last holder
+/// drops it the outputs and the registry entry go with it — a long-lived
+/// cluster keeps the shuffles of its live datasets, not of every job it
+/// ever ran.
 pub struct ShuffledNode<K: KeyData, V: Data> {
     id: u64,
     shuffle_id: u64,
@@ -502,6 +505,12 @@ impl<K: KeyData, V: Data> RddNode<(K, V)> for ShuffledNode<K, V> {
             .read_bucket(self.shuffle_id, split)?;
         ctx.add_shuffle_bytes((data.len() * std::mem::size_of::<(K, V)>().max(1)) as u64);
         Ok(data)
+    }
+}
+
+impl<K: KeyData, V: Data> Drop for ShuffledNode<K, V> {
+    fn drop(&mut self) {
+        self.cluster.release_shuffle(self.shuffle_id);
     }
 }
 

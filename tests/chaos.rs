@@ -106,7 +106,7 @@ fn mid_stage_kill_recovers_lost_work_without_output_drift() {
     // survivors) and any bucket files it already wrote are invalidated and
     // recomputed from lineage.
     let fault =
-        FaultConfig::disabled().kill_in_stage(0, "shuffle#4-write[map_partitions_with_ctx]", 1);
+        FaultConfig::disabled().kill_in_stage(0, "shuffle#3-write[map_partitions_with_ctx]", 1);
     let chaos = run_pipeline(chaos_config(fault)).expect("chaos run");
     assert_eq!(
         chaos.digest, BASELINE_DIGEST,
@@ -143,7 +143,7 @@ fn stealing_under_executor_kills_matches_the_pinned_digest() {
     // not move, and the distance stage must really have been rebalanced.
     let config = chaos_config(FaultConfig::disabled().kill_in_stage(
         0,
-        "shuffle#4-write[map_partitions_with_ctx]",
+        "shuffle#3-write[map_partitions_with_ctx]",
         1,
     ));
     let chaos = run_pipeline(config).expect("chaos run");

@@ -432,10 +432,14 @@ fn transient_engine_faults_retry_to_the_fault_free_digest() {
     let dir = temp_dir("fault");
     let mut cluster_cfg = ClusterConfig::local(2);
     // With engine-level retry disabled every task fault fails its whole
-    // job, so the rate must stay low enough that a batch of ~100 task
-    // attempts converges within the service's retry budget.
+    // job, so the rate must stay low enough that a batch converges within
+    // the service's retry budget, and high enough that some batch needs it.
+    // A batch here is 63-75 task attempts over six jobs (the distance job,
+    // one classify block of four stages, the fit's count); it was 244-274
+    // over 23 when every batch ran four blocks of five stages and the rate
+    // was 0.004. The same one fault per batch, expected: 0.004 x 261 / 68.
     cluster_cfg.max_task_attempts = 1;
-    cluster_cfg.fault = FaultConfig::with_probability(0.004, 2016);
+    cluster_cfg.fault = FaultConfig::with_probability(0.015, 2016);
     let mut ingest_cfg = IngestConfig::new(&dir);
     ingest_cfg.max_batch_retries = 8;
     let mut svc = IngestService::open(Cluster::new(cluster_cfg), dedup_config(), ingest_cfg, &rp)

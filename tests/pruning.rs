@@ -80,7 +80,7 @@ fn digest_is_pinned_under_mid_stage_kills_with_pruning_on_and_off() {
     for prune in [true, false] {
         let mut config = ClusterConfig::local(4);
         config.fault =
-            FaultConfig::disabled().kill_in_stage(0, "shuffle#4-write[map_partitions_with_ctx]", 1);
+            FaultConfig::disabled().kill_in_stage(0, "shuffle#3-write[map_partitions_with_ctx]", 1);
         let digest = detect_digest(config, prune).expect("pipeline run");
         assert_eq!(
             digest, BASELINE_DIGEST,
