@@ -323,7 +323,8 @@ fn engine_stage_launch(c: &mut Criterion) {
 
 /// One duplicate probe through `run_open_loop` on the `serve-lookup` shape
 /// (2,400 reports, two executors): blocking probe, a few dozen candidate
-/// distances, and one classify block of four engine stages.
+/// distances, and one classify block of four engine stages. Then
+/// `job_report()` on that service once it has answered 1,000 of them.
 fn serve_single_probe(c: &mut Criterion) {
     const BASE: usize = 2_400;
     let corpus = StreamingCorpus::new(SynthConfig::small(BASE, BASE / 20, 2016));
@@ -336,19 +337,27 @@ fn serve_single_probe(c: &mut Criterion) {
     let mut serve = ServeService::attach(&sys, ServeConfig::default()).expect("attach");
     // Fresh-id copies of database reports: never a known member, always
     // classified.
-    let mut next = 0usize;
-    c.bench_function("serve/lookup_single_probe", |bench| {
-        bench.iter(|| {
-            let mut report = reports[next % reports.len()].clone();
-            report.id = 10_000_000 + next as u64;
-            next += 1;
-            serve
-                .run_open_loop(&[ServeRequest {
-                    arrival_us: 0,
-                    query: ServeQuery::Duplicate { report },
-                }])
-                .expect("lookup")
-        })
+    let next = std::cell::Cell::new(0usize);
+    let mut lookup = || {
+        let mut report = reports[next.get() % reports.len()].clone();
+        report.id = 10_000_000 + next.get() as u64;
+        next.set(next.get() + 1);
+        serve
+            .run_open_loop(&[ServeRequest {
+                arrival_us: 0,
+                query: ServeQuery::Duplicate { report },
+            }])
+            .expect("lookup")
+    };
+    c.bench_function("serve/lookup_single_probe", |bench| bench.iter(&mut lookup));
+    // The report of a service that has been up a while: its sections are
+    // running totals, so what is left to pay for is the clock's one row per
+    // stage run (1,000 lookups are some 4,000 of them).
+    while next.get() < 1_000 {
+        lookup();
+    }
+    c.bench_function("sparklet/job_report_after_1k_lookups", |bench| {
+        bench.iter(|| sys.job_report())
     });
 }
 

@@ -174,8 +174,9 @@ impl Cluster {
         &self.inner.spill
     }
 
-    /// The run journal: every stage/task/cache/shuffle event of this
-    /// cluster's lifetime (bounded; see [`RunJournal::MAX_EVENTS`]).
+    /// The run journal: the faults, memory pressure and units of service
+    /// work of this cluster's lifetime (bounded; see
+    /// [`RunJournal::MAX_EVENTS`]). A healthy engine run records nothing.
     pub fn journal(&self) -> &RunJournal {
         &self.inner.journal
     }
@@ -489,10 +490,6 @@ impl Cluster {
         let max_attempts = self.inner.config.max_task_attempts.max(1);
         let penalty = self.inner.config.cost.retry_penalty_us;
         self.inner.metrics.jobs_submitted.inc();
-        self.inner.journal.record(EventKind::StageStarted {
-            stage: stage.to_string(),
-            tasks: num_tasks,
-        });
         let f = Arc::new(f);
         let (morsel_info, overheads) = match morsel {
             Some(m) => (Some(m.partition_of), m.overhead_of),
@@ -536,7 +533,7 @@ impl Cluster {
                 }
             }
             pending.clear();
-            let mut outcomes = self.run_wave(stage, job_id, wave, morsel_info.is_none(), &f);
+            let mut outcomes = self.run_wave(stage, job_id, wave, &f);
             outcomes.sort_by_key(|o| (o.task, o.attempt));
             let mut failed_shuffles: Vec<u64> = Vec::new();
             for outcome in outcomes {
@@ -566,18 +563,6 @@ impl Cluster {
                 match outcome.result {
                     Ok(data) => {
                         self.inner.metrics.tasks_succeeded.inc();
-                        // Morsel stages journal at stage granularity (plus
-                        // coalesced steal/idle events): per-morsel success
-                        // records would grow the journal O(morsels).
-                        if morsel_info.is_none() {
-                            self.inner.journal.record(EventKind::TaskSucceeded {
-                                stage: stage.to_string(),
-                                task: outcome.task,
-                                attempt: outcome.attempt,
-                                virtual_us: outcome.virtual_us,
-                                records_out: data.len() as u64,
-                            });
-                        }
                         results[outcome.task] = Some(data);
                         completions += 1;
                         self.process_kill_triggers(stage, completions);
@@ -657,7 +642,6 @@ impl Cluster {
         stage: &str,
         job_id: u64,
         attempts: Vec<Placed>,
-        journal_launches: bool,
         f: &Arc<F>,
     ) -> Vec<AttemptOutcome<T>>
     where
@@ -669,7 +653,6 @@ impl Cluster {
             inner: self.inner.clone(),
             stage: stage.to_string(),
             job_id,
-            journal_launches,
             f: RwLock::new(Some(f.clone())),
             cursor: AtomicUsize::new(0),
             outcomes: std::sync::Mutex::new(Vec::with_capacity(n)),
@@ -691,11 +674,9 @@ impl Cluster {
         std::mem::take(&mut *filed)
     }
 
-    /// Close a stage out: record its cost, advance the journal's virtual
-    /// stamp and journal the stage end. Morsel stages also replay the steal
-    /// schedule once to emit coalesced per-stage `MorselStolen` /
-    /// `WorkerIdle` events (bounded by workers², not by morsel count) and
-    /// bump the morsel counters.
+    /// Close a stage out: record its cost and advance the journal's virtual
+    /// stamp. Morsel stages also replay the steal schedule once, to bump the
+    /// morsel counters and fold it into the report's `sched` section.
     fn finish_stage(
         &self,
         stage: &str,
@@ -712,23 +693,7 @@ impl Cluster {
                 .add(task_us.len() as u64);
             let sim = simulate_morsels(&task_us, partition_of, self.inner.config.total_slots());
             self.inner.metrics.morsels_stolen.add(sim.stolen_count());
-            for &(thief, victim, count) in &sim.steals {
-                self.inner.journal.record(EventKind::MorselStolen {
-                    stage: stage.to_string(),
-                    thief,
-                    victim,
-                    count,
-                });
-            }
-            for (worker, &idle_us) in sim.idle_us.iter().enumerate() {
-                if idle_us > 0 {
-                    self.inner.journal.record(EventKind::WorkerIdle {
-                        stage: stage.to_string(),
-                        worker,
-                        idle_us,
-                    });
-                }
-            }
+            self.inner.journal.fold_sched(&sim);
         }
         self.inner.clock.record_stage(StageRecord {
             name: stage.to_string(),
@@ -738,12 +703,6 @@ impl Cluster {
             morsels,
         });
         self.inner.journal.advance(stage_work);
-        self.inner.journal.record(EventKind::StageFinished {
-            stage: stage.to_string(),
-            virtual_us: stage_work,
-            shuffle_bytes,
-            retries,
-        });
     }
 }
 
@@ -824,7 +783,6 @@ struct Wave<T, F> {
     inner: Arc<ClusterInner>,
     stage: String,
     job_id: u64,
-    journal_launches: bool,
     attempts: Vec<Placed>,
     /// The task closure, until the wave's last attempt has run: whoever
     /// files the last outcome takes the closure (and through it the
@@ -893,16 +851,6 @@ where
         overhead_us,
     } = placed;
     inner.metrics.tasks_launched.inc();
-    // Morsel stages skip per-attempt launch records — the journal would
-    // otherwise grow O(morsels); see `run_job_inner`.
-    if wave.journal_launches {
-        inner.journal.record(EventKind::TaskLaunched {
-            stage: wave.stage.clone(),
-            task,
-            attempt,
-            executor,
-        });
-    }
     let mut cost = inner.config.cost;
     cost.task_launch_overhead_us = overhead_us;
     let ctx = TaskContext::new(

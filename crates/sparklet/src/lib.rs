@@ -58,7 +58,6 @@ pub mod metrics;
 pub mod pair;
 pub mod partitioner;
 pub mod rdd;
-pub mod report;
 pub mod shuffle;
 pub mod simtime;
 pub mod spill;
@@ -78,7 +77,6 @@ pub use metrics::ClusterMetrics;
 pub use pair::PairRdd;
 pub use partitioner::{HashPartitioner, Partitioner};
 pub use rdd::{Chunk, Rdd};
-pub use report::ClusterReport;
 pub use simtime::{simulate_morsels, SchedSim};
 pub use spill::{FixedBytes, SpillManager};
 pub use task::TaskContext;

@@ -20,6 +20,11 @@ impl Counter {
         self.add(1);
     }
 
+    /// Raise the counter to `n` if it is lower: a high-water mark.
+    pub fn raise_to(&self, n: u64) {
+        self.0.fetch_max(n, Ordering::Relaxed);
+    }
+
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -77,6 +82,10 @@ pub struct ClusterMetrics {
     /// Chunks dispatched through the batch operator path (see
     /// [`crate::rdd::batch`]).
     pub chunks_executed: Counter,
+    /// Records carried by those chunks.
+    pub chunk_records: Counter,
+    /// Largest single chunk dispatched (records) — a high-water mark.
+    pub max_chunk_records: Counter,
     /// Bytes serialized to spill files (shuffle buckets + cache blocks).
     pub spill_bytes_written: Counter,
     /// Bytes read back and deserialized from spill files.
@@ -147,6 +156,8 @@ impl ClusterMetrics {
         self.morsels_executed.reset();
         self.morsels_stolen.reset();
         self.chunks_executed.reset();
+        self.chunk_records.reset();
+        self.max_chunk_records.reset();
         self.spill_bytes_written.reset();
         self.spill_bytes_read.reset();
         self.blocks_spilled.reset();
@@ -190,6 +201,14 @@ mod tests {
         assert_eq!(c.get(), 42);
         c.reset();
         assert_eq!(c.get(), 0);
+    }
+
+    #[test]
+    fn raise_to_is_a_high_water_mark() {
+        let c = Counter::default();
+        c.raise_to(50);
+        c.raise_to(7);
+        assert_eq!(c.get(), 50);
     }
 
     #[test]

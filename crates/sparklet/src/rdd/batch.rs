@@ -13,7 +13,6 @@
 use super::node::RddNode;
 use crate::cluster::Cluster;
 use crate::error::Result;
-use crate::journal::EventKind;
 use crate::task::TaskContext;
 use crate::Data;
 use std::sync::Arc;
@@ -107,12 +106,12 @@ pub(crate) fn split_chunks<T>(data: Vec<T>, target: usize) -> Vec<Vec<T>> {
 /// `filter_batches` / `flat_map_batches` lower to this node.
 ///
 /// Cost accounting: one [`crate::CostModelConfig::chunk_dispatch_ns`] per
-/// chunk via [`TaskContext::add_chunks`]; journaling: one
-/// [`EventKind::BatchExecuted`] per compute (per task), never per chunk.
+/// chunk via [`TaskContext::add_chunks`]; the chunks, their records and the
+/// largest of them are counted into the report's `batch` section once per
+/// compute.
 pub struct BatchMapNode<T: Data, U: Data> {
     id: u64,
     name: String,
-    cluster: Cluster,
     parent: Arc<dyn RddNode<T>>,
     #[allow(clippy::type_complexity)]
     f: Arc<dyn Fn(&TaskContext, usize, Chunk<T>) -> Result<Chunk<U>> + Send + Sync>,
@@ -123,14 +122,12 @@ impl<T: Data, U: Data> BatchMapNode<T, U> {
     pub fn new(
         id: u64,
         name: &str,
-        cluster: Cluster,
         parent: Arc<dyn RddNode<T>>,
         f: Arc<dyn Fn(&TaskContext, usize, Chunk<T>) -> Result<Chunk<U>> + Send + Sync>,
     ) -> Self {
         BatchMapNode {
             id,
             name: name.to_string(),
-            cluster,
             parent,
             f,
         }
@@ -155,11 +152,9 @@ impl<T: Data, U: Data> RddNode<U> for BatchMapNode<T, U> {
         let records = input.len() as u64;
         let chunks = split_chunks(input, CHUNK_RECORDS);
         ctx.add_chunks(chunks.len() as u64);
-        let mut max_chunk = 0u64;
-        let n_chunks = chunks.len() as u64;
+        ctx.add_chunk_records(records, records.min(CHUNK_RECORDS as u64));
         let mut out: Vec<U> = Vec::new();
         for chunk in chunks {
-            max_chunk = max_chunk.max(chunk.len() as u64);
             let produced = (self.f)(ctx, split, Chunk::new(chunk))?;
             if out.is_empty() {
                 // Single-chunk fast path: hand the produced slab through.
@@ -168,13 +163,6 @@ impl<T: Data, U: Data> RddNode<U> for BatchMapNode<T, U> {
                 out.extend(produced.into_items());
             }
         }
-        self.cluster.journal().record(EventKind::BatchExecuted {
-            stage: ctx.stage().to_string(),
-            op: self.name.clone(),
-            chunks: n_chunks,
-            records,
-            max_chunk,
-        });
         Ok(out)
     }
 }

@@ -163,13 +163,7 @@ impl<T: Data> Rdd<T> {
         let id = self.cluster.new_rdd_id();
         Rdd::from_node(
             self.cluster.clone(),
-            Arc::new(BatchMapNode::new(
-                id,
-                name,
-                self.cluster.clone(),
-                self.node.clone(),
-                Arc::new(f),
-            )),
+            Arc::new(BatchMapNode::new(id, name, self.node.clone(), Arc::new(f))),
         )
     }
 

@@ -4,7 +4,6 @@ use super::batch::CHUNK_RECORDS;
 use super::node::RddNode;
 use crate::cluster::{Cluster, RecoveryFn};
 use crate::error::{Result, SparkletError};
-use crate::journal::EventKind;
 use crate::partitioner::Partitioner;
 use crate::storage::estimate_vec_size;
 use crate::task::TaskContext;
@@ -357,15 +356,9 @@ fn run_map_stage<K: KeyData, V: Data>(
         let records = data.len();
         let (buckets, chunks) = bucket_by_partition(data, partitioner.as_ref(), CHUNK_RECORDS);
         ctx.add_chunks(chunks);
+        ctx.add_chunk_records(records as u64, CHUNK_RECORDS.min(records) as u64);
         let bytes = (records * std::mem::size_of::<(K, V)>().max(1)) as u64;
         ctx.add_shuffle_bytes(bytes);
-        cl.journal().record(EventKind::BatchExecuted {
-            stage: ctx.stage().to_string(),
-            op: "shuffle-bucket".into(),
-            chunks,
-            records: records as u64,
-            max_chunk: CHUNK_RECORDS.min(records) as u64,
-        });
         cl.shuffles()
             .write_map_output(sid, m, total, nr, ctx.executor(), buckets, bytes)?;
         Ok(Vec::new())

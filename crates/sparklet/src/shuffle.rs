@@ -98,8 +98,8 @@ impl ShuffleService {
         }
     }
 
-    /// Share a cluster's run journal so shuffle reads/writes are journaled
-    /// alongside scheduler events (builder, used by [`crate::Cluster::new`]).
+    /// Share a cluster's run journal so spilled buckets are journaled
+    /// alongside scheduler faults (builder, used by [`crate::Cluster::new`]).
     pub fn with_journal(mut self, journal: RunJournal) -> Self {
         self.journal = journal;
         self
@@ -220,11 +220,6 @@ impl ShuffleService {
         }
         self.metrics.shuffle_records_written.add(records);
         self.metrics.shuffle_bytes_written.add(bytes);
-        self.journal.record(EventKind::ShuffleWrite {
-            shuffle: shuffle_id,
-            records,
-            bytes,
-        });
         Ok(true)
     }
 
@@ -388,11 +383,6 @@ impl ShuffleService {
             out.extend_from_slice(&chunk);
         }
         self.metrics.shuffle_records_read.add(out.len() as u64);
-        self.journal.record(EventKind::ShuffleRead {
-            shuffle: shuffle_id,
-            bucket: r,
-            records: out.len() as u64,
-        });
         Ok(out)
     }
 

@@ -84,8 +84,6 @@ pub struct SchedSim {
     pub busy_us: Vec<u64>,
     /// Morsels each worker executed (own + stolen).
     pub morsels_run: Vec<u64>,
-    /// Per-worker idle time until the stage's makespan (µs).
-    pub idle_us: Vec<u64>,
     /// Coalesced steal edges `(thief, victim, count)`, ordered by first
     /// occurrence.
     pub steals: Vec<(usize, usize, u64)>,
@@ -109,7 +107,7 @@ impl SchedSim {
 ///
 /// A pure function of its inputs, so any recorded run can be replayed at any
 /// worker count — the morsel analogue of the LPT query, and the authority
-/// for the steal/idle events and the job report's utilization table.
+/// for the steal counters and the job report's utilization table.
 pub fn simulate_morsels(task_us: &[u64], partition_of: &[usize], workers: usize) -> SchedSim {
     use std::collections::VecDeque;
     let workers = workers.max(1);
@@ -125,7 +123,6 @@ pub fn simulate_morsels(task_us: &[u64], partition_of: &[usize], workers: usize)
     let mut sim = SchedSim {
         busy_us: vec![0; workers],
         morsels_run: vec![0; workers],
-        idle_us: vec![0; workers],
         ..SchedSim::default()
     };
     let mut steal_edges: Vec<(usize, usize, u64)> = Vec::new();
@@ -165,9 +162,6 @@ pub fn simulate_morsels(task_us: &[u64], partition_of: &[usize], workers: usize)
         sim.morsels_run[actor] += 1;
     }
     sim.makespan_us = t.iter().copied().max().unwrap_or(0);
-    for w in 0..workers {
-        sim.idle_us[w] = sim.makespan_us - sim.busy_us[w];
-    }
     sim.steals = steal_edges;
     sim
 }

@@ -91,8 +91,9 @@ impl BlockManager {
         }
     }
 
-    /// Share a cluster's run journal so hits/misses/evictions are journaled
-    /// alongside scheduler events (builder, used by [`crate::Cluster::new`]).
+    /// Share a cluster's run journal so evictions, skipped puts and spill
+    /// traffic are journaled alongside scheduler faults (builder, used by
+    /// [`crate::Cluster::new`]).
     pub fn with_journal(mut self, journal: RunJournal) -> Self {
         self.journal = journal;
         self
@@ -145,20 +146,12 @@ impl BlockManager {
                 match data.downcast::<Vec<T>>() {
                     Ok(v) => {
                         self.metrics.cache_hits.inc();
-                        self.journal.record(EventKind::CacheHit {
-                            rdd: id.0,
-                            partition: id.1,
-                        });
                         Some(v)
                     }
                     Err(_) => {
                         // Type mismatch can only happen on RDD-id reuse bugs;
                         // treat as a miss rather than corrupting the caller.
                         self.metrics.cache_misses.inc();
-                        self.journal.record(EventKind::CacheMiss {
-                            rdd: id.0,
-                            partition: id.1,
-                        });
                         None
                     }
                 }
@@ -169,18 +162,10 @@ impl BlockManager {
                 if let Some(found) = self.get_spilled::<T>(&mut s, id) {
                     drop(s);
                     self.metrics.cache_hits.inc();
-                    self.journal.record(EventKind::CacheHit {
-                        rdd: id.0,
-                        partition: id.1,
-                    });
                     return Some(found);
                 }
                 drop(s);
                 self.metrics.cache_misses.inc();
-                self.journal.record(EventKind::CacheMiss {
-                    rdd: id.0,
-                    partition: id.1,
-                });
                 None
             }
         }

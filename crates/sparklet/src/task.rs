@@ -112,6 +112,13 @@ impl TaskContext {
         self.inner.metrics.chunks_executed.add(n);
     }
 
+    /// Count the `records` a compute's chunks carried, and the `largest` of
+    /// those chunks, into the report's `batch` section.
+    pub(crate) fn add_chunk_records(&self, records: u64, largest: u64) {
+        self.inner.metrics.chunk_records.add(records);
+        self.inner.metrics.max_chunk_records.raise_to(largest);
+    }
+
     /// Fetch (or create) a named user counter from the cluster metrics.
     pub fn counter(&self, name: &str) -> Counter {
         self.inner.metrics.counter(name)

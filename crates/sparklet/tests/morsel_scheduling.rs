@@ -6,7 +6,7 @@
 //! cut itself is proptested at every budget next to `cut_morsels`.)
 
 use proptest::prelude::*;
-use sparklet::{Cluster, ClusterConfig, EventKind, FaultConfig};
+use sparklet::{Cluster, ClusterConfig, FaultConfig};
 
 /// Reference result: what the job computes, independent of any scheduling.
 fn reference(partitions: &[Vec<u32>]) -> Vec<Vec<u64>> {
@@ -76,10 +76,9 @@ proptest! {
     }
 }
 
-/// On a run split into hundreds of morsels the journal must stay bounded —
-/// steal events coalesce to one per (thief, victim) edge per stage and idle
-/// events to one per worker per stage, so journal growth is
-/// O(stages · workers²), never O(morsels).
+/// On a run split into hundreds of morsels the journal must stay bounded:
+/// steals and idle time are totals in the report's `sched` section, never
+/// events, so journal growth does not depend on the morsel count.
 #[test]
 fn journal_stays_bounded_on_a_hundred_thousand_pair_run() {
     const WORKERS: usize = 8;
@@ -110,22 +109,6 @@ fn journal_stays_bounded_on_a_hundred_thousand_pair_run() {
         report.sched.morsels
     );
     let events = cluster.journal().events();
-    let steal_events = events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::MorselStolen { .. }))
-        .count();
-    let idle_events = events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::WorkerIdle { .. }))
-        .count();
-    assert!(
-        steal_events <= WORKERS * WORKERS,
-        "steal events must coalesce per (thief, victim) edge: {steal_events}"
-    );
-    assert!(
-        idle_events <= WORKERS,
-        "idle events must coalesce per worker: {idle_events}"
-    );
     assert!(
         events.len() < 200,
         "journal must stay bounded on a morsel-heavy run: {} events",

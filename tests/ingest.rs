@@ -481,6 +481,12 @@ fn journal_stays_bounded_across_forty_quarters() {
         .filter(|e| e.kind.tag() == "ingest_batch_committed")
         .count();
     assert_eq!(committed, 40, "exactly one coalesced event per batch");
+    assert!(
+        journal.len() <= 10 * 40,
+        "a commit stores a handful of events (its commit row, its pruning \
+         passes), not one per task: {} over 40 commits",
+        journal.len()
+    );
 
     let report = svc.job_report();
     assert_eq!(report.ingest.batches.len(), 40);

@@ -292,3 +292,42 @@ fn hundred_thousand_signal_requests_stay_bounded() {
     );
     assert!(report.to_json().contains("\"serve\""));
 }
+
+/// The report stays true for the life of a service: five hundred
+/// single-probe duplicate lookups on one service store two events each (the
+/// serve batch and its one pruning pass — the engine stages in between
+/// store none), nothing is dropped, and the report counts every one.
+#[test]
+fn job_report_counts_every_lookup_of_a_long_lived_service() {
+    let ds = Dataset::generate(&SynthConfig::small(250, 15, 11));
+    let sys = bootstrapped(Cluster::local(2), &ds);
+    let mut serve = ServeService::attach(&sys, ServeConfig::default()).expect("attach");
+    let journal = sys.cluster().journal();
+    let before = sys.job_report();
+    let events_before = journal.len();
+    for i in 0..500usize {
+        let mut report = ds.reports[(i * 13) % ds.reports.len()].clone();
+        report.id = 2_000_000_000 + i as u64;
+        let out = serve
+            .run_open_loop(&[ServeRequest {
+                arrival_us: 0,
+                query: ServeQuery::Duplicate { report },
+            }])
+            .expect("lookup");
+        assert_eq!(out.batches, 1);
+    }
+    let report = sys.job_report();
+    assert_eq!(report.serve.batches, 500);
+    assert_eq!(report.serve.requests, 500);
+    assert_eq!(report.prune.passes - before.prune.passes, 500);
+    assert_eq!(journal.dropped(), 0);
+    assert!(
+        journal.len() - events_before <= 2 * 500,
+        "{} events stored for 500 lookups",
+        journal.len() - events_before
+    );
+    assert!(
+        report.stages.len() - before.stages.len() >= 4 * 500,
+        "every lookup ran its engine stages"
+    );
+}
