@@ -4,7 +4,6 @@
 //! paper's Table 2), the subset of fields used for duplicate detection, and
 //! report pairs with ground-truth labels.
 
-pub mod csv;
 pub mod fields;
 pub mod pairs;
 pub mod report;

@@ -23,21 +23,15 @@ use mlcore::knn::nearest_neighbors;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simmetrics::{
-    euclidean, jaccard_distance, jaccard_distance_sorted, jaro_winkler, levenshtein,
-    squared_euclidean, squared_euclidean_fixed,
+    euclidean, jaccard_distance, jaccard_distance_sorted, squared_euclidean,
+    squared_euclidean_fixed,
 };
 use sparklet::Cluster;
 use textprep::{stem, Pipeline, TokenInterner};
 
-fn string_metrics(c: &mut Criterion) {
+fn token_metrics(c: &mut Criterion) {
     let a = "the patient experienced uncontrollable coughing and severe headache";
     let b = "the subject reported uncontrollable cough and a severe headache episode";
-    c.bench_function("levenshtein/70ch", |bench| {
-        bench.iter(|| levenshtein(black_box(a), black_box(b)))
-    });
-    c.bench_function("jaro_winkler/drug_names", |bench| {
-        bench.iter(|| jaro_winkler(black_box("atorvastatin"), black_box("atorvastatim")))
-    });
     let ta: Vec<&str> = a.split_whitespace().collect();
     let tb: Vec<&str> = b.split_whitespace().collect();
     c.bench_function("jaccard/10_tokens", |bench| {
@@ -363,7 +357,7 @@ fn serve_single_probe(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    string_metrics,
+    token_metrics,
     text_pipeline,
     kernel_jaccard,
     kernel_pair_distance,

@@ -3,6 +3,10 @@
 //! `--quick` runs the smoke-scale variants (used in CI); the default runs
 //! the paper-scale (÷50) configuration and takes a few minutes.
 //! `--report <path>` writes the captured sparklet job reports as JSON.
+//! `--check` regenerates in memory, compares with the checked-in
+//! `EXPERIMENTS.md` (the `Generated in …` footer line aside), writes nothing
+//! and exits non-zero on drift — the CI proof that a change moved no
+//! virtual minute.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -16,8 +20,17 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
+/// `doc` without its wall-clock footer, the one line that differs between
+/// two runs of the same code.
+fn without_footer(doc: &str) -> Vec<&str> {
+    doc.lines()
+        .filter(|l| !l.starts_with("Generated in "))
+        .collect()
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
+    let check = std::env::args().any(|a| a == "--check");
     let started = std::time::Instant::now();
     let results = bench::experiments::run_all(quick);
 
@@ -81,10 +94,27 @@ fn main() {
     )
     .unwrap();
 
+    let path = workspace_root().join("EXPERIMENTS.md");
+    if check {
+        let on_disk = std::fs::read_to_string(&path).expect("read EXPERIMENTS.md");
+        let (old, new) = (without_footer(&on_disk), without_footer(&doc));
+        if old == new {
+            println!("{} is up to date", path.display());
+            return;
+        }
+        match old.iter().zip(&new).position(|(a, b)| a != b) {
+            Some(i) => eprintln!("line {}:\n- {}\n+ {}", i + 1, old[i], new[i]),
+            None => eprintln!("{} lines checked in, {} regenerated", old.len(), new.len()),
+        }
+        eprintln!(
+            "{} has drifted from what this code generates",
+            path.display()
+        );
+        std::process::exit(1);
+    }
     for r in &results {
         println!("{r}");
     }
-    let path = workspace_root().join("EXPERIMENTS.md");
     std::fs::write(&path, doc).expect("write EXPERIMENTS.md");
     println!("wrote {}", path.display());
     bench::harness::maybe_write_report();

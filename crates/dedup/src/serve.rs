@@ -764,6 +764,7 @@ mod tests {
     use super::*;
     use crate::system::DedupConfig;
     use adr_synth::{Dataset, SynthConfig};
+    use sparklet::PairRdd;
 
     fn served_system(seed: u64) -> (DedupSystem, Dataset) {
         let ds = Dataset::generate(&SynthConfig::small(250, 15, seed));
@@ -1005,7 +1006,7 @@ mod tests {
     /// What the contingency stores held before they were folded on the
     /// driver — a sparklet aggregation, one key per distinct drug token, per
     /// distinct ADR token and per (drug, ADR) combination of each report,
-    /// counted by value across the cluster — kept as the reference the fold
+    /// summed per key across the cluster — kept as the reference the fold
     /// is checked against.
     fn aggregated(sys: &DedupSystem, ids: Vec<ReportId>) -> ContingencyTable {
         let mut table = ContingencyTable {
@@ -1030,7 +1031,9 @@ mod tests {
                 }
                 keys
             })
-            .count_by_value()
+            .map(|key| (key, 1u64))
+            .reduce_by_key(|a, b| a + b, 4)
+            .collect()
             .unwrap();
         for ((kind, x, y), n) in counts {
             match kind {

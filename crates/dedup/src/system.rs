@@ -134,10 +134,6 @@ pub struct DedupSystem {
 impl DedupSystem {
     /// Create an empty system bound to an engine cluster.
     pub fn new(cluster: Cluster, config: DedupConfig) -> Self {
-        // Install the classifier's spill codecs up front (FastKnn::fit does
-        // so too, per fit) so the cluster's disk tier can absorb shuffle and
-        // cache overflow from the very first job under a tight memory cap.
-        fastknn::register_spill_codecs::<{ fastknn::PAIR_DIMS }>(cluster.spill());
         DedupSystem {
             epoch: Epoch {
                 model: None,

@@ -13,6 +13,11 @@
 //! | 13–15. join with additional partitions, union + reduce to merge top-k | probe shuffle + second `zip_partitions` + `union` + `reduce_by_key` |
 //! | 17. score per Eq. 5 | `map` over merged neighbourhoods |
 //!
+//! The table's left column, written out literally — rows not columns, no
+//! pruning, `join` / `aggregate_by_key` / `union` / `reduce_by_key` and
+//! nothing else — is `algorithm2_literal` in `tests/engine_algorithms.rs`,
+//! differential-tested against [`FastKnn::classify`] and brute force.
+//!
 //! A block is **one action of four stages**: the assignment shuffle's map
 //! side, the probe shuffle's (which runs stage 1 and caches its output), the
 //! merge shuffle's (stage 2 plus the cached stage-1 neighbourhoods), and the

@@ -1,13 +1,9 @@
 //! # simmetrics — similarity and distance metrics for record matching
 //!
-//! Field-matching building blocks for duplicate detection, as surveyed in
-//! §1–§4.2 of Wang & Karimi (EDBT 2016):
+//! Field-matching building blocks for duplicate detection — the ones §4.2
+//! of Wang & Karimi (EDBT 2016) computes distance vectors with (the
+//! character-level string metrics §1 surveys are not among them):
 //!
-//! * [`mod@levenshtein`] — edit distance (Levenshtein \[13\] in the paper)
-//!   and the Damerau / optimal-string-alignment variant;
-//! * [`mod@hamming`] — Hamming distance \[8\];
-//! * [`mod@jaro`] — Jaro and Jaro–Winkler similarity (record-linkage
-//!   classics);
 //! * [`token`] — Jaccard \[3\], Dice, overlap and cosine over token sets;
 //! * [`sorted`] — the same set metrics as allocation-free merge walks over
 //!   sorted deduplicated slices (interned token ids on the hot path);
@@ -24,18 +20,12 @@
 //! are `1 - distance` where both are defined.
 
 pub mod field;
-pub mod hamming;
-pub mod jaro;
-pub mod levenshtein;
 pub mod soa;
 pub mod sorted;
 pub mod token;
 pub mod vector;
 
 pub use field::{FieldDistance, FieldKind};
-pub use hamming::hamming;
-pub use jaro::{jaro, jaro_winkler};
-pub use levenshtein::{damerau_levenshtein, levenshtein, normalized_levenshtein};
 pub use sorted::{
     cosine_tokens_sorted, dice_sorted, intersect_gallop_into, intersection_size_sorted,
     jaccard_distance_sorted, jaccard_similarity_sorted, overlap_coefficient_sorted,

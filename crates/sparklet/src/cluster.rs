@@ -417,7 +417,7 @@ impl Cluster {
     /// contiguous *morsels* whose summed `weight` stays at or under a fixed
     /// budget of 16 384 ops, and `f(partition, slice, ctx)` runs once per
     /// morsel. Virtual placement is owner-queues plus work stealing (see
-    /// [`simulate_morsels`]); the first morsel of a partition pays the full
+    /// `simulate_morsels`); the first morsel of a partition pays the full
     /// task launch overhead, follow-ups only
     /// [`crate::CostModelConfig::morsel_dispatch_overhead_us`], so an
     /// unsplit stage costs exactly what [`Cluster::run_job`] charges.
@@ -918,6 +918,7 @@ fn fault_fires(
 mod tests {
     use super::*;
     use crate::config::FaultConfig;
+    use crate::partitioner::HashPartitioner;
     use proptest::prelude::*;
 
     #[test]
@@ -1436,7 +1437,7 @@ mod tests {
         assert_eq!(c.shuffles().shuffle_count(), 0);
         assert_eq!(resident(&c), [0, 0]);
         // A held dataset keeps its shuffle, through a derived RDD too.
-        let shuffled = pairs.partition_by_hash(3);
+        let shuffled = pairs.partition_by(Arc::new(HashPartitioner::new(3)));
         let derived = shuffled.map(|(k, v)| k + v);
         let first = derived.collect().unwrap();
         assert_eq!(c.metrics().executors_lost.get(), 1);

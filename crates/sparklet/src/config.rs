@@ -46,12 +46,12 @@ impl ClusterConfig {
     }
 
     /// Total task slots in the virtual topology.
-    pub fn total_slots(&self) -> usize {
+    pub(crate) fn total_slots(&self) -> usize {
         (self.num_executors * self.cores_per_executor).max(1)
     }
 
     /// Number of real worker threads to launch.
-    pub fn worker_threads(&self) -> usize {
+    pub(crate) fn worker_threads(&self) -> usize {
         self.total_slots().min(Self::MAX_WORKER_THREADS)
     }
 }

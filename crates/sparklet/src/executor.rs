@@ -46,7 +46,7 @@ pub struct ExecutorRegistry {
 
 impl ExecutorRegistry {
     /// Create a registry of `n` live executors (clamped to at least 1).
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         ExecutorRegistry {
             slots: Mutex::new(
                 (0..n.max(1))
@@ -61,24 +61,9 @@ impl ExecutorRegistry {
         }
     }
 
-    /// Total executors (alive or not).
-    pub fn len(&self) -> usize {
-        self.slots.lock().len()
-    }
-
-    /// Always at least one slot exists, so the registry is never empty.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Executors currently accepting tasks.
     pub fn alive_count(&self) -> usize {
         self.slots.lock().iter().filter(|e| e.alive).count()
-    }
-
-    /// Blacklisted executors.
-    pub fn blacklisted_count(&self) -> usize {
-        self.slots.lock().iter().filter(|e| !e.alive).count()
     }
 
     /// Snapshot of every executor's state, in id order.
@@ -91,7 +76,7 @@ impl ExecutorRegistry {
     /// and its current incarnation, or `None` when every executor is
     /// blacklisted. Rotating by attempt moves retries off the executor
     /// that hosted the previous attempt.
-    pub fn place(&self, task: usize, attempt: u32) -> Option<(usize, u32)> {
+    pub(crate) fn place(&self, task: usize, attempt: u32) -> Option<(usize, u32)> {
         let slots = self.slots.lock();
         let alive: Vec<&ExecutorInfo> = slots.iter().filter(|e| e.alive).collect();
         if alive.is_empty() {
@@ -104,7 +89,7 @@ impl ExecutorRegistry {
     /// Is `(executor, incarnation)` still the current, alive incarnation?
     /// The scheduler discards results whose placement fails this check —
     /// they were computed by an executor that has since died.
-    pub fn is_current(&self, executor: usize, incarnation: u32) -> bool {
+    pub(crate) fn is_current(&self, executor: usize, incarnation: u32) -> bool {
         self.slots
             .lock()
             .get(executor)
@@ -116,7 +101,7 @@ impl ExecutorRegistry {
     /// new incarnation or blacklist it once `max_failures` is reached.
     /// Returns `None` if the executor is unknown or already blacklisted
     /// (the kill is a no-op).
-    pub fn kill(&self, executor: usize, max_failures: u32) -> Option<KillOutcome> {
+    pub(crate) fn kill(&self, executor: usize, max_failures: u32) -> Option<KillOutcome> {
         let mut slots = self.slots.lock();
         let e = slots.get_mut(executor)?;
         if !e.alive {
@@ -137,7 +122,7 @@ impl ExecutorRegistry {
     }
 
     /// Revive every executor with fresh state (between experiment runs).
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         for e in self.slots.lock().iter_mut() {
             e.incarnation = 0;
             e.failures = 0;
@@ -206,8 +191,7 @@ mod tests {
     #[test]
     fn zero_executors_clamps_to_one() {
         let r = ExecutorRegistry::new(0);
-        assert_eq!(r.len(), 1);
-        assert!(!r.is_empty());
+        assert_eq!(r.alive_count(), 1);
         assert_eq!(r.place(5, 0), Some((0, 0)));
     }
 }

@@ -55,7 +55,7 @@ pub struct SipHasher13 {
 
 impl SipHasher13 {
     /// Create a hasher keyed with `(k0, k1)`.
-    pub fn new_with_keys(k0: u64, k1: u64) -> Self {
+    pub(crate) fn new_with_keys(k0: u64, k1: u64) -> Self {
         SipHasher13 {
             state: State {
                 v0: k0 ^ 0x736f_6d65_7073_6575,

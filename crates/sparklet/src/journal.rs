@@ -344,7 +344,7 @@ impl RunJournal {
     pub const MAX_EVENTS: usize = 100_000;
 
     /// Fresh empty journal.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RunJournal::default()
     }
 
@@ -403,7 +403,7 @@ impl RunJournal {
 
     /// Drop all events, zero the running report sections and reset the
     /// sequence and virtual stamp (between experiment configurations).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         *self.inner.state.lock() = JournalState::default();
         self.inner.virtual_now_us.store(0, Ordering::Relaxed);
     }
@@ -664,7 +664,7 @@ impl SpillReport {
     }
 
     /// Did the disk tier (or the skip path) engage during the run?
-    pub fn any(&self) -> bool {
+    pub(crate) fn any(&self) -> bool {
         self.bytes_spilled > 0 || self.bytes_read_back > 0 || self.cache_skipped > 0
     }
 }
@@ -710,7 +710,7 @@ impl PruneReport {
     }
 
     /// Did any pruning pass run?
-    pub fn any(&self) -> bool {
+    pub(crate) fn any(&self) -> bool {
         self.passes > 0
     }
 
@@ -810,7 +810,7 @@ impl IngestReport {
     }
 
     /// Did an ingest service run on this cluster?
-    pub fn any(&self) -> bool {
+    pub(crate) fn any(&self) -> bool {
         !self.batches.is_empty()
             || self.batches_quarantined > 0
             || self.recoveries > 0
@@ -870,12 +870,12 @@ impl ServeReport {
     }
 
     /// Did a serve service run on this cluster?
-    pub fn any(&self) -> bool {
+    pub(crate) fn any(&self) -> bool {
         self.batches > 0
     }
 
     /// Fraction of signal-memo lookups answered from the memo, in `[0, 1]`.
-    pub fn memo_hit_rate(&self) -> f64 {
+    pub(crate) fn memo_hit_rate(&self) -> f64 {
         if self.memo_lookups == 0 {
             0.0
         } else {
@@ -884,7 +884,7 @@ impl ServeReport {
     }
 
     /// Mean requests per dispatched batch.
-    pub fn mean_batch_size(&self) -> f64 {
+    pub(crate) fn mean_batch_size(&self) -> f64 {
         if self.batches == 0 {
             0.0
         } else {
@@ -955,7 +955,7 @@ impl JobReport {
 
     /// Snapshot a cluster's clock, metrics and journal into a report: the
     /// journal's running sections are copied, never replayed from the log.
-    pub fn capture(cluster: &Cluster) -> Self {
+    pub(crate) fn capture(cluster: &Cluster) -> Self {
         let m = cluster.metrics();
         let (sections, stored, dropped) = {
             let state = cluster.journal().inner.state.lock();
@@ -1010,11 +1010,6 @@ impl JobReport {
             virtual_us: cluster.virtual_elapsed().us,
             total_work_us: cluster.clock().total_work().us,
         }
-    }
-
-    /// Stages flagged as stragglers.
-    pub fn straggler_stages(&self) -> impl Iterator<Item = &StageReport> {
-        self.stages.iter().filter(|s| s.straggler)
     }
 
     /// Serialise to schema-stable JSON (hand-rolled: the workspace vendors
@@ -1604,7 +1599,6 @@ mod tests {
         assert_eq!(s.tasks, 4);
         assert!(s.min_task_us <= s.p50_task_us && s.p50_task_us <= s.max_task_us);
         assert!(s.straggler, "one hot task over 3 cold ones must flag");
-        assert_eq!(report.straggler_stages().count(), 1);
     }
 
     #[test]

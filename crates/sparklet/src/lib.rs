@@ -7,13 +7,15 @@
 //!
 //! * **Resilient datasets** ([`Rdd`]) — immutable, partitioned collections
 //!   described by a lineage graph of transformation nodes. Narrow
-//!   transformations (`map`, `filter`, `flat_map`, …) are pipelined inside a
-//!   single task; wide transformations (`partition_by`, `group_by_key`,
-//!   `join`, `cogroup`, …) cut a stage boundary and go through the
-//!   [`shuffle`] service.
-//! * **Actions** (`collect`, `count`, `reduce`, `aggregate`, …) — walk the
-//!   lineage, materialise shuffle dependencies stage by stage, and submit one
-//!   task per partition to the [`Cluster`] scheduler.
+//!   transformations (`map`, `flat_map`, `map_partitions`, `union`,
+//!   `zip_partitions`) are pipelined inside a single task; wide
+//!   transformations (`partition_by`, `reduce_by_key`, `aggregate_by_key`,
+//!   `join`) cut a stage boundary and go through the [`shuffle`] service.
+//!   The operator set is exactly what the product and the paper-literal
+//!   Algorithm 2 (`tests/engine_algorithms.rs`) call, nothing more.
+//! * **Actions** (`collect`, `count`, `aggregate`) — walk the lineage,
+//!   materialise shuffle dependencies stage by stage, and submit one task
+//!   per partition to the [`Cluster`] scheduler.
 //! * **Caching** ([`Rdd::cache`]) — computed partitions are pinned in the
 //!   [`storage::BlockManager`] subject to a per-executor memory budget with
 //!   LRU eviction; evicted partitions are recomputed from lineage, mirroring
@@ -42,7 +44,7 @@
 //! let data = cluster.parallelize((0..1000u64).collect::<Vec<_>>(), 8);
 //! let sum = data
 //!     .map(|x| x * 2)
-//!     .filter(|x| x % 3 == 0)
+//!     .flat_map(|x| if x % 3 == 0 { vec![x] } else { vec![] })
 //!     .aggregate(0u64, |acc, x| acc + x, |a, b| a + b)
 //!     .unwrap();
 //! assert_eq!(sum, (0..1000u64).map(|x| x * 2).filter(|x| x % 3 == 0).sum());
@@ -67,17 +69,16 @@ pub mod task;
 pub use cluster::Cluster;
 pub use config::{ClusterConfig, CostModelConfig, ExecutorKill, FaultConfig, KillWhen};
 pub use error::{Result, SparkletError};
-pub use executor::{ExecutorInfo, ExecutorRegistry, KillOutcome};
-pub use hash::{stable_hash, SipHasher13};
+pub use executor::ExecutorRegistry;
+pub use hash::stable_hash;
 pub use journal::{
     BatchReport, Event, EventKind, IngestBatchRow, IngestReport, JobReport, PruneReport,
-    RecoveryReport, RunJournal, SchedReport, ServeReport, WorkerUtilization, SERVE_HIST_BUCKETS,
+    RecoveryReport, RunJournal, SchedReport, ServeReport,
 };
 pub use metrics::ClusterMetrics;
 pub use pair::PairRdd;
 pub use partitioner::{HashPartitioner, Partitioner};
-pub use rdd::{Chunk, Rdd};
-pub use simtime::{simulate_morsels, SchedSim};
+pub use rdd::Rdd;
 pub use spill::{FixedBytes, SpillManager};
 pub use task::TaskContext;
 

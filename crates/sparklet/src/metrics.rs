@@ -16,12 +16,12 @@ impl Counter {
     }
 
     /// Increment by one.
-    pub fn inc(&self) {
+    pub(crate) fn inc(&self) {
         self.add(1);
     }
 
     /// Raise the counter to `n` if it is lower: a high-water mark.
-    pub fn raise_to(&self, n: u64) {
+    pub(crate) fn raise_to(&self, n: u64) {
         self.0.fetch_max(n, Ordering::Relaxed);
     }
 
@@ -31,7 +31,7 @@ impl Counter {
     }
 
     /// Reset to zero.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         self.0.store(0, Ordering::Relaxed);
     }
 }
@@ -79,8 +79,8 @@ pub struct ClusterMetrics {
     pub morsels_executed: Counter,
     /// Morsels that ran on a worker other than their home (work stealing).
     pub morsels_stolen: Counter,
-    /// Chunks dispatched through the batch operator path (see
-    /// [`crate::rdd::batch`]).
+    /// Chunks dispatched by the element-wise operators and the shuffle map
+    /// side (see [`crate::Rdd::map`]).
     pub chunks_executed: Counter,
     /// Records carried by those chunks.
     pub chunk_records: Counter,
@@ -123,7 +123,7 @@ impl ClusterMetrics {
     }
 
     /// Snapshot of all user counters, sorted by name.
-    pub fn user_counters(&self) -> Vec<(String, u64)> {
+    pub(crate) fn user_counters(&self) -> Vec<(String, u64)> {
         let mut v: Vec<(String, u64)> = self
             .user
             .read()

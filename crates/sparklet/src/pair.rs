@@ -1,4 +1,4 @@
-//! Key-value ("pair RDD") operations: shuffles, joins and cogroup.
+//! Key-value ("pair RDD") operations: shuffles, per-key folds and the join.
 
 use crate::error::Result;
 use crate::partitioner::{HashPartitioner, Partitioner};
@@ -13,16 +13,9 @@ use std::sync::Arc;
 /// `PairRDDFunctions` — the vocabulary Algorithm 2 of the paper is written
 /// in (`join` on cluster IDs, `aggregate` for top-k, `union`/`reduce` for
 /// merging neighbour lists).
-#[allow(clippy::type_complexity)] // cogroup's (K, (Vec<V>, Vec<W>)) is Spark's own shape
 pub trait PairRdd<K: KeyData, V: Data> {
     /// Repartition by key with an explicit partitioner (one shuffle).
     fn partition_by(&self, partitioner: Arc<dyn Partitioner<K>>) -> Rdd<(K, V)>;
-
-    /// Hash-repartition into `num_partitions` buckets.
-    fn partition_by_hash(&self, num_partitions: usize) -> Rdd<(K, V)>;
-
-    /// Group values per key (one shuffle).
-    fn group_by_key(&self, num_partitions: usize) -> Rdd<(K, Vec<V>)>;
 
     /// Merge values per key with `f`, combining map-side first.
     fn reduce_by_key(
@@ -41,39 +34,9 @@ pub trait PairRdd<K: KeyData, V: Data> {
         num_partitions: usize,
     ) -> Rdd<(K, A)>;
 
-    /// Transform values, keeping keys.
-    fn map_values<W: Data>(&self, f: impl Fn(V) -> W + Send + Sync + 'static) -> Rdd<(K, W)>;
-
-    /// Just the keys.
-    fn keys(&self) -> Rdd<K>;
-
-    /// Just the values.
-    fn values(&self) -> Rdd<V>;
-
-    /// Group both datasets by key into `(values-from-self, values-from-other)`.
-    fn cogroup<W: Data>(
-        &self,
-        other: &Rdd<(K, W)>,
-        num_partitions: usize,
-    ) -> Result<Rdd<(K, (Vec<V>, Vec<W>))>>;
-
     /// Inner join on key.
     fn join<W: Data>(&self, other: &Rdd<(K, W)>, num_partitions: usize)
         -> Result<Rdd<(K, (V, W))>>;
-
-    /// Left outer join on key: every left record appears, matched values
-    /// from the right or `None`.
-    fn left_outer_join<W: Data>(
-        &self,
-        other: &Rdd<(K, W)>,
-        num_partitions: usize,
-    ) -> Result<Rdd<(K, (V, Option<W>))>>;
-
-    /// Action: number of values per key, gathered to the driver.
-    fn count_by_key(&self) -> Result<HashMap<K, u64>>;
-
-    /// Action: all values recorded under `key` (Spark's `lookup`).
-    fn lookup(&self, key: &K) -> Result<Vec<V>>;
 }
 
 fn shuffled<K: KeyData, V: Data>(
@@ -94,24 +57,54 @@ fn shuffled<K: KeyData, V: Data>(
     )
 }
 
+/// Hash-repartition into `num_partitions` buckets.
+fn hash_partitioned<K: KeyData, V: Data>(rdd: &Rdd<(K, V)>, num_partitions: usize) -> Rdd<(K, V)> {
+    shuffled(rdd, Arc::new(HashPartitioner::new(num_partitions)))
+}
+
+/// Fold a partition's values per key with `f`.
+fn combine_by_key<K: KeyData, V>(part: Vec<(K, V)>, f: impl Fn(V, V) -> V) -> Vec<(K, V)> {
+    let mut acc: HashMap<K, V> = HashMap::new();
+    for (k, v) in part {
+        match acc.remove(&k) {
+            Some(prev) => {
+                acc.insert(k, f(prev, v));
+            }
+            None => {
+                acc.insert(k, v);
+            }
+        }
+    }
+    acc.into_iter().collect()
+}
+
+/// Group both datasets by key into `(values-from-left, values-from-right)`
+/// — the building block of [`PairRdd::join`].
+#[allow(clippy::type_complexity)] // (K, (Vec<V>, Vec<W>)) is Spark's own cogroup shape
+fn cogroup<K: KeyData, V: Data, W: Data>(
+    left: &Rdd<(K, V)>,
+    right: &Rdd<(K, W)>,
+    num_partitions: usize,
+) -> Result<Rdd<(K, (Vec<V>, Vec<W>))>> {
+    // The same deterministic hash partitioner sends equal keys of both
+    // sides to the same bucket index.
+    let left = hash_partitioned(left, num_partitions);
+    let right = hash_partitioned(right, num_partitions);
+    left.zip_partitions(&right, |_, lv: Vec<(K, V)>, rv: Vec<(K, W)>| {
+        let mut groups: HashMap<K, (Vec<V>, Vec<W>)> = HashMap::new();
+        for (k, v) in lv {
+            groups.entry(k).or_default().0.push(v);
+        }
+        for (k, w) in rv {
+            groups.entry(k).or_default().1.push(w);
+        }
+        Ok(groups.into_iter().collect())
+    })
+}
+
 impl<K: KeyData, V: Data> PairRdd<K, V> for Rdd<(K, V)> {
     fn partition_by(&self, partitioner: Arc<dyn Partitioner<K>>) -> Rdd<(K, V)> {
         shuffled(self, partitioner)
-    }
-
-    fn partition_by_hash(&self, num_partitions: usize) -> Rdd<(K, V)> {
-        shuffled(self, Arc::new(HashPartitioner::new(num_partitions)))
-    }
-
-    fn group_by_key(&self, num_partitions: usize) -> Rdd<(K, Vec<V>)> {
-        self.partition_by_hash(num_partitions)
-            .map_partitions(|part: Vec<(K, V)>| {
-                let mut groups: HashMap<K, Vec<V>> = HashMap::new();
-                for (k, v) in part {
-                    groups.entry(k).or_default().push(v);
-                }
-                groups.into_iter().collect()
-            })
     }
 
     fn reduce_by_key(
@@ -122,36 +115,9 @@ impl<K: KeyData, V: Data> PairRdd<K, V> for Rdd<(K, V)> {
         let f = Arc::new(f);
         let f_map = f.clone();
         // Map-side combine shrinks the shuffle volume, as in Spark.
-        let combined = self.map_partitions(move |part: Vec<(K, V)>| {
-            let mut acc: HashMap<K, V> = HashMap::new();
-            for (k, v) in part {
-                match acc.remove(&k) {
-                    Some(prev) => {
-                        acc.insert(k, f_map(prev, v));
-                    }
-                    None => {
-                        acc.insert(k, v);
-                    }
-                }
-            }
-            acc.into_iter().collect()
-        });
-        combined
-            .partition_by_hash(num_partitions)
-            .map_partitions(move |part: Vec<(K, V)>| {
-                let mut acc: HashMap<K, V> = HashMap::new();
-                for (k, v) in part {
-                    match acc.remove(&k) {
-                        Some(prev) => {
-                            acc.insert(k, f(prev, v));
-                        }
-                        None => {
-                            acc.insert(k, v);
-                        }
-                    }
-                }
-                acc.into_iter().collect()
-            })
+        let combined = self.map_partitions(move |part| combine_by_key(part, &*f_map));
+        hash_partitioned(&combined, num_partitions)
+            .map_partitions(move |part| combine_by_key(part, &*f))
     }
 
     fn aggregate_by_key<A: Data>(
@@ -161,11 +127,10 @@ impl<K: KeyData, V: Data> PairRdd<K, V> for Rdd<(K, V)> {
         comb: impl Fn(A, A) -> A + Send + Sync + 'static,
         num_partitions: usize,
     ) -> Rdd<(K, A)> {
-        let z = zero.clone();
         let folded = self.map_partitions(move |part: Vec<(K, V)>| {
             let mut acc: HashMap<K, A> = HashMap::new();
             for (k, v) in part {
-                let cur = acc.remove(&k).unwrap_or_else(|| z.clone());
+                let cur = acc.remove(&k).unwrap_or_else(|| zero.clone());
                 acc.insert(k, seq(cur, v));
             }
             acc.into_iter().collect()
@@ -173,47 +138,13 @@ impl<K: KeyData, V: Data> PairRdd<K, V> for Rdd<(K, V)> {
         folded.reduce_by_key(comb, num_partitions)
     }
 
-    fn map_values<W: Data>(&self, f: impl Fn(V) -> W + Send + Sync + 'static) -> Rdd<(K, W)> {
-        self.map(move |(k, v)| (k, f(v)))
-    }
-
-    fn keys(&self) -> Rdd<K> {
-        self.map(|(k, _)| k)
-    }
-
-    fn values(&self) -> Rdd<V> {
-        self.map(|(_, v)| v)
-    }
-
-    fn cogroup<W: Data>(
-        &self,
-        other: &Rdd<(K, W)>,
-        num_partitions: usize,
-    ) -> Result<Rdd<(K, (Vec<V>, Vec<W>))>> {
-        // The same deterministic hash partitioner sends equal keys of both
-        // sides to the same bucket index.
-        let left = self.partition_by_hash(num_partitions);
-        let right = other.partition_by_hash(num_partitions);
-        left.zip_partitions(&right, |_, lv: Vec<(K, V)>, rv: Vec<(K, W)>| {
-            let mut groups: HashMap<K, (Vec<V>, Vec<W>)> = HashMap::new();
-            for (k, v) in lv {
-                groups.entry(k).or_default().0.push(v);
-            }
-            for (k, w) in rv {
-                groups.entry(k).or_default().1.push(w);
-            }
-            Ok(groups.into_iter().collect())
-        })
-    }
-
     fn join<W: Data>(
         &self,
         other: &Rdd<(K, W)>,
         num_partitions: usize,
     ) -> Result<Rdd<(K, (V, W))>> {
-        Ok(self
-            .cogroup(other, num_partitions)?
-            .flat_map(|(k, (vs, ws))| {
+        Ok(
+            cogroup(self, other, num_partitions)?.flat_map(|(k, (vs, ws))| {
                 let mut out = Vec::with_capacity(vs.len() * ws.len());
                 for v in &vs {
                     for w in &ws {
@@ -221,41 +152,8 @@ impl<K: KeyData, V: Data> PairRdd<K, V> for Rdd<(K, V)> {
                     }
                 }
                 out
-            }))
-    }
-
-    fn left_outer_join<W: Data>(
-        &self,
-        other: &Rdd<(K, W)>,
-        num_partitions: usize,
-    ) -> Result<Rdd<(K, (V, Option<W>))>> {
-        Ok(self
-            .cogroup(other, num_partitions)?
-            .flat_map(|(k, (vs, ws))| {
-                let mut out = Vec::with_capacity(vs.len() * ws.len().max(1));
-                for v in &vs {
-                    if ws.is_empty() {
-                        out.push((k.clone(), (v.clone(), None)));
-                    } else {
-                        for w in &ws {
-                            out.push((k.clone(), (v.clone(), Some(w.clone()))));
-                        }
-                    }
-                }
-                out
-            }))
-    }
-
-    fn count_by_key(&self) -> Result<HashMap<K, u64>> {
-        self.map_values(|_| 1u64)
-            .reduce_by_key(|a, b| a + b, self.num_partitions().max(1))
-            .collect()
-            .map(|pairs| pairs.into_iter().collect())
-    }
-
-    fn lookup(&self, key: &K) -> Result<Vec<V>> {
-        let key = key.clone();
-        self.filter(move |(k, _)| *k == key).values().collect()
+            }),
+        )
     }
 }
 
@@ -274,7 +172,7 @@ mod tests {
     #[test]
     fn partition_by_hash_keeps_all_records_and_groups_keys() {
         let c = Cluster::local(2);
-        let shuffled = pairs(&c).partition_by_hash(4);
+        let shuffled = pairs(&c).partition_by(Arc::new(HashPartitioner::new(4)));
         assert_eq!(shuffled.num_partitions(), 4);
         let mut all = shuffled.collect().unwrap();
         all.sort();
@@ -295,20 +193,6 @@ mod tests {
                 assert_eq!(prev, split, "key {k} split across partitions");
             }
         }
-    }
-
-    #[test]
-    fn group_by_key_collects_all_values() {
-        let c = Cluster::local(2);
-        let mut grouped = pairs(&c).group_by_key(2).collect().unwrap();
-        grouped.sort_by_key(|(k, _)| *k);
-        for (_, vs) in grouped.iter_mut() {
-            vs.sort();
-        }
-        assert_eq!(
-            grouped,
-            vec![(1, vec![10, 11, 12]), (2, vec![20, 21]), (3, vec![30])]
-        );
     }
 
     #[test]
@@ -336,23 +220,11 @@ mod tests {
     }
 
     #[test]
-    fn map_values_keys_values() {
-        let c = Cluster::local(2);
-        let rdd = c.parallelize(vec![(1u8, 2u8), (3, 4)], 1);
-        assert_eq!(
-            rdd.map_values(|v| v * 10).collect().unwrap(),
-            vec![(1, 20), (3, 40)]
-        );
-        assert_eq!(rdd.keys().collect().unwrap(), vec![1, 3]);
-        assert_eq!(rdd.values().collect().unwrap(), vec![2, 4]);
-    }
-
-    #[test]
     fn cogroup_pairs_up_both_sides() {
         let c = Cluster::local(2);
         let a = c.parallelize(vec![(1u32, "a"), (2, "b"), (1, "c")], 2);
         let b = c.parallelize(vec![(1u32, 10u32), (3, 30)], 2);
-        let mut out = a.cogroup(&b, 3).unwrap().collect().unwrap();
+        let mut out = cogroup(&a, &b, 3).unwrap().collect().unwrap();
         out.sort_by_key(|(k, _)| *k);
         for (_, (vs, _)) in out.iter_mut() {
             vs.sort();
@@ -374,46 +246,9 @@ mod tests {
     }
 
     #[test]
-    fn left_outer_join_keeps_unmatched_left() {
-        let c = Cluster::local(2);
-        let a = c.parallelize(vec![(1u32, "x"), (2, "y"), (3, "z")], 2);
-        let b = c.parallelize(vec![(2u32, 20u32), (2, 21)], 2);
-        let mut out = a.left_outer_join(&b, 2).unwrap().collect().unwrap();
-        out.sort();
-        assert_eq!(
-            out,
-            vec![
-                (1, ("x", None)),
-                (2, ("y", Some(20))),
-                (2, ("y", Some(21))),
-                (3, ("z", None)),
-            ]
-        );
-    }
-
-    #[test]
-    fn lookup_returns_all_values_for_key() {
-        let c = Cluster::local(2);
-        let rdd = pairs(&c);
-        let mut vals = rdd.lookup(&1).unwrap();
-        vals.sort_unstable();
-        assert_eq!(vals, vec![10, 11, 12]);
-        assert!(rdd.lookup(&99).unwrap().is_empty());
-    }
-
-    #[test]
-    fn count_by_key_action() {
-        let c = Cluster::local(2);
-        let counts = pairs(&c).count_by_key().unwrap();
-        assert_eq!(counts[&1], 3);
-        assert_eq!(counts[&2], 2);
-        assert_eq!(counts[&3], 1);
-    }
-
-    #[test]
     fn shuffle_metrics_move() {
         let c = Cluster::local(2);
-        let _ = pairs(&c).partition_by_hash(2).collect().unwrap();
+        let _ = hash_partitioned(&pairs(&c), 2).collect().unwrap();
         assert!(c.metrics().shuffle_records_written.get() >= 6);
         assert!(c.metrics().shuffle_bytes_written.get() > 0);
         assert!(c.metrics().shuffle_records_read.get() >= 6);
@@ -422,7 +257,7 @@ mod tests {
     #[test]
     fn reusing_shuffled_rdd_does_not_rewrite_shuffle() {
         let c = Cluster::local(2);
-        let shuffled = pairs(&c).partition_by_hash(2);
+        let shuffled = hash_partitioned(&pairs(&c), 2);
         let _ = shuffled.count().unwrap();
         let written = c.metrics().shuffle_records_written.get();
         let _ = shuffled.count().unwrap();

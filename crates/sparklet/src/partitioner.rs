@@ -98,70 +98,9 @@ impl Partitioner<usize> for IndexPartitioner {
     }
 }
 
-/// Range partitioner over `Ord` keys: partition `i` receives keys in
-/// `(splitters[i-1], splitters[i]]`. Built from sampled keys by
-/// [`crate::Rdd::sort_by`]; the splitters must be sorted.
-pub struct RangePartitioner<K: Ord> {
-    splitters: Vec<K>,
-}
-
-impl<K: Ord> RangePartitioner<K> {
-    /// Build from sorted splitters; yields `splitters.len() + 1` partitions.
-    ///
-    /// # Panics
-    /// Panics if the splitters are not sorted.
-    pub fn new(splitters: Vec<K>) -> Self {
-        assert!(
-            splitters.windows(2).all(|w| w[0] <= w[1]),
-            "splitters must be sorted"
-        );
-        RangePartitioner { splitters }
-    }
-}
-
-impl<K: Ord + Send + Sync + 'static> Partitioner<K> for RangePartitioner<K> {
-    fn num_partitions(&self) -> usize {
-        self.splitters.len() + 1
-    }
-
-    fn partition(&self, key: &K) -> usize {
-        self.splitters.partition_point(|s| s < key)
-    }
-
-    fn partition_batch(&self, keys: &mut dyn Iterator<Item = &K>, out: &mut Vec<usize>) {
-        out.extend(keys.map(|k| self.splitters.partition_point(|s| s < k)));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn range_partitioner_routes_by_splitters() {
-        let p = RangePartitioner::new(vec![10, 20, 30]);
-        assert_eq!(p.num_partitions(), 4);
-        // Partition i covers (splitters[i-1], splitters[i]].
-        assert_eq!(p.partition(&5), 0);
-        assert_eq!(p.partition(&10), 0);
-        assert_eq!(p.partition(&15), 1);
-        assert_eq!(p.partition(&20), 1);
-        assert_eq!(p.partition(&21), 2);
-        assert_eq!(p.partition(&35), 3);
-    }
-
-    #[test]
-    fn range_partitioner_empty_splitters_is_single_partition() {
-        let p = RangePartitioner::<u32>::new(vec![]);
-        assert_eq!(p.num_partitions(), 1);
-        assert_eq!(p.partition(&99), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted")]
-    fn range_partitioner_rejects_unsorted() {
-        let _ = RangePartitioner::new(vec![3, 1]);
-    }
 
     #[test]
     fn hash_partitioner_in_range_and_deterministic() {
@@ -228,7 +167,5 @@ mod tests {
         check(&HashPartitioner::<u64>::new(8), &keys);
         let idx: Vec<usize> = (0..64).collect();
         check(&IndexPartitioner::new(5), &idx);
-        let vals: Vec<u32> = (0..64).map(|i| i * 13 % 97).collect();
-        check(&RangePartitioner::new(vec![20, 40, 60]), &vals);
     }
 }

@@ -1,15 +1,12 @@
 //! The public [`Rdd`] handle: transformations and actions.
 
-pub mod batch;
 pub mod node;
 pub mod nodes;
 
 use crate::cluster::Cluster;
-use crate::error::{Result, SparkletError};
+use crate::error::Result;
 use crate::task::TaskContext;
 use crate::Data;
-use batch::BatchMapNode;
-pub use batch::Chunk;
 use node::RddNode;
 use nodes::*;
 use std::sync::Arc;
@@ -18,9 +15,9 @@ use std::sync::Arc;
 /// Spark's `RDD`.
 ///
 /// Transformations are lazy: they only grow the lineage graph. Actions
-/// ([`Rdd::collect`], [`Rdd::count`], [`Rdd::reduce`], [`Rdd::aggregate`],
-/// …) materialise shuffle dependencies stage by stage and run one task per
-/// partition on the cluster scheduler.
+/// ([`Rdd::collect`], [`Rdd::count`], [`Rdd::aggregate`]) materialise
+/// shuffle dependencies stage by stage and run one task per partition on
+/// the cluster scheduler.
 pub struct Rdd<T: Data> {
     pub(crate) cluster: Cluster,
     pub(crate) node: Arc<dyn RddNode<T>>,
@@ -48,11 +45,6 @@ impl<T: Data> Rdd<T> {
         Rdd { cluster, node }
     }
 
-    /// The cluster this dataset is bound to.
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
     /// Number of partitions.
     pub fn num_partitions(&self) -> usize {
         self.node.num_partitions()
@@ -62,109 +54,22 @@ impl<T: Data> Rdd<T> {
     // Narrow transformations
     // ------------------------------------------------------------------
 
-    /// Element-wise transformation (a thin adapter over the batch path: the
-    /// partition moves through the DAG in [`Chunk`]s, see [`Rdd::map_batches`]).
+    /// Element-wise transformation. Charged as chunked execution: one
+    /// [`crate::CostModelConfig::chunk_dispatch_ns`] per 1024-row slab of
+    /// the partition, not per element.
     pub fn map<U: Data>(&self, f: impl Fn(T) -> U + Send + Sync + 'static) -> Rdd<U> {
-        self.batch_op("map", move |_, _, chunk: Chunk<T>| {
-            Ok(Chunk::new(chunk.into_items().into_iter().map(&f).collect()))
+        self.map_partitions_named("map", move |ctx, _, part| {
+            charge_chunks(ctx, part.len());
+            Ok(part.into_iter().map(&f).collect())
         })
     }
 
-    /// Keep only elements satisfying `pred` (chunked under the hood, see
-    /// [`Rdd::filter_batches`]).
-    pub fn filter(&self, pred: impl Fn(&T) -> bool + Send + Sync + 'static) -> Rdd<T> {
-        self.batch_op("filter", move |_, _, chunk: Chunk<T>| {
-            Ok(Chunk::new(
-                chunk.into_items().into_iter().filter(|t| pred(t)).collect(),
-            ))
-        })
-    }
-
-    /// One-to-many transformation (chunked under the hood, see
-    /// [`Rdd::flat_map_batches`]).
+    /// One-to-many transformation (chunk-charged like [`Rdd::map`]).
     pub fn flat_map<U: Data>(&self, f: impl Fn(T) -> Vec<U> + Send + Sync + 'static) -> Rdd<U> {
-        self.batch_op("flat_map", move |_, _, chunk: Chunk<T>| {
-            Ok(Chunk::new(
-                chunk.into_items().into_iter().flat_map(&f).collect(),
-            ))
+        self.map_partitions_named("flat_map", move |ctx, _, part| {
+            charge_chunks(ctx, part.len());
+            Ok(part.into_iter().flat_map(&f).collect())
         })
-    }
-
-    // ------------------------------------------------------------------
-    // Batch-native operators: whole chunks in, whole chunks out
-    // ------------------------------------------------------------------
-
-    /// Chunk-wise 1:1 transformation: `f` sees a whole [`Chunk`] and must
-    /// return exactly one output row per input row (enforced — a length
-    /// mismatch fails the task). Use this to amortise per-row dispatch when
-    /// the body can vectorise over the slab; use
-    /// [`Rdd::flat_map_batches`] for free-form arity.
-    pub fn map_batches<U: Data>(
-        &self,
-        f: impl Fn(&TaskContext, &Chunk<T>) -> Result<Vec<U>> + Send + Sync + 'static,
-    ) -> Rdd<U> {
-        self.batch_op("map_batches", move |ctx, _, chunk: Chunk<T>| {
-            let out = f(ctx, &chunk)?;
-            if out.len() != chunk.len() {
-                return Err(SparkletError::User(format!(
-                    "map_batches must be 1:1: chunk of {} rows produced {}",
-                    chunk.len(),
-                    out.len()
-                )));
-            }
-            Ok(Chunk::new(out))
-        })
-    }
-
-    /// Chunk-wise filter: `f` returns one keep/drop mask entry per row of
-    /// the chunk (enforced — a mask length mismatch fails the task).
-    pub fn filter_batches(
-        &self,
-        f: impl Fn(&TaskContext, &Chunk<T>) -> Result<Vec<bool>> + Send + Sync + 'static,
-    ) -> Rdd<T> {
-        self.batch_op("filter_batches", move |ctx, _, chunk: Chunk<T>| {
-            let mask = f(ctx, &chunk)?;
-            if mask.len() != chunk.len() {
-                return Err(SparkletError::User(format!(
-                    "filter_batches mask must match the chunk: {} rows, {} mask entries",
-                    chunk.len(),
-                    mask.len()
-                )));
-            }
-            let mut mask = mask.into_iter();
-            Ok(Chunk::new(
-                chunk
-                    .into_items()
-                    .into_iter()
-                    .filter(|_| mask.next().unwrap_or(false))
-                    .collect(),
-            ))
-        })
-    }
-
-    /// Chunk-wise free-form transformation: `f` consumes a whole [`Chunk`]
-    /// and may return any number of rows. Outputs are concatenated in chunk
-    /// order, so results match a row-at-a-time `flat_map` for any chunk
-    /// size.
-    pub fn flat_map_batches<U: Data>(
-        &self,
-        f: impl Fn(&TaskContext, Chunk<T>) -> Result<Vec<U>> + Send + Sync + 'static,
-    ) -> Rdd<U> {
-        self.batch_op("flat_map_batches", move |ctx, _, chunk: Chunk<T>| {
-            Ok(Chunk::new(f(ctx, chunk)?))
-        })
-    }
-
-    fn batch_op<U: Data>(
-        &self,
-        name: &str,
-        f: impl Fn(&TaskContext, usize, Chunk<T>) -> Result<Chunk<U>> + Send + Sync + 'static,
-    ) -> Rdd<U> {
-        let id = self.cluster.new_rdd_id();
-        Rdd::from_node(
-            self.cluster.clone(),
-            Arc::new(BatchMapNode::new(id, name, self.node.clone(), Arc::new(f))),
-        )
     }
 
     /// Whole-partition transformation.
@@ -202,11 +107,6 @@ impl<T: Data> Rdd<T> {
         )
     }
 
-    /// Pair every element with a key computed from it.
-    pub fn key_by<K: Data>(&self, f: impl Fn(&T) -> K + Send + Sync + 'static) -> Rdd<(K, T)> {
-        self.map(move |t| (f(&t), t))
-    }
-
     /// Concatenate with another dataset (partition spaces appended).
     pub fn union(&self, other: &Rdd<T>) -> Rdd<T> {
         let id = self.cluster.new_rdd_id();
@@ -216,37 +116,6 @@ impl<T: Data> Rdd<T> {
                 id,
                 vec![self.node.clone(), other.node.clone()],
             )),
-        )
-    }
-
-    /// All pairs with elements of `other` (`|self| × |other|` partitions).
-    pub fn cartesian<U: Data>(&self, other: &Rdd<U>) -> Rdd<(T, U)> {
-        let id = self.cluster.new_rdd_id();
-        Rdd::from_node(
-            self.cluster.clone(),
-            Arc::new(CartesianNode::new(
-                id,
-                self.node.clone(),
-                other.node.clone(),
-            )),
-        )
-    }
-
-    /// Deterministic Bernoulli sample of roughly `fraction` of elements.
-    pub fn sample(&self, fraction: f64, seed: u64) -> Rdd<T> {
-        let id = self.cluster.new_rdd_id();
-        Rdd::from_node(
-            self.cluster.clone(),
-            Arc::new(SampleNode::new(id, self.node.clone(), fraction, seed)),
-        )
-    }
-
-    /// Reduce the partition count without a shuffle.
-    pub fn coalesce(&self, num_partitions: usize) -> Rdd<T> {
-        let id = self.cluster.new_rdd_id();
-        Rdd::from_node(
-            self.cluster.clone(),
-            Arc::new(CoalesceNode::new(id, self.node.clone(), num_partitions)),
         )
     }
 
@@ -261,7 +130,7 @@ impl<T: Data> Rdd<T> {
     }
 
     /// Zip partition-wise with an equally partitioned dataset through a
-    /// combiner. Errors with [`SparkletError::PartitionMismatch`] otherwise.
+    /// combiner. Errors with [`crate::SparkletError::PartitionMismatch`] otherwise.
     pub fn zip_partitions<U: Data, C: Data>(
         &self,
         other: &Rdd<U>,
@@ -270,43 +139,6 @@ impl<T: Data> Rdd<T> {
         let id = self.cluster.new_rdd_id();
         let node = ZipPartitionsNode::new(id, self.node.clone(), other.node.clone(), Arc::new(f))?;
         Ok(Rdd::from_node(self.cluster.clone(), Arc::new(node)))
-    }
-
-    /// Globally sort by a derived `Ord` key using a sampled range
-    /// partitioner (Spark's `sortBy`): sample keys, choose splitters, range-
-    /// shuffle, sort within partitions.
-    pub fn sort_by<K: crate::KeyData + Ord>(
-        &self,
-        f: impl Fn(&T) -> K + Send + Sync + 'static,
-        num_partitions: usize,
-    ) -> Result<Rdd<T>> {
-        use crate::pair::PairRdd;
-        use crate::partitioner::RangePartitioner;
-        let f = std::sync::Arc::new(f);
-        let n = num_partitions.max(1);
-        // Sample ~20 keys per target partition for splitter selection.
-        let f_sample = f.clone();
-        let mut sampled: Vec<K> = self
-            .sample(1.0f64.min(0.1 + 0.001 * n as f64), 0xBEEF)
-            .map(move |t| f_sample(&t))
-            .take(n * 20)?;
-        sampled.sort();
-        let mut splitters = Vec::with_capacity(n.saturating_sub(1));
-        for i in 1..n {
-            if sampled.is_empty() {
-                break;
-            }
-            let idx = i * sampled.len() / n;
-            splitters.push(sampled[idx.min(sampled.len() - 1)].clone());
-        }
-        splitters.dedup();
-        let f_key = f.clone();
-        let keyed = self.map(move |t| (f_key(&t), t));
-        let ranged = keyed.partition_by(std::sync::Arc::new(RangePartitioner::new(splitters)));
-        Ok(ranged.map_partitions(|mut part: Vec<(K, T)>| {
-            part.sort_by(|a, b| a.0.cmp(&b.0));
-            part.into_iter().map(|(_, t)| t).collect()
-        }))
     }
 
     // ------------------------------------------------------------------
@@ -352,103 +184,24 @@ impl<T: Data> Rdd<T> {
             })?;
         Ok(parts.into_iter().flatten().fold(zero, comb))
     }
-
-    /// Reduce all elements with `f`; `None` for an empty dataset.
-    pub fn reduce(&self, f: impl Fn(T, T) -> T + Send + Sync + 'static) -> Result<Option<T>> {
-        let f = Arc::new(f);
-        let f2 = f.clone();
-        self.aggregate(
-            None,
-            move |acc: Option<T>, t| match acc {
-                None => Some(t),
-                Some(a) => Some(f(a, t)),
-            },
-            move |a, b| match (a, b) {
-                (None, b) => b,
-                (a, None) => a,
-                (Some(a), Some(b)) => Some(f2(a, b)),
-            },
-        )
-    }
-
-    /// First `n` elements in partition order.
-    pub fn take(&self, n: usize) -> Result<Vec<T>> {
-        let mut all = self.collect()?;
-        all.truncate(n);
-        Ok(all)
-    }
-
-    /// First element, or [`SparkletError::EmptyCollection`].
-    pub fn first(&self) -> Result<T> {
-        self.take(1)?
-            .into_iter()
-            .next()
-            .ok_or(SparkletError::EmptyCollection)
-    }
-
-    /// Minimum element under a derived `Ord` key; `None` when empty.
-    pub fn min_by_key<K: Ord>(
-        &self,
-        f: impl Fn(&T) -> K + Send + Sync + 'static,
-    ) -> Result<Option<T>> {
-        self.reduce(move |a, b| if f(&a) <= f(&b) { a } else { b })
-    }
-
-    /// Maximum element under a derived `Ord` key; `None` when empty.
-    pub fn max_by_key<K: Ord>(
-        &self,
-        f: impl Fn(&T) -> K + Send + Sync + 'static,
-    ) -> Result<Option<T>> {
-        self.reduce(move |a, b| if f(&a) >= f(&b) { a } else { b })
-    }
-
-    /// Pair every element with its global index in partition order
-    /// (Spark's `zipWithIndex`). Costs one counting pass.
-    pub fn zip_with_index(&self) -> Result<Rdd<(T, u64)>> {
-        self.node.prepare(&self.cluster)?;
-        let node = self.node.clone();
-        let counts = self
-            .cluster
-            .run_job("zip_with_index-count", node.num_partitions(), {
-                let node = node.clone();
-                move |i, ctx| Ok(vec![node.compute(i, ctx)?.len() as u64])
-            })?;
-        let mut offsets = Vec::with_capacity(counts.len());
-        let mut acc = 0u64;
-        for c in counts {
-            offsets.push(acc);
-            acc += c[0];
-        }
-        Ok(self.map_partitions_with_ctx(move |_, split, part: Vec<T>| {
-            let base = offsets[split];
-            Ok(part
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| (t, base + i as u64))
-                .collect())
-        }))
-    }
 }
 
-impl<T: crate::KeyData> Rdd<T> {
-    /// Remove duplicate elements (one shuffle).
-    pub fn distinct(&self, num_partitions: usize) -> Rdd<T> {
-        use crate::pair::PairRdd;
-        self.map(|t| (t, ()))
-            .reduce_by_key(|a, _| a, num_partitions)
-            .keys()
-    }
+/// Rows per chunk on the batch path (narrow operators and the shuffle map
+/// side): large enough that the per-chunk dispatch cost is noise next to
+/// per-record work, small enough that a chunk stays cache-resident.
+pub(crate) const CHUNK_RECORDS: usize = 1024;
 
-    /// Action: occurrence count per distinct value.
-    pub fn count_by_value(&self) -> Result<std::collections::HashMap<T, u64>> {
-        use crate::pair::PairRdd;
-        self.map(|t| (t, ())).count_by_key()
-    }
+/// Chunk accounting of an element-wise operator over an `n`-row partition:
+/// one dispatch per slab of at most [`CHUNK_RECORDS`] rows — an empty
+/// partition still dispatches once — and the slabs, their rows and the
+/// largest of them counted into the report's `batch` section.
+fn charge_chunks(ctx: &TaskContext, n: usize) {
+    ctx.add_chunks(n.div_ceil(CHUNK_RECORDS).max(1) as u64);
+    ctx.add_chunk_records(n as u64, n.min(CHUNK_RECORDS) as u64);
 }
 
 #[cfg(test)]
 mod tests {
-    use super::Rdd;
     use crate::Cluster;
 
     #[test]
@@ -473,11 +226,39 @@ mod tests {
         let out = c
             .parallelize((1..=10u32).collect(), 3)
             .map(|x| x * 10)
-            .filter(|x| x % 20 == 0)
+            .flat_map(|x| if x % 20 == 0 { vec![x] } else { vec![] })
             .flat_map(|x| vec![x, x + 1])
             .collect()
             .unwrap();
         assert_eq!(out, vec![20, 21, 40, 41, 60, 61, 80, 81, 100, 101]);
+    }
+
+    #[test]
+    fn element_wise_operators_charge_one_dispatch_per_1024_row_slab() {
+        for (n, chunks, largest) in [
+            (0u64, 1, 0),
+            (1, 1, 1),
+            (1024, 1, 1024),
+            (1025, 2, 1024),
+            (2_500, 3, 1024),
+        ] {
+            for flat in [false, true] {
+                let c = Cluster::local(1);
+                let rows = c.parallelize((0..n).collect::<Vec<u64>>(), 1);
+                let out = if flat {
+                    rows.flat_map(|x| vec![x, x])
+                } else {
+                    rows.map(|x| x + 1)
+                };
+                out.count().unwrap();
+                let batch = c.job_report().batch;
+                assert_eq!(
+                    (batch.chunks, batch.records, batch.max_chunk_records),
+                    (chunks, n, largest),
+                    "{n} rows"
+                );
+            }
+        }
     }
 
     #[test]
@@ -491,26 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_empty_is_none() {
-        let c = Cluster::local(2);
-        let r = c
-            .parallelize(Vec::<u32>::new(), 4)
-            .reduce(|a, b| a + b)
-            .unwrap();
-        assert_eq!(r, None);
-    }
-
-    #[test]
-    fn reduce_max() {
-        let c = Cluster::local(2);
-        let r = c
-            .parallelize(vec![3u32, 9, 1, 7], 3)
-            .reduce(|a, b| a.max(b))
-            .unwrap();
-        assert_eq!(r, Some(9));
-    }
-
-    #[test]
     fn union_concatenates() {
         let c = Cluster::local(2);
         let a = c.parallelize(vec![1, 2], 1);
@@ -518,36 +279,6 @@ mod tests {
         let u = a.union(&b);
         assert_eq!(u.num_partitions(), 3);
         assert_eq!(u.collect().unwrap(), vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn cartesian_produces_all_pairs() {
-        let c = Cluster::local(2);
-        let a = c.parallelize(vec![1u8, 2], 2);
-        let b = c.parallelize(vec![10u8, 20], 2);
-        let mut pairs = a.cartesian(&b).collect().unwrap();
-        pairs.sort();
-        assert_eq!(pairs, vec![(1, 10), (1, 20), (2, 10), (2, 20)]);
-    }
-
-    #[test]
-    fn sample_is_deterministic_and_roughly_proportional() {
-        let c = Cluster::local(2);
-        let rdd = c.parallelize((0..10_000u32).collect(), 4);
-        let s1 = rdd.sample(0.1, 42).collect().unwrap();
-        let s2 = rdd.sample(0.1, 42).collect().unwrap();
-        assert_eq!(s1, s2);
-        assert!(s1.len() > 700 && s1.len() < 1300, "got {}", s1.len());
-        let s3 = rdd.sample(0.1, 43).collect().unwrap();
-        assert_ne!(s1, s3, "different seeds should differ");
-    }
-
-    #[test]
-    fn coalesce_reduces_partitions_preserving_data() {
-        let c = Cluster::local(2);
-        let rdd = c.parallelize((0..50u32).collect(), 10).coalesce(3);
-        assert_eq!(rdd.num_partitions(), 3);
-        assert_eq!(rdd.collect().unwrap(), (0..50).collect::<Vec<u32>>());
     }
 
     #[test]
@@ -607,118 +338,6 @@ mod tests {
             .unwrap();
         let out = z.collect().unwrap();
         assert_eq!(out, vec![10, 12, 14, 16, 18, 20, 22, 24, 26, 28]);
-    }
-
-    #[test]
-    fn take_and_first() {
-        let c = Cluster::local(2);
-        let rdd = c.parallelize(vec![5u8, 6, 7], 2);
-        assert_eq!(rdd.take(2).unwrap(), vec![5, 6]);
-        assert_eq!(rdd.first().unwrap(), 5);
-        assert!(c.parallelize(Vec::<u8>::new(), 1).first().is_err());
-    }
-
-    #[test]
-    fn key_by_pairs_elements() {
-        let c = Cluster::local(2);
-        let out = c
-            .parallelize(vec!["a".to_string(), "bb".to_string()], 1)
-            .key_by(|s| s.len())
-            .collect()
-            .unwrap();
-        assert_eq!(out, vec![(1, "a".to_string()), (2, "bb".to_string())]);
-    }
-
-    #[test]
-    fn sort_by_produces_global_order() {
-        let c = Cluster::local(3);
-        let data: Vec<u32> = (0..500).map(|i| (i * 7919) % 1000).collect();
-        let sorted = c
-            .parallelize(data.clone(), 8)
-            .sort_by(|x| *x, 4)
-            .unwrap()
-            .collect()
-            .unwrap();
-        let mut expect = data;
-        expect.sort_unstable();
-        assert_eq!(sorted, expect);
-    }
-
-    #[test]
-    fn sort_by_handles_empty_and_tiny() {
-        let c = Cluster::local(2);
-        assert!(c
-            .parallelize(Vec::<u32>::new(), 3)
-            .sort_by(|x| *x, 4)
-            .unwrap()
-            .collect()
-            .unwrap()
-            .is_empty());
-        assert_eq!(
-            c.parallelize(vec![3u32], 1)
-                .sort_by(|x| *x, 4)
-                .unwrap()
-                .collect()
-                .unwrap(),
-            vec![3]
-        );
-    }
-
-    #[test]
-    fn sort_by_derived_key_descending() {
-        let c = Cluster::local(2);
-        let out = c
-            .parallelize(vec![1i64, 5, 3], 2)
-            .sort_by(|x| -*x, 2)
-            .unwrap()
-            .collect()
-            .unwrap();
-        assert_eq!(out, vec![5, 3, 1]);
-    }
-
-    #[test]
-    fn zip_with_index_is_global_and_ordered() {
-        let c = Cluster::local(2);
-        let out = c
-            .parallelize(vec!["a", "b", "c", "d", "e"], 3)
-            .zip_with_index()
-            .unwrap()
-            .collect()
-            .unwrap();
-        assert_eq!(out, vec![("a", 0), ("b", 1), ("c", 2), ("d", 3), ("e", 4)]);
-    }
-
-    #[test]
-    fn distinct_removes_duplicates() {
-        let c = Cluster::local(2);
-        let mut out = c
-            .parallelize(vec![3u32, 1, 3, 2, 1, 1], 3)
-            .distinct(2)
-            .collect()
-            .unwrap();
-        out.sort_unstable();
-        assert_eq!(out, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn count_by_value_counts() {
-        let c = Cluster::local(2);
-        let counts = c
-            .parallelize(vec!["x", "y", "x", "x"], 2)
-            .count_by_value()
-            .unwrap();
-        assert_eq!(counts["x"], 3);
-        assert_eq!(counts["y"], 1);
-    }
-
-    #[test]
-    fn min_max_by_key() {
-        let c = Cluster::local(2);
-        let rdd = c.parallelize(vec![("a", 3), ("b", 9), ("c", 1)], 2);
-        assert_eq!(rdd.min_by_key(|(_, v)| *v).unwrap(), Some(("c", 1)));
-        assert_eq!(rdd.max_by_key(|(_, v)| *v).unwrap(), Some(("b", 9)));
-        let empty: Rdd<(&str, i32)> = c.parallelize(vec![], 1);
-        assert_eq!(empty.min_by_key(|(_, v)| *v).unwrap(), None);
     }
 
     #[test]

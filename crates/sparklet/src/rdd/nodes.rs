@@ -1,7 +1,7 @@
 //! Concrete lineage-node implementations.
 
-use super::batch::CHUNK_RECORDS;
 use super::node::RddNode;
+use super::CHUNK_RECORDS;
 use crate::cluster::{Cluster, RecoveryFn};
 use crate::error::{Result, SparkletError};
 use crate::partitioner::Partitioner;
@@ -9,8 +9,6 @@ use crate::storage::estimate_vec_size;
 use crate::task::TaskContext;
 use crate::{Data, KeyData};
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Source node: an in-memory collection split into even chunks.
@@ -20,7 +18,7 @@ pub struct ParallelCollectionNode<T: Data> {
 }
 
 impl<T: Data> ParallelCollectionNode<T> {
-    pub fn new(id: u64, data: Vec<T>, num_partitions: usize) -> Self {
+    pub(crate) fn new(id: u64, data: Vec<T>, num_partitions: usize) -> Self {
         let n = num_partitions.max(1);
         let len = data.len();
         let mut partitions = Vec::with_capacity(n);
@@ -54,8 +52,8 @@ impl<T: Data> RddNode<T> for ParallelCollectionNode<T> {
     }
 }
 
-/// Narrow transformation over whole partitions; `map`, `filter`, `flat_map`
-/// and `map_partitions` all lower to this node.
+/// Narrow transformation over whole partitions; `map`, `flat_map` and
+/// `map_partitions` all lower to this node.
 pub struct MapPartitionsNode<T: Data, U: Data> {
     id: u64,
     name: String,
@@ -66,7 +64,7 @@ pub struct MapPartitionsNode<T: Data, U: Data> {
 
 impl<T: Data, U: Data> MapPartitionsNode<T, U> {
     #[allow(clippy::type_complexity)]
-    pub fn new(
+    pub(crate) fn new(
         id: u64,
         name: &str,
         parent: Arc<dyn RddNode<T>>,
@@ -107,7 +105,7 @@ pub struct UnionNode<T: Data> {
 }
 
 impl<T: Data> UnionNode<T> {
-    pub fn new(id: u64, parents: Vec<Arc<dyn RddNode<T>>>) -> Self {
+    pub(crate) fn new(id: u64, parents: Vec<Arc<dyn RddNode<T>>>) -> Self {
         UnionNode { id, parents }
     }
 }
@@ -143,135 +141,6 @@ impl<T: Data> RddNode<T> for UnionNode<T> {
     }
 }
 
-/// All pairs of partitions from two parents (`left × right`).
-pub struct CartesianNode<A: Data, B: Data> {
-    id: u64,
-    left: Arc<dyn RddNode<A>>,
-    right: Arc<dyn RddNode<B>>,
-}
-
-impl<A: Data, B: Data> CartesianNode<A, B> {
-    pub fn new(id: u64, left: Arc<dyn RddNode<A>>, right: Arc<dyn RddNode<B>>) -> Self {
-        CartesianNode { id, left, right }
-    }
-}
-
-impl<A: Data, B: Data> RddNode<(A, B)> for CartesianNode<A, B> {
-    fn id(&self) -> u64 {
-        self.id
-    }
-    fn name(&self) -> String {
-        "cartesian".into()
-    }
-    fn num_partitions(&self) -> usize {
-        self.left.num_partitions() * self.right.num_partitions()
-    }
-    fn prepare(&self, cluster: &Cluster) -> Result<()> {
-        self.left.prepare(cluster)?;
-        self.right.prepare(cluster)
-    }
-    fn compute(&self, split: usize, ctx: &TaskContext) -> Result<Vec<(A, B)>> {
-        let nr = self.right.num_partitions();
-        let li = split / nr;
-        let ri = split % nr;
-        let left = self.left.compute(li, ctx)?;
-        let right = self.right.compute(ri, ctx)?;
-        let mut out = Vec::with_capacity(left.len() * right.len());
-        for a in &left {
-            for b in &right {
-                out.push((a.clone(), b.clone()));
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// Bernoulli sample with a per-partition deterministic RNG.
-pub struct SampleNode<T: Data> {
-    id: u64,
-    parent: Arc<dyn RddNode<T>>,
-    fraction: f64,
-    seed: u64,
-}
-
-impl<T: Data> SampleNode<T> {
-    pub fn new(id: u64, parent: Arc<dyn RddNode<T>>, fraction: f64, seed: u64) -> Self {
-        SampleNode {
-            id,
-            parent,
-            fraction: fraction.clamp(0.0, 1.0),
-            seed,
-        }
-    }
-}
-
-impl<T: Data> RddNode<T> for SampleNode<T> {
-    fn id(&self) -> u64 {
-        self.id
-    }
-    fn name(&self) -> String {
-        "sample".into()
-    }
-    fn num_partitions(&self) -> usize {
-        self.parent.num_partitions()
-    }
-    fn prepare(&self, cluster: &Cluster) -> Result<()> {
-        self.parent.prepare(cluster)
-    }
-    fn compute(&self, split: usize, ctx: &TaskContext) -> Result<Vec<T>> {
-        let input = self.parent.compute(split, ctx)?;
-        let mut rng =
-            StdRng::seed_from_u64(self.seed ^ (split as u64).wrapping_mul(0x9E3779B97F4A7C15));
-        Ok(input
-            .into_iter()
-            .filter(|_| rng.gen::<f64>() < self.fraction)
-            .collect())
-    }
-}
-
-/// Reduce the partition count without a shuffle by grouping parent splits.
-pub struct CoalesceNode<T: Data> {
-    id: u64,
-    parent: Arc<dyn RddNode<T>>,
-    target: usize,
-}
-
-impl<T: Data> CoalesceNode<T> {
-    pub fn new(id: u64, parent: Arc<dyn RddNode<T>>, target: usize) -> Self {
-        CoalesceNode {
-            id,
-            parent,
-            target: target.max(1),
-        }
-    }
-}
-
-impl<T: Data> RddNode<T> for CoalesceNode<T> {
-    fn id(&self) -> u64 {
-        self.id
-    }
-    fn name(&self) -> String {
-        "coalesce".into()
-    }
-    fn num_partitions(&self) -> usize {
-        self.target.min(self.parent.num_partitions().max(1))
-    }
-    fn prepare(&self, cluster: &Cluster) -> Result<()> {
-        self.parent.prepare(cluster)
-    }
-    fn compute(&self, split: usize, ctx: &TaskContext) -> Result<Vec<T>> {
-        let np = self.parent.num_partitions();
-        let n = self.num_partitions();
-        let start = split * np / n;
-        let end = (split + 1) * np / n;
-        let mut out = Vec::new();
-        for p in start..end {
-            out.extend(self.parent.compute(p, ctx)?);
-        }
-        Ok(out)
-    }
-}
-
 /// Caching node: partitions are stored in the block manager on first
 /// computation; evicted blocks are transparently recomputed from lineage.
 /// The blocks live as long as the node: every RDD derived from it holds it
@@ -284,7 +153,7 @@ pub struct CachedNode<T: Data> {
 }
 
 impl<T: Data> CachedNode<T> {
-    pub fn new(id: u64, cluster: Cluster, parent: Arc<dyn RddNode<T>>) -> Self {
+    pub(crate) fn new(id: u64, cluster: Cluster, parent: Arc<dyn RddNode<T>>) -> Self {
         CachedNode {
             id,
             cluster,
@@ -420,7 +289,7 @@ pub struct ShuffledNode<K: KeyData, V: Data> {
 }
 
 impl<K: KeyData, V: Data> ShuffledNode<K, V> {
-    pub fn new(
+    pub(crate) fn new(
         id: u64,
         shuffle_id: u64,
         cluster: Cluster,
@@ -519,7 +388,7 @@ pub struct ZipPartitionsNode<A: Data, B: Data, C: Data> {
 
 impl<A: Data, B: Data, C: Data> ZipPartitionsNode<A, B, C> {
     #[allow(clippy::type_complexity)]
-    pub fn new(
+    pub(crate) fn new(
         id: u64,
         left: Arc<dyn RddNode<A>>,
         right: Arc<dyn RddNode<B>>,

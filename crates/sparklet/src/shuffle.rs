@@ -13,17 +13,17 @@
 //! which worker finished first), duplicate writes of the same map task are
 //! ignored (a racing recomputation cannot double records), and
 //! killing an executor invalidates exactly its map outputs
-//! ([`ShuffleService::invalidate_executor`]) so the next read surfaces
+//! (`ShuffleService::invalidate_executor`) so the next read surfaces
 //! [`SparkletError::FetchFailed`] and the scheduler recomputes just the
 //! missing parents from lineage.
 //!
-//! With a [`SpillManager`] attached (see [`ShuffleService::with_spill`],
+//! With a [`SpillManager`] attached (see `ShuffleService::with_spill`,
 //! wired by [`crate::Cluster::new`]), each executor's *resident* shuffle
-//! bytes are capped ([`SpillManager::shuffle_capacity`], Spark's
+//! bytes are capped (`SpillManager::shuffle_capacity`, Spark's
 //! `shuffle.memoryFraction` pool). A map output that would overflow the pool
 //! is serialized bucket-by-bucket into the executor's spill file instead of
 //! being held in memory — read-back happens transparently in
-//! [`ShuffleService::read_bucket`]. A payload type with no registered spill
+//! `ShuffleService::read_bucket`. A payload type with no registered spill
 //! codec cannot go out of core: the same write fails with
 //! [`SparkletError::MemoryExceeded`], failing the task and, once attempts
 //! are exhausted, the job.
@@ -86,7 +86,7 @@ pub struct ShuffleService {
 
 impl ShuffleService {
     /// Create an empty shuffle service.
-    pub fn new(metrics: ClusterMetrics) -> Self {
+    pub(crate) fn new(metrics: ClusterMetrics) -> Self {
         ShuffleService {
             store: Mutex::new(ShuffleStore {
                 shuffles: HashMap::new(),
@@ -100,7 +100,7 @@ impl ShuffleService {
 
     /// Share a cluster's run journal so spilled buckets are journaled
     /// alongside scheduler faults (builder, used by [`crate::Cluster::new`]).
-    pub fn with_journal(mut self, journal: RunJournal) -> Self {
+    pub(crate) fn with_journal(mut self, journal: RunJournal) -> Self {
         self.journal = journal;
         self
     }
@@ -109,13 +109,13 @@ impl ShuffleService {
     /// each executor's resident shuffle bytes at the spill manager's shuffle
     /// capacity, spilling over-cap map outputs (or failing them with
     /// [`SparkletError::MemoryExceeded`] when their type has no codec).
-    pub fn with_spill(mut self, spill: SpillManager) -> Self {
+    pub(crate) fn with_spill(mut self, spill: SpillManager) -> Self {
         self.spill = Some(spill);
         self
     }
 
     /// Has `shuffle_id` been fully materialised (every map output present)?
-    pub fn is_complete(&self, shuffle_id: u64) -> bool {
+    pub(crate) fn is_complete(&self, shuffle_id: u64) -> bool {
         self.store
             .lock()
             .shuffles
@@ -138,7 +138,7 @@ impl ShuffleService {
     /// `T`) or fails with [`SparkletError::MemoryExceeded`], which fails the
     /// task like any other attempt error.
     #[allow(clippy::too_many_arguments)]
-    pub fn write_map_output<T: Send + Sync + 'static>(
+    pub(crate) fn write_map_output<T: Send + Sync + 'static>(
         &self,
         shuffle_id: u64,
         map_task: usize,
@@ -238,7 +238,7 @@ impl ShuffleService {
 
     /// Mark a shuffle complete. Only takes effect once every map output is
     /// present; returns whether the shuffle is complete afterwards.
-    pub fn mark_complete(&self, shuffle_id: u64) -> bool {
+    pub(crate) fn mark_complete(&self, shuffle_id: u64) -> bool {
         let mut s = self.store.lock();
         match s.shuffles.get_mut(&shuffle_id) {
             Some(data) => {
@@ -251,7 +251,7 @@ impl ShuffleService {
 
     /// Discard a shuffle entirely (used before a map stage re-materialises
     /// from scratch) so retries do not duplicate records.
-    pub fn discard(&self, shuffle_id: u64) {
+    pub(crate) fn discard(&self, shuffle_id: u64) {
         let mut s = self.store.lock();
         if let Some(data) = s.shuffles.remove(&shuffle_id) {
             let mut resident = std::mem::take(&mut s.resident);
@@ -266,7 +266,7 @@ impl ShuffleService {
     /// an executor kill. Affected shuffles flip back to incomplete so
     /// readers surface [`SparkletError::FetchFailed`] until the scheduler
     /// recomputes the missing maps. Returns the number of map outputs lost.
-    pub fn invalidate_executor(&self, executor: usize) -> u64 {
+    pub(crate) fn invalidate_executor(&self, executor: usize) -> u64 {
         let mut lost = 0;
         let mut s = self.store.lock();
         let mut resident = std::mem::take(&mut s.resident);
@@ -287,7 +287,7 @@ impl ShuffleService {
 
     /// Map tasks of `shuffle_id` whose outputs are missing, or `None` if
     /// the shuffle is not registered at all.
-    pub fn missing_maps(&self, shuffle_id: u64) -> Option<Vec<usize>> {
+    pub(crate) fn missing_maps(&self, shuffle_id: u64) -> Option<Vec<usize>> {
         self.store.lock().shuffles.get(&shuffle_id).map(|data| {
             data.outputs
                 .iter()
@@ -306,7 +306,7 @@ impl ShuffleService {
     /// with its executor — the recoverable conditions the scheduler answers
     /// with lineage recomputation. A bucket index out of range or a type
     /// mismatch is a caller bug and still panics.
-    pub fn read_bucket<T: Clone + Send + Sync + 'static>(
+    pub(crate) fn read_bucket<T: Clone + Send + Sync + 'static>(
         &self,
         shuffle_id: u64,
         r: usize,
@@ -402,7 +402,7 @@ impl ShuffleService {
     }
 
     /// Drop all shuffle data (between experiments).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         let mut s = self.store.lock();
         if let Some(sp) = self.spill.as_ref() {
             for (&e, &bytes) in s.resident.iter() {

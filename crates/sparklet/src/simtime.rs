@@ -40,7 +40,7 @@ pub struct StageRecord {
     /// [`crate::Cluster::run_morsel_job`] (morsels of one partition are
     /// contiguous and in order); `None` for whole-partition stages. Present,
     /// it switches makespan queries from LPT list scheduling to the
-    /// deterministic steal simulation ([`simulate_morsels`]).
+    /// deterministic steal simulation (`simulate_morsels`).
     pub morsels: Option<Vec<usize>>,
 }
 
@@ -74,7 +74,7 @@ impl StageRecord {
     }
 }
 
-/// Outcome of [`simulate_morsels`]: the schedule a morsel stage's recorded
+/// Outcome of `simulate_morsels`: the schedule a morsel stage's recorded
 /// costs produce on a given number of workers.
 #[derive(Debug, Clone, Default)]
 pub struct SchedSim {
@@ -91,7 +91,7 @@ pub struct SchedSim {
 
 impl SchedSim {
     /// Total morsels that ran away from their home worker.
-    pub fn stolen_count(&self) -> u64 {
+    pub(crate) fn stolen_count(&self) -> u64 {
         self.steals.iter().map(|&(_, _, n)| n).sum()
     }
 }
@@ -108,7 +108,11 @@ impl SchedSim {
 /// A pure function of its inputs, so any recorded run can be replayed at any
 /// worker count — the morsel analogue of the LPT query, and the authority
 /// for the steal counters and the job report's utilization table.
-pub fn simulate_morsels(task_us: &[u64], partition_of: &[usize], workers: usize) -> SchedSim {
+pub(crate) fn simulate_morsels(
+    task_us: &[u64],
+    partition_of: &[usize],
+    workers: usize,
+) -> SchedSim {
     use std::collections::VecDeque;
     let workers = workers.max(1);
     debug_assert_eq!(task_us.len(), partition_of.len());
@@ -181,7 +185,7 @@ pub struct VirtualDuration {
 
 impl VirtualDuration {
     /// Duration in (virtual) seconds.
-    pub fn secs(&self) -> f64 {
+    pub(crate) fn secs(&self) -> f64 {
         self.us as f64 / 1e6
     }
 
@@ -202,17 +206,17 @@ impl std::ops::Add for VirtualDuration {
 
 impl VirtualClock {
     /// Fresh clock with no recorded stages.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Record a completed stage.
-    pub fn record_stage(&self, record: StageRecord) {
+    pub(crate) fn record_stage(&self, record: StageRecord) {
         self.stages.lock().push(record);
     }
 
     /// Drop all recorded stages (between experiment configurations).
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         self.stages.lock().clear();
     }
 
@@ -256,7 +260,7 @@ impl VirtualClock {
 
     /// Sum of all per-task virtual durations (total work, ignoring
     /// parallelism). Useful as a parallelism-independent cost measure.
-    pub fn total_work(&self) -> VirtualDuration {
+    pub(crate) fn total_work(&self) -> VirtualDuration {
         let us = self
             .stages
             .lock()

@@ -66,17 +66,12 @@ pub struct SpillSlot {
 
 impl SpillSlot {
     /// Encoded payload size in bytes.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.len
     }
 
-    /// Whether the encoded payload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Executor whose spill file holds this payload.
-    pub fn executor(&self) -> usize {
+    pub(crate) fn executor(&self) -> usize {
         self.executor
     }
 }
@@ -279,7 +274,7 @@ impl SpillManager {
     }
 
     /// Per-executor resident-shuffle byte budget.
-    pub fn shuffle_capacity(&self) -> usize {
+    pub(crate) fn shuffle_capacity(&self) -> usize {
         self.inner.shuffle_capacity
     }
 
@@ -341,12 +336,6 @@ impl SpillManager {
         self.register_fixed::<(u64, f64)>();
         self.register_fixed::<(usize, u64)>();
         self.register_fixed::<[f64; 8]>();
-    }
-
-    /// Is a codec registered for the erased payload type of `data`
-    /// (i.e. `Vec<T>` for the element type it holds)?
-    pub fn has_codec_for(&self, data: &(dyn Any + Send + Sync)) -> bool {
-        self.inner.codecs.read().contains_key(&data.type_id())
     }
 
     /// Serialize `data` (a type-erased `Vec<T>`) into `executor`'s spill
@@ -485,7 +474,7 @@ impl SpillManager {
 
     /// Peak resident bytes per executor since the last reset — the job
     /// report's `peak_resident` row.
-    pub fn peak_resident(&self) -> Vec<u64> {
+    pub(crate) fn peak_resident(&self) -> Vec<u64> {
         self.inner
             .peak
             .iter()
@@ -549,7 +538,6 @@ mod tests {
         #[derive(Clone)]
         struct Opaque(#[allow(dead_code)] String);
         let payload = erase(vec![Opaque("x".into())]);
-        assert!(!m.has_codec_for(&*payload));
         assert!(m.write(0, &*payload).is_none());
     }
 

@@ -8,12 +8,12 @@
 //!
 //! Blocks are owned by the executor whose task computed them. Storage
 //! pressure is per executor (`memory_per_executor * storage_fraction` each),
-//! and killing an executor ([`BlockManager::evict_executor`]) drops exactly
+//! and killing an executor (`BlockManager::evict_executor`) drops exactly
 //! its blocks — the failure-domain semantics real Spark gets from having one
 //! block manager per executor process. Lookups stay global: the engine is
 //! one process, so a surviving replica anywhere is a hit.
 //!
-//! With a [`SpillManager`] attached (see [`BlockManager::with_spill`], wired
+//! With a [`SpillManager`] attached (see `BlockManager::with_spill`, wired
 //! by [`crate::Cluster::new`]), pressure evictions and oversized puts go to
 //! the owner's spill file instead of being dropped — provided a spill codec
 //! is registered for the element type — and later `get`s read them back from
@@ -74,7 +74,11 @@ impl BlockManager {
 
     /// Create a block manager with `executor_capacity` bytes of storage
     /// memory on each of `num_executors` executors.
-    pub fn new(executor_capacity: usize, num_executors: usize, metrics: ClusterMetrics) -> Self {
+    pub(crate) fn new(
+        executor_capacity: usize,
+        num_executors: usize,
+        metrics: ClusterMetrics,
+    ) -> Self {
         let n = num_executors.max(1);
         BlockManager {
             store: Mutex::new(Store {
@@ -94,7 +98,7 @@ impl BlockManager {
     /// Share a cluster's run journal so evictions, skipped puts and spill
     /// traffic are journaled alongside scheduler faults (builder, used by
     /// [`crate::Cluster::new`]).
-    pub fn with_journal(mut self, journal: RunJournal) -> Self {
+    pub(crate) fn with_journal(mut self, journal: RunJournal) -> Self {
         self.journal = journal;
         self
     }
@@ -102,19 +106,9 @@ impl BlockManager {
     /// Attach the disk tier (builder, used by [`crate::Cluster::new`]).
     /// Pressure evictions and oversized puts then spill instead of dropping
     /// when the spill manager has a codec for the block type.
-    pub fn with_spill(mut self, spill: SpillManager) -> Self {
+    pub(crate) fn with_spill(mut self, spill: SpillManager) -> Self {
         self.spill = Some(spill);
         self
-    }
-
-    /// Total storage capacity in bytes, across all executors.
-    pub fn capacity(&self) -> usize {
-        self.executor_capacity * self.num_executors
-    }
-
-    /// Storage capacity of a single executor in bytes.
-    pub fn executor_capacity(&self) -> usize {
-        self.executor_capacity
     }
 
     /// Bytes currently cached across all executors.
@@ -134,7 +128,7 @@ impl BlockManager {
 
     /// Look up a cached partition. Hits bump the LRU stamp and the
     /// `cache_hits` metric; misses bump `cache_misses`.
-    pub fn get<T: Send + Sync + 'static>(&self, id: BlockId) -> Option<Arc<Vec<T>>> {
+    pub(crate) fn get<T: Send + Sync + 'static>(&self, id: BlockId) -> Option<Arc<Vec<T>>> {
         let mut s = self.store.lock();
         s.tick += 1;
         let tick = s.tick;
@@ -206,7 +200,7 @@ impl BlockManager {
     /// enter the memory pool: with a disk tier attached they spill straight
     /// to the owner's spill file; otherwise the put is skipped (journaled as
     /// `CacheSkipped` — callers recompute on every access).
-    pub fn put<T: Send + Sync + 'static>(
+    pub(crate) fn put<T: Send + Sync + 'static>(
         &self,
         id: BlockId,
         data: Arc<Vec<T>>,
@@ -329,7 +323,7 @@ impl BlockManager {
 
     /// Remove every cached partition of an RDD (`unpersist`), from both the
     /// memory pool and the disk tier.
-    pub fn evict_rdd(&self, rdd_id: u64) {
+    pub(crate) fn evict_rdd(&self, rdd_id: u64) {
         let mut s = self.store.lock();
         let keys: Vec<BlockId> = s
             .blocks
@@ -350,7 +344,7 @@ impl BlockManager {
     /// executor kill. Returns `(blocks_removed, bytes_released)`. These are
     /// failure losses, not pressure evictions, so `cache_evictions` is not
     /// bumped; the scheduler journals one `ExecutorLost` event instead.
-    pub fn evict_executor(&self, executor: usize) -> (usize, usize) {
+    pub(crate) fn evict_executor(&self, executor: usize) -> (usize, usize) {
         let mut s = self.store.lock();
         let keys: Vec<BlockId> = s
             .blocks
@@ -390,7 +384,7 @@ impl BlockManager {
 /// Deliberately shallow (`len * size_of::<T>()`): the engine's memory model
 /// needs relative sizes that scale with record counts, not byte-exact
 /// accounting. Documented in `DESIGN.md`.
-pub fn estimate_vec_size<T>(v: &[T]) -> usize {
+pub(crate) fn estimate_vec_size<T>(v: &[T]) -> usize {
     v.len() * std::mem::size_of::<T>().max(1)
 }
 
@@ -445,8 +439,6 @@ mod tests {
         assert!(m.get::<u8>((3, 0)).is_some());
         assert_eq!(m.used_by(0), 80);
         assert_eq!(m.used_by(1), 80);
-        assert_eq!(m.capacity(), 200);
-        assert_eq!(m.executor_capacity(), 100);
     }
 
     #[test]

@@ -10,10 +10,10 @@ use std::sync::Arc;
 /// Execution context handed to every task attempt.
 ///
 /// Carries identity (stage / task / attempt / executor), the cluster metrics
-/// registry, and the per-attempt virtual-cost accumulators. Domain code can
-/// reach the context of the currently running task through
-/// [`with_current`] / [`charge_ops`] even from plain `map` closures, the way
-/// Spark code reaches `TaskContext.get()`.
+/// registry, and the per-attempt virtual-cost accumulators. Engine code
+/// that is handed no context (the spill tier's cost charging) reaches the
+/// currently running task's through `with_current`, the way Spark code
+/// reaches `TaskContext.get()`.
 pub struct TaskContext {
     inner: Arc<TaskCtxInner>,
 }
@@ -107,7 +107,7 @@ impl TaskContext {
     /// [`crate::CostModelConfig::chunk_dispatch_ns`] each). The batch
     /// operators call this once per chunk; record-level work is charged
     /// separately through `record_ns` and [`TaskContext::charge_ops`].
-    pub fn add_chunks(&self, n: u64) {
+    pub(crate) fn add_chunks(&self, n: u64) {
         self.inner.chunks.fetch_add(n, Ordering::Relaxed);
         self.inner.metrics.chunks_executed.add(n);
     }
@@ -186,7 +186,7 @@ impl TaskContext {
     }
 
     /// Virtual duration of this attempt so far, in microseconds.
-    pub fn attempt_cost_us(&self) -> u64 {
+    pub(crate) fn attempt_cost_us(&self) -> u64 {
         let c = &self.inner.cost;
         c.task_launch_overhead_us
             + self.inner.ops.load(Ordering::Relaxed) * c.op_ns / 1000
@@ -215,7 +215,7 @@ impl Drop for CtxGuard {
 /// Run `f` with the currently executing task's context, if any.
 ///
 /// Outside a task (driver code, tests) the argument is `None`.
-pub fn with_current<R>(f: impl FnOnce(Option<&TaskContext>) -> R) -> R {
+pub(crate) fn with_current<R>(f: impl FnOnce(Option<&TaskContext>) -> R) -> R {
     CURRENT.with(|c| {
         let borrowed = c.borrow();
         match borrowed.as_ref() {
@@ -228,27 +228,6 @@ pub fn with_current<R>(f: impl FnOnce(Option<&TaskContext>) -> R) -> R {
             None => f(None),
         }
     })
-}
-
-/// Charge `n` operations to the currently running task (no-op outside one).
-///
-/// This is the hook domain algorithms use from inside plain `map`/`filter`
-/// closures to drive the virtual clock.
-pub fn charge_ops(n: u64) {
-    with_current(|ctx| {
-        if let Some(ctx) = ctx {
-            ctx.charge_ops(n);
-        }
-    });
-}
-
-/// Increment a named user counter from inside a task (no-op outside one).
-pub fn count(name: &str, n: u64) {
-    with_current(|ctx| {
-        if let Some(ctx) = ctx {
-            ctx.counter(name).add(n);
-        }
-    });
 }
 
 #[cfg(test)]
@@ -350,14 +329,9 @@ mod tests {
         {
             let _g = c.install();
             with_current(|cur| assert_eq!(cur.unwrap().stage(), "test"));
-            charge_ops(7);
+            with_current(|cur| cur.unwrap().charge_ops(7));
         }
         with_current(|cur| assert!(cur.is_none()));
         assert_eq!(c.attempt_cost_us(), 10 + 7);
-    }
-
-    #[test]
-    fn count_no_ops_outside_task() {
-        count("nothing", 3); // must not panic
     }
 }

@@ -1,4 +1,4 @@
-//! Property-based equivalence: every sparklet operator must agree with the
+//! Property-based equivalence: the sparklet operators must agree with the
 //! obvious single-threaded reference implementation over `Vec`/`HashMap`,
 //! for arbitrary data, partition counts and parallelism.
 
@@ -24,7 +24,7 @@ proptest! {
         let got = c
             .parallelize(data.clone(), parts)
             .map(|x| x.wrapping_mul(3))
-            .filter(|x| x % 2 == 0)
+            .flat_map(|x| if x % 2 == 0 { vec![x] } else { vec![] })
             .collect()
             .unwrap();
         let expect: Vec<u32> = data
@@ -82,37 +82,6 @@ proptest! {
     }
 
     #[test]
-    fn distinct_matches_set(
-        data in prop::collection::vec(0u16..40, 0..120),
-        parts in 1usize..6,
-    ) {
-        let c = Cluster::local(2);
-        let got = sorted(c.parallelize(data.clone(), parts).distinct(3).collect().unwrap());
-        let expect = sorted(
-            data.into_iter()
-                .collect::<std::collections::HashSet<u16>>()
-                .into_iter()
-                .collect::<Vec<_>>(),
-        );
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn sort_by_matches_std_sort(
-        data in prop::collection::vec(-500i32..500, 0..200),
-        parts in 1usize..8,
-    ) {
-        let c = Cluster::local(3);
-        let got = c
-            .parallelize(data.clone(), parts)
-            .sort_by(|x| *x, 4)
-            .unwrap()
-            .collect()
-            .unwrap();
-        prop_assert_eq!(got, sorted(data));
-    }
-
-    #[test]
     fn aggregate_is_partitioning_invariant(
         data in prop::collection::vec(0u64..1000, 1..120),
         parts_a in 1usize..9,
@@ -143,21 +112,40 @@ proptest! {
     }
 
     #[test]
-    fn group_by_key_partitions_preserve_multiset(
+    fn aggregate_by_key_matches_hashmap_fold(
         data in prop::collection::vec((0u8..5, 0u32..30), 0..100),
+        parts in 1usize..6,
+        reduce_parts in 1usize..6,
     ) {
         let c = Cluster::local(2);
-        let grouped = c
-            .parallelize(data.clone(), 4)
-            .group_by_key(3)
+        // A list accumulator: the fold must hand every value to its key
+        // exactly once, whatever the map- and reduce-side partitioning.
+        let got: HashMap<u8, Vec<u32>> = c
+            .parallelize(data.clone(), parts)
+            .aggregate_by_key(
+                Vec::new(),
+                |mut acc, v| {
+                    acc.push(v);
+                    acc
+                },
+                |mut a, b| {
+                    a.extend(b);
+                    a
+                },
+                reduce_parts,
+            )
             .collect()
-            .unwrap();
-        // Flattening the groups recovers the exact input multiset.
-        let mut flat: Vec<(u8, u32)> = grouped
+            .unwrap()
             .into_iter()
-            .flat_map(|(k, vs)| vs.into_iter().map(move |v| (k, v)))
+            .map(|(k, vs)| (k, sorted(vs)))
             .collect();
-        flat.sort();
-        prop_assert_eq!(flat, sorted(data));
+        let mut expect: HashMap<u8, Vec<u32>> = HashMap::new();
+        for (k, v) in data {
+            expect.entry(k).or_default().push(v);
+        }
+        for vs in expect.values_mut() {
+            vs.sort();
+        }
+        prop_assert_eq!(got, expect);
     }
 }

@@ -1,10 +1,10 @@
-//! Batch-operator equivalence suite — the chunked-execution invariant:
-//! operator-at-a-time chunking must be **bit-identical** to a plain
-//! row-by-row computation for every operator, partition count and failure
-//! schedule. Chunking may only change virtual cost and journal shape, never
-//! a single output row. Inputs run to 3,000 rows so that a partition spans
-//! zero, one or several 1024-row chunks with a ragged tail; the cut itself
-//! is tested at every target next to `split_chunks`.
+//! Chunked-execution equivalence suite: the chunk-charged operators (`map`,
+//! `flat_map`, the shuffle map side) must be **bit-identical** to a plain
+//! row-by-row computation for every partition count and failure schedule.
+//! Chunk accounting may only change virtual cost and journal shape, never a
+//! single output row. Inputs run to 3,000 rows so that a partition spans
+//! zero, one or several 1024-row chunks with a ragged tail; the charge per
+//! partition size is pinned next to `Rdd::map` in sparklet.
 
 use proptest::prelude::*;
 use sparklet::{Cluster, ClusterConfig, FaultConfig, PairRdd};
@@ -16,7 +16,7 @@ fn narrow_chain(cluster: &Cluster, data: Vec<u64>, partitions: usize) -> Vec<u64
     cluster
         .parallelize(data, partitions)
         .map(|x| x.wrapping_mul(31).wrapping_add(7))
-        .filter(|x| x % 5 != 0)
+        .flat_map(|x| if x % 5 != 0 { vec![x] } else { vec![] })
         .flat_map(|x| if x % 2 == 0 { vec![x] } else { vec![x, !x] })
         .collect()
         .expect("narrow chain")
@@ -39,8 +39,8 @@ fn shuffle_chain(cluster: &Cluster, data: Vec<u64>, partitions: usize) -> Vec<(u
     let mut out = cluster
         .parallelize(data, partitions)
         .map(|x| x.wrapping_mul(2_654_435_761))
-        .filter(|x| x % 3 != 0)
-        .key_by(|x| x % 17)
+        .flat_map(|x| if x % 3 != 0 { vec![x] } else { vec![] })
+        .map(|x| (x % 17, x))
         .reduce_by_key(|a, b| a.wrapping_add(b), 5)
         .collect()
         .expect("shuffle chain");
@@ -89,55 +89,6 @@ proptest! {
         let batched = shuffle_chain(&Cluster::local(4), data, partitions);
         prop_assert_eq!(batched, expect);
     }
-
-    /// The batch-native operators must agree with their row-level
-    /// counterparts, single- and multi-chunk partitions alike.
-    #[test]
-    fn batch_native_operators_match_row_operators(
-        data in prop::collection::vec(0u64..u64::MAX, 0..3_000),
-        parts_idx in 0usize..2,
-    ) {
-        let c = Cluster::local(4);
-        let rdd = c.parallelize(data, [1usize, 4][parts_idx]);
-        let via_rows: Vec<u64> = rdd
-            .map(|x| x / 3)
-            .filter(|x| x % 2 == 0)
-            .flat_map(|x| vec![x; (x % 3) as usize])
-            .collect()
-            .expect("row operators");
-        let via_batches: Vec<u64> = rdd
-            .map_batches(|_, chunk| Ok(chunk.items().iter().map(|x| x / 3).collect()))
-            .filter_batches(|_, chunk| Ok(chunk.items().iter().map(|x| x % 2 == 0).collect()))
-            .flat_map_batches(|_, chunk| {
-                Ok(chunk
-                    .into_items()
-                    .into_iter()
-                    .flat_map(|x| vec![x; (x % 3) as usize])
-                    .collect())
-            })
-            .collect()
-            .expect("batch operators");
-        prop_assert_eq!(via_rows, via_batches);
-    }
-}
-
-#[test]
-fn batch_operator_arity_violations_fail_the_task() {
-    let c = Cluster::local(2);
-    let data: Vec<u64> = (0..100).collect();
-    let extra = c
-        .parallelize(data.clone(), 2)
-        .map_batches(|_, chunk| Ok(vec![0u64; chunk.len() + 1]))
-        .collect();
-    assert!(extra.is_err(), "map_batches must enforce 1:1 arity");
-    let short_mask = c
-        .parallelize(data, 2)
-        .filter_batches(|_, chunk| Ok(vec![true; chunk.len().saturating_sub(1)]))
-        .collect();
-    assert!(
-        short_mask.is_err(),
-        "filter_batches must enforce mask length"
-    );
 }
 
 /// A seeded executor kill mid-run plus random task faults: lineage
@@ -166,7 +117,7 @@ fn executor_kill_and_task_faults_leave_chunked_output_bit_identical() {
     );
 }
 
-/// 100k records through map/filter/shuffle: the journal grows per *chunk*
+/// 100k records through map/flat_map/shuffle: the journal grows per *chunk*
 /// (coalesced per task/operator), never per record, and the report's batch
 /// section accounts for every record.
 #[test]
