@@ -6,7 +6,7 @@
 //!
 //! * **duplicate lookups** — is this incoming report a duplicate of
 //!   something already in the database? Probes run through the blocking
-//!   index and [`fastknn::FastKnn::classify_blocks`], with an O(1)
+//!   index and [`fastknn::FastKnn::classify_distinct`], with an O(1)
 //!   short-circuit through [`crate::store::PairStore`]'s per-report member
 //!   index for reports already known to be duplicates;
 //! * **signal queries** — how strong is a drug–event association? Answered
@@ -1001,6 +1001,78 @@ mod tests {
             .run_open_loop(&stream)
             .unwrap();
         assert_eq!(served.digest, 5961368362150543505);
+    }
+
+    #[test]
+    fn served_matches_equal_the_per_row_route_probe_by_probe() {
+        // The oracle for `classify_rows` sharing one classification among
+        // equal rows: every probe's candidate rows, rebuilt here and put
+        // through the per-row `classify_blocks` on their own. One batch
+        // holds every probe, one of them twice.
+        for seed in [4, 11, 29] {
+            let (sys, ds) = served_system(seed);
+            let mut serve = ServeService::attach(&sys, ServeConfig::default()).unwrap();
+            let shared = sys
+                .cluster()
+                .metrics()
+                .counter(fastknn::counters::ROWS_SHARED);
+            assert_eq!(shared.get(), 0);
+            let mut probes = arrivals(&ds, 0..30, 1_000_000);
+            probes.push(probes[3].clone());
+            let requests: Vec<ServeRequest> = probes
+                .iter()
+                .map(|report| {
+                    let report = report.clone();
+                    at(0, ServeQuery::Duplicate { report })
+                })
+                .collect();
+            let out = serve.run_open_loop(&requests).unwrap();
+            assert_eq!(out.batches, 1);
+            assert!(shared.get() > 0, "seed {seed}: probes share vectors");
+
+            let model = serve.epoch.model.clone().unwrap();
+            assert!(
+                model.voronoi().b() > 8,
+                "seed {seed}: sibling cells, so tie slots"
+            );
+            let mut interner = serve.interner.clone();
+            let expected: Vec<ServeAnswer> = probes
+                .iter()
+                .map(|report| {
+                    let processed =
+                        ProcessedReport::from_report(report, &serve.pipeline, &mut interner);
+                    let mut rows = DistBatch::new();
+                    let mut candidate_of = HashMap::new();
+                    for cand in serve.epoch.blocking.probe_candidates(&processed) {
+                        let id = stable_hash(&(report.id, cand));
+                        rows.push(
+                            id,
+                            &pair_distance(&processed, &serve.epoch.corpus[&cand]),
+                            false,
+                        );
+                        candidate_of.insert(id, cand);
+                    }
+                    assert!((1..=serve.config.max_candidates).contains(&rows.len()));
+                    let mut matches: Vec<DuplicateMatch> = model
+                        .classify_blocks(&rows, 1)
+                        .unwrap()
+                        .iter()
+                        .map(|s| DuplicateMatch {
+                            candidate: candidate_of[&s.id],
+                            score: s.score,
+                            is_duplicate: s.positive,
+                        })
+                        .collect();
+                    matches.sort_by_key(|m| m.candidate);
+                    ServeAnswer::Duplicate {
+                        known_memberships: 0,
+                        matches,
+                    }
+                })
+                .collect();
+            assert_eq!(out.digest, answers_digest(&expected), "seed {seed}");
+            assert_eq!(out.answers[30], out.answers[3], "the probe offered twice");
+        }
     }
 
     /// What the contingency stores held before they were folded on the

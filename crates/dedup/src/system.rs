@@ -73,14 +73,16 @@ fn block_count(c: usize, rows: usize) -> usize {
     c.min(rows.div_ceil(BLOCK_ROWS)).max(1)
 }
 
-/// Classify `rows` with `model` in as many blocks as the rows justify (see
-/// [`BLOCK_ROWS`]). Classification is per-row independent, so the block
-/// count never shows in a result.
+/// Classify `rows` with `model`, each distinct row once
+/// ([`FastKnn::classify_distinct`]), in as many blocks as the distinct rows
+/// justify (see [`BLOCK_ROWS`]). Classification is per-row independent, so
+/// neither the sharing nor the block count ever shows in a result.
 pub(crate) fn classify_rows(
     model: &FastKnn,
     rows: &crate::pairing::DistBatch,
 ) -> Result<Vec<fastknn::ScoredPair>> {
-    model.classify_blocks(rows, block_count(model.config().c, rows.len()))
+    let c = model.config().c;
+    model.classify_distinct(rows, |distinct| block_count(c, distinct))
 }
 
 /// One detected (or rejected) candidate pair.
@@ -284,7 +286,10 @@ impl DedupSystem {
     /// with the model the previous commit published, feed the decisions
     /// back into the stores, add the reports to the database, and publish
     /// the model of the stores as they now stand. Returns all candidate
-    /// decisions, duplicates first.
+    /// decisions in a total order: duplicates first, then by score
+    /// descending, then in candidate order — pair ascending with
+    /// [`DedupConfig::use_blocking`], else each new report against the
+    /// database in arrival order, then the pairs among the new reports.
     ///
     /// A system whose stores are empty (never bootstrapped) has nothing to
     /// classify against: that is a [`SparkletError::User`], returned before
@@ -390,12 +395,16 @@ impl DedupSystem {
                 }
             })
             .collect();
+        // A total order: duplicates first, then score descending under
+        // `total_cmp`, then candidate row ascending — `scored` is in row
+        // order and the sort is stable. Identical vectors tie on score by
+        // the thousand, so the tiebreak is stated: on the blocked path rows
+        // are in pair order; on the exhaustive path in §3's enumeration
+        // order, which the pinned digests hold this to.
         detections.sort_by(|a, b| {
-            b.is_duplicate.cmp(&a.is_duplicate).then(
-                b.score
-                    .partial_cmp(&a.score)
-                    .unwrap_or(std::cmp::Ordering::Equal),
-            )
+            b.is_duplicate
+                .cmp(&a.is_duplicate)
+                .then(b.score.total_cmp(&a.score))
         });
         self.publish()?;
         Ok(detections)
@@ -1036,6 +1045,86 @@ mod tests {
             "the distance job, one block of four stages, the fit's count"
         );
         assert_eq!(shuffles(), (0, 0, 0));
+    }
+
+    #[test]
+    fn detect_new_equals_the_per_row_route_and_orders_totally() {
+        // The oracle for `classify_rows` sharing one classification among
+        // equal rows: the batch's candidate rows, rebuilt here under the ids
+        // `detect_new` gives them and put through the per-row
+        // `classify_blocks` of the model it classified with.
+        for (seed, use_blocking) in [(3, true), (17, true), (17, false), (40, false)] {
+            let (mut sys, ds) = system_with_corpus(seed);
+            sys.config.use_blocking = use_blocking;
+            let (base, batch) = ds.reports.split_at(235);
+            let labelled: Vec<PairId> = ds
+                .duplicate_pairs
+                .iter()
+                .filter(|p| p.hi < 235)
+                .copied()
+                .collect();
+            sys.bootstrap(base, &labelled).unwrap();
+            let model = sys.epoch.model.clone().unwrap();
+            assert!(
+                model.voronoi().b() > 8,
+                "seed {seed}: sibling cells, so tie slots"
+            );
+            let new_ids: Vec<ReportId> = batch.iter().map(|r| r.id).collect();
+            let existing = sys.arrival_order.clone();
+            let detections = sys.detect_new(batch).unwrap();
+            let shared = sys
+                .cluster
+                .metrics()
+                .counter(fastknn::counters::ROWS_SHARED)
+                .get();
+            assert!(shared > 0, "seed {seed}: candidate rows share vectors");
+
+            let pairs = if use_blocking {
+                let mut pairs = sys.epoch.blocking.candidate_pairs(&new_ids);
+                pairs.sort_unstable();
+                pairs
+            } else {
+                pairs_involving_new(&new_ids, &existing)
+            };
+            let mut rows = crate::pairing::DistBatch::new();
+            for (row, pid) in pairs.iter().enumerate() {
+                let (lo, hi) = (&sys.epoch.corpus[&pid.lo], &sys.epoch.corpus[&pid.hi]);
+                rows.push(row as u64, &crate::distance::pair_distance(lo, hi), false);
+            }
+            let per_row: HashMap<PairId, (u64, bool)> = model
+                .classify_blocks(&rows, 3)
+                .unwrap()
+                .iter()
+                .map(|s| (pairs[s.id as usize], (s.score.to_bits(), s.positive)))
+                .collect();
+            assert_eq!(detections.len(), pairs.len());
+            for d in &detections {
+                let got = (d.score.to_bits(), d.is_duplicate);
+                assert_eq!(got, per_row[&d.pair], "seed {seed}, pair {:?}", d.pair);
+            }
+
+            // Duplicates first, score descending, ties in candidate order
+            // (`pairs` is sorted on the blocked path): strictly, so total.
+            let row_of: HashMap<PairId, usize> =
+                pairs.iter().enumerate().map(|(row, p)| (*p, row)).collect();
+            let order = |a: &Detection, b: &Detection| {
+                b.is_duplicate
+                    .cmp(&a.is_duplicate)
+                    .then(b.score.total_cmp(&a.score))
+                    .then(row_of[&a.pair].cmp(&row_of[&b.pair]))
+            };
+            for w in detections.windows(2) {
+                assert!(order(&w[0], &w[1]).is_lt(), "seed {seed}: {w:?}");
+            }
+            let tied_scores = detections
+                .windows(2)
+                .filter(|w| w[0].score.to_bits() == w[1].score.to_bits())
+                .count();
+            assert!(
+                tied_scores > 0,
+                "seed {seed}: the tiebreak decided something"
+            );
+        }
     }
 
     #[test]

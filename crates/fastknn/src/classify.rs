@@ -42,6 +42,7 @@ use crate::voronoi::VoronoiPartition;
 use simmetrics::squared_euclidean_fixed;
 use sparklet::partitioner::IndexPartitioner;
 use sparklet::{Cluster, EventKind, PairRdd, Rdd, Result};
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
 /// Fast kNN hyper-parameters.
@@ -128,14 +129,24 @@ impl<const D: usize> FastKnn<D> {
         train: &[LabeledPair<D>],
         config: FastKnnConfig,
     ) -> Result<FastKnn<D>> {
-        // Install spill codecs before any job runs: the negative-cell cache
-        // and all three classification shuffles must be able to overflow to
-        // the disk tier instead of aborting under a tight memory budget.
-        crate::spill::register_spill_codecs::<D>(cluster.spill());
         let mut voronoi = VoronoiPartition::build(train, config.b, config.seed);
         if !config.prune {
             voronoi = voronoi.without_prune_metadata();
         }
+        Self::on_partition(cluster, voronoi, config)
+    }
+
+    /// Cache `voronoi`'s negative cells on the engine: the training-side
+    /// `join` preparation, for a partition already built.
+    fn on_partition(
+        cluster: &Cluster,
+        voronoi: VoronoiPartition<D>,
+        config: FastKnnConfig,
+    ) -> Result<FastKnn<D>> {
+        // Install spill codecs before any job runs: the negative-cell cache
+        // and all three classification shuffles must be able to overflow to
+        // the disk tier instead of aborting under a tight memory budget.
+        crate::spill::register_spill_codecs::<D>(cluster.spill());
         let voronoi = Arc::new(voronoi);
         let b = voronoi.b();
         // `b` cells over `b` partitions: cell `i` is partition `i`, and the
@@ -196,6 +207,119 @@ impl<const D: usize> FastKnn<D> {
         for block in test.chunk_rows(block_size) {
             results.extend(self.classify_block(block)?);
         }
+        results.sort_by_key(|s| s.id);
+        Ok(results)
+    }
+
+    /// [`FastKnn::classify_blocks`] with the work done once per *distinct*
+    /// row rather than once per row — §4.2's distance vectors are nearly
+    /// discrete (five 0/1 fields, two short Jaccard ratios), so a bulk batch
+    /// repeats each bit pattern several times over. Returns one
+    /// [`ScoredPair`] per row, sorted by id, every field bit-identical to
+    /// `classify_blocks` on the whole batch. As there, ids must be unique
+    /// within the batch.
+    ///
+    /// What "distinct" has to mean: a score is a function of the vector
+    /// *and of the cell the row is assigned to*. Among centres tied for
+    /// nearest — sibling chunks of a rebalanced cell always tie —
+    /// [`VoronoiPartition::assign_balanced_batch`] picks by `id % tied`,
+    /// and the all-negative shortcut scores from the assigned sibling's
+    /// residents alone, so two rows with one vector can differ in score. The
+    /// key is therefore (the `D` `to_bits` words, `id % tie_count`): each
+    /// vector that several rows hold gets [`VoronoiPartition::tie_count`]
+    /// slots, a row lands in slot `id % tie_count`, and the first row in a
+    /// slot represents it **under its own id**, so the engine assigns it
+    /// the very cell every row of the slot would get. The representatives
+    /// alone are classified, in `blocks_for(representatives)` blocks, and
+    /// each row copies its representative's result.
+    ///
+    /// [`FastKnn::classify_batch`] and `classify_blocks` stay per-row: the
+    /// paper's Figs. 6b–11 count comparisons per test pair, and they are
+    /// the oracle this is tested against.
+    pub fn classify_distinct(
+        &self,
+        test: &VecBatch<D>,
+        blocks_for: impl Fn(usize) -> usize,
+    ) -> Result<Vec<ScoredPair>> {
+        // Group the rows by vector, in first-seen order.
+        let mut group_of: HashMap<[u64; D], usize> = HashMap::new();
+        let mut firsts: Vec<usize> = Vec::new();
+        let mut repeated: Vec<bool> = Vec::new();
+        let group_of_row: Vec<usize> = (0..test.len())
+            .map(|i| match group_of.entry(test.row(i).map(f64::to_bits)) {
+                Entry::Occupied(seen) => {
+                    repeated[*seen.get()] = true;
+                    *seen.get()
+                }
+                Entry::Vacant(new) => {
+                    firsts.push(i);
+                    repeated.push(false);
+                    *new.insert(firsts.len() - 1)
+                }
+            })
+            .collect();
+        // Group `g` gets `tied[g]` slots from `first_slot[g]` on: one per
+        // tied centre where rows collide, one for a vector seen once (its
+        // row represents itself, whatever cell it is assigned).
+        let collided: Vec<usize> = (0..firsts.len()).filter(|&g| repeated[g]).collect();
+        let collided_rows: Vec<usize> = collided.iter().map(|&g| firsts[g]).collect();
+        let mut tie_counts = Vec::new();
+        self.scratch.with(|s| {
+            let vectors = test.gather(&collided_rows);
+            self.voronoi
+                .tie_counts(&vectors, &mut tie_counts, &mut s.dists)
+        });
+        let mut tied = vec![1; firsts.len()];
+        for (&g, &count) in collided.iter().zip(&tie_counts) {
+            tied[g] = count;
+        }
+        let mut slots = 0;
+        let first_slot: Vec<usize> = tied
+            .iter()
+            .map(|count| {
+                slots += count;
+                slots - count
+            })
+            .collect();
+        // The first row to land in a slot represents it: `slot_rep` holds
+        // its index in `reps`, `rep_of_row` the same for every row.
+        const EMPTY: usize = usize::MAX;
+        let mut slot_rep = vec![EMPTY; slots];
+        let mut reps: Vec<usize> = Vec::new();
+        let rep_of_row: Vec<usize> = group_of_row
+            .iter()
+            .zip(test.ids())
+            .enumerate()
+            .map(|(i, (&g, &id))| {
+                let rep = &mut slot_rep[first_slot[g] + id as usize % tied[g]];
+                if *rep == EMPTY {
+                    *rep = reps.len();
+                    reps.push(i);
+                }
+                *rep
+            })
+            .collect();
+        let rep_rows = test.gather(&reps);
+        let scored = self.classify_blocks(&rep_rows, blocks_for(reps.len()))?;
+        self.cluster
+            .metrics()
+            .counter(counters::ROWS_SHARED)
+            .add((test.len() - reps.len()) as u64);
+        // `scored` is in id order: find each representative's place in it.
+        let mut by_id: Vec<usize> = (0..reps.len()).collect();
+        by_id.sort_by_key(|&r| rep_rows.id(r));
+        let mut place = vec![0; reps.len()];
+        for (at, &r) in by_id.iter().enumerate() {
+            place[r] = at;
+        }
+        let mut results: Vec<ScoredPair> = rep_of_row
+            .iter()
+            .zip(test.ids())
+            .map(|(&r, &id)| ScoredPair {
+                id,
+                ..scored[place[r]].clone()
+            })
+            .collect();
         results.sort_by_key(|s| s.id);
         Ok(results)
     }
@@ -730,6 +854,214 @@ mod tests {
                 let jobs = cluster.metrics().jobs_submitted.get();
                 model.classify_batch(&batch).unwrap();
                 prop_assert_eq!(cluster.metrics().jobs_submitted.get() - jobs, 4 * blocks as u64);
+            }
+        }
+    }
+
+    mod distinct_vectors {
+        use super::*;
+        use crate::stage1::tests::{lattice_points, on_lattice, LATTICE};
+        use proptest::prelude::*;
+        use sparklet::stable_hash;
+
+        /// A partition assembled by hand, as `rebalance` leaves one:
+        /// `centers[0]` is repeated `siblings` more times, every negative
+        /// sits with a nearest centre, and those nearest the repeated one
+        /// are dealt round-robin over its copies. No distance metadata, so
+        /// every scan sweeps.
+        fn with_coincident_centers(
+            centers: &[[f64; 3]],
+            siblings: usize,
+            negatives: &[[f64; 3]],
+            positives: &[[f64; 3]],
+        ) -> VoronoiPartition<3> {
+            let mut all = centers.to_vec();
+            all.extend(std::iter::repeat_n(centers[0], siblings));
+            let mut cells = vec![VecBatch::new(); all.len()];
+            for (i, v) in negatives.iter().enumerate() {
+                let nearest = mlcore::kmeans::nearest_centroid(v, centers).0;
+                let cell = match i % (siblings + 1) {
+                    lap if lap > 0 && all[nearest] == centers[0] => centers.len() + lap - 1,
+                    _ => nearest,
+                };
+                cells[cell].push(2 * i as u64, v, false);
+            }
+            let mut pos = VecBatch::new();
+            for (i, v) in positives.iter().enumerate() {
+                pos.push(2 * i as u64 + 1, v, true);
+            }
+            VoronoiPartition {
+                centers: all,
+                negative_clusters: cells.into_iter().map(Arc::new).collect(),
+                center_dists: Vec::new(),
+                positives: pos,
+                positive_ref: [0.0; 3],
+                positive_ref_dists: Vec::new(),
+            }
+        }
+
+        /// Rows `picks[i]` of `pool`, under hashed ids as the serving layer
+        /// makes them: unique, far apart, in no order.
+        fn repeated_rows(pool: &[[f64; 3]], picks: &[usize], salt: u64) -> VecBatch<3> {
+            let mut batch = VecBatch::new();
+            for (i, &p) in picks.iter().enumerate() {
+                batch.push(stable_hash(&(salt, i as u64)), &pool[p % pool.len()], false);
+            }
+            batch
+        }
+
+        /// All four fields, the score by its bits.
+        fn bits(scored: &[ScoredPair]) -> Vec<(u64, u64, bool, bool)> {
+            scored
+                .iter()
+                .map(|s| (s.id, s.score.to_bits(), s.positive, s.shortcut))
+                .collect()
+        }
+
+        fn model_on(voronoi: VoronoiPartition<3>, k: usize) -> FastKnn<3> {
+            let config = FastKnnConfig {
+                k,
+                ..FastKnnConfig::default()
+            };
+            FastKnn::on_partition(&Cluster::local(2), voronoi, config).unwrap()
+        }
+
+        /// Training pairs on the lattice with `heavy` more negatives piled
+        /// on one corner: the cell `rebalance` has to split.
+        fn train_with_a_heavy_corner(
+            negatives: &[[f64; 3]],
+            heavy: usize,
+            positives: &[[f64; 3]],
+        ) -> Vec<LabeledPair<3>> {
+            let corner = std::iter::repeat_n(&[0.0; 3], heavy);
+            let mut train: Vec<LabeledPair<3>> = negatives
+                .iter()
+                .chain(corner)
+                .enumerate()
+                .map(|(i, v)| LabeledPair::new(2 * i as u64, *v, false))
+                .collect();
+            for (i, v) in positives.iter().enumerate() {
+                train.push(LabeledPair::new(2 * i as u64 + 1, *v, true));
+            }
+            train
+        }
+
+        #[test]
+        fn two_rows_with_one_vector_in_different_tie_slots_score_differently() {
+            // Two sibling cells under one centre, nothing else: ids 0 and 1
+            // are assigned one each, and with no positive anywhere both stop
+            // at the shortcut — scored from their own sibling's residents,
+            // which sit at different distances. Keyed by vector alone, the
+            // second row would be handed the first row's score.
+            let near: Vec<[f64; 3]> = vec![[0.25, 0.0, 0.0]; 3];
+            let far: Vec<[f64; 3]> = vec![[0.5, 0.0, 0.0]; 3];
+            let mut negatives = Vec::new();
+            for (n, f) in near.iter().zip(&far) {
+                negatives.extend([*n, *f]);
+            }
+            let voronoi = with_coincident_centers(&[[0.0; 3]], 1, &negatives, &[]);
+            assert_eq!(voronoi.tie_count(&[0.0; 3]), 2);
+            let model = model_on(voronoi, 3);
+            let mut rows = VecBatch::new();
+            rows.push(0, &[0.0; 3], false);
+            rows.push(1, &[0.0; 3], false);
+            let per_row = model.classify_blocks(&rows, 1).unwrap();
+            assert!(per_row.iter().all(|s| s.shortcut));
+            assert_ne!(
+                per_row[0].score.to_bits(),
+                per_row[1].score.to_bits(),
+                "the siblings hold different residents"
+            );
+            let shared = model.classify_distinct(&rows, |_| 1).unwrap();
+            assert_eq!(bits(&shared), bits(&per_row));
+            // One vector, two slots, two representatives: nothing shared.
+            let metrics = model.cluster.metrics();
+            assert_eq!(metrics.counter(counters::ROWS_SHARED).get(), 0);
+            // A third row in slot 0 is answered by row 0.
+            rows.push(2, &[0.0; 3], false);
+            let shared = model.classify_distinct(&rows, |_| 1).unwrap();
+            assert_eq!(
+                bits(&shared),
+                bits(&model.classify_blocks(&rows, 1).unwrap())
+            );
+            assert_eq!(shared[2].score.to_bits(), shared[0].score.to_bits());
+            assert_eq!(metrics.counter(counters::ROWS_SHARED).get(), 1);
+        }
+
+        #[test]
+        fn build_splits_the_heavy_corner_and_distinct_still_equals_per_row() {
+            let mut rng = StdRng::seed_from_u64(24);
+            let mut point = || {
+                [
+                    LATTICE[rng.gen_range(0..4)],
+                    LATTICE[rng.gen_range(0..4)],
+                    0.0,
+                ]
+            };
+            let negatives: Vec<[f64; 3]> = (0..150).map(|_| point()).collect();
+            let positives: Vec<[f64; 3]> = (0..6).map(|_| point()).collect();
+            let pool: Vec<[f64; 3]> = (0..12).map(|_| point()).chain([[0.0; 3]]).collect();
+            let train = train_with_a_heavy_corner(&negatives, 200, &positives);
+            let config = FastKnnConfig {
+                b: 4,
+                ..FastKnnConfig::default()
+            };
+            let model = FastKnn::fit(&Cluster::local(2), &train, config).unwrap();
+            assert!(model.voronoi().b() > 4, "rebalance split the corner's cell");
+            assert!(model.voronoi().tie_count(&[0.0; 3]) > 1);
+            let picks: Vec<usize> = (0..400).map(|_| rng.gen_range(0..pool.len())).collect();
+            let rows = repeated_rows(&pool, &picks, 24);
+            let shared = model.classify_distinct(&rows, |n| n.div_ceil(16)).unwrap();
+            assert_eq!(
+                bits(&shared),
+                bits(&model.classify_blocks(&rows, 3).unwrap())
+            );
+            let metrics = model.cluster.metrics();
+            let shared_rows = metrics.counter(counters::ROWS_SHARED).get();
+            assert!(
+                shared_rows >= 300,
+                "13 vectors, a few slots each: {shared_rows} of 400 rows shared"
+            );
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// `classify_distinct` against the per-row `classify_blocks` on
+            /// what the product feeds it: lattice vectors, each repeated
+            /// many times over, under hashed ids; centres that coincide —
+            /// assembled by hand (`built == 0`) or by `build` on a
+            /// training set with one overfull corner — so vectors have
+            /// several tie slots; k from 1 to beyond a cell's population.
+            #[test]
+            fn classify_distinct_is_bit_identical_to_classify_blocks(
+                negatives in lattice_points(20..80),
+                positives in lattice_points(0..8),
+                centers in lattice_points(1..5),
+                siblings in 1usize..4,
+                built in 0usize..2,
+                pool in lattice_points(1..10),
+                picks in prop::collection::vec(0usize..10, 1..90),
+                k in 1usize..12,
+                salt in 0u64..1000,
+            ) {
+                let (negatives, positives) = (on_lattice(negatives), on_lattice(positives));
+                let (centers, pool) = (on_lattice(centers), on_lattice(pool));
+                let model = if built == 1 {
+                    let train = train_with_a_heavy_corner(&negatives, 3 * negatives.len(), &positives);
+                    let config = FastKnnConfig { k, b: centers.len() + 2, seed: salt, ..FastKnnConfig::default() };
+                    FastKnn::fit(&Cluster::local(2), &train, config).unwrap()
+                } else {
+                    model_on(with_coincident_centers(&centers, siblings, &negatives, &positives), k)
+                };
+                let rows = repeated_rows(&pool, &picks, salt);
+                let per_row = model.classify_blocks(&rows, 2).unwrap();
+                let shared = model.classify_distinct(&rows, |n| n.div_ceil(5)).unwrap();
+                prop_assert_eq!(bits(&shared), bits(&per_row));
+                // No more representatives than the pool's vectors have slots.
+                let slots: usize = pool.iter().map(|v| model.voronoi().tie_count(v)).sum();
+                let shared_rows = model.cluster.metrics().counter(counters::ROWS_SHARED).get();
+                prop_assert!(rows.len() - shared_rows as usize <= slots);
             }
         }
     }

@@ -76,4 +76,7 @@ pub mod counters {
     /// Distance evaluations avoided: bound-rejected residents plus the
     /// populations of wholesale-skipped cells.
     pub const PRUNE_EVALS_AVOIDED: &str = "fastknn.prune_evals_avoided";
+    /// Rows [`crate::FastKnn::classify_distinct`] answered from another
+    /// row's classification: rows in, minus representatives classified.
+    pub const ROWS_SHARED: &str = "fastknn.rows_shared";
 }

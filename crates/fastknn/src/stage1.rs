@@ -136,7 +136,7 @@ pub fn stage1_row<const D: usize>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::types::{LabeledPair, Neighborhood};
     use proptest::prelude::*;
@@ -144,16 +144,16 @@ mod tests {
     /// Coordinates the §4.2 distance space really produces: exact-match
     /// fields are 0 or 1 and short-set Jaccard lands on simple fractions, so
     /// many pairs coincide and candidates sit *exactly* on the cutoff.
-    const LATTICE: [f64; 4] = [0.0, 0.25, 0.5, 1.0];
+    pub(crate) const LATTICE: [f64; 4] = [0.0, 0.25, 0.5, 1.0];
 
     /// Three lattice indices per point.
-    fn lattice_points(
+    pub(crate) fn lattice_points(
         size: std::ops::Range<usize>,
     ) -> impl Strategy<Value = Vec<(usize, usize, usize)>> {
         prop::collection::vec((0usize..4, 0usize..4, 0usize..4), size)
     }
 
-    fn on_lattice(points: Vec<(usize, usize, usize)>) -> Vec<[f64; 3]> {
+    pub(crate) fn on_lattice(points: Vec<(usize, usize, usize)>) -> Vec<[f64; 3]> {
         points
             .into_iter()
             .map(|(x, y, z)| [LATTICE[x], LATTICE[y], LATTICE[z]])

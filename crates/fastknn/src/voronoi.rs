@@ -1,7 +1,7 @@
 //! Voronoi partitioning of the training pairs (§4.3.1) and the
 //! hyperplane-distance bound of Eq. 7.
 
-use crate::soa::{assign_min, distances_to_point, VecBatch};
+use crate::soa::{assign_min, distances_to_point, distances_to_point_range, VecBatch};
 use crate::types::{LabeledPair, PAIR_DIMS};
 use mlcore::kmeans::{nearest_centroid, KMeans};
 use simmetrics::{euclidean_fixed, squared_euclidean_fixed};
@@ -217,32 +217,54 @@ impl<const D: usize> VoronoiPartition<D> {
         nearest_centroid(v, &self.centers).0
     }
 
+    /// The centres tied for nearest to `v`, in index order: every centre
+    /// within `TIE_EPS` of the minimum squared distance. Sibling chunks of
+    /// a rebalanced cell share a centre, so they always tie. Never empty.
+    fn tied_centers<'a>(&'a self, v: &'a [f64; D]) -> impl Iterator<Item = usize> + 'a {
+        let best_d2 = self
+            .centers
+            .iter()
+            .map(|c| squared_euclidean_fixed(v, c))
+            .fold(f64::INFINITY, f64::min);
+        self.centers
+            .iter()
+            .enumerate()
+            .filter(move |(_, c)| is_tied(squared_euclidean_fixed(v, c), best_d2))
+            .map(|(i, _)| i)
+    }
+
+    /// How many centres tie for nearest to `v` — the period of
+    /// [`Self::assign_balanced`] in its tiebreak: two queries at `v` get one
+    /// cell iff their tiebreaks agree modulo this count. At least 1.
+    pub fn tie_count(&self, v: &[f64; D]) -> usize {
+        self.tied_centers(v).count()
+    }
+
     /// Voronoi cell with deterministic tie-spreading: when several centres
     /// are (near-)equidistant — sibling chunks of a rebalanced cell always
     /// are — pick among them by `tiebreak` (e.g. the query's id), spreading
     /// load instead of piling every query onto the first sibling.
-    ///
-    /// Single pass over the centres: candidates within the tie tolerance of
-    /// the *running* minimum are collected as the minimum tightens, then the
-    /// survivors against the final minimum (still in index order) are the
-    /// tied set — the same set a second full scan would produce.
     pub fn assign_balanced(&self, v: &[f64; D], tiebreak: u64) -> usize {
-        const TIE_EPS: f64 = 1e-12;
-        let mut best_d2 = f64::INFINITY;
-        let mut tied: Vec<(usize, f64)> = Vec::new();
-        for (i, c) in self.centers.iter().enumerate() {
-            let d2 = squared_euclidean_fixed(v, c);
-            if d2 < best_d2 {
-                best_d2 = d2;
-            }
-            if d2 <= best_d2 + TIE_EPS {
-                tied.push((i, d2));
-            }
+        let tied: Vec<usize> = self.tied_centers(v).collect();
+        tied[tiebreak as usize % tied.len()]
+    }
+
+    /// [`Self::tie_count`] of every row of `batch`, appended to `out`
+    /// (cleared first), off the tiled kernel: a batch's worth costs a
+    /// fraction of as many scalar calls. `dist_scratch` is a reusable
+    /// distance buffer; rows go through it `TIE_SWEEP_ROWS` at a time.
+    pub fn tie_counts(
+        &self,
+        batch: &VecBatch<D>,
+        out: &mut Vec<usize>,
+        dist_scratch: &mut Vec<f64>,
+    ) {
+        out.clear();
+        for start in (0..batch.len()).step_by(TIE_SWEEP_ROWS) {
+            let n = TIE_SWEEP_ROWS.min(batch.len() - start);
+            self.center_distances(batch, start, start + n, dist_scratch);
+            out.extend((0..n).map(|i| tied_in_column(dist_scratch, n, i).count()));
         }
-        // The running minimum only tightens, so every true tie was admitted;
-        // drop candidates the final minimum has since disqualified.
-        tied.retain(|&(_, d2)| d2 <= best_d2 + TIE_EPS);
-        tied[(tiebreak as usize) % tied.len()].0
     }
 
     /// [`Self::assign_balanced`] for a whole batch, using each row's id as
@@ -250,9 +272,9 @@ impl<const D: usize> VoronoiPartition<D> {
     /// first); `dist_scratch` is a reusable `rows × centers` distance
     /// buffer.
     ///
-    /// Per row this is a two-pass scan (min, then tie count) over distances
-    /// from the tiled kernel — the same tied set and pick as the single-pass
-    /// scalar path (see the `assign_balanced_matches_two_pass_reference`
+    /// The distances come from the tiled kernel, which is bit-identical to
+    /// the scalar one, and the tied set from the same `is_tied`: the same
+    /// pick as the scalar path (see the `assign_balanced_batch_matches_scalar`
     /// proptest).
     pub fn assign_balanced_batch(
         &self,
@@ -260,47 +282,27 @@ impl<const D: usize> VoronoiPartition<D> {
         out: &mut Vec<usize>,
         dist_scratch: &mut Vec<f64>,
     ) {
-        const TIE_EPS: f64 = 1e-12;
         let n = batch.len();
-        let b = self.centers.len();
         out.clear();
-        // Centre-major distance matrix: dist[ci * n + i] = d²(row i, centre
-        // ci), each stripe one tiled 1×N kernel sweep.
-        dist_scratch.clear();
-        dist_scratch.resize(b * n, 0.0);
+        self.center_distances(batch, 0, n, dist_scratch);
+        for (i, &id) in batch.ids().iter().enumerate() {
+            let mut tied = tied_in_column(dist_scratch, n, i);
+            let nth = id as usize % tied.clone().count();
+            out.push(tied.nth(nth).expect("nth < the tied centres' count"));
+        }
+    }
+
+    /// Centre-major distance matrix of rows `start..end` of `batch`:
+    /// `dist[ci * (end - start) + i] = d²(row start + i, centre ci)`, each
+    /// stripe one tiled 1×N kernel sweep.
+    fn center_distances(&self, batch: &VecBatch<D>, start: usize, end: usize, dist: &mut Vec<f64>) {
+        let n = end - start;
+        dist.clear();
+        dist.resize(self.centers.len() * n, 0.0);
         let mut stripe: Vec<f64> = Vec::new();
         for (ci, c) in self.centers.iter().enumerate() {
-            crate::soa::distances_to_point(batch, c, &mut stripe);
-            dist_scratch[ci * n..(ci + 1) * n].copy_from_slice(&stripe);
-        }
-        for i in 0..n {
-            let mut best_d2 = f64::INFINITY;
-            for ci in 0..b {
-                let d2 = dist_scratch[ci * n + i];
-                if d2 < best_d2 {
-                    best_d2 = d2;
-                }
-            }
-            let mut tied = 0usize;
-            let mut pick = 0usize;
-            let want = batch.id(i) as usize;
-            for ci in 0..b {
-                if dist_scratch[ci * n + i] <= best_d2 + TIE_EPS {
-                    tied += 1;
-                }
-            }
-            let idx = want % tied;
-            let mut seen = 0usize;
-            for ci in 0..b {
-                if dist_scratch[ci * n + i] <= best_d2 + TIE_EPS {
-                    if seen == idx {
-                        pick = ci;
-                        break;
-                    }
-                    seen += 1;
-                }
-            }
-            out.push(pick);
+            distances_to_point_range(batch, c, start, end, &mut stripe);
+            dist[ci * n..(ci + 1) * n].copy_from_slice(&stripe);
         }
     }
 
@@ -320,6 +322,33 @@ impl<const D: usize> VoronoiPartition<D> {
         }
         best
     }
+}
+
+/// Squared-distance slack within which centres count as equidistant from a
+/// query. The one definition of a tie: [`VoronoiPartition::tie_count`],
+/// [`VoronoiPartition::assign_balanced`] and
+/// [`VoronoiPartition::assign_balanced_batch`] all go through [`is_tied`].
+const TIE_EPS: f64 = 1e-12;
+
+/// Is a centre at squared distance `d2` tied with the nearest, at `best_d2`?
+#[inline]
+fn is_tied(d2: f64, best_d2: f64) -> bool {
+    d2 <= best_d2 + TIE_EPS
+}
+
+/// Rows whose centre distances [`VoronoiPartition::tie_counts`] holds at
+/// once: 4,096 rows × 40-odd centres is 1.5 MB, whatever the batch.
+const TIE_SWEEP_ROWS: usize = 4096;
+
+/// The centres tied for nearest to row `i`, in index order, read off a
+/// centre-major distance matrix of `n` rows.
+fn tied_in_column(dist: &[f64], n: usize, i: usize) -> impl Iterator<Item = usize> + Clone + '_ {
+    let column = move || dist.iter().skip(i).step_by(n);
+    let best_d2 = column().copied().fold(f64::INFINITY, f64::min);
+    column()
+        .enumerate()
+        .filter(move |(_, &d2)| is_tied(d2, best_d2))
+        .map(|(ci, _)| ci)
 }
 
 /// Reorder `cell`'s rows by `(distance to point, id)` and return the sorted
@@ -529,7 +558,7 @@ mod tests {
                 "point {:?} beats the hyperplane bound {bound}", x);
         }
 
-        /// The single-pass tie collection matches a naive two-pass scan.
+        /// The tied set and the pick match a scan written out longhand.
         #[test]
         fn assign_balanced_matches_two_pass_reference(
             centers in prop::collection::vec(
@@ -562,6 +591,48 @@ mod tests {
                 .collect();
             let expect = tied[(tiebreak as usize) % tied.len()];
             prop_assert_eq!(vp.assign_balanced(&v, tiebreak), expect);
+        }
+
+        /// On lattice centres, where coincident and equidistant centres
+        /// are the rule: `tie_count(v)` is exactly the period of
+        /// `assign_balanced(v, ·)` — one lap visits `tie_count` different
+        /// cells, every later lap repeats it — and the batched assignment
+        /// and `tie_counts` see the same lap over the same tied set.
+        #[test]
+        fn tie_count_is_the_period_of_the_balanced_assignment(
+            centers in prop::collection::vec((0usize..3, 0usize..3), 1..9),
+            v in (0usize..3, 0usize..3),
+        ) {
+            let on_lattice = |(x, y): (usize, usize)| [x as f64 * 0.5, y as f64 * 0.5];
+            let vp = VoronoiPartition::<2> {
+                centers: centers.into_iter().map(on_lattice).collect(),
+                negative_clusters: Vec::new(),
+                center_dists: Vec::new(),
+                positives: VecBatch::new(),
+                positive_ref: [0.0; 2],
+                positive_ref_dists: Vec::new(),
+            };
+            let v = on_lattice(v);
+            let t = vp.tie_count(&v);
+            prop_assert!((1..=vp.b()).contains(&t));
+            let lap: Vec<usize> = (0..t as u64).map(|tb| vp.assign_balanced(&v, tb)).collect();
+            prop_assert!(lap.windows(2).all(|w| w[0] < w[1]), "t distinct cells: {:?}", lap);
+            let best = squared_euclidean(&v, &vp.centers[vp.assign(&v)]);
+            for &cell in &lap {
+                prop_assert!(squared_euclidean(&v, &vp.centers[cell]) <= best + 1e-12);
+            }
+            let mut batch = VecBatch::<2>::new();
+            for id in 0..3 * t as u64 {
+                prop_assert_eq!(vp.assign_balanced(&v, id), lap[id as usize % t]);
+                batch.push(id, &v, false);
+            }
+            let (mut cells, mut scratch) = (Vec::new(), Vec::new());
+            vp.assign_balanced_batch(&batch, &mut cells, &mut scratch);
+            for (id, &cell) in cells.iter().enumerate() {
+                prop_assert_eq!(cell, lap[id % t]);
+            }
+            vp.tie_counts(&batch, &mut cells, &mut scratch);
+            prop_assert_eq!(cells, vec![t; 3 * t]);
         }
 
         /// The batched assignment agrees with the scalar per-row path.
