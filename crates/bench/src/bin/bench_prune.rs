@@ -3,8 +3,9 @@
 //! prune-section job-report artifact alongside.
 //!
 //! One skewed radial-cluster workload (see [`bench::prune`]) through the
-//! identical fit + classify pipeline at the same worker count; only
-//! [`fastknn::FastKnnConfig::prune`] differs. Gated on the pruned side:
+//! identical fit + classify pipeline at the same worker count; the off side
+//! classifies over the same partition stripped of its pruning metadata
+//! ([`fastknn::FastKnn::from_partition`]). Gated on the pruned side:
 //!
 //! * **≥1.5×** classification-stage virtual speedup (off/on makespan);
 //! * **≥50%** of would-be pair-distance evaluations avoided.

@@ -3,18 +3,15 @@
 //!
 //! Four measurements over one bootstrapped corpus (see [`bench::serve`]):
 //!
-//! * **batched vs request-at-a-time** — the same saturating Poisson stream
-//!   through the batch-or-deadline admission queue and through
-//!   `max_batch = 1`;
+//! * **batched leg** — a saturating Poisson stream through the
+//!   batch-or-deadline admission queue;
 //! * **same-seed rerun** — a freshly built system must reproduce the
 //!   batched leg's answer digest bit-for-bit;
 //! * **saturation knee** — the batched leg swept across arrival rates;
 //! * **ROR inflation** — drug–event reporting odds ratios raw vs deduped.
 //!
-//! **Gates**: batched throughput ≥2× request-at-a-time at equal-or-better
-//! p99; answer digests identical across the admission policies and across
-//! same-seed reruns; the raw co-mention cells strictly above the deduped
-//! ones.
+//! **Gates**: answer digests identical across same-seed reruns; the raw
+//! co-mention cells strictly above the deduped ones.
 //!
 //! Usage: `cargo run --release -p bench --bin bench_serve [--quick] [out.json]`
 //!
@@ -26,7 +23,6 @@ use bench::harness::{gates_all_passed, gates_summary};
 use bench::serve::{
     knee_sweep, resolve_requests, ror_inflation, run_leg, serve_gates, serve_to_json, ServeWorkload,
 };
-use dedup::ServeConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -52,7 +48,7 @@ fn main() {
     let requests = resolve_requests(&w.load(), &ds);
 
     eprintln!("  batched leg (batch-or-deadline admission)…");
-    let batched = run_leg(&sys, ServeConfig::default(), &requests);
+    let batched = run_leg(&sys, &requests);
     let report_text = format!("{}", sys.job_report());
     eprintln!(
         "    {} batches, p50 {} us, p99 {} us, {:.0} req/s, digest {:#018x}",
@@ -63,24 +59,9 @@ fn main() {
         batched.digest
     );
 
-    eprintln!("  request-at-a-time leg (max_batch = 1)…");
-    let single = run_leg(&sys, ServeConfig::default().request_at_a_time(), &requests);
-    eprintln!(
-        "    {} batches, p50 {} us, p99 {} us, {:.0} req/s, digest {:#018x}",
-        single.batches,
-        single.p50_us(),
-        single.p99_us(),
-        single.throughput_rps(),
-        single.digest
-    );
-
     eprintln!("  same-seed rerun (fresh corpus + system + service)…");
     let (sys2, ds2) = w.build_system();
-    let rerun = run_leg(
-        &sys2,
-        ServeConfig::default(),
-        &resolve_requests(&w.load(), &ds2),
-    );
+    let rerun = run_leg(&sys2, &resolve_requests(&w.load(), &ds2));
     eprintln!("    digest {:#018x}", rerun.digest);
 
     // Span both sides of the capacity knee: the low rates are served at
@@ -110,7 +91,7 @@ fn main() {
         );
     }
 
-    let doc = serve_to_json(&w, &batched, &single, &rerun, &knee, &ror);
+    let doc = serve_to_json(&w, &batched, &rerun, &knee, &ror);
     std::fs::write(&out_path, &doc).expect("write BENCH_serve.json");
     let report_path = format!(
         "{}_report.txt",
@@ -119,7 +100,7 @@ fn main() {
     std::fs::write(&report_path, report_text).expect("write job-report artifact");
     eprintln!("wrote {out_path} and {report_path}");
 
-    let gates = serve_gates(&batched, &single, &rerun, &ror);
+    let gates = serve_gates(&batched, &rerun, &ror);
     eprintln!("{}", gates_summary(&gates));
     if !gates_all_passed(&gates) {
         std::process::exit(1);

@@ -63,7 +63,6 @@ pub fn run(quick: bool) -> Vec<ExperimentResult> {
                 c: 5,
                 theta: 0.0,
                 seed: 10,
-                prune: true,
             },
         )
         .expect("fit");

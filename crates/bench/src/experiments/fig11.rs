@@ -23,7 +23,6 @@ fn classify_minutes(label: &str, train: &[LabeledPair], test: &[UnlabeledPair], 
             c: 5,
             theta: 0.0,
             seed: 11,
-            prune: true,
         },
     )
     .expect("fit");

@@ -26,7 +26,6 @@ fn knn_scores(workload: &PairWorkload, seed: u64) -> Vec<f64> {
             c: 4,
             theta: 0.0,
             seed,
-            prune: true,
         },
     )
     .expect("fit");

@@ -52,7 +52,6 @@ pub fn run(quick: bool) -> Vec<ExperimentResult> {
                 c: 4,
                 theta: 0.0,
                 seed: 7,
-                prune: true,
             },
         )
         .expect("fit");

@@ -70,7 +70,6 @@ fn sweep(quick: bool) -> Vec<Sweep> {
                     c: 4,
                     theta: 0.0,
                     seed: 8,
-                    prune: true,
                 },
             )
             .expect("fit");

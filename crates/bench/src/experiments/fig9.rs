@@ -49,7 +49,6 @@ pub fn run(quick: bool) -> Vec<ExperimentResult> {
                     c,
                     theta: 0.0,
                     seed: 9,
-                    prune: true,
                 },
             )
             .expect("fit");

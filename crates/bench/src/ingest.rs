@@ -360,7 +360,6 @@ mod tests {
             detections: 5,
             duplicates: 1,
             retries: 0,
-            deferrals: 0,
             latency_us,
             checkpoint_bytes: 100,
         };

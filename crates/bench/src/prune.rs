@@ -3,8 +3,11 @@
 //!
 //! Both sides fit the identical Voronoi model over the identical training
 //! pairs and classify the identical test batch at the same worker count;
-//! the only difference is [`fastknn::FastKnnConfig::prune`]. The gate reads
-//! two numbers from the pruned side:
+//! the only difference is that the unpruned side's partition is stripped of
+//! the distance metadata the bounds read
+//! ([`fastknn::VoronoiPartition::without_prune_metadata`], fed to
+//! [`fastknn::FastKnn::from_partition`]). The gate reads two numbers from
+//! the pruned side:
 //!
 //! * **speedup** — off/on ratio of the classification stages' summed
 //!   virtual makespan (the fit stages are excluded: pruning does not touch
@@ -26,7 +29,9 @@
 //! asserts the two sides' outputs are identical before reporting.
 
 use crate::harness::{experiment_cluster_config, gates_json, Gate};
-use fastknn::{FastKnn, FastKnnConfig, LabeledPair, ScoredPair, UnlabeledPair, PAIR_DIMS};
+use fastknn::{
+    FastKnn, FastKnnConfig, LabeledPair, ScoredPair, UnlabeledPair, VoronoiPartition, PAIR_DIMS,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sparklet::{Cluster, PruneReport};
@@ -120,7 +125,8 @@ pub struct PruneRun {
     /// the positives (intra + cross + positive comparison counters; k-means
     /// leaves them untouched).
     pub evals: u64,
-    /// The journal's prune aggregates (all zeros when pruning is off).
+    /// The journal's prune aggregates (nothing avoided when pruning is
+    /// off).
     pub prune: PruneReport,
     /// The classification results, for the losslessness check.
     pub outputs: Vec<ScoredPair>,
@@ -135,10 +141,15 @@ pub fn run_classification(w: &PruneWorkload, workers: usize, prune: bool) -> Pru
     let config = FastKnnConfig {
         b: w.cells,
         theta: 0.0,
-        prune,
         ..FastKnnConfig::default()
     };
-    let model = FastKnn::fit(&cluster, &w.train, config).expect("fit");
+    let model = if prune {
+        FastKnn::fit(&cluster, &w.train, config)
+    } else {
+        let voronoi = VoronoiPartition::build(&w.train, config.b, config.seed);
+        FastKnn::from_partition(&cluster, voronoi.without_prune_metadata(), config)
+    }
+    .expect("fit");
     let fit_stages = cluster.clock().stage_count();
     let outputs = model.classify(&w.tests).expect("classify");
     let classify_us = cluster.clock().with_stages(|stages| {
@@ -253,7 +264,12 @@ mod tests {
             "avoided evaluations must show up in virtual time: {:.2}",
             cmp.speedup()
         );
-        assert_eq!(cmp.off.prune.passes, 0, "no prune events with pruning off");
+        // Both sides journal one pass per block; the unpruned one avoids
+        // nothing.
+        assert_eq!(cmp.off.prune.passes, cmp.on.prune.passes);
+        assert!(cmp.off.prune.passes > 0);
+        assert_eq!(cmp.off.prune.evals_avoided, 0);
+        assert_eq!(cmp.off.prune.evals_done, cmp.off.evals);
     }
 
     #[test]

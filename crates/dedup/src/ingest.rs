@@ -1,5 +1,5 @@
 //! Durable streaming ingest: checkpointed micro-batches with crash
-//! recovery, poison quarantine and backpressure.
+//! recovery and poison quarantine.
 //!
 //! Fig. 1 of the paper is a feedback *loop*, but
 //! [`DedupSystem::detect_new`] is a one-shot batch call — and while PR 4
@@ -26,7 +26,7 @@
 //! it — to `ckpt-<g>.log` and syncs it, so a commit writes what the batch
 //! changed rather than what the store holds. When the log has grown to the
 //! size of its base the next commit writes a new base instead
-//! (compaction), and bases beyond `keep_checkpoints` go, with their logs.
+//! (compaction), and bases older than the last two go, with their logs.
 //! Recovery takes the newest base that parses and applies its records in
 //! order up to the first that fails its length or CRC: a torn tail loses
 //! that one commit, an unparseable base falls back to the previous base
@@ -44,10 +44,9 @@
 //! (transient engine faults roll back via `DedupSystem::begin_batch` — a
 //! pointer swap to the pre-attempt epoch, model included — and replay
 //! bit-identically), poison-batch quarantine (journaled, dumped to
-//! `quarantine.log`, skipped), torn-write detection with previous-
-//! commit fallback, and a bounded-lag admission gate that defers the
-//! next batch while spill-resident bytes or the in-flight pair count
-//! exceed their caps ([`EventKind::IngestDeferred`]).
+//! `quarantine.log`, skipped), and torn-write detection with previous-
+//! commit fallback. A base written in another checkpoint format version is
+//! refused, not fallen back past.
 
 use crate::store::PairStore;
 use crate::system::{DedupConfig, DedupSystem, Detection};
@@ -118,7 +117,10 @@ pub struct TornWrite {
     pub keep_bytes: usize,
 }
 
-/// Configuration of the streaming ingest service.
+/// Configuration of the streaming ingest service: where it keeps its
+/// checkpoints, how much of the replay is the labelled bootstrap, the retry
+/// budget, and three fault-injection hooks. The backoff schedule and the
+/// number of bases kept are constants below.
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
     /// Directory holding checkpoint generations and `quarantine.log`.
@@ -129,28 +131,6 @@ pub struct IngestConfig {
     /// Retries a failing batch gets after its first attempt, before it is
     /// quarantined.
     pub max_batch_retries: u32,
-    /// First retry backoff (virtual µs); doubles per retry.
-    pub backoff_base_us: u64,
-    /// Backoff ceiling (virtual µs).
-    pub backoff_cap_us: u64,
-    /// Deterministic jitter added to each backoff, drawn from
-    /// `stable_hash(seed, batch, attempt) % (jitter + 1)`.
-    pub backoff_jitter_us: u64,
-    /// Base checkpoints kept on disk, each with its delta log (≥ 1; 2
-    /// gives a corrupt newest base an older one to fall back to).
-    pub keep_checkpoints: usize,
-    /// Admission gate: defer the next batch while spill-resident bytes
-    /// exceed this cap. `0` disables the resident-bytes gate.
-    pub max_resident_bytes: u64,
-    /// Admission gate: defer the next batch while the previous batch's
-    /// detection count (in-flight feedback pairs) exceeds this cap. `0`
-    /// disables the lag gate.
-    pub max_lagged_pairs: u64,
-    /// Virtual time charged per admission-gate deferral (µs).
-    pub defer_us: u64,
-    /// Deferrals after which the gate admits the batch anyway (the drain
-    /// is modelled as complete; prevents livelock).
-    pub max_deferrals: u32,
     /// Test hook: batches whose every attempt fails with a synthetic
     /// transient error (deterministic poison — exercises quarantine).
     pub poison_batches: Vec<u64>,
@@ -170,14 +150,6 @@ impl IngestConfig {
             checkpoint_dir: checkpoint_dir.into(),
             bootstrap_quarters: 1,
             max_batch_retries: 2,
-            backoff_base_us: 50_000,
-            backoff_cap_us: 1_600_000,
-            backoff_jitter_us: 10_000,
-            keep_checkpoints: 2,
-            max_resident_bytes: 0,
-            max_lagged_pairs: 0,
-            defer_us: 100_000,
-            max_deferrals: 8,
             poison_batches: Vec::new(),
             skip_batches: Vec::new(),
             torn_write: None,
@@ -185,8 +157,23 @@ impl IngestConfig {
     }
 }
 
-/// Current checkpoint schema version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// First retry backoff (virtual µs); doubles per retry.
+const BACKOFF_BASE_US: u64 = 50_000;
+
+/// Backoff ceiling (virtual µs).
+const BACKOFF_CAP_US: u64 = 1_600_000;
+
+/// Deterministic jitter added to each backoff, drawn from
+/// `stable_hash(config digest, batch, attempt) % (BACKOFF_JITTER_US + 1)`.
+const BACKOFF_JITTER_US: u64 = 10_000;
+
+/// Base checkpoints kept on disk, each with its delta log: the second gives
+/// a corrupt newest base an older one to fall back to.
+const KEEP_CHECKPOINTS: usize = 2;
+
+/// Current checkpoint schema version (2 dropped the `lagged_pairs` line
+/// with the admission gate that read it; a version-1 directory is refused).
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Virtual cost of a checkpoint write: fixed fsync+rename latency plus a
 /// per-KiB streaming term.
@@ -204,7 +191,6 @@ struct CommitState {
     generation: u64,
     batch_high_water: u64,
     cumulative_digest: u64,
-    lagged_pairs: u64,
     reports: u64,
     interner_tokens: u64,
     centres_digest: u64,
@@ -261,9 +247,6 @@ pub struct IngestService {
     skipped: Vec<u64>,
     /// Next commit generation to write.
     generation: u64,
-    /// Detections of the most recently committed batch — the in-flight
-    /// feedback lag the admission gate bounds.
-    lagged_pairs: u64,
     recovered_fallback: bool,
     /// Base generations on disk, ascending.
     bases: Vec<u64>,
@@ -292,11 +275,6 @@ impl IngestService {
                 "bootstrap_quarters is 0: the labelled bootstrap needs a quarter".into(),
             ));
         }
-        if config.keep_checkpoints == 0 {
-            return Err(IngestError::Config(
-                "keep_checkpoints is 0: recovery needs a base checkpoint".into(),
-            ));
-        }
         fs::create_dir_all(&config.checkpoint_dir).map_err(io_err)?;
         let config_digest = stable_hash(&format!(
             "{dedup:?} quarter_size={} bootstrap={}",
@@ -308,7 +286,6 @@ impl IngestService {
             cumulative_digest: 0,
             skipped: Vec::new(),
             generation: 0,
-            lagged_pairs: 0,
             recovered_fallback: false,
             bases: Vec::new(),
             base_generation: None,
@@ -384,7 +361,6 @@ impl IngestService {
         service.batch_high_water = state.batch_high_water;
         service.cumulative_digest = state.cumulative_digest;
         service.skipped = state.skipped;
-        service.lagged_pairs = state.lagged_pairs;
         service.generation = state.generation + 1;
         Ok(service)
     }
@@ -443,8 +419,7 @@ impl IngestService {
                 self.write_checkpoint()?;
                 continue;
             }
-            let deferrals = self.admission_gate(batch);
-            committed += self.run_batch(replay, batch, deferrals)?;
+            committed += self.run_batch(replay, batch)?;
         }
         Ok(committed)
     }
@@ -492,7 +467,6 @@ impl IngestService {
                 detections: 0,
                 duplicates: 0,
                 retries: attempt,
-                deferrals: 0,
                 latency_us: 0,
                 checkpoint_bytes: bytes,
             });
@@ -502,12 +476,7 @@ impl IngestService {
     /// One detection micro-batch: attempt (with rollback + backoff on
     /// transient failure), fold the digest, checkpoint, journal. Returns 1
     /// if the batch committed, 0 if it was quarantined.
-    fn run_batch(
-        &mut self,
-        replay: &QuarterlyReplay,
-        batch: u64,
-        deferrals: u64,
-    ) -> Result<u64, IngestError> {
+    fn run_batch(&mut self, replay: &QuarterlyReplay, batch: u64) -> Result<u64, IngestError> {
         let reports = replay.quarter_reports(batch);
         let poisoned = self.config.poison_batches.contains(&batch);
         let mut attempt = 0u64;
@@ -544,7 +513,6 @@ impl IngestService {
             batch,
             detections_digest(&detections),
         ));
-        self.lagged_pairs = detections.len() as u64;
         self.batch_high_water += 1;
         let bytes = self.write_checkpoint()?;
         self.cluster().driver_fault_point("batch-committed")?;
@@ -561,59 +529,21 @@ impl IngestService {
                 detections: detections.len() as u64,
                 duplicates,
                 retries: attempt,
-                deferrals,
                 latency_us: latency,
                 checkpoint_bytes: bytes,
             });
         Ok(1)
     }
 
-    /// Bounded-lag admission gate: while the engine's spill-resident bytes
-    /// or the in-flight pair count exceed their caps, defer the batch on
-    /// the virtual clock and drain the cache state. Returns
-    /// the deferrals charged. Deferrals never touch detection state, so
-    /// they cannot perturb the digest.
-    fn admission_gate(&mut self, batch: u64) -> u64 {
-        let mut deferrals = 0u64;
-        loop {
-            let resident: u64 = self.cluster().spill().resident().iter().sum();
-            let resident_over =
-                self.config.max_resident_bytes > 0 && resident > self.config.max_resident_bytes;
-            let lag_over = self.config.max_lagged_pairs > 0
-                && self.lagged_pairs > self.config.max_lagged_pairs;
-            if !(resident_over || lag_over) || deferrals >= self.config.max_deferrals as u64 {
-                return deferrals;
-            }
-            deferrals += 1;
-            self.cluster().journal().record(EventKind::IngestDeferred {
-                batch,
-                resident_bytes: resident,
-                lagged_pairs: self.lagged_pairs,
-                waited_us: self.config.defer_us,
-            });
-            self.cluster()
-                .charge_driver_stage("ingest-defer", self.config.defer_us);
-            // Model the drain the wait buys: cached blocks release their
-            // resident accounting (a finished job's shuffle buckets already
-            // went with its datasets), and the previous batch's feedback
-            // pairs are fully absorbed.
-            self.cluster().blocks().clear();
-            self.lagged_pairs = 0;
-        }
-    }
-
     /// Exponential backoff with deterministic jitter, charged to the
-    /// virtual clock: `min(base·2^(attempt−1), cap) + hash(seed, batch,
-    /// attempt) % (jitter+1)`.
+    /// virtual clock: `min(base·2^(attempt−1), cap) + hash(config digest,
+    /// batch, attempt) % (jitter+1)`.
     fn charge_backoff(&self, batch: u64, attempt: u64) {
         let shift = (attempt - 1).min(20) as u32;
-        let base = self
-            .config
-            .backoff_base_us
+        let base = BACKOFF_BASE_US
             .saturating_mul(1u64 << shift)
-            .min(self.config.backoff_cap_us);
-        let jitter = stable_hash(&(self.config_digest, batch, attempt))
-            % (self.config.backoff_jitter_us + 1);
+            .min(BACKOFF_CAP_US);
+        let jitter = stable_hash(&(self.config_digest, batch, attempt)) % (BACKOFF_JITTER_US + 1);
         self.cluster()
             .charge_driver_stage("ingest-backoff", base + jitter);
     }
@@ -691,7 +621,7 @@ impl IngestService {
     /// base, the commit instead writes a new base — the header fields and
     /// the full [`PairStore::snapshot`] to a temp file, fsync, atomic
     /// rename — and garbage-collects bases (with their logs) beyond
-    /// `keep_checkpoints`. Either way nothing is visible to recovery until
+    /// `KEEP_CHECKPOINTS`. Either way nothing is visible to recovery until
     /// it is complete: a crash before the rename leaves the previous base
     /// and its whole log, a crash inside the append leaves a tail that
     /// fails its CRC. The torn-write fault truncates the serialised bytes
@@ -702,7 +632,6 @@ impl IngestService {
             generation,
             batch_high_water: self.batch_high_water,
             cumulative_digest: self.cumulative_digest,
-            lagged_pairs: self.lagged_pairs,
             reports: self.system.report_count() as u64,
             interner_tokens: self.system.interner_len() as u64,
             centres_digest: centres_digest(self.system.store()),
@@ -776,7 +705,7 @@ impl IngestService {
             if let Err(at) = self.bases.binary_search(&generation) {
                 self.bases.insert(at, generation);
             }
-            while self.bases.len() > self.config.keep_checkpoints && self.bases[0] < generation {
+            while self.bases.len() > KEEP_CHECKPOINTS && self.bases[0] < generation {
                 let stale = self.bases.remove(0);
                 let _ = fs::remove_file(self.checkpoint_path(stale));
                 let _ = fs::remove_file(self.log_path(stale));
@@ -815,11 +744,18 @@ impl IngestService {
         self.bases.sort_unstable();
         for (rank, &generation) in self.bases.iter().rev().enumerate() {
             let raw = fs::read(self.checkpoint_path(generation)).map_err(io_err)?;
-            let Some(mut checkpoint) = std::str::from_utf8(&raw)
-                .ok()
-                .and_then(|raw| parse_checkpoint(raw).ok())
-            else {
-                continue; // corrupt/torn: fall back a base
+            let parsed = std::str::from_utf8(&raw)
+                .map_err(|_| Unreadable::Damaged)
+                .and_then(parse_checkpoint);
+            let mut checkpoint = match parsed {
+                Ok(checkpoint) => checkpoint,
+                Err(Unreadable::Damaged) => continue, // fall back a base
+                Err(Unreadable::Version(version)) => {
+                    return Err(IngestError::Checkpoint(format!(
+                        "unsupported checkpoint version {version} (supported: \
+                         {CHECKPOINT_VERSION})"
+                    )))
+                }
             };
             let log_path = self.log_path(generation);
             let log = match fs::read(&log_path) {
@@ -851,7 +787,6 @@ impl CommitState {
         let _ = writeln!(out, "generation {}", self.generation);
         let _ = writeln!(out, "batch_high_water {}", self.batch_high_water);
         let _ = writeln!(out, "cumulative_digest {:016x}", self.cumulative_digest);
-        let _ = writeln!(out, "lagged_pairs {}", self.lagged_pairs);
         let _ = writeln!(out, "reports {}", self.reports);
         let _ = writeln!(out, "interner_tokens {}", self.interner_tokens);
         let _ = writeln!(out, "centres {:016x}", self.centres_digest);
@@ -891,7 +826,6 @@ fn parse_commit(mut rest: &str) -> Result<(CommitState, &str), String> {
     let generation = int(field(&mut rest, "generation")?, "generation")?;
     let batch_high_water = int(field(&mut rest, "batch_high_water")?, "batch_high_water")?;
     let cumulative_digest = hex(field(&mut rest, "cumulative_digest")?, "cumulative_digest")?;
-    let lagged_pairs = int(field(&mut rest, "lagged_pairs")?, "lagged_pairs")?;
     let reports = int(field(&mut rest, "reports")?, "reports")?;
     let interner_tokens = int(field(&mut rest, "interner_tokens")?, "interner_tokens")?;
     let centres_digest = hex(field(&mut rest, "centres")?, "centres")?;
@@ -916,7 +850,6 @@ fn parse_commit(mut rest: &str) -> Result<(CommitState, &str), String> {
         generation,
         batch_high_water,
         cumulative_digest,
-        lagged_pairs,
         reports,
         interner_tokens,
         centres_digest,
@@ -925,36 +858,46 @@ fn parse_commit(mut rest: &str) -> Result<(CommitState, &str), String> {
     Ok((state, rest))
 }
 
+/// Why a base checkpoint does not load.
+#[derive(Debug, PartialEq)]
+enum Unreadable {
+    /// Cut, torn or scrambled: recovery falls back to the previous base.
+    Damaged,
+    /// Whole — its CRC holds — but written in another format version:
+    /// recovery refuses the directory rather than fall back past (and later
+    /// garbage-collect) a base it cannot read.
+    Version(u32),
+}
+
+impl From<String> for Unreadable {
+    fn from(_: String) -> Self {
+        Unreadable::Damaged
+    }
+}
+
 /// Parse and CRC-verify a serialised base checkpoint. Pure; never panics on
 /// corrupt input.
-fn parse_checkpoint(raw: &str) -> Result<Checkpoint, String> {
+fn parse_checkpoint(raw: &str) -> Result<Checkpoint, Unreadable> {
     // The CRC line covers every byte before it.
-    let crc_at = raw
-        .rfind("crc ")
-        .ok_or_else(|| "missing crc line".to_string())?;
+    let crc_at = raw.rfind("crc ").ok_or(Unreadable::Damaged)?;
     if crc_at == 0 || raw.as_bytes()[crc_at - 1] != b'\n' {
-        return Err("crc marker not at line start".into());
+        return Err(Unreadable::Damaged);
     }
     let body = &raw[..crc_at];
     let crc_line = raw[crc_at..].trim_end();
     let stated = u64::from_str_radix(crc_line.trim_start_matches("crc ").trim(), 16)
-        .map_err(|_| format!("bad crc line: {crc_line:?}"))?;
-    let actual = stable_hash(body);
-    if stated != actual {
-        return Err(format!(
-            "crc mismatch: stated {stated:016x}, actual {actual:016x}"
-        ));
+        .map_err(|_| Unreadable::Damaged)?;
+    if stated != stable_hash(body) {
+        return Err(Unreadable::Damaged);
     }
     let mut rest = body;
     let header = next_line(&mut rest)?;
     let version: u32 = header
         .strip_prefix("ingest v")
         .and_then(|v| v.parse().ok())
-        .ok_or_else(|| format!("bad checkpoint header: {header:?}"))?;
+        .ok_or(Unreadable::Damaged)?;
     if version != CHECKPOINT_VERSION {
-        return Err(format!(
-            "unsupported checkpoint version {version} (supported: {CHECKPOINT_VERSION})"
-        ));
+        return Err(Unreadable::Version(version));
     }
     let config_digest = hex(field(&mut rest, "config")?, "config")?;
     let (state, snapshot) = parse_commit(rest)?;
@@ -1158,7 +1101,7 @@ mod tests {
             kept
         };
         let kept = generations_of(".ckpt");
-        assert_eq!(kept.len(), 2, "keep_checkpoints=2: {kept:?}");
+        assert_eq!(kept.len(), KEEP_CHECKPOINTS, "{kept:?}");
         assert_eq!(svc.bases.len(), 2);
         // Logs live and die with their bases.
         for log in generations_of(".log") {
@@ -1182,16 +1125,51 @@ mod tests {
     }
 
     #[test]
-    fn open_rejects_zero_keep_checkpoints() {
-        let dir = temp_dir("cfg-keep");
-        let mut config = IngestConfig::new(&dir);
-        config.keep_checkpoints = 0;
+    fn a_version_1_checkpoint_is_refused_not_fallen_back_past() {
+        let dir = temp_dir("v1");
         let rp = replay(240, 14, 11, 60);
-        let err = IngestService::open(Cluster::local(1), dedup_config(), config, &rp)
-            .err()
-            .expect("keeping no checkpoint cannot recover");
-        assert!(matches!(&err, IngestError::Config(m) if m.contains("keep_checkpoints")));
-        assert!(!dir.exists(), "rejected before touching the directory");
+        let mut svc = IngestService::open(
+            Cluster::local(2),
+            dedup_config(),
+            IngestConfig::new(&dir),
+            &rp,
+        )
+        .unwrap();
+        svc.run(&rp, 1).unwrap();
+        let path = svc.checkpoint_path(svc.base_generation.unwrap());
+        drop(svc);
+        // Rewrite the base as version 1 wrote it: its header, the
+        // `lagged_pairs` line after the digest, a CRC that holds.
+        let v2 = fs::read_to_string(&path).unwrap();
+        let body = &v2[..v2.rfind("crc ").unwrap()];
+        let digest_line = body
+            .lines()
+            .find(|l| l.starts_with("cumulative_digest"))
+            .unwrap();
+        let mut v1 = body.replacen("ingest v2\n", "ingest v1\n", 1).replacen(
+            digest_line,
+            &format!("{digest_line}\nlagged_pairs 0"),
+            1,
+        );
+        let crc = stable_hash(v1.as_str());
+        let _ = writeln!(v1, "crc {crc:016x}");
+        fs::write(&path, &v1).unwrap();
+        assert!(matches!(parse_checkpoint(&v1), Err(Unreadable::Version(1))));
+        let err = IngestService::open(
+            Cluster::local(2),
+            dedup_config(),
+            IngestConfig::new(&dir),
+            &rp,
+        )
+        .err()
+        .expect("a version-1 base is refused");
+        assert!(
+            matches!(&err, IngestError::Checkpoint(m)
+                if m == "unsupported checkpoint version 1 (supported: 2)"),
+            "{err}"
+        );
+        assert_eq!(fs::read_to_string(&path).unwrap(), v1, "left as found");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1290,7 +1268,6 @@ mod tests {
             generation,
             batch_high_water: svc.batch_high_water,
             cumulative_digest: svc.cumulative_digest,
-            lagged_pairs: svc.lagged_pairs,
             reports: svc.system().report_count() as u64,
             interner_tokens: svc.system().interner_len() as u64,
             centres_digest: centres_digest(svc.system().store()),

@@ -21,8 +21,8 @@
 //!   duplicates; a bounded sample of non-duplicates) with feedback;
 //! * [`system`] — [`system::DedupSystem`], the orchestrated service;
 //! * [`ingest`] — [`ingest::IngestService`], the durable micro-batch ingest
-//!   loop: checkpointed commits, crash recovery, poison quarantine and
-//!   backpressure around the Fig. 1 feedback loop;
+//!   loop: checkpointed commits, crash recovery and poison quarantine
+//!   around the Fig. 1 feedback loop;
 //! * [`serve`] — [`serve::ServeService`], low-latency read serving: adaptive
 //!   micro-batched duplicate lookups and memoised drug–event signal (ROR)
 //!   queries over incrementally-maintained contingency tables;

@@ -44,55 +44,42 @@ use sparklet::{stable_hash, Cluster, EventKind, Result, SparkletError};
 use std::collections::{HashMap, HashSet};
 use textprep::{Pipeline, TokenInterner};
 
-/// Serving knobs: the batch-or-deadline admission policy and the virtual
-/// cost model of a dispatch.
+/// Serving knobs. Everything else the service reads is a constant below:
+/// no caller ever set it to anything but its default.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Largest micro-batch ever dispatched. `1` disables micro-batching
-    /// (request-at-a-time; see [`ServeConfig::request_at_a_time`]).
+    /// Largest micro-batch ever dispatched. `1` dispatches every request
+    /// alone, which is how the tests show batching never changes an answer.
     pub max_batch: usize,
-    /// Bound on queueing delay (µs): a batch dispatches when it reaches the
-    /// adaptive target size *or* its oldest request has waited this long,
-    /// whichever comes first.
-    pub deadline_us: u64,
-    /// Fixed virtual cost charged per dispatch (µs) — the overhead
-    /// micro-batching amortises.
-    pub dispatch_overhead_us: u64,
-    /// Marginal virtual cost per request in a dispatch (µs).
-    pub per_request_us: u64,
-    /// Candidate partners considered per probe (smallest report ids first —
-    /// deterministic whatever the arrival interleaving).
-    pub max_candidates: usize,
-    /// Bayesian shrinkage `s` added to every 2×2 cell before the ROR.
-    pub shrinkage: f64,
-    /// Capacity of the bounded signal-query memo. `0` disables it.
-    pub memo_entries: usize,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig {
-            max_batch: 64,
-            deadline_us: 2_000,
-            dispatch_overhead_us: 150,
-            per_request_us: 20,
-            max_candidates: 256,
-            shrinkage: 0.5,
-            memo_entries: 1 << 16,
-        }
+        ServeConfig { max_batch: 64 }
     }
 }
 
-impl ServeConfig {
-    /// The same cost model with micro-batching disabled: every request
-    /// dispatches alone. The baseline the batched path is gated against.
-    pub fn request_at_a_time(self) -> Self {
-        ServeConfig {
-            max_batch: 1,
-            ..self
-        }
-    }
-}
+/// Bound on queueing delay (µs): a batch dispatches when it reaches the
+/// adaptive target size *or* its oldest request has waited this long,
+/// whichever comes first.
+const DEADLINE_US: u64 = 2_000;
+
+/// Fixed virtual cost charged per dispatch (µs) — the overhead
+/// micro-batching amortises.
+const DISPATCH_OVERHEAD_US: u64 = 150;
+
+/// Marginal virtual cost per request in a dispatch (µs).
+const PER_REQUEST_US: u64 = 20;
+
+/// Candidate partners considered per probe (smallest report ids first —
+/// deterministic whatever the arrival interleaving).
+const MAX_CANDIDATES: usize = 256;
+
+/// Bayesian shrinkage `s` added to every 2×2 cell before the ROR.
+const SHRINKAGE: f64 = 0.5;
+
+/// Capacity of the bounded signal-query memo.
+const MEMO_ENTRIES: usize = 1 << 16;
 
 /// One serving request.
 // The wall-clock benchmark constructs `ServeQuery::Duplicate { report }`
@@ -230,29 +217,19 @@ impl ContingencyTable {
     }
 }
 
-/// Bounded signal-query memo, mirroring [`crate::pairing::DistanceMemo`]: a
-/// signal answer is a pure function of the contingency stores, so memo hits
-/// are bit-identical to recomputation. The whole memo is purged at every
-/// [`ServeService::refresh`] — any ingest commit may change any cell.
+/// Bounded signal-query memo (at most 65,536 entries), mirroring
+/// [`crate::pairing::DistanceMemo`]: a signal answer is a pure function of
+/// the contingency stores, so memo hits are bit-identical to recomputation.
+/// The whole memo is purged at every [`ServeService::refresh`] — any ingest
+/// commit may change any cell.
 #[derive(Debug, Clone)]
 pub struct SignalMemo {
     entries: HashMap<(u32, u32), (SignalStats, SignalStats)>,
-    capacity: usize,
     hits: u64,
     lookups: u64,
 }
 
 impl SignalMemo {
-    /// Empty memo holding at most `capacity` entries (0 disables it).
-    pub fn with_capacity(capacity: usize) -> Self {
-        SignalMemo {
-            entries: HashMap::new(),
-            capacity,
-            hits: 0,
-            lookups: 0,
-        }
-    }
-
     /// Memoised entries currently held.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -283,7 +260,7 @@ impl SignalMemo {
     }
 
     fn insert(&mut self, d: u32, e: u32, stats: (SignalStats, SignalStats)) {
-        if self.entries.len() < self.capacity {
+        if self.entries.len() < MEMO_ENTRIES {
             self.entries.entry((d, e)).or_insert(stats);
         }
     }
@@ -404,7 +381,11 @@ impl ServeService {
             counted: HashSet::new(),
             counted_len: 0,
             excluded: HashSet::new(),
-            memo: SignalMemo::with_capacity(config.memo_entries),
+            memo: SignalMemo {
+                entries: HashMap::new(),
+                hits: 0,
+                lookups: 0,
+            },
             batches_served: 0,
         };
         svc.refresh(system)?;
@@ -481,7 +462,7 @@ impl ServeService {
         if let Some(hit) = self.memo.get(d, e) {
             return hit;
         }
-        let s = self.config.shrinkage;
+        let s = SHRINKAGE;
         let (a, dt, et, n) = (
             self.raw.pair_count(d, e),
             self.raw.drug_count(d),
@@ -506,12 +487,13 @@ impl ServeService {
     /// classify job (through the model's `ScratchPool`) amortises stage
     /// launch and chunk dispatch across the whole batch: four engine
     /// stages for the batch's one block, none when no probe needs
-    /// classifying.
+    /// classifying. Appends one answer per request to `answers`.
     fn answer_batch(
         &mut self,
         requests: &[ServeRequest],
-        answers: &mut [Option<ServeAnswer>],
+        answers: &mut Vec<ServeAnswer>,
     ) -> Result<()> {
+        let base = answers.len();
         let mut rows = DistBatch::new();
         // Row ids must be stable per (probe, candidate) — never positional.
         // The classifier's balanced Voronoi assignment tie-breaks on the row
@@ -528,7 +510,7 @@ impl ServeService {
                     if memberships > 0 {
                         // O(1) through the store's per-report member index:
                         // the probe is already part of known duplicate pairs.
-                        answers[slot] = Some(ServeAnswer::Duplicate {
+                        answers.push(ServeAnswer::Duplicate {
                             known_memberships: memberships,
                             matches: Vec::new(),
                         });
@@ -537,7 +519,7 @@ impl ServeService {
                     let processed =
                         ProcessedReport::from_report(report, &self.pipeline, &mut self.interner);
                     let mut candidates = self.epoch.blocking.probe_candidates(&processed);
-                    candidates.truncate(self.config.max_candidates);
+                    candidates.truncate(MAX_CANDIDATES);
                     for cand in candidates {
                         let Some(other) = self.epoch.corpus.get(&cand) else {
                             continue;
@@ -563,14 +545,14 @@ impl ServeService {
                             }
                         }
                     }
-                    answers[slot] = Some(ServeAnswer::Duplicate {
+                    answers.push(ServeAnswer::Duplicate {
                         known_memberships: 0,
                         matches: Vec::new(),
                     });
                 }
                 ServeQuery::Signal { drug, event } => {
                     let (raw, deduped) = self.signal_stats(drug, event);
-                    answers[slot] = Some(ServeAnswer::Signal { raw, deduped });
+                    answers.push(ServeAnswer::Signal { raw, deduped });
                 }
             }
         }
@@ -585,7 +567,7 @@ impl ServeService {
             for s in classify_rows(model, &rows)? {
                 let (_, slots) = &row_meta[&s.id];
                 for &(slot, cand) in slots {
-                    if let Some(ServeAnswer::Duplicate { matches, .. }) = answers[slot].as_mut() {
+                    if let ServeAnswer::Duplicate { matches, .. } = &mut answers[base + slot] {
                         matches.push(DuplicateMatch {
                             candidate: cand,
                             score: s.score,
@@ -596,8 +578,8 @@ impl ServeService {
             }
             // Classify returns rows in id (hash) order; present candidates
             // in candidate-id order.
-            for a in answers.iter_mut() {
-                if let Some(ServeAnswer::Duplicate { matches, .. }) = a {
+            for a in &mut answers[base..] {
+                if let ServeAnswer::Duplicate { matches, .. } = a {
                     matches.sort_by_key(|x| x.candidate);
                 }
             }
@@ -609,24 +591,31 @@ impl ServeService {
     /// the batch-or-deadline admission queue on the virtual clock.
     ///
     /// Each round computes the earliest moment the pending batch is either
-    /// full (the adaptive target, `deadline_us / ema(inter-arrival)` clamped
-    /// to `[1, max_batch]`) or its oldest request hits the deadline, then
-    /// dispatches every request that has arrived by that moment (capped at
-    /// `max_batch`). Service time is the engine's measured stage makespan
-    /// for the batch's jobs plus the dispatch-overhead cost model — the
-    /// per-dispatch overhead is what batching amortises.
+    /// full (the adaptive target, `DEADLINE_US / ema(inter-arrival)`
+    /// clamped to `[1, max_batch]`) or its oldest request hits the
+    /// deadline, then dispatches every request that has arrived by that
+    /// moment (capped at `max_batch`). Service time is the engine's measured
+    /// stage makespan for the batch's jobs plus the dispatch-overhead cost
+    /// model — the per-dispatch overhead is what batching amortises.
     ///
     /// One coalesced journal event is recorded per dispatched batch, never
     /// per request, so arbitrarily long loads stay within the journal bound.
+    ///
+    /// A stream out of arrival order is a [`SparkletError::User`], returned
+    /// before anything is answered.
     pub fn run_open_loop(&mut self, requests: &[ServeRequest]) -> Result<ServeRunSummary> {
-        assert!(
-            requests
-                .windows(2)
-                .all(|w| w[0].arrival_us <= w[1].arrival_us),
-            "open-loop stream must be sorted by arrival time"
-        );
+        if let Some(at) = requests
+            .windows(2)
+            .position(|w| w[0].arrival_us > w[1].arrival_us)
+        {
+            return Err(SparkletError::User(format!(
+                "serve: the open-loop stream is not sorted by arrival time \
+                 (request {} arrives before request {at})",
+                at + 1
+            )));
+        }
         let n = requests.len();
-        let mut answers: Vec<Option<ServeAnswer>> = vec![None; n];
+        let mut answers: Vec<ServeAnswer> = Vec::with_capacity(n);
         let mut latencies: Vec<u64> = vec![0; n];
         let slots = {
             let c = self.cluster.config();
@@ -638,21 +627,19 @@ impl ServeService {
         // at the deadline, so the target is 1 until the stream reveals its
         // rate — a cold queue never waits a full deadline for company that
         // is not coming.
-        let mut ema_gap: u64 = self.config.deadline_us.max(1);
+        let mut ema_gap: u64 = DEADLINE_US;
         let mut i = 0usize;
         let mut batches = 0u64;
         let mut max_queue_depth = 0u64;
         let mut service_total = 0u64;
         let mut last_completion = 0u64;
         while i < n {
-            let target = ((self.config.deadline_us / ema_gap.max(1)).max(1) as usize).min(cap);
+            let target = ((DEADLINE_US / ema_gap.max(1)).max(1) as usize).min(cap);
             let t_full = match requests.get(i + target - 1) {
                 Some(r) => r.arrival_us,
                 None => u64::MAX,
             };
-            let t_deadline = requests[i]
-                .arrival_us
-                .saturating_add(self.config.deadline_us);
+            let t_deadline = requests[i].arrival_us.saturating_add(DEADLINE_US);
             let dispatch_at = free_at.max(t_full.min(t_deadline));
             let mut end = i + 1;
             while end < n && end - i < cap && requests[end].arrival_us <= dispatch_at {
@@ -673,7 +660,7 @@ impl ServeService {
             let memo_lookups0 = self.memo.lookups();
             let memo_hits0 = self.memo.hits();
             let stages_seen = self.cluster.clock().stage_count();
-            self.answer_batch(&requests[i..end], &mut answers[i..end])?;
+            self.answer_batch(&requests[i..end], &mut answers)?;
             let engine_us: u64 = self.cluster.clock().with_stages(|stages| {
                 stages[stages_seen..]
                     .iter()
@@ -681,9 +668,7 @@ impl ServeService {
                     .sum()
             });
             let batch_len = (end - i) as u64;
-            let service_us = self.config.dispatch_overhead_us
-                + self.config.per_request_us * batch_len
-                + engine_us;
+            let service_us = DISPATCH_OVERHEAD_US + PER_REQUEST_US * batch_len + engine_us;
             let completion = dispatch_at + service_us;
             for (j, r) in requests[i..end].iter().enumerate() {
                 latencies[i + j] = completion - r.arrival_us;
@@ -706,10 +691,6 @@ impl ServeService {
             last_completion = completion;
             i = end;
         }
-        let answers: Vec<ServeAnswer> = answers
-            .into_iter()
-            .map(|a| a.expect("every admitted request is answered"))
-            .collect();
         let digest = answers_digest(&answers);
         let elapsed_us = match requests.first() {
             Some(first) => last_completion.saturating_sub(first.arrival_us),
@@ -924,7 +905,7 @@ mod tests {
             .unwrap()
             .run_open_loop(&make_requests())
             .unwrap();
-        let single = ServeService::attach(&sys, ServeConfig::default().request_at_a_time())
+        let single = ServeService::attach(&sys, ServeConfig { max_batch: 1 })
             .unwrap()
             .run_open_loop(&make_requests())
             .unwrap();
@@ -1052,7 +1033,7 @@ mod tests {
                         );
                         candidate_of.insert(id, cand);
                     }
-                    assert!((1..=serve.config.max_candidates).contains(&rows.len()));
+                    assert!((1..=MAX_CANDIDATES).contains(&rows.len()));
                     let mut matches: Vec<DuplicateMatch> = model
                         .classify_blocks(&rows, 1)
                         .unwrap()
@@ -1278,11 +1259,7 @@ mod tests {
     #[test]
     fn deadline_bounds_queueing_delay_at_low_rate() {
         let (sys, _) = served_system(6);
-        let config = ServeConfig {
-            deadline_us: 1_000,
-            ..ServeConfig::default()
-        };
-        let mut serve = ServeService::attach(&sys, config).unwrap();
+        let mut serve = ServeService::attach(&sys, ServeConfig::default()).unwrap();
         // Sparse arrivals (10ms apart): every request must dispatch well
         // before a full batch could form, so latency stays near the
         // service floor, far below the inter-arrival gap.
@@ -1300,9 +1277,35 @@ mod tests {
         let out = serve.run_open_loop(&requests).unwrap();
         for (i, &l) in out.latencies_us.iter().enumerate() {
             assert!(
-                l <= config.deadline_us + config.dispatch_overhead_us + 100 + config.per_request_us,
+                l <= DEADLINE_US + DISPATCH_OVERHEAD_US + 100 + PER_REQUEST_US,
                 "request {i} waited {l}µs — deadline not honoured"
             );
         }
+    }
+
+    #[test]
+    fn a_stream_out_of_arrival_order_is_a_user_error_before_any_answer() {
+        let (sys, ds) = served_system(6);
+        let mut serve = ServeService::attach(&sys, ServeConfig::default()).unwrap();
+        let mut probe = ds.reports[0].clone();
+        probe.id = 7_000_000;
+        let signal = ServeQuery::Signal {
+            drug: "panadol".into(),
+            event: "rash".into(),
+        };
+        let requests = [
+            at(0, signal.clone()),
+            at(500, ServeQuery::Duplicate { report: probe }),
+            at(400, signal),
+        ];
+        let jobs = sys.cluster().metrics().jobs_submitted.get();
+        let err = serve.run_open_loop(&requests).expect_err("unsorted");
+        assert!(
+            matches!(&err, SparkletError::User(m) if m.contains("request 2 arrives before request 1")),
+            "{err}"
+        );
+        assert_eq!(serve.memo().lookups(), 0, "nothing was answered");
+        assert_eq!(serve.batches_served, 0);
+        assert_eq!(sys.cluster().metrics().jobs_submitted.get(), jobs);
     }
 }

@@ -41,7 +41,7 @@ use crate::types::{LabeledPair, Neighborhood, ScoredPair, UnlabeledPair, PAIR_DI
 use crate::voronoi::VoronoiPartition;
 use simmetrics::squared_euclidean_fixed;
 use sparklet::partitioner::IndexPartitioner;
-use sparklet::{Cluster, EventKind, PairRdd, Rdd, Result};
+use sparklet::{Cluster, EventKind, PairRdd, Rdd, Result, SparkletError};
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
@@ -59,15 +59,6 @@ pub struct FastKnnConfig {
     pub theta: f64,
     /// Seed for k-means.
     pub seed: u64,
-    /// Bound-driven candidate pruning: triangle-inequality window scans
-    /// over the distance-sorted cells and positives plus annulus cell
-    /// skips. Lossless — the classification is bit-identical either way —
-    /// so `false` exists only to measure what the bounds save (see
-    /// `bench_prune`). `false` is not another code path: the model is
-    /// fitted [`VoronoiPartition::without_prune_metadata`], and the same
-    /// routines, finding no sorted distances, sweep every resident and
-    /// every positive and skip no cell.
-    pub prune: bool,
 }
 
 impl Default for FastKnnConfig {
@@ -78,7 +69,6 @@ impl Default for FastKnnConfig {
             c: 4,
             theta: 0.0,
             seed: 2016,
-            prune: true,
         }
     }
 }
@@ -123,22 +113,31 @@ pub struct FastKnn<const D: usize = PAIR_DIMS> {
 impl<const D: usize> FastKnn<D> {
     /// Partition the training set and cache the negative clusters on the
     /// engine. This is Algorithm 2 step 1 plus the training-side `join`
-    /// preparation.
+    /// preparation. An empty training set or `b == 0` is a
+    /// [`SparkletError::User`]: there is nothing to partition.
     pub fn fit(
         cluster: &Cluster,
         train: &[LabeledPair<D>],
         config: FastKnnConfig,
     ) -> Result<FastKnn<D>> {
-        let mut voronoi = VoronoiPartition::build(train, config.b, config.seed);
-        if !config.prune {
-            voronoi = voronoi.without_prune_metadata();
+        if train.is_empty() || config.b == 0 {
+            return Err(SparkletError::User(format!(
+                "FastKnn::fit: nothing to partition ({} training pairs, b = {})",
+                train.len(),
+                config.b
+            )));
         }
-        Self::on_partition(cluster, voronoi, config)
+        let voronoi = VoronoiPartition::build(train, config.b, config.seed);
+        Self::from_partition(cluster, voronoi, config)
     }
 
     /// Cache `voronoi`'s negative cells on the engine: the training-side
-    /// `join` preparation, for a partition already built.
-    fn on_partition(
+    /// `join` preparation, for a partition already built (`config.b` and
+    /// `config.seed` are not read). The bit-exact unpruned reference is
+    /// this over `VoronoiPartition::build(..).without_prune_metadata()`:
+    /// the same routines, finding no sorted distances, sweep every resident
+    /// and every positive and skip no cell.
+    pub fn from_partition(
         cluster: &Cluster,
         voronoi: VoronoiPartition<D>,
         config: FastKnnConfig,
@@ -535,26 +534,25 @@ impl<const D: usize> FastKnn<D> {
         // Coalesce the block's pruning effect into one journal event,
         // driver-side (tasks have no journal access): counter deltas across
         // the block's jobs. One event per block bounds journal volume by
-        // `c`, never by test-pair count.
-        if self.config.prune {
-            let after = [
-                snap(counters::PRUNE_CELLS_SKIPPED),
-                snap(counters::PRUNE_BOUND_REJECTED),
-                snap(counters::PRUNE_EVALS_AVOIDED),
-                snap(counters::INTRA_COMPARISONS),
-                snap(counters::CROSS_COMPARISONS),
-                snap(counters::POSITIVE_COMPARISONS),
-            ];
-            let delta = |i: usize| after[i].saturating_sub(before[i]);
-            self.cluster.journal().record(EventKind::PruneApplied {
-                scope: "classify-block".into(),
-                cells_skipped: delta(0),
-                bound_rejected: delta(1),
-                evals_avoided: delta(2),
-                evals_done: delta(3) + delta(4) + delta(5),
-                memo_hits: 0,
-            });
-        }
+        // `c`, never by test-pair count. A model without the distance
+        // metadata journals its passes too, with nothing avoided.
+        let after = [
+            snap(counters::PRUNE_CELLS_SKIPPED),
+            snap(counters::PRUNE_BOUND_REJECTED),
+            snap(counters::PRUNE_EVALS_AVOIDED),
+            snap(counters::INTRA_COMPARISONS),
+            snap(counters::CROSS_COMPARISONS),
+            snap(counters::POSITIVE_COMPARISONS),
+        ];
+        let delta = |i: usize| after[i].saturating_sub(before[i]);
+        self.cluster.journal().record(EventKind::PruneApplied {
+            scope: "classify-block".into(),
+            cells_skipped: delta(0),
+            bound_rejected: delta(1),
+            evals_avoided: delta(2),
+            evals_done: delta(3) + delta(4) + delta(5),
+            memo_hits: 0,
+        });
         Ok(out)
     }
 }
@@ -604,7 +602,6 @@ mod tests {
                 c: 3,
                 theta: 0.0,
                 seed: 5,
-                prune: true,
             },
         )
         .unwrap();
@@ -703,10 +700,15 @@ mod tests {
             let cluster = Cluster::local(4);
             let cfg = FastKnnConfig {
                 b: 4,
-                prune,
                 ..FastKnnConfig::default()
             };
-            let model = FastKnn::fit(&cluster, &train, cfg).unwrap();
+            let model = if prune {
+                FastKnn::fit(&cluster, &train, cfg)
+            } else {
+                let voronoi = VoronoiPartition::build(&train, cfg.b, cfg.seed);
+                FastKnn::from_partition(&cluster, voronoi.without_prune_metadata(), cfg)
+            }
+            .unwrap();
             let out = model.classify(&test).unwrap();
             let m = cluster.metrics();
             let positive = m.counter(counters::POSITIVE_COMPARISONS).get();
@@ -737,7 +739,7 @@ mod tests {
         );
         assert_eq!(avoided_off, 0, "no pruning, nothing avoided");
         assert!(events_on > 0, "each block journals one prune event");
-        assert_eq!(events_off, 0);
+        assert_eq!(events_off, events_on, "with or without anything avoided");
         // Conservation, over intra + cross + positive comparisons: every
         // one the unpruned run performs is either performed or explicitly
         // accounted as avoided by the pruned run (scan invariant: evaluated
@@ -756,6 +758,32 @@ mod tests {
         let cluster = Cluster::local(2);
         let model = FastKnn::fit(&cluster, &train, FastKnnConfig::default()).unwrap();
         assert!(model.classify(&[]).unwrap().is_empty());
+    }
+
+    /// `fit` on `train` at `b` is a user error naming both, and runs no job.
+    fn assert_fit_refused(train: &[LabeledPair<4>], b: usize) {
+        let cluster = Cluster::local(2);
+        let config = FastKnnConfig {
+            b,
+            ..FastKnnConfig::default()
+        };
+        let want = format!("({} training pairs, b = {b})", train.len());
+        match FastKnn::fit(&cluster, train, config) {
+            Err(SparkletError::User(m)) => assert!(m.ends_with(&want), "{m}"),
+            Err(other) => panic!("expected a user error, got {other}"),
+            Ok(_) => panic!("fit accepted {want}"),
+        }
+        assert_eq!(cluster.metrics().jobs_submitted.get(), 0);
+    }
+
+    #[test]
+    fn fit_on_an_empty_training_set_is_a_user_error() {
+        assert_fit_refused(&[], 32);
+    }
+
+    #[test]
+    fn fit_with_no_cells_is_a_user_error() {
+        assert_fit_refused(&workload(50, 3, 0, 1).0, 0);
     }
 
     #[test]
@@ -923,7 +951,7 @@ mod tests {
                 k,
                 ..FastKnnConfig::default()
             };
-            FastKnn::on_partition(&Cluster::local(2), voronoi, config).unwrap()
+            FastKnn::from_partition(&Cluster::local(2), voronoi, config).unwrap()
         }
 
         /// Training pairs on the lattice with `heavy` more negatives piled
@@ -1097,7 +1125,7 @@ mod tests {
                 b in prop::sample::select(vec![4usize, 9]),
             ) {
                 let (train, test) = workload(250, 8, 40, seed);
-                let cfg = FastKnnConfig { k, b, c: 3, theta: 0.0, seed: seed ^ 0xA5A5, prune: true };
+                let cfg = FastKnnConfig { k, b, c: 3, theta: 0.0, seed: seed ^ 0xA5A5 };
                 let out1 = classify_on(1, &train, &test, cfg);
                 let out4 = classify_on(4, &train, &test, cfg);
                 let out16 = classify_on(16, &train, &test, cfg);

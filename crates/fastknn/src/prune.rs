@@ -288,8 +288,8 @@ pub fn admissible_radius(ds: f64, cutoff_sq: f64) -> f64 {
 ///
 /// * `center_dists` — the cell's sorted linear distances-to-centre
 ///   (parallel to its rows). If its length does not match the cell (a
-///   partition without metadata: assembled by hand, or fitted with
-///   `prune: false`), the scan is a full unpruned sweep.
+///   partition without metadata: assembled by hand, or stripped by
+///   `without_prune_metadata`), the scan is a full unpruned sweep.
 /// * `ds` — linear distance from the query to this cell's centre (for the
 ///   positives: to their reference point).
 /// * `initial_cutoff_sq` — an externally-known squared cutoff (a stage-1

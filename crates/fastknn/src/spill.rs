@@ -93,19 +93,13 @@ fn encode_cells<const D: usize>(items: &[(usize, Arc<VecBatch<D>>)], out: &mut V
     }
 }
 
-fn decode_cells<const D: usize>(bytes: &[u8]) -> Option<Vec<(usize, Arc<VecBatch<D>>)>> {
+fn decode_cells<const D: usize>(mut bytes: &[u8]) -> Option<Vec<(usize, Arc<VecBatch<D>>)>> {
     let mut v = Vec::new();
-    let mut at = 0;
-    while at < bytes.len() {
-        let cid = usize::read_from(bytes.get(at..at + 8)?);
-        at += 8;
-        // encode_columns is self-delimiting: the row count in its first 8
-        // bytes fixes the span.
-        let rows = u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?) as usize;
-        let span = 8 + rows * (8 + 1 + D * 8);
-        let cell = VecBatch::<D>::decode_columns(bytes.get(at..at + span)?)?;
-        at += span;
-        v.push((cid, Arc::new(cell)));
+    while !bytes.is_empty() {
+        let cid = usize::read_from(bytes.get(..8)?);
+        bytes = &bytes[8..];
+        // encode_columns is self-delimiting: decoding consumes its span.
+        v.push((cid, Arc::new(VecBatch::<D>::decode_columns(&mut bytes)?)));
     }
     Some(v)
 }

@@ -128,8 +128,8 @@ impl<const D: usize> VoronoiPartition<D> {
     /// The same partition with the distance metadata the bound-driven
     /// pruning reads removed: every scan over it is a full sweep and no
     /// cell has radius bounds for the annulus test. Cell membership and
-    /// row order stay, so classification is bit-identical. This is what
-    /// [`crate::FastKnnConfig::prune`]` = false` fits.
+    /// row order stay, so classification is bit-identical: the unpruned
+    /// reference model is [`crate::FastKnn::from_partition`] over this.
     pub fn without_prune_metadata(mut self) -> Self {
         self.center_dists.clear();
         self.positive_ref_dists.clear();

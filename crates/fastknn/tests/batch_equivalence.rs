@@ -53,7 +53,7 @@ proptest! {
         k in prop::sample::select(vec![3usize, 7]),
     ) {
         let (train, test, batch) = workload(seed, 400, 60);
-        let config = FastKnnConfig { k, b, c, theta: 0.4, seed: seed ^ 0xABCD, prune: true };
+        let config = FastKnnConfig { k, b, c, theta: 0.4, seed: seed ^ 0xABCD };
         let cluster = Cluster::local(workers);
         let model = FastKnn::fit(&cluster, &train, config).unwrap();
         let got = model.classify_batch(&batch).unwrap();

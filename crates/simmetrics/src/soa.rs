@@ -215,14 +215,20 @@ impl<const D: usize> VecBatch<D> {
         }
     }
 
-    /// Rebuild a batch serialized by [`VecBatch::encode_columns`]. Returns
-    /// `None` when the byte length does not match the encoded row count
-    /// (truncated or garbled input).
-    pub fn decode_columns(bytes: &[u8]) -> Option<Self> {
-        let n = u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?) as usize;
-        if bytes.len() != 8 + n * (8 + 1 + D * 8) {
+    /// Rebuild a batch serialized by [`VecBatch::encode_columns`] from the
+    /// front of `bytes` and advance `bytes` past it: the row count fixes the
+    /// span, so encodings can be laid end to end. Returns `None`, leaving
+    /// `bytes` where it was, when fewer bytes remain than the encoded row
+    /// count needs (truncated or garbled input).
+    pub fn decode_columns<'a>(cursor: &mut &'a [u8]) -> Option<Self> {
+        let all: &'a [u8] = cursor;
+        let n = u64::from_le_bytes(all.get(..8)?.try_into().ok()?) as usize;
+        let span = n.checked_mul(8 + 1 + D * 8)?.checked_add(8)?;
+        if all.len() < span {
             return None;
         }
+        let (bytes, rest) = all.split_at(span);
+        *cursor = rest;
         let mut at = 8;
         let ids: Vec<u64> = bytes[at..at + n * 8]
             .chunks_exact(8)
@@ -613,7 +619,15 @@ mod tests {
         let mut bytes = Vec::new();
         batch.encode_columns(&mut bytes);
         assert_eq!(bytes.len(), 8 + 2 * (8 + 1 + 3 * 8));
-        let back = VecBatch::<3>::decode_columns(&bytes).expect("well-formed");
+        // Two encodings end to end: each decode consumes exactly its own.
+        let one = bytes.len();
+        batch.encode_columns(&mut bytes);
+        let mut cursor = &bytes[..];
+        let back = VecBatch::<3>::decode_columns(&mut cursor).expect("well-formed");
+        assert_eq!(cursor.len(), one);
+        VecBatch::<3>::decode_columns(&mut cursor).expect("the second one");
+        assert!(cursor.is_empty());
+        bytes.truncate(one);
         assert_eq!(back.ids(), batch.ids());
         assert_eq!(back.labels(), batch.labels());
         for d in 0..3 {
@@ -621,14 +635,21 @@ mod tests {
             let expect: Vec<u64> = batch.col(d).iter().map(|x| x.to_bits()).collect();
             assert_eq!(bits, expect, "column {d} must survive bit-exactly");
         }
-        // Truncation and arity mismatch refuse to decode.
-        assert!(VecBatch::<3>::decode_columns(&bytes[..bytes.len() - 1]).is_none());
-        assert!(VecBatch::<4>::decode_columns(&bytes).is_none());
+        // Truncation, arity mismatch and a row count whose span overflows
+        // refuse to decode, and consume nothing.
+        let mut cut = &bytes[..bytes.len() - 1];
+        assert!(VecBatch::<3>::decode_columns(&mut cut).is_none());
+        assert_eq!(cut.len(), bytes.len() - 1);
+        assert!(VecBatch::<4>::decode_columns(&mut &bytes[..]).is_none());
+        let huge = u64::MAX.to_le_bytes();
+        assert!(VecBatch::<3>::decode_columns(&mut &huge[..]).is_none());
         // Empty batch round-trips too.
         let mut empty_bytes = Vec::new();
         VecBatch::<3>::new().encode_columns(&mut empty_bytes);
         assert_eq!(
-            VecBatch::<3>::decode_columns(&empty_bytes).unwrap().len(),
+            VecBatch::<3>::decode_columns(&mut &empty_bytes[..])
+                .unwrap()
+                .len(),
             0
         );
     }

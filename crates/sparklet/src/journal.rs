@@ -186,25 +186,11 @@ pub enum EventKind {
         duplicates: u64,
         /// Failed attempts before the one that committed.
         retries: u64,
-        /// Admission-gate deferrals charged before this batch started.
-        deferrals: u64,
         /// Virtual latency of the committed attempt plus checkpoint write
-        /// (µs), excluding backoff waits and deferrals.
+        /// (µs), excluding backoff waits.
         latency_us: u64,
         /// Size of the checkpoint file written at commit (bytes).
         checkpoint_bytes: u64,
-    },
-    /// The ingest admission gate deferred the next batch because the
-    /// engine's lag exceeded its bound (backpressure). One event per wait.
-    IngestDeferred {
-        /// Batch whose admission was deferred.
-        batch: u64,
-        /// Spill-resident bytes observed at the gate.
-        resident_bytes: u64,
-        /// In-flight (previous-batch) pair count observed at the gate.
-        lagged_pairs: u64,
-        /// Virtual time charged for the wait (µs).
-        waited_us: u64,
     },
     /// A poison batch exhausted `max_batch_retries`, was dumped to the
     /// quarantine file and skipped so the service keeps making progress.
@@ -267,7 +253,6 @@ impl EventKind {
             EventKind::PruneApplied { .. } => "prune_applied",
             EventKind::DriverKilled { .. } => "driver_killed",
             EventKind::IngestBatchCommitted { .. } => "ingest_batch_committed",
-            EventKind::IngestDeferred { .. } => "ingest_deferred",
             EventKind::IngestQuarantined { .. } => "ingest_quarantined",
             EventKind::IngestRecovered { .. } => "ingest_recovered",
             EventKind::ServeBatchExecuted { .. } => "serve_batch_executed",
@@ -739,16 +724,14 @@ pub struct IngestBatchRow {
     pub duplicates: u64,
     /// Failed attempts before the one that committed.
     pub retries: u64,
-    /// Admission-gate deferrals before this batch started.
-    pub deferrals: u64,
     /// Virtual latency of the committed attempt plus checkpoint write (µs).
     pub latency_us: u64,
     /// Size of the checkpoint generation written at commit (bytes).
     pub checkpoint_bytes: u64,
 }
 
-/// Streaming-ingest aggregates captured into a [`JobReport`]: quarantine,
-/// backpressure and recovery totals plus one latency/retry row per
+/// Streaming-ingest aggregates captured into a [`JobReport`]: quarantine
+/// and recovery totals plus one latency/retry row per
 /// committed batch, folded from the coalesced ingest journal events as they
 /// are recorded. The totals are constant-size; `batches` grows by one row
 /// (64 bytes) a commit for the life of the service.
@@ -760,8 +743,6 @@ pub struct IngestReport {
     pub batches_quarantined: u64,
     /// Failed attempts summed over committed batches.
     pub batch_retries: u64,
-    /// Admission-gate deferrals (backpressure waits).
-    pub deferrals: u64,
     /// Checkpoint recoveries (restarts resumed from a checkpoint).
     pub recoveries: u64,
     /// Recoveries that fell back past a corrupt newest generation.
@@ -781,7 +762,6 @@ impl IngestReport {
                 detections,
                 duplicates,
                 retries,
-                deferrals,
                 latency_us,
                 checkpoint_bytes,
             } => {
@@ -793,12 +773,10 @@ impl IngestReport {
                     detections,
                     duplicates,
                     retries,
-                    deferrals,
                     latency_us,
                     checkpoint_bytes,
                 });
             }
-            EventKind::IngestDeferred { .. } => self.deferrals += 1,
             EventKind::IngestQuarantined { .. } => self.batches_quarantined += 1,
             EventKind::IngestRecovered { fallback, .. } => {
                 self.recoveries += 1;
@@ -925,7 +903,7 @@ pub struct JobReport {
     /// memo hits (empty when no pruning pass was journaled).
     pub prune: PruneReport,
     /// Streaming-ingest aggregates: per-batch latency/retry/checkpoint rows
-    /// plus quarantine, backpressure and recovery totals (empty when no
+    /// plus quarantine and recovery totals (empty when no
     /// ingest service ran).
     pub ingest: IngestReport,
     /// Serving aggregates: micro-batch counts, queue depth, batch-size
@@ -950,8 +928,10 @@ impl JobReport {
     /// baselines" lists them by name; 10 replaced the per-(stage, operator)
     /// `batch.stages` table with `batch.max_chunk_records`, and
     /// `totals.events` stopped counting the eleven retired event kinds —
-    /// DESIGN.md §7 "Retired").
-    pub const SCHEMA_VERSION: u32 = 10;
+    /// DESIGN.md §7 "Retired"; 11 removed `ingest.deferrals` and the
+    /// per-batch `deferrals` with the ingest admission gate — DESIGN.md
+    /// "Retired baselines").
+    pub const SCHEMA_VERSION: u32 = 11;
 
     /// Snapshot a cluster's clock, metrics and journal into a report: the
     /// journal's running sections are copied, never replayed from the log.
@@ -1125,12 +1105,11 @@ impl JobReport {
         out.push_str("  \"ingest\": {");
         out.push_str(&format!(
             "\"batches_committed\": {}, \"batches_quarantined\": {}, \"batch_retries\": {}, \
-             \"deferrals\": {}, \"recoveries\": {}, \"checkpoint_fallbacks\": {}, \
+             \"recoveries\": {}, \"checkpoint_fallbacks\": {}, \
              \"driver_kills\": {}, \"checkpoint_bytes\": {}, \"batches\": [",
             ing.batches.len(),
             ing.batches_quarantined,
             ing.batch_retries,
-            ing.deferrals,
             ing.recoveries,
             ing.checkpoint_fallbacks,
             ing.driver_kills,
@@ -1142,14 +1121,12 @@ impl JobReport {
             }
             out.push_str(&format!(
                 "{{\"batch\": {}, \"reports\": {}, \"detections\": {}, \"duplicates\": {}, \
-                 \"retries\": {}, \"deferrals\": {}, \"latency_us\": {}, \
-                 \"checkpoint_bytes\": {}}}",
+                 \"retries\": {}, \"latency_us\": {}, \"checkpoint_bytes\": {}}}",
                 b.batch,
                 b.reports,
                 b.detections,
                 b.duplicates,
                 b.retries,
-                b.deferrals,
                 b.latency_us,
                 b.checkpoint_bytes,
             ));
@@ -1387,12 +1364,10 @@ impl fmt::Display for JobReport {
             writeln!(
                 f,
                 "ingest: {} batches committed ({} retries), {} quarantined, \
-                 {} deferrals, {} recoveries ({} fallbacks), {} driver kills, \
-                 {} checkpoint B",
+                 {} recoveries ({} fallbacks), {} driver kills, {} checkpoint B",
                 ing.batches.len(),
                 ing.batch_retries,
                 ing.batches_quarantined,
-                ing.deferrals,
                 ing.recoveries,
                 ing.checkpoint_fallbacks,
                 ing.driver_kills,
@@ -1400,19 +1375,18 @@ impl fmt::Display for JobReport {
             )?;
             writeln!(
                 f,
-                "{:>6} {:>8} {:>8} {:>6} {:>4} {:>6} {:>12} {:>8}",
-                "batch", "reports", "detect", "dup", "try", "defer", "latency(ms)", "ckpt(B)"
+                "{:>6} {:>8} {:>8} {:>6} {:>4} {:>12} {:>8}",
+                "batch", "reports", "detect", "dup", "try", "latency(ms)", "ckpt(B)"
             )?;
             for b in &ing.batches {
                 writeln!(
                     f,
-                    "{:>6} {:>8} {:>8} {:>6} {:>4} {:>6} {:>12.1} {:>8}",
+                    "{:>6} {:>8} {:>8} {:>6} {:>4} {:>12.1} {:>8}",
                     b.batch,
                     b.reports,
                     b.detections,
                     b.duplicates,
                     b.retries,
-                    b.deferrals,
                     b.latency_us as f64 / 1e3,
                     b.checkpoint_bytes,
                 )?;
@@ -1508,7 +1482,6 @@ mod tests {
             detections: 120,
             duplicates: 4,
             retries,
-            deferrals: 1,
             latency_us: 2_000,
             checkpoint_bytes: 2_048,
         }
@@ -1616,17 +1589,10 @@ mod tests {
                 detections: 120,
                 duplicates: 4,
                 retries: batch - 2,
-                deferrals: 0,
                 latency_us: 1_000 * batch,
                 checkpoint_bytes: 2_048,
             });
         }
-        c.journal().record(EventKind::IngestDeferred {
-            batch: 4,
-            resident_bytes: 1 << 20,
-            lagged_pairs: 999,
-            waited_us: 500,
-        });
         c.journal().record(EventKind::IngestQuarantined {
             batch: 4,
             reports: 50,
@@ -1640,7 +1606,6 @@ mod tests {
         assert_eq!(report.ingest.batches[1].retries, 1);
         assert_eq!(report.ingest.batch_retries, 1);
         assert_eq!(report.ingest.batches_quarantined, 1);
-        assert_eq!(report.ingest.deferrals, 1);
         assert_eq!(report.ingest.recoveries, 1);
         assert_eq!(report.ingest.checkpoint_fallbacks, 1);
         assert_eq!(report.ingest.checkpoint_bytes, 4_096);
@@ -1733,12 +1698,6 @@ mod tests {
             batch_high_water: 2,
             fallback: true,
         });
-        j.record(EventKind::IngestDeferred {
-            batch: 2,
-            resident_bytes: 1 << 20,
-            lagged_pairs: 999,
-            waited_us: 500,
-        });
         j.record(ingest_commit(2, 1));
         j.record(EventKind::IngestQuarantined {
             batch: 3,
@@ -1764,7 +1723,7 @@ mod tests {
         .unwrap();
         let json = c.job_report().to_json();
         // Every key, in order, is pinned by the golden file below.
-        assert!(json.contains("\"schema_version\": 10"), "{json}");
+        assert!(json.contains("\"schema_version\": 11"), "{json}");
         assert!(json.contains("quoted \\\"stage\\\"\\n"), "escaping: {json}");
         assert!(json.contains("\"things\": 6"), "user counter: {json}");
         assert!(is_json(&json), "{json}");

@@ -41,7 +41,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             c: 2,
             theta: 0.0,
             seed: 7,
-            prune: true,
         },
     )?;
 

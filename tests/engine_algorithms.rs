@@ -179,7 +179,6 @@ fn distributed_equals_serial_equals_brute_under_fault_injection() {
         c: 3,
         theta: 0.0,
         seed: 4,
-        prune: true,
     };
     let model = FastKnn::fit(&cluster, &train, knn_config).expect("fit");
     let distributed = model.classify(&test).expect("classify");
@@ -222,7 +221,6 @@ fn tiny_executor_memory_still_classifies_correctly() {
         c: 2,
         theta: 0.0,
         seed: 2,
-        prune: true,
     };
     let model = FastKnn::fit(&cluster, &train, knn_config).expect("fit");
     let out = model.classify(&test).expect("classify despite thrash");
@@ -254,7 +252,6 @@ fn literal_algorithm2_agrees_where_the_second_join_decides() {
         c: 3,
         theta: 0.0,
         seed: 4,
-        prune: true,
     };
     let model = FastKnn::fit(&cluster, &train, knn_config).expect("fit");
     let fast = model.classify(&test).expect("classify");
@@ -282,7 +279,7 @@ proptest! {
     ) {
         let (train, test) = workload::<3>(300, 10, 25, seed);
         let cluster = Cluster::local(2);
-        let config = FastKnnConfig { k, b, c: 2, theta: 0.0, seed, prune: true };
+        let config = FastKnnConfig { k, b, c: 2, theta: 0.0, seed };
         let model = FastKnn::fit(&cluster, &train, config).expect("fit");
         let fast = model.classify(&test).expect("classify");
         let brute = classify_brute(&train, &test, k, 0.0);

@@ -387,39 +387,6 @@ fn quarantine_leaves_state_as_if_the_batch_never_arrived() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Backpressure defers admissions (journalled, clock-charged) but never
-/// touches detection state, so the digest is unchanged.
-#[test]
-fn backpressure_defers_without_perturbing_the_digest() {
-    let rp = replay(160, 10, 42, 40);
-    let want = reference_digest(&rp, "bp-ref");
-
-    let dir = temp_dir("bp");
-    let mut cfg = IngestConfig::new(&dir);
-    cfg.max_lagged_pairs = 1; // every committed batch trips the lag gate
-    let mut svc =
-        IngestService::open(Cluster::local(2), dedup_config(), cfg, &rp).expect("open gated");
-    svc.run(&rp, rp.quarters()).expect("gated run");
-    assert_eq!(svc.cumulative_digest(), want, "deferrals must be invisible");
-
-    let report = svc.job_report();
-    assert!(report.ingest.deferrals >= 2, "lag gate never fired");
-    assert!(
-        report.ingest.deferrals <= rp.quarters() * 8,
-        "deferrals are bounded per batch"
-    );
-    let deferred_events = svc
-        .system()
-        .cluster()
-        .journal()
-        .events()
-        .iter()
-        .filter(|e| e.kind.tag() == "ingest_deferred")
-        .count() as u64;
-    assert_eq!(deferred_events, report.ingest.deferrals);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Transient engine faults (worker task failures with engine-level retry
 /// disabled) bubble up to the service, which rolls the batch back, backs
 /// off on the virtual clock, and replays — landing on the fault-free

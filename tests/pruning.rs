@@ -12,13 +12,19 @@
 //!   captured before the pruning engine existed, so the prune-on legs prove
 //!   losslessness end to end and the prune-off legs prove the refactor
 //!   itself (sorted cells, cutoff threading) changed nothing either.
+//!
+//! "Off" is a model built with [`FastKnn::from_partition`] over
+//! `VoronoiPartition::build(..).without_prune_metadata()`: the same scans,
+//! finding no sorted distances, sweep every resident and positive.
 
 use adr_model::{AdrReport, PairId};
 use adr_synth::{Dataset, SynthConfig};
-use dedup::{DedupConfig, DedupSystem};
-use fastknn::{FastKnn, FastKnnConfig, LabeledPair, UnlabeledPair};
+use dedup::pairing::{contiguous_partitions, pairwise_distance_batches};
+use dedup::{index_corpus, pairs_involving_new, DedupConfig, DedupSystem, ProcessedReport};
+use fastknn::{FastKnn, FastKnnConfig, LabeledPair, UnlabeledPair, VoronoiPartition};
 use proptest::prelude::*;
 use sparklet::{stable_hash, Cluster, ClusterConfig, FaultConfig};
+use textprep::{Pipeline, TokenInterner};
 
 /// The fault-free `detect_new` digest pinned in `refactor_baseline.rs`,
 /// captured on the pre-pruning tree.
@@ -39,30 +45,76 @@ fn corpus() -> (Vec<AdrReport>, Vec<PairId>, Vec<AdrReport>) {
     (historical, labelled, arriving)
 }
 
-/// Bootstrap + `detect_new` under `config` with pruning forced on or off;
-/// returns the detection digest.
-fn detect_digest(config: ClusterConfig, prune: bool) -> sparklet::Result<u64> {
+/// Bootstrap, then classify the arriving reports under `config`; returns
+/// the detection digest and the executors the run lost. Pruned, that is the
+/// product's `detect_new`. Unpruned, it is the same §3 candidate pairs
+/// through the same distance job, classified by an unpruned twin of the
+/// model the bootstrap published — [`FastKnn::from_partition`] over the
+/// partition `fit` builds, stripped of its pruning metadata — and put in
+/// `detect_new`'s order.
+fn detect_digest(config: ClusterConfig, prune: bool) -> sparklet::Result<(u64, u64)> {
     let (historical, labelled, arriving) = corpus();
-    let cluster = Cluster::new(config);
     let mut dcfg = DedupConfig::default();
     dcfg.knn.b = 8;
-    dcfg.knn.prune = prune;
     dcfg.bootstrap_negatives = 400;
-    let mut system = DedupSystem::new(cluster, dcfg);
+    let mut system = DedupSystem::new(Cluster::new(config), dcfg);
     system.bootstrap(&historical, &labelled)?;
-    let detections = system.detect_new(&arriving)?;
-    let records: Vec<(u64, u64, u64, bool)> = detections
+    let records: Vec<(u64, u64, u64, bool)> = if prune {
+        let detections = system.detect_new(&arriving)?;
+        detections
+            .iter()
+            .map(|d| (d.pair.lo, d.pair.hi, d.score.to_bits(), d.is_duplicate))
+            .collect()
+    } else {
+        unpruned_detections(&system, &historical, &arriving)?
+    };
+    let lost = system.job_report().recovery.executors_lost;
+    Ok((stable_hash(&records), lost))
+}
+
+/// `detect_new` over the exhaustive candidate path, rebuilt from public
+/// calls around an unpruned model; records as [`detect_digest`] hashes them.
+fn unpruned_detections(
+    system: &DedupSystem,
+    historical: &[AdrReport],
+    arriving: &[AdrReport],
+) -> sparklet::Result<Vec<(u64, u64, u64, bool)>> {
+    let cluster = system.cluster();
+    let knn = system.config().knn;
+    let voronoi = VoronoiPartition::build(&system.store().training_pairs(), knn.b, knn.seed);
+    let model = FastKnn::from_partition(cluster, voronoi.without_prune_metadata(), knn)?;
+    let (pipeline, mut interner) = (Pipeline::paper(), TokenInterner::new());
+    let corpus = index_corpus(
+        historical
+            .iter()
+            .chain(arriving)
+            .map(|r| ProcessedReport::from_report(r, &pipeline, &mut interner)),
+    );
+    let ids = |reports: &[AdrReport]| reports.iter().map(|r| r.id).collect::<Vec<_>>();
+    let candidates = pairs_involving_new(&ids(arriving), &ids(historical));
+    let partitions = contiguous_partitions(candidates, system.config().pair_partitions);
+    let (pairs, vectors) = pairwise_distance_batches(cluster, &corpus, partitions)?;
+    let mut records: Vec<(u64, u64, u64, bool)> = model
+        .classify_batch(&vectors)?
         .iter()
-        .map(|d| (d.pair.lo, d.pair.hi, d.score.to_bits(), d.is_duplicate))
+        .map(|s| {
+            let pair = pairs[s.id as usize];
+            (pair.lo, pair.hi, s.score.to_bits(), s.positive)
+        })
         .collect();
-    Ok(stable_hash(&records))
+    // Duplicates first, then score descending, then candidate order.
+    records.sort_by(|a, b| {
+        b.3.cmp(&a.3)
+            .then(f64::from_bits(b.2).total_cmp(&f64::from_bits(a.2)))
+    });
+    Ok(records)
 }
 
 #[test]
 fn digest_is_pinned_across_partition_counts_with_pruning_on_and_off() {
     for executors in [1usize, 4, 16] {
         for prune in [true, false] {
-            let digest =
+            let (digest, _) =
                 detect_digest(ClusterConfig::local(executors), prune).expect("pipeline run");
             assert_eq!(
                 digest, BASELINE_DIGEST,
@@ -81,11 +133,12 @@ fn digest_is_pinned_under_mid_stage_kills_with_pruning_on_and_off() {
         let mut config = ClusterConfig::local(4);
         config.fault =
             FaultConfig::disabled().kill_in_stage(0, "shuffle#3-write[map_partitions_with_ctx]", 1);
-        let digest = detect_digest(config, prune).expect("pipeline run");
+        let (digest, lost) = detect_digest(config, prune).expect("pipeline run");
         assert_eq!(
             digest, BASELINE_DIGEST,
             "mid-stage kill drifted with prune={prune}"
         );
+        assert_eq!(lost, 1, "the kill fired with prune={prune}");
     }
 }
 
@@ -96,7 +149,7 @@ fn digest_is_pinned_under_random_faults_and_stealing_with_pruning_on_and_off() {
     for prune in [true, false] {
         let mut config = ClusterConfig::local(4);
         config.fault = FaultConfig::with_probability(0.05, 23);
-        let digest = detect_digest(config, prune).expect("pipeline run");
+        let (digest, _) = detect_digest(config, prune).expect("pipeline run");
         assert_eq!(
             digest, BASELINE_DIGEST,
             "random faults drifted with prune={prune}"
@@ -173,10 +226,15 @@ proptest! {
                 k,
                 b,
                 theta: 0.0,
-                prune,
                 ..FastKnnConfig::default()
             };
-            let out = FastKnn::fit(&cluster, &train, config)
+            let model = if prune {
+                FastKnn::fit(&cluster, &train, config)
+            } else {
+                let voronoi = VoronoiPartition::build(&train, b, config.seed);
+                FastKnn::from_partition(&cluster, voronoi.without_prune_metadata(), config)
+            };
+            let out = model
                 .expect("fit")
                 .classify(&test)
                 .expect("classify");

@@ -14,7 +14,7 @@
 use adr_synth::{Dataset, SynthConfig};
 use dedup::svm_scores;
 use dedup::workload::{build_workload_on, uniform_test_pairs, ProcessedCorpus};
-use fastknn::{counters, FastKnn, FastKnnConfig, LabeledPair, TestPruner};
+use fastknn::{counters, FastKnn, FastKnnConfig, LabeledPair, TestPruner, VoronoiPartition};
 use mlcore::average_precision;
 use mlcore::svm::SvmConfig;
 use sparklet::{Cluster, CostModelConfig};
@@ -131,17 +131,14 @@ fn fig9_shape_virtual_time_grows_sublinearly_with_training_size() {
         // Figure 9 charts the paper's engine, which scans whole cells; the
         // bound-driven pruning layer (DESIGN.md §13) makes classification
         // time nearly independent of training size, so the shape is pinned
-        // with pruning off.
-        let model = FastKnn::fit(
-            &cluster,
-            &w.train,
-            FastKnnConfig {
-                b: 16,
-                prune: false,
-                ..FastKnnConfig::default()
-            },
-        )
-        .expect("fit");
+        // on a partition stripped of the metadata the bounds read.
+        let config = FastKnnConfig {
+            b: 16,
+            ..FastKnnConfig::default()
+        };
+        let voronoi = VoronoiPartition::build(&w.train, config.b, config.seed);
+        let model = FastKnn::from_partition(&cluster, voronoi.without_prune_metadata(), config)
+            .expect("fit");
         cluster.reset_run_state();
         let _ = model.classify(&test).expect("classify");
         cluster.clock().makespan(25, 1, &scaled_cost()).us as f64

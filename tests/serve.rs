@@ -2,8 +2,8 @@
 //!
 //! Three contracts:
 //!
-//! * **answer invariance** — the admission policy (batched vs
-//!   request-at-a-time) and executor kills mid-serve must never change a
+//! * **answer invariance** — the batch size (up to 64 requests, or one at
+//!   a time with `max_batch: 1`) and executor kills mid-serve must never change a
 //!   single answer bit: the answer digest is the only output that matters
 //!   and it must be policy- and fault-independent;
 //! * **read-only serving** — interleaving serve traffic between ingest
@@ -78,8 +78,8 @@ fn mixed_requests(ds: &Dataset, n: usize) -> Vec<ServeRequest> {
         .collect()
 }
 
-/// The tentpole invariance: one request stream served batched, served
-/// request-at-a-time, and served batched on a cluster whose executors are
+/// The tentpole invariance: one request stream served batched, served one
+/// request per batch, and served batched on a cluster whose executors are
 /// killed mid-run — one digest.
 #[test]
 fn admission_policy_and_executor_kills_never_change_answers() {
@@ -95,10 +95,10 @@ fn admission_policy_and_executor_kills_never_change_answers() {
     let total = sys.job_report().virtual_us;
     assert!(total > after_bootstrap, "serving must run engine jobs");
 
-    let single = ServeService::attach(&sys, ServeConfig::default().request_at_a_time())
+    let single = ServeService::attach(&sys, ServeConfig { max_batch: 1 })
         .expect("attach")
         .run_open_loop(&requests)
-        .expect("request-at-a-time run");
+        .expect("one-request-batch run");
     assert_eq!(
         batched.digest, single.digest,
         "admission policy changed answers"
