@@ -1,48 +1,14 @@
-//! The detection-field subset (bold rows of the paper's Table 2) and typed
-//! field values.
+//! The detection-field subset (bold rows of the paper's Table 2) as a
+//! distance-vector shape.
 
-use crate::report::AdrReport;
-use serde::{Deserialize, Serialize};
-
-/// The eight fields §4.2 selects for duplicate detection, following the WHO
-/// system of Norén et al.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum DetectionField {
-    /// Patient age ("calculated age") — numeric.
-    Age,
-    /// Patient sex — categorical.
-    Sex,
-    /// Residential state — categorical.
-    State,
-    /// Onset date — categorical (exact-match).
-    OnsetDate,
-    /// Reaction outcome description — categorical.
-    OutcomeDescription,
-    /// Drug name ("generic name description") — string.
-    DrugName,
-    /// ADR name ("MedDRA PT code") — string.
-    AdrName,
-    /// Free-text narrative ("report description") — string, NLP-processed.
-    ReportDescription,
-}
-
-/// All detection fields in the order the distance vector uses.
-pub const DETECTION_FIELDS: [DetectionField; 8] = [
-    DetectionField::Age,
-    DetectionField::Sex,
-    DetectionField::State,
-    DetectionField::OnsetDate,
-    DetectionField::OutcomeDescription,
-    DetectionField::DrugName,
-    DetectionField::AdrName,
-    DetectionField::ReportDescription,
-];
-
-/// Number of detection fields = dimensionality of pair distance vectors.
-pub const DETECTION_DIMS: usize = DETECTION_FIELDS.len();
+/// Number of fields §4.2 selects for duplicate detection, following the WHO
+/// system of Norén et al. = dimensionality of pair distance vectors.
+pub const DETECTION_DIMS: usize = 8;
 
 /// A §4.2 pair distance vector: one `[0, 1]` component per detection field,
-/// in [`DETECTION_FIELDS`] order.
+/// in this order — patient age (numeric), sex, residential state, onset
+/// date, reaction outcome description (categorical), drug name, ADR name
+/// (strings) and the free-text report description (NLP-processed).
 ///
 /// Fixed arity and `Copy` on purpose — the classification hot path evaluates
 /// millions of these per batch, and a stack array keeps that path free of
@@ -50,122 +16,14 @@ pub const DETECTION_DIMS: usize = DETECTION_FIELDS.len();
 /// drags into every partition build).
 pub type DistVec = [f64; DETECTION_DIMS];
 
-/// A typed field value extracted from a report.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FieldValue<'a> {
-    /// Numeric value (or missing).
-    Numeric(Option<f64>),
-    /// Categorical code (or missing).
-    Categorical(Option<&'a str>),
-    /// String value compared by token overlap.
-    Text(&'a str),
-}
-
-impl DetectionField {
-    /// Extract this field's value from a report.
-    pub fn extract<'a>(&self, r: &'a AdrReport) -> FieldValue<'a> {
-        match self {
-            DetectionField::Age => FieldValue::Numeric(r.patient.calculated_age),
-            DetectionField::Sex => FieldValue::Categorical(r.patient.sex.map(|s| s.as_str())),
-            DetectionField::State => {
-                FieldValue::Categorical(r.patient.residential_state.as_deref())
-            }
-            DetectionField::OnsetDate => FieldValue::Categorical(r.reaction.onset_date.as_deref()),
-            DetectionField::OutcomeDescription => {
-                FieldValue::Categorical(r.reaction.reaction_outcome_description.as_deref())
-            }
-            DetectionField::DrugName => FieldValue::Text(&r.medicine.generic_name_description),
-            DetectionField::AdrName => FieldValue::Text(&r.reaction.meddra_pt_code),
-            DetectionField::ReportDescription => FieldValue::Text(&r.reaction.report_description),
-        }
-    }
-
-    /// Display name matching the paper's Table 1 field names.
-    pub fn name(&self) -> &'static str {
-        match self {
-            DetectionField::Age => "patient age",
-            DetectionField::Sex => "patient sex",
-            DetectionField::State => "patient state",
-            DetectionField::OnsetDate => "onset date",
-            DetectionField::OutcomeDescription => "reaction outcome description",
-            DetectionField::DrugName => "drug name",
-            DetectionField::AdrName => "ADR name",
-            DetectionField::ReportDescription => "report description",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::Sex;
 
     #[test]
     fn eight_detection_fields() {
-        assert_eq!(DETECTION_FIELDS.len(), 8);
         assert_eq!(DETECTION_DIMS, 8);
-    }
-
-    #[test]
-    fn extraction_pulls_the_right_values() {
-        let mut r = AdrReport::default();
-        r.patient.calculated_age = Some(46.0);
-        r.patient.sex = Some(Sex::M);
-        r.patient.residential_state = Some("NSW".into());
-        r.reaction.onset_date = Some("30/04/2013".into());
-        r.reaction.reaction_outcome_description = Some("Recovered".into());
-        r.medicine.generic_name_description = "Atorvastatin".into();
-        r.reaction.meddra_pt_code = "Rhabdomyolysis".into();
-        r.reaction.report_description = "narrative".into();
-
-        assert_eq!(
-            DetectionField::Age.extract(&r),
-            FieldValue::Numeric(Some(46.0))
-        );
-        assert_eq!(
-            DetectionField::Sex.extract(&r),
-            FieldValue::Categorical(Some("M"))
-        );
-        assert_eq!(
-            DetectionField::State.extract(&r),
-            FieldValue::Categorical(Some("NSW"))
-        );
-        assert_eq!(
-            DetectionField::OnsetDate.extract(&r),
-            FieldValue::Categorical(Some("30/04/2013"))
-        );
-        assert_eq!(
-            DetectionField::OutcomeDescription.extract(&r),
-            FieldValue::Categorical(Some("Recovered"))
-        );
-        assert_eq!(
-            DetectionField::DrugName.extract(&r),
-            FieldValue::Text("Atorvastatin")
-        );
-        assert_eq!(
-            DetectionField::AdrName.extract(&r),
-            FieldValue::Text("Rhabdomyolysis")
-        );
-        assert_eq!(
-            DetectionField::ReportDescription.extract(&r),
-            FieldValue::Text("narrative")
-        );
-    }
-
-    #[test]
-    fn missing_values_extract_as_none() {
-        let r = AdrReport::default();
-        assert_eq!(DetectionField::Age.extract(&r), FieldValue::Numeric(None));
-        assert_eq!(
-            DetectionField::Sex.extract(&r),
-            FieldValue::Categorical(None)
-        );
-    }
-
-    #[test]
-    fn names_are_distinct() {
-        let names: std::collections::HashSet<&str> =
-            DETECTION_FIELDS.iter().map(|f| f.name()).collect();
-        assert_eq!(names.len(), 8);
+        // A pair vector is eight raw `f64`s: `Copy`, no heap, 64 bytes.
+        assert_eq!(std::mem::size_of::<DistVec>(), 64);
     }
 }

@@ -1,4 +1,4 @@
-//! Report pairs and duplicate labels.
+//! Report pairs.
 
 use crate::report::ReportId;
 use serde::{Deserialize, Serialize};
@@ -33,49 +33,6 @@ impl PairId {
     }
 }
 
-/// Ground-truth / predicted label of a report pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PairLabel {
-    /// The two reports describe the same case (+1 in the paper's Eq. 1).
-    Duplicate,
-    /// Distinct cases (−1).
-    NonDuplicate,
-}
-
-impl PairLabel {
-    /// The ±1 encoding used in Eqs. 1, 5, 6.
-    pub fn sign(&self) -> i8 {
-        match self {
-            PairLabel::Duplicate => 1,
-            PairLabel::NonDuplicate => -1,
-        }
-    }
-
-    /// Is this the positive (duplicate) class?
-    pub fn is_positive(&self) -> bool {
-        matches!(self, PairLabel::Duplicate)
-    }
-}
-
-/// A labelled report pair as stored in the training databases of Fig. 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ReportPair {
-    /// Canonical pair id.
-    pub id: PairId,
-    /// Ground-truth label.
-    pub label: PairLabel,
-}
-
-impl ReportPair {
-    /// Construct a labelled pair.
-    pub fn new(a: ReportId, b: ReportId, label: PairLabel) -> Self {
-        ReportPair {
-            id: PairId::new(a, b),
-            label,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,14 +57,6 @@ mod tests {
         assert!(p.contains(1));
         assert!(p.contains(4));
         assert!(!p.contains(2));
-    }
-
-    #[test]
-    fn label_signs() {
-        assert_eq!(PairLabel::Duplicate.sign(), 1);
-        assert_eq!(PairLabel::NonDuplicate.sign(), -1);
-        assert!(PairLabel::Duplicate.is_positive());
-        assert!(!PairLabel::NonDuplicate.is_positive());
     }
 
     proptest! {

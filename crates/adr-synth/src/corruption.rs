@@ -69,41 +69,6 @@ impl Default for CorruptionConfig {
     }
 }
 
-impl CorruptionConfig {
-    /// Heavier corruption — duplicates become harder to detect; used to
-    /// stress classifier robustness.
-    pub fn hard() -> Self {
-        CorruptionConfig {
-            age_digit_error: 0.30,
-            outcome_change: 0.70,
-            adr_list_edit: 0.70,
-            narrative_retemplate: 1.0,
-            narrative_typo: 0.90,
-            state_dropout: 0.30,
-            onset_date_error: 0.50,
-            drug_list_edit: 0.35,
-            divergent_followup: 0.30,
-            admin_followup: 0.25,
-        }
-    }
-
-    /// Minimal corruption — near-exact duplicates.
-    pub fn easy() -> Self {
-        CorruptionConfig {
-            age_digit_error: 0.02,
-            outcome_change: 0.15,
-            adr_list_edit: 0.10,
-            narrative_retemplate: 0.50,
-            narrative_typo: 0.20,
-            state_dropout: 0.02,
-            onset_date_error: 0.05,
-            drug_list_edit: 0.02,
-            divergent_followup: 0.04,
-            admin_followup: 0.04,
-        }
-    }
-}
-
 /// Mis-key one digit of `age` (replace a random digit with a random other
 /// digit), the handwriting-transcription error of Table 1(b).
 pub fn corrupt_age(age: u32, rng: &mut StdRng) -> u32 {
@@ -298,15 +263,5 @@ mod tests {
         edit_term_list(&mut terms, &pool, &mut r);
         assert!(terms.contains(&"Cough".to_string()));
         assert_eq!(terms.len(), 2);
-    }
-
-    #[test]
-    fn config_presets_are_ordered_by_severity() {
-        let easy = CorruptionConfig::easy();
-        let def = CorruptionConfig::default();
-        let hard = CorruptionConfig::hard();
-        assert!(easy.outcome_change < def.outcome_change);
-        assert!(def.outcome_change < hard.outcome_change);
-        assert!(easy.adr_list_edit < hard.adr_list_edit);
     }
 }

@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for the hot paths: string metrics, the text
-//! pipeline, kNN search, k-means, the field-distance vector (interned
+//! pipeline, k-means, the field-distance vector (interned
 //! sorted-merge Jaccard, `DistVec`, fixed-arity Euclidean), the
 //! distributed classifier on a small workload, the pair store's checkpoint
 //! encoders, what a commit's publish and a serve refresh cost, and what the
@@ -19,7 +19,6 @@ use fastknn::serial::{classify_brute, classify_fast_serial};
 use fastknn::voronoi::VoronoiPartition;
 use fastknn::{stage1_row, ClassifyScratch, FastKnn, FastKnnConfig, LabeledPair, Neighborhood};
 use mlcore::kmeans::KMeans;
-use mlcore::knn::nearest_neighbors;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simmetrics::{
@@ -103,17 +102,8 @@ fn kernel_euclidean(c: &mut Criterion) {
 
 fn learning_primitives(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);
-    let data: Vec<Vec<f64>> = (0..10_000)
-        .map(|_| (0..8).map(|_| rng.gen_range(0.0..1.0)).collect())
-        .collect();
-    let query: Vec<f64> = (0..8).map(|_| rng.gen_range(0.0..1.0)).collect();
-    c.bench_function("knn/10k_points_k9", |bench| {
-        bench.iter(|| nearest_neighbors(black_box(&query), black_box(&data), 9))
-    });
-    let sample: Vec<[f64; 8]> = data
-        .iter()
-        .take(2_000)
-        .map(|v| std::array::from_fn(|i| v[i]))
+    let sample: Vec<[f64; 8]> = (0..2_000)
+        .map(|_| std::array::from_fn(|_| rng.gen_range(0.0..1.0)))
         .collect();
     c.bench_function("kmeans/2k_points_b16", |bench| {
         bench.iter(|| KMeans::new(16, 5).fit(black_box(&sample)))

@@ -1,7 +1,7 @@
 //! Shared, lazily-built corpora and workloads.
 
 use adr_synth::{Dataset, SynthConfig};
-use dedup::workload::{build_workload_on, PairWorkload, ProcessedCorpus};
+use dedup::workload::ProcessedCorpus;
 use std::sync::OnceLock;
 
 /// The TGA-scale corpus of Table 3 (10,382 reports, 286 duplicate pairs),
@@ -32,11 +32,6 @@ pub fn scaled_train(millions: usize) -> usize {
     millions * 1_000_000 / TRAIN_SCALE_DIVISOR
 }
 
-/// Standard scaled workload against the TGA corpus.
-pub fn tga_workload(train_pairs: usize, test_pairs: usize, seed: u64) -> PairWorkload {
-    build_workload_on(tga_corpus(), train_pairs, test_pairs, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,7 +51,7 @@ mod tests {
 
     #[test]
     fn small_workload_builds() {
-        let w = build_workload_on(small_corpus(), 500, 100, 1);
+        let w = dedup::workload::build_workload_on(small_corpus(), 500, 100, 1);
         assert_eq!(w.train.len(), 500);
         assert_eq!(w.test.len(), 100);
         assert!(w.test_positives() > 0);

@@ -240,8 +240,7 @@ impl BlockingIndex {
     /// **multi-key duplicates** dropped: pairs reachable through more than
     /// one blocking key, each counted once per extra key. This is exactly
     /// the set of distance evaluations a naive per-block pipeline would
-    /// repeat, and what [`crate::pairing::DistanceMemo`] saves when groups
-    /// are re-submitted across batches.
+    /// repeat.
     pub fn candidate_pair_groups_counted(&self, new_ids: &[ReportId]) -> (Vec<Vec<PairId>>, u64) {
         // Sorted rows of the arriving batch — the gallop driver below.
         let mut new_rows: Vec<u32> = new_ids

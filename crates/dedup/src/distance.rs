@@ -70,8 +70,8 @@ impl ProcessedReport {
 }
 
 /// The §4.2 distance vector between two reports, in the field order of
-/// [`adr_model::DETECTION_FIELDS`]: age, sex, state, onset date, outcome,
-/// drug name, ADR name, report description. Every component is in `[0, 1]`.
+/// [`adr_model::DistVec`]: age, sex, state, onset date, outcome, drug name,
+/// ADR name, report description. Every component is in `[0, 1]`.
 ///
 /// Both reports must come from the same interner.
 pub fn pair_distance(a: &ProcessedReport, b: &ProcessedReport) -> DistVec {

@@ -30,6 +30,12 @@
 //!   comparison methods;
 //! * [`workload`] — labelled pair-set construction from a synthetic corpus
 //!   (training/testing splits at the sizes the evaluation sweeps).
+//!
+//! Non-test code has no `unwrap` or `expect`: a hostile input or a failed
+//! job surfaces as a typed error, never as a panic. The lint below keeps it
+//! so under `cargo clippy`.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 // The classifier's default pair arity and the §4.2 schema width must agree:
 // [`fastknn::LabeledPair`] defaults to `PAIR_DIMS` and this crate feeds it

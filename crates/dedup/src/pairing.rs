@@ -273,9 +273,8 @@ pub fn pack_pairs(
     let mut loads = vec![0u64; parts];
     let mut counts = vec![0usize; parts];
     for (w, _, r) in &chunks {
-        let lightest = (0..parts)
-            .min_by_key(|&i| (loads[i], i))
-            .expect("parts >= 1");
+        // `parts >= 1`, so there is always a lightest partition.
+        let lightest = (0..parts).min_by_key(|&i| (loads[i], i)).unwrap_or(0);
         loads[lightest] += w;
         counts[lightest] += r.len();
         dest.push(lightest);
@@ -289,12 +288,14 @@ pub fn pack_pairs(
 
 /// Cross-call memo of §4.2 distance vectors, keyed by [`PairId`].
 ///
-/// Blocking can surface the same pair in consecutive `detect_new` batches
-/// (its reports keep matching new arrivals through hot block keys). The
-/// §4.2 distance of a pair is a pure function of its two immutable reports,
-/// so a memoised vector is bit-identical to recomputation — splitting the
-/// candidate stream into memo hits and distance-job misses cannot change a
-/// single downstream score, only skip work.
+/// No product path uses it. Every candidate pair of a `detect_new` batch
+/// contains a report of that batch, so a pair recurs in a later batch only
+/// when the same report id is submitted again — and then recomputing gives
+/// the bit-identical vector, because the §4.2 distance of a pair is a pure
+/// function of its two reports. Not one of the benchmark's five workloads
+/// ever hit it (DESIGN.md "Retired baselines"). It stays for the frozen
+/// wall-clock benchmark, whose `decomposed.rs` still rebuilds the memo
+/// split the system once ran.
 ///
 /// Bounded: once `capacity` entries are stored, further inserts are
 /// dropped (hits on existing entries still count), so an endless feedback

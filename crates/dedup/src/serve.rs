@@ -217,9 +217,9 @@ impl ContingencyTable {
     }
 }
 
-/// Bounded signal-query memo (at most 65,536 entries), mirroring
-/// [`crate::pairing::DistanceMemo`]: a signal answer is a pure function of
-/// the contingency stores, so memo hits are bit-identical to recomputation.
+/// Bounded signal-query memo (at most 65,536 entries; insert is a no-op at
+/// capacity): a signal answer is a pure function of the contingency
+/// stores, so memo hits are bit-identical to recomputation.
 /// The whole memo is purged at every [`ServeService::refresh`] — any ingest
 /// commit may change any cell.
 #[derive(Debug, Clone)]

@@ -145,6 +145,10 @@ fn push_pair(out: &mut Vec<u8>, id: &PairId, v: &DistVec) {
 /// separator and newline.
 const PAIR_LINE_MAX: usize = 2 * 20 + 8 * 17 + 2;
 
+#[expect(
+    clippy::expect_used,
+    reason = "the snapshot and delta writers emit ASCII only"
+)]
 fn into_text(bytes: Vec<u8>) -> String {
     String::from_utf8(bytes).expect("the snapshot writer emits ASCII only")
 }

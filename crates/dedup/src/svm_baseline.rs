@@ -41,20 +41,6 @@ pub fn svm_scores<const D: usize>(
         .collect()
 }
 
-/// The same test scores from a modern dual-coordinate-descent SVM —
-/// used by the solver ablation.
-pub fn svm_dual_scores<const D: usize>(
-    train: &[LabeledPair<D>],
-    test: &[UnlabeledPair<D>],
-    config: &SvmConfig,
-) -> Vec<(u64, f64)> {
-    let (x, y) = split_xy(train);
-    let svm = LinearSvm::train_dual(&x, &y, config);
-    test.iter()
-        .map(|t| (t.id, svm.decision(&t.vector)))
-        .collect()
-}
-
 /// The Fig. 5(c) "SVM clustering" variant: k-means the training vectors into
 /// `clusters` groups and build a balanced-by-cluster training sample of at
 /// most `budget` pairs (every cluster contributes, small clusters entirely),

@@ -4,14 +4,14 @@ use crate::blocking::BlockingIndex;
 use crate::distance::ProcessedReport;
 use crate::pairing::{
     contiguous_partitions, pack_pairs, pairs_involving_new, pairwise_distance_batches,
-    pairwise_distances, CorpusIndex, DistanceMemo,
+    pairwise_distances, CorpusIndex,
 };
 use crate::store::PairStore;
 use adr_model::{AdrReport, PairId, ReportId};
 use fastknn::{FastKnn, FastKnnConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sparklet::{Cluster, EventKind, Result, SparkletError};
+use sparklet::{Cluster, Result, SparkletError};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use textprep::{Pipeline, TokenInterner};
@@ -36,11 +36,12 @@ pub struct DedupConfig {
     /// pair-completeness cost (see [`crate::blocking`]). `false` is the
     /// paper-faithful default.
     pub use_blocking: bool,
-    /// Capacity (in pairs) of the cross-batch [`DistanceMemo`] the blocked
-    /// candidate path consults before submitting the distance job. `0`
-    /// disables memoisation. Lossless either way: a §4.2 distance is a pure
-    /// function of its two reports, so memo hits are bit-identical to
-    /// recomputation.
+    /// Capacity (in pairs) of a [`DistanceMemo`](crate::DistanceMemo). The
+    /// system itself keeps no memo — every candidate pair contains a report
+    /// that has just arrived, so no workload ever hit one (DESIGN.md
+    /// "Retired baselines"). The field stays because the frozen wall-clock
+    /// benchmark's `decomposed.rs` sizes its memo from it, and because the
+    /// ingest config digest prints it.
     pub memo_pairs: usize,
 }
 
@@ -128,8 +129,6 @@ pub struct DedupSystem {
     interner: TokenInterner,
     epoch: Epoch,
     arrival_order: Vec<ReportId>,
-    /// Cross-batch distance memo for the blocked candidate path.
-    memo: DistanceMemo,
     rng: StdRng,
 }
 
@@ -147,15 +146,9 @@ impl DedupSystem {
             pipeline: Pipeline::paper(),
             interner: TokenInterner::new(),
             arrival_order: Vec::new(),
-            memo: DistanceMemo::with_capacity(config.memo_pairs),
             cluster,
             config,
         }
-    }
-
-    /// The cross-batch distance memo (inspectable for hit statistics).
-    pub fn memo(&self) -> &DistanceMemo {
-        &self.memo
     }
 
     /// Number of reports in the database.
@@ -262,17 +255,6 @@ impl DedupSystem {
 
     pub(crate) fn add_report(&mut self, r: &AdrReport) {
         let processed = ProcessedReport::from_report(r, &self.pipeline, &mut self.interner);
-        if self
-            .epoch
-            .corpus
-            .get(&r.id)
-            .is_some_and(|old| *old != processed)
-        {
-            // A re-ingested follow-up changed the report's content: every
-            // memoised distance against it is stale. An identical
-            // re-submission keeps its entries — the distances still hold.
-            self.memo.purge_report(r.id);
-        }
         // Mutating shared snapshots: `make_mut` copies one only while a
         // previous epoch is still held (see [`Epoch`]), so a batch of
         // inserts costs at most one copy of each.
@@ -320,40 +302,15 @@ impl DedupSystem {
             // Blocking skews pair counts heavily towards hot drug blocks, so
             // the candidate stream goes through the skew-aware packer: one
             // pair group per blocking key, LPT-packed (splitting oversized
-            // groups) into op-weight-balanced partitions. Before packing,
-            // the memo answers pairs whose distance an earlier batch already
-            // computed (a re-submitted report regenerates its pairs) — only
-            // the unknowns go through the job, and the fresh rows are
-            // memoised for future batches. The flattened output order
-            // depends on the packing, so sort by pair id to keep downstream
-            // results (and their digests) partition- and memo-free: the
-            // candidate pair set is duplicate-free, making the by-id sort a
-            // total order regardless of which rows came from the memo.
-            let (groups, multi_key) = self.epoch.blocking.candidate_pair_groups_counted(&new_ids);
-            let (unknown, known) = self.memo.split_known(groups);
-            let computed: u64 = unknown.iter().map(|g| g.len() as u64).sum();
-            let memo_hits = known.len() as u64;
-            let partitions = pack_pairs(&self.epoch.corpus, unknown, self.config.pair_partitions);
-            let (mut pairs, mut vectors) =
+            // groups) into op-weight-balanced partitions. The flattened
+            // output order depends on the packing, so sort by pair id to
+            // keep downstream results (and their digests) partition-free:
+            // the candidate pair set is duplicate-free, making the by-id
+            // sort a total order.
+            let groups = self.epoch.blocking.candidate_pair_groups(&new_ids);
+            let partitions = pack_pairs(&self.epoch.corpus, groups, self.config.pair_partitions);
+            let (pairs, vectors) =
                 pairwise_distance_batches(&self.cluster, &self.epoch.corpus, partitions)?;
-            for (row, pid) in pairs.iter().enumerate() {
-                self.memo.insert(*pid, vectors.row(row));
-            }
-            for (pid, v) in known {
-                pairs.push(pid);
-                vectors.push(0, &v, false);
-            }
-            // One prune event per batch: distance evaluations the posting
-            // lists collapsed (multi-key pairs enumerated once) plus the
-            // memo hits, against the evaluations actually submitted.
-            self.cluster.journal().record(EventKind::PruneApplied {
-                scope: "detect-new-memo".into(),
-                cells_skipped: 0,
-                bound_rejected: 0,
-                evals_done: computed,
-                evals_avoided: memo_hits + multi_key,
-                memo_hits,
-            });
             let mut idx: Vec<usize> = (0..pairs.len()).collect();
             idx.sort_unstable_by_key(|&i| (pairs[i], i));
             let sorted: Vec<PairId> = idx.iter().map(|&i| pairs[i]).collect();
@@ -415,10 +372,6 @@ impl DedupSystem {
     /// epoch, by pointer, and three marks — so a failed attempt can be
     /// rolled back and retried as if it never ran. Nothing is copied here;
     /// the attempt's first write to a snapshot the guard holds copies it.
-    /// The cross-batch [`DistanceMemo`] is deliberately *not* captured: a §4.2
-    /// distance is a pure function of its reports, so entries a failed
-    /// attempt left behind are bit-identical to recomputation and results
-    /// never see them.
     pub(crate) fn begin_batch(&self) -> BatchGuard {
         BatchGuard {
             epoch: self.epoch.clone(),
@@ -639,59 +592,6 @@ mod tests {
             "blocking should find (almost) everything the full scan finds: {} vs {}",
             found(&blocked),
             found(&full)
-        );
-    }
-
-    #[test]
-    fn memo_answers_resubmitted_reports_without_changing_results() {
-        // Two blocked systems on the same corpus, one with the cross-batch
-        // distance memo disabled. A re-submitted batch (unchanged follow-up
-        // versions) must be answered from the memo — zero distance-job
-        // evaluations — with bit-identical detections.
-        let build = |memo_pairs: usize| {
-            let ds = Dataset::generate(&SynthConfig::small(250, 15, 5));
-            let cluster = Cluster::local(2);
-            let config = DedupConfig {
-                bootstrap_negatives: 400,
-                use_blocking: true,
-                memo_pairs,
-                knn: fastknn::FastKnnConfig {
-                    theta: 0.0,
-                    b: 8,
-                    ..fastknn::FastKnnConfig::default()
-                },
-                ..DedupConfig::default()
-            };
-            (DedupSystem::new(cluster, config), ds)
-        };
-        let (mut with_memo, ds) = build(1 << 18);
-        let (mut no_memo, _) = build(0);
-        let base: Vec<AdrReport> = ds.reports.iter().take(240).cloned().collect();
-        let labelled: Vec<PairId> = ds
-            .duplicate_pairs
-            .iter()
-            .filter(|p| p.hi < 240)
-            .copied()
-            .collect();
-        with_memo.bootstrap(&base, &labelled).unwrap();
-        no_memo.bootstrap(&base, &labelled).unwrap();
-        let batch: Vec<AdrReport> = ds.reports.iter().skip(240).cloned().collect();
-        let a1 = with_memo.detect_new(&batch).unwrap();
-        let b1 = no_memo.detect_new(&batch).unwrap();
-        assert_eq!(a1, b1, "an empty memo must be invisible");
-        assert!(!a1.is_empty());
-        assert!(!with_memo.memo().is_empty(), "fresh rows are memoised");
-        assert_eq!(with_memo.memo().hits(), 0);
-        assert!(no_memo.memo().is_empty(), "capacity 0 disables the memo");
-        // Same reports again, unchanged: identical candidate pair set, all
-        // of it already memoised.
-        let a2 = with_memo.detect_new(&batch).unwrap();
-        let b2 = no_memo.detect_new(&batch).unwrap();
-        assert_eq!(a2, b2, "memo hits must be bit-identical to recomputation");
-        assert_eq!(
-            with_memo.memo().hits(),
-            a2.len() as u64,
-            "every re-submitted pair is answered from the memo"
         );
     }
 

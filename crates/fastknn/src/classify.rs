@@ -546,12 +546,10 @@ impl<const D: usize> FastKnn<D> {
         ];
         let delta = |i: usize| after[i].saturating_sub(before[i]);
         self.cluster.journal().record(EventKind::PruneApplied {
-            scope: "classify-block".into(),
             cells_skipped: delta(0),
             bound_rejected: delta(1),
             evals_avoided: delta(2),
             evals_done: delta(3) + delta(4) + delta(5),
-            memo_hits: 0,
         });
         Ok(out)
     }

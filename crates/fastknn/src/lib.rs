@@ -43,9 +43,7 @@ pub use prune::{
 };
 pub use score::{label_for, score_neighbors, SCORE_EPS};
 pub use select::{additional_partitions, additional_partitions_pruned_into};
-pub use soa::{
-    from_labeled, from_unlabeled, to_labeled, to_unlabeled, ClassifyScratch, ScratchPool, VecBatch,
-};
+pub use soa::{from_unlabeled, to_labeled, ClassifyScratch, ScratchPool, VecBatch};
 pub use spill::register_spill_codecs;
 pub use stage1::{stage1_row, Stage1Row};
 pub use types::{LabeledPair, Neighborhood, ScoredPair, UnlabeledPair, PAIR_DIMS};

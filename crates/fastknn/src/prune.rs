@@ -36,7 +36,7 @@
 //! always stay inside the window, and (b) the neighbourhood is a function
 //! of the candidate *set*, never of evaluation order.
 
-use crate::soa::{distances_to_point, distances_to_point_range, VecBatch};
+use crate::soa::{distances_to_point_range, VecBatch};
 use crate::types::{LabeledPair, Neighborhood, UnlabeledPair, PAIR_DIMS};
 use mlcore::kmeans::KMeans;
 use simmetrics::{euclidean_fixed, squared_euclidean_fixed};
@@ -162,34 +162,6 @@ impl<const D: usize> TestPruner<D> {
             }
         }
         PruneOutcome { kept, pruned }
-    }
-
-    /// Prune a column batch: one tiled distance sweep per positive-cluster
-    /// ball instead of a centre loop per test pair. Returns the kept rows
-    /// (original order) and the pruned count; membership is identical to
-    /// [`TestPruner::keep`].
-    pub fn prune_batch(&self, test: &VecBatch<D>, f_theta: f64) -> (VecBatch<D>, usize) {
-        let mut keep = vec![false; test.len()];
-        let mut dists: Vec<f64> = Vec::with_capacity(test.len());
-        for (c, r) in self.centers.iter().zip(&self.radii) {
-            let rf = r + f_theta;
-            if rf < 0.0 {
-                continue;
-            }
-            distances_to_point(test, c, &mut dists);
-            let bound = rf * rf;
-            for (m, &d_sq) in keep.iter_mut().zip(&dists) {
-                *m = *m || d_sq <= bound;
-            }
-        }
-        let mut kept = VecBatch::with_capacity(keep.iter().filter(|&&m| m).count());
-        for (i, &m) in keep.iter().enumerate() {
-            if m {
-                kept.push(test.id(i), &test.row(i), test.label(i));
-            }
-        }
-        let pruned = test.len() - kept.len();
-        (kept, pruned)
     }
 }
 
@@ -543,26 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn prune_batch_matches_row_prune() {
-        let pruner = TestPruner::build(&positives(), 2, 7);
-        let mut rng = StdRng::seed_from_u64(4);
-        let test: Vec<UnlabeledPair<2>> = (0..300)
-            .map(|i| UnlabeledPair::new(i, [rng.gen_range(0.0..1.5), rng.gen_range(0.0..1.5)]))
-            .collect();
-        let batch = crate::soa::from_unlabeled(&test);
-        for f in [-2.0, -0.3, 0.0, 0.1, 0.5, 10.0] {
-            let rows = pruner.prune(&test, f);
-            let (kept, pruned) = pruner.prune_batch(&batch, f);
-            assert_eq!(pruned, rows.pruned, "pruned count diverged at f={f}");
-            assert_eq!(
-                crate::soa::to_unlabeled(&kept),
-                rows.kept,
-                "kept set diverged at f={f}"
-            );
-        }
-    }
-
-    #[test]
     fn keep_ratio_math() {
         let outcome = PruneOutcome {
             kept: vec![UnlabeledPair::new(0, [0.0])],
@@ -584,6 +536,7 @@ mod tests {
 
     mod cell_scan {
         use super::super::*;
+        use crate::soa::distances_to_point;
         use proptest::prelude::*;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};

@@ -12,22 +12,10 @@
 //! * [`ScratchPool`], a lock-guarded arena handing one scratch per running
 //!   task to the shared `Fn` closures of the distributed classifier.
 
-pub use simmetrics::soa::{
-    assign_min, distances_block, distances_to_point, distances_to_point_range, VecBatch, TILE_COLS,
-    TILE_ROWS,
-};
+pub use simmetrics::soa::{assign_min, distances_to_point, distances_to_point_range, VecBatch};
 
 use crate::types::{LabeledPair, Neighborhood, UnlabeledPair};
 use std::sync::Mutex;
-
-/// Pack labelled pairs into a column batch (row order preserved).
-pub fn from_labeled<const D: usize>(pairs: &[LabeledPair<D>]) -> VecBatch<D> {
-    let mut batch = VecBatch::with_capacity(pairs.len());
-    for p in pairs {
-        batch.push(p.id, &p.vector, p.positive);
-    }
-    batch
-}
 
 /// Pack unlabelled (test) pairs into a column batch (row order preserved).
 pub fn from_unlabeled<const D: usize>(pairs: &[UnlabeledPair<D>]) -> VecBatch<D> {
@@ -42,13 +30,6 @@ pub fn from_unlabeled<const D: usize>(pairs: &[UnlabeledPair<D>]) -> VecBatch<D>
 pub fn to_labeled<const D: usize>(batch: &VecBatch<D>) -> Vec<LabeledPair<D>> {
     (0..batch.len())
         .map(|i| LabeledPair::new(batch.id(i), batch.row(i), batch.label(i)))
-        .collect()
-}
-
-/// Unpack a batch back into unlabelled rows (labels dropped).
-pub fn to_unlabeled<const D: usize>(batch: &VecBatch<D>) -> Vec<UnlabeledPair<D>> {
-    (0..batch.len())
-        .map(|i| UnlabeledPair::new(batch.id(i), batch.row(i)))
         .collect()
 }
 
@@ -116,8 +97,10 @@ mod tests {
         let pairs: Vec<LabeledPair<3>> = (0..17)
             .map(|i| LabeledPair::new(i, [i as f64, -(i as f64), 0.5], i % 3 == 0))
             .collect();
-        let batch = from_labeled(&pairs);
-        assert_eq!(batch.len(), pairs.len());
+        let mut batch = VecBatch::new();
+        for p in &pairs {
+            batch.push(p.id, &p.vector, p.positive);
+        }
         assert_eq!(to_labeled(&batch), pairs);
     }
 
@@ -127,7 +110,11 @@ mod tests {
             .map(|i| UnlabeledPair::new(100 + i, [0.25 * i as f64, 1.0]))
             .collect();
         let batch = from_unlabeled(&pairs);
-        assert_eq!(to_unlabeled(&batch), pairs);
+        let back: Vec<UnlabeledPair<2>> = (0..batch.len())
+            .map(|i| UnlabeledPair::new(batch.id(i), batch.row(i)))
+            .collect();
+        assert_eq!(back, pairs);
+        assert!(batch.labels().iter().all(|&l| !l));
     }
 
     #[test]

@@ -52,36 +52,37 @@ pub fn register_spill_codecs<const D: usize>(spill: &SpillManager) {
 fn encode_hoods(items: &[(u64, Neighborhood)], out: &mut Vec<u8>) {
     for (id, hood) in items {
         id.write_to(out);
-        (hood.k as u64).write_to(out);
-        (hood.entries.len() as u64).write_to(out);
-        for &(d_sq, cand, pos) in &hood.entries {
-            d_sq.write_to(out);
-            cand.write_to(out);
-            out.push(pos as u8);
+        hood.k.write_to(out);
+        hood.entries.len().write_to(out);
+        for entry in &hood.entries {
+            entry.write_to(out);
         }
     }
 }
 
-fn decode_hoods(bytes: &[u8]) -> Option<Vec<(u64, Neighborhood)>> {
+/// Encoded width of one neighbourhood entry: `d_sq`, candidate id, label.
+const HOOD_ENTRY_BYTES: usize = <(f64, u64, bool)>::WIDTH;
+
+fn decode_hoods(mut bytes: &[u8]) -> Option<Vec<(u64, Neighborhood)>> {
     let mut v = Vec::new();
-    let mut at = 0;
-    while at < bytes.len() {
-        let id = u64::read_from(bytes.get(at..at + 8)?);
-        let k = u64::read_from(bytes.get(at + 8..at + 16)?) as usize;
-        let n = u64::read_from(bytes.get(at + 16..at + 24)?) as usize;
-        at += 24;
-        let mut hood = Neighborhood::new(k);
+    while !bytes.is_empty() {
+        let id = u64::take_from(&mut bytes)?;
+        let k = usize::take_from(&mut bytes)?;
+        let n = usize::take_from(&mut bytes)?;
+        // The header is untrusted: a hood never holds more than `k`
+        // entries, and the entries must fit in what is left. Only then is
+        // anything allocated — and for `n`, never for `k`.
+        if n > k || n > bytes.len() / HOOD_ENTRY_BYTES {
+            return None;
+        }
+        let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             // Entries were written in sorted order; reload verbatim instead
             // of re-inserting (push_sq would re-derive the same order, but
             // verbatim reload cannot even in principle perturb it).
-            let d_sq = f64::read_from(bytes.get(at..at + 8)?);
-            let cand = u64::read_from(bytes.get(at + 8..at + 16)?);
-            let pos = *bytes.get(at + 16)? != 0;
-            at += 17;
-            hood.entries.push((d_sq, cand, pos));
+            entries.push(<(f64, u64, bool)>::take_from(&mut bytes)?);
         }
-        v.push((id, hood));
+        v.push((id, Neighborhood { k, entries }));
     }
     Some(v)
 }
@@ -96,8 +97,7 @@ fn encode_cells<const D: usize>(items: &[(usize, Arc<VecBatch<D>>)], out: &mut V
 fn decode_cells<const D: usize>(mut bytes: &[u8]) -> Option<Vec<(usize, Arc<VecBatch<D>>)>> {
     let mut v = Vec::new();
     while !bytes.is_empty() {
-        let cid = usize::read_from(bytes.get(..8)?);
-        bytes = &bytes[8..];
+        let cid = usize::take_from(&mut bytes)?;
         // encode_columns is self-delimiting: decoding consumes its span.
         v.push((cid, Arc::new(VecBatch::<D>::decode_columns(&mut bytes)?)));
     }
@@ -230,6 +230,92 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `items` encoded one record at a time, with the byte offset each
+    /// record ends at; the whole-slab encoding must be their concatenation.
+    fn framed<T>(items: &[T], encode: impl Fn(&[T], &mut Vec<u8>)) -> (Vec<u8>, Vec<usize>) {
+        let mut bytes = Vec::new();
+        let mut ends = Vec::new();
+        for item in items {
+            encode(std::slice::from_ref(item), &mut bytes);
+            ends.push(bytes.len());
+        }
+        let mut whole = Vec::new();
+        encode(items, &mut whole);
+        assert_eq!(whole, bytes);
+        (bytes, ends)
+    }
+
+    fn fixed_framed<T: FixedBytes>(items: &[T]) -> (Vec<u8>, Vec<usize>) {
+        framed(items, |items, out| {
+            items.iter().for_each(|x| x.write_to(out))
+        })
+    }
+
+    /// Every prefix and every one-byte flip of an encoded slab through the
+    /// codec registered for `T`, as a spill file cut short or garbled on
+    /// disk would hand them to it: nothing panics or aborts, a cut inside a
+    /// record is refused, and a cut between records decodes to exactly the
+    /// records before it.
+    fn sweep<T: Send + Sync + 'static>(m: &SpillManager, (bytes, ends): (Vec<u8>, Vec<usize>)) {
+        let records = |b: &[u8]| {
+            m.decode::<T>(b).map(|any| {
+                <dyn std::any::Any>::downcast_ref::<Vec<T>>(&*any)
+                    .expect("payload type")
+                    .len()
+            })
+        };
+        assert_eq!(records(&bytes), Some(ends.len()));
+        for cut in 0..bytes.len() {
+            let whole = match cut {
+                0 => Some(0),
+                _ => ends.iter().position(|&end| end == cut).map(|i| i + 1),
+            };
+            assert_eq!(records(&bytes[..cut]), whole, "cut at byte {cut}");
+        }
+        let mut garbled = bytes.clone();
+        for at in 0..bytes.len() {
+            garbled[at] ^= 0xFF;
+            let _ = records(&garbled);
+            garbled[at] ^= 0xFF;
+        }
+    }
+
+    #[test]
+    fn every_cut_and_flipped_byte_decodes_or_is_refused_without_a_panic() {
+        let m = mgr();
+        let pairs: Vec<(usize, UnlabeledPair<4>)> = (0..3)
+            .map(|i| (i, UnlabeledPair::new(i as u64, [0.5, -0.0, f64::NAN, 2.0])))
+            .collect();
+        sweep::<(usize, UnlabeledPair<4>)>(&m, fixed_framed(&pairs));
+        type Probe = (usize, (u64, [f64; 4], f64));
+        let probes: Vec<Probe> = (0..3)
+            .map(|i| (i, (7 + i as u64, [0.25; 4], f64::INFINITY)))
+            .collect();
+        sweep::<Probe>(&m, fixed_framed(&probes));
+
+        // A full hood, an empty one with a real k, a partly filled one: a
+        // flip in the high bytes of `k` or `n` must be refused, not sized.
+        let mut full = Neighborhood::new(2);
+        full.push_sq(1.0, 5, true);
+        full.push_sq(2.0, 9, false);
+        let mut part = Neighborhood::new(9);
+        part.push_sq(0.5, 3, false);
+        let hoods = vec![(11u64, full), (22, Neighborhood::new(7)), (33, part)];
+        sweep::<(u64, Neighborhood)>(&m, framed(&hoods, encode_hoods));
+
+        let mut cell = VecBatch::<4>::new();
+        cell.push(1, &[0.1, 0.2, 0.3, 0.4], false);
+        cell.push(2, &[f64::MIN_POSITIVE, -1.0, 0.0, 9.9], true);
+        let cells = vec![(3usize, Arc::new(cell)), (4, Arc::new(VecBatch::new()))];
+        sweep::<(usize, Arc<VecBatch<4>>)>(&m, framed(&cells, encode_cells::<4>));
+
+        // Two of the engine's pre-registered fixed codecs.
+        let scalars: Vec<(u64, f64)> = vec![(1, 0.5), (2, f64::NAN)];
+        sweep::<(u64, f64)>(&m, fixed_framed(&scalars));
+        let rows: Vec<[f64; 8]> = vec![[0.125; 8], [-1.0; 8]];
+        sweep::<[f64; 8]>(&m, fixed_framed(&rows));
     }
 
     #[test]

@@ -1,11 +1,8 @@
 //! # mlcore — learning primitives for duplicate detection
 //!
-//! The machine-learning substrate the paper builds on:
+//! The machine-learning substrate the paper builds on (the kNN itself —
+//! brute force, Voronoi-partitioned, Eq. 5 scoring — lives in `fastknn`):
 //!
-//! * [`knn`] — exact brute-force k-nearest-neighbour search and the plain
-//!   majority-vote kNN classifier of the paper's Eq. 1 (the Fast kNN of
-//!   §4.3 lives in the `fastknn` crate and layers Voronoi partitioning and
-//!   Eq. 5 scoring on top of these primitives);
 //! * [`kmeans`] — Lloyd's algorithm with k-means++ seeding, used both to
 //!   Voronoi-partition training pairs (§4.3.1) and to cluster positive
 //!   pairs for test-set pruning (§4.3.4);
@@ -13,19 +10,12 @@
 //!   stochastic sub-gradient descent: the comparison baseline of §5.2.1,
 //!   plus the cluster-sampled "SVM clustering" variant of Fig. 5(c);
 //! * [`eval`] — precision–recall curves and area-under-PR (§5.2.2's metric
-//!   of choice for heavily imbalanced data);
-//! * [`sample`] — seeded shuffling, stratified splits and negative
-//!   down-sampling (the workflow keeps *all* positives but only a sample of
-//!   negatives, Fig. 1).
+//!   of choice for heavily imbalanced data).
 
 pub mod eval;
 pub mod kmeans;
-pub mod knn;
-pub mod sample;
 pub mod svm;
 
 pub use eval::{average_precision, pr_curve, PrPoint};
 pub use kmeans::{KMeans, KMeansModel};
-pub use knn::{nearest_neighbors, KnnClassifier, Neighbor};
-pub use sample::{downsample_negatives, train_test_split};
 pub use svm::{LinearSvm, SvmConfig};

@@ -4,22 +4,11 @@
 //! > the same, the distance is 0, otherwise 1. The same calculation applies
 //! > to categorical field types. For fields of string type, we use Jaccard
 //! > similarity coefficient to measure the distance."
+//!
+//! The 0/1 rules live here; the string rule is Jaccard over interned token
+//! sets ([`crate::jaccard_distance_sorted`]).
 
-use crate::token::jaccard_distance;
-use serde::{Deserialize, Serialize};
-
-/// How a field participates in distance computation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FieldKind {
-    /// Numeric field: exact-match 0/1 distance.
-    Numeric,
-    /// Categorical field (sex, state, onset date, …): exact-match 0/1.
-    Categorical,
-    /// String field: Jaccard distance over token sets.
-    Text,
-}
-
-/// Field-level distance dispatcher implementing the paper's rules.
+/// Field-level distance dispatcher implementing the paper's 0/1 rules.
 ///
 /// Missing values: when *both* sides are missing the field carries no
 /// signal and we define the distance as 0 (the WHO hit–miss practice);
@@ -45,19 +34,6 @@ impl FieldDistance {
             _ => 1.0,
         }
     }
-
-    /// Jaccard distance over pre-tokenised string fields (Eq. 4).
-    pub fn text(a: &[String], b: &[String]) -> f64 {
-        jaccard_distance(a, b)
-    }
-
-    /// Jaccard distance treating a raw string as whitespace tokens — for
-    /// short fields (drug names, ADR names) that need no NLP pipeline.
-    pub fn text_raw(a: &str, b: &str) -> f64 {
-        let ta: Vec<&str> = a.split_whitespace().collect();
-        let tb: Vec<&str> = b.split_whitespace().collect();
-        jaccard_distance(&ta, &tb)
-    }
 }
 
 #[cfg(test)]
@@ -82,32 +58,25 @@ mod tests {
 
     #[test]
     fn text_rule_is_jaccard() {
-        let a = vec!["rhabdomyolysis".to_string()];
-        let b = vec!["rhabdomyolysis".to_string()];
-        assert_eq!(FieldDistance::text(&a, &b), 0.0);
-        let c = vec!["vomiting".to_string(), "pyrexia".to_string()];
-        let d = vec!["vomiting".to_string(), "cough".to_string()];
-        // inter 1, union 3 -> distance 2/3
-        assert!((FieldDistance::text(&c, &d) - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn text_raw_tokenises_on_whitespace() {
-        let d = FieldDistance::text_raw("influenza vaccine", "influenza vaccine dtpa");
-        assert!((d - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(FieldDistance::text_raw("", ""), 0.0);
+        // String fields are sorted interned token ids by the time they are
+        // compared; the rule is Jaccard distance over them.
+        let rhabdo: &[u32] = &[7];
+        assert_eq!(crate::jaccard_distance_sorted(rhabdo, rhabdo), 0.0);
+        // {vomiting, pyrexia} vs {vomiting, cough}: inter 1, union 3.
+        let (vomiting, pyrexia, cough) = (1u32, 2u32, 3u32);
+        let d = crate::jaccard_distance_sorted(&[vomiting, pyrexia], &[vomiting, cough]);
+        assert!((d - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn table1_example_fields() {
-        // Report A vs B from the paper's Table 1(a): same age/sex/drug/ADR,
-        // different outcome description.
+        // Report A vs B from the paper's Table 1(a): same age/sex, different
+        // outcome description.
         assert_eq!(FieldDistance::numeric(Some(46.0), Some(46.0)), 0.0);
         assert_eq!(FieldDistance::categorical(Some("M"), Some("M")), 0.0);
         assert_eq!(
             FieldDistance::categorical(Some("Unknown"), Some("Recovered")),
             1.0
         );
-        assert_eq!(FieldDistance::text_raw("Atorvastatin", "Atorvastatin"), 0.0);
     }
 }

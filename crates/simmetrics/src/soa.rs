@@ -18,12 +18,12 @@
 //! counterpart — the property the kNN total order `(distance², id)` and the
 //! seeded k-means digests rely on, pinned by this module's proptests.
 //!
-//! **Tiling.** The block kernels tile twice. Points are walked in
-//! [`TILE_COLS`]-wide column tiles (8 columns × 256 points × 8 B = 16 KiB —
-//! L1-resident), so each point tile is re-streamed from L1 rather than from
-//! memory. Queries (or centres) are register-blocked [`TILE_ROWS`] at a
+//! **Tiling.** The block kernel, [`assign_min`], tiles twice. Points are
+//! walked in [`TILE_COLS`]-wide column tiles (8 columns × 256 points × 8 B
+//! = 16 KiB — L1-resident), so each point tile is re-streamed from L1 rather
+//! than from memory. Centres are register-blocked [`TILE_ROWS`] at a
 //! time: every column load is reused for all [`TILE_ROWS`] accumulators,
-//! and because the per-query dimension chains are mutually independent they
+//! and because the per-centre dimension chains are mutually independent they
 //! pipeline through the FP units instead of stalling on add latency — the
 //! same register-tiling that dense linear-algebra kernels use.
 
@@ -32,7 +32,7 @@
 /// alongside the accumulator tile.
 pub const TILE_COLS: usize = 256;
 
-/// Queries (or centres) per register block of a block kernel: one column
+/// Centres per register block of [`assign_min`]: one column
 /// load feeds `TILE_ROWS` independent accumulator chains, hiding FP-add
 /// latency while keeping the accumulators (`TILE_ROWS` vector registers
 /// once the point loop vectorizes) within the register file.
@@ -105,15 +105,6 @@ impl<const D: usize> VecBatch<D> {
     /// Is the batch empty?
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
-    }
-
-    /// Drop all rows, keeping every column's allocation (scratch reuse).
-    pub fn clear(&mut self) {
-        self.ids.clear();
-        self.labels.clear();
-        for col in &mut self.cols {
-            col.clear();
-        }
     }
 
     /// Column `d` (one value per row).
@@ -317,61 +308,6 @@ pub fn distances_to_point_range<const D: usize>(
     }
 }
 
-/// M×N squared-distance block: `out[r * points.len() + c]` is the squared
-/// Euclidean distance from query row `r` to point row `c`.
-///
-/// Register-tiled [`TILE_ROWS`]×[`TILE_COLS`]: within an L1-resident point
-/// tile, [`TILE_ROWS`] queries share every column load and carry
-/// [`TILE_ROWS`] independent accumulator chains through the point loop —
-/// the chains hide FP-add latency and the loop vectorizes across points.
-/// Bit-identical to the scalar per-pair kernel (see module docs).
-pub fn distances_block<const D: usize>(
-    queries: &VecBatch<D>,
-    points: &VecBatch<D>,
-    out: &mut Vec<f64>,
-) {
-    let m = queries.len();
-    let n = points.len();
-    out.clear();
-    out.resize(m * n, 0.0);
-    let cols: [&[f64]; D] = std::array::from_fn(|d| &points.col(d)[..n]);
-    let mut t0 = 0;
-    while t0 < n {
-        let t1 = (t0 + TILE_COLS).min(n);
-        let mut r0 = 0;
-        while r0 + TILE_ROWS <= m {
-            let qb: [[f64; D]; TILE_ROWS] = std::array::from_fn(|q| queries.row(r0 + q));
-            for i in t0..t1 {
-                let mut acc = [0.0f64; TILE_ROWS];
-                for (d, col) in cols.iter().enumerate() {
-                    let x = col[i];
-                    for (a, qr) in acc.iter_mut().zip(&qb) {
-                        let diff = x - qr[d];
-                        *a += diff * diff;
-                    }
-                }
-                for (q, &a) in acc.iter().enumerate() {
-                    out[(r0 + q) * n + i] = a;
-                }
-            }
-            r0 += TILE_ROWS;
-        }
-        // Remainder queries (fewer than a register block): one row each.
-        for r in r0..m {
-            let qr = queries.row(r);
-            for i in t0..t1 {
-                let mut a = 0.0;
-                for (col, &qd) in cols.iter().zip(qr.iter()) {
-                    let diff = col[i] - qd;
-                    a += diff * diff;
-                }
-                out[r * n + i] = a;
-            }
-        }
-        t0 = t1;
-    }
-}
-
 /// Fused centre assignment: for every row of `points`, the index and
 /// squared distance of its nearest centre (first index wins ties, strict
 /// `<` — the exact semantics of `mlcore::kmeans::nearest_centroid`).
@@ -508,30 +444,6 @@ mod tests {
                     squared_euclidean_fixed(r, &q).to_bits(),
                     "row {i} of {n}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn distances_block_matches_scalar_at_tile_boundaries() {
-        let mut out = Vec::new();
-        for m in boundary_sizes() {
-            for n in [0usize, 1, TILE_COLS - 1, TILE_COLS + 1] {
-                let qs = rows(m, 5);
-                let ps = rows(n, 23);
-                let queries = VecBatch::<8>::from_rows(&qs);
-                let points = VecBatch::<8>::from_rows(&ps);
-                distances_block(&queries, &points, &mut out);
-                assert_eq!(out.len(), m * n);
-                for (r, q) in qs.iter().enumerate() {
-                    for (c, p) in ps.iter().enumerate() {
-                        assert_eq!(
-                            out[r * n + c].to_bits(),
-                            squared_euclidean_fixed(q, p).to_bits(),
-                            "({r},{c}) of {m}x{n}"
-                        );
-                    }
-                }
             }
         }
     }
@@ -690,16 +602,11 @@ mod tests {
                 .map(|_| std::array::from_fn(|_| rng.gen_range(-100.0..100.0)))
                 .collect();
             let points = VecBatch::<4>::from_rows(&pts);
-            let queries = VecBatch::<4>::from_rows(&qs);
-            let mut out = Vec::new();
-            distances_block(&queries, &points, &mut out);
             let mut row = Vec::new();
-            for (r, q) in qs.iter().enumerate() {
+            for q in &qs {
                 distances_to_point(&points, q, &mut row);
                 for (c, p) in pts.iter().enumerate() {
-                    let scalar = squared_euclidean_fixed(q, p);
-                    prop_assert_eq!(out[r * pts.len() + c].to_bits(), scalar.to_bits());
-                    prop_assert_eq!(row[c].to_bits(), scalar.to_bits());
+                    prop_assert_eq!(row[c].to_bits(), squared_euclidean_fixed(q, p).to_bits());
                 }
             }
             let (mut idx, mut d2) = (Vec::new(), Vec::new());

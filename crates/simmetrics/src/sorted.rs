@@ -1,15 +1,14 @@
-//! Set similarities over **sorted, deduplicated** slices.
+//! Set operations over **sorted, deduplicated** slices.
 //!
-//! These are the allocation-free counterparts of the generic `HashSet`-based
-//! metrics in [`crate::token`]: operands are pre-sorted deduplicated slices
-//! (interned `u32` token ids in the dedup pipeline) and the intersection size
-//! comes from a single merge walk — no allocation, no hashing, no string
-//! bytes touched at comparison time. The `HashSet` versions stay as the
-//! reference oracle; property tests assert exact agreement.
-//!
-//! Every function follows the same empty-set conventions as `token`:
-//! two empty sets are identical (similarity 1), an empty vs non-empty set has
-//! similarity 0.
+//! The Jaccard kernels here are the allocation-free counterparts of the
+//! `HashSet`-based reference in [`crate::token`]: operands are pre-sorted
+//! deduplicated slices (interned `u32` token ids in the dedup pipeline) and
+//! the intersection size comes from a single merge walk — no allocation, no
+//! hashing, no string bytes touched at comparison time. Property tests
+//! assert exact agreement with the reference, including its empty-set
+//! convention: two empty sets are identical (similarity 1), an empty vs
+//! non-empty set has similarity 0. The galloping intersection and k-way
+//! union build the blocking index's candidate sets.
 
 /// `|A ∩ B|` for sorted deduplicated slices, by merge walk.
 #[inline]
@@ -48,38 +47,6 @@ pub fn jaccard_similarity_sorted<T: Ord>(a: &[T], b: &[T]) -> f64 {
 #[inline]
 pub fn jaccard_distance_sorted<T: Ord>(a: &[T], b: &[T]) -> f64 {
     1.0 - jaccard_similarity_sorted(a, b)
-}
-
-/// Sørensen–Dice coefficient over sorted deduplicated slices.
-#[inline]
-pub fn dice_sorted<T: Ord>(a: &[T], b: &[T]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    2.0 * intersection_size_sorted(a, b) as f64 / (a.len() + b.len()) as f64
-}
-
-/// Overlap coefficient over sorted deduplicated slices.
-#[inline]
-pub fn overlap_coefficient_sorted<T: Ord>(a: &[T], b: &[T]) -> f64 {
-    let min = a.len().min(b.len());
-    if min == 0 {
-        return if a.len().max(b.len()) == 0 { 1.0 } else { 0.0 };
-    }
-    intersection_size_sorted(a, b) as f64 / min as f64
-}
-
-/// Cosine similarity between token sets (binary weights) over sorted
-/// deduplicated slices.
-#[inline]
-pub fn cosine_tokens_sorted<T: Ord>(a: &[T], b: &[T]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    intersection_size_sorted(a, b) as f64 / ((a.len() as f64) * (b.len() as f64)).sqrt()
 }
 
 /// Exponential (galloping) search: smallest index in `a[lo..]` whose element
@@ -170,7 +137,7 @@ pub fn union_k_sorted_into<T: Ord + Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::token::{cosine_tokens, dice, jaccard_similarity, overlap_coefficient};
+    use crate::token::{jaccard_distance, jaccard_similarity};
     use proptest::prelude::*;
     use textprep::TokenInterner;
 
@@ -236,9 +203,7 @@ mod tests {
             let ia = interner.intern_set(&a);
             let ib = interner.intern_set(&b);
             prop_assert_eq!(jaccard_similarity_sorted(&ia, &ib), jaccard_similarity(&a, &b));
-            prop_assert_eq!(dice_sorted(&ia, &ib), dice(&a, &b));
-            prop_assert_eq!(overlap_coefficient_sorted(&ia, &ib), overlap_coefficient(&a, &b));
-            prop_assert_eq!(cosine_tokens_sorted(&ia, &ib), cosine_tokens(&a, &b));
+            prop_assert_eq!(jaccard_distance_sorted(&ia, &ib), jaccard_distance(&a, &b));
         }
 
         // Same agreement without an interner: sorted string slices.
@@ -250,9 +215,7 @@ mod tests {
             let sa = sorted_set(&a);
             let sb = sorted_set(&b);
             prop_assert_eq!(jaccard_similarity_sorted(&sa, &sb), jaccard_similarity(&a, &b));
-            prop_assert_eq!(dice_sorted(&sa, &sb), dice(&a, &b));
-            prop_assert_eq!(overlap_coefficient_sorted(&sa, &sb), overlap_coefficient(&a, &b));
-            prop_assert_eq!(cosine_tokens_sorted(&sa, &sb), cosine_tokens(&a, &b));
+            prop_assert_eq!(jaccard_distance_sorted(&sa, &sb), jaccard_distance(&a, &b));
         }
 
         // Galloping intersection agrees element-for-element with the HashSet

@@ -1,23 +1,20 @@
-//! Set-based similarities over token collections.
+//! Set-based similarity over token collections.
 //!
 //! The paper's Eq. 4 measures string fields with the Jaccard coefficient
-//! over token sets: `d(S1, S2) = 1 − |S1 ∩ S2| / |S1 ∪ S2|`.
+//! over token sets: `d(S1, S2) = 1 − |S1 ∩ S2| / |S1 ∪ S2|`. This `HashSet`
+//! version is the reference the sorted-slice kernels of [`crate::sorted`]
+//! are checked against.
 
 use std::collections::HashSet;
 use std::hash::Hash;
 
-fn intersection_union<T: Hash + Eq>(a: &[T], b: &[T]) -> (usize, usize, usize, usize) {
+/// Jaccard similarity `|A ∩ B| / |A ∪ B|` over the *sets* of tokens.
+/// Two empty collections are defined as identical (similarity 1).
+pub fn jaccard_similarity<T: Hash + Eq>(a: &[T], b: &[T]) -> f64 {
     let sa: HashSet<&T> = a.iter().collect();
     let sb: HashSet<&T> = b.iter().collect();
     let inter = sa.intersection(&sb).count();
     let union = sa.len() + sb.len() - inter;
-    (inter, union, sa.len(), sb.len())
-}
-
-/// Jaccard similarity `|A ∩ B| / |A ∪ B|` over the *sets* of tokens.
-/// Two empty collections are defined as identical (similarity 1).
-pub fn jaccard_similarity<T: Hash + Eq>(a: &[T], b: &[T]) -> f64 {
-    let (inter, union, ..) = intersection_union(a, b);
     if union == 0 {
         return 1.0;
     }
@@ -27,38 +24,6 @@ pub fn jaccard_similarity<T: Hash + Eq>(a: &[T], b: &[T]) -> f64 {
 /// Jaccard distance, the paper's Eq. 4: `1 − jaccard_similarity`.
 pub fn jaccard_distance<T: Hash + Eq>(a: &[T], b: &[T]) -> f64 {
     1.0 - jaccard_similarity(a, b)
-}
-
-/// Sørensen–Dice coefficient `2|A ∩ B| / (|A| + |B|)` over token sets.
-pub fn dice<T: Hash + Eq>(a: &[T], b: &[T]) -> f64 {
-    let (inter, _, la, lb) = intersection_union(a, b);
-    if la + lb == 0 {
-        return 1.0;
-    }
-    2.0 * inter as f64 / (la + lb) as f64
-}
-
-/// Overlap coefficient `|A ∩ B| / min(|A|, |B|)` over token sets.
-pub fn overlap_coefficient<T: Hash + Eq>(a: &[T], b: &[T]) -> f64 {
-    let (inter, _, la, lb) = intersection_union(a, b);
-    let min = la.min(lb);
-    if min == 0 {
-        return if la.max(lb) == 0 { 1.0 } else { 0.0 };
-    }
-    inter as f64 / min as f64
-}
-
-/// Cosine similarity between token *sets* (binary weights):
-/// `|A ∩ B| / sqrt(|A| · |B|)`.
-pub fn cosine_tokens<T: Hash + Eq>(a: &[T], b: &[T]) -> f64 {
-    let (inter, _, la, lb) = intersection_union(a, b);
-    if la == 0 && lb == 0 {
-        return 1.0;
-    }
-    if la == 0 || lb == 0 {
-        return 0.0;
-    }
-    inter as f64 / ((la as f64) * (lb as f64)).sqrt()
 }
 
 #[cfg(test)]
@@ -93,49 +58,27 @@ mod tests {
         assert_eq!(jaccard_similarity::<&str>(&e, &e), 1.0);
         assert_eq!(jaccard_distance::<&str>(&e, &e), 0.0);
         assert_eq!(jaccard_similarity(&e, &toks("a b")), 0.0);
-        assert_eq!(dice::<&str>(&e, &e), 1.0);
-        assert_eq!(overlap_coefficient::<&str>(&e, &e), 1.0);
-        assert_eq!(overlap_coefficient(&e, &toks("a")), 0.0);
-        assert_eq!(cosine_tokens::<&str>(&e, &e), 1.0);
-        assert_eq!(cosine_tokens(&e, &toks("a")), 0.0);
-    }
-
-    #[test]
-    fn dice_and_overlap_known() {
-        let a = toks("a b c");
-        let b = toks("b c d");
-        assert!((dice(&a, &b) - 4.0 / 6.0).abs() < 1e-12);
-        assert!((overlap_coefficient(&a, &b) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((cosine_tokens(&a, &b) - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(jaccard_distance(&toks("a b"), &e), 1.0);
     }
 
     proptest! {
         #[test]
         fn all_in_unit_interval(a in prop::collection::vec("[a-d]{1,2}", 0..8),
                                 b in prop::collection::vec("[a-d]{1,2}", 0..8)) {
-            for v in [jaccard_similarity(&a, &b), dice(&a, &b),
-                      overlap_coefficient(&a, &b), cosine_tokens(&a, &b)] {
-                prop_assert!((0.0..=1.0 + 1e-12).contains(&v));
-            }
+            prop_assert!((0.0..=1.0).contains(&jaccard_similarity(&a, &b)));
+            prop_assert!((0.0..=1.0).contains(&jaccard_distance(&a, &b)));
         }
 
         #[test]
         fn symmetric(a in prop::collection::vec("[a-d]{1,2}", 0..8),
                      b in prop::collection::vec("[a-d]{1,2}", 0..8)) {
             prop_assert_eq!(jaccard_similarity(&a, &b), jaccard_similarity(&b, &a));
-            prop_assert_eq!(dice(&a, &b), dice(&b, &a));
         }
 
         #[test]
         fn self_similarity(a in prop::collection::vec("[a-d]{1,2}", 1..8)) {
             prop_assert_eq!(jaccard_similarity(&a, &a), 1.0);
-            prop_assert_eq!(dice(&a, &a), 1.0);
-        }
-
-        #[test]
-        fn overlap_dominates_jaccard(a in prop::collection::vec("[a-d]{1,2}", 1..8),
-                                     b in prop::collection::vec("[a-d]{1,2}", 1..8)) {
-            prop_assert!(overlap_coefficient(&a, &b) >= jaccard_similarity(&a, &b) - 1e-12);
+            prop_assert_eq!(jaccard_distance(&a, &a), 0.0);
         }
     }
 }

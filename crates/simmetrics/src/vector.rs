@@ -2,10 +2,12 @@
 //!
 //! The paper compares report pairs by the Euclidean distance between their
 //! field-distance vectors (§4.2); k-means and the hyperplane bound of Eq. 7
-//! run in the same space.
+//! run in the same space. The fixed-arity kernels are the ones the
+//! classifier runs; the slice versions are the reference its tests check
+//! them against.
 
-/// Squared Euclidean distance — the workhorse for nearest-neighbour ranking
-/// and k-means assignment (monotone in [`euclidean`], no `sqrt`).
+/// Squared Euclidean distance over slices (monotone in [`euclidean`], no
+/// `sqrt`).
 ///
 /// # Panics
 /// Panics when lengths differ: mixed-arity distance vectors indicate a bug
@@ -56,42 +58,6 @@ pub fn euclidean_fixed<const D: usize>(a: &[f64; D], b: &[f64; D]) -> f64 {
     squared_euclidean_fixed(a, b).sqrt()
 }
 
-/// The unrolled 8-lane kernel for the §4.2 pair-distance space.
-#[inline]
-pub fn squared_euclidean8(a: &[f64; 8], b: &[f64; 8]) -> f64 {
-    squared_euclidean_fixed(a, b)
-}
-
-/// Manhattan (L1) distance.
-pub fn manhattan(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dimension mismatch");
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
-}
-
-/// Minkowski distance of order `p >= 1`.
-pub fn minkowski(a: &[f64], b: &[f64], p: f64) -> f64 {
-    assert!(p >= 1.0, "Minkowski order must be >= 1, got {p}");
-    assert_eq!(a.len(), b.len(), "dimension mismatch");
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs().powf(p))
-        .sum::<f64>()
-        .powf(1.0 / p)
-}
-
-/// Cosine similarity in `[-1, 1]`; zero vectors have similarity 0 with
-/// everything (including each other) by convention.
-pub fn cosine_similarity(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dimension mismatch");
-    let dot: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-    let na: f64 = a.iter().map(|x| x * x).sum::<f64>().sqrt();
-    let nb: f64 = b.iter().map(|x| x * x).sum::<f64>().sqrt();
-    if na == 0.0 || nb == 0.0 {
-        return 0.0;
-    }
-    dot / (na * nb)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,30 +71,9 @@ mod tests {
     }
 
     #[test]
-    fn manhattan_known() {
-        assert_eq!(manhattan(&[1.0, 2.0], &[4.0, 0.0]), 5.0);
-    }
-
-    #[test]
-    fn minkowski_interpolates() {
-        let a = [0.0, 0.0];
-        let b = [3.0, 4.0];
-        assert!((minkowski(&a, &b, 1.0) - manhattan(&a, &b)).abs() < 1e-12);
-        assert!((minkowski(&a, &b, 2.0) - euclidean(&a, &b)).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn mismatched_dims_panic() {
         let _ = euclidean(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn cosine_known() {
-        assert!((cosine_similarity(&[1.0, 0.0], &[0.0, 1.0])).abs() < 1e-12);
-        assert!((cosine_similarity(&[1.0, 1.0], &[2.0, 2.0]) - 1.0).abs() < 1e-12);
-        assert!((cosine_similarity(&[1.0, 0.0], &[-1.0, 0.0]) + 1.0).abs() < 1e-12);
-        assert_eq!(cosine_similarity(&[0.0, 0.0], &[1.0, 1.0]), 0.0);
     }
 
     proptest! {
@@ -154,7 +99,8 @@ mod tests {
         #[test]
         fn identity_of_indiscernibles(a in prop::collection::vec(-10.0f64..10.0, 5)) {
             prop_assert_eq!(euclidean(&a, &a), 0.0);
-            prop_assert_eq!(manhattan(&a, &a), 0.0);
+            let fixed: [f64; 5] = a.clone().try_into().unwrap();
+            prop_assert_eq!(squared_euclidean_fixed(&fixed, &fixed), 0.0);
         }
 
         // The satellite property: the unrolled fixed-arity kernel matches the
@@ -168,19 +114,10 @@ mod tests {
             let fa: [f64; 8] = a.clone().try_into().unwrap();
             let fb: [f64; 8] = b.clone().try_into().unwrap();
             let slice = squared_euclidean(&a, &b);
-            let fixed = squared_euclidean8(&fa, &fb);
+            let fixed = squared_euclidean_fixed(&fa, &fb);
             let ulp_gap = (slice.to_bits() as i64 - fixed.to_bits() as i64).abs();
             prop_assert!(ulp_gap <= 1, "slice {slice} vs fixed {fixed} ({ulp_gap} ulps)");
             prop_assert_eq!(euclidean_fixed(&fa, &fb).to_bits(), euclidean(&a, &b).to_bits());
-        }
-
-        #[test]
-        fn cosine_bounded(
-            a in prop::collection::vec(-10.0f64..10.0, 4),
-            b in prop::collection::vec(-10.0f64..10.0, 4),
-        ) {
-            let c = cosine_similarity(&a, &b);
-            prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&c));
         }
     }
 }

@@ -142,14 +142,12 @@ pub enum EventKind {
         /// The dead executor.
         executor: usize,
     },
-    /// A bound-driven pruning pass ran over one unit of work (a classify
-    /// block, a detect_new round, …). Coalesced driver-side: one event per
-    /// unit, never per test pair, so journal volume stays bounded however
-    /// large the corpus. All pruning is lossless — these events record
-    /// distance evaluations *avoided*, never results changed.
+    /// A bound-driven pruning pass ran over one classify block. Coalesced
+    /// driver-side: one event per block, never per test pair, so journal
+    /// volume stays bounded however large the corpus. All pruning is
+    /// lossless — these events record distance evaluations *avoided*, never
+    /// results changed.
     PruneApplied {
-        /// Label of the pruned unit ("classify-block", "memo", …).
-        scope: String,
         /// Voronoi cells skipped wholesale by the annulus bound.
         cells_skipped: u64,
         /// Cell residents rejected by the triangle-inequality window.
@@ -157,10 +155,8 @@ pub enum EventKind {
         /// Distance evaluations actually performed.
         evals_done: u64,
         /// Distance evaluations avoided (bound-rejected residents plus the
-        /// populations of wholesale-skipped cells, plus memo hits).
+        /// populations of wholesale-skipped cells).
         evals_avoided: u64,
-        /// Pair distances answered from the cross-call memo.
-        memo_hits: u64,
     },
     /// The driver was killed at a driver-side fault point (see
     /// [`crate::FaultConfig::driver_kill`]). Fatal: the owning service drops
@@ -660,7 +656,7 @@ impl SpillReport {
 /// results changed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PruneReport {
-    /// Pruning passes journaled (classify blocks, memo lookups, …).
+    /// Pruning passes journaled (one per classify block).
     pub passes: u64,
     /// Voronoi cells skipped wholesale by the annulus bound.
     pub cells_skipped: u64,
@@ -670,8 +666,6 @@ pub struct PruneReport {
     pub evals_done: u64,
     /// Distance evaluations avoided.
     pub evals_avoided: u64,
-    /// Pair distances answered from the cross-call memo.
-    pub memo_hits: u64,
 }
 
 impl PruneReport {
@@ -681,8 +675,6 @@ impl PruneReport {
             bound_rejected,
             evals_done,
             evals_avoided,
-            memo_hits,
-            ..
         } = *kind
         {
             self.passes += 1;
@@ -690,7 +682,6 @@ impl PruneReport {
             self.bound_rejected += bound_rejected;
             self.evals_done += evals_done;
             self.evals_avoided += evals_avoided;
-            self.memo_hits += memo_hits;
         }
     }
 
@@ -899,8 +890,8 @@ pub struct JobReport {
     /// never touched the disk tier).
     pub spill: SpillReport,
     /// Bound-driven pruning aggregates: cells skipped, residents rejected
-    /// by the triangle-inequality window, distance evaluations avoided and
-    /// memo hits (empty when no pruning pass was journaled).
+    /// by the triangle-inequality window and distance evaluations avoided
+    /// (empty when no pruning pass was journaled).
     pub prune: PruneReport,
     /// Streaming-ingest aggregates: per-batch latency/retry/checkpoint rows
     /// plus quarantine and recovery totals (empty when no
@@ -930,8 +921,9 @@ impl JobReport {
     /// `totals.events` stopped counting the eleven retired event kinds —
     /// DESIGN.md §7 "Retired"; 11 removed `ingest.deferrals` and the
     /// per-batch `deferrals` with the ingest admission gate — DESIGN.md
-    /// "Retired baselines").
-    pub const SCHEMA_VERSION: u32 = 11;
+    /// "Retired baselines"; 12 removed `prune.memo_hits` with the
+    /// system's cross-batch distance memo, which never hit — same table).
+    pub const SCHEMA_VERSION: u32 = 12;
 
     /// Snapshot a cluster's clock, metrics and journal into a report: the
     /// journal's running sections are copied, never replayed from the log.
@@ -1090,14 +1082,12 @@ impl JobReport {
         out.push_str("  \"prune\": {");
         out.push_str(&format!(
             "\"passes\": {}, \"cells_skipped\": {}, \"bound_rejected\": {}, \
-             \"evals_done\": {}, \"evals_avoided\": {}, \"memo_hits\": {}, \
-             \"avoided_fraction\": {:.4}",
+             \"evals_done\": {}, \"evals_avoided\": {}, \"avoided_fraction\": {:.4}",
             pr.passes,
             pr.cells_skipped,
             pr.bound_rejected,
             pr.evals_done,
             pr.evals_avoided,
-            pr.memo_hits,
             pr.avoided_fraction(),
         ));
         out.push_str("},\n");
@@ -1299,14 +1289,13 @@ impl fmt::Display for JobReport {
             writeln!(
                 f,
                 "prune: {} passes, {} cells skipped, {} residents bound-rejected, \
-                 {} / {} evals avoided ({:.1}%), {} memo hits",
+                 {} / {} evals avoided ({:.1}%)",
                 pr.passes,
                 pr.cells_skipped,
                 pr.bound_rejected,
                 pr.evals_avoided,
                 pr.evals_done + pr.evals_avoided,
                 pr.avoided_fraction() * 100.0,
-                pr.memo_hits,
             )?;
         }
         if self.recovery.any() {
@@ -1450,14 +1439,12 @@ mod tests {
     use crate::{ClusterConfig, PairRdd};
 
     /// One pruning pass over a single pair, as `fastknn` would journal it.
-    fn prune_pass(memo_hits: u64) -> EventKind {
+    fn prune_pass() -> EventKind {
         EventKind::PruneApplied {
-            scope: "pair".into(),
             cells_skipped: 0,
             bound_rejected: 1,
             evals_done: 1,
             evals_avoided: 1,
-            memo_hits,
         }
     }
 
@@ -1692,7 +1679,7 @@ mod tests {
         })
         .unwrap();
         let j = c.journal();
-        j.record(prune_pass(5));
+        j.record(prune_pass());
         j.record(EventKind::IngestRecovered {
             generation: 3,
             batch_high_water: 2,
@@ -1723,7 +1710,7 @@ mod tests {
         .unwrap();
         let json = c.job_report().to_json();
         // Every key, in order, is pinned by the golden file below.
-        assert!(json.contains("\"schema_version\": 11"), "{json}");
+        assert!(json.contains("\"schema_version\": 12"), "{json}");
         assert!(json.contains("quoted \\\"stage\\\"\\n"), "escaping: {json}");
         assert!(json.contains("\"things\": 6"), "user counter: {json}");
         assert!(is_json(&json), "{json}");
@@ -1839,7 +1826,7 @@ mod tests {
     fn reset_run_state_clears_the_journal() {
         let c = Cluster::local(2);
         c.run_job("x", 2, |_, _| Ok(vec![0u8])).unwrap();
-        c.journal().record(prune_pass(1));
+        c.journal().record(prune_pass());
         assert!(!c.journal().is_empty());
         assert_eq!(c.job_report().prune.passes, 1);
         c.reset_run_state();
@@ -1877,9 +1864,9 @@ mod tests {
             Ok(vec![0u8])
         })
         .unwrap();
-        c.journal().record(prune_pass(0));
+        c.journal().record(prune_pass());
         c.run_job("second", 2, |_, _| Ok(vec![0u8])).unwrap();
-        c.journal().record(prune_pass(0));
+        c.journal().record(prune_pass());
         let stamps: Vec<u64> = c.journal().events().iter().map(|e| e.at_us).collect();
         assert_eq!(stamps.len(), 2);
         assert!(0 < stamps[0] && stamps[0] < stamps[1], "{stamps:?}");
@@ -1971,36 +1958,31 @@ mod tests {
     fn prune_report_aggregates_events_and_renders() {
         let c = Cluster::local(2);
         c.journal().record(EventKind::PruneApplied {
-            scope: "classify-block".into(),
             cells_skipped: 3,
             bound_rejected: 40,
             evals_done: 60,
             evals_avoided: 140,
-            memo_hits: 0,
         });
         c.journal().record(EventKind::PruneApplied {
-            scope: "memo".into(),
             cells_skipped: 0,
-            bound_rejected: 0,
+            bound_rejected: 10,
             evals_done: 0,
             evals_avoided: 10,
-            memo_hits: 10,
         });
         let report = c.job_report();
         let pr = &report.prune;
         assert!(pr.any());
         assert_eq!(pr.passes, 2);
         assert_eq!(pr.cells_skipped, 3);
-        assert_eq!(pr.bound_rejected, 40);
+        assert_eq!(pr.bound_rejected, 50);
         assert_eq!(pr.evals_done, 60);
         assert_eq!(pr.evals_avoided, 150);
-        assert_eq!(pr.memo_hits, 10);
         assert!((pr.avoided_fraction() - 150.0 / 210.0).abs() < 1e-12);
         let json = report.to_json();
         assert!(json.contains("\"prune\": {\"passes\": 2"), "{json}");
         let text = report.to_string();
         assert!(text.contains("prune: 2 passes"), "{text}");
-        assert!(text.contains("memo hits"), "{text}");
+        assert!(text.contains("150 / 210 evals avoided (71.4%)"), "{text}");
     }
 
     #[test]
@@ -2022,14 +2004,14 @@ mod tests {
         // section is folded before the bound applies.
         let c = Cluster::local(1);
         let recorded = RunJournal::MAX_EVENTS as u64 + 5_000;
-        for i in 0..recorded {
-            c.journal().record(prune_pass(i % 2));
+        for _ in 0..recorded {
+            c.journal().record(prune_pass());
         }
         assert_eq!(c.journal().len(), RunJournal::MAX_EVENTS);
         assert_eq!(c.journal().dropped(), 5_000);
         let report = c.job_report();
         assert_eq!(report.prune.passes, recorded);
-        assert_eq!(report.prune.memo_hits, recorded / 2);
+        assert_eq!(report.prune.evals_avoided, recorded);
         assert_eq!(report.totals.events_dropped, 5_000);
         assert_eq!(report.totals.events, recorded);
         let _ = report.to_json();

@@ -89,6 +89,14 @@ pub trait FixedBytes: Sized + Send + Sync + 'static {
     fn write_to(&self, out: &mut Vec<u8>);
     /// Decode from exactly [`FixedBytes::WIDTH`] bytes.
     fn read_from(bytes: &[u8]) -> Self;
+    /// Split [`FixedBytes::WIDTH`] bytes off the front of `cursor` and
+    /// decode them — the one framing every spill codec reads with. `None`,
+    /// leaving `cursor` where it was, when fewer bytes are left.
+    fn take_from(cursor: &mut &[u8]) -> Option<Self> {
+        let (head, rest) = cursor.split_at_checked(Self::WIDTH)?;
+        *cursor = rest;
+        Some(Self::read_from(head))
+    }
 }
 
 macro_rules! fixed_bytes_int {
@@ -314,11 +322,16 @@ impl SpillManager {
                     x.write_to(out);
                 }
             },
-            |bytes| {
-                if T::WIDTH == 0 || bytes.len() % T::WIDTH != 0 {
+            |mut bytes| {
+                // A zero-width cursor read would never advance.
+                if T::WIDTH == 0 {
                     return None;
                 }
-                Some(bytes.chunks_exact(T::WIDTH).map(T::read_from).collect())
+                let mut items = Vec::with_capacity(bytes.len() / T::WIDTH);
+                while !bytes.is_empty() {
+                    items.push(T::take_from(&mut bytes)?);
+                }
+                Some(items)
             },
         );
     }
@@ -403,10 +416,7 @@ impl SpillManager {
             f.seek(SeekFrom::Start(slot.offset)).ok()?;
             f.read_exact(&mut buf).ok()?;
         }
-        let decoded = {
-            let codecs = self.inner.codecs.read();
-            (codecs.get(&slot.type_key)?.decode)(&buf)?
-        };
+        let decoded = self.decode_as(slot.type_key, &buf)?;
         self.inner.metrics.spill_bytes_read.add(slot.len);
         task::with_current(|ctx| {
             if let Some(ctx) = ctx {
@@ -414,6 +424,21 @@ impl SpillManager {
             }
         });
         Some(decoded)
+    }
+
+    /// Decode `bytes` as a `Vec<T>` payload with the codec registered for
+    /// `T` — what [`SpillManager::read`] does with a slot's bytes. `None`
+    /// when no codec is registered or the bytes do not decode.
+    ///
+    /// Public so downstream crates can sweep the codecs they register over
+    /// cut and garbled bytes, which a slot on disk never hands them.
+    pub fn decode<T: 'static>(&self, bytes: &[u8]) -> Option<Arc<dyn Any + Send + Sync>> {
+        self.decode_as(TypeId::of::<Vec<T>>(), bytes)
+    }
+
+    fn decode_as(&self, type_key: TypeId, bytes: &[u8]) -> Option<Arc<dyn Any + Send + Sync>> {
+        let codecs = self.inner.codecs.read();
+        (codecs.get(&type_key)?.decode)(bytes)
     }
 
     /// Drop `executor`'s spill file and invalidate every slot written to it

@@ -1,5 +1,5 @@
-//! Classifier shoot-out on one workload: Fast kNN (Eq. 5) vs the Eq. 1
-//! majority vote vs the SVM baselines — a miniature of the paper's Fig. 5.
+//! Classifier shoot-out on one workload: Fast kNN (Eq. 5) vs the SVM
+//! baselines — a miniature of the paper's Fig. 5.
 //!
 //! ```sh
 //! cargo run -p examples --bin classifier_shootout --release
@@ -10,7 +10,6 @@ use dedup::workload::build_workload;
 use dedup::{svm_clustering_scores, svm_scores};
 use fastknn::{FastKnn, FastKnnConfig};
 use mlcore::average_precision;
-use mlcore::knn::KnnClassifier;
 use mlcore::svm::SvmConfig;
 use sparklet::Cluster;
 use std::collections::HashMap;
@@ -33,20 +32,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let by_id: HashMap<u64, f64> = scored.iter().map(|s| (s.id, s.score)).collect();
     let knn_scores: Vec<f64> = workload.test.iter().map(|t| by_id[&t.id]).collect();
 
-    // Plain majority vote (Eq. 1) over the same training data.
-    let points: Vec<Vec<f64>> = workload.train.iter().map(|p| p.vector.to_vec()).collect();
-    let labels: Vec<i8> = workload
-        .train
-        .iter()
-        .map(|p| if p.positive { 1 } else { -1 })
-        .collect();
-    let vote = KnnClassifier::new(points, labels, 9);
-    let vote_scores: Vec<f64> = workload
-        .test
-        .iter()
-        .map(|t| vote.vote(&t.vector) as f64)
-        .collect();
-
     // SVM baselines (era-faithful SGD solver + cluster-sampled variant).
     let svm = svm_scores(&workload.train, &workload.test, &SvmConfig::default());
     let svm_by_id: HashMap<u64, f64> = svm.into_iter().collect();
@@ -64,7 +49,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nAUPR (higher is better):");
     for (name, scores) in [
         ("Fast kNN (Eq. 5 score)", &knn_scores),
-        ("kNN majority vote (Eq. 1)", &vote_scores),
         ("SVM (SGD baseline)", &svm_scores_v),
         ("SVM clustering (8 clusters)", &svmc_scores),
     ] {
