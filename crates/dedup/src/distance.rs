@@ -69,6 +69,93 @@ impl ProcessedReport {
     }
 }
 
+/// Reports each text-processing worker must get before a batch is split.
+/// Splitting costs a thread spawn per worker and, on the calling thread,
+/// one [`TokenInterner::absorb`] and one remap-and-sort of every id set per
+/// later chunk; a worker also starts with an empty memo. Measured on two
+/// vCPUs, two chunks against one thread (synthetic corpus, medians of 40,
+/// into an empty and into a 9,000-report interner): 128 reports per worker
+/// lose (×0.7–0.9), 256–768 gain ×1.1–1.4 with run-to-run noise as large
+/// as the gain, and 1,024 and up gain ×1.3–1.6. So the crossover is near
+/// 200 reports per worker; 1,024 keeps clear of the noise and keeps
+/// `detect_new`'s 1,000-report quarter (text processing ≈ 1 % of that
+/// call) and the 50-report ingest commits on the serial loop.
+const MIN_REPORTS_PER_WORKER: usize = 1_024;
+
+/// Chunks [`process_reports`] cuts a batch of `reports` into on `workers`
+/// threads: as many as get [`MIN_REPORTS_PER_WORKER`] each, at least one.
+fn text_chunks(reports: usize, workers: usize) -> usize {
+    workers.min(reports / MIN_REPORTS_PER_WORKER).max(1)
+}
+
+/// Preprocess `reports` into `interner` and hand each [`ProcessedReport`]
+/// to `sink` in input order: the reports, the ids and the interner (memo
+/// included) afterwards are exactly those of
+/// [`ProcessedReport::from_report`] called on each report in turn. The
+/// batch is cut into [`text_chunks`] contiguous chunks — Fig. 1's text
+/// processing as a map over partitions. The calling thread processes chunk
+/// 0 into `interner` while scoped threads process each later chunk into a
+/// fresh interner; then the chunks are merged in order, each with
+/// [`TokenInterner::absorb`] and its id sets remapped and re-sorted, and
+/// handed to `sink` as soon as they are. A worker panic resumes on the
+/// calling thread.
+pub(crate) fn process_reports(
+    reports: &[AdrReport],
+    pipeline: &Pipeline,
+    interner: &mut TokenInterner,
+    workers: usize,
+    mut sink: impl FnMut(ProcessedReport),
+) {
+    let chunks = text_chunks(reports.len(), workers);
+    if chunks == 1 {
+        for r in reports {
+            sink(ProcessedReport::from_report(r, pipeline, interner));
+        }
+        return;
+    }
+    let (head, tail) = reports.split_at(reports.len().div_ceil(chunks));
+    std::thread::scope(|scope| {
+        let chunks: Vec<_> = tail
+            .chunks(head.len())
+            .map(|chunk| {
+                // Allocated on this thread: under a per-thread-arena
+                // allocator (glibc) it is then freed, after the merge,
+                // where this thread's next allocations reuse it.
+                let mut processed = Vec::with_capacity(chunk.len());
+                scope.spawn(move || {
+                    let mut local = TokenInterner::new();
+                    processed.extend(
+                        chunk
+                            .iter()
+                            .map(|r| ProcessedReport::from_report(r, pipeline, &mut local)),
+                    );
+                    (local, processed)
+                })
+            })
+            .collect();
+        for r in head {
+            sink(ProcessedReport::from_report(r, pipeline, interner));
+        }
+        for chunk in chunks {
+            let (local, processed) = chunk
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            let remap = interner.absorb(local);
+            for mut p in processed {
+                for ids in [
+                    &mut p.drug_tokens,
+                    &mut p.adr_tokens,
+                    &mut p.narrative_terms,
+                ] {
+                    ids.iter_mut().for_each(|id| *id = remap[*id as usize]);
+                    ids.sort_unstable();
+                }
+                sink(p);
+            }
+        }
+    });
+}
+
 /// The §4.2 distance vector between two reports, in the field order of
 /// [`adr_model::DistVec`]: age, sex, state, onset date, outcome, drug name,
 /// ADR name, report description. Every component is in `[0, 1]`.
@@ -377,6 +464,87 @@ mod tests {
                 assert_eq!(v[7], oracle(&a.narrative_terms, &b.narrative_terms));
             }
         }
+    }
+
+    /// `process_reports` on `workers` threads, after `prefix` went through
+    /// the serial loop, against `from_report` on each report in turn: the
+    /// same reports in the same order and the same interner.
+    fn assert_processes_like_the_serial_loop(
+        prefix: &[AdrReport],
+        batch: &[AdrReport],
+        workers: usize,
+    ) {
+        let p = Pipeline::paper();
+        let mut serial = TokenInterner::new();
+        let expected: Vec<ProcessedReport> = prefix
+            .iter()
+            .chain(batch)
+            .map(|r| ProcessedReport::from_report(r, &p, &mut serial))
+            .collect();
+        let mut interner = TokenInterner::new();
+        let mut got = Vec::new();
+        process_reports(prefix, &p, &mut interner, 1, |r| got.push(r));
+        process_reports(batch, &p, &mut interner, workers, |r| got.push(r));
+        assert_eq!(got, expected, "{workers} workers");
+        assert_eq!(interner.len(), serial.len());
+        for id in 0..serial.len() as u32 {
+            assert_eq!(interner.resolve(id), serial.resolve(id), "id {id}");
+        }
+    }
+
+    #[test]
+    fn process_reports_equals_the_serial_loop_on_every_worker_count() {
+        let ds = Dataset::generate(&SynthConfig::small(8_500, 400, 31));
+        let (prefix, batch) = ds.reports.split_at(300);
+        for workers in [1, 2, 3, 8] {
+            assert_eq!(text_chunks(batch.len(), workers), workers);
+            assert_processes_like_the_serial_loop(prefix, batch, workers);
+        }
+    }
+
+    #[test]
+    fn degenerate_batches_process_like_the_serial_loop() {
+        let ds = Dataset::generate(&SynthConfig::small(2_300, 100, 32));
+        let (prefix, batch) = ds.reports.split_at(200);
+        for workers in [2, 8] {
+            assert_processes_like_the_serial_loop(prefix, &[], workers);
+            assert_processes_like_the_serial_loop(prefix, &batch[..3], workers);
+        }
+        // Nothing but names to intern, and some reports without names.
+        let silent: Vec<AdrReport> = batch
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let mut r = r.clone();
+                r.reaction.report_description.clear();
+                if i % 7 == 0 {
+                    r.medicine.generic_name_description.clear();
+                }
+                r
+            })
+            .collect();
+        assert_eq!(text_chunks(silent.len(), 2), 2);
+        assert_processes_like_the_serial_loop(prefix, &silent, 2);
+        assert_processes_like_the_serial_loop(&[], &silent, 2);
+    }
+
+    #[test]
+    fn one_worker_and_small_batches_take_the_serial_loop() {
+        for reports in [0, 1, 2_048, 40_000] {
+            assert_eq!(text_chunks(reports, 1), 1, "{reports} reports");
+            assert_eq!(text_chunks(reports, 0), 1, "{reports} reports");
+        }
+        // `detect_new`'s 1,000-report quarter and 50-report ingest commits.
+        for workers in [2, 4, 8, 64] {
+            assert_eq!(text_chunks(1_000, workers), 1);
+            assert_eq!(text_chunks(50, workers), 1);
+            assert_eq!(text_chunks(MIN_REPORTS_PER_WORKER * 2 - 1, workers), 1);
+        }
+        assert_eq!(text_chunks(MIN_REPORTS_PER_WORKER * 2, 2), 2);
+        // A 2,400-report bootstrap splits in two on any larger cluster.
+        assert_eq!(text_chunks(2_400, 8), 2);
+        assert_eq!(text_chunks(40_000, 2), 2);
+        assert_eq!(text_chunks(40_000, 64), 39);
     }
 
     #[test]

@@ -320,14 +320,12 @@ impl IngestService {
             )));
         }
         let system = &mut service.system;
-        for batch in 0..state.batch_high_water {
-            if state.skipped.contains(&batch) {
-                continue;
-            }
-            for r in replay.quarter_reports(batch) {
-                system.add_report(&r);
-            }
-        }
+        system.add_reports(
+            &(0..state.batch_high_water)
+                .filter(|batch| !state.skipped.contains(batch))
+                .flat_map(|batch| replay.quarter_reports(batch))
+                .collect::<Vec<AdrReport>>(),
+        );
         system.restore_store(store)?;
         if system.report_count() as u64 != state.reports {
             return Err(IngestError::Checkpoint(format!(

@@ -1,7 +1,7 @@
 //! The orchestrated duplicate-detection service (Fig. 1 end-to-end).
 
 use crate::blocking::BlockingIndex;
-use crate::distance::ProcessedReport;
+use crate::distance::process_reports;
 use crate::pairing::{
     contiguous_partitions, pack_pairs, pairs_involving_new, pairwise_distance_batches,
     pairwise_distances, CorpusIndex,
@@ -181,10 +181,7 @@ impl DedupSystem {
         reports: &[AdrReport],
         labelled_duplicates: &[PairId],
     ) -> Result<()> {
-        self.reserve_reports(reports.len());
-        for r in reports {
-            self.add_report(r);
-        }
+        self.add_reports(reports);
         let dup_set: HashSet<PairId> = labelled_duplicates.iter().copied().collect();
         // Acceptance order lives in `wanted`; membership in `sampled`, so a
         // rejection test is O(1) rather than a scan of everything drawn.
@@ -246,21 +243,30 @@ impl DedupSystem {
         Ok(())
     }
 
-    /// Room for a batch of `n` arrivals up front, so neither the corpus map
-    /// nor the arrival log regrows report by report.
-    fn reserve_reports(&mut self, n: usize) {
-        Arc::make_mut(&mut self.epoch.corpus).reserve(n);
-        self.arrival_order.reserve(n);
-    }
-
-    pub(crate) fn add_report(&mut self, r: &AdrReport) {
-        let processed = ProcessedReport::from_report(r, &self.pipeline, &mut self.interner);
+    /// Add a batch of arrivals to the database: text processing on every
+    /// engine slot ([`process_reports`]), then, report by report in arrival
+    /// order, the blocking index, the corpus and the arrival log. Token ids
+    /// and everything else come out as if each report were processed and
+    /// inserted in turn on this thread. Not a sparklet job: the reports are
+    /// borrowed, a job would shift the job ids fault schedules are drawn
+    /// from, and text processing charges no virtual time.
+    pub(crate) fn add_reports(&mut self, reports: &[AdrReport]) {
+        let cluster = self.cluster.config();
+        let slots = (cluster.num_executors * cluster.cores_per_executor)
+            .min(sparklet::ClusterConfig::MAX_WORKER_THREADS);
         // Mutating shared snapshots: `make_mut` copies one only while a
         // previous epoch is still held (see [`Epoch`]), so a batch of
         // inserts costs at most one copy of each.
-        Arc::make_mut(&mut self.epoch.blocking).insert(&processed);
-        Arc::make_mut(&mut self.epoch.corpus).insert(r.id, processed);
-        self.arrival_order.push(r.id);
+        let corpus = Arc::make_mut(&mut self.epoch.corpus);
+        let blocking = Arc::make_mut(&mut self.epoch.blocking);
+        let arrival_order = &mut self.arrival_order;
+        corpus.reserve(reports.len());
+        arrival_order.reserve(reports.len());
+        process_reports(reports, &self.pipeline, &mut self.interner, slots, |p| {
+            blocking.insert(&p);
+            arrival_order.push(p.id);
+            corpus.insert(p.id, p);
+        });
     }
 
     /// Process a batch of newly arrived reports (§3): compare them against
@@ -290,10 +296,7 @@ impl DedupSystem {
             )
         })?;
         let existing: Vec<ReportId> = self.arrival_order.clone();
-        self.reserve_reports(new_reports.len());
-        for r in new_reports {
-            self.add_report(r);
-        }
+        self.add_reports(new_reports);
         let new_ids: Vec<ReportId> = new_reports.iter().map(|r| r.id).collect();
         // The distance job hands back one contiguous column batch (row `i`
         // is the vector of `pairs[i]`) — it flows into the classifier's
@@ -477,6 +480,56 @@ mod tests {
         assert_eq!(sys.report_count(), 250);
         assert_eq!(sys.store().duplicate_count(), 15);
         assert!(sys.store().non_duplicate_count() >= 300);
+    }
+
+    #[test]
+    fn bootstrap_is_the_same_on_every_engine_size() {
+        // Big enough that every cluster below splits text processing into
+        // one chunk per slot; one report id arrives twice, in chunk 0 and
+        // again in the last chunk, and must overwrite as in the serial loop.
+        let ds = Dataset::generate(&SynthConfig::small(8_400, 400, 21));
+        let (base, arrivals) = ds.reports.split_at(8_380);
+        let mut batch = base.to_vec();
+        let mut again = batch[10].clone();
+        again.reaction.report_description = "Zyxwalgia, then flurbitis.".into();
+        batch.insert(8_300, again);
+        let labelled: Vec<PairId> = ds
+            .duplicate_pairs
+            .iter()
+            .filter(|p| p.hi < 8_380)
+            .copied()
+            .collect();
+        let run = |parallelism: usize| {
+            let mut sys = DedupSystem::new(
+                Cluster::local(parallelism),
+                DedupConfig {
+                    bootstrap_negatives: 400,
+                    use_blocking: true,
+                    ..DedupConfig::default()
+                },
+            );
+            sys.bootstrap(&batch, &labelled).unwrap();
+            let detections = sys.detect_new(arrivals).unwrap();
+            (sys, detections)
+        };
+        let (serial, serial_detections) = run(1);
+        assert_eq!(serial.report_count(), 8_381 + 20);
+        assert_eq!(
+            serial.epoch.corpus[&10].narrative_terms.len(),
+            2,
+            "the later arrival overwrote"
+        );
+        for parallelism in [2, 3, 8] {
+            let (sys, detections) = run(parallelism);
+            assert_eq!(sys.arrival_order, serial.arrival_order);
+            assert_eq!(sys.epoch.corpus, serial.epoch.corpus, "{parallelism}");
+            assert_eq!(sys.interner_len(), serial.interner_len());
+            for id in 0..serial.interner_len() as u32 {
+                assert_eq!(sys.interner.resolve(id), serial.interner.resolve(id));
+            }
+            assert_eq!(sys.store().snapshot(), serial.store().snapshot());
+            assert_eq!(detections, serial_detections, "{parallelism}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! preserving the paper's split discipline: ground-truth duplicate pairs are
 //! divided between train and test, negatives are sampled uniformly.
 
-use crate::distance::{pair_distance, ProcessedReport};
+use crate::distance::{pair_distance, process_reports, ProcessedReport};
 use adr_model::PairId;
 use adr_synth::Dataset;
 use fastknn::{LabeledPair, UnlabeledPair};
@@ -69,15 +69,17 @@ pub struct ProcessedCorpus {
 
 impl ProcessedCorpus {
     /// Preprocess every report with the paper's pipeline, interning all
-    /// tokens into one corpus-wide table.
+    /// tokens into one corpus-wide table, on every available core.
     pub fn new(dataset: Dataset) -> Self {
-        let pipeline = Pipeline::paper();
         let mut interner = TokenInterner::new();
-        let processed = dataset
-            .reports
-            .iter()
-            .map(|r| ProcessedReport::from_report(r, &pipeline, &mut interner))
-            .collect();
+        let mut processed = Vec::with_capacity(dataset.reports.len());
+        process_reports(
+            &dataset.reports,
+            &Pipeline::paper(),
+            &mut interner,
+            std::thread::available_parallelism().map_or(1, |n| n.get()),
+            |p| processed.push(p),
+        );
         ProcessedCorpus {
             dataset,
             processed,

@@ -15,6 +15,11 @@
 //! the stop-word lookup, the stemmer and the stem's interning run once per
 //! distinct word. It lives here, not in [`crate::Pipeline`], because it holds
 //! ids and so has to be rolled back with them.
+//!
+//! A batch can be interned in contiguous chunks on separate threads, each
+//! into a fresh interner, and merged with [`TokenInterner::absorb`] in chunk
+//! order: ids and memo come out as if the chunks had been interned one after
+//! another into one table.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -49,14 +54,51 @@ impl TokenInterner {
 
     /// Intern one token, returning its id.
     pub fn intern(&mut self, token: &str) -> u32 {
-        if let Some(&id) = self.ids.get(token) {
-            return id;
+        match self.ids.get(token) {
+            Some(&id) => id,
+            None => self.push(Arc::from(token)),
         }
+    }
+
+    /// Assign the next id to a token not interned yet.
+    fn push(&mut self, token: Arc<str>) -> u32 {
         let id = u32::try_from(self.tokens.len()).expect("interner overflow: > 4G tokens");
-        let token: Arc<str> = Arc::from(token);
         self.ids.insert(Arc::clone(&token), id);
         self.tokens.push(token);
         id
+    }
+
+    /// Merge `local`, an interner that started empty and then interned the
+    /// next stretch of this interner's input, as if that stretch had been
+    /// interned here: `local`'s tokens are interned in local id order, its
+    /// raw-token memo joins this one with the ids mapped, and the map comes
+    /// back, `remap[local id] = id here`.
+    ///
+    /// A token new here is new at its first occurrence in `local`'s
+    /// stretch, and local ids are in first-occurrence order, so absorbing
+    /// the stretches in input order hands out exactly the ids, and leaves
+    /// exactly the memo, of interning them all here one after another.
+    /// Memo entries this interner already holds stay: the pipeline is a
+    /// pure function of the raw token, so both sides agree on them.
+    pub fn absorb(&mut self, local: TokenInterner) -> Vec<u32> {
+        let TokenInterner {
+            ids, tokens, memo, ..
+        } = local;
+        // The arena's `Arc`s are then the only owners, and move in as keys.
+        drop(ids);
+        let remap: Vec<u32> = tokens
+            .into_iter()
+            .map(|token| match self.ids.get(&*token) {
+                Some(&id) => id,
+                None => self.push(token),
+            })
+            .collect();
+        for (raw, id) in memo {
+            self.memo
+                .entry(raw)
+                .or_insert_with(|| id.map(|id| remap[id as usize]));
+        }
+        remap
     }
 
     /// Intern `word.to_lowercase()` without allocating for an ASCII word.
@@ -231,5 +273,173 @@ mod tests {
         // Truncating past the end is a no-op.
         interner.truncate(99);
         assert_eq!(interner.len(), 6);
+    }
+
+    /// One report's text: name words (`intern_lowercase`, as drug and ADR
+    /// names are) and a narrative (the pipeline), into one id namespace.
+    fn intern_item(interner: &mut TokenInterner, names: &str, narrative: &str) -> [Vec<u32>; 2] {
+        let names = names
+            .split_whitespace()
+            .map(|word| interner.intern_lowercase(word))
+            .collect();
+        [sorted_set(names), interner.intern_terms(narrative)]
+    }
+
+    /// Intern `items` one after another into one interner, and again in
+    /// chunks cut at `cuts`: chunk 0 into the merged interner, each later
+    /// chunk into a fresh one absorbed in chunk order, its id sets
+    /// remapped. Both routes must give the same id sets, the same string
+    /// behind every id and the same memo. Returns (merged, serial).
+    fn assert_chunked_matches_serial<S: AsRef<str>>(
+        items: &[(S, S)],
+        cuts: &[usize],
+    ) -> (TokenInterner, TokenInterner) {
+        let item = |interner: &mut TokenInterner, (names, narrative): &(S, S)| {
+            intern_item(interner, names.as_ref(), narrative.as_ref())
+        };
+        let mut serial = TokenInterner::new();
+        let expected: Vec<[Vec<u32>; 2]> = items.iter().map(|i| item(&mut serial, i)).collect();
+
+        let mut ends: Vec<usize> = cuts.iter().map(|&c| c.min(items.len())).collect();
+        ends.sort_unstable();
+        ends.push(items.len());
+        let (mut merged, mut got, mut start) = (TokenInterner::new(), Vec::new(), 0);
+        for (chunk, end) in ends.into_iter().enumerate() {
+            let part = &items[start..end];
+            start = end;
+            if chunk == 0 {
+                got.extend(part.iter().map(|i| item(&mut merged, i)));
+                continue;
+            }
+            let mut local = TokenInterner::new();
+            let sets: Vec<[Vec<u32>; 2]> = part.iter().map(|i| item(&mut local, i)).collect();
+            let remap = merged.absorb(local);
+            for mut report in sets {
+                for set in &mut report {
+                    set.iter_mut().for_each(|id| *id = remap[*id as usize]);
+                    set.sort_unstable();
+                }
+                got.push(report);
+            }
+        }
+        assert_eq!(got, expected, "id sets");
+        assert_eq!(merged.len(), serial.len());
+        for id in 0..serial.len() as u32 {
+            assert_eq!(merged.resolve(id), serial.resolve(id), "id {id}");
+        }
+        assert_eq!(merged.ids, serial.ids);
+        assert_eq!(merged.memo, serial.memo, "memo");
+        (merged, serial)
+    }
+
+    #[test]
+    fn absorb_in_chunk_order_is_serial_interning() {
+        let items = [
+            // Chunk 0.
+            ("Aspirin", "Severe headaches after the first dose."),
+            ("aspirin", "headaches again"),
+            // Chunk 1: "headache" reaches chunk 0's stem from another raw
+            // token; "vomiting" stems to "vomit" before any drug says so.
+            ("Paracetamol", "A headache, then vomiting."),
+            ("ΟΔΟΣ Forte", "Naïve patient; İstanbul straße."),
+            // Chunk 2: "ibuprofen" is new here and in no earlier chunk;
+            // the drug word "vomit" is chunk 1's narrative stem.
+            ("Ibuprofen vomit", "NAÏVE, vomited, STRAẞE"),
+            ("odos", "ibuprofen headache"),
+        ];
+        let (merged, _) = assert_chunked_matches_serial(&items, &[2, 4]);
+        let id = |s: &str| merged.ids[s];
+        assert!(id("ibuprofen") > id("paracetamol"), "first seen in chunk 2");
+        assert_eq!(merged.memo["headache"], merged.memo["headaches"]);
+        assert_eq!(merged.memo["vomiting"], Some(id("vomit")));
+        assert_eq!(merged.resolve(id("οδος")), "ΟΔΟΣ".to_lowercase());
+        assert!(merged.memo.contains_key("i\u{307}stanbul"));
+        assert!(!merged.memo.contains_key("straẞe"), "lowered to straße");
+
+        // Every chunking, including empty chunks and chunk 0 empty.
+        for a in 0..=items.len() {
+            for b in a..=items.len() {
+                assert_chunked_matches_serial(&items, &[a, b]);
+            }
+        }
+        assert_chunked_matches_serial::<&str>(&[], &[0, 0]);
+    }
+
+    #[test]
+    fn truncate_after_absorb_keeps_the_memo_below_the_mark() {
+        let items = [
+            ("aspirin", "headaches"),
+            ("aspirin", "cough"),
+            ("codeine", "coughing and headache, then vomiting"),
+            ("vomit", "rash"),
+        ];
+        let (mut merged, mut serial) = assert_chunked_matches_serial(&items, &[2]);
+        for mark in (0..=serial.len()).rev() {
+            merged.truncate(mark);
+            serial.truncate(mark);
+            assert_eq!(merged.len(), mark.min(serial.len()));
+            assert!(merged
+                .memo
+                .values()
+                .all(|id| id.is_none_or(|id| (id as usize) < merged.len())));
+            assert_eq!(merged.memo, serial.memo, "mark {mark}");
+            assert_eq!(merged.ids, serial.ids, "mark {mark}");
+        }
+    }
+
+    mod chunked {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Words that repeat across reports, stems reached from several raw
+        /// tokens, drug words equal to narrative stems, stop words and
+        /// non-ASCII lowering.
+        const WORDS: &[&str] = &[
+            "the",
+            "of",
+            "x",
+            "headache",
+            "headaches",
+            "HEADACHES",
+            "vomit",
+            "vomiting",
+            "Vomited",
+            "aspirin",
+            "ASPIRIN",
+            "rash",
+            "80mg",
+            "naïve",
+            "NAÏVE",
+            "ΟΔΟΣ",
+            "İstanbul",
+            "straße",
+            "STRAẞE",
+        ];
+        const SEPARATORS: &[&str] = &[" ", ", ", "-", "", ". "];
+
+        proptest! {
+            #[test]
+            fn absorb_over_random_chunks_is_serial_interning(
+                reports in prop::collection::vec(
+                    (
+                        prop::collection::vec(prop::sample::select(WORDS.to_vec()), 0..4),
+                        prop::collection::vec(
+                            (prop::sample::select(WORDS.to_vec()), prop::sample::select(SEPARATORS.to_vec())),
+                            0..12,
+                        ),
+                    ),
+                    0..16,
+                ),
+                cuts in prop::collection::vec(0usize..16, 0..5),
+            ) {
+                let items: Vec<(String, String)> = reports
+                    .iter()
+                    .map(|(names, words)| {
+                        (names.join(" "), words.iter().flat_map(|&(w, sep)| [w, sep]).collect())
+                    })
+                    .collect();
+                assert_chunked_matches_serial(&items, &cuts);
+            }
+        }
     }
 }
