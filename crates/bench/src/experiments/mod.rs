@@ -16,8 +16,11 @@ use mlcore::pr_curve;
 
 /// Downsample a PR curve to interpolated precision at fixed recall grid
 /// points (the standard 11-point interpolated curve) so tables stay small.
+/// Empty when no sample is positive: there is no curve to sample.
 pub fn sampled_pr_curve(scored: &[(f64, bool)]) -> Vec<(f64, f64)> {
-    let curve = pr_curve(scored);
+    let Some(curve) = pr_curve(scored) else {
+        return Vec::new();
+    };
     (0..=10)
         .map(|i| {
             let r = i as f64 / 10.0;
@@ -70,5 +73,7 @@ mod tests {
         for w in pts.windows(2) {
             assert!(w[0].1 >= w[1].1 - 1e-12);
         }
+        // No positive, no curve.
+        assert!(sampled_pr_curve(&[(0.4, false), (0.1, false)]).is_empty());
     }
 }

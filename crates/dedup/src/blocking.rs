@@ -202,7 +202,9 @@ impl BlockingIndex {
     /// Candidate pairs for a batch of new reports against the indexed
     /// database (the blocked version of
     /// [`crate::pairing::pairs_involving_new`]). The new reports must
-    /// already be inserted.
+    /// already be inserted. Strictly increasing — sorted, each pair once —
+    /// and [`DedupSystem::detect_new`](crate::DedupSystem::detect_new)
+    /// keeps this order from the distance job to the classifier.
     pub fn candidate_pairs(&self, new_ids: &[ReportId]) -> Vec<PairId> {
         let mut out: Vec<PairId> = Vec::new();
         let (mut lists, mut cursors, mut rows) = (Vec::new(), Vec::new(), Vec::new());
@@ -223,24 +225,19 @@ impl BlockingIndex {
     }
 
     /// Per-block candidate pairs for a batch of new reports — the same pair
-    /// set as [`BlockingIndex::candidate_pairs`], but kept grouped by
-    /// blocking key so a skew-aware packer
-    /// ([`crate::pairing::pack_pairs`]) can balance the hot blocks before
-    /// the distance stage is submitted.
+    /// set as [`BlockingIndex::candidate_pairs`], kept grouped by blocking
+    /// key for a skew-aware packer ([`crate::pairing::pack_pairs`]) — plus
+    /// the number of **multi-key duplicates** dropped: pairs reachable
+    /// through more than one blocking key, each counted once per extra key.
+    /// This is exactly the set of distance evaluations a naive per-block
+    /// pipeline would repeat.
     ///
     /// Blocks are visited in [`BlockKey`] order; a pair sharing several keys
     /// is assigned to the first block that produces it, and pairs are sorted
     /// within each group — the grouping is fully deterministic and flattens
-    /// (after a global sort) to exactly `candidate_pairs`.
-    pub fn candidate_pair_groups(&self, new_ids: &[ReportId]) -> Vec<Vec<PairId>> {
-        self.candidate_pair_groups_counted(new_ids).0
-    }
-
-    /// [`BlockingIndex::candidate_pair_groups`] plus the number of
-    /// **multi-key duplicates** dropped: pairs reachable through more than
-    /// one blocking key, each counted once per extra key. This is exactly
-    /// the set of distance evaluations a naive per-block pipeline would
-    /// repeat.
+    /// (after a global sort) to exactly `candidate_pairs`. Only the frozen
+    /// wall-clock benchmark calls it: its `decomposed.rs` rebuilds the
+    /// packed route `detect_new` took before it took `candidate_pairs`.
     pub fn candidate_pair_groups_counted(&self, new_ids: &[ReportId]) -> (Vec<Vec<PairId>>, u64) {
         // Sorted rows of the arriving batch — the gallop driver below.
         let mut new_rows: Vec<u32> = new_ids
@@ -430,26 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn candidate_pair_groups_flatten_to_candidate_pairs() {
-        let ds = Dataset::generate(&SynthConfig::small(300, 15, 11));
-        let reports = processed(&ds);
-        let index = BlockingIndex::build(&reports);
-        let new_ids: Vec<u64> = (280..300).collect();
-        let groups = index.candidate_pair_groups(&new_ids);
-        let mut flat: Vec<PairId> = groups.iter().flatten().copied().collect();
-        let set: HashSet<PairId> = flat.iter().copied().collect();
-        assert_eq!(set.len(), flat.len(), "a pair appears in exactly one group");
-        flat.sort_unstable();
-        assert_eq!(flat, index.candidate_pairs(&new_ids));
-        for g in &groups {
-            assert!(!g.is_empty(), "empty groups are dropped");
-            assert!(g.windows(2).all(|w| w[0] < w[1]), "sorted within group");
-        }
-        // Deterministic: a second call gives the identical grouping.
-        assert_eq!(groups, index.candidate_pair_groups(&new_ids));
-    }
-
-    #[test]
     fn probe_candidates_match_candidates_of_for_indexed_reports() {
         let ds = Dataset::generate(&SynthConfig::small(250, 12, 17));
         let reports = processed(&ds);
@@ -504,7 +481,11 @@ mod tests {
         let index = BlockingIndex::default();
         assert!(index.candidates_of(7).is_empty());
         assert!(index.all_candidate_pairs().is_empty());
-        assert!(index.candidate_pair_groups(&[1, 2, 3]).is_empty());
+        assert!(index.candidate_pairs(&[1, 2, 3]).is_empty());
+        assert_eq!(
+            index.candidate_pair_groups_counted(&[1, 2, 3]),
+            (Vec::new(), 0)
+        );
         let q = evaluate_blocking(&index, 0, &HashSet::new());
         assert_eq!(q.pair_completeness, 1.0);
     }
@@ -536,17 +517,42 @@ mod tests {
     }
 
     #[test]
+    fn candidate_pair_groups_flatten_to_candidate_pairs() {
+        let ds = Dataset::generate(&SynthConfig::small(300, 15, 11));
+        let reports = processed(&ds);
+        let index = BlockingIndex::build(&reports);
+        let new_ids: Vec<u64> = (280..300).collect();
+        let (groups, _) = index.candidate_pair_groups_counted(&new_ids);
+        // `detect_new` relies on `candidate_pairs` being strictly
+        // increasing: its blocked rows reach the classifier in this order.
+        let pairs = index.candidate_pairs(&new_ids);
+        assert!(pairs.windows(2).all(|w| w[0] < w[1]), "strictly increasing");
+        let mut flat: Vec<PairId> = groups.iter().flatten().copied().collect();
+        let set: HashSet<PairId> = flat.iter().copied().collect();
+        assert_eq!(set.len(), flat.len(), "a pair appears in exactly one group");
+        flat.sort_unstable();
+        assert_eq!(flat, pairs);
+        for g in &groups {
+            assert!(!g.is_empty(), "empty groups are dropped");
+            assert!(g.windows(2).all(|w| w[0] < w[1]), "sorted within group");
+        }
+        // Deterministic: a second call gives the identical grouping.
+        assert_eq!(index.candidate_pair_groups_counted(&new_ids).0, groups);
+    }
+
+    #[test]
     fn counted_groups_report_multi_key_duplicates() {
         let ds = Dataset::generate(&SynthConfig::small(300, 15, 11));
         let reports = processed(&ds);
         let index = BlockingIndex::build(&reports);
         let new_ids: Vec<u64> = (280..300).collect();
         let (groups, dups) = index.candidate_pair_groups_counted(&new_ids);
-        assert_eq!(groups, index.candidate_pair_groups(&new_ids));
         let unique: usize = groups.iter().map(|g| g.len()).sum();
+        assert_eq!(unique, index.candidate_pairs(&new_ids).len());
         // Duplicate reports share drug tokens *and* dates, so some pairs
         // must be reachable via more than one key on this corpus.
         assert!(dups > 0, "expected multi-key pairs on a duplicate corpus");
-        assert_eq!(unique, index.candidate_pairs(&new_ids).len());
+        // Deterministic: a second call gives the identical count.
+        assert_eq!(index.candidate_pair_groups_counted(&new_ids).1, dups);
     }
 }

@@ -217,8 +217,14 @@ pub fn pairwise_distances(
 }
 
 /// Skew-aware packing of candidate-pair groups (one group per blocking key;
-/// see [`crate::BlockingIndex::candidate_pair_groups`]) into
+/// see [`crate::BlockingIndex::candidate_pair_groups_counted`]) into
 /// `num_partitions` balanced partitions.
+///
+/// It stays only for the frozen wall-clock benchmark, whose `decomposed.rs`
+/// rebuilds the route `detect_new` once took. The product packs nothing:
+/// `detect_new` cuts its pair-sorted candidates into even runs
+/// ([`contiguous_partitions`]) and the morsel scheduler balances hot
+/// blocks.
 ///
 /// Greedy LPT with splitting: groups heavier than the per-partition target
 /// (`ceil(total / partitions)`) are first cut into contiguous chunks at or

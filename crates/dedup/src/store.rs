@@ -9,7 +9,7 @@ use adr_model::{DistVec, PairId, ReportId};
 use fastknn::LabeledPair;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use std::collections::{HashMap, HashSet};
+use simmetrics::hash::{WordMap, WordSet};
 
 /// Bounded labelled-pair store with feedback. Vectors are fixed-arity
 /// [`DistVec`]s, so entries are flat `(PairId, [f64; 8])` tuples — no
@@ -23,21 +23,26 @@ use std::collections::{HashMap, HashSet};
 /// negatives; a negative evicted from the reservoir is forgotten entirely.
 /// The detection pipeline generates each [`PairId`] at most once, so
 /// forgetting evicted negatives cannot change its output.
+///
+/// The three membership tables hash with
+/// [`simmetrics::hash::WordHasher`]: they hold the database's own pair and
+/// report ids, every fed-back pair costs a lookup or two, and nothing reads
+/// their iteration order.
 #[derive(Debug, Clone)]
 pub struct PairStore {
     duplicates: Vec<(PairId, DistVec)>,
     non_duplicates: Vec<(PairId, DistVec)>,
-    duplicate_ids: HashSet<PairId>,
+    duplicate_ids: WordSet<PairId>,
     /// Per-*report* duplicate membership: how many retained duplicate pairs
     /// each report participates in. Duplicates are kept forever, so this
     /// index only ever grows in lockstep with `duplicates` — it adds no
     /// per-offer state — and it gives the serving layer an O(1) "is this
     /// report part of a known duplicate pair?" answer without scanning the
     /// pair list.
-    duplicate_members: HashMap<ReportId, u32>,
+    duplicate_members: WordMap<ReportId, u32>,
     /// Ids of the currently retained negatives — always in lockstep with
     /// `non_duplicates`, so at most `max_non_duplicates` entries.
-    negative_ids: HashSet<PairId>,
+    negative_ids: WordSet<PairId>,
     /// Maximum non-duplicate pairs retained.
     pub max_non_duplicates: usize,
     /// Seed the reservoir RNG was created from (kept for snapshots: the
@@ -194,9 +199,9 @@ impl PairStore {
         PairStore {
             duplicates: Vec::new(),
             non_duplicates: Vec::new(),
-            duplicate_ids: HashSet::new(),
-            duplicate_members: HashMap::new(),
-            negative_ids: HashSet::new(),
+            duplicate_ids: WordSet::default(),
+            duplicate_members: WordMap::default(),
+            negative_ids: WordSet::default(),
             max_non_duplicates,
             seed,
             rng: StdRng::seed_from_u64(seed),
@@ -619,6 +624,7 @@ impl PairStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{HashMap, HashSet};
 
     fn pid(a: u64, b: u64) -> PairId {
         PairId::new(a, b)

@@ -3,8 +3,8 @@
 use crate::blocking::BlockingIndex;
 use crate::distance::process_reports;
 use crate::pairing::{
-    contiguous_partitions, pack_pairs, pairs_involving_new, pairwise_distance_batches,
-    pairwise_distances, CorpusIndex,
+    contiguous_partitions, pairs_involving_new, pairwise_distance_batches, pairwise_distances,
+    CorpusIndex,
 };
 use crate::store::PairStore;
 use adr_model::{AdrReport, PairId, ReportId};
@@ -295,43 +295,26 @@ impl DedupSystem {
                 "detect_new: the labelled stores are empty — bootstrap the system first".into(),
             )
         })?;
-        let existing: Vec<ReportId> = self.arrival_order.clone();
+        let existing = self.arrival_order.len();
         self.add_reports(new_reports);
         let new_ids: Vec<ReportId> = new_reports.iter().map(|r| r.id).collect();
-        // The distance job hands back one contiguous column batch (row `i`
-        // is the vector of `pairs[i]`) — it flows into the classifier's
-        // tiled kernels with no per-partition re-materialization.
-        let (pairs, vectors) = if self.config.use_blocking {
-            // Blocking skews pair counts heavily towards hot drug blocks, so
-            // the candidate stream goes through the skew-aware packer: one
-            // pair group per blocking key, LPT-packed (splitting oversized
-            // groups) into op-weight-balanced partitions. The flattened
-            // output order depends on the packing, so sort by pair id to
-            // keep downstream results (and their digests) partition-free:
-            // the candidate pair set is duplicate-free, making the by-id
-            // sort a total order.
-            let groups = self.epoch.blocking.candidate_pair_groups(&new_ids);
-            let partitions = pack_pairs(&self.epoch.corpus, groups, self.config.pair_partitions);
-            let (pairs, vectors) =
-                pairwise_distance_batches(&self.cluster, &self.epoch.corpus, partitions)?;
-            let mut idx: Vec<usize> = (0..pairs.len()).collect();
-            idx.sort_unstable_by_key(|&i| (pairs[i], i));
-            let sorted: Vec<PairId> = idx.iter().map(|&i| pairs[i]).collect();
-            let mut vectors = vectors.gather(&idx);
-            for (row, id) in vectors.ids_mut().iter_mut().enumerate() {
-                *id = row as u64;
-            }
-            (sorted, vectors)
+        // One distance route for both candidate lists: even contiguous runs,
+        // which the morsel scheduler balances however many pairs of a hot
+        // drug block one run holds. The job hands back one column batch in
+        // candidate order with row ids `0..n` (row `i` is the vector of
+        // `pairs[i]`), ready for the classifier's tiled kernels; blocked
+        // candidates are strictly increasing, so their rows are in pair
+        // order.
+        let candidates = if self.config.use_blocking {
+            self.epoch.blocking.candidate_pairs(&new_ids)
         } else {
-            pairwise_distance_batches(
-                &self.cluster,
-                &self.epoch.corpus,
-                contiguous_partitions(
-                    pairs_involving_new(&new_ids, &existing),
-                    self.config.pair_partitions,
-                ),
-            )?
+            pairs_involving_new(&new_ids, &self.arrival_order[..existing])
         };
+        let (pairs, vectors) = pairwise_distance_batches(
+            &self.cluster,
+            &self.epoch.corpus,
+            contiguous_partitions(candidates, self.config.pair_partitions),
+        )?;
 
         let scored = classify_rows(&model, &vectors)?;
         // The batch is done with the previous epoch's model: if nobody else
@@ -1032,13 +1015,19 @@ mod tests {
                 .get();
             assert!(shared > 0, "seed {seed}: candidate rows share vectors");
 
-            let pairs = if use_blocking {
-                let mut pairs = sys.epoch.blocking.candidate_pairs(&new_ids);
+            // Candidates by brute force, not through the index `detect_new`
+            // reads: every pair §3 enumerates — on the blocked path only
+            // those sharing a drug token or an onset date, in pair order.
+            let mut pairs = pairs_involving_new(&new_ids, &existing);
+            if use_blocking {
+                let corpus = &sys.epoch.corpus;
+                pairs.retain(|p| {
+                    let (lo, hi) = (&corpus[&p.lo], &corpus[&p.hi]);
+                    lo.drug_tokens.iter().any(|t| hi.drug_tokens.contains(t))
+                        || (lo.onset_date.is_some() && lo.onset_date == hi.onset_date)
+                });
                 pairs.sort_unstable();
-                pairs
-            } else {
-                pairs_involving_new(&new_ids, &existing)
-            };
+            }
             let mut rows = crate::pairing::DistBatch::new();
             for (row, pid) in pairs.iter().enumerate() {
                 let (lo, hi) = (&sys.epoch.corpus[&pid.lo], &sys.epoch.corpus[&pid.hi]);

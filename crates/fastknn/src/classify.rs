@@ -39,10 +39,11 @@ use crate::soa::{from_unlabeled, ScratchPool, VecBatch};
 use crate::stage1::{stage1_row, Stage1Row};
 use crate::types::{LabeledPair, Neighborhood, ScoredPair, UnlabeledPair, PAIR_DIMS};
 use crate::voronoi::VoronoiPartition;
+use simmetrics::hash::WordMap;
 use simmetrics::squared_euclidean_fixed;
 use sparklet::partitioner::IndexPartitioner;
 use sparklet::{Cluster, EventKind, PairRdd, Rdd, Result, SparkletError};
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// Fast kNN hyper-parameters.
@@ -240,8 +241,9 @@ impl<const D: usize> FastKnn<D> {
         test: &VecBatch<D>,
         blocks_for: impl Fn(usize) -> usize,
     ) -> Result<Vec<ScoredPair>> {
-        // Group the rows by vector, in first-seen order.
-        let mut group_of: HashMap<[u64; D], usize> = HashMap::new();
+        // Group the rows by vector, in first-seen order. The keys are the
+        // batch's own bit patterns, so they hash as words.
+        let mut group_of: WordMap<[u64; D], usize> = WordMap::default();
         let mut firsts: Vec<usize> = Vec::new();
         let mut repeated: Vec<bool> = Vec::new();
         let group_of_row: Vec<usize> = (0..test.len())

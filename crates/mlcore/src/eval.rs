@@ -21,11 +21,14 @@ pub struct PrPoint {
 /// Conventions: ties in score move together (the threshold sits between
 /// distinct score values); precision at recall 0 is defined as 1.
 ///
-/// # Panics
-/// Panics if there are no positive samples — a PR curve is undefined then.
-pub fn pr_curve(scored: &[(f64, bool)]) -> Vec<PrPoint> {
+/// `None` when no sample is positive: recall (TP / P) is undefined then. A
+/// detection batch that touches no known duplicate scores exactly such a
+/// sample, so it is an answer, not a panic.
+pub fn pr_curve(scored: &[(f64, bool)]) -> Option<Vec<PrPoint>> {
     let total_pos = scored.iter().filter(|(_, p)| *p).count();
-    assert!(total_pos > 0, "PR curve needs at least one positive sample");
+    if total_pos == 0 {
+        return None;
+    }
     let mut sorted: Vec<(f64, bool)> = scored.to_vec();
     sorted.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
 
@@ -54,13 +57,17 @@ pub fn pr_curve(scored: &[(f64, bool)]) -> Vec<PrPoint> {
             recall: tp as f64 / total_pos as f64,
         });
     }
-    curve
+    Some(curve)
 }
 
 /// Area under the PR curve by the step-wise (average-precision style)
-/// estimator: `Σ (r_i − r_{i−1}) · p_i`. In `[0, 1]`.
+/// estimator: `Σ (r_i − r_{i−1}) · p_i`. In `[0, 1]`; `NaN` when no sample
+/// is positive ([`pr_curve`] is `None`), so an undefined area stays visibly
+/// undefined in a table or a mean instead of reading as 0 or 1.
 pub fn average_precision(scored: &[(f64, bool)]) -> f64 {
-    let curve = pr_curve(scored);
+    let Some(curve) = pr_curve(scored) else {
+        return f64::NAN;
+    };
     let mut area = 0.0;
     for w in curve.windows(2) {
         area += (w[1].recall - w[0].recall) * w[1].precision;
@@ -166,7 +173,7 @@ mod tests {
     #[test]
     fn curve_starts_at_recall_zero_and_ends_at_one() {
         let scored = vec![(0.9, true), (0.5, false), (0.4, true), (0.2, false)];
-        let curve = pr_curve(&scored);
+        let curve = pr_curve(&scored).unwrap();
         assert_eq!(curve.first().unwrap().recall, 0.0);
         assert_eq!(curve.first().unwrap().precision, 1.0);
         assert!((curve.last().unwrap().recall - 1.0).abs() < 1e-12);
@@ -176,7 +183,7 @@ mod tests {
     fn ties_move_together() {
         // Two samples share a score: they must enter the curve in one step.
         let scored = vec![(0.5, true), (0.5, false), (0.1, true)];
-        let curve = pr_curve(&scored);
+        let curve = pr_curve(&scored).unwrap();
         // Points: start, after the 0.5 group, after 0.1.
         assert_eq!(curve.len(), 3);
         assert!((curve[1].precision - 0.5).abs() < 1e-12);
@@ -184,9 +191,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one positive")]
-    fn no_positives_rejected() {
-        let _ = pr_curve(&[(0.4, false)]);
+    fn no_positives_give_no_curve_and_a_nan_area() {
+        assert_eq!(pr_curve(&[(0.4, false)]), None);
+        assert_eq!(pr_curve(&[]), None);
+        assert!(average_precision(&[(0.4, false)]).is_nan());
     }
 
     #[test]
@@ -222,7 +230,7 @@ mod tests {
             scores in prop::collection::vec((0.0f64..1.0, prop::bool::ANY), 2..60),
         ) {
             prop_assume!(scores.iter().any(|(_, p)| *p));
-            let curve = pr_curve(&scores);
+            let curve = pr_curve(&scores).unwrap();
             for w in curve.windows(2) {
                 prop_assert!(w[1].recall >= w[0].recall - 1e-12);
             }

@@ -14,12 +14,15 @@
 //!   compares *distance vectors of report pairs* with Euclidean distance);
 //! * [`soa`] — struct-of-arrays [`soa::VecBatch`] column batches with
 //!   tiled, autovectorizing distance kernels (1×N and fused centre
-//!   assignment), bit-identical to the scalar per-pair path.
+//!   assignment), bit-identical to the scalar per-pair path;
+//! * [`hash`] — [`hash::WordHasher`], the word-at-a-time hasher of the
+//!   driver's tables keyed by ids and distance-vector bits.
 //!
 //! All distances are in `[0, 1]` unless documented otherwise; similarities
 //! are `1 - distance` where both are defined.
 
 pub mod field;
+pub mod hash;
 pub mod soa;
 pub mod sorted;
 pub mod token;
