@@ -307,7 +307,7 @@ fn engine_stage_launch(c: &mut Criterion) {
 
 /// One duplicate probe through `run_open_loop` on the `serve-lookup` shape
 /// (2,400 reports, two executors): blocking probe, a few dozen candidate
-/// distances, and one classify block of four engine stages. Then
+/// distances, and one classify stage. Then
 /// `job_report()` on that service once it has answered 1,000 of them.
 fn serve_single_probe(c: &mut Criterion) {
     const BASE: usize = 2_400;
@@ -336,7 +336,8 @@ fn serve_single_probe(c: &mut Criterion) {
     c.bench_function("serve/lookup_single_probe", |bench| bench.iter(&mut lookup));
     // The report of a service that has been up a while: its sections are
     // running totals, so what is left to pay for is the clock's one row per
-    // stage run (1,000 lookups are some 4,000 of them).
+    // stage run (1,000 lookups are 1,000 of them: one classify stage
+    // each).
     while next.get() < 1_000 {
         lookup();
     }

@@ -14,6 +14,7 @@ use crate::harness::{capture_run, f3, ExperimentResult};
 use adr_model::{AdrReport, PairId};
 use adr_synth::{Dataset, SynthConfig};
 use dedup::{DedupConfig, DedupSystem};
+use fastknn::CLASSIFY_STAGE;
 use sparklet::{stable_hash, Cluster, ClusterConfig, FaultConfig, JobReport};
 
 struct ChaosOutcome {
@@ -90,12 +91,8 @@ pub fn run_seeded(quick: bool, fault_seeds: &[u64]) -> (Vec<ExperimentResult>, b
             ),
         ),
         (
-            "kill executor 0 mid shuffle write".into(),
-            config_with(FaultConfig::disabled().kill_in_stage(
-                0,
-                "shuffle#0-write[map_partitions_with_ctx]",
-                1,
-            )),
+            "kill executor 1 mid classify stage".into(),
+            config_with(FaultConfig::disabled().kill_in_stage(1, CLASSIFY_STAGE, 1)),
         ),
     ];
     for &seed in fault_seeds {

@@ -16,7 +16,8 @@ use mlcore::pr_curve;
 
 /// Downsample a PR curve to interpolated precision at fixed recall grid
 /// points (the standard 11-point interpolated curve) so tables stay small.
-/// Empty when no sample is positive: there is no curve to sample.
+/// Empty when [`pr_curve`] is `None` (no sample positive, or a `NaN`
+/// score): there is no curve to sample.
 pub fn sampled_pr_curve(scored: &[(f64, bool)]) -> Vec<(f64, f64)> {
     let Some(curve) = pr_curve(scored) else {
         return Vec::new();

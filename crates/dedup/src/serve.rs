@@ -21,12 +21,10 @@
 //! the virtual clock: requests coalesce under a batch-or-deadline policy
 //! (the batch target adapts to the observed arrival rate; queueing delay is
 //! bounded by the deadline) into one contiguous [`DistBatch`] per
-//! micro-batch, so a single classify job — one block, one engine action of
-//! four stages (assign, stage 1, stage 2, merge), whether the batch holds
-//! one probe or sixty-four; a batch with nothing to classify launches none
-//! — amortises stage launch and chunk dispatch across every probe in the
-//! batch, exactly like the batch-columnar operators. (A batch is cut into a
-//! second block only past 4,096 candidate rows; see `system::BLOCK_ROWS`.)
+//! micro-batch, so a single classify stage — one engine stage with no
+//! shuffle, whether the batch holds one probe or sixty-four; a batch with
+//! nothing to classify launches none — amortises its launch across every
+//! probe in the batch, exactly like the batch-columnar operators.
 //! Serving is read-only and fits nothing. [`ServeService::refresh`] takes
 //! the epoch the system's last commit published — the classifier, the pair
 //! store, the blocking index and the corpus, four `Arc`s it *shares* with
@@ -38,7 +36,7 @@
 
 use crate::distance::{pair_distance, ProcessedReport};
 use crate::pairing::{CorpusIndex, DistBatch};
-use crate::system::{classify_rows, DedupSystem, Epoch};
+use crate::system::{DedupSystem, Epoch};
 use adr_model::{AdrReport, ReportId};
 use sparklet::{stable_hash, Cluster, EventKind, Result, SparkletError};
 use std::collections::{HashMap, HashSet};
@@ -484,10 +482,9 @@ impl ServeService {
 
     /// Answer one admitted micro-batch. All duplicate probes' candidate
     /// pairs coalesce into a single contiguous column batch, so one
-    /// classify job (through the model's `ScratchPool`) amortises stage
-    /// launch and chunk dispatch across the whole batch: four engine
-    /// stages for the batch's one block, none when no probe needs
-    /// classifying. Appends one answer per request to `answers`.
+    /// classify stage (through the model's `ScratchPool`) amortises its
+    /// launch across the whole batch: one engine stage, none when no probe
+    /// needs classifying. Appends one answer per request to `answers`.
     fn answer_batch(
         &mut self,
         requests: &[ServeRequest],
@@ -564,7 +561,7 @@ impl ServeService {
             })?;
             // Per-row independent, so each request's matches are identical
             // whatever else shares the batch.
-            for s in classify_rows(model, &rows)? {
+            for s in model.classify_distinct(&rows)? {
                 let (_, slots) = &row_meta[&s.id];
                 for &(slot, cand) in slots {
                     if let ServeAnswer::Duplicate { matches, .. } = &mut answers[base + slot] {
@@ -930,22 +927,27 @@ mod tests {
             (s.shuffle_count(), s.resident_bytes(0), s.resident_bytes(1))
         };
         let before = shuffles();
+        let passes = || sys.job_report().prune.passes;
         let mut jobs_of = |requests: &[ServeRequest]| {
             let jobs = cluster.metrics().jobs_submitted.get();
+            let (shuffled, passed) = (cluster.metrics().shuffle_bytes_written.get(), passes());
             let out = serve.run_open_loop(requests).unwrap();
             assert_eq!(out.batches, 1, "all due at once: one micro-batch");
-            assert_eq!(shuffles(), before, "a lookup's shuffles die with it");
-            (cluster.metrics().jobs_submitted.get() - jobs, out)
+            assert_eq!(shuffles(), before, "a lookup leaves no shuffle behind");
+            assert_eq!(cluster.metrics().shuffle_bytes_written.get(), shuffled);
+            let stages = cluster.metrics().jobs_submitted.get() - jobs;
+            assert_eq!(passes() - passed, stages, "one pruning pass per classify");
+            (stages, out)
         };
-        // One probe, and the largest batch the queue admits: four stages.
+        // One probe, and the largest batch the queue admits: one stage.
         let (jobs, one) = jobs_of(&[probe(1)]);
-        assert_eq!(jobs, 4);
+        assert_eq!(jobs, 1);
         assert!(
             matches!(&one.answers[0], ServeAnswer::Duplicate { matches, .. } if !matches.is_empty())
         );
         let full: Vec<ServeRequest> = (0..64).map(probe).collect();
         let (jobs, all) = jobs_of(&full);
-        assert_eq!(jobs, 4);
+        assert_eq!(jobs, 1);
         assert_eq!(all.answers[1], one.answers[0], "whatever shares the batch");
         // Signal queries and known members classify nothing: no stage.
         let known = ds.duplicate_pairs[0].hi;
@@ -986,7 +988,7 @@ mod tests {
 
     #[test]
     fn served_matches_equal_the_per_row_route_probe_by_probe() {
-        // The oracle for `classify_rows` sharing one classification among
+        // The oracle for `classify_distinct` sharing one classification among
         // equal rows: every probe's candidate rows, rebuilt here and put
         // through the per-row `classify_blocks` on their own. One batch
         // holds every probe, one of them twice.

@@ -59,33 +59,6 @@ impl Default for DedupConfig {
     }
 }
 
-/// Rows a test block holds before a batch is cut into another one (up to
-/// the configured [`FastKnnConfig::c`]). A block costs four engine stages
-/// whatever it holds. Measured on two cores against 20,000 negatives in
-/// eight cells: 66 rows take 0.50 ms in one block and 1.46 ms in four, so a
-/// block is ≈ 0.3 ms, and a row is 1.8 µs (4,096 rows: 7.7 ms) — a block
-/// costs what some 170 rows cost. At 4,096 rows that is 4 % of the block;
-/// cutting a served probe's 66 rows into four blocks of 17 tripled the call.
-const BLOCK_ROWS: usize = 4096;
-
-/// Blocks a batch of `rows` test pairs is classified in: [`BLOCK_ROWS`]
-/// each, at most `c`, at least one.
-fn block_count(c: usize, rows: usize) -> usize {
-    c.min(rows.div_ceil(BLOCK_ROWS)).max(1)
-}
-
-/// Classify `rows` with `model`, each distinct row once
-/// ([`FastKnn::classify_distinct`]), in as many blocks as the distinct rows
-/// justify (see [`BLOCK_ROWS`]). Classification is per-row independent, so
-/// neither the sharing nor the block count ever shows in a result.
-pub(crate) fn classify_rows(
-    model: &FastKnn,
-    rows: &crate::pairing::DistBatch,
-) -> Result<Vec<fastknn::ScoredPair>> {
-    let c = model.config().c;
-    model.classify_distinct(rows, |distinct| block_count(c, distinct))
-}
-
 /// One detected (or rejected) candidate pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Detection {
@@ -316,7 +289,7 @@ impl DedupSystem {
             contiguous_partitions(candidates, self.config.pair_partitions),
         )?;
 
-        let scored = classify_rows(&model, &vectors)?;
+        let scored = model.classify_distinct(&vectors)?;
         // The batch is done with the previous epoch's model: if nobody else
         // holds it, its cells leave the block manager before the next
         // model's are cached.
@@ -930,22 +903,6 @@ mod tests {
     }
 
     #[test]
-    fn blocks_are_sized_by_rows_up_to_c() {
-        // A served probe, a saturated serve batch, a block exactly full: one.
-        for rows in [0, 1, 66, 3_000, BLOCK_ROWS] {
-            assert_eq!(block_count(4, rows), 1, "{rows} rows");
-        }
-        assert_eq!(block_count(4, BLOCK_ROWS + 1), 2);
-        assert_eq!(block_count(4, 3 * BLOCK_ROWS), 3);
-        // `bulk-detect`'s quarter, 310-390k candidate pairs: the bulk
-        // setting, whatever it is.
-        for c in [1, 4, 8, 12] {
-            assert_eq!(block_count(c, 310_000), c);
-        }
-        assert_eq!(block_count(0, 310_000), 1, "c = 0 is one block");
-    }
-
-    #[test]
     fn a_small_batch_is_one_block_and_leaves_no_shuffle_behind() {
         let ds = Dataset::generate(&SynthConfig::small(300, 15, 9));
         let cluster = Cluster::local(2);
@@ -973,19 +930,30 @@ mod tests {
         };
         assert_eq!(shuffles(), (0, 0, 0), "nor does a bootstrap");
         let jobs = cluster.metrics().jobs_submitted.get();
+        let shuffled = cluster.metrics().shuffle_bytes_written.get();
+        let before = sys.job_report();
         let detections = sys.detect_new(&ds.reports[250..]).unwrap();
-        assert!((1..=BLOCK_ROWS).contains(&detections.len()));
+        assert!(!detections.is_empty());
         assert_eq!(
             cluster.metrics().jobs_submitted.get() - jobs,
-            1 + 4 + 1,
-            "the distance job, one block of four stages, the fit's count"
+            1 + 1 + 1,
+            "the distance job, one classify stage, the fit's count"
         );
+        let report = sys.job_report();
+        let classify: Vec<_> = report.stages[before.stages.len()..]
+            .iter()
+            .filter(|s| s.name == fastknn::CLASSIFY_STAGE)
+            .collect();
+        assert_eq!(classify.len(), 1);
+        assert_eq!(classify[0].tasks, 1, "a small batch is one task");
+        assert_eq!(report.prune.passes - before.prune.passes, 1);
+        assert_eq!(cluster.metrics().shuffle_bytes_written.get(), shuffled);
         assert_eq!(shuffles(), (0, 0, 0));
     }
 
     #[test]
     fn detect_new_equals_the_per_row_route_and_orders_totally() {
-        // The oracle for `classify_rows` sharing one classification among
+        // The oracle for `classify_distinct` sharing one classification among
         // equal rows: the batch's candidate rows, rebuilt here under the ids
         // `detect_new` gives them and put through the per-row
         // `classify_blocks` of the model it classified with.

@@ -11,12 +11,14 @@
 //! [`classify_batch`] is the SoA engine underneath: every candidate scan is
 //! a tiled column-kernel sweep, and all working state lives in a caller-owned
 //! [`ClassifyScratch`] — after warm-up it performs **zero heap allocation**
-//! (pinned by the `zero_alloc` integration test).
+//! (pinned by the `zero_alloc` integration test). Its row body,
+//! `classify_row`, is also what every task of the product's one-stage
+//! classification runs (see [`crate::classify`]).
 
 use crate::prune::scan_cell_pruned;
 use crate::score::{label_for, score_neighbors};
 use crate::soa::{from_unlabeled, ClassifyScratch, VecBatch};
-use crate::stage1::stage1_row;
+use crate::stage1::{stage1_row, Stage1Row};
 use crate::types::{LabeledPair, Neighborhood, ScoredPair, UnlabeledPair};
 use crate::voronoi::VoronoiPartition;
 use simmetrics::squared_euclidean_fixed;
@@ -67,7 +69,8 @@ pub fn classify_fast_serial<const D: usize>(
 }
 
 /// Fast kNN over a column batch of test pairs, appending one [`ScoredPair`]
-/// per row to `out` (cleared first).
+/// per row to `out` (cleared first): `classify_row` on each row, at its
+/// nearest centre.
 ///
 /// All candidate scans run the tiled column kernels over the partition's
 /// SoA cells; every buffer lives in `scratch`, so a warm call
@@ -87,34 +90,91 @@ pub fn classify_batch<const D: usize>(
     for i in 0..tests.len() {
         let v = tests.row(i);
         let assigned = partition.assign(&v);
-        let cell = &partition.negative_clusters[assigned];
-        let row = stage1_row(partition, cell, assigned, &v, k, scratch);
-        let ClassifyScratch {
-            hood, dists, extra, ..
-        } = scratch;
-        for &cid in extra.iter() {
-            let ds = squared_euclidean_fixed(&v, &partition.centers[cid]).sqrt();
-            // The cross-cell scan inherits the running cutoff: the hood
-            // already holds the intra candidates and positives, so
-            // hood.kth alone tightens the window.
-            scan_cell_pruned(
-                &partition.negative_clusters[cid],
-                partition.center_dists_of(cid),
-                &v,
-                ds,
-                f64::INFINITY,
-                hood,
-                dists,
-            );
-        }
-        let score = score_neighbors(hood);
-        out.push(ScoredPair {
-            id: tests.id(i),
-            score,
-            positive: label_for(score, theta),
-            shortcut: row.shortcut,
-        });
+        let (scored, _) = classify_row(partition, assigned, tests.id(i), &v, k, theta, scratch);
+        out.push(scored);
     }
+}
+
+/// What [`classify_row`] did for one test pair, in the units the counters
+/// use.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct RowCounts {
+    /// Stage 1: the assigned cell, the positives, Algorithm 1.
+    pub(crate) stage1: Stage1Row,
+    /// Additional cells Algorithm 1 selected.
+    pub(crate) extra_cells: u64,
+    /// Residents of those cells whose distance was computed.
+    pub(crate) cross_evaluated: u64,
+    /// Residents of those cells the window bound rejected unevaluated.
+    pub(crate) cross_rejected: u64,
+}
+
+impl RowCounts {
+    /// Accumulate another row's counts (`stage1.shortcut` is left alone).
+    pub(crate) fn add(&mut self, other: &RowCounts) {
+        self.stage1.add(&other.stage1);
+        self.extra_cells += other.extra_cells;
+        self.cross_evaluated += other.cross_evaluated;
+        self.cross_rejected += other.cross_rejected;
+    }
+}
+
+/// Classify the test pair `(id, v)` in Voronoi cell `assigned`: stage 1
+/// ([`stage1_row`]), then every cell Algorithm 1 selects scanned into the
+/// same running hood, then Eq. 5 at threshold `theta`.
+///
+/// The one copy of the row algorithm: [`classify_batch`] runs it at the
+/// nearest centre, and the product's one-stage classification
+/// ([`crate::FastKnn::classify_distinct`]) at the centre
+/// [`VoronoiPartition::assign_balanced_batch`] picks. Algorithm 2 seeds
+/// each cross-cell scan with the stage-1 k-th distance and merges the
+/// probes' hoods afterwards; the hood is a total-order top-k over the
+/// candidate set, so both hold the same k neighbours and score the same
+/// bits, while the running hood's cutoff only tightens.
+pub(crate) fn classify_row<const D: usize>(
+    partition: &VoronoiPartition<D>,
+    assigned: usize,
+    id: u64,
+    v: &[f64; D],
+    k: usize,
+    theta: f64,
+    scratch: &mut ClassifyScratch<D>,
+) -> (ScoredPair, RowCounts) {
+    let cell = &partition.negative_clusters[assigned];
+    let stage1 = stage1_row(partition, cell, assigned, v, k, scratch);
+    let ClassifyScratch {
+        hood, dists, extra, ..
+    } = scratch;
+    let mut counts = RowCounts {
+        stage1,
+        extra_cells: extra.len() as u64,
+        ..RowCounts::default()
+    };
+    for &cid in extra.iter() {
+        let ds = squared_euclidean_fixed(v, &partition.centers[cid]).sqrt();
+        // The cross-cell scan inherits the running cutoff: the hood
+        // already holds the intra candidates and positives, so
+        // hood.kth alone tightens the window.
+        let stats = scan_cell_pruned(
+            &partition.negative_clusters[cid],
+            partition.center_dists_of(cid),
+            v,
+            ds,
+            f64::INFINITY,
+            hood,
+            dists,
+        );
+        counts.cross_evaluated += stats.evaluated;
+        counts.cross_rejected += stats.bound_rejected;
+    }
+    let score = score_neighbors(hood);
+    let scored = ScoredPair {
+        id,
+        score,
+        positive: label_for(score, theta),
+        shortcut: stage1.shortcut,
+    };
+    (scored, counts)
 }
 
 #[cfg(test)]

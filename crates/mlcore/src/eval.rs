@@ -23,10 +23,12 @@ pub struct PrPoint {
 ///
 /// `None` when no sample is positive: recall (TP / P) is undefined then. A
 /// detection batch that touches no known duplicate scores exactly such a
-/// sample, so it is an answer, not a panic.
+/// sample, so it is an answer, not a panic. `None` too when any score is
+/// `NaN`: a `NaN` sits at no threshold (it is not even equal to itself), so
+/// no curve through it exists.
 pub fn pr_curve(scored: &[(f64, bool)]) -> Option<Vec<PrPoint>> {
     let total_pos = scored.iter().filter(|(_, p)| *p).count();
-    if total_pos == 0 {
+    if total_pos == 0 || scored.iter().any(|(s, _)| s.is_nan()) {
         return None;
     }
     let mut sorted: Vec<(f64, bool)> = scored.to_vec();
@@ -62,8 +64,9 @@ pub fn pr_curve(scored: &[(f64, bool)]) -> Option<Vec<PrPoint>> {
 
 /// Area under the PR curve by the step-wise (average-precision style)
 /// estimator: `Σ (r_i − r_{i−1}) · p_i`. In `[0, 1]`; `NaN` when no sample
-/// is positive ([`pr_curve`] is `None`), so an undefined area stays visibly
-/// undefined in a table or a mean instead of reading as 0 or 1.
+/// is positive or a score is `NaN` ([`pr_curve`] is `None`), so an undefined
+/// area stays visibly undefined in a table or a mean instead of reading as 0
+/// or 1.
 pub fn average_precision(scored: &[(f64, bool)]) -> f64 {
     let Some(curve) = pr_curve(scored) else {
         return f64::NAN;
@@ -195,6 +198,16 @@ mod tests {
         assert_eq!(pr_curve(&[(0.4, false)]), None);
         assert_eq!(pr_curve(&[]), None);
         assert!(average_precision(&[(0.4, false)]).is_nan());
+    }
+
+    #[test]
+    fn a_nan_score_gives_no_curve_and_a_nan_area() {
+        // Unguarded, the tie loop never consumed a NaN (NaN != NaN) and the
+        // curve grew without bound.
+        let scored = [(0.9, true), (f64::NAN, false), (0.2, true)];
+        assert_eq!(pr_curve(&scored), None);
+        assert_eq!(pr_curve(&[(f64::NAN, true)]), None);
+        assert!(average_precision(&scored).is_nan());
     }
 
     #[test]

@@ -656,7 +656,8 @@ impl SpillReport {
 /// results changed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PruneReport {
-    /// Pruning passes journaled (one per classify block).
+    /// Pruning passes journaled (one per classify call of the product, one
+    /// per block of the paper's Algorithm 2).
     pub passes: u64,
     /// Voronoi cells skipped wholesale by the annulus bound.
     pub cells_skipped: u64,

@@ -5,15 +5,22 @@
 //! `refactor_baseline.rs` under a different failure schedule — executors
 //! killed between stages, killed mid-stage, random task faults, spill
 //! forced on every stage — and asserts the detections are **bit-identical** to the
-//! fault-free run (same pinned digest). Recovery is allowed to cost virtual
-//! time; it is never allowed to change a score, a label, or the output
-//! order. The only acceptable divergence is a clean error when the failure
+//! fault-free run (same pinned digest). The product classifies in one
+//! stage and shuffles nothing, so the spill-forced runs also classify the
+//! batch through the paper's Algorithm 2, whose shuffles a memory cap
+//! spills, and hold its records equal to `detect_new`'s. Recovery is
+//! allowed to cost virtual time; it is never allowed to change a score, a
+//! label, or the output order. The only acceptable divergence is a clean error when the failure
 //! schedule leaves no healthy executor to run on.
 
 use adr_model::{AdrReport, PairId};
 use adr_synth::{Dataset, SynthConfig};
 use dedup::{DedupConfig, DedupSystem};
+use fastknn::{FastKnn, CLASSIFY_STAGE};
 use sparklet::{stable_hash, Cluster, ClusterConfig, FaultConfig, JobReport, SparkletError};
+
+mod algorithm2;
+use algorithm2::{algorithm2_records, Record};
 
 /// The fault-free `detect_new` digest pinned in `refactor_baseline.rs`.
 const BASELINE_DIGEST: u64 = 11028548671881665013;
@@ -40,6 +47,18 @@ struct ChaosRun {
 /// Run the full pipeline on `config`, returning the detection digest and
 /// the job report (recovery section included).
 fn run_pipeline(config: ClusterConfig) -> sparklet::Result<ChaosRun> {
+    run(config, false)
+}
+
+/// [`run_pipeline`], then the same candidate batch classified again on the
+/// same cluster through Algorithm 2's `classify_batch`, by a twin of the
+/// model `detect_new` classified with. The report covers both routes, and
+/// Algorithm 2's records must equal `detect_new`'s, score bits included.
+fn run_both_routes(config: ClusterConfig) -> sparklet::Result<ChaosRun> {
+    run(config, true)
+}
+
+fn run(config: ClusterConfig, algorithm2: bool) -> sparklet::Result<ChaosRun> {
     let (historical, labelled, arriving) = corpus();
     let cluster = Cluster::new(config);
     let handle = cluster.clone();
@@ -48,11 +67,17 @@ fn run_pipeline(config: ClusterConfig) -> sparklet::Result<ChaosRun> {
     dcfg.bootstrap_negatives = 400;
     let mut system = DedupSystem::new(cluster, dcfg);
     system.bootstrap(&historical, &labelled)?;
+    let train = system.store().training_pairs();
     let detections = system.detect_new(&arriving)?;
-    let records: Vec<(u64, u64, u64, bool)> = detections
+    let records: Vec<Record> = detections
         .iter()
         .map(|d| (d.pair.lo, d.pair.hi, d.score.to_bits(), d.is_duplicate))
         .collect();
+    if algorithm2 {
+        let twin = FastKnn::fit(&handle, &train, dcfg.knn)?;
+        let paper = algorithm2_records(&system, &twin, &historical, &arriving)?;
+        assert!(paper == records, "Algorithm 2 and detect_new disagree");
+    }
     Ok(ChaosRun {
         digest: stable_hash(&records),
         report: handle.job_report(),
@@ -101,12 +126,10 @@ fn executor_kills_between_stages_leave_detections_bit_identical() {
 
 #[test]
 fn mid_stage_kill_recovers_lost_work_without_output_drift() {
-    // Kill executor 0 while a detect_new map-output stage is in flight:
-    // its unprocessed wave results go stale (lost tasks, rescheduled on
-    // survivors) and any bucket files it already wrote are invalidated and
-    // recomputed from lineage.
-    let fault =
-        FaultConfig::disabled().kill_in_stage(0, "shuffle#3-write[map_partitions_with_ctx]", 1);
+    // Kill executor 1 once the classify stage's first task has completed:
+    // the task placed on it is in flight, its result goes stale, and the
+    // task is rescheduled on a survivor.
+    let fault = FaultConfig::disabled().kill_in_stage(1, CLASSIFY_STAGE, 1);
     let chaos = run_pipeline(chaos_config(fault)).expect("chaos run");
     assert_eq!(
         chaos.digest, BASELINE_DIGEST,
@@ -141,34 +164,36 @@ fn stealing_under_executor_kills_matches_the_pinned_digest() {
     // The steal schedule is replayed over per-morsel costs, which injected
     // kills perturb (lost attempts accumulate cost) — the output still may
     // not move, and the distance stage must really have been rebalanced.
-    let config = chaos_config(FaultConfig::disabled().kill_in_stage(
-        0,
-        "shuffle#3-write[map_partitions_with_ctx]",
-        1,
-    ));
+    let config = chaos_config(FaultConfig::disabled().kill_in_stage(1, CLASSIFY_STAGE, 1));
     let chaos = run_pipeline(config).expect("chaos run");
     assert_eq!(
         chaos.digest, BASELINE_DIGEST,
         "stealing under kills changed the output"
     );
     assert_eq!(chaos.report.recovery.executors_lost, 1);
+    assert!(
+        chaos.report.recovery.tasks_lost >= 1,
+        "the kill cost no task"
+    );
     let scheduling = &chaos.report.sched;
     assert!(scheduling.steals > 0, "no morsel was ever stolen");
 }
 
-/// Executor memory small enough that the pipeline's shuffles overflow the
+/// Executor memory small enough that Algorithm 2's shuffles overflow the
 /// resident pool (a fifth of it) on every classification stage — the
-/// out-of-core forcing knob.
+/// out-of-core forcing knob. The product's classify stage shuffles nothing;
+/// the spill-forced runs are [`run_both_routes`].
 const SPILL_FORCING_MEMORY: usize = 64 << 10;
 
 #[test]
 fn spill_forced_run_matches_the_pinned_digest() {
     // Shrink executor memory until shuffle writes must overflow to disk;
-    // the detections must not move by a bit, and the job report must show
-    // the disk tier actually absorbed traffic both ways.
+    // the detections must not move by a bit, Algorithm 2's must equal them,
+    // and the job report must show the disk tier actually absorbed traffic
+    // both ways.
     let mut config = ClusterConfig::local(4);
     config.memory_per_executor = SPILL_FORCING_MEMORY;
-    let run = run_pipeline(config).expect("spill-forced run");
+    let run = run_both_routes(config).expect("spill-forced run");
     assert_eq!(run.digest, BASELINE_DIGEST, "spill changed the output");
     let spill = &run.report.spill;
     assert!(spill.bytes_spilled > 0, "cap never overflowed: {spill:?}");
@@ -194,13 +219,14 @@ fn spill_under_executor_kills_matches_the_pinned_digest() {
             .kill_at_time(2, total / 2),
     );
     config.memory_per_executor = SPILL_FORCING_MEMORY;
-    let chaos = run_pipeline(config).expect("spill + kills run");
+    let chaos = run_both_routes(config).expect("spill + kills run");
     assert_eq!(
         chaos.digest, BASELINE_DIGEST,
         "kills with spill on changed the output"
     );
     assert_eq!(chaos.report.recovery.executors_lost, 2);
     assert!(chaos.report.spill.bytes_spilled > 0, "spill never engaged");
+    assert!(chaos.report.spill.bytes_read_back > 0);
 }
 
 #[test]
@@ -211,12 +237,13 @@ fn spill_under_work_stealing_matches_the_pinned_digest() {
     for executors in [2, 8] {
         let mut config = ClusterConfig::local(executors);
         config.memory_per_executor = SPILL_FORCING_MEMORY;
-        let run = run_pipeline(config).expect("spill + steal run");
+        let run = run_both_routes(config).expect("spill + steal run");
         assert_eq!(
             run.digest, BASELINE_DIGEST,
             "{executors} executors with spill on changed the output"
         );
         assert!(run.report.spill.bytes_spilled > 0);
+        assert!(run.report.spill.bytes_read_back > 0);
     }
 }
 

@@ -401,10 +401,12 @@ fn transient_engine_faults_retry_to_the_fault_free_digest() {
     // With engine-level retry disabled every task fault fails its whole
     // job, so the rate must stay low enough that a batch converges within
     // the service's retry budget, and high enough that some batch needs it.
-    // A batch here is 63-75 task attempts over six jobs (the distance job,
-    // one classify block of four stages, the fit's count); it was 244-274
-    // over 23 when every batch ran four blocks of five stages and the rate
-    // was 0.004. The same one fault per batch, expected: 0.004 x 261 / 68.
+    // A batch here is some 26 task attempts over three jobs (the distance
+    // job's 16 morsels, one classify stage of one task, the fit's count):
+    // ≈ 0.4 faults a batch expected, and this schedule retries 3 of the 4
+    // batches. It was 63-75 attempts over six jobs when a batch classified
+    // in one Algorithm 2 block of four stages, and 244-274 over 23 when it
+    // ran four blocks of five stages and the rate was 0.004.
     cluster_cfg.max_task_attempts = 1;
     cluster_cfg.fault = FaultConfig::with_probability(0.015, 2016);
     let mut ingest_cfg = IngestConfig::new(&dir);

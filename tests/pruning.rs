@@ -19,12 +19,13 @@
 
 use adr_model::{AdrReport, PairId};
 use adr_synth::{Dataset, SynthConfig};
-use dedup::pairing::{contiguous_partitions, pairwise_distance_batches};
-use dedup::{index_corpus, pairs_involving_new, DedupConfig, DedupSystem, ProcessedReport};
+use dedup::{DedupConfig, DedupSystem};
 use fastknn::{FastKnn, FastKnnConfig, LabeledPair, UnlabeledPair, VoronoiPartition};
 use proptest::prelude::*;
-use sparklet::{stable_hash, Cluster, ClusterConfig, FaultConfig};
-use textprep::{Pipeline, TokenInterner};
+use sparklet::{stable_hash, Cluster, ClusterConfig, FaultConfig, RecoveryReport};
+
+mod algorithm2;
+use algorithm2::{algorithm2_records, Record};
 
 /// The fault-free `detect_new` digest pinned in `refactor_baseline.rs`,
 /// captured on the pre-pruning tree.
@@ -46,20 +47,20 @@ fn corpus() -> (Vec<AdrReport>, Vec<PairId>, Vec<AdrReport>) {
 }
 
 /// Bootstrap, then classify the arriving reports under `config`; returns
-/// the detection digest and the executors the run lost. Pruned, that is the
+/// the detection digest and the run's recovery totals. Pruned, that is the
 /// product's `detect_new`. Unpruned, it is the same §3 candidate pairs
 /// through the same distance job, classified by an unpruned twin of the
 /// model the bootstrap published — [`FastKnn::from_partition`] over the
 /// partition `fit` builds, stripped of its pruning metadata — and put in
 /// `detect_new`'s order.
-fn detect_digest(config: ClusterConfig, prune: bool) -> sparklet::Result<(u64, u64)> {
+fn detect_digest(config: ClusterConfig, prune: bool) -> sparklet::Result<(u64, RecoveryReport)> {
     let (historical, labelled, arriving) = corpus();
     let mut dcfg = DedupConfig::default();
     dcfg.knn.b = 8;
     dcfg.bootstrap_negatives = 400;
     let mut system = DedupSystem::new(Cluster::new(config), dcfg);
     system.bootstrap(&historical, &labelled)?;
-    let records: Vec<(u64, u64, u64, bool)> = if prune {
+    let records: Vec<Record> = if prune {
         let detections = system.detect_new(&arriving)?;
         detections
             .iter()
@@ -68,8 +69,7 @@ fn detect_digest(config: ClusterConfig, prune: bool) -> sparklet::Result<(u64, u
     } else {
         unpruned_detections(&system, &historical, &arriving)?
     };
-    let lost = system.job_report().recovery.executors_lost;
-    Ok((stable_hash(&records), lost))
+    Ok((stable_hash(&records), system.job_report().recovery))
 }
 
 /// `detect_new` over the exhaustive candidate path, rebuilt from public
@@ -78,36 +78,11 @@ fn unpruned_detections(
     system: &DedupSystem,
     historical: &[AdrReport],
     arriving: &[AdrReport],
-) -> sparklet::Result<Vec<(u64, u64, u64, bool)>> {
-    let cluster = system.cluster();
+) -> sparklet::Result<Vec<Record>> {
     let knn = system.config().knn;
     let voronoi = VoronoiPartition::build(&system.store().training_pairs(), knn.b, knn.seed);
-    let model = FastKnn::from_partition(cluster, voronoi.without_prune_metadata(), knn)?;
-    let (pipeline, mut interner) = (Pipeline::paper(), TokenInterner::new());
-    let corpus = index_corpus(
-        historical
-            .iter()
-            .chain(arriving)
-            .map(|r| ProcessedReport::from_report(r, &pipeline, &mut interner)),
-    );
-    let ids = |reports: &[AdrReport]| reports.iter().map(|r| r.id).collect::<Vec<_>>();
-    let candidates = pairs_involving_new(&ids(arriving), &ids(historical));
-    let partitions = contiguous_partitions(candidates, system.config().pair_partitions);
-    let (pairs, vectors) = pairwise_distance_batches(cluster, &corpus, partitions)?;
-    let mut records: Vec<(u64, u64, u64, bool)> = model
-        .classify_batch(&vectors)?
-        .iter()
-        .map(|s| {
-            let pair = pairs[s.id as usize];
-            (pair.lo, pair.hi, s.score.to_bits(), s.positive)
-        })
-        .collect();
-    // Duplicates first, then score descending, then candidate order.
-    records.sort_by(|a, b| {
-        b.3.cmp(&a.3)
-            .then(f64::from_bits(b.2).total_cmp(&f64::from_bits(a.2)))
-    });
-    Ok(records)
+    let model = FastKnn::from_partition(system.cluster(), voronoi.without_prune_metadata(), knn)?;
+    algorithm2_records(system, &model, historical, arriving)
 }
 
 #[test]
@@ -126,19 +101,30 @@ fn digest_is_pinned_across_partition_counts_with_pruning_on_and_off() {
 
 #[test]
 fn digest_is_pinned_under_mid_stage_kills_with_pruning_on_and_off() {
-    // Pruning shrinks the probe shuffle (stage-2 records carry the stage-1
-    // cutoff and far cells drop out), but the stage graph is unchanged —
-    // the chaos suite's mid-stage kill must recover identically either way.
+    // Pruning shrinks what the scans evaluate, never the stage graph. The
+    // pruned leg is the product's one classify stage, the unpruned leg
+    // Algorithm 2 and its `shuffle#3` map side: either way the kill lands
+    // mid-stage, costs a task, and must be recovered from identically.
     for prune in [true, false] {
         let mut config = ClusterConfig::local(4);
-        config.fault =
-            FaultConfig::disabled().kill_in_stage(0, "shuffle#3-write[map_partitions_with_ctx]", 1);
-        let (digest, lost) = detect_digest(config, prune).expect("pipeline run");
+        config.fault = if prune {
+            FaultConfig::disabled().kill_in_stage(1, fastknn::CLASSIFY_STAGE, 1)
+        } else {
+            FaultConfig::disabled().kill_in_stage(0, "shuffle#3-write[map_partitions_with_ctx]", 1)
+        };
+        let (digest, recovery) = detect_digest(config, prune).expect("pipeline run");
         assert_eq!(
             digest, BASELINE_DIGEST,
             "mid-stage kill drifted with prune={prune}"
         );
-        assert_eq!(lost, 1, "the kill fired with prune={prune}");
+        assert_eq!(
+            recovery.executors_lost, 1,
+            "the kill fired with prune={prune}"
+        );
+        assert!(
+            recovery.tasks_lost + recovery.recomputed_map_tasks >= 1,
+            "prune={prune}: the kill cost no work: {recovery:?}"
+        );
     }
 }
 

@@ -295,8 +295,9 @@ fn hundred_thousand_signal_requests_stay_bounded() {
 
 /// The report stays true for the life of a service: five hundred
 /// single-probe duplicate lookups on one service store two events each (the
-/// serve batch and its one pruning pass — the engine stages in between
-/// store none), nothing is dropped, and the report counts every one.
+/// serve batch and its one pruning pass — the classify stage in between
+/// stores none), nothing is dropped, and the report counts every one: one
+/// classify stage per lookup, and no shuffle.
 #[test]
 fn job_report_counts_every_lookup_of_a_long_lived_service() {
     let ds = Dataset::generate(&SynthConfig::small(250, 15, 11));
@@ -326,8 +327,13 @@ fn job_report_counts_every_lookup_of_a_long_lived_service() {
         "{} events stored for 500 lookups",
         journal.len() - events_before
     );
-    assert!(
-        report.stages.len() - before.stages.len() >= 4 * 500,
-        "every lookup ran its engine stages"
+    let stages = &report.stages[before.stages.len()..];
+    assert_eq!(stages.len(), 500, "one engine stage per lookup");
+    assert!(stages
+        .iter()
+        .all(|s| s.name == fastknn::CLASSIFY_STAGE && s.tasks == 1));
+    assert_eq!(
+        report.totals.shuffle_bytes_written,
+        before.totals.shuffle_bytes_written
     );
 }
