@@ -17,7 +17,9 @@ use dedup::{
 };
 use fastknn::serial::{classify_brute, classify_fast_serial};
 use fastknn::voronoi::VoronoiPartition;
-use fastknn::{stage1_row, ClassifyScratch, FastKnn, FastKnnConfig, LabeledPair, Neighborhood};
+use fastknn::{
+    stage1_row, ClassifyScratch, FastKnn, FastKnnConfig, LabeledPair, Neighborhood, Walk,
+};
 use mlcore::kmeans::KMeans;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -155,6 +157,7 @@ fn classifier(c: &mut Criterion) {
                 0,
                 black_box(&query),
                 9,
+                Walk::Lattice,
                 &mut scratch,
             )
         })

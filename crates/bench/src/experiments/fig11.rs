@@ -62,7 +62,7 @@ pub fn run(quick: bool) -> Vec<ExperimentResult> {
         .filter(|p| p.positive)
         .cloned()
         .collect();
-    let pruner = TestPruner::build(&positives, l, 11);
+    let pruner = TestPruner::build(&positives, l, 11).expect("the workload has positive pairs");
 
     let duplicate_ids: HashSet<u64> = workload
         .test

@@ -43,9 +43,11 @@
 //! ([`VoronoiPartition::assign_balanced_batch`]) and, visiting them cell by
 //! cell, runs `classify_row` on each: stage 1, then Algorithm 1's extra
 //! cells scanned into the same running hood, then Eq. 5. The hood is a total-order top-k over the
-//! candidate set, so every result is bit-identical to Algorithm 2's; only
-//! the cross-cell comparison count can drop, as the running cutoff only
-//! tightens.
+//! candidate set, so every result is bit-identical to Algorithm 2's. The
+//! comparison counts are not: the running cutoff only tightens, and every
+//! scan walks [`Walk::Lattice`] — on §4.2's data, a cell's buckets in
+//! Hamming order ([`crate::lattice`]) — where Algorithm 2 walks
+//! [`Walk::Center`], the order Figs. 6b–11 count.
 //!
 //! Each task works on contiguous struct-of-arrays batches: the cached
 //! negative dataset is one `Arc<VecBatch>` per Voronoi cell, test blocks are
@@ -56,15 +58,13 @@
 //! neighbourhood bases) still carry stack arrays, not heap vectors.
 
 use crate::counters;
-use crate::prune::scan_cell_pruned;
 use crate::score::{label_for, score_neighbors};
 use crate::serial::{classify_row, RowCounts};
 use crate::soa::{from_unlabeled, ScratchPool, VecBatch};
 use crate::stage1::{stage1_row, Stage1Row};
 use crate::types::{LabeledPair, Neighborhood, ScoredPair, UnlabeledPair, PAIR_DIMS};
-use crate::voronoi::VoronoiPartition;
+use crate::voronoi::{VoronoiPartition, Walk};
 use simmetrics::hash::WordMap;
-use simmetrics::squared_euclidean_fixed;
 use sparklet::partitioner::IndexPartitioner;
 use sparklet::{Cluster, EventKind, PairRdd, Rdd, Result, SparkletError};
 use std::collections::hash_map::Entry;
@@ -189,7 +189,8 @@ impl<const D: usize> FastKnn<D> {
     /// Partition the training set and cache the negative clusters on the
     /// engine. This is Algorithm 2 step 1 plus the training-side `join`
     /// preparation. An empty training set or `b == 0` is a
-    /// [`SparkletError::User`]: there is nothing to partition.
+    /// [`SparkletError::User`]: there is nothing to partition. So are the
+    /// configurations [`FastKnn::from_partition`] refuses.
     pub fn fit(
         cluster: &Cluster,
         train: &[LabeledPair<D>],
@@ -212,11 +213,21 @@ impl<const D: usize> FastKnn<D> {
     /// this over `VoronoiPartition::build(..).without_prune_metadata()`:
     /// the same routines, finding no sorted distances, sweep every resident
     /// and every positive and skip no cell.
+    ///
+    /// `k == 0` and a NaN θ are [`SparkletError::User`]: with no neighbour
+    /// every score is 0, so at θ = 0 every pair would be a duplicate, and
+    /// no score compares above a NaN, so no pair ever would.
     pub fn from_partition(
         cluster: &Cluster,
         voronoi: VoronoiPartition<D>,
         config: FastKnnConfig,
     ) -> Result<FastKnn<D>> {
+        if config.k == 0 || config.theta.is_nan() {
+            return Err(SparkletError::User(format!(
+                "FastKnn: cannot score with k = {} at θ = {}",
+                config.k, config.theta
+            )));
+        }
         // Install spill codecs before any job runs: the negative-cell cache
         // and all three classification shuffles must be able to overflow to
         // the disk tier instead of aborting under a tight memory budget.
@@ -534,7 +545,15 @@ impl<const D: usize> FastKnn<D> {
                     let mut extra_cells = 0u64;
                     stage1_scratch.with(|s| {
                         for (assigned_cid, t) in tests {
-                            let row = stage1_row(&vor_stage1, cell, assigned_cid, &t.vector, k, s);
+                            let row = stage1_row(
+                                &vor_stage1,
+                                cell,
+                                assigned_cid,
+                                &t.vector,
+                                k,
+                                Walk::Center,
+                                s,
+                            );
                             total.add(&row);
                             shortcuts += u64::from(row.shortcut);
                             extra_cells += s.extra.len() as u64;
@@ -621,13 +640,11 @@ impl<const D: usize> FastKnn<D> {
                             // top-k, so the local hood it fills merges
                             // losslessly.
                             let mut hood = Neighborhood::new(k);
-                            let ds =
-                                squared_euclidean_fixed(&vector, &vor_stage2.centers[cid]).sqrt();
-                            let stats = scan_cell_pruned(
+                            let stats = vor_stage2.scan_cell(
+                                Walk::Center,
+                                cid,
                                 cell,
-                                vor_stage2.center_dists_of(cid),
                                 &vector,
-                                ds,
                                 kth_sq,
                                 &mut hood,
                                 &mut s.dists,
@@ -909,6 +926,42 @@ mod tests {
         assert_fit_refused(&workload(50, 3, 0, 1).0, 0);
     }
 
+    /// `fit` and `from_partition` under `config` are user errors naming
+    /// it, and run no job.
+    fn assert_scoring_refused(config: FastKnnConfig) {
+        let want = format!("k = {} at θ = {}", config.k, config.theta);
+        let train = workload(50, 3, 0, 1).0;
+        let cluster = Cluster::local(2);
+        let voronoi = VoronoiPartition::build(&train, config.b, config.seed);
+        for fitted in [
+            FastKnn::fit(&cluster, &train, config),
+            FastKnn::from_partition(&cluster, voronoi, config),
+        ] {
+            match fitted {
+                Err(SparkletError::User(m)) => assert!(m.ends_with(&want), "{m}"),
+                Err(other) => panic!("expected a user error, got {other}"),
+                Ok(_) => panic!("accepted {want}"),
+            }
+        }
+        assert_eq!(cluster.metrics().jobs_submitted.get(), 0);
+    }
+
+    #[test]
+    fn zero_neighbours_is_a_user_error() {
+        assert_scoring_refused(FastKnnConfig {
+            k: 0,
+            ..FastKnnConfig::default()
+        });
+    }
+
+    #[test]
+    fn a_nan_threshold_is_a_user_error() {
+        assert_scoring_refused(FastKnnConfig {
+            theta: f64::NAN,
+            ..FastKnnConfig::default()
+        });
+    }
+
     #[test]
     fn fifty_fits_on_one_cluster_hold_one_models_blocks() {
         // A model's cached cells (and a classification's cached stage-1
@@ -1085,7 +1138,9 @@ mod tests {
 
     mod distinct_vectors {
         use super::*;
-        use crate::stage1::tests::{lattice_points, on_lattice, LATTICE};
+        use crate::stage1::tests::{
+            lattice_points, off_lattice, on_lattice, pair_points, pair_vectors, LATTICE,
+        };
         use proptest::prelude::*;
         use sparklet::stable_hash;
 
@@ -1115,19 +1170,16 @@ mod tests {
             for (i, v) in positives.iter().enumerate() {
                 pos.push(2 * i as u64 + 1, v, true);
             }
-            VoronoiPartition {
-                centers: all,
-                negative_clusters: cells.into_iter().map(Arc::new).collect(),
-                center_dists: Vec::new(),
-                positives: pos,
-                positive_ref: [0.0; 3],
-                positive_ref_dists: Vec::new(),
-            }
+            VoronoiPartition::from_cells(all, cells, pos)
         }
 
         /// Rows `picks[i]` of `pool`, under hashed ids as the serving layer
         /// makes them: unique, far apart, in no order.
-        fn repeated_rows(pool: &[[f64; 3]], picks: &[usize], salt: u64) -> VecBatch<3> {
+        fn repeated_rows<const D: usize>(
+            pool: &[[f64; D]],
+            picks: &[usize],
+            salt: u64,
+        ) -> VecBatch<D> {
             let mut batch = VecBatch::new();
             for (i, &p) in picks.iter().enumerate() {
                 batch.push(stable_hash(&(salt, i as u64)), &pool[p % pool.len()], false);
@@ -1153,13 +1205,13 @@ mod tests {
 
         /// Training pairs on the lattice with `heavy` more negatives piled
         /// on one corner: the cell `rebalance` has to split.
-        fn train_with_a_heavy_corner(
-            negatives: &[[f64; 3]],
+        fn train_with_a_heavy_corner<const D: usize>(
+            negatives: &[[f64; D]],
             heavy: usize,
-            positives: &[[f64; 3]],
-        ) -> Vec<LabeledPair<3>> {
-            let corner = std::iter::repeat_n(&[0.0; 3], heavy);
-            let mut train: Vec<LabeledPair<3>> = negatives
+            positives: &[[f64; D]],
+        ) -> Vec<LabeledPair<D>> {
+            let corner = std::iter::repeat_n(&[0.0; D], heavy);
+            let mut train: Vec<LabeledPair<D>> = negatives
                 .iter()
                 .chain(corner)
                 .enumerate()
@@ -1287,6 +1339,54 @@ mod tests {
                 let slots: usize = pool.iter().map(|v| model.voronoi().tie_count(v)).sum();
                 let shared_rows = model.cluster.metrics().counter(counters::ROWS_SHARED).get();
                 prop_assert!(rows.len() - shared_rows as usize <= slots);
+            }
+
+            /// The product's route on eight-column pair vectors, which
+            /// `build` lays out on the lattice: bit-identical to the same
+            /// partition stripped of its metadata (every scan a sweep) and
+            /// to Algorithm 2's per-row route through the derived centre
+            /// order, and every distance the sweep computes is either
+            /// computed or counted as avoided. Queries on the lattice and,
+            /// from `strays`, off it; a heavy corner makes sibling cells.
+            #[test]
+            fn classify_distinct_on_pair_vectors_equals_the_unpruned_model(
+                negatives in pair_points(20..120),
+                positives in pair_points(0..10),
+                heavy in 0usize..200,
+                pool in pair_points(1..12),
+                strays in pair_points(0..3),
+                moves in prop::collection::vec((0usize..5, 0usize..4), 3),
+                picks in prop::collection::vec(0usize..15, 1..90),
+                k in 1usize..12,
+                b in 1usize..6,
+                salt in 0u64..1000,
+            ) {
+                let (negatives, positives) = (pair_vectors(negatives), pair_vectors(positives));
+                let mut pool = pair_vectors(pool);
+                pool.extend(off_lattice(strays, &moves));
+                let train = train_with_a_heavy_corner(&negatives, heavy, &positives);
+                let voronoi = VoronoiPartition::build(&train, b, salt);
+                prop_assert!(voronoi.on_lattice());
+                let config = FastKnnConfig { k, b, seed: salt, ..FastKnnConfig::default() };
+                let run = |voronoi: VoronoiPartition<8>, rows: &VecBatch<8>| {
+                    let model = FastKnn::from_partition(&Cluster::local(2), voronoi, config).unwrap();
+                    let scored = model.classify_distinct(rows).unwrap();
+                    let m = model.cluster.metrics();
+                    let evals = m.counter(counters::INTRA_COMPARISONS).get()
+                        + m.counter(counters::POSITIVE_COMPARISONS).get()
+                        + m.counter(counters::CROSS_COMPARISONS).get();
+                    let avoided = m.counter(counters::PRUNE_EVALS_AVOIDED).get();
+                    (model, scored, evals, avoided)
+                };
+                let rows = repeated_rows(&pool, &picks, salt);
+                let (model, scored, evals_on, avoided) = run(voronoi.clone(), &rows);
+                let (_, unpruned, evals_off, avoided_off) =
+                    run(voronoi.without_prune_metadata(), &rows);
+                prop_assert_eq!(bits(&scored), bits(&unpruned));
+                prop_assert_eq!(avoided_off, 0);
+                prop_assert_eq!(evals_on + avoided, evals_off);
+                let per_row = model.classify_blocks(&rows, 2).unwrap();
+                prop_assert_eq!(bits(&scored), bits(&per_row));
             }
         }
     }

@@ -26,6 +26,7 @@
 //! suite checks this equivalence against [`serial`].
 
 pub mod classify;
+pub mod lattice;
 pub mod prune;
 pub mod score;
 pub mod select;
@@ -47,7 +48,7 @@ pub use soa::{from_unlabeled, to_labeled, ClassifyScratch, ScratchPool, VecBatch
 pub use spill::register_spill_codecs;
 pub use stage1::{stage1_row, Stage1Row};
 pub use types::{LabeledPair, Neighborhood, ScoredPair, UnlabeledPair, PAIR_DIMS};
-pub use voronoi::{hyperplane_distance, VoronoiPartition};
+pub use voronoi::{hyperplane_distance, VoronoiPartition, Walk};
 
 /// Counter names published to [`sparklet::ClusterMetrics`] — the quantities
 /// Figs. 7 and 8 of the paper plot.

@@ -15,10 +15,11 @@
 //!
 //! Besides §4.3.4's *test-set* pruning above, this module hosts the
 //! *candidate* pruning engine: the triangle-inequality window scan over a
-//! Voronoi cell whose residents are sorted by distance-to-centre (see
-//! [`crate::voronoi::VoronoiPartition::center_dists`]) — and over the
-//! positives, which are laid out as one more such cell around their mean
-//! (see [`crate::stage1`]). For a query `s`
+//! Voronoi cell whose residents are ordered by distance-to-centre — and
+//! over the positives, which are laid out as one more such cell around
+//! their mean (see [`crate::stage1`]).
+//! The product's lattice walk runs the same window inside each of its
+//! buckets ([`crate::lattice`]). For a query `s`
 //! with `d(s, c)` to the cell centre and a running k-th-neighbour cutoff
 //! `kth`, any resident `x` satisfies
 //!
@@ -38,8 +39,10 @@
 
 use crate::soa::{distances_to_point_range, VecBatch};
 use crate::types::{LabeledPair, Neighborhood, UnlabeledPair, PAIR_DIMS};
+use crate::voronoi::RefOrder;
 use mlcore::kmeans::KMeans;
 use simmetrics::{euclidean_fixed, squared_euclidean_fixed};
+use sparklet::{Result, SparkletError};
 
 /// Pruner built from the positive training pairs.
 #[derive(Debug, Clone)]
@@ -74,14 +77,14 @@ impl<const D: usize> TestPruner<D> {
     /// Step 1–2 of §4.3.4: cluster positives into `l` clusters and record
     /// each cluster's radius.
     ///
-    /// # Panics
-    /// Panics when there are no positive pairs (nothing to prune against —
-    /// the caller should skip pruning entirely in that regime).
-    pub fn build(positives: &[LabeledPair<D>], l: usize, seed: u64) -> Self {
-        assert!(
-            !positives.is_empty(),
-            "test-set pruning requires positive training pairs"
-        );
+    /// No positive pairs is a [`SparkletError::User`]: there is nothing to
+    /// prune against, and the caller should skip pruning in that regime.
+    pub fn build(positives: &[LabeledPair<D>], l: usize, seed: u64) -> Result<Self> {
+        if positives.is_empty() {
+            return Err(SparkletError::User(
+                "TestPruner::build: test-set pruning requires positive training pairs".into(),
+            ));
+        }
         let vectors: Vec<[f64; D]> = positives.iter().map(|p| p.vector).collect();
         let model = KMeans::new(l.max(1), seed).fit(&vectors);
         let mut radii = vec![0.0f64; model.k()];
@@ -91,10 +94,10 @@ impl<const D: usize> TestPruner<D> {
                 radii[a] = d;
             }
         }
-        TestPruner {
+        Ok(TestPruner {
             centers: model.centroids,
             radii,
-        }
+        })
     }
 
     /// Step 3: should `vector` be kept at expansion `f_theta`?
@@ -284,25 +287,99 @@ pub fn scan_cell_pruned<const D: usize>(
     dists: &mut Vec<f64>,
 ) -> CellScanStats {
     let n = cell.len();
-    let mut stats = CellScanStats::default();
     if n == 0 {
-        return stats;
+        return CellScanStats::default();
     }
     if center_dists.len() != n {
-        stats.min_sq = offer_rows(cell, query, 0, n, hood, dists);
-        stats.evaluated = n as u64;
-        return stats;
+        return CellScanStats {
+            evaluated: n as u64,
+            bound_rejected: 0,
+            min_sq: offer_rows(cell, query, 0, n, hood, dists),
+        };
     }
+    walk_window(
+        center_dists,
+        ds,
+        initial_cutoff_sq,
+        hood,
+        |cutoff| admissible_radius(ds, cutoff),
+        |start, end, hood| offer_rows(cell, query, start, end, hood, dists),
+    )
+}
+
+/// [`scan_cell_pruned`] over rows stored in another order: `order.rows[p]`
+/// is the row at sorted position `p`, whose distance to the reference is
+/// `order.dists[p]`. Rows come in the order `order` walks them, each
+/// distance by the scalar kernel (bit-identical to the tiled one), so the
+/// counts and the hood equal a scan over the rows gathered into that order.
+/// An order with no rows is the storage order itself.
+pub(crate) fn scan_in_order<const D: usize>(
+    cell: &VecBatch<D>,
+    order: &RefOrder,
+    query: &[f64; D],
+    ds: f64,
+    initial_cutoff_sq: f64,
+    hood: &mut Neighborhood,
+    dists: &mut Vec<f64>,
+) -> CellScanStats {
+    if order.rows.is_empty() {
+        return scan_cell_pruned(
+            cell,
+            &order.dists,
+            query,
+            ds,
+            initial_cutoff_sq,
+            hood,
+            dists,
+        );
+    }
+    walk_window(
+        &order.dists,
+        ds,
+        initial_cutoff_sq,
+        hood,
+        |cutoff| admissible_radius(ds, cutoff),
+        |start, end, hood| {
+            let mut min_sq = f64::INFINITY;
+            for &row in &order.rows[start..end] {
+                let row = row as usize;
+                let d_sq = squared_euclidean_fixed(query, &cell.row(row));
+                min_sq = min_sq.min(d_sq);
+                hood.push_sq(d_sq, cell.id(row), cell.label(row));
+            }
+            min_sq
+        },
+    )
+}
+
+/// The window walk every sorted scan shares. `sorted` holds the linear
+/// distances to the reference point of positions `0..sorted.len()`,
+/// ascending; `ds` is the query's. At each step the cutoff is
+/// `min(initial_cutoff_sq, hood.kth_distance_sq())` and `radius(cutoff)`
+/// the admissible distance from `ds` (negative: nothing more is
+/// admissible); `offer(start, end, hood)` evaluates positions
+/// `start..end`, offers them to the hood and returns their smallest
+/// squared distance.
+pub(crate) fn walk_window(
+    sorted: &[f64],
+    ds: f64,
+    initial_cutoff_sq: f64,
+    hood: &mut Neighborhood,
+    radius: impl Fn(f64) -> f64,
+    mut offer: impl FnMut(usize, usize, &mut Neighborhood) -> f64,
+) -> CellScanStats {
+    let n = sorted.len();
+    let mut stats = CellScanStats::default();
     // Walk outward from the query's insertion point in the sorted
     // distances: candidates with the smallest lower bound first, so the
     // cutoff tightens as fast as possible.
-    let mut right = center_dists.partition_point(|&cd| cd < ds);
+    let mut right = sorted.partition_point(|&cd| cd < ds);
     let mut left = right; // next left candidate is `left - 1`
     loop {
         let cutoff = initial_cutoff_sq.min(hood.kth_distance_sq());
-        let r = admissible_radius(ds, cutoff);
-        let left_ok = left > 0 && ds - center_dists[left - 1] <= r;
-        let right_ok = right < n && center_dists[right] - ds <= r;
+        let r = radius(cutoff);
+        let left_ok = left > 0 && ds - sorted[left - 1] <= r;
+        let right_ok = right < n && sorted[right] - ds <= r;
         if !left_ok && !right_ok {
             // Bounds on each side grow monotonically outward and the cutoff
             // only tightens, so everything unvisited stays excluded.
@@ -312,22 +389,20 @@ pub fn scan_cell_pruned<const D: usize>(
         let take_left = match (left_ok, right_ok) {
             (true, false) => true,
             (false, true) => false,
-            _ => ds - center_dists[left - 1] <= center_dists[right] - ds,
+            _ => ds - sorted[left - 1] <= sorted[right] - ds,
         };
         let (start, end) = if take_left {
-            let lo_limit = center_dists[..left].partition_point(|&cd| cd < ds - r);
+            let lo_limit = sorted[..left].partition_point(|&cd| cd < ds - r);
             let block = (left.saturating_sub(SCAN_BLOCK).max(lo_limit), left);
             left = block.0;
             block
         } else {
-            let hi_limit = right + center_dists[right..].partition_point(|&cd| cd <= ds + r);
+            let hi_limit = right + sorted[right..].partition_point(|&cd| cd <= ds + r);
             let block = (right, (right + SCAN_BLOCK).min(hi_limit));
             right = block.1;
             block
         };
-        stats.min_sq = stats
-            .min_sq
-            .min(offer_rows(cell, query, start, end, hood, dists));
+        stats.min_sq = stats.min_sq.min(offer(start, end, hood));
         stats.evaluated += (end - start) as u64;
     }
 }
@@ -335,7 +410,7 @@ pub fn scan_cell_pruned<const D: usize>(
 /// Evaluate rows `start..end` of `cell` against `query` and offer each to
 /// `hood`; returns the smallest squared distance among them.
 #[inline]
-fn offer_rows<const D: usize>(
+pub(crate) fn offer_rows<const D: usize>(
     cell: &VecBatch<D>,
     query: &[f64; D],
     start: usize,
@@ -374,7 +449,7 @@ mod tests {
 
     #[test]
     fn keeps_points_near_positives_and_prunes_far_ones() {
-        let pruner = TestPruner::build(&positives(), 2, 7);
+        let pruner = TestPruner::build(&positives(), 2, 7).unwrap();
         assert!(pruner.keep(&[0.11, 0.10], 0.1));
         assert!(pruner.keep(&[0.81, 0.19], 0.1));
         assert!(!pruner.keep(&[5.0, 5.0], 0.1));
@@ -382,7 +457,7 @@ mod tests {
 
     #[test]
     fn negative_expansion_beyond_radius_keeps_nothing() {
-        let pruner = TestPruner::build(&positives(), 2, 7);
+        let pruner = TestPruner::build(&positives(), 2, 7).unwrap();
         let huge_negative = -(pruner.radii.iter().fold(0.0f64, |a, &b| a.max(b)) + 1.0);
         assert!(!pruner.keep(&[0.1, 0.1], huge_negative));
     }
@@ -420,7 +495,7 @@ mod tests {
 
     #[test]
     fn larger_f_theta_keeps_more() {
-        let pruner = TestPruner::build(&positives(), 2, 7);
+        let pruner = TestPruner::build(&positives(), 2, 7).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let test: Vec<UnlabeledPair<2>> = (0..500)
             .map(|i| UnlabeledPair::new(i, [rng.gen_range(0.0..1.5), rng.gen_range(0.0..1.5)]))
@@ -455,7 +530,7 @@ mod tests {
             ));
         }
         let pos_only: Vec<LabeledPair<2>> = train.iter().filter(|p| p.positive).copied().collect();
-        let pruner = TestPruner::build(&pos_only, 2, 7);
+        let pruner = TestPruner::build(&pos_only, 2, 7).unwrap();
         let test: Vec<UnlabeledPair<2>> = (0..300)
             .map(|i| UnlabeledPair::new(i, [rng.gen_range(0.0..1.5), rng.gen_range(0.0..1.5)]))
             .collect();
@@ -479,7 +554,7 @@ mod tests {
     fn learned_f_theta_achieves_its_target_recall() {
         let mut rng = StdRng::seed_from_u64(8);
         let train_pos = positives();
-        let pruner = TestPruner::build(&train_pos, 2, 7);
+        let pruner = TestPruner::build(&train_pos, 2, 7).unwrap();
         // Held-out duplicates scattered around the positive clumps, some
         // farther out than the training radii.
         let held_out: Vec<[f64; 2]> = (0..60)
@@ -508,7 +583,7 @@ mod tests {
         // The pruner's own training positives are inside the balls by
         // construction, so the learned expansion (margin 0) is 0.
         let train_pos = positives();
-        let pruner = TestPruner::build(&train_pos, 2, 7);
+        let pruner = TestPruner::build(&train_pos, 2, 7).unwrap();
         let vectors: Vec<[f64; 2]> = train_pos.iter().map(|p| p.vector).collect();
         let f = pruner.learn_f_theta(&vectors, 1.0, 0.0);
         assert!(f.abs() < 1e-9, "got {f}");
@@ -529,9 +604,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "requires positive")]
     fn no_positives_rejected() {
-        let _ = TestPruner::<2>::build(&[], 2, 1);
+        match TestPruner::<2>::build(&[], 2, 1) {
+            Err(SparkletError::User(m)) => assert!(m.contains("requires positive"), "{m}"),
+            other => panic!("expected a user error, got {other:?}"),
+        }
     }
 
     mod cell_scan {

@@ -15,12 +15,11 @@
 //! `classify_row`, is also what every task of the product's one-stage
 //! classification runs (see [`crate::classify`]).
 
-use crate::prune::scan_cell_pruned;
 use crate::score::{label_for, score_neighbors};
 use crate::soa::{from_unlabeled, ClassifyScratch, VecBatch};
 use crate::stage1::{stage1_row, Stage1Row};
 use crate::types::{LabeledPair, Neighborhood, ScoredPair, UnlabeledPair};
-use crate::voronoi::VoronoiPartition;
+use crate::voronoi::{VoronoiPartition, Walk};
 use simmetrics::squared_euclidean_fixed;
 
 /// Exact brute-force kNN classification with Eq. 5 scoring.
@@ -141,7 +140,7 @@ pub(crate) fn classify_row<const D: usize>(
     scratch: &mut ClassifyScratch<D>,
 ) -> (ScoredPair, RowCounts) {
     let cell = &partition.negative_clusters[assigned];
-    let stage1 = stage1_row(partition, cell, assigned, v, k, scratch);
+    let stage1 = stage1_row(partition, cell, assigned, v, k, Walk::Lattice, scratch);
     let ClassifyScratch {
         hood, dists, extra, ..
     } = scratch;
@@ -151,19 +150,11 @@ pub(crate) fn classify_row<const D: usize>(
         ..RowCounts::default()
     };
     for &cid in extra.iter() {
-        let ds = squared_euclidean_fixed(v, &partition.centers[cid]).sqrt();
         // The cross-cell scan inherits the running cutoff: the hood
         // already holds the intra candidates and positives, so
         // hood.kth alone tightens the window.
-        let stats = scan_cell_pruned(
-            &partition.negative_clusters[cid],
-            partition.center_dists_of(cid),
-            v,
-            ds,
-            f64::INFINITY,
-            hood,
-            dists,
-        );
+        let cell = &partition.negative_clusters[cid];
+        let stats = partition.scan_cell(Walk::Lattice, cid, cell, v, f64::INFINITY, hood, dists);
         counts.cross_evaluated += stats.evaluated;
         counts.cross_rejected += stats.bound_rejected;
     }

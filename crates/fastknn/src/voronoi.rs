@@ -1,11 +1,13 @@
 //! Voronoi partitioning of the training pairs (§4.3.1) and the
 //! hyperplane-distance bound of Eq. 7.
 
+use crate::lattice::{on_lattice, LatticeIndex, LATTICE_BITS};
+use crate::prune::{scan_in_order, CellScanStats};
 use crate::soa::{assign_min, distances_to_point, distances_to_point_range, VecBatch};
-use crate::types::{LabeledPair, PAIR_DIMS};
+use crate::types::{LabeledPair, Neighborhood, PAIR_DIMS};
 use mlcore::kmeans::{nearest_centroid, KMeans};
 use simmetrics::{euclidean_fixed, squared_euclidean_fixed};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The k-means Voronoi partition of a training set.
 ///
@@ -15,47 +17,88 @@ use std::sync::Arc;
 /// one global batch compared against every test pair. Both sides are stored
 /// as struct-of-arrays [`VecBatch`] columns, so every distance scan over a
 /// cell runs the tiled vector kernels instead of striding over row structs.
+///
+/// # Two orders over one layout
+///
+/// A scan walks a cell (or the positives) in one of two orders, the
+/// [`Walk`]:
+///
+/// * **[`Walk::Center`]**, Algorithm 2's: residents by `(distance to the
+///   cell's centre, id)` and the positives by `(distance to their mean,
+///   id)`, windowed by [`crate::prune::scan_cell_pruned`]. Figs. 6b–11
+///   count its comparisons.
+/// * **[`Walk::Lattice`]**, the product's: on data whose first
+///   [`LATTICE_BITS`] columns are all 0 or 1 (§4.2's exact-match fields), a
+///   cell is at most 32 buckets visited in Hamming order
+///   ([`crate::lattice`]). On other data it is the centre order.
+///
+/// Rows are stored once, in the order the product walks. On lattice data
+/// the centre order is a permutation over those rows, derived on the first
+/// [`Walk::Center`] scan rather than at `build`: only Algorithm 2 reads it.
 #[derive(Debug, Clone)]
 pub struct VoronoiPartition<const D: usize = PAIR_DIMS> {
     /// Cluster centres `p_1 … p_b`.
     pub centers: Vec<[f64; D]>,
     /// Negative training pairs per cluster, one column batch per cell.
     ///
-    /// After [`VoronoiPartition::build`], each cell's rows are sorted by
-    /// `(distance-to-centre, id)` so the triangle-inequality window scan in
-    /// [`crate::prune::scan_cell_pruned`] is a pair of binary searches plus
-    /// an early-exit sweep. Resident order within a cell never affects
-    /// classification (the neighbourhood is a total-order top-k over the
-    /// candidate *set*), so the sort is lossless.
-    ///
-    /// Each cell sits behind an `Arc`, so [`crate::FastKnn::fit`] hands the
-    /// engine these very cells instead of a copy of the negative store.
+    /// Resident order within a cell never affects classification (the
+    /// neighbourhood is a total-order top-k over the candidate *set*), so
+    /// the layout is lossless. Each cell sits behind an `Arc`, so
+    /// [`crate::FastKnn::fit`] hands the engine these very cells instead of
+    /// a copy of the negative store.
     pub negative_clusters: Vec<Arc<VecBatch<D>>>,
-    /// Per cell, the **linear** distance of each resident to its own centre,
-    /// parallel to the (sorted) cell rows — ascending by construction.
-    /// Empty cells have empty lists. Maintained by `build`; callers that
-    /// assemble a partition by hand (tests) may leave lists empty, which
-    /// simply disables windowed pruning for those cells.
-    pub center_dists: Vec<Vec<f64>>,
-    /// All positive training pairs (global), as one column batch.
-    ///
-    /// After [`VoronoiPartition::build`] the positives are laid out as one
-    /// more sorted cell: rows ordered by `(distance to`
-    /// [`VoronoiPartition::positive_ref`]`, id)`, so stage 1 walks them
-    /// with the same window scan as a negative cell instead of evaluating
-    /// every positive for every test pair.
+    /// All positive training pairs (global), as one column batch, laid out
+    /// like one more cell.
     pub positives: VecBatch<D>,
-    /// The reference point the positives are sorted around: their mean.
-    /// Any point would keep the scan lossless (the triangle inequality
-    /// holds about every point); the mean keeps the window narrow.
+    /// The reference point of the positives' centre order: their mean, in
+    /// training order. Any point would keep the scan lossless (the triangle
+    /// inequality holds about every point); the mean keeps the window
+    /// narrow.
     pub positive_ref: [f64; D],
-    /// **Linear** distance of each positive to
-    /// [`VoronoiPartition::positive_ref`], parallel to the (sorted) rows of
-    /// [`VoronoiPartition::positives`] — ascending by construction. Same
-    /// rule as [`VoronoiPartition::center_dists`]: a hand-assembled
-    /// partition may leave it empty, and the scan then sweeps every
-    /// positive.
-    pub positive_ref_dists: Vec<f64>,
+    /// Per cell, the `(min, max)` linear distance of its residents to its
+    /// centre (`None` for an empty cell): Algorithm 1's annulus bound.
+    /// Empty without distance metadata.
+    radius_bounds: Vec<Option<(f64, f64)>>,
+    /// The [`LatticeIndex`] of every cell, then of the positives, when
+    /// `build` found the data on the lattice.
+    lattice: Option<Vec<LatticeIndex<D>>>,
+    /// The centre order of every cell, then the positives' order around
+    /// [`VoronoiPartition::positive_ref`]. Set by `build` when the rows
+    /// are stored in it, derived on first use over a lattice layout; all
+    /// empty without distance metadata, and the scans then sweep.
+    center_order: OnceLock<Vec<RefOrder>>,
+}
+
+/// Which order a scan walks a batch of rows in (see [`VoronoiPartition`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Walk {
+    /// Algorithm 2's: by distance to the cell's centre.
+    Center,
+    /// The product's: lattice buckets in Hamming order where the partition
+    /// has them, else the centre order.
+    Lattice,
+}
+
+/// A batch's rows in `(distance to a reference point, id)` order: what a
+/// [`Walk::Center`] scan walks.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RefOrder {
+    /// Linear distance to the reference point at each position, ascending;
+    /// empty when the batch has no distance metadata (the scan sweeps).
+    pub(crate) dists: Vec<f64>,
+    /// The row at each position; empty when the rows are stored in this
+    /// order.
+    pub(crate) rows: Vec<u32>,
+}
+
+impl RefOrder {
+    /// The order the rows are stored in, at linear distances `dists`.
+    fn stored(dists: Vec<f64>) -> Self {
+        RefOrder {
+            dists,
+            rows: Vec::new(),
+        }
+    }
 }
 
 /// How many training vectors k-means fits on at most; larger sets are
@@ -108,21 +151,40 @@ impl<const D: usize> VoronoiPartition<D> {
         let mut assigned: Vec<u32> = Vec::with_capacity(negatives.len());
         let mut d2: Vec<f64> = Vec::with_capacity(negatives.len());
         assign_min(&negatives, &model.centroids, &mut assigned, &mut d2);
-        let mut negative_clusters: Vec<VecBatch<D>> = vec![VecBatch::new(); b_actual];
-        for i in 0..negatives.len() {
-            negative_clusters[assigned[i] as usize].push(negatives.id(i), &negatives.row(i), false);
+        // Cells as lists of rows of `negatives`, in training order, until
+        // `lay_out` gathers each once in its final order.
+        let mut centers = model.centroids;
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); b_actual];
+        for (i, &cid) in assigned.iter().enumerate() {
+            members[cid as usize].push(i);
         }
-        let mut partition = VoronoiPartition {
-            centers: model.centroids,
+        rebalance(&mut centers, &mut members);
+        let lattice = D >= LATTICE_BITS
+            && [&negatives, &positives]
+                .iter()
+                .all(|batch| (0..LATTICE_BITS).all(|d| on_lattice(batch.col(d))));
+        Self::lay_out(centers, &negatives, &members, &d2, positives, lattice)
+    }
+
+    /// A partition of the given cells with no distance metadata, as tests
+    /// assemble one by hand: every scan sweeps, and Algorithm 1 has no
+    /// radius bounds.
+    #[cfg(test)]
+    pub(crate) fn from_cells(
+        centers: Vec<[f64; D]>,
+        negative_clusters: Vec<VecBatch<D>>,
+        positives: VecBatch<D>,
+    ) -> Self {
+        let batches = negative_clusters.len() + 1;
+        VoronoiPartition {
+            centers,
             negative_clusters: negative_clusters.into_iter().map(Arc::new).collect(),
-            center_dists: Vec::new(),
             positives,
             positive_ref: [0.0; D],
-            positive_ref_dists: Vec::new(),
-        };
-        partition.rebalance();
-        partition.sort_cells_by_center_distance();
-        partition
+            radius_bounds: Vec::new(),
+            lattice: None,
+            center_order: OnceLock::from(vec![RefOrder::default(); batches]),
+        }
     }
 
     /// The same partition with the distance metadata the bound-driven
@@ -131,80 +193,199 @@ impl<const D: usize> VoronoiPartition<D> {
     /// row order stay, so classification is bit-identical: the unpruned
     /// reference model is [`crate::FastKnn::from_partition`] over this.
     pub fn without_prune_metadata(mut self) -> Self {
-        self.center_dists.clear();
-        self.positive_ref_dists.clear();
+        self.radius_bounds.clear();
+        self.lattice = None;
+        self.center_order = OnceLock::from(vec![RefOrder::default(); self.b() + 1]);
         self
     }
 
-    /// Sort each cell's residents by `(distance-to-centre, id)` and record
-    /// the sorted linear distances in [`VoronoiPartition::center_dists`];
-    /// then the same for the positives around their mean
-    /// ([`VoronoiPartition::positive_ref`]).
-    ///
-    /// Runs after [`VoronoiPartition::rebalance`] so cell *membership* is
-    /// untouched — only intra-cell row order changes, which classification
-    /// cannot observe (candidate sets per cell are identical and the
-    /// neighbourhood top-k is insertion-order-independent).
-    fn sort_cells_by_center_distance(&mut self) {
-        self.center_dists = Vec::with_capacity(self.negative_clusters.len());
-        for (cid, cell) in self.negative_clusters.iter_mut().enumerate() {
-            self.center_dists
-                .push(sort_by_distance_to(Arc::make_mut(cell), &self.centers[cid]));
-        }
-        let n = self.positives.len();
-        if n > 0 {
-            self.positive_ref =
-                std::array::from_fn(|d| self.positives.col(d).iter().sum::<f64>() / n as f64);
-        }
-        self.positive_ref_dists = sort_by_distance_to(&mut self.positives, &self.positive_ref);
+    /// Does the partition store its rows on the lattice (see [`Walk`])?
+    #[cfg(test)]
+    pub(crate) fn on_lattice(&self) -> bool {
+        self.lattice.is_some()
     }
 
-    /// Cell `cid`'s sorted resident-to-centre distances; empty when the
-    /// partition carries no metadata for it (the scan then sweeps).
-    pub fn center_dists_of(&self, cid: usize) -> &[f64] {
-        self.center_dists.get(cid).map_or(&[], Vec::as_slice)
+    /// The partition of `negatives` into cells `members` (rows of
+    /// `negatives`, after [`rebalance`]) around `centers`, and of
+    /// `positives`, each batch gathered once in the order the product
+    /// walks. `center_d2[i]` is row `i`'s squared distance to its centre:
+    /// `assign_min` computes it as `distances_to_point` would, bit for bit.
+    /// Row order never shows in classification (candidate sets per cell are
+    /// fixed and the neighbourhood top-k is insertion-order-independent).
+    ///
+    /// Off the lattice, each cell's rows are sorted by `(distance to the
+    /// centre, id)` and the positives' by `(distance to their mean, id)`:
+    /// the centre order is the storage order. On it, every batch gets its
+    /// [`LatticeIndex`] order.
+    fn lay_out(
+        centers: Vec<[f64; D]>,
+        negatives: &VecBatch<D>,
+        members: &[Vec<usize>],
+        center_d2: &[f64],
+        positives: VecBatch<D>,
+        lattice: bool,
+    ) -> Self {
+        let n = positives.len();
+        let mut positive_ref = [0.0; D];
+        if n > 0 {
+            positive_ref = std::array::from_fn(|d| positives.col(d).iter().sum::<f64>() / n as f64);
+        }
+        let radius_bounds = (members.iter())
+            .map(|rows| {
+                let lo = rows.iter().map(|&i| center_d2[i]).reduce(f64::min)?;
+                let hi = rows.iter().map(|&i| center_d2[i]).reduce(f64::max)?;
+                Some((lo.sqrt(), hi.sqrt()))
+            })
+            .collect();
+        let every_positive: Vec<usize> = (0..n).collect();
+        let (cells, positives, lattice, center_order) = if lattice {
+            let (cells, mut indexes): (Vec<_>, Vec<_>) = (members.iter())
+                .map(|rows| {
+                    let (order, index) = LatticeIndex::build(negatives, rows);
+                    (Arc::new(negatives.gather(&order)), index)
+                })
+                .unzip();
+            let (order, index) = LatticeIndex::build(&positives, &every_positive);
+            indexes.push(index);
+            (
+                cells,
+                positives.gather(&order),
+                Some(indexes),
+                OnceLock::new(),
+            )
+        } else {
+            let mut orders = Vec::with_capacity(members.len() + 1);
+            let cells = (members.iter())
+                .map(|rows| {
+                    let (order, dists) = order_by(negatives, center_d2, rows);
+                    orders.push(RefOrder::stored(dists));
+                    Arc::new(negatives.gather(&order))
+                })
+                .collect();
+            let mut d2 = Vec::new();
+            distances_to_point(&positives, &positive_ref, &mut d2);
+            let (order, dists) = order_by(&positives, &d2, &every_positive);
+            orders.push(RefOrder::stored(dists));
+            (
+                cells,
+                positives.gather(&order),
+                None,
+                OnceLock::from(orders),
+            )
+        };
+        VoronoiPartition {
+            centers,
+            negative_clusters: cells,
+            positives,
+            positive_ref,
+            radius_bounds,
+            lattice,
+            center_order,
+        }
+    }
+
+    /// The centre order of every cell, then the positives' (see
+    /// [`VoronoiPartition::center_order`]'s field), derived on first use
+    /// over a lattice layout.
+    fn center_orders(&self) -> &[RefOrder] {
+        self.center_order.get_or_init(|| {
+            let mut d2 = Vec::new();
+            let reference = |i: usize| match self.centers.get(i) {
+                Some(center) => center,
+                None => &self.positive_ref,
+            };
+            (0..=self.b())
+                .map(|i| {
+                    let batch = self.batch(i);
+                    distances_to_point(batch, reference(i), &mut d2);
+                    let every_row: Vec<usize> = (0..batch.len()).collect();
+                    let (order, dists) = order_by(batch, &d2, &every_row);
+                    RefOrder {
+                        dists,
+                        rows: order.into_iter().map(|r| r as u32).collect(),
+                    }
+                })
+                .collect()
+        })
+    }
+
+    /// Batch `i`: cell `i` for `i < b`, the positives at `i == b`.
+    fn batch(&self, i: usize) -> &VecBatch<D> {
+        match self.negative_clusters.get(i) {
+            Some(cell) => cell,
+            None => &self.positives,
+        }
+    }
+
+    /// Scan cell `cid` — its rows `cell`, the partition's own or the
+    /// engine's copy of them — into `hood` in the order `walk` names.
+    /// `initial_cutoff_sq` and the result are
+    /// [`crate::prune::scan_cell_pruned`]'s: the hood is bit-identical to
+    /// offering every resident, and every resident is evaluated or
+    /// bound-rejected.
+    #[allow(clippy::too_many_arguments)]
+    pub fn scan_cell(
+        &self,
+        walk: Walk,
+        cid: usize,
+        cell: &VecBatch<D>,
+        v: &[f64; D],
+        initial_cutoff_sq: f64,
+        hood: &mut Neighborhood,
+        dists: &mut Vec<f64>,
+    ) -> CellScanStats {
+        let center = &self.centers[cid];
+        self.scan(walk, cid, cell, center, v, initial_cutoff_sq, hood, dists)
+    }
+
+    /// [`VoronoiPartition::scan_cell`] over the positives. Its `min_sq` is
+    /// stage 1's `min(s, T⁺)²` wherever Algorithm 1 reads it (see
+    /// [`crate::stage1`]).
+    pub fn scan_positives(
+        &self,
+        walk: Walk,
+        v: &[f64; D],
+        initial_cutoff_sq: f64,
+        hood: &mut Neighborhood,
+        dists: &mut Vec<f64>,
+    ) -> CellScanStats {
+        let (i, reference) = (self.b(), &self.positive_ref);
+        self.scan(
+            walk,
+            i,
+            &self.positives,
+            reference,
+            v,
+            initial_cutoff_sq,
+            hood,
+            dists,
+        )
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn scan(
+        &self,
+        walk: Walk,
+        i: usize,
+        rows: &VecBatch<D>,
+        reference: &[f64; D],
+        v: &[f64; D],
+        initial_cutoff_sq: f64,
+        hood: &mut Neighborhood,
+        dists: &mut Vec<f64>,
+    ) -> CellScanStats {
+        if let (Walk::Lattice, Some(lattice)) = (walk, &self.lattice) {
+            return lattice[i].scan(rows, v, initial_cutoff_sq, hood, dists);
+        }
+        let ds = squared_euclidean_fixed(v, reference).sqrt();
+        let order = &self.center_orders()[i];
+        scan_in_order(rows, order, v, ds, initial_cutoff_sq, hood, dists)
     }
 
     /// `(min, max)` resident-to-centre linear distance of a cell, when the
     /// cell is non-empty and its distance metadata is present.
     pub fn cell_radius_bounds(&self, cid: usize) -> Option<(f64, f64)> {
-        let cds = self.center_dists_of(cid);
-        match (cds.first(), cds.last()) {
-            (Some(&lo), Some(&hi)) => Some((lo, hi)),
-            _ => None,
-        }
-    }
-
-    /// Split oversized cells into sibling chunks that share a centre.
-    ///
-    /// Exact-match field distances make pair-vector space a lattice: one
-    /// lattice corner can hold 20%+ of all negative pairs, and no k-means
-    /// assignment can split coincident points — so one task would dominate
-    /// every stage and cap executor scaling (the load-balancing problem the
-    /// paper lists as future work). Sibling chunks keep the search exact:
-    /// the hyperplane distance between coincident centres is 0, so
-    /// Algorithm 1 always selects a probed cell's siblings, and the
-    /// all-negative shortcut only ever sees a *larger* k-th distance than
-    /// the full cell's (conservative, never wrong).
-    fn rebalance(&mut self) {
-        let total: usize = self.negative_clusters.iter().map(|c| c.len()).sum();
-        if total == 0 {
-            return;
-        }
-        let cap = (2 * total / self.centers.len().max(1)).max(1);
-        let mut extra_centers = Vec::new();
-        let mut extra_clusters = Vec::new();
-        for cid in 0..self.negative_clusters.len() {
-            while self.negative_clusters[cid].len() > cap {
-                let keep = self.negative_clusters[cid].len()
-                    - cap.min(self.negative_clusters[cid].len() / 2);
-                let chunk = Arc::make_mut(&mut self.negative_clusters[cid]).split_off(keep);
-                extra_centers.push(self.centers[cid]);
-                extra_clusters.push(Arc::new(chunk));
-            }
-        }
-        self.centers.extend(extra_centers);
-        self.negative_clusters.extend(extra_clusters);
+        self.radius_bounds.get(cid).copied().flatten()
     }
 
     /// Number of clusters.
@@ -351,19 +532,62 @@ fn tied_in_column(dist: &[f64], n: usize, i: usize) -> impl Iterator<Item = usiz
         .map(|(ci, _)| ci)
 }
 
-/// Reorder `cell`'s rows by `(distance to point, id)` and return the sorted
-/// **linear** distances, parallel to the new row order.
-fn sort_by_distance_to<const D: usize>(cell: &mut VecBatch<D>, point: &[f64; D]) -> Vec<f64> {
-    let mut d2: Vec<f64> = Vec::new();
-    distances_to_point(cell, point, &mut d2);
-    let mut idx: Vec<usize> = (0..cell.len()).collect();
-    idx.sort_unstable_by(|&a, &b| {
-        d2[a]
-            .total_cmp(&d2[b])
-            .then_with(|| cell.id(a).cmp(&cell.id(b)))
-    });
-    *cell = cell.gather(&idx);
-    idx.iter().map(|&i| d2[i].sqrt()).collect()
+/// Split oversized cells into sibling chunks that share a centre.
+///
+/// Exact-match field distances make pair-vector space a lattice: one
+/// lattice corner can hold 20%+ of all negative pairs, and no k-means
+/// assignment can split coincident points — so one task would dominate
+/// every stage and cap executor scaling (the load-balancing problem the
+/// paper lists as future work). Sibling chunks keep the search exact:
+/// the hyperplane distance between coincident centres is 0, so
+/// Algorithm 1 always selects a probed cell's siblings, and the
+/// all-negative shortcut only ever sees a *larger* k-th distance than
+/// the full cell's (conservative, never wrong).
+///
+/// `members[c]` lists cell `c`'s rows; a chunk is a tail of that list.
+fn rebalance<const D: usize>(centers: &mut Vec<[f64; D]>, members: &mut Vec<Vec<usize>>) {
+    let total: usize = members.iter().map(Vec::len).sum();
+    if total == 0 {
+        return;
+    }
+    let cap = (2 * total / centers.len().max(1)).max(1);
+    for cid in 0..members.len() {
+        while members[cid].len() > cap {
+            let keep = members[cid].len() - cap.min(members[cid].len() / 2);
+            let chunk = members[cid].split_off(keep);
+            centers.push(centers[cid]);
+            members.push(chunk);
+        }
+    }
+}
+
+/// `rows` of `batch` in `(d2, id)` order, and their **linear** distances
+/// in that order; `d2[r]` is row `r`'s squared distance to the reference
+/// point.
+fn order_by<const D: usize>(
+    batch: &VecBatch<D>,
+    d2: &[f64],
+    rows: &[usize],
+) -> (Vec<usize>, Vec<f64>) {
+    let mut keys: Vec<RowKey> = rows
+        .iter()
+        .map(|&r| row_key(d2[r], batch.id(r), r))
+        .collect();
+    keys.sort_unstable();
+    let order: Vec<usize> = keys.iter().map(|&(_, _, r)| r).collect();
+    let dists = order.iter().map(|&r| d2[r].sqrt()).collect();
+    (order, dists)
+}
+
+/// A row's sort key: its squared distance as [`f64::total_cmp`] orders
+/// it, then its id, then where the row is. Sorting keys in place is
+/// cheaper than sorting indices through a comparator that looks both up.
+pub(crate) type RowKey = (i64, u64, usize);
+
+/// The [`RowKey`] of the row at `at`, with squared distance `d2` and `id`.
+pub(crate) fn row_key(d2: f64, id: u64, at: usize) -> RowKey {
+    let bits = d2.to_bits() as i64;
+    (bits ^ (((bits >> 63) as u64) >> 1) as i64, id, at)
 }
 
 /// Distance from `s` to the hyperplane separating the Voronoi cells of
@@ -456,14 +680,11 @@ mod tests {
             assert_eq!(vp.assign_balanced(&[0.1, 0.1], tb), vp.assign(&[0.1, 0.1]));
         }
         // Duplicated centres (as rebalance produces): ties spread by id.
-        let dup = VoronoiPartition::<2> {
-            centers: vec![[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]],
-            negative_clusters: vec![Arc::default(); 3],
-            center_dists: Vec::new(),
-            positives: VecBatch::new(),
-            positive_ref: [0.0; 2],
-            positive_ref_dists: Vec::new(),
-        };
+        let dup = VoronoiPartition::<2>::from_cells(
+            vec![[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]],
+            vec![VecBatch::new(); 3],
+            VecBatch::new(),
+        );
         let a = dup.assign_balanced(&[0.1, 0.0], 0);
         let b = dup.assign_balanced(&[0.1, 0.0], 1);
         assert_ne!(a, b, "coincident centres must spread by tiebreak");
@@ -479,51 +700,139 @@ mod tests {
         assert_eq!(none.min_positive_distance_sq(&[0.0]), f64::INFINITY);
     }
 
+    /// Every batch's centre order visits its rows by `(squared distance to
+    /// the reference point, id)`, carries those distances bit for bit, and
+    /// gives the cells' radius bounds.
+    fn assert_center_orders<const D: usize>(vp: &VoronoiPartition<D>) {
+        let orders = vp.center_orders();
+        assert_eq!(orders.len(), vp.b() + 1);
+        for (i, order) in orders.iter().enumerate() {
+            let batch = vp.batch(i);
+            let reference = vp.centers.get(i).unwrap_or(&vp.positive_ref);
+            assert_eq!(order.dists.len(), batch.len());
+            let rows: Vec<usize> = match order.rows.len() {
+                0 => (0..batch.len()).collect(),
+                _ => order.rows.iter().map(|&r| r as usize).collect(),
+            };
+            let mut seen = rows.clone();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..batch.len()).collect::<Vec<_>>(), "a permutation");
+            for (&r, d) in rows.iter().zip(&order.dists) {
+                let want = euclidean(&batch.row(r), reference);
+                assert_eq!(d.to_bits(), want.to_bits(), "stale distance");
+            }
+            // Sorted on the squares, which two rows can differ in and
+            // still share a root.
+            let d2 = |w: usize| squared_euclidean_fixed(&batch.row(rows[w]), reference);
+            for w in 1..rows.len() {
+                let (a, b) = (d2(w - 1), d2(w));
+                let ids = (batch.id(rows[w - 1]), batch.id(rows[w]));
+                assert!(
+                    a < b || (a == b && ids.0 < ids.1),
+                    "batch {i} unsorted at {w}"
+                );
+            }
+            if i < vp.b() {
+                let bounds = order
+                    .dists
+                    .first()
+                    .copied()
+                    .zip(order.dists.last().copied());
+                let got = vp.cell_radius_bounds(i);
+                assert_eq!(
+                    got.map(|(l, h)| (l.to_bits(), h.to_bits())),
+                    bounds.map(|(l, h)| (l.to_bits(), h.to_bits()))
+                );
+            }
+        }
+    }
+
     #[test]
     fn cells_are_sorted_by_center_distance_with_id_tiebreak() {
         let vp = VoronoiPartition::build(&make_train(), 3, 7);
-        assert_eq!(vp.center_dists.len(), vp.negative_clusters.len());
-        for (cid, cell) in vp.negative_clusters.iter().enumerate() {
-            let cds = &vp.center_dists[cid];
-            assert_eq!(cds.len(), cell.len());
-            for (r, cd) in cds.iter().enumerate() {
-                let want = euclidean(&cell.row(r), &vp.centers[cid]);
-                assert_eq!(cd.to_bits(), want.to_bits(), "stale distance");
-            }
-            for w in 0..cell.len().saturating_sub(1) {
-                assert!(
-                    cds[w] < cds[w + 1] || (cds[w] == cds[w + 1] && cell.id(w) < cell.id(w + 1)),
-                    "cell {cid} not sorted by (distance, id) at row {w}"
-                );
-            }
-            if let Some((lo, hi)) = vp.cell_radius_bounds(cid) {
-                assert_eq!(lo.to_bits(), cds[0].to_bits());
-                assert_eq!(hi.to_bits(), cds[cell.len() - 1].to_bits());
-            } else {
-                assert!(cell.is_empty());
-            }
-        }
-        // The positives are one more sorted cell, around their mean.
-        let (p, pds) = (&vp.positives, &vp.positive_ref_dists);
-        assert_eq!(pds.len(), p.len());
+        assert!(!vp.on_lattice());
+        assert!(vp.center_order.get().is_some(), "set at build");
+        assert!(
+            vp.center_orders().iter().all(|o| o.rows.is_empty()),
+            "stored in it"
+        );
+        assert_center_orders(&vp);
         for d in 0..2 {
             // Summed here in sorted row order, at build in training order.
+            let p = &vp.positives;
             let mean = p.col(d).iter().sum::<f64>() / p.len() as f64;
             assert!((vp.positive_ref[d] - mean).abs() < 1e-12);
         }
-        for (r, pd) in pds.iter().enumerate() {
-            let want = euclidean(&p.row(r), &vp.positive_ref);
-            assert_eq!(pd.to_bits(), want.to_bits(), "stale positive distance");
+        let bare = vp.clone().without_prune_metadata();
+        assert!(bare.center_orders().iter().all(|o| o.dists.is_empty()));
+        assert!((0..bare.b()).all(|c| bare.cell_radius_bounds(c).is_none()));
+    }
+
+    #[test]
+    fn lattice_data_is_stored_by_pattern_and_derives_the_center_order_on_first_use() {
+        let mut train = Vec::new();
+        for i in 0..300u64 {
+            let bit = |shift: u64| ((i * 2_654_435_761) >> shift & 1) as f64;
+            let frac = |shift: u64| ((i * 40_503) >> shift & 3) as f64 * 0.25;
+            let v = [
+                bit(3),
+                bit(7),
+                bit(11),
+                bit(13),
+                bit(17),
+                frac(2),
+                frac(5),
+                frac(9),
+            ];
+            train.push(LabeledPair::new(i, v, i % 23 == 0));
         }
-        for w in 0..p.len() - 1 {
+        let vp = VoronoiPartition::build(&train, 5, 3);
+        assert!(vp.on_lattice());
+        assert!(vp.center_order.get().is_none(), "nothing derived at build");
+        let patterns = |batch: &VecBatch<8>| -> Vec<u32> {
+            (0..batch.len())
+                .map(|r| {
+                    (0..LATTICE_BITS)
+                        .map(|d| (batch.row(r)[d] as u32) << d)
+                        .sum()
+                })
+                .collect()
+        };
+        for i in 0..=vp.b() {
+            let p = patterns(vp.batch(i));
             assert!(
-                pds[w] < pds[w + 1] || (pds[w] == pds[w + 1] && p.id(w) < p.id(w + 1)),
-                "positives not sorted by (distance, id) at row {w}"
+                p.windows(2).all(|w| w[0] <= w[1]),
+                "batch {i} grouped by pattern"
             );
         }
-        let bare = vp.clone().without_prune_metadata();
-        assert!(bare.center_dists.is_empty() && bare.positive_ref_dists.is_empty());
-        assert!((0..bare.b()).all(|c| bare.cell_radius_bounds(c).is_none()));
+        let mut hood = Neighborhood::new(3);
+        vp.scan_cell(
+            Walk::Lattice,
+            0,
+            &vp.negative_clusters[0],
+            &train[0].vector,
+            f64::INFINITY,
+            &mut hood,
+            &mut Vec::new(),
+        );
+        assert!(
+            vp.center_order.get().is_none(),
+            "the product's walk derives nothing"
+        );
+        vp.scan_cell(
+            Walk::Center,
+            0,
+            &vp.negative_clusters[0],
+            &train[0].vector,
+            f64::INFINITY,
+            &mut hood,
+            &mut Vec::new(),
+        );
+        assert!(vp.center_orders().iter().any(|o| !o.rows.is_empty()));
+        assert_center_orders(&vp);
+        let bare = vp.without_prune_metadata();
+        assert!(!bare.on_lattice());
+        assert!(bare.center_orders().iter().all(|o| o.dists.is_empty()));
     }
 
     #[test]
@@ -569,14 +878,8 @@ mod tests {
             let centers: Vec<[f64; 2]> =
                 centers.into_iter().map(|c| c.try_into().unwrap()).collect();
             let v: [f64; 2] = v.try_into().unwrap();
-            let vp = VoronoiPartition::<2> {
-                negative_clusters: vec![Arc::default(); centers.len()],
-                center_dists: Vec::new(),
-                positives: VecBatch::new(),
-                positive_ref: [0.0; 2],
-                positive_ref_dists: Vec::new(),
-                centers,
-            };
+            let cells = vec![VecBatch::new(); centers.len()];
+            let vp = VoronoiPartition::<2>::from_cells(centers, cells, VecBatch::new());
             let best = vp
                 .centers
                 .iter()
@@ -604,14 +907,8 @@ mod tests {
             v in (0usize..3, 0usize..3),
         ) {
             let on_lattice = |(x, y): (usize, usize)| [x as f64 * 0.5, y as f64 * 0.5];
-            let vp = VoronoiPartition::<2> {
-                centers: centers.into_iter().map(on_lattice).collect(),
-                negative_clusters: Vec::new(),
-                center_dists: Vec::new(),
-                positives: VecBatch::new(),
-                positive_ref: [0.0; 2],
-                positive_ref_dists: Vec::new(),
-            };
+            let centers: Vec<[f64; 2]> = centers.into_iter().map(on_lattice).collect();
+            let vp = VoronoiPartition::<2>::from_cells(centers, Vec::new(), VecBatch::new());
             let v = on_lattice(v);
             let t = vp.tie_count(&v);
             prop_assert!((1..=vp.b()).contains(&t));
@@ -645,14 +942,8 @@ mod tests {
         ) {
             let centers: Vec<[f64; 2]> =
                 centers.into_iter().map(|c| c.try_into().unwrap()).collect();
-            let vp = VoronoiPartition::<2> {
-                negative_clusters: vec![Arc::default(); centers.len()],
-                center_dists: Vec::new(),
-                positives: VecBatch::new(),
-                positive_ref: [0.0; 2],
-                positive_ref_dists: Vec::new(),
-                centers,
-            };
+            let cells = vec![VecBatch::new(); centers.len()];
+            let vp = VoronoiPartition::<2>::from_cells(centers, cells, VecBatch::new());
             let mut batch = VecBatch::<2>::new();
             for (v, id) in &rows {
                 let v: [f64; 2] = v.clone().try_into().unwrap();

@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Learn f(θ) from a held-out half of the positives (§5.2.6 future work).
     let (fit_pos, held_out) = positives.split_at(positives.len() / 2);
-    let pruner = TestPruner::build(fit_pos, 12, 21);
+    let pruner = TestPruner::build(fit_pos, 12, 21)?;
     let held_vectors: Vec<adr_model::DistVec> = held_out.iter().map(|p| p.vector).collect();
     let f_theta = pruner.learn_f_theta(&held_vectors, 1.0, 0.05);
     println!("learned f(θ) = {f_theta:.3} for a 100% duplicate-recall target");

@@ -187,7 +187,7 @@ fn fig10_shape_virtual_time_falls_with_executors_but_sublinearly() {
 fn fig11_shape_pruning_keeps_every_wide_radius_duplicate() {
     let w = build_workload_on(small_corpus(), 10_000, 2_000, 31);
     let positives: Vec<LabeledPair> = w.train.iter().filter(|p| p.positive).cloned().collect();
-    let pruner = TestPruner::build(&positives, 10, 31);
+    let pruner = TestPruner::build(&positives, 10, 31).unwrap();
     let mut last_kept = 0usize;
     for f in [0.3, 0.5, 0.7, 0.9] {
         let outcome = pruner.prune(&w.test, f);
