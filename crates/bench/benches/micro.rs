@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks for the hot paths: string metrics, the text
-//! pipeline, k-means, the field-distance vector (interned
-//! sorted-merge Jaccard, `DistVec`, fixed-arity Euclidean), the
+//! pipeline, k-means, the field-distance vector (interned sorted-merge
+//! Jaccard, `DistVec`, the held-report kernel, fixed-arity Euclidean), the
 //! distributed classifier on a small workload, the pair store's checkpoint
 //! encoders, what a commit's publish and a serve refresh cost, and what the
 //! engine charges for launching a stage — alone and under a served lookup.
@@ -12,8 +12,8 @@ use adr_synth::{Dataset, QuarterlyReplay, StreamingCorpus, SynthConfig};
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use dedup::workload::{build_workload_on, ProcessedCorpus};
 use dedup::{
-    pair_distance, DedupConfig, DedupSystem, PairStore, ServeConfig, ServeQuery, ServeRequest,
-    ServeService,
+    pair_distance, DedupConfig, DedupSystem, HeldReport, PairStore, ServeConfig, ServeQuery,
+    ServeRequest, ServeService,
 };
 use fastknn::serial::{classify_brute, classify_fast_serial};
 use fastknn::voronoi::VoronoiPartition;
@@ -75,12 +75,33 @@ fn kernel_jaccard(c: &mut Criterion) {
     });
 }
 
-/// The full §4.2 pair distance: `DistVec` over interned sets.
+/// The full §4.2 pair distance: `DistVec` over interned sets — one pair
+/// through the merge-walk reference, then one report against a run of 40
+/// partners (the average run of `bulk-detect`'s blocked candidates) through
+/// the held-report kernel the distance job runs, and through the reference.
 fn kernel_pair_distance(c: &mut Criterion) {
     let corpus = ProcessedCorpus::new(Dataset::generate(&SynthConfig::small(200, 10, 1)));
     let (a, b) = (&corpus.processed[0], &corpus.processed[1]);
     c.bench_function("pair_distance/distvec_interned", |bench| {
         bench.iter(|| pair_distance(black_box(a), black_box(b)))
+    });
+    let partners = &corpus.processed[1..41];
+    c.bench_function("pair_distance/held_run_of_40", |bench| {
+        bench.iter(|| {
+            let held = HeldReport::new(black_box(a));
+            partners
+                .iter()
+                .map(|b| held.distance(black_box(b))[7])
+                .sum::<f64>()
+        })
+    });
+    c.bench_function("pair_distance/merge_run_of_40", |bench| {
+        bench.iter(|| {
+            partners
+                .iter()
+                .map(|b| pair_distance(black_box(a), black_box(b))[7])
+                .sum::<f64>()
+        })
     });
 }
 

@@ -1,13 +1,17 @@
 //! Report preprocessing and the §4.2 pair distance vector.
 //!
 //! Preprocessing interns every token once ([`TokenInterner`]), so a
-//! [`ProcessedReport`] carries sorted deduplicated `Vec<u32>` id sets and
-//! [`pair_distance`] — the O(pairs) hot path — runs as allocation-free
-//! sorted-slice merges producing a fixed-arity [`DistVec`]. No string bytes
-//! are touched and no heap allocation happens per compared pair.
+//! [`ProcessedReport`] carries sorted deduplicated `Vec<u32>` id sets. The
+//! O(pairs) hot path compares one report against many: a [`HeldReport`]
+//! marks the held report's three token sets in this thread's scratch once,
+//! and each partner's distance vector then costs one mark lookup per
+//! partner token. [`pair_distance`] — three sorted-slice merge walks — is
+//! the reference the held kernel equals bit for bit. Neither touches string
+//! bytes or allocates per compared pair.
 
 use adr_model::{AdrReport, DistVec, ReportId};
-use simmetrics::{jaccard_distance_sorted, FieldDistance};
+use simmetrics::{jaccard_distance_counts, jaccard_distance_sorted, FieldDistance};
+use std::cell::Cell;
 use textprep::{Pipeline, TokenInterner};
 
 /// A report with its text fields preprocessed once (tokenised, stop-worded,
@@ -160,18 +164,159 @@ pub(crate) fn process_reports(
 /// [`adr_model::DistVec`]: age, sex, state, onset date, outcome, drug name,
 /// ADR name, report description. Every component is in `[0, 1]`.
 ///
-/// Both reports must come from the same interner.
+/// Both reports must come from the same interner. This is the reference:
+/// each Jaccard field is a sorted-slice merge walk. The distance job and
+/// serving compare one report against many through [`HeldReport`], which
+/// returns the same bits.
 pub fn pair_distance(a: &ProcessedReport, b: &ProcessedReport) -> DistVec {
+    let [age, sex, state, onset, outcome] = scalar_distances(a, b);
+    [
+        age,
+        sex,
+        state,
+        onset,
+        outcome,
+        jaccard_distance_sorted(&a.drug_tokens, &b.drug_tokens),
+        jaccard_distance_sorted(&a.adr_tokens, &b.adr_tokens),
+        jaccard_distance_sorted(&a.narrative_terms, &b.narrative_terms),
+    ]
+}
+
+/// The five 0/1 components of the §4.2 vector; each is symmetric in its
+/// two reports.
+fn scalar_distances(a: &ProcessedReport, b: &ProcessedReport) -> [f64; 5] {
     [
         FieldDistance::numeric(a.age, b.age),
         FieldDistance::categorical(a.sex.as_deref(), b.sex.as_deref()),
         FieldDistance::categorical(a.state.as_deref(), b.state.as_deref()),
         FieldDistance::categorical(a.onset_date.as_deref(), b.onset_date.as_deref()),
         FieldDistance::categorical(a.outcome.as_deref(), b.outcome.as_deref()),
-        jaccard_distance_sorted(&a.drug_tokens, &b.drug_tokens),
-        jaccard_distance_sorted(&a.adr_tokens, &b.adr_tokens),
-        jaccard_distance_sorted(&a.narrative_terms, &b.narrative_terms),
     ]
+}
+
+// Mark bits of the three token sets: bit `DRUG` of a thread's byte `id`
+// is set while the held report's drug set holds token `id`, and so on.
+const DRUG: u8 = 1;
+const ADR: u8 = 2;
+const NARRATIVE: u8 = 4;
+
+thread_local! {
+    /// This thread's token marks, one byte per token id up to the largest
+    /// id a report held on this thread carried. Every byte is zero while
+    /// no [`HeldReport`] has the buffer.
+    static MARKS: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// The three token sets of one report with their marks, so that
+/// `(set, mark bit)` loops read in field order.
+fn token_sets(r: &ProcessedReport) -> [(&[u32], u8); 3] {
+    [
+        (&r.drug_tokens, DRUG),
+        (&r.adr_tokens, ADR),
+        (&r.narrative_terms, NARRATIVE),
+    ]
+}
+
+/// One report held against many partners: the §4.2 distance vector of
+/// every `(held, partner)` pair, bit-identical to [`pair_distance`], with
+/// the held report's token sets marked once instead of merged again per
+/// partner.
+///
+/// Holding marks each of the held report's token ids in a per-thread byte
+/// buffer, one bit per set it belongs to (drug, ADR, narrative). A
+/// partner's intersection with a held set is then the number of its ids
+/// whose byte carries that set's bit — ids past the buffer's end are
+/// unmarked — and the component is [`jaccard_distance_counts`], the
+/// expression the merge walk ends in. Dropping the `HeldReport` clears
+/// exactly the bytes it set, so the buffer is all zero between holds and
+/// never needs a sweep; it grows only to the largest token id held on its
+/// thread. Both reports must come from the same interner.
+pub struct HeldReport<'a> {
+    report: &'a ProcessedReport,
+    marks: Vec<u8>,
+}
+
+impl<'a> HeldReport<'a> {
+    /// Hold `report`, taking this thread's mark buffer (a second
+    /// `HeldReport` alive on the same thread starts a buffer of its own).
+    pub fn new(report: &'a ProcessedReport) -> Self {
+        let mut marks = MARKS.try_with(Cell::take).unwrap_or_default();
+        let sets = token_sets(report);
+        // Sets are sorted: the last id of each is its largest. Growth is
+        // amortised: the largest id held creeps up over a run of reports,
+        // and growing to each new maximum exactly would copy the buffer
+        // every time.
+        if let Some(top) = sets.iter().filter_map(|(ids, _)| ids.last()).max() {
+            let len = *top as usize + 1;
+            if marks.len() < len {
+                marks.resize(len, 0);
+            }
+        }
+        for (ids, bit) in sets {
+            for &id in ids {
+                marks[id as usize] |= bit;
+            }
+        }
+        HeldReport { report, marks }
+    }
+
+    /// Bytes of the thread's marks that differ from the held report's own
+    /// marks: zero unless a released report left one behind.
+    #[cfg(test)]
+    pub(crate) fn stray_marks(&self) -> usize {
+        let mut own = vec![0u8; self.marks.len()];
+        for (ids, bit) in token_sets(self.report) {
+            for &id in ids {
+                own[id as usize] |= bit;
+            }
+        }
+        self.marks.iter().zip(&own).filter(|(m, o)| m != o).count()
+    }
+
+    /// `other`'s ids that the held report's set `bit` holds.
+    fn marked(&self, ids: &[u32], bit: u8) -> usize {
+        ids.iter()
+            .map(|&id| {
+                let mark = self.marks.get(id as usize).copied().unwrap_or(0);
+                usize::from(mark & bit != 0)
+            })
+            .sum()
+    }
+
+    /// The §4.2 distance vector between the held report and `other`:
+    /// exactly `pair_distance(held, other)`, and so also
+    /// `pair_distance(other, held)` — every component is symmetric.
+    pub fn distance(&self, other: &ProcessedReport) -> DistVec {
+        let held = self.report;
+        let jaccard = |mine: &[u32], theirs: &[u32], bit| {
+            jaccard_distance_counts(self.marked(theirs, bit), mine.len(), theirs.len())
+        };
+        let [age, sex, state, onset, outcome] = scalar_distances(held, other);
+        [
+            age,
+            sex,
+            state,
+            onset,
+            outcome,
+            jaccard(&held.drug_tokens, &other.drug_tokens, DRUG),
+            jaccard(&held.adr_tokens, &other.adr_tokens, ADR),
+            jaccard(&held.narrative_terms, &other.narrative_terms, NARRATIVE),
+        ]
+    }
+}
+
+impl Drop for HeldReport<'_> {
+    fn drop(&mut self) {
+        for (ids, _) in token_sets(self.report) {
+            for &id in ids {
+                self.marks[id as usize] = 0;
+            }
+        }
+        let marks = std::mem::take(&mut self.marks);
+        // During thread teardown the slot may be gone; the buffer then
+        // simply goes with the thread.
+        let _ = MARKS.try_with(|slot| slot.set(marks));
+    }
 }
 
 #[cfg(test)]

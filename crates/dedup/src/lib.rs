@@ -53,7 +53,7 @@ pub mod system;
 pub mod workload;
 
 pub use blocking::{evaluate_blocking, BlockKey, BlockingIndex, BlockingQuality};
-pub use distance::{pair_distance, ProcessedReport};
+pub use distance::{pair_distance, HeldReport, ProcessedReport};
 pub use ingest::{IngestConfig, IngestError, IngestService, TornWrite, CHECKPOINT_VERSION};
 pub use pairing::{
     all_pairs, index_corpus, pack_pairs, pair_op_weight, pairs_involving_new, pairwise_distances,

@@ -1,9 +1,10 @@
 //! Candidate pair enumeration and the distributed pairwise-distance job.
 
-use crate::distance::{pair_distance, ProcessedReport};
+use crate::distance::{HeldReport, ProcessedReport};
 use adr_model::{DistVec, PairId, ReportId, DETECTION_DIMS};
 use fastknn::VecBatch;
-use sparklet::{Cluster, Result};
+use sparklet::{Cluster, Result, SparkletError};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -84,27 +85,56 @@ pub fn pairs_involving_new(new_ids: &[ReportId], existing_ids: &[ReportId]) -> V
 pub const PAIR_OP_BASE: u64 = 8;
 
 /// Virtual op weight of one pair's distance vector: the base cost plus one
-/// op per token the three Jaccard distances actually scan (drug, ADR and
-/// narrative token sets of both reports). Merging two sorted slices is
-/// linear in their combined length, so this is the honest per-pair cost —
-/// a pair of long-narrative reports weighs several times a terse one, which
-/// is exactly the skew the morsel scheduler has to balance.
+/// op per token of the drug, ADR and narrative sets of both reports — what
+/// merging the three pairs of sorted slices scans. This is the merge-model
+/// charge the virtual clock keeps: the distance job marks one report's
+/// sets once per run and looks up only the partner's tokens (see
+/// [`HeldReport`]), so it overstates what a pair of a long run costs;
+/// recalibrating it is part of calibrating the cost model against the
+/// wall clock.
+/// A pair of long-narrative reports still weighs several times a terse
+/// one, which is the skew the morsel scheduler has to balance.
 pub fn pair_op_weight(a: &ProcessedReport, b: &ProcessedReport) -> u64 {
-    PAIR_OP_BASE
-        + (a.drug_tokens.len()
-            + b.drug_tokens.len()
-            + a.adr_tokens.len()
-            + b.adr_tokens.len()
-            + a.narrative_terms.len()
-            + b.narrative_terms.len()) as u64
+    PAIR_OP_BASE + token_count(a) + token_count(b)
 }
 
-fn weight_in(corpus: &CorpusIndex, pid: &PairId) -> u64 {
-    match (corpus.get(&pid.lo), corpus.get(&pid.hi)) {
-        (Some(a), Some(b)) => pair_op_weight(a, b),
-        // Unknown ids fail inside the task with a proper error; weigh them
-        // nominally so the cutter still terminates.
-        _ => PAIR_OP_BASE,
+/// Tokens in the three sets of one report: its share of [`pair_op_weight`].
+fn token_count(r: &ProcessedReport) -> u64 {
+    (r.drug_tokens.len() + r.adr_tokens.len() + r.narrative_terms.len()) as u64
+}
+
+/// [`pair_op_weight`] of each pair in turn, keyed by report id through a
+/// [`CorpusIndex`]. Pairs that share `lo` arrive in runs (blocked
+/// candidates are in pair order), so the previous pair's `lo` and its
+/// token count are kept and a run costs one corpus lookup per pair, not
+/// two.
+struct PairWeigher {
+    corpus: CorpusIndex,
+    /// The previous pair's `lo`, with its token count (`None`: unknown).
+    last_lo: Cell<Option<(ReportId, Option<u64>)>>,
+}
+
+impl PairWeigher {
+    fn new(corpus: &CorpusIndex) -> Self {
+        PairWeigher {
+            corpus: Arc::clone(corpus),
+            last_lo: Cell::new(None),
+        }
+    }
+
+    /// The pair's [`pair_op_weight`]; [`PAIR_OP_BASE`] when either id is
+    /// unknown — it fails inside the task with a proper error, and a
+    /// nominal weight keeps the cutter terminating.
+    fn weigh(&self, pid: &PairId) -> u64 {
+        let lo = match self.last_lo.get() {
+            Some((id, tokens)) if id == pid.lo => tokens,
+            _ => self.corpus.get(&pid.lo).map(token_count),
+        };
+        self.last_lo.set(Some((pid.lo, lo)));
+        match (lo, self.corpus.get(&pid.hi)) {
+            (Some(lo), Some(hi)) => PAIR_OP_BASE + lo + token_count(hi),
+            _ => PAIR_OP_BASE,
+        }
     }
 }
 
@@ -112,9 +142,14 @@ fn weight_in(corpus: &CorpusIndex, pid: &PairId) -> u64 {
 /// stage of the workflow (the paper's Fig. 10b) — over a caller-chosen pair
 /// partitioning. Each partition is cut into op-weight-bounded morsels and
 /// scheduled with work stealing (see [`Cluster::run_morsel_job`]); every
-/// pair charges its honest
-/// [`pair_op_weight`], so skewed partitions show up in the virtual clock and
-/// get balanced rather than hidden.
+/// pair charges its [`pair_op_weight`], so skewed partitions show up in the
+/// virtual clock and get balanced rather than hidden.
+///
+/// A task walks its pairs in runs that share one member and computes each
+/// run through one [`HeldReport`]: it holds the member the next pair shares
+/// — `lo` on the blocked path, where candidates are in pair order, and the
+/// new report `hi` in §3's new×existing order — and otherwise `lo`. Every
+/// vector is bit-identical to [`crate::pair_distance`] of the pair.
 ///
 /// Output is flattened in (partition, pair) order — deterministic for any
 /// scheduling, so digests over downstream results never depend on steal
@@ -130,31 +165,44 @@ pub fn pairwise_distance_batches(
 ) -> Result<(Vec<PairId>, DistBatch)> {
     let total: usize = partitions.iter().map(Vec::len).sum();
     let by_id = Arc::clone(corpus);
-    let weigher = Arc::clone(corpus);
+    let weigher = PairWeigher::new(corpus);
     let out = cluster.run_morsel_job(
         "pairwise-distances",
         partitions,
-        move |pid| weight_in(&weigher, pid),
+        move |pid| weigher.weigh(pid),
         move |_, pairs, ctx| {
             ctx.counter("dedup.pair_distances").add(pairs.len() as u64);
+            let report = |id: ReportId| {
+                by_id
+                    .get(&id)
+                    .ok_or_else(|| SparkletError::User(format!("unknown report {id}")))
+            };
             let mut ops = 0u64;
-            let mut ids = Vec::with_capacity(pairs.len());
             let mut batch = DistBatch::with_capacity(pairs.len());
-            for pid in pairs {
-                let a = by_id.get(&pid.lo).ok_or_else(|| {
-                    sparklet::SparkletError::User(format!("unknown report {}", pid.lo))
-                })?;
-                let b = by_id.get(&pid.hi).ok_or_else(|| {
-                    sparklet::SparkletError::User(format!("unknown report {}", pid.hi))
-                })?;
-                ops += pair_op_weight(a, b);
-                ids.push(*pid);
-                // Row ids are renumbered by the driver once the global row
-                // order is known.
-                batch.push(0, &pair_distance(a, b), false);
+            let mut next = 0;
+            while let Some(first) = pairs.get(next) {
+                let (lo, hi) = (report(first.lo)?, report(first.hi)?);
+                let shares = |p: &PairId, id| p.lo == id || p.hi == id;
+                let keep_hi = pairs
+                    .get(next + 1)
+                    .is_some_and(|p| !shares(p, first.lo) && shares(p, first.hi));
+                let (kept, mut other) = if keep_hi { (hi, lo) } else { (lo, hi) };
+                let held = HeldReport::new(kept);
+                loop {
+                    ops += pair_op_weight(kept, other);
+                    // Row ids are renumbered by the driver once the global
+                    // row order is known.
+                    batch.push(0, &held.distance(other), false);
+                    next += 1;
+                    other = match pairs.get(next) {
+                        Some(p) if p.lo == kept.id => report(p.hi)?,
+                        Some(p) if p.hi == kept.id => report(p.lo)?,
+                        _ => break,
+                    };
+                }
             }
             ctx.charge_ops(ops);
-            Ok(vec![(ids, batch)])
+            Ok(vec![(pairs.to_vec(), batch)])
         },
     )?;
     let mut pairs = Vec::with_capacity(total);
@@ -244,11 +292,8 @@ pub fn pack_pairs(
     num_partitions: usize,
 ) -> Vec<Vec<PairId>> {
     let parts = num_partitions.max(1);
-    let total: u64 = groups
-        .iter()
-        .flatten()
-        .map(|pid| weight_in(corpus, pid))
-        .sum();
+    let weigher = PairWeigher::new(corpus);
+    let total: u64 = groups.iter().flatten().map(|pid| weigher.weigh(pid)).sum();
     let target = total.div_ceil(parts as u64).max(1);
     // Chunk pass: cut each group into contiguous index ranges at or under
     // the target weight. Ranges borrow the groups — no pair is copied yet.
@@ -257,7 +302,7 @@ pub fn pack_pairs(
         let mut start = 0usize;
         let mut acc = 0u64;
         for (i, pid) in group.iter().enumerate() {
-            let w = weight_in(corpus, pid);
+            let w = weigher.weigh(pid);
             if i > start && acc.saturating_add(w) > target {
                 chunks.push((acc, g, start..i));
                 start = i;
@@ -393,6 +438,7 @@ impl DistanceMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::pair_distance;
     use adr_model::AdrReport;
     use textprep::{Pipeline, TokenInterner};
 
@@ -569,9 +615,10 @@ mod tests {
         assert_eq!(flat, expect);
         // The hot block is split: its pairs span several partitions, and the
         // heaviest partition carries far less than the whole.
+        let weigher = PairWeigher::new(&corpus);
         let loads: Vec<u64> = packed
             .iter()
-            .map(|part| part.iter().map(|p| weight_in(&corpus, p)).sum())
+            .map(|part| part.iter().map(|p| weigher.weigh(p)).sum())
             .collect();
         let total: u64 = loads.iter().sum();
         let max = *loads.iter().max().unwrap();
@@ -687,11 +734,218 @@ mod tests {
         assert_eq!(memo.hits(), 2);
     }
 
+    /// The distance job's error for `partitions`: the typed failure of
+    /// morsel `task`, naming `missing`.
+    fn assert_unknown_report(
+        corpus: &CorpusIndex,
+        partitions: Vec<Vec<PairId>>,
+        task: usize,
+        missing: ReportId,
+    ) {
+        let err = pairwise_distance_batches(&Cluster::local(2), corpus, partitions).unwrap_err();
+        match err {
+            SparkletError::TaskFailed {
+                stage,
+                task: failed,
+                reason,
+                ..
+            } => {
+                assert_eq!(stage, "pairwise-distances");
+                assert_eq!(failed, task);
+                assert_eq!(reason, format!("user error: unknown report {missing}"));
+            }
+            other => panic!("unexpected error: {other:?}"),
+        }
+    }
+
     #[test]
     fn unknown_report_id_is_an_error() {
-        let cluster = Cluster::local(1);
         let corpus = index_corpus(Vec::new());
-        let err = pairwise_distances(&cluster, &corpus, vec![PairId::new(1, 2)], 1);
-        assert!(err.is_err());
+        assert_unknown_report(&corpus, vec![vec![PairId::new(1, 2)]], 0, 1);
+    }
+
+    #[test]
+    fn an_unknown_held_member_partner_or_first_pair_is_a_typed_error() {
+        let (processed, _) = tiny_corpus(8);
+        let corpus = index_corpus(processed.into_iter().filter(|p| p.id != 3));
+        let p = PairId::new;
+        // The held member: the run of `lo` 3 starts mid-morsel, and in
+        // §3's new×existing order the shared `hi` 3 is held.
+        assert_unknown_report(
+            &corpus,
+            vec![vec![p(0, 1), p(0, 2), p(3, 4), p(3, 5)]],
+            0,
+            3,
+        );
+        assert_unknown_report(
+            &corpus,
+            vec![vec![p(0, 1), p(0, 3), p(1, 3), p(2, 3)]],
+            0,
+            3,
+        );
+        // The partner of a held `lo`, and of a held `hi`.
+        assert_unknown_report(&corpus, vec![vec![p(0, 1), p(0, 3), p(0, 4)]], 0, 3);
+        assert_unknown_report(&corpus, vec![vec![p(0, 5), p(3, 5), p(4, 5)]], 0, 3);
+        // The first pair of a morsel: nothing is held across morsels.
+        assert_unknown_report(
+            &corpus,
+            vec![vec![p(0, 1), p(0, 2)], vec![p(3, 4), p(4, 5)]],
+            1,
+            3,
+        );
+        assert_unknown_report(&corpus, vec![vec![], vec![p(1, 3), p(1, 4)]], 1, 3);
+    }
+
+    #[test]
+    fn the_weigher_never_lends_a_cached_weight_to_an_unknown_report() {
+        let (processed, _) = tiny_corpus(8);
+        let corpus = index_corpus(processed.iter().filter(|p| p.id != 3).cloned());
+        let weigher = PairWeigher::new(&corpus);
+        let w = |lo: usize, hi: usize| pair_op_weight(&processed[lo], &processed[hi]);
+        let p = PairId::new;
+        let expected = [
+            (p(0, 1), w(0, 1)),
+            (p(0, 2), w(0, 2)),
+            // A cached, known `lo` with an unknown partner.
+            (p(0, 3), PAIR_OP_BASE),
+            (p(0, 4), w(0, 4)),
+            // An unknown `lo` after a known one, then cached as unknown.
+            (p(3, 4), PAIR_OP_BASE),
+            (p(3, 5), PAIR_OP_BASE),
+            (p(4, 5), w(4, 5)),
+            (p(2, 3), PAIR_OP_BASE),
+            (p(2, 6), w(2, 6)),
+        ];
+        for (pid, weight) in expected {
+            assert_eq!(weigher.weigh(&pid), weight, "{pid:?}");
+        }
+    }
+
+    mod held_kernel {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+
+        /// Token ids under 48 are common to many reports; the rest map far
+        /// past them, so a partner often carries ids beyond the largest id
+        /// any report held so far.
+        fn token_set(raw: Vec<u32>) -> Vec<u32> {
+            let mut ids: Vec<u32> = raw
+                .into_iter()
+                .map(|t| if t < 48 { t } else { 4_000 + 37 * t })
+                .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        }
+
+        fn bits(v: &DistVec) -> [u64; DETECTION_DIMS] {
+            v.map(f64::to_bits)
+        }
+
+        /// Each report held in turn against every report, equal to
+        /// `pair_distance` in both argument orders; every release leaves
+        /// the thread's marks clear for the next report held.
+        fn assert_held_equals_pair_distance(reports: &[ProcessedReport]) {
+            for a in reports {
+                let held = HeldReport::new(a);
+                assert_eq!(held.stray_marks(), 0, "a released report left a mark");
+                for b in reports {
+                    let v = bits(&held.distance(b));
+                    assert_eq!(v, bits(&pair_distance(a, b)), "{} vs {}", a.id, b.id);
+                    assert_eq!(v, bits(&pair_distance(b, a)), "{} vs {}", b.id, a.id);
+                }
+            }
+        }
+
+        /// The distance job over `pairs` cut into `parts` even runs: every
+        /// row has the bits of `pair_distance` of its pair, in input order.
+        fn assert_job_equals_pair_distance(
+            cluster: &Cluster,
+            reports: &[ProcessedReport],
+            pairs: Vec<PairId>,
+            parts: usize,
+        ) {
+            let corpus = index_corpus(reports.iter().cloned());
+            let (got, batch) = pairwise_distance_batches(
+                cluster,
+                &corpus,
+                contiguous_partitions(pairs.clone(), parts),
+            )
+            .unwrap();
+            assert_eq!(got, pairs);
+            for (i, pid) in pairs.iter().enumerate() {
+                let expected = pair_distance(&corpus[&pid.lo], &corpus[&pid.hi]);
+                assert_eq!(bits(&batch.row(i)), bits(&expected), "{pid:?}");
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn held_kernel_equals_pair_distance_in_every_pair_order(
+                raw in prop::collection::vec(
+                    (
+                        prop::collection::vec(0u32..64, 0..4),
+                        prop::collection::vec(0u32..64, 0..4),
+                        prop::collection::vec(0u32..64, 0..24),
+                        0u8..3,
+                    ),
+                    1..14,
+                ),
+                new in 0usize..6,
+                parts in 1usize..4,
+                seed in 0u64..u64::MAX,
+            ) {
+                let mut reports: Vec<ProcessedReport> = raw
+                    .into_iter()
+                    .zip(0u64..)
+                    .map(|((drugs, adrs, narrative, scalar), id)| ProcessedReport {
+                        id,
+                        age: [None, Some(40.0), Some(41.0)][scalar as usize],
+                        sex: (scalar > 0).then(|| "F".to_string()),
+                        state: Some("NSW".into()),
+                        onset_date: (scalar == 1).then(|| "01/01/2013".to_string()),
+                        outcome: None,
+                        drug_tokens: token_set(drugs),
+                        adr_tokens: token_set(adrs),
+                        narrative_terms: token_set(narrative),
+                    })
+                    .collect();
+                // Fixed shapes on top of the drawn ones: one token id in the
+                // drug and the narrative set, and every set empty.
+                let n = reports.len() as u64;
+                let mut shared = reports[0].clone();
+                shared.id = n;
+                shared.drug_tokens = vec![5, 4_500];
+                shared.narrative_terms = vec![5, 4_500, 9_000];
+                let mut empty = shared.clone();
+                empty.id = n + 1;
+                empty.drug_tokens.clear();
+                empty.adr_tokens.clear();
+                empty.narrative_terms.clear();
+                reports.extend([shared, empty.clone()]);
+                empty.id = n + 2;
+                reports.push(empty);
+
+                // On a fresh thread the marks start empty, so the partners
+                // carrying id 9,000 reach past the buffer of every report
+                // held before `shared`.
+                std::thread::scope(|s| {
+                    s.spawn(|| assert_held_equals_pair_distance(&reports));
+                });
+
+                let ids: Vec<ReportId> = reports.iter().map(|r| r.id).collect();
+                let (existing, new_ids) = ids.split_at(ids.len() - new.min(ids.len()));
+                let in_pair_order = all_pairs(&ids);
+                let mut shuffled = in_pair_order.clone();
+                shuffled.shuffle(&mut StdRng::seed_from_u64(seed));
+                let cluster = Cluster::local(2);
+                for pairs in [in_pair_order, pairs_involving_new(new_ids, existing), shuffled] {
+                    assert_job_equals_pair_distance(&cluster, &reports, pairs, parts);
+                }
+            }
+        }
     }
 }

@@ -34,7 +34,7 @@
 //! changing it, so ingest and serve interleave without interference and a
 //! service keeps answering from its epoch until it refreshes.
 
-use crate::distance::{pair_distance, ProcessedReport};
+use crate::distance::{HeldReport, ProcessedReport};
 use crate::pairing::{CorpusIndex, DistBatch};
 use crate::system::{DedupSystem, Epoch};
 use adr_model::{AdrReport, ReportId};
@@ -517,6 +517,7 @@ impl ServeService {
                         ProcessedReport::from_report(report, &self.pipeline, &mut self.interner);
                     let mut candidates = self.epoch.blocking.probe_candidates(&processed);
                     candidates.truncate(MAX_CANDIDATES);
+                    let probe = HeldReport::new(&processed);
                     for cand in candidates {
                         let Some(other) = self.epoch.corpus.get(&cand) else {
                             continue;
@@ -526,7 +527,7 @@ impl ServeService {
                         loop {
                             match row_meta.get_mut(&id) {
                                 None => {
-                                    rows.push(id, &pair_distance(&processed, other), false);
+                                    rows.push(id, &probe.distance(other), false);
                                     row_meta.insert(id, (key, vec![(slot, cand)]));
                                     break;
                                 }
@@ -740,6 +741,7 @@ pub fn answers_digest(answers: &[ServeAnswer]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::pair_distance;
     use crate::system::DedupConfig;
     use adr_synth::{Dataset, SynthConfig};
     use sparklet::PairRdd;

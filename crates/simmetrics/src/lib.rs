@@ -30,8 +30,8 @@ pub mod vector;
 
 pub use field::FieldDistance;
 pub use sorted::{
-    intersect_gallop_into, intersection_size_sorted, jaccard_distance_sorted,
-    jaccard_similarity_sorted, union_k_sorted_into,
+    intersect_gallop_into, intersection_size_sorted, jaccard_distance_counts,
+    jaccard_distance_sorted, jaccard_similarity_sorted, union_k_sorted_into,
 };
 pub use token::{jaccard_distance, jaccard_similarity};
 pub use vector::{euclidean, euclidean_fixed, squared_euclidean, squared_euclidean_fixed};

@@ -32,21 +32,37 @@ pub fn intersection_size_sorted<T: Ord>(a: &[T], b: &[T]) -> usize {
     inter
 }
 
-/// Jaccard similarity `|A ∩ B| / |A ∪ B|` over sorted deduplicated slices.
+/// Jaccard similarity `|A ∩ B| / |A ∪ B|` from the sizes of two sets and
+/// of their intersection; two empty sets are identical (similarity 1).
 #[inline]
-pub fn jaccard_similarity_sorted<T: Ord>(a: &[T], b: &[T]) -> f64 {
-    let inter = intersection_size_sorted(a, b);
-    let union = a.len() + b.len() - inter;
+fn jaccard_similarity_counts(inter: usize, a: usize, b: usize) -> f64 {
+    let union = a + b - inter;
     if union == 0 {
         return 1.0;
     }
     inter as f64 / union as f64
 }
 
+/// Jaccard similarity `|A ∩ B| / |A ∪ B|` over sorted deduplicated slices.
+#[inline]
+pub fn jaccard_similarity_sorted<T: Ord>(a: &[T], b: &[T]) -> f64 {
+    jaccard_similarity_counts(intersection_size_sorted(a, b), a.len(), b.len())
+}
+
+/// Jaccard distance (Eq. 4) from the sizes of two sets, `a` and `b`, and
+/// of their intersection, `inter`: the expression
+/// [`jaccard_distance_sorted`] evaluates once its merge walk has counted
+/// `inter`, so a caller that counts the intersection another way gets the
+/// same bits.
+#[inline]
+pub fn jaccard_distance_counts(inter: usize, a: usize, b: usize) -> f64 {
+    1.0 - jaccard_similarity_counts(inter, a, b)
+}
+
 /// Jaccard distance (Eq. 4) over sorted deduplicated slices.
 #[inline]
 pub fn jaccard_distance_sorted<T: Ord>(a: &[T], b: &[T]) -> f64 {
-    1.0 - jaccard_similarity_sorted(a, b)
+    jaccard_distance_counts(intersection_size_sorted(a, b), a.len(), b.len())
 }
 
 /// Exponential (galloping) search: smallest index in `a[lo..]` whose element
