@@ -141,7 +141,7 @@ pub fn write_captured_reports(path: &str) -> std::io::Result<()> {
             out.push(',');
         }
         out.push_str("{\"label\":");
-        out.push_str(&sparklet::journal::json_string(label));
+        out.push_str(&sparklet::json_string(label));
         out.push_str(",\"report\":");
         out.push_str(&report.to_json());
         out.push('}');

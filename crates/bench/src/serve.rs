@@ -330,8 +330,8 @@ pub fn serve_to_json(
         out.push_str(&format!(
             "    {{\"drug\": {}, \"event\": {}, \"raw_a\": {}, \"dedup_a\": {}, \
              \"raw_ror\": {:.4}, \"dedup_ror\": {:.4}}}{}\n",
-            sparklet::journal::json_string(&r.drug),
-            sparklet::journal::json_string(&r.event),
+            sparklet::json_string(&r.drug),
+            sparklet::json_string(&r.event),
             r.raw.a,
             r.deduped.a,
             r.raw.ror,

@@ -936,9 +936,10 @@ mod tests {
         assert!(!detections.is_empty());
         assert_eq!(
             cluster.metrics().jobs_submitted.get() - jobs,
-            1 + 1 + 1,
-            "the distance job, one classify stage, the fit's count"
+            1 + 1,
+            "the distance job, one classify stage"
         );
+        assert_eq!(cluster.blocks().block_count(), 0, "the fit caches nothing");
         let report = sys.job_report();
         let classify: Vec<_> = report.stages[before.stages.len()..]
             .iter()

@@ -13,7 +13,7 @@
 //! | 1. k-means partition of `T` into `b` clusters | [`VoronoiPartition::build`] at [`FastKnn::fit`] |
 //! | 2–3. map: assign each `s ∈ S` its closest centre | per-block `map` + `partition_by` on cluster id |
 //! | 4. split `S` into `c` partitions | driver loop over the test blocks — `c` of them, or the count the caller gives [`FastKnn::classify_blocks`] |
-//! | 6–8. join with `T⁻` on cluster id + top-k aggregate | `zip_partitions` of the block with the cached negative-cluster dataset; per row, [`stage1_row`] |
+//! | 6–8. join with `T⁻` on cluster id + top-k aggregate | `zip_partitions` of the block with the negative-cluster dataset, computed and cached by the first block that joins it; per row, [`stage1_row`] |
 //! | 9–10. distances to `T⁺`, merge | same routine (positives are broadcast, and windowed like a cell) |
 //! | 11–12. Algorithm 1 partition selection | same routine |
 //! | 13–15. join with additional partitions, union + reduce to merge top-k | probe shuffle + second `zip_partitions` + `union` + `reduce_by_key` |
@@ -65,8 +65,7 @@ use crate::stage1::{stage1_row, Stage1Row};
 use crate::types::{LabeledPair, Neighborhood, ScoredPair, UnlabeledPair, PAIR_DIMS};
 use crate::voronoi::{VoronoiPartition, Walk};
 use simmetrics::hash::WordMap;
-use sparklet::partitioner::IndexPartitioner;
-use sparklet::{Cluster, EventKind, PairRdd, Rdd, Result, SparkletError};
+use sparklet::{Cluster, EventKind, IndexPartitioner, PairRdd, Rdd, Result, SparkletError};
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
@@ -177,20 +176,24 @@ pub struct FastKnn<const D: usize = PAIR_DIMS> {
     cluster: Cluster,
     voronoi: Arc<VoronoiPartition<D>>,
     /// Negative training cells keyed by cluster id — the partition's own
-    /// `Arc<VecBatch>` per Voronoi cell, cell `i` in engine partition `i`,
-    /// cached in the block manager (the paper relies on Spark's in-memory
-    /// RDD caching for exactly this dataset).
+    /// `Arc<VecBatch>` per Voronoi cell, cell `i` in engine partition `i`.
+    /// Only Algorithm 2 reads it: marked for caching but lazy, it is
+    /// computed and pinned in the block manager by the first block's
+    /// stage-1 `zip_partitions` (the paper relies on Spark's in-memory RDD
+    /// caching for exactly this dataset), and a model that only runs
+    /// [`FastKnn::classify_distinct`] never computes it.
     negatives: Rdd<(usize, Arc<VecBatch<D>>)>,
     /// Per-worker scratch buffers shared by all classification tasks.
     scratch: Arc<ScratchPool<D>>,
 }
 
 impl<const D: usize> FastKnn<D> {
-    /// Partition the training set and cache the negative clusters on the
-    /// engine. This is Algorithm 2 step 1 plus the training-side `join`
-    /// preparation. An empty training set or `b == 0` is a
-    /// [`SparkletError::User`]: there is nothing to partition. So are the
-    /// configurations [`FastKnn::from_partition`] refuses.
+    /// Partition the training set and declare the negative-cell dataset
+    /// Algorithm 2 joins with. This is Algorithm 2 step 1 plus the
+    /// training-side `join` preparation; it launches no job. An empty
+    /// training set or `b == 0` is a [`SparkletError::User`]: there is
+    /// nothing to partition. So are the configurations
+    /// [`FastKnn::from_partition`] refuses.
     pub fn fit(
         cluster: &Cluster,
         train: &[LabeledPair<D>],
@@ -207,22 +210,25 @@ impl<const D: usize> FastKnn<D> {
         Self::from_partition(cluster, voronoi, config)
     }
 
-    /// Cache `voronoi`'s negative cells on the engine: the training-side
-    /// `join` preparation, for a partition already built (`config.b` and
-    /// `config.seed` are not read). The bit-exact unpruned reference is
+    /// Declare `voronoi`'s negative cells as a lazily cached engine
+    /// dataset: the training-side `join` preparation, for a partition
+    /// already built (`config.b` and `config.seed` are not read). It
+    /// launches no job. The bit-exact unpruned reference is
     /// this over `VoronoiPartition::build(..).without_prune_metadata()`:
     /// the same routines, finding no sorted distances, sweep every resident
     /// and every positive and skip no cell.
     ///
-    /// `k == 0` and a NaN θ are [`SparkletError::User`]: with no neighbour
-    /// every score is 0, so at θ = 0 every pair would be a duplicate, and
-    /// no score compares above a NaN, so no pair ever would.
+    /// `k == 0` and a θ that is not finite are [`SparkletError::User`]:
+    /// with no neighbour every score is 0, so at θ = 0 every pair would be
+    /// a duplicate; no score compares above a NaN or +∞, so no pair ever
+    /// would; and every Eq. 5 score is finite (see [`crate::SCORE_EPS`]),
+    /// so at −∞ every pair would.
     pub fn from_partition(
         cluster: &Cluster,
         voronoi: VoronoiPartition<D>,
         config: FastKnnConfig,
     ) -> Result<FastKnn<D>> {
-        if config.k == 0 || config.theta.is_nan() {
+        if config.k == 0 || !config.theta.is_finite() {
             return Err(SparkletError::User(format!(
                 "FastKnn: cannot score with k = {} at θ = {}",
                 config.k, config.theta
@@ -243,8 +249,6 @@ impl<const D: usize> FastKnn<D> {
             .enumerate()
             .collect();
         let negatives = cluster.parallelize(keyed, b).cache();
-        // Materialise the cache so classification jobs hit memory.
-        negatives.count()?;
         Ok(FastKnn {
             config,
             cluster: cluster.clone(),
@@ -956,10 +960,12 @@ mod tests {
 
     #[test]
     fn a_nan_threshold_is_a_user_error() {
-        assert_scoring_refused(FastKnnConfig {
-            theta: f64::NAN,
-            ..FastKnnConfig::default()
-        });
+        for theta in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_scoring_refused(FastKnnConfig {
+                theta,
+                ..FastKnnConfig::default()
+            });
+        }
     }
 
     #[test]
@@ -972,10 +978,16 @@ mod tests {
         let config = FastKnnConfig::default();
         let one_model = {
             let model = FastKnn::fit(&cluster, &train, config).unwrap();
+            assert_eq!(
+                cluster.metrics().jobs_submitted.get(),
+                0,
+                "a fit runs no job"
+            );
+            assert_eq!(cluster.blocks().used(), 0, "and caches nothing");
             model.classify(&test).unwrap();
             cluster.blocks().used()
         };
-        assert!(one_model > 0, "the negative cells are cached");
+        assert!(one_model > 0, "Algorithm 2 cached the negative cells");
         assert_eq!(cluster.blocks().used(), 0, "and go with the model");
         let mut live = FastKnn::fit(&cluster, &train, config).unwrap();
         for _ in 0..50 {

@@ -188,7 +188,7 @@ impl Cluster {
     }
 
     /// Virtual elapsed time of everything run so far on this cluster's own
-    /// topology. See [`VirtualClock::makespan`] to query other topologies.
+    /// topology. The [`Cluster::clock`]'s `makespan` queries other topologies.
     pub fn virtual_elapsed(&self) -> VirtualDuration {
         self.inner.clock.makespan(
             self.inner.config.num_executors,

@@ -183,7 +183,7 @@ impl FaultConfig {
     }
 }
 
-/// Parameters of the virtual-time cost model (see [`crate::simtime`]).
+/// Parameters of the virtual-time cost model.
 ///
 /// A task's virtual duration is
 /// `launch_overhead_us + ops * op_ns / 1000 + shuffle_bytes * shuffle_byte_ns

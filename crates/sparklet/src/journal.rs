@@ -519,7 +519,7 @@ impl RecoveryReport {
 
 /// Morsel-scheduling aggregates captured into a [`JobReport`]: the schedule
 /// of every morsel-driven stage on the cluster's own slot count (a
-/// [`SchedSim`], computed once as the stage closes), summed into a
+/// list-scheduling simulation, computed once as the stage closes), summed into a
 /// per-worker utilization table.
 #[derive(Debug, Clone, Default)]
 pub struct SchedReport {
@@ -901,7 +901,7 @@ pub struct JobReport {
     /// Serving aggregates: micro-batch counts, queue depth, batch-size
     /// histogram and signal-memo hit rate (empty when no serve service ran).
     pub serve: ServeReport,
-    /// First [`MAX_REPORT_FAILURES`] task-attempt failures, in order.
+    /// First `MAX_REPORT_FAILURES` (32) task-attempt failures, in order.
     pub failures: Vec<FailureLine>,
     /// User counters, sorted by name.
     pub user_counters: Vec<(String, u64)>,

@@ -10,14 +10,14 @@
 //!   transformations (`map`, `flat_map`, `map_partitions`, `union`,
 //!   `zip_partitions`) are pipelined inside a single task; wide
 //!   transformations (`partition_by`, `reduce_by_key`, `aggregate_by_key`,
-//!   `join`) cut a stage boundary and go through the [`shuffle`] service.
+//!   `join`) cut a stage boundary and go through the shuffle service.
 //!   The operator set is exactly what the product and the paper-literal
 //!   Algorithm 2 (`tests/engine_algorithms.rs`) call, nothing more.
 //! * **Actions** (`collect`, `count`, `aggregate`) — walk the lineage,
 //!   materialise shuffle dependencies stage by stage, and submit one task
 //!   per partition to the [`Cluster`] scheduler.
 //! * **Caching** ([`Rdd::cache`]) — computed partitions are pinned in the
-//!   [`storage::BlockManager`] subject to a per-executor memory budget with
+//!   cluster's block manager subject to a per-executor memory budget with
 //!   LRU eviction; evicted partitions are recomputed from lineage, mirroring
 //!   RDD fault-tolerance semantics.
 //! * **Task scheduling with retries** — tasks can fail (via deterministic
@@ -25,15 +25,15 @@
 //!   and are retried with a virtual-time penalty, reproducing the retry
 //!   storms the paper observes when joined partitions do not fit in executor
 //!   memory (its Fig. 8b).
-//! * **Metrics** ([`metrics::ClusterMetrics`]) — tasks, retries, shuffle
+//! * **Metrics** ([`ClusterMetrics`]) — tasks, retries, shuffle
 //!   records/bytes, cache hits, plus named user counters (the paper's
 //!   intra-/cross-cluster comparison counts hang off these).
-//! * **Virtual time** ([`simtime`]) — every task accrues a virtual cost
-//!   (charged operations, shuffle bytes, launch overhead, retry penalties);
-//!   a deterministic list scheduler then computes the makespan for any
-//!   executor topology. This substitutes for wall-clock measurements on the
-//!   paper's 14-node cluster, which are not reproducible on a single
-//!   machine (see `DESIGN.md`).
+//! * **Virtual time** ([`CostModelConfig`]) — every task accrues a virtual
+//!   cost (charged operations, shuffle bytes, launch overhead, retry
+//!   penalties); a deterministic list scheduler then computes the makespan
+//!   for any executor topology. This substitutes for wall-clock
+//!   measurements on the paper's 14-node cluster, which are not
+//!   reproducible on a single machine (see `DESIGN.md`).
 //!
 //! ## Quick example
 //!
@@ -50,21 +50,21 @@
 //! assert_eq!(sum, (0..1000u64).map(|x| x * 2).filter(|x| x % 3 == 0).sum());
 //! ```
 
-pub mod cluster;
-pub mod config;
-pub mod error;
-pub mod executor;
-pub mod hash;
-pub mod journal;
-pub mod metrics;
-pub mod pair;
-pub mod partitioner;
-pub mod rdd;
-pub mod shuffle;
-pub mod simtime;
-pub mod spill;
-pub mod storage;
-pub mod task;
+mod cluster;
+mod config;
+mod error;
+mod executor;
+mod hash;
+mod journal;
+mod metrics;
+mod pair;
+mod partitioner;
+mod rdd;
+mod shuffle;
+mod simtime;
+mod spill;
+mod storage;
+mod task;
 
 pub use cluster::Cluster;
 pub use config::{ClusterConfig, CostModelConfig, ExecutorKill, FaultConfig, KillWhen};
@@ -72,12 +72,12 @@ pub use error::{Result, SparkletError};
 pub use executor::ExecutorRegistry;
 pub use hash::stable_hash;
 pub use journal::{
-    BatchReport, Event, EventKind, IngestBatchRow, IngestReport, JobReport, PruneReport,
-    RecoveryReport, RunJournal, SchedReport, ServeReport,
+    json_string, BatchReport, Event, EventKind, IngestBatchRow, IngestReport, JobReport,
+    PruneReport, RecoveryReport, RunJournal, SchedReport, ServeReport,
 };
 pub use metrics::ClusterMetrics;
 pub use pair::PairRdd;
-pub use partitioner::{HashPartitioner, Partitioner};
+pub use partitioner::{HashPartitioner, IndexPartitioner, Partitioner};
 pub use rdd::Rdd;
 pub use spill::{FixedBytes, SpillManager};
 pub use task::TaskContext;

@@ -43,12 +43,10 @@ fn shuffled<K: KeyData, V: Data>(
     rdd: &Rdd<(K, V)>,
     partitioner: Arc<dyn Partitioner<K>>,
 ) -> Rdd<(K, V)> {
-    let id = rdd.cluster.new_rdd_id();
     let shuffle_id = rdd.cluster.new_shuffle_id();
     Rdd::from_node(
         rdd.cluster.clone(),
         Arc::new(ShuffledNode::new(
-            id,
             shuffle_id,
             rdd.cluster.clone(),
             rdd.node.clone(),

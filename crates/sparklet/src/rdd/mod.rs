@@ -34,9 +34,8 @@ impl<T: Data> Clone for Rdd<T> {
 
 impl<T: Data> Rdd<T> {
     pub(crate) fn from_collection(cluster: Cluster, data: Vec<T>, num_partitions: usize) -> Self {
-        let id = cluster.new_rdd_id();
         Rdd {
-            node: Arc::new(ParallelCollectionNode::new(id, data, num_partitions)),
+            node: Arc::new(ParallelCollectionNode::new(data, num_partitions)),
             cluster,
         }
     }
@@ -95,27 +94,17 @@ impl<T: Data> Rdd<T> {
         name: &str,
         f: impl Fn(&TaskContext, usize, Vec<T>) -> Result<Vec<U>> + Send + Sync + 'static,
     ) -> Rdd<U> {
-        let id = self.cluster.new_rdd_id();
         Rdd::from_node(
             self.cluster.clone(),
-            Arc::new(MapPartitionsNode::new(
-                id,
-                name,
-                self.node.clone(),
-                Arc::new(f),
-            )),
+            Arc::new(MapPartitionsNode::new(name, self.node.clone(), Arc::new(f))),
         )
     }
 
     /// Concatenate with another dataset (partition spaces appended).
     pub fn union(&self, other: &Rdd<T>) -> Rdd<T> {
-        let id = self.cluster.new_rdd_id();
         Rdd::from_node(
             self.cluster.clone(),
-            Arc::new(UnionNode::new(
-                id,
-                vec![self.node.clone(), other.node.clone()],
-            )),
+            Arc::new(UnionNode::new(vec![self.node.clone(), other.node.clone()])),
         )
     }
 
@@ -136,8 +125,7 @@ impl<T: Data> Rdd<T> {
         other: &Rdd<U>,
         f: impl Fn(&TaskContext, Vec<T>, Vec<U>) -> Result<Vec<C>> + Send + Sync + 'static,
     ) -> Result<Rdd<C>> {
-        let id = self.cluster.new_rdd_id();
-        let node = ZipPartitionsNode::new(id, self.node.clone(), other.node.clone(), Arc::new(f))?;
+        let node = ZipPartitionsNode::new(self.node.clone(), other.node.clone(), Arc::new(f))?;
         Ok(Rdd::from_node(self.cluster.clone(), Arc::new(node)))
     }
 

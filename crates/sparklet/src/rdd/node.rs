@@ -18,9 +18,6 @@ use crate::Data;
 /// dependencies in topological order. Keeping stage execution on the driver
 /// is what makes the fixed-size worker pool deadlock-free.
 pub trait RddNode<T: Data>: Send + Sync {
-    /// Unique id within the cluster (used as the cache key).
-    fn id(&self) -> u64;
-
     /// Human-readable operator name for stage labels.
     fn name(&self) -> String;
 

@@ -13,12 +13,11 @@ use std::sync::Arc;
 
 /// Source node: an in-memory collection split into even chunks.
 pub struct ParallelCollectionNode<T: Data> {
-    id: u64,
     partitions: Vec<Arc<Vec<T>>>,
 }
 
 impl<T: Data> ParallelCollectionNode<T> {
-    pub(crate) fn new(id: u64, data: Vec<T>, num_partitions: usize) -> Self {
+    pub(crate) fn new(data: Vec<T>, num_partitions: usize) -> Self {
         let n = num_partitions.max(1);
         let len = data.len();
         let mut partitions = Vec::with_capacity(n);
@@ -30,14 +29,11 @@ impl<T: Data> ParallelCollectionNode<T> {
                 iter.by_ref().take(end - start).collect::<Vec<T>>(),
             ));
         }
-        ParallelCollectionNode { id, partitions }
+        ParallelCollectionNode { partitions }
     }
 }
 
 impl<T: Data> RddNode<T> for ParallelCollectionNode<T> {
-    fn id(&self) -> u64 {
-        self.id
-    }
     fn name(&self) -> String {
         "parallelize".into()
     }
@@ -55,7 +51,6 @@ impl<T: Data> RddNode<T> for ParallelCollectionNode<T> {
 /// Narrow transformation over whole partitions; `map`, `flat_map` and
 /// `map_partitions` all lower to this node.
 pub struct MapPartitionsNode<T: Data, U: Data> {
-    id: u64,
     name: String,
     parent: Arc<dyn RddNode<T>>,
     #[allow(clippy::type_complexity)]
@@ -65,13 +60,11 @@ pub struct MapPartitionsNode<T: Data, U: Data> {
 impl<T: Data, U: Data> MapPartitionsNode<T, U> {
     #[allow(clippy::type_complexity)]
     pub(crate) fn new(
-        id: u64,
         name: &str,
         parent: Arc<dyn RddNode<T>>,
         f: Arc<dyn Fn(&TaskContext, usize, Vec<T>) -> Result<Vec<U>> + Send + Sync>,
     ) -> Self {
         MapPartitionsNode {
-            id,
             name: name.to_string(),
             parent,
             f,
@@ -80,9 +73,6 @@ impl<T: Data, U: Data> MapPartitionsNode<T, U> {
 }
 
 impl<T: Data, U: Data> RddNode<U> for MapPartitionsNode<T, U> {
-    fn id(&self) -> u64 {
-        self.id
-    }
     fn name(&self) -> String {
         self.name.clone()
     }
@@ -100,20 +90,16 @@ impl<T: Data, U: Data> RddNode<U> for MapPartitionsNode<T, U> {
 
 /// Concatenation of several parents' partition spaces.
 pub struct UnionNode<T: Data> {
-    id: u64,
     parents: Vec<Arc<dyn RddNode<T>>>,
 }
 
 impl<T: Data> UnionNode<T> {
-    pub(crate) fn new(id: u64, parents: Vec<Arc<dyn RddNode<T>>>) -> Self {
-        UnionNode { id, parents }
+    pub(crate) fn new(parents: Vec<Arc<dyn RddNode<T>>>) -> Self {
+        UnionNode { parents }
     }
 }
 
 impl<T: Data> RddNode<T> for UnionNode<T> {
-    fn id(&self) -> u64 {
-        self.id
-    }
     fn name(&self) -> String {
         "union".into()
     }
@@ -163,9 +149,6 @@ impl<T: Data> CachedNode<T> {
 }
 
 impl<T: Data> RddNode<T> for CachedNode<T> {
-    fn id(&self) -> u64 {
-        self.id
-    }
     fn name(&self) -> String {
         format!("cached[{}]", self.parent.name())
     }
@@ -279,7 +262,6 @@ pub(crate) fn bucket_by_partition<K: KeyData, V: Data>(
 /// cluster keeps the shuffles of its live datasets, not of every job it
 /// ever ran.
 pub struct ShuffledNode<K: KeyData, V: Data> {
-    id: u64,
     shuffle_id: u64,
     cluster: Cluster,
     parent: Arc<dyn RddNode<(K, V)>>,
@@ -290,7 +272,6 @@ pub struct ShuffledNode<K: KeyData, V: Data> {
 
 impl<K: KeyData, V: Data> ShuffledNode<K, V> {
     pub(crate) fn new(
-        id: u64,
         shuffle_id: u64,
         cluster: Cluster,
         parent: Arc<dyn RddNode<(K, V)>>,
@@ -304,7 +285,6 @@ impl<K: KeyData, V: Data> ShuffledNode<K, V> {
             })
         };
         ShuffledNode {
-            id,
             shuffle_id,
             cluster,
             parent,
@@ -316,9 +296,6 @@ impl<K: KeyData, V: Data> ShuffledNode<K, V> {
 }
 
 impl<K: KeyData, V: Data> RddNode<(K, V)> for ShuffledNode<K, V> {
-    fn id(&self) -> u64 {
-        self.id
-    }
     fn name(&self) -> String {
         format!("shuffle#{}", self.shuffle_id)
     }
@@ -379,7 +356,6 @@ impl<K: KeyData, V: Data> Drop for ShuffledNode<K, V> {
 /// Zip two equally-partitioned parents partition-wise through a combiner
 /// function (the engine's cogroup building block).
 pub struct ZipPartitionsNode<A: Data, B: Data, C: Data> {
-    id: u64,
     left: Arc<dyn RddNode<A>>,
     right: Arc<dyn RddNode<B>>,
     #[allow(clippy::type_complexity)]
@@ -389,7 +365,6 @@ pub struct ZipPartitionsNode<A: Data, B: Data, C: Data> {
 impl<A: Data, B: Data, C: Data> ZipPartitionsNode<A, B, C> {
     #[allow(clippy::type_complexity)]
     pub(crate) fn new(
-        id: u64,
         left: Arc<dyn RddNode<A>>,
         right: Arc<dyn RddNode<B>>,
         f: Arc<dyn Fn(&TaskContext, Vec<A>, Vec<B>) -> Result<Vec<C>> + Send + Sync>,
@@ -400,14 +375,11 @@ impl<A: Data, B: Data, C: Data> ZipPartitionsNode<A, B, C> {
                 right: right.num_partitions(),
             });
         }
-        Ok(ZipPartitionsNode { id, left, right, f })
+        Ok(ZipPartitionsNode { left, right, f })
     }
 }
 
 impl<A: Data, B: Data, C: Data> RddNode<C> for ZipPartitionsNode<A, B, C> {
-    fn id(&self) -> u64 {
-        self.id
-    }
     fn name(&self) -> String {
         "zip_partitions".into()
     }

@@ -144,6 +144,22 @@ fn mid_stage_kill_recovers_lost_work_without_output_drift() {
 }
 
 #[test]
+fn a_kill_inside_the_distance_job_recovers_without_output_drift() {
+    // The product's other task-running stage: executor 1 dies once the
+    // pairwise-distance job's first task has completed, and the task in
+    // flight on it is lost and rescheduled.
+    let fault = FaultConfig::disabled().kill_in_stage(1, "pairwise-distances", 1);
+    let chaos = run_pipeline(chaos_config(fault)).expect("chaos run");
+    assert_eq!(
+        chaos.digest, BASELINE_DIGEST,
+        "a distance-job kill changed the output"
+    );
+    let rec = &chaos.report.recovery;
+    assert!(rec.executors_lost >= 1, "the kill never fired: {rec:?}");
+    assert!(rec.tasks_lost >= 1, "the kill cost no task: {rec:?}");
+}
+
+#[test]
 fn random_task_faults_are_absorbed_without_output_drift() {
     for seed in [11, 22, 33] {
         let fault = FaultConfig::with_probability(0.05, seed);

@@ -401,12 +401,14 @@ fn transient_engine_faults_retry_to_the_fault_free_digest() {
     // With engine-level retry disabled every task fault fails its whole
     // job, so the rate must stay low enough that a batch converges within
     // the service's retry budget, and high enough that some batch needs it.
-    // A batch here is some 26 task attempts over three jobs (the distance
-    // job's 16 morsels, one classify stage of one task, the fit's count):
-    // ≈ 0.4 faults a batch expected, and this schedule retries 3 of the 4
-    // batches. It was 63-75 attempts over six jobs when a batch classified
-    // in one Algorithm 2 block of four stages, and 244-274 over 23 when it
-    // ran four blocks of five stages and the rate was 0.004.
+    // A batch here is some 9-17 task attempts over two jobs (the distance
+    // job's 8-16 morsel tasks, one classify stage of one task): ≈ 0.2
+    // faults a batch expected, and this schedule retries 1 of the 4
+    // batches. It retried 3 while each fit also ran a count job over its
+    // cached cells (three jobs a batch), was 63-75 attempts over six jobs
+    // when a batch classified in one Algorithm 2 block of four stages, and
+    // 244-274 over 23 when it ran four blocks of five stages and the rate
+    // was 0.004.
     cluster_cfg.max_task_attempts = 1;
     cluster_cfg.fault = FaultConfig::with_probability(0.015, 2016);
     let mut ingest_cfg = IngestConfig::new(&dir);
