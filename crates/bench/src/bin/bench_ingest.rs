@@ -1,5 +1,6 @@
 //! Streaming-ingest benchmark: quarterly micro-batches through the durable
-//! [`dedup::IngestService`], written to `BENCH_ingest.json`.
+//! [`dedup::IngestService`], written to `BENCH_ingest.json`, with both
+//! legs' job reports in `BENCH_ingest_report.json`.
 //!
 //! Two legs over the same replay schedule (see [`bench::ingest`]):
 //!
@@ -67,14 +68,15 @@ fn main() {
     let doc = ingest_to_json(&w, &steady, &recovered);
     std::fs::write(&out_path, &doc).expect("write BENCH_ingest.json");
     let report_path = format!(
-        "{}_report.txt",
+        "{}_report.json",
         out_path.strip_suffix(".json").unwrap_or(&out_path)
     );
     std::fs::write(
         &report_path,
         format!(
-            "== steady leg ==\n{}\n== kill + recover leg ==\n{}",
-            steady.report_text, recovered.report_text
+            "{{\"steady\": {}, \"recovered\": {}}}\n",
+            steady.report_json.trim_end(),
+            recovered.report_json.trim_end()
         ),
     )
     .expect("write job-report artifact");

@@ -1,6 +1,6 @@
 //! Bound-driven pruning benchmark: the classification stage with the
-//! lossless pruning engine on vs off, written to `BENCH_prune.json` with a
-//! prune-section job-report artifact alongside.
+//! lossless pruning engine on vs off, written to `BENCH_prune.json`, with
+//! both sides' job reports in `BENCH_prune_report.json`.
 //!
 //! One skewed radial-cluster workload (see [`bench::prune`]) through the
 //! identical fit + classify pipeline at the same worker count; the off side
@@ -32,7 +32,7 @@ fn main() {
         .find(|a| !a.starts_with("--"))
         .cloned()
         .unwrap_or_else(|| "BENCH_prune.json".to_string());
-    let report_path = format!("{}_report.txt", out_path.trim_end_matches(".json"));
+    let report_path = format!("{}_report.json", out_path.trim_end_matches(".json"));
 
     let (n_neg, n_pos, n_test, cells) = if quick {
         (3_500, 40, 450, 6)
@@ -64,8 +64,9 @@ fn main() {
     std::fs::write(
         &report_path,
         format!(
-            "=== prune on ===\n{}\n=== prune off ===\n{}\n",
-            cmp.on.report_text, cmp.off.report_text
+            "{{\"on\": {}, \"off\": {}}}\n",
+            cmp.on.report_json.trim_end(),
+            cmp.off.report_json.trim_end()
         ),
     )
     .expect("write prune report artifact");

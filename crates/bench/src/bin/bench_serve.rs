@@ -1,5 +1,6 @@
 //! Serving benchmark: adaptive micro-batched duplicate lookups and signal
-//! queries under open-loop load, written to `BENCH_serve.json`.
+//! queries under open-loop load, written to `BENCH_serve.json`, with the
+//! batched leg's job report in `BENCH_serve_report.json`.
 //!
 //! Four measurements over one bootstrapped corpus (see [`bench::serve`]):
 //!
@@ -49,7 +50,7 @@ fn main() {
 
     eprintln!("  batched leg (batch-or-deadline admission)…");
     let batched = run_leg(&sys, &requests);
-    let report_text = format!("{}", sys.job_report());
+    let report_json = sys.job_report().to_json();
     eprintln!(
         "    {} batches, p50 {} us, p99 {} us, {:.0} req/s, digest {:#018x}",
         batched.batches,
@@ -94,10 +95,14 @@ fn main() {
     let doc = serve_to_json(&w, &batched, &rerun, &knee, &ror);
     std::fs::write(&out_path, &doc).expect("write BENCH_serve.json");
     let report_path = format!(
-        "{}_report.txt",
+        "{}_report.json",
         out_path.strip_suffix(".json").unwrap_or(&out_path)
     );
-    std::fs::write(&report_path, report_text).expect("write job-report artifact");
+    std::fs::write(
+        &report_path,
+        format!("{{\"batched\": {}}}\n", report_json.trim_end()),
+    )
+    .expect("write job-report artifact");
     eprintln!("wrote {out_path} and {report_path}");
 
     let gates = serve_gates(&batched, &rerun, &ror);

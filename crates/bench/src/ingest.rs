@@ -136,8 +136,14 @@ impl IngestWorkload {
         cfg
     }
 
+    /// An empty checkpoint directory for one leg, named by workload size so
+    /// legs of different workloads can run at once in one process.
     fn fresh_dir(&self, tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("bench-ingest-{tag}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!(
+            "bench-ingest-{tag}-{}-{}",
+            self.num_reports,
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -161,8 +167,8 @@ pub struct IngestRunSummary {
     pub driver_points: u64,
     /// Recovery opens observed by the journal.
     pub recoveries: u64,
-    /// The run's rendered job report (stage timeline + ingest table).
-    pub report_text: String,
+    /// The run's job report as JSON (stage timeline + ingest rows).
+    pub report_json: String,
 }
 
 fn summarise(svc: &IngestService) -> IngestRunSummary {
@@ -175,7 +181,7 @@ fn summarise(svc: &IngestService) -> IngestRunSummary {
         final_base_bytes: svc.system().store().snapshot().len() as u64,
         driver_points: svc.system().cluster().driver_points_passed(),
         recoveries: report.ingest.recoveries,
-        report_text: format!("{report}"),
+        report_json: report.to_json(),
     }
 }
 
@@ -371,7 +377,7 @@ mod tests {
             final_base_bytes: 200,
             driver_points: 12,
             recoveries: 0,
-            report_text: String::new(),
+            report_json: String::new(),
         };
         let mut recovered = steady.clone();
         recovered.recoveries = 1;
@@ -405,5 +411,12 @@ mod tests {
         assert!(doc.contains(
             "\"latency_ratio\": {\"threshold\": 2.00, \"value\": 2.5000, \"passed\": false}"
         ));
+    }
+
+    #[test]
+    fn quick_scale_job_report_is_json() {
+        let steady = run_steady(&IngestWorkload::quick()).expect("steady leg");
+        let json = &steady.report_json;
+        assert!(crate::json_check::is_json(json), "{json}");
     }
 }

@@ -24,3 +24,7 @@ pub mod ingest;
 pub mod prune;
 pub mod serve;
 pub mod spill;
+
+#[cfg(test)]
+#[path = "../../sparklet/tests/common/json.rs"]
+mod json_check;

@@ -130,8 +130,8 @@ pub struct PruneRun {
     pub prune: PruneReport,
     /// The classification results, for the losslessness check.
     pub outputs: Vec<ScoredPair>,
-    /// Rendered job report (the prune-table artifact).
-    pub report_text: String,
+    /// The job report as JSON (the prune-section artifact).
+    pub report_json: String,
 }
 
 /// Fit and classify `w` on `workers` single-core executors with pruning on
@@ -168,7 +168,7 @@ pub fn run_classification(w: &PruneWorkload, workers: usize, prune: bool) -> Pru
         classify_us,
         evals,
         prune: report.prune.clone(),
-        report_text: report.to_string(),
+        report_json: report.to_json(),
         outputs,
     }
 }
@@ -285,7 +285,7 @@ mod tests {
                 ..PruneReport::default()
             },
             outputs: Vec::new(),
-            report_text: String::new(),
+            report_json: String::new(),
         };
         let cmp = PruneComparison {
             on: run(1_000, 200, 800),
@@ -297,5 +297,13 @@ mod tests {
         assert!(doc.contains("\"passed\": true"));
         assert!(!doc.contains("\"passed\": false"));
         assert!(doc.starts_with('{') && doc.ends_with("}\n"));
+    }
+
+    #[test]
+    fn quick_scale_job_report_is_json() {
+        // `bench_prune --quick`'s workload, pruned side.
+        let w = skewed_workload(3_500, 40, 450, 6, 2016);
+        let json = run_classification(&w, 8, true).report_json;
+        assert!(crate::json_check::is_json(&json), "{json}");
     }
 }

@@ -391,4 +391,13 @@ mod tests {
         assert!(!doc.contains("request_at_a_time"), "{doc}");
         assert!(doc.starts_with('{') && doc.ends_with("}\n"));
     }
+
+    #[test]
+    fn quick_scale_job_report_is_json() {
+        let w = ServeWorkload::quick();
+        let (sys, ds) = w.build_system();
+        run_leg(&sys, &resolve_requests(&w.load(), &ds));
+        let json = sys.job_report().to_json();
+        assert!(crate::json_check::is_json(&json), "{json}");
+    }
 }

@@ -52,7 +52,7 @@ use crate::store::PairStore;
 use crate::system::{DedupConfig, DedupSystem, Detection};
 use adr_model::AdrReport;
 use adr_synth::QuarterlyReplay;
-use sparklet::{stable_hash, Cluster, EventKind, SparkletError};
+use sparklet::{stable_hash, Cluster, EventKind, IngestBatchRow, SparkletError};
 use std::fmt::{self, Write as _};
 use std::fs;
 use std::io::Write as _;
@@ -459,15 +459,13 @@ impl IngestService {
         self.cluster().driver_fault_point("bootstrap-committed")?;
         self.cluster()
             .journal()
-            .record(EventKind::IngestBatchCommitted {
+            .record(EventKind::IngestBatchCommitted(IngestBatchRow {
                 batch: 0,
                 reports: reports.len() as u64,
-                detections: 0,
-                duplicates: 0,
                 retries: attempt,
-                latency_us: 0,
                 checkpoint_bytes: bytes,
-            });
+                ..IngestBatchRow::default()
+            }));
         Ok(())
     }
 
@@ -521,7 +519,7 @@ impl IngestService {
             .saturating_sub(latency_start);
         self.cluster()
             .journal()
-            .record(EventKind::IngestBatchCommitted {
+            .record(EventKind::IngestBatchCommitted(IngestBatchRow {
                 batch,
                 reports: reports.len() as u64,
                 detections: detections.len() as u64,
@@ -529,7 +527,7 @@ impl IngestService {
                 retries: attempt,
                 latency_us: latency,
                 checkpoint_bytes: bytes,
-            });
+            }));
         Ok(1)
     }
 

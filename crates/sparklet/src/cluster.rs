@@ -13,7 +13,7 @@ use crate::config::{ClusterConfig, KillWhen};
 use crate::error::{Result, SparkletError};
 use crate::executor::ExecutorRegistry;
 use crate::hash::stable_hash;
-use crate::journal::{EventKind, JobReport, RunJournal};
+use crate::journal::{EventKind, FailureLine, JobReport, RunJournal};
 use crate::metrics::ClusterMetrics;
 use crate::rdd::Rdd;
 use crate::shuffle::ShuffleService;
@@ -182,7 +182,7 @@ impl Cluster {
     }
 
     /// Aggregate the journal, clock and metrics into an exportable
-    /// [`JobReport`] (JSON via [`JobReport::to_json`], text via `Display`).
+    /// [`JobReport`], rendered by [`JobReport::to_json`].
     pub fn job_report(&self) -> JobReport {
         JobReport::capture(self)
     }
@@ -581,11 +581,13 @@ impl Cluster {
                         }
                         let will_retry = outcome.attempt + 1 < max_attempts;
                         self.inner.journal.record(EventKind::TaskFailed {
-                            stage: stage.to_string(),
-                            task: outcome.task,
-                            attempt: outcome.attempt,
+                            failure: FailureLine {
+                                stage: stage.to_string(),
+                                task: outcome.task,
+                                attempt: outcome.attempt,
+                                reason: e.to_string(),
+                            },
                             virtual_us: outcome.virtual_us,
-                            reason: e.to_string(),
                             will_retry,
                         });
                         retries += 1;
@@ -687,12 +689,7 @@ impl Cluster {
     ) {
         let stage_work: u64 = task_us.iter().sum();
         if let Some(partition_of) = &morsels {
-            self.inner
-                .metrics
-                .morsels_executed
-                .add(task_us.len() as u64);
             let sim = simulate_morsels(&task_us, partition_of, self.inner.config.total_slots());
-            self.inner.metrics.morsels_stolen.add(sim.stolen_count());
             self.inner.journal.fold_sched(&sim);
         }
         self.inner.clock.record_stage(StageRecord {
@@ -1274,7 +1271,7 @@ mod tests {
             .unwrap();
         assert_eq!(out, expected);
         assert!(
-            c.metrics().morsels_executed.get() > 6,
+            c.job_report().sched.morsels > 6,
             "heavy partitions must split into several morsels"
         );
     }
@@ -1352,7 +1349,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(c.metrics().morsels_executed.get(), 2);
+        assert_eq!(c.job_report().sched.morsels, 2);
         let d = Cluster::local(2);
         d.run_job("j", 2, |i, ctx| {
             let n = if i == 0 { 10 } else { 4 };
@@ -1608,8 +1605,10 @@ mod tests {
                 .into_iter()
                 .find_map(|e| match e.kind {
                     EventKind::TaskFailed {
-                        reason, will_retry, ..
-                    } => Some((reason, will_retry)),
+                        failure,
+                        will_retry,
+                        ..
+                    } => Some((failure.reason, will_retry)),
                     _ => None,
                 })
                 .expect("the panic is journaled as a failed attempt");

@@ -1,7 +1,7 @@
 //! Run journal and exportable job reports — sparklet's observability layer.
 //!
-//! Every cluster owns a [`RunJournal`]: an append-only, sequence-numbered
-//! log of what the counters cannot say — faults with their reasons, memory
+//! Every cluster owns a [`RunJournal`]: an append-only log of what the
+//! counters cannot say — faults with their reasons, memory
 //! pressure, and one row per unit of service work (a pruning pass, an
 //! ingest commit, a serve micro-batch). A healthy engine run logs nothing:
 //! its routine record is [`crate::metrics::ClusterMetrics`], the clock's
@@ -19,9 +19,10 @@
 //! closes. A [`JobReport`] copies those sections and combines them with the
 //! [`crate::simtime::VirtualClock`] stage records and the metrics counters
 //! into a per-stage task-duration distribution (min/p50/max, straggler
-//! flags), retry/shuffle/cache totals and user counters. Reports serialise
-//! to schema-stable JSON ([`JobReport::to_json`]) and render as a terminal
-//! stage table (`Display`) — a mini Spark UI for the terminal.
+//! flags), retry/shuffle/cache totals and user counters. A report has one
+//! rendering, schema-stable JSON ([`JobReport::to_json`]), pinned byte for
+//! byte by `tests/job_report_golden.json` — like Spark's event log, the one
+//! machine format its history UI replays.
 
 use crate::cluster::Cluster;
 use crate::simtime::{SchedSim, StageRecord};
@@ -30,12 +31,10 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One journal entry: a global sequence number, a virtual timestamp and the
-/// event itself.
+/// One journal entry: a virtual timestamp and the event itself. Its index
+/// in [`RunJournal::events`] is its order within the run.
 #[derive(Debug, Clone)]
 pub struct Event {
-    /// Global order of the event within the run (0-based).
-    pub seq: u64,
     /// Virtual-clock reading (virtual work of completed stages, µs) when
     /// the event was recorded. Events recorded while one stage runs share a
     /// stamp; a failed attempt carries its own duration on top.
@@ -49,16 +48,10 @@ pub struct Event {
 pub enum EventKind {
     /// A task attempt failed (it may be retried).
     TaskFailed {
-        /// Stage name.
-        stage: String,
-        /// Task index.
-        task: usize,
-        /// Attempt number.
-        attempt: u32,
+        /// Stage, task, attempt and reason — the report's failure line.
+        failure: FailureLine,
         /// Virtual duration wasted by this attempt (µs).
         virtual_us: u64,
-        /// The [`crate::SparkletError`] rendered to text.
-        reason: String,
         /// Whether another attempt follows.
         will_retry: bool,
     },
@@ -170,24 +163,9 @@ pub enum EventKind {
     /// An ingest micro-batch committed: detections folded into the
     /// cumulative digest and a new checkpoint generation renamed into place.
     /// Coalesced: one event per batch, never per report or per pair, so a
-    /// long-running ingest stays within the journal bound.
-    IngestBatchCommitted {
-        /// Batch index (== quarter index for quarterly replay).
-        batch: u64,
-        /// Reports ingested by this batch.
-        reports: u64,
-        /// Candidate pairs scored (detections emitted).
-        detections: u64,
-        /// Detections classified duplicate.
-        duplicates: u64,
-        /// Failed attempts before the one that committed.
-        retries: u64,
-        /// Virtual latency of the committed attempt plus checkpoint write
-        /// (µs), excluding backoff waits.
-        latency_us: u64,
-        /// Size of the checkpoint file written at commit (bytes).
-        checkpoint_bytes: u64,
-    },
+    /// long-running ingest stays within the journal bound. The row is the
+    /// one the report's `ingest.batches` keeps.
+    IngestBatchCommitted(IngestBatchRow),
     /// A poison batch exhausted `max_batch_retries`, was dumped to the
     /// quarantine file and skipped so the service keeps making progress.
     IngestQuarantined {
@@ -269,21 +247,9 @@ struct Sections {
 
 impl Sections {
     fn fold(&mut self, kind: &EventKind) {
-        if let EventKind::TaskFailed {
-            stage,
-            task,
-            attempt,
-            reason,
-            ..
-        } = kind
-        {
+        if let EventKind::TaskFailed { failure, .. } = kind {
             if self.failures.len() < MAX_REPORT_FAILURES {
-                self.failures.push(FailureLine {
-                    stage: stage.clone(),
-                    task: *task,
-                    attempt: *attempt,
-                    reason: reason.clone(),
-                });
+                self.failures.push(failure.clone());
             }
         }
         self.prune.fold(kind);
@@ -292,8 +258,8 @@ impl Sections {
     }
 }
 
-/// What the journal's lock guards. An event's sequence number is its index
-/// in `events`: the log keeps the first [`RunJournal::MAX_EVENTS`] recorded.
+/// What the journal's lock guards. The log keeps the first
+/// [`RunJournal::MAX_EVENTS`] events recorded.
 #[derive(Default)]
 struct JournalState {
     events: Vec<Event>,
@@ -340,8 +306,7 @@ impl RunJournal {
             state.dropped += 1;
             return;
         }
-        let seq = state.events.len() as u64;
-        state.events.push(Event { seq, at_us, kind });
+        state.events.push(Event { at_us, kind });
     }
 
     /// Fold one morsel stage's schedule into the running `sched` section
@@ -377,13 +342,13 @@ impl RunJournal {
         self.inner.state.lock().dropped
     }
 
-    /// Snapshot of all stored events, in sequence order.
+    /// Snapshot of all stored events, in recording order.
     pub fn events(&self) -> Vec<Event> {
         self.inner.state.lock().events.clone()
     }
 
     /// Drop all events, zero the running report sections and reset the
-    /// sequence and virtual stamp (between experiment configurations).
+    /// virtual stamp (between experiment configurations).
     pub(crate) fn clear(&self) {
         *self.inner.state.lock() = JournalState::default();
         self.inner.virtual_now_us.store(0, Ordering::Relaxed);
@@ -643,11 +608,6 @@ impl SpillReport {
             peak_resident: cluster.spill().peak_resident(),
         }
     }
-
-    /// Did the disk tier (or the skip path) engage during the run?
-    pub(crate) fn any(&self) -> bool {
-        self.bytes_spilled > 0 || self.bytes_read_back > 0 || self.cache_skipped > 0
-    }
 }
 
 /// Bound-driven pruning aggregates captured into a [`JobReport`]: summed
@@ -686,11 +646,6 @@ impl PruneReport {
         }
     }
 
-    /// Did any pruning pass run?
-    pub(crate) fn any(&self) -> bool {
-        self.passes > 0
-    }
-
     /// Fraction of would-be distance evaluations avoided, in `[0, 1]`.
     pub fn avoided_fraction(&self) -> f64 {
         let would_be = self.evals_done + self.evals_avoided;
@@ -702,8 +657,9 @@ impl PruneReport {
     }
 }
 
-/// One committed micro-batch in the [`IngestReport`], folded from an
-/// [`EventKind::IngestBatchCommitted`] journal event.
+/// One committed micro-batch: the payload of an
+/// [`EventKind::IngestBatchCommitted`] journal event and a row of the
+/// [`IngestReport`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IngestBatchRow {
     /// Batch index (== quarter index for quarterly replay).
@@ -716,7 +672,8 @@ pub struct IngestBatchRow {
     pub duplicates: u64,
     /// Failed attempts before the one that committed.
     pub retries: u64,
-    /// Virtual latency of the committed attempt plus checkpoint write (µs).
+    /// Virtual latency of the committed attempt plus checkpoint write (µs),
+    /// excluding backoff waits.
     pub latency_us: u64,
     /// Size of the checkpoint generation written at commit (bytes).
     pub checkpoint_bytes: u64,
@@ -748,26 +705,10 @@ pub struct IngestReport {
 impl IngestReport {
     fn fold(&mut self, kind: &EventKind) {
         match *kind {
-            EventKind::IngestBatchCommitted {
-                batch,
-                reports,
-                detections,
-                duplicates,
-                retries,
-                latency_us,
-                checkpoint_bytes,
-            } => {
-                self.batch_retries += retries;
-                self.checkpoint_bytes += checkpoint_bytes;
-                self.batches.push(IngestBatchRow {
-                    batch,
-                    reports,
-                    detections,
-                    duplicates,
-                    retries,
-                    latency_us,
-                    checkpoint_bytes,
-                });
+            EventKind::IngestBatchCommitted(ref row) => {
+                self.batch_retries += row.retries;
+                self.checkpoint_bytes += row.checkpoint_bytes;
+                self.batches.push(row.clone());
             }
             EventKind::IngestQuarantined { .. } => self.batches_quarantined += 1,
             EventKind::IngestRecovered { fallback, .. } => {
@@ -777,14 +718,6 @@ impl IngestReport {
             EventKind::DriverKilled { .. } => self.driver_kills += 1,
             _ => {}
         }
-    }
-
-    /// Did an ingest service run on this cluster?
-    pub(crate) fn any(&self) -> bool {
-        !self.batches.is_empty()
-            || self.batches_quarantined > 0
-            || self.recoveries > 0
-            || self.driver_kills > 0
     }
 }
 
@@ -837,11 +770,6 @@ impl ServeReport {
             self.memo_hits += memo_hits;
             self.service_us += service_us;
         }
-    }
-
-    /// Did a serve service run on this cluster?
-    pub(crate) fn any(&self) -> bool {
-        self.batches > 0
     }
 
     /// Fraction of signal-memo lookups answered from the memo, in `[0, 1]`.
@@ -1223,220 +1151,12 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
-impl fmt::Display for JobReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "run journal: {} stages, {} tasks ({} failed attempts), \
-             virtual {:.2}s (total work {:.2}s), {} events{}",
-            self.stages.len(),
-            self.stages.iter().map(|s| s.tasks).sum::<usize>(),
-            self.totals.tasks_failed,
-            self.virtual_us as f64 / 1e6,
-            self.total_work_us as f64 / 1e6,
-            self.totals.events,
-            if self.totals.events_dropped > 0 {
-                format!(" ({} dropped)", self.totals.events_dropped)
-            } else {
-                String::new()
-            }
-        )?;
-        writeln!(
-            f,
-            "{:<40} {:>5} {:>4} {:>9} {:>9} {:>9} {:>11} {:>8}",
-            "stage", "tasks", "try", "min(ms)", "p50(ms)", "max(ms)", "shuffle(B)", "flags"
-        )?;
-        for s in &self.stages {
-            writeln!(
-                f,
-                "{:<40} {:>5} {:>4} {:>9.1} {:>9.1} {:>9.1} {:>11} {:>8}",
-                truncate_name(&s.name, 40),
-                s.tasks,
-                s.attempts,
-                s.min_task_us as f64 / 1e3,
-                s.p50_task_us as f64 / 1e3,
-                s.max_task_us as f64 / 1e3,
-                s.shuffle_bytes,
-                if s.straggler { "STRAGGLE" } else { "" }
-            )?;
-        }
-        writeln!(
-            f,
-            "cache: {} hits / {} misses / {} evictions   shuffle: {} B written, {} records read",
-            self.totals.cache_hits,
-            self.totals.cache_misses,
-            self.totals.cache_evictions,
-            self.totals.shuffle_bytes_written,
-            self.totals.shuffle_records_read,
-        )?;
-        if self.spill.any() {
-            let sp = &self.spill;
-            writeln!(
-                f,
-                "spill: {} B written / {} B read back across {} files \
-                 ({} blocks, {} buckets), {} cache puts skipped, \
-                 peak resident max {} B",
-                sp.bytes_spilled,
-                sp.bytes_read_back,
-                sp.spill_files,
-                sp.blocks_spilled,
-                sp.buckets_spilled,
-                sp.cache_skipped,
-                sp.peak_resident.iter().copied().max().unwrap_or(0),
-            )?;
-        }
-        if self.prune.any() {
-            let pr = &self.prune;
-            writeln!(
-                f,
-                "prune: {} passes, {} cells skipped, {} residents bound-rejected, \
-                 {} / {} evals avoided ({:.1}%)",
-                pr.passes,
-                pr.cells_skipped,
-                pr.bound_rejected,
-                pr.evals_avoided,
-                pr.evals_done + pr.evals_avoided,
-                pr.avoided_fraction() * 100.0,
-            )?;
-        }
-        if self.recovery.any() {
-            let r = &self.recovery;
-            writeln!(
-                f,
-                "recovery: {} executors lost ({} blacklisted), {} fetch failures, \
-                 {} map tasks recomputed, {} in-flight results rescheduled",
-                r.executors_lost,
-                r.executors_blacklisted,
-                r.fetch_failures,
-                r.recomputed_map_tasks,
-                r.tasks_lost,
-            )?;
-        }
-        if self.sched.morsel_stages > 0 {
-            let sc = &self.sched;
-            writeln!(
-                f,
-                "scheduling: {} morsel stages, {} morsels ({} stolen), \
-                 utilization {:.1}%, imbalance {:.2}",
-                sc.morsel_stages,
-                sc.morsels,
-                sc.steals,
-                sc.utilization * 100.0,
-                sc.imbalance,
-            )?;
-            writeln!(
-                f,
-                "{:>6} {:>10} {:>8} {:>7} {:>6}",
-                "worker", "busy(ms)", "morsels", "steals", "util%"
-            )?;
-            for w in &sc.per_worker {
-                writeln!(
-                    f,
-                    "{:>6} {:>10.1} {:>8} {:>7} {:>6.1}",
-                    w.worker,
-                    w.busy_us as f64 / 1e3,
-                    w.morsels,
-                    w.steals,
-                    100.0 * w.busy_us as f64 / sc.makespan_us.max(1) as f64,
-                )?;
-            }
-        }
-        if self.batch.any() {
-            let b = &self.batch;
-            writeln!(
-                f,
-                "batch: {} chunks / {} records, largest chunk {} records",
-                b.chunks, b.records, b.max_chunk_records,
-            )?;
-        }
-        if self.ingest.any() {
-            let ing = &self.ingest;
-            writeln!(
-                f,
-                "ingest: {} batches committed ({} retries), {} quarantined, \
-                 {} recoveries ({} fallbacks), {} driver kills, {} checkpoint B",
-                ing.batches.len(),
-                ing.batch_retries,
-                ing.batches_quarantined,
-                ing.recoveries,
-                ing.checkpoint_fallbacks,
-                ing.driver_kills,
-                ing.checkpoint_bytes,
-            )?;
-            writeln!(
-                f,
-                "{:>6} {:>8} {:>8} {:>6} {:>4} {:>12} {:>8}",
-                "batch", "reports", "detect", "dup", "try", "latency(ms)", "ckpt(B)"
-            )?;
-            for b in &ing.batches {
-                writeln!(
-                    f,
-                    "{:>6} {:>8} {:>8} {:>6} {:>4} {:>12.1} {:>8}",
-                    b.batch,
-                    b.reports,
-                    b.detections,
-                    b.duplicates,
-                    b.retries,
-                    b.latency_us as f64 / 1e3,
-                    b.checkpoint_bytes,
-                )?;
-            }
-        }
-        if self.serve.any() {
-            let sv = &self.serve;
-            writeln!(
-                f,
-                "serve: {} requests in {} batches (mean size {:.1}, max queue {}), \
-                 memo {}/{} hits ({:.1}%), {:.1} ms service",
-                sv.requests,
-                sv.batches,
-                sv.mean_batch_size(),
-                sv.max_queue_depth,
-                sv.memo_hits,
-                sv.memo_lookups,
-                sv.memo_hit_rate() * 100.0,
-                sv.service_us as f64 / 1e3,
-            )?;
-            write!(f, "serve batch sizes:")?;
-            for (i, &count) in sv.batch_size_hist.iter().enumerate() {
-                if count > 0 {
-                    write!(f, " <={}:{}", 1u64 << i, count)?;
-                }
-            }
-            writeln!(f)?;
-        }
-        for fl in &self.failures {
-            writeln!(
-                f,
-                "failure: {} task {} attempt {}: {}",
-                truncate_name(&fl.stage, 40),
-                fl.task,
-                fl.attempt,
-                fl.reason
-            )?;
-        }
-        if !self.user_counters.is_empty() {
-            writeln!(f, "user counters:")?;
-            for (name, value) in &self.user_counters {
-                writeln!(f, "  {name} = {value}")?;
-            }
-        }
-        Ok(())
-    }
-}
-
-fn truncate_name(name: &str, width: usize) -> &str {
-    match name.char_indices().nth(width) {
-        Some((idx, _)) => &name[..idx],
-        None => name,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::MORSEL_OPS;
     use crate::config::FaultConfig;
+    use crate::json_check::is_json;
     use crate::{ClusterConfig, PairRdd};
 
     /// One pruning pass over a single pair, as `fastknn` would journal it.
@@ -1464,7 +1184,7 @@ mod tests {
 
     /// One ingest commit after `retries` failed attempts.
     fn ingest_commit(batch: u64, retries: u64) -> EventKind {
-        EventKind::IngestBatchCommitted {
+        EventKind::IngestBatchCommitted(IngestBatchRow {
             batch,
             reports: 50,
             detections: 120,
@@ -1472,7 +1192,7 @@ mod tests {
             retries,
             latency_us: 2_000,
             checkpoint_bytes: 2_048,
-        }
+        })
     }
 
     /// What the journal records of a healthy stage and its tasks: nothing.
@@ -1504,8 +1224,6 @@ mod tests {
         assert_eq!(stages, vec![("probe", 3, 3), ("morsels", 7, 7)]);
         assert_eq!(report.sched.morsel_stages, 1);
         assert_eq!(report.sched.morsels, 7);
-        assert_eq!(c.metrics().morsels_executed.get(), 7);
-        assert_eq!(report.sched.steals, c.metrics().morsels_stolen.get());
     }
 
     #[test]
@@ -1528,13 +1246,14 @@ mod tests {
             (
                 EventKind::TaskFailed {
                     will_retry: r0,
-                    reason,
+                    failure,
                     ..
                 },
                 EventKind::TaskFailed { will_retry: r1, .. },
             ) => {
                 assert!(*r0, "first failure retries");
                 assert!(!*r1, "last failure does not");
+                let reason = &failure.reason;
                 assert!(reason.contains("fault"), "reason: {reason}");
             }
             other => panic!("unexpected kinds: {other:?}"),
@@ -1571,15 +1290,16 @@ mod tests {
             fallback: true,
         });
         for batch in 2..4u64 {
-            c.journal().record(EventKind::IngestBatchCommitted {
-                batch,
-                reports: 50,
-                detections: 120,
-                duplicates: 4,
-                retries: batch - 2,
-                latency_us: 1_000 * batch,
-                checkpoint_bytes: 2_048,
-            });
+            c.journal()
+                .record(EventKind::IngestBatchCommitted(IngestBatchRow {
+                    batch,
+                    reports: 50,
+                    detections: 120,
+                    duplicates: 4,
+                    retries: batch - 2,
+                    latency_us: 1_000 * batch,
+                    checkpoint_bytes: 2_048,
+                }));
         }
         c.journal().record(EventKind::IngestQuarantined {
             batch: 4,
@@ -1588,7 +1308,6 @@ mod tests {
             reason: "injected".into(),
         });
         let report = c.job_report();
-        assert!(report.ingest.any());
         assert_eq!(report.ingest.batches.len(), 2);
         assert_eq!(report.ingest.batches[0].batch, 2);
         assert_eq!(report.ingest.batches[1].retries, 1);
@@ -1598,10 +1317,18 @@ mod tests {
         assert_eq!(report.ingest.checkpoint_fallbacks, 1);
         assert_eq!(report.ingest.checkpoint_bytes, 4_096);
         let json = report.to_json();
-        assert!(json.contains("\"batches_committed\": 2"));
-        assert!(json.contains("\"checkpoint_fallbacks\": 1"));
-        let text = report.to_string();
-        assert!(text.contains("ingest: 2 batches committed"));
+        assert!(
+            json.contains(
+                "\"ingest\": {\"batches_committed\": 2, \"batches_quarantined\": 1, \
+                 \"batch_retries\": 1, \"recoveries\": 1, \"checkpoint_fallbacks\": 1, \
+                 \"driver_kills\": 0, \"checkpoint_bytes\": 4096, \"batches\": [\
+                 {\"batch\": 2, \"reports\": 50, \"detections\": 120, \"duplicates\": 4, \
+                 \"retries\": 0, \"latency_us\": 2000, \"checkpoint_bytes\": 2048}, \
+                 {\"batch\": 3, \"reports\": 50, \"detections\": 120, \"duplicates\": 4, \
+                 \"retries\": 1, \"latency_us\": 3000, \"checkpoint_bytes\": 2048}]}"
+            ),
+            "{json}"
+        );
     }
 
     #[test]
@@ -1619,7 +1346,6 @@ mod tests {
             });
         }
         let report = c.job_report();
-        assert!(report.serve.any());
         assert_eq!(report.serve.batches, 3);
         assert_eq!(report.serve.requests, 1517);
         assert_eq!(report.serve.max_queue_depth, 40);
@@ -1632,20 +1358,28 @@ mod tests {
         assert!((report.serve.memo_hit_rate() - 0.4).abs() < 1e-12);
         assert_eq!(report.serve.service_us, 300);
         let json = report.to_json();
-        assert!(json.contains("\"serve\": {\"batches\": 3, \"requests\": 1517"));
-        assert!(json.contains("\"memo_hit_rate\": 0.4000"));
-        let text = report.to_string();
-        assert!(text.contains("serve: 1517 requests in 3 batches"));
-        assert!(text.contains("<=1:1"));
-        // A run with no serve events emits the JSON section but no text.
+        assert!(
+            json.contains(
+                "\"serve\": {\"batches\": 3, \"requests\": 1517, \"max_queue_depth\": 40, \
+                 \"memo_lookups\": 30, \"memo_hits\": 12, \"memo_hit_rate\": 0.4000, \
+                 \"mean_batch_size\": 505.67, \"service_us\": 300, \
+                 \"batch_size_hist\": [1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1]}"
+            ),
+            "{json}"
+        );
+        // A run with no serve events emits the section with every counter 0.
         let quiet = Cluster::local(1);
         quiet.run_job("q", 1, |_, _| Ok(vec![0u8])).unwrap();
-        let quiet_report = quiet.job_report();
-        assert!(!quiet_report.serve.any());
-        assert!(quiet_report
-            .to_json()
-            .contains("\"serve\": {\"batches\": 0"));
-        assert!(!quiet_report.to_string().contains("serve:"));
+        let quiet_json = quiet.job_report().to_json();
+        assert!(
+            quiet_json.contains(
+                "\"serve\": {\"batches\": 0, \"requests\": 0, \"max_queue_depth\": 0, \
+                 \"memo_lookups\": 0, \"memo_hits\": 0, \"memo_hit_rate\": 0.0000, \
+                 \"mean_batch_size\": 0.00, \"service_us\": 0, \
+                 \"batch_size_hist\": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}"
+            ),
+            "{quiet_json}"
+        );
     }
 
     /// One deterministic run that touches every section of the report: a
@@ -1718,78 +1452,6 @@ mod tests {
         assert!(is_json(&Cluster::local(1).job_report().to_json()));
     }
 
-    /// Recursive-descent well-formedness check over the RFC 8259 grammar (no
-    /// value is built): the offset just past the value at `i`, if it is one.
-    fn json_value(b: &[u8], i: usize) -> Option<usize> {
-        let ws = |i: usize| i + b[i..].iter().take_while(|c| b" \n\r\t".contains(c)).count();
-        let digits = |i: usize| {
-            let n = b[i..].iter().take_while(|c| c.is_ascii_digit()).count();
-            (n > 0).then_some(i + n)
-        };
-        let i = ws(i);
-        match *b.get(i)? {
-            open @ (b'{' | b'[') => {
-                let close = open + 2; // ASCII: '{' + 2 is '}', '[' + 2 is ']'
-                let mut i = ws(i + 1);
-                if b.get(i) == Some(&close) {
-                    return Some(i + 1);
-                }
-                loop {
-                    if open == b'{' {
-                        // A key is a value that turns out to be a string.
-                        i = ws(json_value(b, i).filter(|_| b[ws(i)] == b'"')?);
-                        i = (b.get(i) == Some(&b':')).then_some(i + 1)?;
-                    }
-                    i = ws(json_value(b, i)?);
-                    match *b.get(i)? {
-                        b',' => i += 1,
-                        c if c == close => return Some(i + 1),
-                        _ => return None,
-                    }
-                }
-            }
-            b'"' => {
-                let mut i = i + 1;
-                loop {
-                    i += match *b.get(i)? {
-                        b'"' => return Some(i + 1),
-                        b'\\' if b.get(i + 1) == Some(&b'u') => {
-                            let hex = b.get(i + 2..i + 6)?.iter().all(u8::is_ascii_hexdigit);
-                            hex.then_some(6)?
-                        }
-                        b'\\' => b"\"\\/bfnrt".contains(b.get(i + 1)?).then_some(2)?,
-                        c => (c >= 0x20).then_some(1)?,
-                    };
-                }
-            }
-            b't' => b[i..].starts_with(b"true").then_some(i + 4),
-            b'f' => b[i..].starts_with(b"false").then_some(i + 5),
-            b'n' => b[i..].starts_with(b"null").then_some(i + 4),
-            c @ (b'-' | b'0'..=b'9') => {
-                let mut i = i + usize::from(c == b'-');
-                i = if b.get(i) == Some(&b'0') {
-                    i + 1
-                } else {
-                    digits(i)?
-                };
-                if b.get(i) == Some(&b'.') {
-                    i = digits(i + 1)?;
-                }
-                if matches!(b.get(i), Some(b'e' | b'E')) {
-                    i = digits(i + 1 + usize::from(matches!(b.get(i + 1), Some(b'+' | b'-'))))?;
-                }
-                Some(i)
-            }
-            _ => None,
-        }
-    }
-
-    /// Is `text` exactly one well-formed JSON value?
-    fn is_json(text: &str) -> bool {
-        let b = text.as_bytes();
-        json_value(b, 0).is_some_and(|end| b[end..].iter().all(|c| b" \n\r\t".contains(c)))
-    }
-
     #[test]
     fn the_json_validator_rejects_what_a_brace_count_accepts() {
         assert!(is_json(
@@ -1811,16 +1473,6 @@ mod tests {
             "to_json() drifted from crates/sparklet/tests/job_report_golden.json — a schema \
              change bumps SCHEMA_VERSION and regenerates the file from this output:\n{got}"
         );
-    }
-
-    #[test]
-    fn text_report_renders_the_stage_table() {
-        let c = Cluster::local(2);
-        c.run_job("render-me", 2, |_, _| Ok(vec![1u8])).unwrap();
-        let text = c.job_report().to_string();
-        assert!(text.contains("run journal"));
-        assert!(text.contains("render-me"));
-        assert!(text.contains("p50(ms)"));
     }
 
     #[test]
@@ -1881,7 +1533,7 @@ mod tests {
         assert!(report.failures.is_empty());
         let json = report.to_json();
         assert!(json.contains("\"stages\": []"));
-        let _ = report.to_string();
+        assert!(is_json(&json), "{json}");
     }
 
     #[test]
@@ -1919,10 +1571,13 @@ mod tests {
         );
         assert!(sc.utilization > 0.0 && sc.utilization <= 1.0);
         assert!(sc.imbalance >= 1.0);
-        let text = report.to_string();
-        assert!(text.contains("scheduling:"), "{text}");
-        assert!(text.contains("util%"), "{text}");
         let json = report.to_json();
+        let header = format!(
+            "\"sched\": {{\"workers\": 4, \"morsel_stages\": 1, \"morsels\": {}, \"steals\": {}, \
+             \"makespan_us\": {}, ",
+            sc.morsels, sc.steals, sc.makespan_us
+        );
+        assert!(json.contains(&header), "{json}");
         assert!(json.contains("\"per_worker\": [{\"worker\": 0"), "{json}");
     }
 
@@ -1952,7 +1607,6 @@ mod tests {
             ),
             "{json}"
         );
-        assert!(report.to_string().contains("batch: 6 chunks"));
     }
 
     #[test]
@@ -1972,7 +1626,6 @@ mod tests {
         });
         let report = c.job_report();
         let pr = &report.prune;
-        assert!(pr.any());
         assert_eq!(pr.passes, 2);
         assert_eq!(pr.cells_skipped, 3);
         assert_eq!(pr.bound_rejected, 50);
@@ -1980,10 +1633,13 @@ mod tests {
         assert_eq!(pr.evals_avoided, 150);
         assert!((pr.avoided_fraction() - 150.0 / 210.0).abs() < 1e-12);
         let json = report.to_json();
-        assert!(json.contains("\"prune\": {\"passes\": 2"), "{json}");
-        let text = report.to_string();
-        assert!(text.contains("prune: 2 passes"), "{text}");
-        assert!(text.contains("150 / 210 evals avoided (71.4%)"), "{text}");
+        assert!(
+            json.contains(
+                "\"prune\": {\"passes\": 2, \"cells_skipped\": 3, \"bound_rejected\": 50, \
+                 \"evals_done\": 60, \"evals_avoided\": 150, \"avoided_fraction\": 0.7143}"
+            ),
+            "{json}"
+        );
     }
 
     #[test]
@@ -1991,9 +1647,15 @@ mod tests {
         let c = Cluster::local(1);
         c.run_job("plain", 1, |_, _| Ok(vec![0u8])).unwrap();
         let report = c.job_report();
-        assert!(!report.prune.any());
         assert_eq!(report.prune.avoided_fraction(), 0.0);
-        assert!(!report.to_string().contains("prune:"));
+        let json = report.to_json();
+        assert!(
+            json.contains(
+                "\"prune\": {\"passes\": 0, \"cells_skipped\": 0, \"bound_rejected\": 0, \
+                 \"evals_done\": 0, \"evals_avoided\": 0, \"avoided_fraction\": 0.0000}"
+            ),
+            "{json}"
+        );
     }
 
     #[test]
@@ -2035,13 +1697,16 @@ mod tests {
         let c = Cluster::local(2);
         c.run_job("tiny", 2, |_, _| Ok(vec![1u8])).unwrap();
         let report = c.job_report();
-        assert!(!report.spill.any());
-        assert_eq!(report.spill.bytes_spilled, 0);
         assert_eq!(report.spill.peak_resident.len(), 2);
-        assert!(!report.to_string().contains("spill:"));
-        assert!(report
-            .to_json()
-            .contains("\"spill\": {\"bytes_spilled\": 0"));
+        let json = report.to_json();
+        assert!(
+            json.contains(
+                "\"spill\": {\"bytes_spilled\": 0, \"bytes_read_back\": 0, \"spill_files\": 0, \
+                 \"blocks_spilled\": 0, \"buckets_spilled\": 0, \"cache_skipped\": 0, \
+                 \"peak_resident\": ["
+            ),
+            "{json}"
+        );
     }
 
     #[test]
@@ -2051,6 +1716,14 @@ mod tests {
         let report = c.job_report();
         assert_eq!(report.sched.morsel_stages, 0);
         assert!(report.sched.per_worker.is_empty());
-        assert!(!report.to_string().contains("scheduling:"));
+        let json = report.to_json();
+        assert!(
+            json.contains(
+                "\"sched\": {\"workers\": 2, \"morsel_stages\": 0, \"morsels\": 0, \
+                 \"steals\": 0, \"makespan_us\": 0, \"utilization\": 0.0000, \
+                 \"imbalance\": 0.0000, \"per_worker\": []}"
+            ),
+            "{json}"
+        );
     }
 }

@@ -56,6 +56,9 @@ mod error;
 mod executor;
 mod hash;
 mod journal;
+#[cfg(test)]
+#[path = "../tests/common/json.rs"]
+mod json_check;
 mod metrics;
 mod pair;
 mod partitioner;

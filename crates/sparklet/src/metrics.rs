@@ -74,11 +74,6 @@ pub struct ClusterMetrics {
     /// Task results discarded because their executor died mid-flight
     /// (rescheduled on survivors without counting as failures).
     pub tasks_lost: Counter,
-    /// Morsels executed by morsel-driven stages (see
-    /// [`crate::Cluster::run_morsel_job`]).
-    pub morsels_executed: Counter,
-    /// Morsels that ran on a worker other than their home (work stealing).
-    pub morsels_stolen: Counter,
     /// Chunks dispatched by the element-wise operators and the shuffle map
     /// side (see [`crate::Rdd::map`]).
     pub chunks_executed: Counter,
@@ -153,8 +148,6 @@ impl ClusterMetrics {
         self.fetch_failures.reset();
         self.recomputed_tasks.reset();
         self.tasks_lost.reset();
-        self.morsels_executed.reset();
-        self.morsels_stolen.reset();
         self.chunks_executed.reset();
         self.chunk_records.reset();
         self.max_chunk_records.reset();

@@ -70,8 +70,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .get(),
     );
 
-    // 5. Inspect the run: the journal-backed job report shows every stage's
-    //    task-duration distribution, shuffle volume and cache behaviour.
-    println!("\n{}", cluster.job_report());
+    // 5. Inspect the run: the journal-backed job report, as JSON, holds every
+    //    stage's task-duration distribution, shuffle volume and cache behaviour.
+    println!("\n{}", cluster.job_report().to_json());
     Ok(())
 }
