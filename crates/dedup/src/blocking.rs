@@ -88,25 +88,65 @@ impl BlockingIndex {
         keys
     }
 
-    /// Add a report to the index. Inserting the same id again reuses its
-    /// dense row, so posting lists stay deduplicated.
+    /// Add a report to the index under the next dense row, the largest
+    /// row yet: pushing it onto each of its key lists keeps every list
+    /// sorted and deduplicated.
+    ///
+    /// # Panics
+    /// Panics if the index already holds a report with this id.
     pub fn insert(&mut self, r: &ProcessedReport) {
+        let row = self.id_of.len() as u32;
+        assert!(
+            self.row_of.insert(r.id, row).is_none(),
+            "report {} is already in the blocking index",
+            r.id
+        );
+        self.id_of.push(r.id);
         let keys = self.keys_of(r);
-        let next = self.id_of.len() as u32;
-        let row = *self.row_of.entry(r.id).or_insert(next);
-        if row == next {
-            self.id_of.push(r.id);
-        }
         for key in &keys {
             let list = self.blocks.entry(*key).or_default();
-            // Fresh rows are the largest row yet seen, so this binary search
-            // lands at the end and the insert is a push; the general form
-            // only pays off on (rare) re-inserts of an existing report.
-            if let Err(pos) = list.binary_search(&row) {
-                list.insert(pos, row);
+            if list.last() != Some(&row) {
+                list.push(row);
             }
         }
         self.report_keys.insert(r.id, keys);
+    }
+
+    /// How far the index has grown: the mark [`BlockingIndex::truncate`]
+    /// returns it to.
+    pub(crate) fn mark(&self) -> BlockingMark {
+        BlockingMark {
+            rows: self.id_of.len(),
+            dates: self.date_ids.len(),
+        }
+    }
+
+    /// Remove every report inserted since `mark` was taken, and the date
+    /// ids they interned. Rows are handed out monotonically, so those
+    /// reports' rows are the tails of their keys' posting lists: they are
+    /// popped, and a block left empty goes. The index is then the one
+    /// `mark` was taken of, up to capacity.
+    pub(crate) fn truncate(&mut self, mark: BlockingMark) {
+        for row in (mark.rows..self.id_of.len()).rev() {
+            let id = self.id_of[row];
+            self.row_of.remove(&id);
+            for key in self.report_keys.remove(&id).unwrap_or_default() {
+                let Some(list) = self.blocks.get_mut(&key) else {
+                    continue; // a key the report listed twice
+                };
+                // Later rows are gone already, so this row is the tail.
+                if list.last() == Some(&(row as u32)) {
+                    list.pop();
+                }
+                if list.is_empty() {
+                    self.blocks.remove(&key);
+                }
+            }
+        }
+        self.id_of.truncate(mark.rows);
+        if self.date_ids.len() > mark.dates {
+            self.date_ids.retain(|_, id| (*id as usize) < mark.dates);
+        }
     }
 
     /// Number of distinct blocks.
@@ -315,6 +355,14 @@ impl BlockingIndex {
     }
 }
 
+/// A [`BlockingIndex`]'s row count and date count: where
+/// [`BlockingIndex::truncate`] cuts it back to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BlockingMark {
+    rows: usize,
+    dates: usize,
+}
+
 /// Blocking quality relative to a ground truth.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockingQuality {
@@ -494,11 +542,7 @@ mod tests {
     fn posting_lists_are_sorted_and_deduplicated() {
         let ds = Dataset::generate(&SynthConfig::small(400, 20, 13));
         let reports = processed(&ds);
-        let mut index = BlockingIndex::build(&reports);
-        // Re-inserting existing reports must not perturb any list.
-        for r in reports.iter().take(25) {
-            index.insert(r);
-        }
+        let index = BlockingIndex::build(&reports);
         assert!(index.block_count() > 0);
         for (key, list) in &index.blocks {
             assert!(
@@ -514,6 +558,45 @@ mod tests {
         for (id, &row) in &index.row_of {
             assert_eq!(index.id_of[row as usize], *id);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "report 3 is already in the blocking index")]
+    fn inserting_a_known_id_panics() {
+        let ds = Dataset::generate(&SynthConfig::small(40, 2, 13));
+        let reports = processed(&ds);
+        let mut index = BlockingIndex::build(&reports);
+        index.insert(&reports[3]);
+    }
+
+    #[test]
+    fn truncate_returns_the_index_to_its_mark() {
+        let ds = Dataset::generate(&SynthConfig::small(300, 15, 23));
+        let reports = processed(&ds);
+        let (base, tail) = reports.split_at(260);
+        let control = BlockingIndex::build(base);
+        let mut index = control.clone();
+        let mark = index.mark();
+        for r in tail {
+            index.insert(r);
+        }
+        assert!(index.block_count() > control.block_count());
+        assert!(index.date_ids.len() > control.date_ids.len());
+        index.truncate(mark);
+        assert_eq!(index.mark(), control.mark());
+        assert_eq!(index.blocks, control.blocks);
+        assert_eq!(index.report_keys, control.report_keys);
+        assert_eq!(index.row_of, control.row_of);
+        assert_eq!(index.id_of, control.id_of);
+        assert_eq!(index.date_ids, control.date_ids);
+        // The same tail again gets the rows and date ids it got before.
+        let mut again = control.clone();
+        for r in tail {
+            index.insert(r);
+            again.insert(r);
+        }
+        assert_eq!(index.blocks, again.blocks);
+        assert_eq!(index.date_ids, again.date_ids);
     }
 
     #[test]

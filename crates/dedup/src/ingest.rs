@@ -41,11 +41,11 @@
 //!
 //! Around that spine sit the service's robustness surfaces: per-batch retry
 //! with exponential backoff + deterministic jitter on the virtual clock
-//! (transient engine faults roll back via `DedupSystem::begin_batch` — a
-//! pointer swap to the pre-attempt epoch, model included — and replay
-//! bit-identically), poison-batch quarantine (journaled, dumped to
-//! `quarantine.log`, skipped), and torn-write detection with previous-
-//! commit fallback. A base written in another checkpoint format version is
+//! (a failed `DedupSystem::detect_new` rolls itself back: the attempt's
+//! reports leave the corpus and the blocking index, and the pre-attempt
+//! model and store swap back; the retry replays bit-identically),
+//! poison-batch quarantine (journaled, dumped to `quarantine.log`,
+//! skipped), and torn-write detection with previous-commit fallback. A base written in another checkpoint format version is
 //! refused, not fallen back past.
 
 use crate::store::PairStore;
@@ -436,12 +436,10 @@ impl IngestService {
         let mut attempt = 0u64;
         loop {
             self.cluster().driver_fault_point("bootstrap-start")?;
-            let guard = self.system.begin_batch();
             match self.system.bootstrap(&reports, &labelled) {
                 Ok(()) => break,
                 Err(e) if e.is_driver_kill() => return Err(e.into()),
                 Err(e) => {
-                    self.system.rollback_batch(guard);
                     attempt += 1;
                     if attempt > self.config.max_batch_retries as u64 {
                         return Err(e.into());
@@ -479,7 +477,6 @@ impl IngestService {
         self.cluster().driver_fault_point("batch-start")?;
         let detections = loop {
             let latency_start = self.cluster().journal().now_us();
-            let guard = self.system.begin_batch();
             let result = if poisoned {
                 Err(SparkletError::User(format!(
                     "poisoned batch {batch} (injected)"
@@ -491,7 +488,6 @@ impl IngestService {
                 Ok(dets) => break (dets, latency_start),
                 Err(e) if e.is_driver_kill() => return Err(e.into()),
                 Err(e) => {
-                    self.system.rollback_batch(guard);
                     attempt += 1;
                     if attempt > self.config.max_batch_retries as u64 {
                         self.quarantine(batch, &reports, attempt, &e)?;

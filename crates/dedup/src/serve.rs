@@ -294,9 +294,9 @@ pub struct ServeService {
     /// Contingency contributions of excluded (later-duplicate) reports;
     /// the deduplicated store is `raw − excluded`, evaluated per query.
     excluded_table: ContingencyTable,
-    /// Reports already folded into `raw`.
-    counted: HashSet<ReportId>,
-    /// Arrival-order prefix already counted (suffix = fresh work).
+    /// Arrival-order prefix already folded into `raw` (suffix = fresh
+    /// work). The system refuses an id it already holds, so the counted
+    /// reports are the corpus's.
     counted_len: usize,
     /// Reports excluded from the deduplicated store (the later member of
     /// every known duplicate pair).
@@ -376,7 +376,6 @@ impl ServeService {
             epoch: system.epoch().clone(),
             raw: ContingencyTable::default(),
             excluded_table: ContingencyTable::default(),
-            counted: HashSet::new(),
             counted_len: 0,
             excluded: HashSet::new(),
             memo: SignalMemo {
@@ -398,10 +397,10 @@ impl ServeService {
     /// Move to the epoch the system's last commit published. Shares its
     /// model, pair store, blocking index and corpus (pointer clones: no fit,
     /// no engine job, no copy), copies the interner, folds the *new*
-    /// arrival-order suffix into the contingency stores (a re-ingested
-    /// report forces a full recount — its earlier contribution may be
-    /// stale), and purges the signal memo: work in the size of the batch,
-    /// plus the interner copy and the drop of the epoch held before.
+    /// arrival-order suffix into the contingency stores (the system refuses
+    /// an id it already holds, so every report in the suffix is new), and
+    /// purges the signal memo: work in the size of the batch, plus the
+    /// interner copy and the drop of the epoch held before.
     ///
     /// A system that holds labelled pairs but no model — its last publish
     /// failed — has no epoch to serve: that is a [`SparkletError::User`],
@@ -421,27 +420,18 @@ impl ServeService {
         self.epoch = epoch.clone();
 
         let order = system.arrival_order();
-        let mut start = self.counted_len.min(order.len());
-        let reingested = order.len() < self.counted_len
-            || order[start..].iter().any(|id| self.counted.contains(id));
-        if reingested {
-            self.raw = ContingencyTable::default();
-            self.excluded_table = ContingencyTable::default();
-            self.counted.clear();
-            self.excluded.clear();
-            start = 0;
-        }
-        for &id in &order[start..] {
-            if self.counted.insert(id) {
-                self.raw.count(&self.epoch.corpus, id);
-            }
+        for &id in &order[self.counted_len.min(order.len())..] {
+            self.raw.count(&self.epoch.corpus, id);
         }
         self.counted_len = order.len();
 
         // Newly known duplicate pairs exclude their later (hi) member from
-        // the deduplicated store; only the new exclusions are counted.
+        // the deduplicated store; only the new exclusions are counted. Most
+        // pairs are old, so the small `excluded` set is asked first and
+        // the corpus only about a new one.
         for pid in self.epoch.store.duplicate_pairs() {
-            if self.counted.contains(&pid.hi) && self.excluded.insert(pid.hi) {
+            if !self.excluded.contains(&pid.hi) && self.epoch.corpus.contains_key(&pid.hi) {
+                self.excluded.insert(pid.hi);
                 self.excluded_table.count(&self.epoch.corpus, pid.hi);
             }
         }
@@ -1102,15 +1092,17 @@ mod tests {
         table
     }
 
-    /// The service's two tables equal the aggregation over the reports it
-    /// says it counted and excluded.
+    /// The service's two tables equal the aggregation over the system's
+    /// reports and over the reports the service says it excluded.
     fn assert_tables_match_the_aggregation(serve: &ServeService, sys: &DedupSystem) {
         let sorted = |ids: &HashSet<ReportId>| {
             let mut ids: Vec<ReportId> = ids.iter().copied().collect();
             ids.sort_unstable();
             ids
         };
-        assert_eq!(serve.raw, aggregated(sys, sorted(&serve.counted)));
+        let mut counted = sys.arrival_order().to_vec();
+        counted.sort_unstable();
+        assert_eq!(serve.raw, aggregated(sys, counted));
         assert_eq!(
             serve.excluded_table,
             aggregated(sys, sorted(&serve.excluded))
@@ -1121,21 +1113,21 @@ mod tests {
     fn driver_side_fold_equals_the_aggregation_it_replaced() {
         let (mut sys, ds) = served_system(5);
         let mut serve = ServeService::attach(&sys, ServeConfig::default()).unwrap();
-        assert_eq!(serve.counted.len(), 250);
+        assert_eq!(serve.counted_len, 250);
         assert!(!serve.excluded.is_empty(), "the corpus plants duplicates");
         assert_tables_match_the_aggregation(&serve, &sys);
         // The incremental suffix: ten arrivals under fresh ids.
         sys.detect_new(&arrivals(&ds, 0..10, 2_000_000)).unwrap();
         serve.refresh(&sys).unwrap();
-        assert_eq!(serve.counted.len(), 260);
+        assert_eq!(serve.counted_len, 260);
         assert_tables_match_the_aggregation(&serve, &sys);
-        // A re-ingested report (changed content under a counted id) forces
-        // the full recount: its earlier contribution is stale.
+        // A report under a counted id is refused, so the next refresh
+        // folds nothing and the tables stay exact.
         let mut followup = ds.reports[20].clone();
         followup.id = 2_000_003;
-        sys.detect_new(&[followup]).unwrap();
+        assert!(sys.detect_new(&[followup]).is_err());
         serve.refresh(&sys).unwrap();
-        assert_eq!(serve.counted.len(), 260, "same distinct reports");
+        assert_eq!(serve.counted_len, 260, "same distinct reports");
         assert_eq!(serve.raw.reports, 260);
         assert_tables_match_the_aggregation(&serve, &sys);
     }
@@ -1221,11 +1213,11 @@ mod tests {
         // The next batch republishes, and the refresh goes through — while
         // a refused one leaves the service on the epoch it had.
         assert!(serve.refresh(&sys).is_err());
-        assert!(serve.epoch.model.is_none() && serve.counted.is_empty());
+        assert!(serve.epoch.model.is_none() && serve.counted_len == 0);
         sys.detect_new(&arrivals(&ds, 0..1, 6_000_000)).unwrap();
         serve.refresh(&sys).unwrap();
         assert!(serve.epoch.model.is_some());
-        assert_eq!(serve.counted.len(), 251);
+        assert_eq!(serve.counted_len, 251);
     }
 
     #[test]

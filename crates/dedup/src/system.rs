@@ -1,6 +1,6 @@
 //! The orchestrated duplicate-detection service (Fig. 1 end-to-end).
 
-use crate::blocking::BlockingIndex;
+use crate::blocking::{BlockingIndex, BlockingMark};
 use crate::distance::process_reports;
 use crate::pairing::{
     contiguous_partitions, pairs_involving_new, pairwise_distance_batches, pairwise_distances,
@@ -72,11 +72,14 @@ pub struct Detection {
 
 /// What one commit of the system publishes: the classifier and the three
 /// snapshots it was fitted beside, each behind an `Arc`. Cloning an epoch
-/// clones four pointers. A holder — the serving layer between refreshes, a
-/// [`BatchGuard`] during an attempt — reads a state that can no longer
-/// change: the system writes through [`Arc::make_mut`], which copies a
-/// snapshot on the first write of the next batch only while somebody still
-/// holds the previous epoch, and writes in place otherwise.
+/// clones four pointers. A holder — the serving layer between refreshes —
+/// reads a state that can no longer change: the system writes through
+/// [`Arc::make_mut`], which copies a snapshot on the first write of the
+/// next batch only while somebody still holds it, and writes in place
+/// otherwise. That copy is snapshot isolation for the holder, not a means
+/// of rollback: a [`BatchGuard`] holds the model and the store only, and
+/// undoes the corpus and the blocking index by removing what the attempt
+/// added.
 #[derive(Clone)]
 pub(crate) struct Epoch {
     /// Fitted on exactly the training pairs of `store`; `None` iff the
@@ -149,7 +152,22 @@ impl DedupSystem {
     /// duplicate pair as a positive, sample
     /// [`DedupConfig::bootstrap_negatives`] random non-duplicate pairs as
     /// the initial negative store, and publish the first model.
+    ///
+    /// A batch holding a report id the database already has, or one id
+    /// twice, is a [`SparkletError::User`], returned before anything is
+    /// touched. Any other failure but a driver kill is rolled back (see
+    /// [`DedupSystem::detect_new`]), so the same call can be retried.
     pub fn bootstrap(
+        &mut self,
+        reports: &[AdrReport],
+        labelled_duplicates: &[PairId],
+    ) -> Result<()> {
+        self.check_new_ids("bootstrap", reports)?;
+        self.attempt(|sys| sys.bootstrap_batch(reports, labelled_duplicates))
+    }
+
+    /// [`DedupSystem::bootstrap`] after its checks, with no rollback.
+    fn bootstrap_batch(
         &mut self,
         reports: &[AdrReport],
         labelled_duplicates: &[PairId],
@@ -216,6 +234,28 @@ impl DedupSystem {
         Ok(())
     }
 
+    /// Refuse a batch that holds an id already in the database, or one id
+    /// twice: its report would overwrite a stored one, count twice in
+    /// [`DedupSystem::report_count`], and leave a state that removing the
+    /// batch's arrivals could not roll back.
+    fn check_new_ids(&self, call: &str, reports: &[AdrReport]) -> Result<()> {
+        let refuse = |id: ReportId, why: &str| {
+            Err(SparkletError::User(format!("{call}: report {id} {why}")))
+        };
+        if let Some(r) = reports
+            .iter()
+            .find(|r| self.epoch.corpus.contains_key(&r.id))
+        {
+            return refuse(r.id, "is already in the database");
+        }
+        let mut ids: Vec<ReportId> = reports.iter().map(|r| r.id).collect();
+        ids.sort_unstable();
+        match ids.windows(2).find(|w| w[0] == w[1]) {
+            Some(w) => refuse(w[0], "arrives twice in one batch"),
+            None => Ok(()),
+        }
+    }
+
     /// Add a batch of arrivals to the database: text processing on every
     /// engine slot ([`process_reports`]), then, report by report in arrival
     /// order, the blocking index, the corpus and the arrival log. Token ids
@@ -228,8 +268,8 @@ impl DedupSystem {
         let slots = (cluster.num_executors * cluster.cores_per_executor)
             .min(sparklet::ClusterConfig::MAX_WORKER_THREADS);
         // Mutating shared snapshots: `make_mut` copies one only while a
-        // previous epoch is still held (see [`Epoch`]), so a batch of
-        // inserts costs at most one copy of each.
+        // serving layer still holds the previous epoch (see [`Epoch`]), so
+        // a batch of inserts costs at most one copy of each.
         let corpus = Arc::make_mut(&mut self.epoch.corpus);
         let blocking = Arc::make_mut(&mut self.epoch.blocking);
         let arrival_order = &mut self.arrival_order;
@@ -253,12 +293,26 @@ impl DedupSystem {
     /// database in arrival order, then the pairs among the new reports.
     ///
     /// A system whose stores are empty (never bootstrapped) has nothing to
-    /// classify against: that is a [`SparkletError::User`], returned before
-    /// anything is touched.
+    /// classify against, and a batch holding a report id the database
+    /// already has, or one id twice, cannot be added to it: each is a
+    /// [`SparkletError::User`], returned before anything is touched. A
+    /// failure after the batch is added (the distance job, the
+    /// classification or the closing fit) is rolled back: the batch's
+    /// reports leave the database, and the model, the store, the interner
+    /// and the RNG return to where the call found them, so the same batch
+    /// can be retried and gets what a clean first try would. A driver kill
+    /// is not rolled back: it stands for the death of the process, and
+    /// recovery starts from a checkpoint (see [`crate::ingest`]).
     pub fn detect_new(&mut self, new_reports: &[AdrReport]) -> Result<Vec<Detection>> {
         if new_reports.is_empty() {
             return Ok(Vec::new());
         }
+        self.check_new_ids("detect_new", new_reports)?;
+        self.attempt(|sys| sys.detect_batch(new_reports))
+    }
+
+    /// [`DedupSystem::detect_new`] after its checks, with no rollback.
+    fn detect_batch(&mut self, new_reports: &[AdrReport]) -> Result<Vec<Detection>> {
         if self.epoch.model.is_none() {
             // The last publish failed (or nothing was ever stored).
             self.publish()?;
@@ -290,10 +344,6 @@ impl DedupSystem {
         )?;
 
         let scored = model.classify_distinct(&vectors)?;
-        // The batch is done with the previous epoch's model: if nobody else
-        // holds it, its cells leave the block manager before the next
-        // model's are cached.
-        drop(model);
 
         let store = Arc::make_mut(&mut self.epoch.store);
         let mut detections: Vec<Detection> = scored
@@ -326,14 +376,31 @@ impl DedupSystem {
         Ok(detections)
     }
 
-    /// Hold on to the state a [`detect_new`](DedupSystem::detect_new) or
-    /// [`bootstrap`](DedupSystem::bootstrap) call touches — the current
-    /// epoch, by pointer, and three marks — so a failed attempt can be
-    /// rolled back and retried as if it never ran. Nothing is copied here;
-    /// the attempt's first write to a snapshot the guard holds copies it.
-    pub(crate) fn begin_batch(&self) -> BatchGuard {
+    /// Run one [`detect_new`](DedupSystem::detect_new) or
+    /// [`bootstrap`](DedupSystem::bootstrap) attempt under a
+    /// [`BatchGuard`], and roll it back if it fails with anything but a
+    /// driver kill.
+    fn attempt<T>(&mut self, run: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        let guard = self.begin_batch();
+        let result = run(self);
+        if result.as_ref().is_err_and(|e| !e.is_driver_kill()) {
+            self.rollback_batch(guard);
+        }
+        result
+    }
+
+    /// Hold on to the state an attempt touches, so a failed one can be
+    /// rolled back and retried as if it never ran: the model and the store
+    /// by pointer, and marks of the arrival order, the blocking index, the
+    /// interner and the RNG. Nothing is copied here. The attempt's first
+    /// write to the store copies it, a copy bounded by
+    /// [`DedupConfig::max_negative_store`]; the corpus and the blocking
+    /// index, which grow with the database, are written in place.
+    fn begin_batch(&self) -> BatchGuard {
         BatchGuard {
-            epoch: self.epoch.clone(),
+            model: self.epoch.model.clone(),
+            store: Arc::clone(&self.epoch.store),
+            blocking: self.epoch.blocking.mark(),
             arrival_len: self.arrival_order.len(),
             interner_mark: self.interner.mark(),
             rng: self.rng.clone(),
@@ -341,14 +408,28 @@ impl DedupSystem {
     }
 
     /// Undo everything since the matching
-    /// [`begin_batch`](DedupSystem::begin_batch): the epoch (model, stores,
-    /// blocking index, corpus snapshot — four pointers, no refit), arrival
-    /// order, interner ids and the negative-sampling RNG all return to
-    /// their pre-attempt state, so a retry re-assigns the exact same dense
-    /// ids and draws the attempt would have gotten on a clean first try.
-    pub(crate) fn rollback_batch(&mut self, guard: BatchGuard) {
-        self.epoch = guard.epoch;
-        self.arrival_order.truncate(guard.arrival_len);
+    /// [`begin_batch`](DedupSystem::begin_batch): the attempt's arrivals
+    /// leave the corpus and the blocking index, the model and the store
+    /// swap back (no refit), and arrival order, interner ids and the
+    /// negative-sampling RNG return to their marks, so a retry re-assigns
+    /// the exact same dense ids and draws the attempt would have gotten on
+    /// a clean first try. An attempt adds only ids new to the database
+    /// (see [`DedupSystem::detect_new`]), so removing them restores the
+    /// corpus exactly.
+    fn rollback_batch(&mut self, guard: BatchGuard) {
+        // An attempt that added nothing leaves the snapshots alone: a
+        // `make_mut` would copy one that a serving layer still holds.
+        if self.arrival_order.len() > guard.arrival_len {
+            let corpus = Arc::make_mut(&mut self.epoch.corpus);
+            for id in self.arrival_order.drain(guard.arrival_len..) {
+                corpus.remove(&id);
+            }
+        }
+        if self.epoch.blocking.mark() != guard.blocking {
+            Arc::make_mut(&mut self.epoch.blocking).truncate(guard.blocking);
+        }
+        self.epoch.model = guard.model;
+        self.epoch.store = guard.store;
         self.interner.truncate(guard.interner_mark);
         self.rng = guard.rng;
     }
@@ -398,10 +479,13 @@ impl DedupSystem {
     }
 }
 
-/// Pre-attempt snapshot of [`DedupSystem`]'s batch-mutable state; see
-/// [`DedupSystem::begin_batch`].
-pub(crate) struct BatchGuard {
-    epoch: Epoch,
+/// What [`DedupSystem::rollback_batch`] needs to undo an attempt: the
+/// pre-attempt model and store by pointer, and marks of everything else;
+/// see [`DedupSystem::begin_batch`].
+struct BatchGuard {
+    model: Option<Arc<FastKnn>>,
+    store: Arc<PairStore>,
+    blocking: BlockingMark,
     arrival_len: usize,
     interner_mark: usize,
     rng: StdRng,
@@ -441,14 +525,9 @@ mod tests {
     #[test]
     fn bootstrap_is_the_same_on_every_engine_size() {
         // Big enough that every cluster below splits text processing into
-        // one chunk per slot; one report id arrives twice, in chunk 0 and
-        // again in the last chunk, and must overwrite as in the serial loop.
+        // one chunk per slot.
         let ds = Dataset::generate(&SynthConfig::small(8_400, 400, 21));
-        let (base, arrivals) = ds.reports.split_at(8_380);
-        let mut batch = base.to_vec();
-        let mut again = batch[10].clone();
-        again.reaction.report_description = "Zyxwalgia, then flurbitis.".into();
-        batch.insert(8_300, again);
+        let (batch, arrivals) = ds.reports.split_at(8_380);
         let labelled: Vec<PairId> = ds
             .duplicate_pairs
             .iter()
@@ -464,17 +543,12 @@ mod tests {
                     ..DedupConfig::default()
                 },
             );
-            sys.bootstrap(&batch, &labelled).unwrap();
+            sys.bootstrap(batch, &labelled).unwrap();
             let detections = sys.detect_new(arrivals).unwrap();
             (sys, detections)
         };
         let (serial, serial_detections) = run(1);
-        assert_eq!(serial.report_count(), 8_381 + 20);
-        assert_eq!(
-            serial.epoch.corpus[&10].narrative_terms.len(),
-            2,
-            "the later arrival overwrote"
-        );
+        assert_eq!(serial.report_count(), 8_380 + 20);
         for parallelism in [2, 3, 8] {
             let (sys, detections) = run(parallelism);
             assert_eq!(sys.arrival_order, serial.arrival_order);
@@ -653,6 +727,9 @@ mod tests {
         );
     }
 
+    /// An onset date no generated report carries.
+    const A_DATE: &str = "31/12/1899 00:00:00";
+
     #[test]
     fn rollback_then_a_different_batch_leaves_no_stale_token_ids() {
         // A rolled-back batch must not leave the interner's raw-token memo
@@ -684,7 +761,10 @@ mod tests {
                 })
                 .collect()
             };
-            let a = batch(240..245, "Zyxwalgia with flurbitis.");
+            let mut a = batch(240..245, "Zyxwalgia with flurbitis.");
+            // An onset date only batch A brings: it interns a date id and
+            // opens a block that the rollback must take back.
+            a[0].reaction.onset_date = Some(A_DATE.into());
             let b = batch(245..250, "Quorbosis, then zyxwalgia and FLURBITIS.");
             (sys, a, b)
         };
@@ -692,9 +772,17 @@ mod tests {
         let (mut control, _, control_b) = build();
 
         let guard = sys.begin_batch();
+        let (blocks, dates) = (sys.epoch.blocking.block_count(), sys.epoch.blocking.mark());
         sys.detect_new(&batch_a).unwrap();
         assert_eq!(sys.interner_len(), guard.interner_mark + 2);
+        assert_eq!(
+            sys.epoch.blocking.block_count(),
+            blocks + 1,
+            "A's date block"
+        );
         sys.rollback_batch(guard);
+        assert_eq!(sys.epoch.blocking.block_count(), blocks);
+        assert_eq!(sys.epoch.blocking.mark(), dates);
         let after = sys.detect_new(&batch_b).unwrap();
         let clean = control.detect_new(&control_b).unwrap();
 
@@ -707,6 +795,165 @@ mod tests {
         for id in 0..sys.interner_len() as u32 {
             assert_eq!(sys.interner.resolve(id), control.interner.resolve(id));
         }
+        // The blocking index is the control's: its blocks, the posting
+        // list of every key of batch B, and the date ids.
+        let (index, control_index) = (&sys.epoch.blocking, &control.epoch.blocking);
+        assert_eq!(index.block_count(), control_index.block_count());
+        assert_eq!(index.mark(), control_index.mark());
+        for r in &batch_b {
+            let processed = &sys.epoch.corpus[&r.id];
+            let keys = index.probe_keys(processed);
+            assert_eq!(keys, control_index.probe_keys(processed));
+            for key in keys {
+                assert_eq!(index.posting_list(key), control_index.posting_list(key));
+            }
+        }
+        let a_date = crate::distance::ProcessedReport {
+            onset_date: Some(A_DATE.into()),
+            ..sys.epoch.corpus[&0].clone()
+        };
+        assert_eq!(
+            index.probe_keys(&a_date).len(),
+            a_date.drug_tokens.len(),
+            "A's date is not interned"
+        );
+    }
+
+    #[test]
+    fn a_committed_attempt_copies_nothing() {
+        // `detect_new`'s guard holds the model and the store, not the
+        // corpus or the blocking index: a committed attempt writes those
+        // two in place.
+        let (mut sys, ds) = system_with_corpus(6);
+        sys.config.use_blocking = true;
+        let labelled: Vec<PairId> = ds
+            .duplicate_pairs
+            .iter()
+            .filter(|p| p.hi < 240)
+            .copied()
+            .collect();
+        sys.bootstrap(&ds.reports[..240], &labelled).unwrap();
+        let corpus = Arc::as_ptr(&sys.epoch.corpus);
+        let blocking = Arc::as_ptr(&sys.epoch.blocking);
+        sys.detect_new(&ds.reports[240..]).unwrap();
+        assert_eq!(Arc::as_ptr(&sys.epoch.corpus), corpus, "corpus copied");
+        assert_eq!(Arc::as_ptr(&sys.epoch.blocking), blocking, "index copied");
+        assert_eq!(sys.report_count(), 250);
+    }
+
+    #[test]
+    fn a_failed_attempt_rolls_itself_back_and_can_be_retried() {
+        // The stored state a retry must find as it was, and the blocking
+        // index's size.
+        let state = |sys: &DedupSystem| {
+            (
+                (sys.report_count(), sys.epoch.corpus.len()),
+                sys.interner_len(),
+                sys.store().snapshot(),
+                (sys.epoch.blocking.mark(), sys.epoch.blocking.block_count()),
+            )
+        };
+        let k = DedupConfig::default().knn.k;
+        for use_blocking in [true, false] {
+            let build = || {
+                let (mut sys, ds) = system_with_corpus(9);
+                sys.config.use_blocking = use_blocking;
+                sys.bootstrap(&ds.reports[..240], &[]).unwrap();
+                (sys, ds)
+            };
+            let ((mut sys, ds), (mut control, _)) = (build(), build());
+            let batch = &ds.reports[240..];
+            let (before, model) = (state(&sys), sys.epoch.model.clone().unwrap());
+            // A closing fit with k = 0 fails after the batch was added,
+            // compared, classified and fed back into the store.
+            sys.config.knn.k = 0;
+            let err = sys.detect_new(batch).unwrap_err();
+            assert!(matches!(&err, SparkletError::User(_)), "{err}");
+            assert_eq!(state(&sys), before, "blocking {use_blocking}");
+            assert!(Arc::ptr_eq(&model, sys.epoch.model.as_ref().unwrap()));
+            sys.config.knn.k = k;
+            let retried = sys.detect_new(batch).unwrap();
+            assert_eq!(retried, control.detect_new(batch).unwrap());
+            assert_eq!(state(&sys), state(&control), "blocking {use_blocking}");
+        }
+        // A failed bootstrap leaves an empty system, and the retry draws
+        // the negatives a clean first try draws.
+        let ((mut sys, ds), (mut control, _)) = (system_with_corpus(9), system_with_corpus(9));
+        let empty = state(&sys);
+        sys.config.knn.k = 0;
+        assert!(sys.bootstrap(&ds.reports[..240], &[]).is_err());
+        assert_eq!(state(&sys), empty);
+        sys.config.knn.k = k;
+        sys.bootstrap(&ds.reports[..240], &[]).unwrap();
+        control.bootstrap(&ds.reports[..240], &[]).unwrap();
+        assert_eq!(state(&sys), state(&control));
+    }
+
+    #[test]
+    fn a_batch_reusing_an_id_is_refused_before_any_write() {
+        for use_blocking in [true, false] {
+            let (mut sys, ds) = system_with_corpus(5);
+            sys.config.use_blocking = use_blocking;
+            sys.bootstrap(&ds.reports[..240], &[]).unwrap();
+            let state = |sys: &DedupSystem| {
+                (
+                    sys.report_count(),
+                    sys.interner_len(),
+                    sys.store().snapshot(),
+                )
+            };
+            let before = state(&sys);
+            // An id the database holds, under new content and a new word.
+            let mut known = ds.reports[7].clone();
+            known.reaction.report_description = "Zyxwalgia.".into();
+            let mut fresh = ds.reports[240..243].to_vec();
+            fresh.push(known);
+            let err = sys.detect_new(&fresh).unwrap_err();
+            assert!(
+                matches!(&err, SparkletError::User(m) if m.contains("report 7 is already")),
+                "{err}"
+            );
+            assert_eq!(state(&sys), before, "blocking {use_blocking}");
+            // One new id twice.
+            let mut twice = ds.reports[240..243].to_vec();
+            twice.push(ds.reports[241].clone());
+            let err = sys.detect_new(&twice).unwrap_err();
+            assert!(
+                matches!(&err, SparkletError::User(m) if m.contains("twice")),
+                "{err}"
+            );
+            assert_eq!(state(&sys), before, "blocking {use_blocking}");
+            // The batch without the offending report goes through.
+            sys.detect_new(&ds.reports[240..243]).unwrap();
+            assert_eq!(sys.report_count(), 243);
+        }
+        // `bootstrap` refuses the same two ways, on an empty system and on
+        // a bootstrapped one.
+        let (mut sys, ds) = system_with_corpus(5);
+        let state = |sys: &DedupSystem| {
+            (
+                sys.report_count(),
+                sys.interner_len(),
+                sys.store().snapshot(),
+            )
+        };
+        let empty = state(&sys);
+        let mut twice = ds.reports[..20].to_vec();
+        twice.push(ds.reports[3].clone());
+        let err = sys.bootstrap(&twice, &[]).unwrap_err();
+        assert!(
+            matches!(&err, SparkletError::User(m) if m.contains("twice")),
+            "{err}"
+        );
+        assert_eq!(state(&sys), empty);
+        sys.bootstrap(&ds.reports[..240], &[]).unwrap();
+        let before = state(&sys);
+        let err = sys.bootstrap(&ds.reports[230..245], &[]).unwrap_err();
+        assert!(
+            matches!(&err, SparkletError::User(m) if m.contains("already")),
+            "{err}"
+        );
+        assert_eq!(state(&sys), before);
     }
 
     /// `sys.epoch.model` answers `probe` exactly as a model fitted here and
@@ -787,6 +1034,10 @@ mod tests {
                 for op in ops {
                     let bootstrapped = sys.epoch.model.is_some();
                     match op {
+                        // The base is in the database after the first.
+                        Op::Bootstrap if sys.report_count() > 0 => {
+                            prop_assert!(sys.bootstrap(&base, &labelled).is_err());
+                        }
                         Op::Bootstrap => sys.bootstrap(&base, &labelled).unwrap(),
                         Op::Detect if !bootstrapped => {
                             prop_assert!(sys.detect_new(&batches[next]).is_err());

@@ -112,58 +112,51 @@ pub const KMEANS_FIT_CAP: usize = 20_000;
 impl<const D: usize> VoronoiPartition<D> {
     /// Partition `train` into `b` Voronoi cells via k-means.
     ///
+    /// `train` is read into one column batch, once. The k-means sample is
+    /// that batch or a strided gather of it, and the cells and the
+    /// positives are lists of its rows until `lay_out` gathers each
+    /// once, in its final order.
+    ///
     /// # Panics
     /// Panics if `train` is empty or `b == 0`.
     pub fn build(train: &[LabeledPair<D>], b: usize, seed: u64) -> Self {
         assert!(!train.is_empty(), "cannot partition an empty training set");
         assert!(b > 0, "cluster number must be positive");
-        let mut fit_batch = VecBatch::with_capacity(train.len().min(KMEANS_FIT_CAP + 1));
-        if train.len() > KMEANS_FIT_CAP {
-            let stride = train.len() / KMEANS_FIT_CAP + 1;
-            for p in train.iter().step_by(stride) {
-                fit_batch.push(p.id, &p.vector, p.positive);
-            }
-        } else {
-            for p in train {
-                fit_batch.push(p.id, &p.vector, p.positive);
-            }
+        let mut all = VecBatch::with_capacity(train.len());
+        for p in train {
+            all.push(p.id, &p.vector, p.positive);
         }
-        let model = KMeans {
+        let kmeans = KMeans {
             k: b,
             max_iters: 25,
             tol: 1e-9,
             seed,
-        }
-        .fit_batch(&fit_batch);
-        let b_actual = model.centroids.len();
-        // Split the training set by label, then bucket every negative via
-        // one fused assign_min sweep (bit-identical to per-row
-        // nearest_centroid).
-        let mut negatives = VecBatch::with_capacity(train.len());
-        let mut positives = VecBatch::new();
-        for pair in train {
-            if pair.positive {
-                positives.push(pair.id, &pair.vector, true);
-            } else {
-                negatives.push(pair.id, &pair.vector, false);
+        };
+        let mut centers = if train.len() > KMEANS_FIT_CAP {
+            let stride = train.len() / KMEANS_FIT_CAP + 1;
+            let sample: Vec<usize> = (0..train.len()).step_by(stride).collect();
+            kmeans.fit_centroids(&all.gather(&sample))
+        } else {
+            kmeans.fit_centroids(&all)
+        };
+        // One fused assign_min sweep (bit-identical to per-row
+        // nearest_centroid) buckets every negative; the positives ride
+        // along, being few (observation 1), and their cells are not read.
+        let mut assigned: Vec<u32> = Vec::with_capacity(all.len());
+        let mut d2: Vec<f64> = Vec::with_capacity(all.len());
+        assign_min(&all, &centers, &mut assigned, &mut d2);
+        // Cells as lists of rows, in training order.
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); centers.len()];
+        let mut positives: Vec<usize> = Vec::new();
+        for (i, (&cid, &positive)) in assigned.iter().zip(all.labels()).enumerate() {
+            match positive {
+                true => positives.push(i),
+                false => members[cid as usize].push(i),
             }
         }
-        let mut assigned: Vec<u32> = Vec::with_capacity(negatives.len());
-        let mut d2: Vec<f64> = Vec::with_capacity(negatives.len());
-        assign_min(&negatives, &model.centroids, &mut assigned, &mut d2);
-        // Cells as lists of rows of `negatives`, in training order, until
-        // `lay_out` gathers each once in its final order.
-        let mut centers = model.centroids;
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); b_actual];
-        for (i, &cid) in assigned.iter().enumerate() {
-            members[cid as usize].push(i);
-        }
         rebalance(&mut centers, &mut members);
-        let lattice = D >= LATTICE_BITS
-            && [&negatives, &positives]
-                .iter()
-                .all(|batch| (0..LATTICE_BITS).all(|d| on_lattice(batch.col(d))));
-        Self::lay_out(centers, &negatives, &members, &d2, positives, lattice)
+        let lattice = D >= LATTICE_BITS && (0..LATTICE_BITS).all(|d| on_lattice(all.col(d)));
+        Self::lay_out(centers, &all, &members, &d2, &positives, lattice)
     }
 
     /// A partition of the given cells with no distance metadata, as tests
@@ -205,10 +198,10 @@ impl<const D: usize> VoronoiPartition<D> {
         self.lattice.is_some()
     }
 
-    /// The partition of `negatives` into cells `members` (rows of
-    /// `negatives`, after [`rebalance`]) around `centers`, and of
-    /// `positives`, each batch gathered once in the order the product
-    /// walks. `center_d2[i]` is row `i`'s squared distance to its centre:
+    /// The partition of the rows of `all`: the cells `members` (lists of
+    /// rows, after [`rebalance`]) around `centers`, and the `positives`
+    /// rows, each batch gathered once in the order the product walks.
+    /// `center_d2[i]` is row `i`'s squared distance to its centre:
     /// `assign_min` computes it as `distances_to_point` would, bit for bit.
     /// Row order never shows in classification (candidate sets per cell are
     /// fixed and the neighbourhood top-k is insertion-order-independent).
@@ -219,16 +212,19 @@ impl<const D: usize> VoronoiPartition<D> {
     /// [`LatticeIndex`] order.
     fn lay_out(
         centers: Vec<[f64; D]>,
-        negatives: &VecBatch<D>,
+        all: &VecBatch<D>,
         members: &[Vec<usize>],
         center_d2: &[f64],
-        positives: VecBatch<D>,
+        positives: &[usize],
         lattice: bool,
     ) -> Self {
         let n = positives.len();
         let mut positive_ref = [0.0; D];
         if n > 0 {
-            positive_ref = std::array::from_fn(|d| positives.col(d).iter().sum::<f64>() / n as f64);
+            positive_ref = std::array::from_fn(|d| {
+                let col = all.col(d);
+                positives.iter().map(|&r| col[r]).sum::<f64>() / n as f64
+            });
         }
         let radius_bounds = (members.iter())
             .map(|rows| {
@@ -237,33 +233,29 @@ impl<const D: usize> VoronoiPartition<D> {
                 Some((lo.sqrt(), hi.sqrt()))
             })
             .collect();
-        let every_positive: Vec<usize> = (0..n).collect();
         let (cells, positives, lattice, center_order) = if lattice {
             let (cells, mut indexes): (Vec<_>, Vec<_>) = (members.iter())
                 .map(|rows| {
-                    let (order, index) = LatticeIndex::build(negatives, rows);
-                    (Arc::new(negatives.gather(&order)), index)
+                    let (order, index) = LatticeIndex::build(all, rows);
+                    (Arc::new(all.gather(&order)), index)
                 })
                 .unzip();
-            let (order, index) = LatticeIndex::build(&positives, &every_positive);
+            let (order, index) = LatticeIndex::build(all, positives);
             indexes.push(index);
-            (
-                cells,
-                positives.gather(&order),
-                Some(indexes),
-                OnceLock::new(),
-            )
+            (cells, all.gather(&order), Some(indexes), OnceLock::new())
         } else {
             let mut orders = Vec::with_capacity(members.len() + 1);
             let cells = (members.iter())
                 .map(|rows| {
-                    let (order, dists) = order_by(negatives, center_d2, rows);
+                    let (order, dists) = order_by(all, center_d2, rows);
                     orders.push(RefOrder::stored(dists));
-                    Arc::new(negatives.gather(&order))
+                    Arc::new(all.gather(&order))
                 })
                 .collect();
+            let positives = all.gather(positives);
             let mut d2 = Vec::new();
             distances_to_point(&positives, &positive_ref, &mut d2);
+            let every_positive: Vec<usize> = (0..n).collect();
             let (order, dists) = order_by(&positives, &d2, &every_positive);
             orders.push(RefOrder::stored(dists));
             (
