@@ -8,12 +8,17 @@
 //! measures — **reduction ratio** (pairs avoided) and **pair completeness**
 //! (ground-truth duplicates still covered). The workload builder and
 //! [`crate::DedupSystem`] can both run on top of it.
+//!
+//! Every candidate route reads a block through one function,
+//! [`BlockingIndex::posting_list`], and keys a report through one,
+//! [`BlockingIndex::probe_keys`]: a change to what a block yields (a purge
+//! of an over-large block, say) is a change to `posting_list`.
 
 use crate::distance::ProcessedReport;
 use adr_model::{PairId, ReportId};
 use simmetrics::{intersect_gallop_into, union_k_sorted_into};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::fmt;
 
 /// A compact blocking key: a drug token (already interned by
 /// [`textprep::TokenInterner`]) or an onset date (interned by the index
@@ -25,17 +30,6 @@ pub enum BlockKey {
     Drug(u32),
     /// An interned onset-date id.
     Date(u32),
-}
-
-impl fmt::Display for BlockKey {
-    /// Renders in the historical string-key format (`drug:<token>` /
-    /// `date:<id>`) for debug output.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BlockKey::Drug(t) => write!(f, "drug:{t}"),
-            BlockKey::Date(d) => write!(f, "date:{d}"),
-        }
-    }
 }
 
 /// Inverted index from blocking keys to **sorted u32 posting lists** of
@@ -53,9 +47,12 @@ impl fmt::Display for BlockKey {
 #[derive(Debug, Clone, Default)]
 pub struct BlockingIndex {
     /// Per-key posting list of dense rows, always sorted ascending and
-    /// deduplicated.
+    /// deduplicated. [`BlockingIndex::posting_list`] is its one reader;
+    /// `insert` and `truncate` are its writers.
     blocks: HashMap<BlockKey, Vec<u32>>,
-    report_keys: HashMap<ReportId, Vec<BlockKey>>,
+    /// Dense row → the [`BlockingIndex::probe_keys`] of its report, taken
+    /// at insert.
+    keys: Vec<Vec<BlockKey>>,
     /// Report id → dense row.
     row_of: HashMap<ReportId, u32>,
     /// Dense row → report id (inverse of `row_of`).
@@ -76,21 +73,10 @@ impl BlockingIndex {
         index
     }
 
-    /// Blocking keys of one report. Drug keys reuse the report's interned
-    /// token ids; the date string is interned here on first sight.
-    pub fn keys_of(&mut self, r: &ProcessedReport) -> Vec<BlockKey> {
-        let mut keys: Vec<BlockKey> = r.drug_tokens.iter().map(|&t| BlockKey::Drug(t)).collect();
-        if let Some(date) = &r.onset_date {
-            let next = self.date_ids.len() as u32;
-            let id = *self.date_ids.entry(date.clone()).or_insert(next);
-            keys.push(BlockKey::Date(id));
-        }
-        keys
-    }
-
     /// Add a report to the index under the next dense row, the largest
     /// row yet: pushing it onto each of its key lists keeps every list
-    /// sorted and deduplicated.
+    /// sorted and deduplicated. Its onset date is interned first, so its
+    /// keys are its [`BlockingIndex::probe_keys`].
     ///
     /// # Panics
     /// Panics if the index already holds a report with this id.
@@ -102,14 +88,18 @@ impl BlockingIndex {
             r.id
         );
         self.id_of.push(r.id);
-        let keys = self.keys_of(r);
+        if let Some(date) = &r.onset_date {
+            let next = self.date_ids.len() as u32;
+            self.date_ids.entry(date.clone()).or_insert(next);
+        }
+        let keys = self.probe_keys(r);
         for key in &keys {
             let list = self.blocks.entry(*key).or_default();
             if list.last() != Some(&row) {
                 list.push(row);
             }
         }
-        self.report_keys.insert(r.id, keys);
+        self.keys.push(keys);
     }
 
     /// How far the index has grown: the mark [`BlockingIndex::truncate`]
@@ -124,29 +114,29 @@ impl BlockingIndex {
     /// Remove every report inserted since `mark` was taken, and the date
     /// ids they interned. Rows are handed out monotonically, so those
     /// reports' rows are the tails of their keys' posting lists: they are
-    /// popped, and a block left empty goes. The index is then the one
-    /// `mark` was taken of, up to capacity.
+    /// popped, last row first, and a block left empty goes. The index is
+    /// then the one `mark` was taken of, up to capacity.
     pub(crate) fn truncate(&mut self, mark: BlockingMark) {
-        for row in (mark.rows..self.id_of.len()).rev() {
-            let id = self.id_of[row];
-            self.row_of.remove(&id);
-            for key in self.report_keys.remove(&id).unwrap_or_default() {
-                let Some(list) = self.blocks.get_mut(&key) else {
-                    continue; // a key the report listed twice
+        for (i, keys) in self.keys.drain(mark.rows..).enumerate().rev() {
+            let row = (mark.rows + i) as u32;
+            for key in keys {
+                // A key the report listed twice finds its row gone already.
+                let Entry::Occupied(mut block) = self.blocks.entry(key) else {
+                    continue;
                 };
                 // Later rows are gone already, so this row is the tail.
-                if list.last() == Some(&(row as u32)) {
-                    list.pop();
+                if block.get().last() == Some(&row) {
+                    block.get_mut().pop();
                 }
-                if list.is_empty() {
-                    self.blocks.remove(&key);
+                if block.get().is_empty() {
+                    block.remove();
                 }
             }
         }
-        self.id_of.truncate(mark.rows);
-        if self.date_ids.len() > mark.dates {
-            self.date_ids.retain(|_, id| (*id as usize) < mark.dates);
+        for id in self.id_of.drain(mark.rows..) {
+            self.row_of.remove(&id);
         }
+        self.date_ids.retain(|_, id| (*id as usize) < mark.dates);
     }
 
     /// Number of distinct blocks.
@@ -155,29 +145,27 @@ impl BlockingIndex {
     }
 
     /// The sorted posting list (dense rows) of one block, if the key has any
-    /// members.
+    /// members. Every candidate route reads its blocks here and nowhere
+    /// else.
     pub fn posting_list(&self, key: BlockKey) -> Option<&[u32]> {
         self.blocks.get(&key).map(|v| v.as_slice())
     }
 
-    /// Gather the posting lists of `id`'s keys into `lists` and union them
-    /// into `rows` (sorted, deduplicated, still including `id`'s own row).
+    /// Union the posting lists of `keys` into `rows` (sorted, deduplicated,
+    /// still holding the report's own row if it is indexed): the one
+    /// partner walk of [`BlockingIndex::candidate_pairs`] and
+    /// [`BlockingIndex::probe_candidates`]. `lists`, `cursors` and `rows`
+    /// are the caller's scratch, so a warm call allocates nothing.
     fn partner_rows<'a>(
         &'a self,
-        id: ReportId,
+        keys: &[BlockKey],
         lists: &mut Vec<&'a [u32]>,
         cursors: &mut Vec<usize>,
         rows: &mut Vec<u32>,
     ) {
         lists.clear();
+        lists.extend(keys.iter().filter_map(|&key| self.posting_list(key)));
         rows.clear();
-        if let Some(keys) = self.report_keys.get(&id) {
-            for key in keys {
-                if let Some(members) = self.blocks.get(key) {
-                    lists.push(members);
-                }
-            }
-        }
         union_k_sorted_into(lists, cursors, rows);
     }
 
@@ -186,7 +174,9 @@ impl BlockingIndex {
     /// against a shared index without `&mut` access. Drug keys reuse the
     /// report's interned token ids; the date key resolves only when some
     /// indexed report already interned the same date string (a date no
-    /// indexed report carries cannot match any block anyway).
+    /// indexed report carries cannot match any block anyway). The index's
+    /// one key derivation: [`BlockingIndex::insert`] interns the date and
+    /// then keys the report by this.
     pub fn probe_keys(&self, r: &ProcessedReport) -> Vec<BlockKey> {
         let mut keys: Vec<BlockKey> = r.drug_tokens.iter().map(|&t| BlockKey::Drug(t)).collect();
         if let Some(date) = &r.onset_date {
@@ -200,38 +190,16 @@ impl BlockingIndex {
     /// Candidate partners of a probe report *without inserting it*: the
     /// union of the posting lists of its [`BlockingIndex::probe_keys`],
     /// excluding the probe's own row when the same id is already indexed.
-    /// Sorted by report id. For an already-indexed report this returns
-    /// exactly [`BlockingIndex::candidates_of`].
+    /// Sorted by report id. For an indexed report these are the partners
+    /// [`BlockingIndex::candidate_pairs`] pairs it with.
     pub fn probe_candidates(&self, r: &ProcessedReport) -> Vec<ReportId> {
-        let keys = self.probe_keys(r);
-        let mut lists: Vec<&[u32]> = Vec::with_capacity(keys.len());
-        for key in &keys {
-            if let Some(members) = self.blocks.get(key) {
-                lists.push(members);
-            }
-        }
-        let (mut cursors, mut rows) = (Vec::new(), Vec::new());
-        union_k_sorted_into(&lists, &mut cursors, &mut rows);
+        let (mut lists, mut cursors, mut rows) = (Vec::new(), Vec::new(), Vec::new());
+        self.partner_rows(&self.probe_keys(r), &mut lists, &mut cursors, &mut rows);
         let own = self.row_of.get(&r.id).copied();
         let mut v: Vec<ReportId> = rows
             .iter()
             .filter(|&&row| Some(row) != own)
             .map(|&row| self.id_of[row as usize])
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// All candidate partners of a report already in the index (excluding
-    /// itself), deduplicated and sorted.
-    pub fn candidates_of(&self, id: ReportId) -> Vec<ReportId> {
-        let (mut lists, mut cursors, mut rows) = (Vec::new(), Vec::new(), Vec::new());
-        self.partner_rows(id, &mut lists, &mut cursors, &mut rows);
-        let own = self.row_of.get(&id).copied();
-        let mut v: Vec<ReportId> = rows
-            .iter()
-            .filter(|&&r| Some(r) != own)
-            .map(|&r| self.id_of[r as usize])
             .collect();
         // Rows are in insertion order, not id order; restore the sorted-ids
         // contract (a no-op sort when reports arrived in id order).
@@ -242,18 +210,22 @@ impl BlockingIndex {
     /// Candidate pairs for a batch of new reports against the indexed
     /// database (the blocked version of
     /// [`crate::pairing::pairs_involving_new`]). The new reports must
-    /// already be inserted. Strictly increasing — sorted, each pair once —
-    /// and [`DedupSystem::detect_new`](crate::DedupSystem::detect_new)
-    /// keeps this order from the distance job to the classifier.
+    /// already be inserted; an id the index does not hold pairs with
+    /// nothing. Strictly increasing — sorted, each pair once — and
+    /// [`DedupSystem::detect_new`](crate::DedupSystem::detect_new) keeps
+    /// this order from the distance job to the classifier.
     pub fn candidate_pairs(&self, new_ids: &[ReportId]) -> Vec<PairId> {
         let mut out: Vec<PairId> = Vec::new();
         let (mut lists, mut cursors, mut rows) = (Vec::new(), Vec::new(), Vec::new());
         for &id in new_ids {
-            self.partner_rows(id, &mut lists, &mut cursors, &mut rows);
-            let own = self.row_of.get(&id).copied();
+            let Some(&own) = self.row_of.get(&id) else {
+                continue;
+            };
+            let keys = &self.keys[own as usize];
+            self.partner_rows(keys, &mut lists, &mut cursors, &mut rows);
             out.extend(
                 rows.iter()
-                    .filter(|&&r| Some(r) != own)
+                    .filter(|&&r| r != own)
                     .map(|&r| PairId::new(id, self.id_of[r as usize])),
             );
         }
@@ -286,9 +258,9 @@ impl BlockingIndex {
             .collect();
         new_rows.sort_unstable();
         new_rows.dedup();
-        let mut touched: Vec<BlockKey> = new_ids
+        let mut touched: Vec<BlockKey> = new_rows
             .iter()
-            .flat_map(|id| self.report_keys.get(id).into_iter().flatten().copied())
+            .flat_map(|&row| self.keys[row as usize].iter().copied())
             .collect();
         touched.sort_unstable();
         touched.dedup();
@@ -297,15 +269,12 @@ impl BlockingIndex {
         let mut tagged: Vec<(PairId, u32)> = Vec::new();
         let mut new_members: Vec<u32> = Vec::new();
         let mut block_pairs: Vec<PairId> = Vec::new();
-        for (rank, key) in touched.iter().enumerate() {
-            let Some(members) = self.blocks.get(key) else {
+        for (rank, &key) in touched.iter().enumerate() {
+            let Some(members) = self.posting_list(key) else {
                 continue;
             };
             new_members.clear();
             intersect_gallop_into(&new_rows, members, &mut new_members);
-            if new_members.is_empty() {
-                continue;
-            }
             block_pairs.clear();
             for &n in &new_members {
                 let nid = self.id_of[n as usize];
@@ -337,21 +306,10 @@ impl BlockingIndex {
         (groups, duplicates)
     }
 
-    /// All candidate pairs the index induces over the whole database,
-    /// deduplicated by sorted merge.
+    /// All candidate pairs the index induces over the whole database:
+    /// [`BlockingIndex::candidate_pairs`] with every indexed report new.
     pub fn all_candidate_pairs(&self) -> Vec<PairId> {
-        let mut out: Vec<PairId> = Vec::new();
-        for members in self.blocks.values() {
-            for (i, &a) in members.iter().enumerate() {
-                let aid = self.id_of[a as usize];
-                for &b in &members[i + 1..] {
-                    out.push(PairId::new(aid, self.id_of[b as usize]));
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
+        self.candidate_pairs(&self.id_of)
     }
 }
 
@@ -428,7 +386,7 @@ mod tests {
         let index = BlockingIndex::build(&reports);
         let by_id: HashMap<u64, &ProcessedReport> = reports.iter().map(|r| (r.id, r)).collect();
         for r in reports.iter().take(20) {
-            for partner in index.candidates_of(r.id) {
+            for partner in index.probe_candidates(r) {
                 let p = by_id[&partner];
                 let share_drug = r.drug_tokens.iter().any(|t| p.drug_tokens.contains(t));
                 let share_date = r.onset_date.is_some() && r.onset_date == p.onset_date;
@@ -475,59 +433,34 @@ mod tests {
     }
 
     #[test]
-    fn probe_candidates_match_candidates_of_for_indexed_reports() {
-        let ds = Dataset::generate(&SynthConfig::small(250, 12, 17));
-        let reports = processed(&ds);
-        let index = BlockingIndex::build(&reports);
-        for r in reports.iter().take(30) {
-            assert_eq!(
-                index.probe_candidates(r),
-                index.candidates_of(r.id),
-                "probe path must agree with the indexed path for {}",
-                r.id
-            );
-        }
-        // A never-indexed probe (fresh id, novel drug token ids) still finds
-        // partners through any token the corpus knows — and nothing was
-        // mutated: block and date-interner counts are unchanged.
-        let blocks_before = index.block_count();
-        let dates_before = index.date_ids.len();
-        let mut probe = reports[0].clone();
-        probe.id = 1_000_000;
-        probe.drug_tokens.push(u32::MAX); // novel token: matches no block
-        let partners = index.probe_candidates(&probe);
-        assert!(partners.contains(&reports[0].id), "shares every key with 0");
-        assert_eq!(index.block_count(), blocks_before);
-        assert_eq!(index.date_ids.len(), dates_before);
-    }
-
-    #[test]
-    fn block_keys_display_in_the_historical_format() {
-        assert_eq!(BlockKey::Drug(17).to_string(), "drug:17");
-        assert_eq!(BlockKey::Date(3).to_string(), "date:3");
-    }
-
-    #[test]
     fn equal_date_strings_intern_to_the_same_key() {
         let ds = Dataset::generate(&SynthConfig::small(120, 6, 9));
         let reports = processed(&ds);
         let mut index = BlockingIndex::default();
+        // A report's date key is the last of its keys; a date seen before
+        // reuses the interned id, not a fresh one.
+        let mut key_of_date: HashMap<&str, BlockKey> = HashMap::new();
+        let mut dated = 0;
         for r in &reports {
             index.insert(r);
+            let Some(date) = r.onset_date.as_deref() else {
+                continue;
+            };
+            dated += 1;
+            let key = *index.keys[index.row_of[&r.id] as usize].last().unwrap();
+            assert!(matches!(key, BlockKey::Date(_)), "{key:?}");
+            assert_eq!(*key_of_date.entry(date).or_insert(key), key, "{date}");
         }
-        // Re-deriving keys for an already-inserted report must reuse the
-        // interned date id, not mint a fresh one.
-        for r in reports.iter().filter(|r| r.onset_date.is_some()).take(10) {
-            let again = index.keys_of(r);
-            let stored = index.report_keys[&r.id].clone();
-            assert_eq!(again, stored);
-        }
+        assert_eq!(index.date_ids.len(), key_of_date.len());
+        assert!(
+            key_of_date.len() < dated,
+            "some date repeats on this corpus"
+        );
     }
 
     #[test]
     fn empty_index_yields_nothing() {
         let index = BlockingIndex::default();
-        assert!(index.candidates_of(7).is_empty());
         assert!(index.all_candidate_pairs().is_empty());
         assert!(index.candidate_pairs(&[1, 2, 3]).is_empty());
         assert_eq!(
@@ -547,7 +480,7 @@ mod tests {
         for (key, list) in &index.blocks {
             assert!(
                 list.windows(2).all(|w| w[0] < w[1]),
-                "posting list for {key} not sorted+deduped"
+                "posting list for {key:?} not sorted+deduped"
             );
             assert_eq!(Some(list.as_slice()), index.posting_list(*key));
             for &row in list {
@@ -585,7 +518,7 @@ mod tests {
         index.truncate(mark);
         assert_eq!(index.mark(), control.mark());
         assert_eq!(index.blocks, control.blocks);
-        assert_eq!(index.report_keys, control.report_keys);
+        assert_eq!(index.keys, control.keys);
         assert_eq!(index.row_of, control.row_of);
         assert_eq!(index.id_of, control.id_of);
         assert_eq!(index.date_ids, control.date_ids);
@@ -637,5 +570,157 @@ mod tests {
         assert!(dups > 0, "expected multi-key pairs on a duplicate corpus");
         // Deterministic: a second call gives the identical count.
         assert_eq!(index.candidate_pair_groups_counted(&new_ids).1, dups);
+    }
+
+    /// Every route against a brute force over the reports themselves: two
+    /// reports are candidates when they share a drug token id or an equal
+    /// onset-date string.
+    mod routes {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn report(id: ReportId, mut drugs: Vec<u32>, date: u8) -> ProcessedReport {
+            drugs.sort_unstable();
+            drugs.dedup();
+            ProcessedReport {
+                id,
+                age: None,
+                sex: None,
+                state: None,
+                onset_date: ["01/01/2013", "02/01/2013", "03/01/2013"]
+                    .get(date as usize)
+                    .map(|d| d.to_string()),
+                outcome: None,
+                drug_tokens: drugs,
+                adr_tokens: Vec::new(),
+                narrative_terms: Vec::new(),
+            }
+        }
+
+        /// The keys `a` and `b` share: common drug tokens, plus one for an
+        /// equal onset date.
+        fn shared_keys(a: &ProcessedReport, b: &ProcessedReport) -> usize {
+            let drugs = a
+                .drug_tokens
+                .iter()
+                .filter(|t| b.drug_tokens.contains(t))
+                .count();
+            let date = a.onset_date.is_some() && a.onset_date == b.onset_date;
+            drugs + usize::from(date)
+        }
+
+        /// Every brute-force candidate pair with a member in `of`.
+        fn brute_pairs(reports: &[ProcessedReport], of: &HashSet<ReportId>) -> HashSet<PairId> {
+            let mut pairs = HashSet::new();
+            for (i, a) in reports.iter().enumerate() {
+                for b in &reports[i + 1..] {
+                    if shared_keys(a, b) > 0 && (of.contains(&a.id) || of.contains(&b.id)) {
+                        pairs.insert(PairId::new(a.id, b.id));
+                    }
+                }
+            }
+            pairs
+        }
+
+        /// The brute-force partners of `probe` among `indexed`, sorted.
+        fn brute_partners(indexed: &[ProcessedReport], probe: &ProcessedReport) -> Vec<ReportId> {
+            let mut ids: Vec<ReportId> = indexed
+                .iter()
+                .filter(|r| r.id != probe.id && shared_keys(r, probe) > 0)
+                .map(|r| r.id)
+                .collect();
+            ids.sort_unstable();
+            ids
+        }
+
+        proptest! {
+            #[test]
+            fn every_route_equals_the_brute_force(
+                raw in prop::collection::vec(
+                    (prop::collection::vec(0u32..64, 0..4), 0u8..5),
+                    1..24,
+                ),
+                probes in prop::collection::vec(
+                    (prop::collection::vec(0u32..64, 0..4), 0u8..5),
+                    0..4,
+                ),
+                alphabet in 1u32..12,
+                new in 0usize..8,
+                offset in 0u64..101,
+            ) {
+                // Drug ids drawn from a small alphabet, so blocks repeat and
+                // overlap; dates 3 and 4 are none. Ids follow a permutation
+                // of arrival order, so rows are not in id order.
+                let reports: Vec<ProcessedReport> = raw
+                    .into_iter()
+                    .zip(0u64..)
+                    .map(|((drugs, date), i)| {
+                        let drugs = drugs.into_iter().map(|t| t % alphabet).collect();
+                        report((i * 37 + offset) % 101, drugs, date)
+                    })
+                    .collect();
+                let (base, batch) = reports.split_at(reports.len() - new.min(reports.len()));
+                let mut index = BlockingIndex::build(base);
+                let mark = index.mark();
+                for r in batch {
+                    index.insert(r);
+                }
+                let new_ids: Vec<ReportId> = batch.iter().map(|r| r.id).collect();
+                let new_set: HashSet<ReportId> = new_ids.iter().copied().collect();
+
+                // A batch's pairs: strictly increasing, the brute-force set.
+                let pairs = index.candidate_pairs(&new_ids);
+                prop_assert!(pairs.windows(2).all(|w| w[0] < w[1]), "strictly increasing");
+                let got: HashSet<PairId> = pairs.iter().copied().collect();
+                prop_assert_eq!(got, brute_pairs(&reports, &new_set));
+
+                // Grouped: flattens to the same pairs; each pair sharing k
+                // keys was dropped k − 1 times.
+                let (groups, duplicates) = index.candidate_pair_groups_counted(&new_ids);
+                let mut flat: Vec<PairId> = groups.into_iter().flatten().collect();
+                flat.sort_unstable();
+                prop_assert_eq!(&flat, &pairs);
+                let by_id: HashMap<ReportId, &ProcessedReport> =
+                    reports.iter().map(|r| (r.id, r)).collect();
+                let expected: usize =
+                    pairs.iter().map(|p| shared_keys(by_id[&p.lo], by_id[&p.hi]) - 1).sum();
+                prop_assert_eq!(duplicates, expected as u64);
+
+                // The whole database.
+                let all_ids: HashSet<ReportId> = reports.iter().map(|r| r.id).collect();
+                let all: HashSet<PairId> = index.all_candidate_pairs().into_iter().collect();
+                prop_assert_eq!(all, brute_pairs(&reports, &all_ids));
+
+                // Probes: every indexed report, and unindexed ones — fresh
+                // ids, one with a date no indexed report carries.
+                let mut unindexed: Vec<ProcessedReport> = probes
+                    .into_iter()
+                    .zip(1_000u64..)
+                    .map(|((drugs, date), id)| {
+                        report(id, drugs.into_iter().map(|t| t % alphabet).collect(), date)
+                    })
+                    .collect();
+                let mut unseen_date = report(999, vec![0], 0);
+                unseen_date.onset_date = Some("31/12/1999".into());
+                unindexed.push(unseen_date);
+                for probe in reports.iter().chain(&unindexed) {
+                    prop_assert_eq!(
+                        index.probe_candidates(probe),
+                        brute_partners(&reports, probe),
+                        "probe {}",
+                        probe.id
+                    );
+                }
+
+                // Truncated to the mark: the index of the prefix alone.
+                index.truncate(mark);
+                let control = BlockingIndex::build(base);
+                prop_assert_eq!(&index.blocks, &control.blocks);
+                prop_assert_eq!(&index.keys, &control.keys);
+                prop_assert_eq!(&index.row_of, &control.row_of);
+                prop_assert_eq!(&index.id_of, &control.id_of);
+                prop_assert_eq!(&index.date_ids, &control.date_ids);
+            }
+        }
     }
 }

@@ -52,16 +52,15 @@ pub mod svm_baseline;
 pub mod system;
 pub mod workload;
 
-pub use blocking::{evaluate_blocking, BlockKey, BlockingIndex, BlockingQuality};
+pub use blocking::BlockingIndex;
 pub use distance::{pair_distance, HeldReport, ProcessedReport};
-pub use ingest::{IngestConfig, IngestError, IngestService, TornWrite, CHECKPOINT_VERSION};
+pub use ingest::{IngestConfig, IngestError, IngestService, TornWrite};
 pub use pairing::{
-    all_pairs, index_corpus, pack_pairs, pair_op_weight, pairs_involving_new, pairwise_distances,
-    pairwise_distances_partitioned, CorpusIndex, DistanceMemo, PAIR_OP_BASE,
+    index_corpus, pack_pairs, pairs_involving_new, pairwise_distances, CorpusIndex, DistanceMemo,
 };
 pub use serve::{
-    answers_digest, DuplicateMatch, ServeAnswer, ServeConfig, ServeQuery, ServeRequest,
-    ServeRunSummary, ServeService, SignalMemo, SignalStats,
+    answers_digest, ServeAnswer, ServeConfig, ServeQuery, ServeRequest, ServeRunSummary,
+    ServeService, SignalStats,
 };
 pub use store::PairStore;
 pub use svm_baseline::{svm_clustering_scores, svm_scores};

@@ -1,4 +1,10 @@
-//! Candidate pair enumeration and the distributed pairwise-distance job.
+//! Exhaustive pair enumeration and the distributed pairwise-distance job.
+//!
+//! [`pairs_involving_new`] is §3's unblocked enumeration; blocked candidates
+//! come from [`crate::BlockingIndex`]. Every product distance goes through
+//! [`pairwise_distance_batches`] over [`contiguous_partitions`];
+//! [`pairwise_distances`] and [`pack_pairs`] stay for the experiments and
+//! the frozen wall-clock benchmark.
 
 use crate::distance::{HeldReport, ProcessedReport};
 use adr_model::{DistVec, PairId, ReportId, DETECTION_DIMS};
@@ -28,36 +34,18 @@ where
     Arc::new(processed.into_iter().map(|p| (p.id, p)).collect())
 }
 
-/// All unordered pairs over `ids` — the §3 recursive formulation restricted
-/// to one batch ("reports with later arrival time are checked against those
-/// with earlier arrival time").
-pub fn all_pairs(ids: &[ReportId]) -> Vec<PairId> {
-    // n·(n−1)/2 overflows usize for n ≥ 2³² even though the result fits;
-    // divide the even factor first and saturate (a saturated reserve just
-    // means Vec growth happens in chunks — no UB, no panic).
-    let n = ids.len();
-    let cap = if n.is_multiple_of(2) {
-        (n / 2).saturating_mul(n.saturating_sub(1))
-    } else {
-        n.saturating_mul(n.saturating_sub(1) / 2)
-    };
-    let mut out = Vec::with_capacity(cap);
-    for (i, &a) in ids.iter().enumerate() {
-        for &b in &ids[i + 1..] {
-            out.push(PairId::new(a, b));
-        }
-    }
-    out
-}
-
 /// Pairs involving at least one new report: each new report against every
 /// existing one, plus all pairs among the new reports (`Dupe(R, A ∪ R − r)`
-/// in the paper's Eq. 3).
+/// in the paper's Eq. 3). With no existing reports these are all unordered
+/// pairs of the batch — §3's recursive formulation restricted to one batch
+/// ("reports with later arrival time are checked against those with
+/// earlier arrival time").
 pub fn pairs_involving_new(new_ids: &[ReportId], existing_ids: &[ReportId]) -> Vec<PairId> {
     // Exact capacity — new×existing cross pairs plus C(new, 2) within pairs
-    // — so one reserve covers the whole enumeration. Same even-factor-first
-    // saturating arithmetic as [`all_pairs`]: a saturated reserve only means
-    // chunked growth, never UB or panic.
+    // — so one reserve covers the whole enumeration. n·(n−1)/2 overflows
+    // usize for n ≥ 2³² even though the result fits, so the even factor is
+    // divided first and the product saturates: a saturated reserve only
+    // means chunked growth, never UB or panic.
     let n = new_ids.len();
     let within = if n.is_multiple_of(2) {
         (n / 2).saturating_mul(n.saturating_sub(1))
@@ -217,22 +205,6 @@ pub fn pairwise_distance_batches(
     Ok((pairs, vectors))
 }
 
-/// Row-level facade over [`pairwise_distance_batches`]: same job, same
-/// (partition, pair) output order, with each column row materialized back
-/// into a `(PairId, DistVec)` tuple for callers that want row structs.
-pub fn pairwise_distances_partitioned(
-    cluster: &Cluster,
-    corpus: &CorpusIndex,
-    partitions: Vec<Vec<PairId>>,
-) -> Result<Vec<(PairId, DistVec)>> {
-    let (pairs, vectors) = pairwise_distance_batches(cluster, corpus, partitions)?;
-    Ok(pairs
-        .into_iter()
-        .enumerate()
-        .map(|(i, pid)| (pid, vectors.row(i)))
-        .collect())
-}
-
 /// Split `pairs` into `num_partitions` contiguous even runs — the same
 /// boundaries `Cluster::parallelize` uses — so a distance job over them
 /// returns results in input order.
@@ -248,12 +220,13 @@ pub fn contiguous_partitions(pairs: Vec<PairId>, num_partitions: usize) -> Vec<V
     parts
 }
 
-/// [`pairwise_distances_partitioned`] over the classic contiguous
-/// partitioning: `pairs` is split into `num_partitions` even runs (the same
-/// boundaries `Cluster::parallelize` uses), so results come back in input
-/// order. The corpus arrives as a pre-built [`CorpusIndex`]: the job clones
-/// the `Arc`, not the reports, so repeated calls (bootstrap, every
-/// `detect_new` batch) share one corpus allocation.
+/// Row-level facade over [`pairwise_distance_batches`] on the classic
+/// contiguous partitioning: `pairs` is split into `num_partitions` even
+/// runs ([`contiguous_partitions`]), so results come back in input order,
+/// each column row materialized back into a `(PairId, DistVec)` tuple. The
+/// product does not call it — `bootstrap` and `detect_new` take the column
+/// batch — only the Fig. 10 experiment and the frozen wall-clock
+/// benchmark's `decomposed.rs` do.
 pub fn pairwise_distances(
     cluster: &Cluster,
     corpus: &CorpusIndex,
@@ -261,7 +234,12 @@ pub fn pairwise_distances(
     num_partitions: usize,
 ) -> Result<Vec<(PairId, DistVec)>> {
     let parts = contiguous_partitions(pairs, num_partitions);
-    pairwise_distances_partitioned(cluster, corpus, parts)
+    let (pairs, vectors) = pairwise_distance_batches(cluster, corpus, parts)?;
+    Ok(pairs
+        .into_iter()
+        .enumerate()
+        .map(|(i, pid)| (pid, vectors.row(i)))
+        .collect())
 }
 
 /// Skew-aware packing of candidate-pair groups (one group per blocking key;
@@ -445,7 +423,7 @@ mod tests {
     #[test]
     fn all_pairs_count_is_n_choose_2() {
         let ids: Vec<u64> = (0..10).collect();
-        let pairs = all_pairs(&ids);
+        let pairs = pairs_involving_new(&ids, &[]);
         assert_eq!(pairs.len(), 45);
         let set: std::collections::HashSet<PairId> = pairs.iter().copied().collect();
         assert_eq!(set.len(), 45, "no duplicates");
@@ -453,8 +431,8 @@ mod tests {
 
     #[test]
     fn all_pairs_of_one_or_zero() {
-        assert!(all_pairs(&[]).is_empty());
-        assert!(all_pairs(&[7]).is_empty());
+        assert!(pairs_involving_new(&[], &[]).is_empty());
+        assert!(pairs_involving_new(&[7], &[]).is_empty());
     }
 
     #[test]
@@ -490,7 +468,7 @@ mod tests {
             .collect();
         let corpus = index_corpus(processed.clone());
         let ids: Vec<u64> = (0..6).collect();
-        let pairs = all_pairs(&ids);
+        let pairs = pairs_involving_new(&ids, &[]);
         let cluster = Cluster::local(3);
         let mut dist = pairwise_distances(&cluster, &corpus, pairs.clone(), 4).unwrap();
         dist.sort_by_key(|(p, _)| *p);
@@ -541,21 +519,20 @@ mod tests {
     fn partitioned_distances_flatten_in_partition_order() {
         let (processed, corpus) = tiny_corpus(6);
         let ids: Vec<u64> = (0..6).collect();
-        let pairs = all_pairs(&ids);
+        let pairs = pairs_involving_new(&ids, &[]);
         // A deliberately ragged partitioning, including an empty partition.
         let parts = vec![pairs[10..15].to_vec(), Vec::new(), pairs[0..10].to_vec()];
         let cluster = Cluster::local(2);
-        let dist = pairwise_distances_partitioned(&cluster, &corpus, parts).unwrap();
+        let (got, batch) = pairwise_distance_batches(&cluster, &corpus, parts).unwrap();
         let expect_order: Vec<PairId> =
             pairs[10..15].iter().chain(&pairs[0..10]).copied().collect();
         assert_eq!(
-            dist.iter().map(|(p, _)| *p).collect::<Vec<_>>(),
-            expect_order,
+            got, expect_order,
             "output must follow (partition, pair) order"
         );
-        for (pid, v) in &dist {
+        for (i, pid) in got.iter().enumerate() {
             let expect = pair_distance(&processed[pid.lo as usize], &processed[pid.hi as usize]);
-            assert_eq!(v, &expect);
+            assert_eq!(batch.row(i), expect);
         }
     }
 
@@ -563,11 +540,10 @@ mod tests {
     fn batch_distances_line_up_with_row_facade() {
         let (_, corpus) = tiny_corpus(6);
         let ids: Vec<u64> = (0..6).collect();
-        let pairs = all_pairs(&ids);
-        let parts = vec![pairs[8..15].to_vec(), Vec::new(), pairs[0..8].to_vec()];
+        let pairs = pairs_involving_new(&ids, &[]);
+        let parts = contiguous_partitions(pairs.clone(), 3);
         let cluster = Cluster::local(2);
-        let (got_pairs, batch) =
-            pairwise_distance_batches(&cluster, &corpus, parts.clone()).unwrap();
+        let (got_pairs, batch) = pairwise_distance_batches(&cluster, &corpus, parts).unwrap();
         assert_eq!(got_pairs.len(), 15);
         assert_eq!(batch.len(), 15);
         // Row ids are the driver-renumbered 0..n, so the batch can go
@@ -575,7 +551,7 @@ mod tests {
         let got_ids: Vec<u64> = (0..batch.len()).map(|i| batch.id(i)).collect();
         assert_eq!(got_ids, (0..15).collect::<Vec<u64>>());
         // The row facade is exactly the zipped view of the batch.
-        let rows = pairwise_distances_partitioned(&Cluster::local(2), &corpus, parts).unwrap();
+        let rows = pairwise_distances(&Cluster::local(2), &corpus, pairs, 3).unwrap();
         for (i, (pid, v)) in rows.iter().enumerate() {
             assert_eq!(*pid, got_pairs[i]);
             assert_eq!(*v, batch.row(i));
@@ -598,7 +574,7 @@ mod tests {
         let ids: Vec<u64> = (0..40).collect();
         // One hot group holding nearly all pairs plus a few singleton groups
         // — the shape a hot drug block produces.
-        let hot = all_pairs(&ids[..30]);
+        let hot = pairs_involving_new(&ids[..30], &[]);
         let groups = vec![
             hot.clone(),
             vec![PairId::new(30, 31)],
@@ -664,8 +640,8 @@ mod tests {
         let (_, corpus) = tiny_corpus(40);
         let ids: Vec<u64> = (0..40).collect();
         let groups = vec![
-            all_pairs(&ids[..25]),
-            all_pairs(&ids[25..33]),
+            pairs_involving_new(&ids[..25], &[]),
+            pairs_involving_new(&ids[25..33], &[]),
             vec![PairId::new(33, 34), PairId::new(35, 36)],
             vec![PairId::new(37, 38)],
         ];
@@ -938,7 +914,7 @@ mod tests {
 
                 let ids: Vec<ReportId> = reports.iter().map(|r| r.id).collect();
                 let (existing, new_ids) = ids.split_at(ids.len() - new.min(ids.len()));
-                let in_pair_order = all_pairs(&ids);
+                let in_pair_order = pairs_involving_new(&ids, &[]);
                 let mut shuffled = in_pair_order.clone();
                 shuffled.shuffle(&mut StdRng::seed_from_u64(seed));
                 let cluster = Cluster::local(2);

@@ -3,8 +3,7 @@
 use crate::blocking::{BlockingIndex, BlockingMark};
 use crate::distance::process_reports;
 use crate::pairing::{
-    contiguous_partitions, pairs_involving_new, pairwise_distance_batches, pairwise_distances,
-    CorpusIndex,
+    contiguous_partitions, pairs_involving_new, pairwise_distance_batches, CorpusIndex,
 };
 use crate::store::PairStore;
 use adr_model::{AdrReport, PairId, ReportId};
@@ -204,15 +203,14 @@ impl DedupSystem {
             }
             wanted.push(pid);
         }
-        let distances = pairwise_distances(
+        let (pairs, vectors) = pairwise_distance_batches(
             &self.cluster,
             &self.epoch.corpus,
-            wanted,
-            self.config.pair_partitions,
+            contiguous_partitions(wanted, self.config.pair_partitions),
         )?;
         let store = Arc::make_mut(&mut self.epoch.store);
-        for (pid, vector) in distances {
-            store.add(pid, vector, dup_set.contains(&pid));
+        for (row, pid) in pairs.into_iter().enumerate() {
+            store.add(pid, vectors.row(row), dup_set.contains(&pid));
         }
         self.publish()
     }
