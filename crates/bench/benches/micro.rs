@@ -240,9 +240,10 @@ fn serve_shape_config() -> DedupConfig {
 /// batches of 40. `system/publish_20k` is what ends every commit: the
 /// training set out of the store and the fit on it, the model before it
 /// dropped (its cached cells evicted) first. `serve/refresh_40_of_2400` is
-/// what a service pays to move to the epoch of a commit of 40: pointer
-/// clones, the interner copy, 40 reports folded into the contingency
-/// tables, and the drop of the epoch it held.
+/// what a service pays to move to the epoch of a commit of 40: the model
+/// and the store by pointer, 40 reports applied to its own corpus and
+/// blocking index and folded into the contingency tables, the interner's
+/// new tokens, and the drop of the model and store it held.
 fn epoch_publish_and_refresh(c: &mut Criterion) {
     const BASE: usize = 2_400;
     const BATCH: usize = 40;

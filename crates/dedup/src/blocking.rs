@@ -313,6 +313,19 @@ impl BlockingIndex {
     }
 }
 
+#[cfg(test)]
+impl BlockingIndex {
+    /// Panic unless `other` holds the same blocks, per-row keys, rows and
+    /// date ids, naming the first field that differs.
+    pub(crate) fn assert_same_as(&self, other: &BlockingIndex) {
+        assert_eq!(self.blocks, other.blocks, "blocks");
+        assert_eq!(self.keys, other.keys, "keys");
+        assert_eq!(self.row_of, other.row_of, "row_of");
+        assert_eq!(self.id_of, other.id_of, "id_of");
+        assert_eq!(self.date_ids, other.date_ids, "date_ids");
+    }
+}
+
 /// A [`BlockingIndex`]'s row count and date count: where
 /// [`BlockingIndex::truncate`] cuts it back to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

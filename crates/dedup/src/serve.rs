@@ -25,21 +25,28 @@
 //! shuffle, whether the batch holds one probe or sixty-four; a batch with
 //! nothing to classify launches none — amortises its launch across every
 //! probe in the batch, exactly like the batch-columnar operators.
-//! Serving is read-only and fits nothing. [`ServeService::refresh`] takes
-//! the epoch the system's last commit published — the classifier, the pair
-//! store, the blocking index and the corpus, four `Arc`s it *shares* with
-//! the system — and *copies* one thing, the token interner, because probes
-//! intern into it. The service never mutates the [`DedupSystem`], and the
-//! system's next write copies a snapshot the service still holds instead of
-//! changing it, so ingest and serve interleave without interference and a
-//! service keeps answering from its epoch until it refreshes.
+//! Serving is read-only and fits nothing. The service *follows* the
+//! system's append-only logs rather than co-owning its database:
+//! [`ServeService::attach`] shares the published epoch by pointer and
+//! clones the token interner once (probes intern into it), and each
+//! [`ServeService::refresh`] shares only the new classifier and pair store,
+//! and applies the reports that arrived since the last refresh to the
+//! service's own corpus and blocking index, and the tokens they brought to
+//! its own interner. So a refresh costs its batch, not the database: the
+//! system's first write after an attach copies the corpus and the index the
+//! service still holds (once per attach), and from the first refresh on the
+//! two sides share neither, so no later write copies them and no refresh
+//! frees a copy. The service never mutates the [`DedupSystem`], so ingest
+//! and serve interleave without interference, and a service keeps answering
+//! from its epoch until it refreshes.
 
 use crate::distance::{HeldReport, ProcessedReport};
-use crate::pairing::{CorpusIndex, DistBatch};
+use crate::pairing::DistBatch;
 use crate::system::{DedupSystem, Epoch};
 use adr_model::{AdrReport, ReportId};
 use sparklet::{stable_hash, Cluster, EventKind, Result, SparkletError};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use textprep::{Pipeline, TokenInterner};
 
 /// Serving knobs. Everything else the service reads is a constant below:
@@ -184,13 +191,10 @@ struct ContingencyTable {
 }
 
 impl ContingencyTable {
-    /// Count report `id` in: one for each of its distinct drug tokens, for
+    /// Count report `r` in: one for each of its distinct drug tokens, for
     /// each of its distinct ADR tokens and for each (drug, ADR) combination.
-    fn count(&mut self, corpus: &CorpusIndex, id: ReportId) {
+    fn count(&mut self, r: &ProcessedReport) {
         self.reports += 1;
-        let Some(r) = corpus.get(&id) else {
-            return;
-        };
         for &d in &r.drug_tokens {
             *self.drug.entry(d).or_insert(0) += 1;
             for &e in &r.adr_tokens {
@@ -268,36 +272,49 @@ impl SignalMemo {
     }
 }
 
-/// The serving service: the epoch the dedup system's last commit published
-/// (re-shared after each ingest commit) plus the adaptive micro-batching
-/// admission queue and the incremental signal stores.
+/// The serving service: the epoch the dedup system's last commit published,
+/// followed commit by commit (see the module docs), plus the adaptive
+/// micro-batching admission queue and the incremental signal stores.
 pub struct ServeService {
     cluster: Cluster,
     config: ServeConfig,
     pipeline: Pipeline,
-    /// The one thing a refresh copies: a clone of the system interner as of
-    /// the last refresh (everything else the service reads is the shared
-    /// `epoch`). It has to be a copy because probe reports intern into it:
-    /// corpus-known tokens resolve to their stable ids; novel tokens get
-    /// fresh ids that provably cannot change any Jaccard distance
-    /// (intersections only ever involve corpus-known ids and union sizes
-    /// are id-independent), so serve results are invariant to probe
-    /// interleaving order. The clone carries the interner's raw-token memo,
-    /// so probe narratives take the same memoised path as ingest; what
-    /// probes add to it dies with the copy at the next refresh.
+    /// The system's interner, cloned once at attach and brought up to date
+    /// at every refresh ([`TokenInterner::follow`]). The service needs its
+    /// own because probe reports intern into it: corpus-known tokens
+    /// resolve to their stable ids; novel tokens get fresh ids that
+    /// provably cannot change any Jaccard distance (intersections only ever
+    /// involve corpus-known ids and union sizes are id-independent), so
+    /// serve results are invariant to probe interleaving order. The clone
+    /// carries the interner's raw-token memo, so probe narratives take the
+    /// same memoised path as ingest; the words probes add are forgotten at
+    /// the next refresh.
     interner: TokenInterner,
-    /// Model, pair store, blocking index and corpus as of the last refresh,
-    /// shared with the system (pointers, not copies) and never written.
+    /// The system's token count at the last refresh: tokens below it are
+    /// the system's, tokens from it on are probe-local.
+    interner_mark: usize,
+    /// Model and pair store as of the last refresh, shared with the system
+    /// (pointers, not copies); the corpus and the blocking index, shared at
+    /// attach and the service's own from its first refresh that applies
+    /// arrivals. None of the four is ever written by the system.
     epoch: Epoch,
     /// Contingency counts over every counted report.
     raw: ContingencyTable,
     /// Contingency contributions of excluded (later-duplicate) reports;
     /// the deduplicated store is `raw − excluded`, evaluated per query.
     excluded_table: ContingencyTable,
-    /// Arrival-order prefix already folded into `raw` (suffix = fresh
-    /// work). The system refuses an id it already holds, so the counted
-    /// reports are the corpus's.
+    /// Arrival-order prefix already in the service's corpus and blocking
+    /// index and folded into `raw` (suffix = fresh work). The system
+    /// refuses an id it already holds, so the counted reports are the
+    /// corpus's.
     counted_len: usize,
+    /// The last id of that prefix, which a refresh checks the system still
+    /// has in place.
+    last_counted: Option<ReportId>,
+    /// Stored duplicate pairs already walked for exclusions. Positives only
+    /// grow across committed states (a rollback puts back a store whose
+    /// positives are a prefix), so a refresh walks the rest.
+    positives_seen: usize,
     /// Reports excluded from the deduplicated store (the later member of
     /// every known duplicate pair).
     excluded: HashSet<ReportId>,
@@ -365,18 +382,30 @@ impl ServeRunSummary {
 }
 
 impl ServeService {
-    /// Build a service over a system's current state ([`ServeService::refresh`]
-    /// runs once, counting every report into the contingency stores).
+    /// Build a service over a system's current state: the published epoch
+    /// shared by pointer (model, pair store, corpus and blocking index),
+    /// the interner cloned, and every report counted into the contingency
+    /// stores. The clone is the only O(database) work a service does; the
+    /// other is the system's, which copies the corpus and the blocking
+    /// index on its first write after the attach (see
+    /// [`ServeService::refresh`]).
+    ///
+    /// A system whose last publish failed is a [`SparkletError::User`], as
+    /// for a refresh.
     pub fn attach(system: &DedupSystem, config: ServeConfig) -> Result<Self> {
+        published(system)?;
         let mut svc = ServeService {
             cluster: system.cluster().clone(),
             config,
             pipeline: *system.pipeline(),
-            interner: TokenInterner::new(),
+            interner: system.interner().clone(),
+            interner_mark: system.interner().mark(),
             epoch: system.epoch().clone(),
             raw: ContingencyTable::default(),
             excluded_table: ContingencyTable::default(),
             counted_len: 0,
+            last_counted: None,
+            positives_seen: 0,
             excluded: HashSet::new(),
             memo: SignalMemo {
                 entries: HashMap::new(),
@@ -385,7 +414,7 @@ impl ServeService {
             },
             batches_served: 0,
         };
-        svc.refresh(system)?;
+        svc.fold(system.arrival_order());
         Ok(svc)
     }
 
@@ -394,51 +423,113 @@ impl ServeService {
         &self.memo
     }
 
-    /// Move to the epoch the system's last commit published. Shares its
-    /// model, pair store, blocking index and corpus (pointer clones: no fit,
-    /// no engine job, no copy), copies the interner, folds the *new*
-    /// arrival-order suffix into the contingency stores (the system refuses
-    /// an id it already holds, so every report in the suffix is new), and
-    /// purges the signal memo: work in the size of the batch, plus the
-    /// interner copy and the drop of the epoch held before.
+    /// Move to the epoch the system's last commit published, in work the
+    /// size of what the system added since the last refresh:
+    ///
+    /// * the model and the pair store are shared by pointer (no fit, no
+    ///   engine job, no copy);
+    /// * the reports that arrived since are cloned into the service's own
+    ///   corpus and inserted into its own blocking index in arrival order,
+    ///   which gives the rows and date ids of the system's index;
+    /// * the interner forgets the words probes added and appends the
+    ///   system's new tokens ([`TokenInterner::follow`]);
+    /// * the new arrivals and the new duplicate pairs are folded into the
+    ///   contingency stores, and the signal memo is purged.
+    ///
+    /// The service never takes the system's corpus or index again, so
+    /// neither side's write copies them and no refresh drops a copy.
     ///
     /// A system that holds labelled pairs but no model — its last publish
-    /// failed — has no epoch to serve: that is a [`SparkletError::User`],
-    /// and the service stays on the epoch it had.
+    /// failed — has no epoch to serve, and a system that does not continue
+    /// the one this service follows (its arrivals, tokens or duplicate
+    /// pairs are not an extension of what the service has applied; checked
+    /// in O(1) at each log's end) cannot be followed: each is a
+    /// [`SparkletError::User`], and the service stays on the epoch it had.
+    /// A service that meets the second, say after recovery from an older
+    /// checkpoint, is replaced by a fresh [`ServeService::attach`].
     pub fn refresh(&mut self, system: &DedupSystem) -> Result<()> {
+        published(system)?;
+        self.check_continued_by(system)?;
         let epoch = system.epoch();
-        let labelled = epoch.store.duplicate_count() + epoch.store.non_duplicate_count();
-        if epoch.model.is_none() && labelled > 0 {
-            return Err(SparkletError::User(
-                "serve: the system's last publish failed, so no model matches its stores — \
-                 run the next detect_new (it republishes) before refreshing"
-                    .into(),
-            ));
-        }
-        self.pipeline = *system.pipeline();
-        self.interner = system.interner().clone();
-        self.epoch = epoch.clone();
+        self.interner.follow(system.interner(), self.interner_mark);
+        self.interner_mark = system.interner().mark();
+        self.epoch.model = epoch.model.clone();
+        self.epoch.store = Arc::clone(&epoch.store);
 
         let order = system.arrival_order();
-        for &id in &order[self.counted_len.min(order.len())..] {
-            self.raw.count(&self.epoch.corpus, id);
-        }
-        self.counted_len = order.len();
-
-        // Newly known duplicate pairs exclude their later (hi) member from
-        // the deduplicated store; only the new exclusions are counted. Most
-        // pairs are old, so the small `excluded` set is asked first and
-        // the corpus only about a new one.
-        for pid in self.epoch.store.duplicate_pairs() {
-            if !self.excluded.contains(&pid.hi) && self.epoch.corpus.contains_key(&pid.hi) {
-                self.excluded.insert(pid.hi);
-                self.excluded_table.count(&self.epoch.corpus, pid.hi);
+        let arrived = &order[self.counted_len..];
+        if !arrived.is_empty() {
+            // The system's first write after the attach copied what it
+            // shared with this service, so these write in place (another
+            // service attached to the same epoch makes one copy here).
+            let corpus = Arc::make_mut(&mut self.epoch.corpus);
+            let blocking = Arc::make_mut(&mut self.epoch.blocking);
+            corpus.reserve(arrived.len());
+            for id in arrived {
+                let report = epoch.corpus[id].clone();
+                blocking.insert(&report);
+                corpus.insert(*id, report);
             }
         }
+        self.fold(order);
+        Ok(())
+    }
+
+    /// Refuse a system whose logs do not extend what this service has
+    /// applied, before anything is touched. Each check is O(1), at the end
+    /// of what was applied: the arrival order still holds the last counted
+    /// id there, the interner the token text at the mark, and the store at
+    /// least as many duplicate pairs as were walked.
+    fn check_continued_by(&self, system: &DedupSystem) -> Result<()> {
+        let order = system.arrival_order();
+        let arrivals = order.len() >= self.counted_len
+            && self.counted_len.checked_sub(1).map(|at| order[at]) == self.last_counted;
+        let tokens = system.interner().len() >= self.interner_mark
+            && self.interner_mark.checked_sub(1).is_none_or(|at| {
+                system.interner().resolve(at as u32) == self.interner.resolve(at as u32)
+            });
+        let positives = system.store().duplicate_count() >= self.positives_seen;
+        let log = if !arrivals {
+            "arrivals"
+        } else if !tokens {
+            "tokens"
+        } else if !positives {
+            "duplicate pairs"
+        } else {
+            return Ok(());
+        };
+        Err(SparkletError::User(format!(
+            "serve: the system's {log} do not continue what this service has applied — \
+             it is not the system the service follows; attach a new service to it"
+        )))
+    }
+
+    /// Fold the arrival-order suffix past `counted_len` (in the service's
+    /// corpus by now) and the duplicate pairs past `positives_seen` into
+    /// the contingency stores, and purge the memo.
+    fn fold(&mut self, order: &[ReportId]) {
+        let corpus = &self.epoch.corpus;
+        for id in &order[self.counted_len..] {
+            self.raw.count(&corpus[id]);
+        }
+        self.counted_len = order.len();
+        self.last_counted = order.last().copied();
+
+        // Newly known duplicate pairs exclude their later (hi) member from
+        // the deduplicated store; only the new exclusions are counted.
+        let store = &self.epoch.store;
+        for pid in store.duplicate_pairs().skip(self.positives_seen) {
+            if !self.excluded.contains(&pid.hi) {
+                if let Some(report) = corpus.get(&pid.hi) {
+                    self.excluded.insert(pid.hi);
+                    self.excluded_table.count(report);
+                }
+            }
+        }
+        self.positives_seen = store.duplicate_count();
 
         // Any commit may have changed any contingency cell.
         self.memo.purge();
-        Ok(())
     }
 
     /// Answer one signal query from the stores (memoised).
@@ -694,6 +785,21 @@ impl ServeService {
             digest,
         })
     }
+}
+
+/// Refuse a system that holds labelled pairs but no model: its last publish
+/// failed, so it has no epoch to serve.
+fn published(system: &DedupSystem) -> Result<()> {
+    let epoch = system.epoch();
+    let labelled = epoch.store.duplicate_count() + epoch.store.non_duplicate_count();
+    if epoch.model.is_none() && labelled > 0 {
+        return Err(SparkletError::User(
+            "serve: the system's last publish failed, so no model matches its stores — \
+             run the next detect_new (it republishes) before refreshing"
+                .into(),
+        ));
+    }
+    Ok(())
 }
 
 /// Order-stable content digest over a slice of answers: equal iff every
@@ -1132,23 +1238,39 @@ mod tests {
         assert_tables_match_the_aggregation(&serve, &sys);
     }
 
+    /// Which of the model, the store, the blocking index and the corpus the
+    /// service shares with the system by pointer.
+    fn shares(serve: &ServeService, sys: &DedupSystem) -> [bool; 4] {
+        let (mine, theirs) = (&serve.epoch, sys.epoch());
+        let model = match (&mine.model, &theirs.model) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        [
+            model,
+            Arc::ptr_eq(&mine.store, &theirs.store),
+            Arc::ptr_eq(&mine.blocking, &theirs.blocking),
+            Arc::ptr_eq(&mine.corpus, &theirs.corpus),
+        ]
+    }
+
+    /// The service holds the system's corpus, blocking index and tokens,
+    /// in copies of its own or not.
+    fn assert_replicates(serve: &ServeService, sys: &DedupSystem) {
+        assert_eq!(*serve.epoch.corpus, *sys.epoch().corpus, "corpus");
+        serve.epoch.blocking.assert_same_as(&sys.epoch().blocking);
+        let tokens = sys.interner();
+        assert_eq!(serve.interner.len(), tokens.len(), "tokens");
+        for id in 0..tokens.len() as u32 {
+            assert_eq!(serve.interner.resolve(id), tokens.resolve(id), "token {id}");
+        }
+    }
+
     #[test]
     fn refresh_shares_the_published_epoch_and_runs_no_job() {
         let (mut sys, ds) = served_system(7);
         let mut serve = ServeService::attach(&sys, ServeConfig::default()).unwrap();
-        let shares = |serve: &ServeService, sys: &DedupSystem| {
-            let (mine, theirs) = (&serve.epoch, sys.epoch());
-            let model = match (&mine.model, &theirs.model) {
-                (Some(a), Some(b)) => std::sync::Arc::ptr_eq(a, b),
-                _ => false,
-            };
-            [
-                model,
-                std::sync::Arc::ptr_eq(&mine.store, &theirs.store),
-                std::sync::Arc::ptr_eq(&mine.blocking, &theirs.blocking),
-                std::sync::Arc::ptr_eq(&mine.corpus, &theirs.corpus),
-            ]
-        };
+        assert_eq!(shares(&serve, &sys), [true; 4], "attach shares the epoch");
         sys.detect_new(&arrivals(&ds, 0..10, 3_000_000)).unwrap();
         let jobs = sys.cluster().metrics().jobs_submitted.get();
         serve.refresh(&sys).unwrap();
@@ -1157,7 +1279,10 @@ mod tests {
             0,
             "a refresh submits no engine job"
         );
-        assert_eq!(shares(&serve, &sys), [true; 4]);
+        // The model and the store by pointer; the corpus and the index are
+        // the service's own, with the system's content.
+        assert_eq!(shares(&serve, &sys), [true, true, false, false]);
+        assert_replicates(&serve, &sys);
 
         let requests: Vec<ServeRequest> = (0..12u64)
             .map(|i| {
@@ -1175,12 +1300,291 @@ mod tests {
             .collect();
         let before = serve.run_open_loop(&requests).unwrap();
         // The system moves on; the service's epoch does not move with it.
+        let held = (serve.epoch.corpus.len(), serve.interner_mark);
         sys.detect_new(&arrivals(&ds, 0..10, 5_000_000)).unwrap();
         assert_eq!(shares(&serve, &sys), [false; 4]);
+        assert_eq!((serve.epoch.corpus.len(), serve.interner_mark), held);
         let during = serve.run_open_loop(&requests).unwrap();
         assert_eq!(before.answers, during.answers);
         serve.refresh(&sys).unwrap();
-        assert_eq!(shares(&serve, &sys), [true; 4]);
+        assert_eq!(shares(&serve, &sys), [true, true, false, false]);
+        assert_replicates(&serve, &sys);
+    }
+
+    #[test]
+    fn after_the_first_write_neither_side_copies_the_corpus_or_the_index() {
+        let (mut sys, ds) = served_system(7);
+        let mut serve = ServeService::attach(&sys, ServeConfig::default()).unwrap();
+        let ptrs = |epoch: &Epoch| (Arc::as_ptr(&epoch.corpus), Arc::as_ptr(&epoch.blocking));
+        let attached = ptrs(&serve.epoch);
+        // The first write after the attach copies what the service holds.
+        sys.detect_new(&arrivals(&ds, 0..10, 3_000_000)).unwrap();
+        let written = ptrs(sys.epoch());
+        assert_ne!(written.0, attached.0, "the first write copies the corpus");
+        assert_ne!(written.1, attached.1, "and the index");
+        serve.refresh(&sys).unwrap();
+        assert_eq!(ptrs(&serve.epoch), attached, "the refresh writes in place");
+        for (round, base) in [(1, 4_000_000), (2, 5_000_000), (3, 6_000_000)] {
+            sys.detect_new(&arrivals(&ds, 0..10, base)).unwrap();
+            assert_eq!(ptrs(sys.epoch()), written, "write {round} copied");
+            serve.refresh(&sys).unwrap();
+            assert_eq!(ptrs(&serve.epoch), attached, "refresh {round} copied");
+            assert_replicates(&serve, &sys);
+        }
+        assert_eq!(serve.counted_len, 290);
+    }
+
+    #[test]
+    fn a_refresh_from_a_system_that_does_not_continue_the_followed_one_is_refused() {
+        let (mut sys, ds) = served_system(9);
+        let mut serve = ServeService::attach(&sys, ServeConfig::default()).unwrap();
+        sys.detect_new(&arrivals(&ds, 0..10, 2_000_000)).unwrap();
+        serve.refresh(&sys).unwrap();
+        let requests: Vec<ServeRequest> = arrivals(&ds, 20..30, 8_000_000)
+            .into_iter()
+            .map(|report| at(0, ServeQuery::Duplicate { report }))
+            .chain([at(
+                0,
+                ServeQuery::Signal {
+                    drug: "panadol".into(),
+                    event: "rash".into(),
+                },
+            )])
+            .collect();
+        let answers = serve.run_open_loop(&requests).unwrap().digest;
+        let state = |serve: &ServeService| {
+            (
+                (serve.counted_len, serve.last_counted, serve.positives_seen),
+                (serve.interner_mark, serve.interner.len()),
+                (Arc::as_ptr(&serve.epoch.store), serve.raw.reports),
+            )
+        };
+        let before = state(&serve);
+
+        // A system one batch behind the followed one: its arrivals are
+        // shorter than what the service applied.
+        let (behind, _) = served_system(9);
+        // Another corpus under other ids: the last applied id differs.
+        let (mut other_ids, other) = served_system(10);
+        other_ids
+            .detect_new(&arrivals(&other, 0..10, 3_000_000))
+            .unwrap();
+        // Another corpus under the same ids: the tokens differ.
+        let (mut same_ids, other) = served_system(10);
+        same_ids
+            .detect_new(&arrivals(&other, 0..10, 2_000_000))
+            .unwrap();
+        let empty = DedupSystem::new(Cluster::local(2), DedupConfig::default());
+        for (stranger, log) in [
+            (&behind, "arrivals"),
+            (&other_ids, "arrivals"),
+            (&same_ids, "tokens"),
+            (&empty, "arrivals"),
+        ] {
+            let err = serve.refresh(stranger).expect_err(log);
+            assert!(
+                matches!(&err, SparkletError::User(m) if m.contains(&format!("system's {log} do not"))),
+                "{err}"
+            );
+            assert_eq!(state(&serve), before, "{log}: the service did not move");
+        }
+        assert_eq!(serve.run_open_loop(&requests).unwrap().digest, answers);
+        // The followed system still refreshes it.
+        sys.detect_new(&arrivals(&ds, 10..20, 2_000_000)).unwrap();
+        serve.refresh(&sys).unwrap();
+        assert_replicates(&serve, &sys);
+    }
+
+    #[test]
+    fn a_service_ahead_of_a_recovered_system_is_refused_and_a_fresh_attach_serves() {
+        use crate::ingest::{IngestConfig, IngestService};
+        let rp = adr_synth::QuarterlyReplay::new(
+            adr_synth::StreamingCorpus::new(SynthConfig::small(300, 15, 31)),
+            60,
+        );
+        let dirs = ["reference", "killed"].map(|leg| {
+            let dir = std::env::temp_dir()
+                .join(format!("dedup-serve-follow-{leg}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            dir
+        });
+        let config = DedupConfig {
+            bootstrap_negatives: 300,
+            use_blocking: true,
+            ..DedupConfig::default()
+        };
+        let open = |cluster, dir| IngestService::open(cluster, config, IngestConfig::new(dir), &rp);
+        // A batch passes batch-start, the publish, then batch-detected:
+        // armed there for batch 3, the run dies with batch 3 published in
+        // memory and not checkpointed.
+        let mut reference = open(Cluster::local(2), &dirs[0]).unwrap();
+        reference.run(&rp, 3).unwrap();
+        let points = reference.system().cluster().driver_points_passed();
+        let mut cluster = sparklet::ClusterConfig::local(2);
+        cluster.fault = sparklet::FaultConfig::disabled().kill_driver_at_point(points + 2);
+        let open = |cluster| open(cluster, &dirs[1]);
+        let mut killed = open(Cluster::new(cluster)).unwrap();
+        killed.run(&rp, 3).unwrap();
+        let mut serve = ServeService::attach(killed.system(), ServeConfig::default()).unwrap();
+        let err = killed.run(&rp, 4).unwrap_err();
+        assert!(err.is_driver_kill(), "{err}");
+        assert_eq!(killed.system().report_count(), 240);
+        serve.refresh(killed.system()).unwrap();
+        drop(killed);
+
+        // Recovery replays the checkpoint, which ends before batch 3.
+        let mut recovered = open(Cluster::local(2)).unwrap();
+        assert_eq!(recovered.system().report_count(), 180);
+        let err = serve.refresh(recovered.system()).unwrap_err();
+        assert!(
+            matches!(&err, SparkletError::User(m) if m.contains("arrivals")),
+            "{err}"
+        );
+        // A fresh attach serves the recovered system, and once batch 3 is
+        // committed again it answers as the service that saw it first.
+        let mut fresh = ServeService::attach(recovered.system(), ServeConfig::default()).unwrap();
+        recovered.run(&rp, 4).unwrap();
+        fresh.refresh(recovered.system()).unwrap();
+        assert_replicates(&fresh, recovered.system());
+        let requests: Vec<ServeRequest> = (0..20u64)
+            .map(|i| {
+                let mut report = rp.quarter_reports(i % 4)[(i as usize * 7) % 60].clone();
+                report.id = 9_000_000 + i;
+                at(i * 100, ServeQuery::Duplicate { report })
+            })
+            .collect();
+        assert_eq!(
+            fresh.run_open_loop(&requests).unwrap().answers,
+            serve.run_open_loop(&requests).unwrap().answers
+        );
+        for dir in dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    /// A followed service against a fresh attach, over random schedules of
+    /// commits, rolled-back commits, refreshes and probe bursts.
+    mod follows {
+        use super::*;
+        use adr_model::PairId;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone, Copy)]
+        enum Step {
+            Commit,
+            FailedCommit,
+            Refresh,
+            Probes,
+        }
+
+        /// Arrival batches of ten after a bootstrap of sixty.
+        const BATCHES: usize = 10;
+
+        /// Word `n` of a family no generated report carries.
+        fn novel(n: usize) -> String {
+            format!("zyx{}walgia", char::from(b'a' + n as u8))
+        }
+
+        /// Batch `i`: its first report's narrative brings word `i`, which a
+        /// probe burst may have interned into the service first.
+        fn batch(ds: &Dataset, i: usize) -> Vec<AdrReport> {
+            let mut reports = ds.reports[60 + 10 * i..70 + 10 * i].to_vec();
+            reports[0].reaction.report_description += &format!(" {}", novel(i));
+            reports
+        }
+
+        /// Probes and signals that intern the words the next two batches
+        /// bring, one of them as a drug word, beside known ones.
+        fn burst(ds: &Dataset, next: usize) -> Vec<ServeRequest> {
+            let mut requests: Vec<ServeRequest> = (0..6)
+                .map(|i| {
+                    let mut report = ds.reports[(next * 13 + i * 29) % ds.reports.len()].clone();
+                    report.id = 5_000_000 + i as u64;
+                    report.reaction.report_description +=
+                        &format!(" {} then {}", novel(next + 1), novel(next));
+                    at(i as u64 * 100, ServeQuery::Duplicate { report })
+                })
+                .collect();
+            for (drug, event) in [(novel(next), "rash"), ("panadol".into(), "nausea")] {
+                let event = event.into();
+                requests.push(at(600, ServeQuery::Signal { drug, event }));
+            }
+            // A member of a known pair short-circuits.
+            requests.push(at(
+                700,
+                ServeQuery::Duplicate {
+                    report: ds.reports[0].clone(),
+                },
+            ));
+            requests
+        }
+
+        proptest! {
+            #[test]
+            fn a_followed_service_answers_as_a_fresh_attach(
+                seed in 0u64..1000,
+                steps in prop::collection::vec(
+                    prop::sample::select(vec![
+                        Step::Commit,
+                        Step::FailedCommit,
+                        Step::Refresh,
+                        Step::Probes,
+                    ]),
+                    0..12,
+                ),
+            ) {
+                let ds = Dataset::generate(&SynthConfig::small(60 + 10 * BATCHES, 10, seed));
+                let mut sys = DedupSystem::new(
+                    Cluster::local(2),
+                    DedupConfig {
+                        bootstrap_negatives: 150,
+                        use_blocking: seed % 2 == 0,
+                        knn: fastknn::FastKnnConfig { b: 4, ..fastknn::FastKnnConfig::default() },
+                        ..DedupConfig::default()
+                    },
+                );
+                let labelled: Vec<PairId> =
+                    ds.duplicate_pairs.iter().filter(|p| p.hi < 60).copied().collect();
+                sys.bootstrap(&ds.reports[..60], &labelled).unwrap();
+                let mut serve = ServeService::attach(&sys, ServeConfig::default()).unwrap();
+                let mut next = 0;
+                // Every schedule ends in a refresh.
+                for step in steps.into_iter().chain([Step::Refresh]) {
+                    match step {
+                        Step::Commit if next < BATCHES => {
+                            sys.detect_new(&batch(&ds, next)).unwrap();
+                            next += 1;
+                        }
+                        // The closing fit fails after the feedback, and the
+                        // attempt rolls itself back.
+                        Step::FailedCommit if next < BATCHES => {
+                            let k = sys.config().knn.k;
+                            sys.config_mut().knn.k = 0;
+                            let failed = sys.detect_new(&batch(&ds, next));
+                            prop_assert!(matches!(failed, Err(SparkletError::User(_))));
+                            sys.config_mut().knn.k = k;
+                        }
+                        Step::Commit | Step::FailedCommit => {}
+                        Step::Probes => {
+                            serve.run_open_loop(&burst(&ds, next)).unwrap();
+                        }
+                        Step::Refresh => {
+                            serve.refresh(&sys).unwrap();
+                            assert_replicates(&serve, &sys);
+                            let mut fresh = ServeService::attach(&sys, ServeConfig::default()).unwrap();
+                            prop_assert_eq!(&serve.raw, &fresh.raw);
+                            prop_assert_eq!(&serve.excluded, &fresh.excluded);
+                            prop_assert_eq!(&serve.excluded_table, &fresh.excluded_table);
+                            let requests = burst(&ds, next);
+                            let followed = serve.run_open_loop(&requests).unwrap();
+                            let attached = fresh.run_open_loop(&requests).unwrap();
+                            prop_assert_eq!(followed.digest, attached.digest);
+                            prop_assert_eq!(followed.answers, attached.answers);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -71,14 +71,20 @@ pub struct Detection {
 
 /// What one commit of the system publishes: the classifier and the three
 /// snapshots it was fitted beside, each behind an `Arc`. Cloning an epoch
-/// clones four pointers. A holder — the serving layer between refreshes —
-/// reads a state that can no longer change: the system writes through
-/// [`Arc::make_mut`], which copies a snapshot on the first write of the
-/// next batch only while somebody still holds it, and writes in place
-/// otherwise. That copy is snapshot isolation for the holder, not a means
-/// of rollback: a [`BatchGuard`] holds the model and the store only, and
-/// undoes the corpus and the blocking index by removing what the attempt
-/// added.
+/// clones four pointers. A holder reads a state that can no longer change:
+/// the system writes through [`Arc::make_mut`], which copies a snapshot on
+/// the first write of the next batch only while somebody still holds it,
+/// and writes in place otherwise. That copy is snapshot isolation for the
+/// holder, not a means of rollback: a [`BatchGuard`] holds the model and
+/// the store only, and undoes the corpus and the blocking index by removing
+/// what the attempt added.
+///
+/// Who holds what: the serving layer takes a whole epoch once, at
+/// [`ServeService::attach`](crate::ServeService::attach), so the system's
+/// next write copies the corpus and the index once. At each refresh it
+/// takes only the model and the store, which every commit replaces anyway,
+/// and applies the new arrivals to the corpus and index it then owns, so
+/// no later write of the system copies the database.
 #[derive(Clone)]
 pub(crate) struct Epoch {
     /// Fitted on exactly the training pairs of `store`; `None` iff the
@@ -266,8 +272,8 @@ impl DedupSystem {
         let slots = (cluster.num_executors * cluster.cores_per_executor)
             .min(sparklet::ClusterConfig::MAX_WORKER_THREADS);
         // Mutating shared snapshots: `make_mut` copies one only while a
-        // serving layer still holds the previous epoch (see [`Epoch`]), so
-        // a batch of inserts costs at most one copy of each.
+        // serving layer attached since the last write still holds it (see
+        // [`Epoch`]), so a batch of inserts costs at most one copy of each.
         let corpus = Arc::make_mut(&mut self.epoch.corpus);
         let blocking = Arc::make_mut(&mut self.epoch.blocking);
         let arrival_order = &mut self.arrival_order;
@@ -455,10 +461,18 @@ impl DedupSystem {
         &self.config
     }
 
-    // Read-only views the serving layer takes at refresh time (see
-    // [`crate::serve`]). Serve never mutates the system — it shares the
-    // epoch and copies the interner — so ingest and serve interleave
-    // without interference.
+    /// The configuration, to set a field a test makes fail (a `k` of 0
+    /// fails the closing fit).
+    #[cfg(test)]
+    pub(crate) fn config_mut(&mut self) -> &mut DedupConfig {
+        &mut self.config
+    }
+
+    // Read-only views the serving layer follows (see [`crate::serve`]).
+    // Serve never mutates the system — it shares the epoch at attach and
+    // then replays the arrival order and the interner's new tokens into
+    // its own copies — so ingest and serve interleave without
+    // interference.
 
     pub(crate) fn epoch(&self) -> &Epoch {
         &self.epoch

@@ -193,6 +193,24 @@ impl TokenInterner {
         self.memo
             .retain(|_, id| id.is_none_or(|id| (id as usize) < mark));
     }
+
+    /// Follow `source`, an interner this one was cloned from when `source`
+    /// was `mark` tokens long: forget what this one interned since
+    /// ([`TokenInterner::truncate`] to `mark`), then append `source`'s
+    /// tokens from `mark` on, sharing their strings. The tokens and ids are
+    /// then `source`'s, at the cost of the words either side added since
+    /// the mark. The raw-token memo keeps its entries below the mark and
+    /// gains none of `source`'s: an unmemoised raw token runs the pipeline
+    /// and interns its stem, which resolves to the id `source` gave it.
+    ///
+    /// `source` must hold this interner's first `mark` tokens, in order;
+    /// a caller that cannot vouch for it checks them first.
+    pub fn follow(&mut self, source: &TokenInterner, mark: usize) {
+        self.truncate(mark);
+        for token in &source.tokens[self.tokens.len()..] {
+            self.push(Arc::clone(token));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -273,6 +291,47 @@ mod tests {
         // Truncating past the end is a no-op.
         interner.truncate(99);
         assert_eq!(interner.len(), 6);
+    }
+
+    #[test]
+    fn follow_forgets_local_words_and_takes_the_source_suffix() {
+        let mut source = TokenInterner::new();
+        source.intern_set(["aspirin", "rash"]);
+        assert_eq!(source.intern_terms("coughing"), vec![2]);
+        let mut follower = source.clone();
+        let mark = follower.mark();
+        // Words only the follower saw, one of which the source meets later
+        // under another id; a raw token memoised on each side of the mark.
+        assert_eq!(follower.intern_terms("zyxwalgia, coughing"), vec![2, 3]);
+        follower.intern_lowercase("Novelol");
+        source.intern_set(["codeine", "zyxwalgia"]);
+        assert_eq!(source.intern_terms("vomiting"), vec![5]);
+
+        follower.follow(&source, mark);
+        assert_eq!(follower.len(), source.len());
+        for id in 0..source.len() as u32 {
+            assert_eq!(follower.resolve(id), source.resolve(id));
+        }
+        assert_eq!(follower.ids, source.ids);
+        assert!(
+            Arc::ptr_eq(&follower.tokens[4], &source.tokens[4]),
+            "shared"
+        );
+        assert!(follower
+            .memo
+            .values()
+            .all(|id| id.is_none_or(|id| (id as usize) < mark)));
+        // The memo holds none of the source's new raw tokens; the pipeline
+        // reaches the ids the source gave them.
+        assert_eq!(
+            follower.intern_terms("coughing, vomiting zyxwalgia"),
+            vec![2, 4, 5]
+        );
+        assert_eq!(follower.len(), source.len(), "nothing new interned");
+        // Following again from the new mark takes nothing more.
+        let mark = follower.mark();
+        follower.follow(&source, mark);
+        assert_eq!(follower.ids, source.ids);
     }
 
     /// One report's text: name words (`intern_lowercase`, as drug and ADR
