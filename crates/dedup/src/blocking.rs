@@ -89,8 +89,10 @@ impl BlockingIndex {
         );
         self.id_of.push(r.id);
         if let Some(date) = &r.onset_date {
-            let next = self.date_ids.len() as u32;
-            self.date_ids.entry(date.clone()).or_insert(next);
+            if !self.date_ids.contains_key(date.as_str()) {
+                let next = self.date_ids.len() as u32;
+                self.date_ids.insert(date.clone(), next);
+            }
         }
         let keys = self.probe_keys(r);
         for key in &keys {

@@ -45,15 +45,19 @@
 //! reports leave the corpus and the blocking index, and the pre-attempt
 //! model and store swap back; the retry replays bit-identically),
 //! poison-batch quarantine (journaled, dumped to `quarantine.log`,
-//! skipped), and torn-write detection with previous-commit fallback. A base written in another checkpoint format version is
-//! refused, not fallen back past.
+//! skipped), and torn-write detection with previous-commit fallback. A
+//! base written in another checkpoint format version is refused, not fallen
+//! back past.
 
-use crate::store::PairStore;
+use crate::store::{
+    into_text, next_line, parse_u64, push_decimal, push_field, push_hex_field, push_version,
+    u64_field, version, PairStore,
+};
 use crate::system::{DedupConfig, DedupSystem, Detection};
 use adr_model::AdrReport;
 use adr_synth::QuarterlyReplay;
 use sparklet::{stable_hash, Cluster, EventKind, IngestBatchRow, SparkletError};
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -172,8 +176,10 @@ const BACKOFF_JITTER_US: u64 = 10_000;
 const KEEP_CHECKPOINTS: usize = 2;
 
 /// Current checkpoint schema version (2 dropped the `lagged_pairs` line
-/// with the admission gate that read it; a version-1 directory is refused).
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// with the admission gate that read it; 3 embeds the `pairstore v2`
+/// snapshot, a header and the delta from an empty store). A directory
+/// written in an earlier version is refused.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Virtual cost of a checkpoint write: fixed fsync+rename latency plus a
 /// per-KiB streaming term.
@@ -639,23 +645,23 @@ impl IngestService {
             Some(_) => store.delta(),
             None => store.snapshot(),
         };
-        let mut commit = String::new();
+        let mut commit = Vec::new();
         state.push_lines(&mut commit);
-        let _ = writeln!(commit, "store {}", payload.len());
-        let mut framed = String::with_capacity(commit.len() + payload.len() + 96);
-        let _ = match log_base {
-            Some(_) => writeln!(framed, "record {}", commit.len() + payload.len()),
-            None => writeln!(
-                framed,
-                "ingest v{CHECKPOINT_VERSION}\nconfig {:016x}",
-                self.config_digest
-            ),
-        };
-        framed.push_str(&commit);
+        push_field(&mut commit, "store", payload.len() as u64);
+        let mut head = Vec::with_capacity(commit.len() + payload.len() + 96);
+        match log_base {
+            Some(_) => push_field(&mut head, "record", (commit.len() + payload.len()) as u64),
+            None => {
+                push_version(&mut head, "ingest", CHECKPOINT_VERSION);
+                push_hex_field(&mut head, "config", self.config_digest);
+            }
+        }
+        head.extend_from_slice(&commit);
+        let mut framed = into_text(head);
         framed.push_str(&payload);
         let crc = stable_hash(framed.as_str());
-        let _ = writeln!(framed, "crc {crc:016x}");
         let mut bytes = framed.into_bytes();
+        push_hex_field(&mut bytes, "crc", crc);
         if let Some(torn) = self.config.torn_write {
             if torn.generation == generation {
                 bytes.truncate(torn.keep_bytes);
@@ -728,7 +734,7 @@ impl IngestService {
             if let Some(g) = name
                 .strip_prefix("ckpt-")
                 .and_then(|s| s.strip_suffix(".ckpt"))
-                .and_then(|s| s.parse::<u64>().ok())
+                .and_then(|s| parse_u64(s, 10, "base generation").ok())
             {
                 self.bases.push(g);
             }
@@ -775,53 +781,32 @@ impl IngestService {
 }
 
 impl CommitState {
-    fn push_lines(&self, out: &mut String) {
-        let _ = writeln!(out, "generation {}", self.generation);
-        let _ = writeln!(out, "batch_high_water {}", self.batch_high_water);
-        let _ = writeln!(out, "cumulative_digest {:016x}", self.cumulative_digest);
-        let _ = writeln!(out, "reports {}", self.reports);
-        let _ = writeln!(out, "interner_tokens {}", self.interner_tokens);
-        let _ = writeln!(out, "centres {:016x}", self.centres_digest);
-        let _ = writeln!(out, "skipped {}", self.skipped.len());
-        for b in &self.skipped {
-            let _ = writeln!(out, "{b}");
+    fn push_lines(&self, out: &mut Vec<u8>) {
+        push_field(out, "generation", self.generation);
+        push_field(out, "batch_high_water", self.batch_high_water);
+        push_hex_field(out, "cumulative_digest", self.cumulative_digest);
+        push_field(out, "reports", self.reports);
+        push_field(out, "interner_tokens", self.interner_tokens);
+        push_hex_field(out, "centres", self.centres_digest);
+        push_field(out, "skipped", self.skipped.len() as u64);
+        for &batch in &self.skipped {
+            push_decimal(out, batch);
+            out.push(b'\n');
         }
     }
-}
-
-fn next_line<'a>(rest: &mut &'a str) -> Result<&'a str, String> {
-    let nl = rest.find('\n').ok_or("truncated checkpoint")?;
-    let line = &rest[..nl];
-    *rest = &rest[nl + 1..];
-    Ok(line)
-}
-
-fn field<'a>(rest: &mut &'a str, name: &str) -> Result<&'a str, String> {
-    let line = next_line(rest)?;
-    line.strip_prefix(name)
-        .map(|s| s.trim())
-        .ok_or_else(|| format!("expected {name}, got {line:?}"))
-}
-
-fn hex(s: &str, name: &str) -> Result<u64, String> {
-    u64::from_str_radix(s, 16).map_err(|_| format!("bad {name}: {s:?}"))
-}
-
-fn int(s: &str, name: &str) -> Result<u64, String> {
-    s.parse().map_err(|_| format!("bad {name}: {s:?}"))
 }
 
 /// Parse what a base and a log record share: the commit's header fields,
 /// then `store <len>` and exactly `len` bytes of store payload (a snapshot
 /// in a base, a delta in a record), which is returned unparsed.
 fn parse_commit(mut rest: &str) -> Result<(CommitState, &str), String> {
-    let generation = int(field(&mut rest, "generation")?, "generation")?;
-    let batch_high_water = int(field(&mut rest, "batch_high_water")?, "batch_high_water")?;
-    let cumulative_digest = hex(field(&mut rest, "cumulative_digest")?, "cumulative_digest")?;
-    let reports = int(field(&mut rest, "reports")?, "reports")?;
-    let interner_tokens = int(field(&mut rest, "interner_tokens")?, "interner_tokens")?;
-    let centres_digest = hex(field(&mut rest, "centres")?, "centres")?;
-    let skipped_count = int(field(&mut rest, "skipped")?, "skipped")? as usize;
+    let generation = u64_field(&mut rest, "generation", 10)?;
+    let batch_high_water = u64_field(&mut rest, "batch_high_water", 10)?;
+    let cumulative_digest = u64_field(&mut rest, "cumulative_digest", 16)?;
+    let reports = u64_field(&mut rest, "reports", 10)?;
+    let interner_tokens = u64_field(&mut rest, "interner_tokens", 10)?;
+    let centres_digest = u64_field(&mut rest, "centres", 16)?;
+    let skipped_count = u64_field(&mut rest, "skipped", 10)? as usize;
     if skipped_count > batch_high_water as usize {
         return Err(format!(
             "skipped count {skipped_count} exceeds high-water mark {batch_high_water}"
@@ -829,9 +814,10 @@ fn parse_commit(mut rest: &str) -> Result<(CommitState, &str), String> {
     }
     let mut skipped = Vec::with_capacity(skipped_count.min(rest.len()));
     for _ in 0..skipped_count {
-        skipped.push(int(next_line(&mut rest)?, "skipped batch")?);
+        let line = next_line(&mut rest).ok_or("truncated skipped batches")?;
+        skipped.push(parse_u64(line, 10, "skipped batch")?);
     }
-    let store_len = int(field(&mut rest, "store")?, "store")? as usize;
+    let store_len = u64_field(&mut rest, "store", 10)? as usize;
     if store_len != rest.len() {
         return Err(format!(
             "store length {store_len}, but {} bytes follow",
@@ -858,7 +844,7 @@ enum Unreadable {
     /// Whole — its CRC holds — but written in another format version:
     /// recovery refuses the directory rather than fall back past (and later
     /// garbage-collect) a base it cannot read.
-    Version(u32),
+    Version(u64),
 }
 
 impl From<String> for Unreadable {
@@ -872,26 +858,17 @@ impl From<String> for Unreadable {
 fn parse_checkpoint(raw: &str) -> Result<Checkpoint, Unreadable> {
     // The CRC line covers every byte before it.
     let crc_at = raw.rfind("crc ").ok_or(Unreadable::Damaged)?;
-    if crc_at == 0 || raw.as_bytes()[crc_at - 1] != b'\n' {
-        return Err(Unreadable::Damaged);
-    }
-    let body = &raw[..crc_at];
-    let crc_line = raw[crc_at..].trim_end();
-    let stated = u64::from_str_radix(crc_line.trim_start_matches("crc ").trim(), 16)
-        .map_err(|_| Unreadable::Damaged)?;
-    if stated != stable_hash(body) {
+    let (body, mut trailer) = raw.split_at(crc_at);
+    let stated = u64_field(&mut trailer, "crc", 16)?;
+    if !body.ends_with('\n') || !trailer.is_empty() || stated != stable_hash(body) {
         return Err(Unreadable::Damaged);
     }
     let mut rest = body;
-    let header = next_line(&mut rest)?;
-    let version: u32 = header
-        .strip_prefix("ingest v")
-        .and_then(|v| v.parse().ok())
-        .ok_or(Unreadable::Damaged)?;
-    if version != CHECKPOINT_VERSION {
+    let version = version(&mut rest, "ingest")?;
+    if version != u64::from(CHECKPOINT_VERSION) {
         return Err(Unreadable::Version(version));
     }
-    let config_digest = hex(field(&mut rest, "config")?, "config")?;
+    let config_digest = u64_field(&mut rest, "config", 16)?;
     let (state, snapshot) = parse_commit(rest)?;
     Ok(Checkpoint {
         config_digest,
@@ -906,17 +883,16 @@ fn parse_checkpoint(raw: &str) -> Result<Checkpoint, Unreadable> {
 /// not a whole record that matches its CRC — a torn tail.
 fn next_record(log: &[u8]) -> Option<(&str, usize)> {
     let header_end = log.iter().take(32).position(|&b| b == b'\n')?;
-    let len: usize = std::str::from_utf8(&log[..header_end])
-        .ok()?
-        .strip_prefix("record ")?
-        .parse()
-        .ok()?;
+    let mut header = std::str::from_utf8(&log[..header_end]).ok()?;
+    let len = u64_field(&mut header, "record", 10).ok()? as usize;
     let commit_end = (header_end + 1).checked_add(len)?;
     let end = commit_end.checked_add(CRC_LINE_BYTES)?;
     let framed = std::str::from_utf8(log.get(..commit_end)?).ok()?;
-    let crc_line = std::str::from_utf8(log.get(commit_end..end)?).ok()?;
-    let stated = crc_line.strip_prefix("crc ")?.strip_suffix('\n')?;
-    if u64::from_str_radix(stated, 16).ok()? != stable_hash(framed) {
+    let mut crc_line = std::str::from_utf8(log.get(commit_end..end)?)
+        .ok()?
+        .strip_suffix('\n')?;
+    let stated = u64_field(&mut crc_line, "crc", 16).ok()?;
+    if !crc_line.is_empty() || stated != stable_hash(framed) {
         return None;
     }
     Some((&framed[header_end + 1..], end))
@@ -1130,37 +1106,52 @@ mod tests {
         svc.run(&rp, 1).unwrap();
         let path = svc.checkpoint_path(svc.base_generation.unwrap());
         drop(svc);
-        // Rewrite the base as version 1 wrote it: its header, the
+        // Rewrite the base as versions 1 and 2 wrote it: their header, the
+        // `pairstore v1` snapshot both embedded (`overflow_offers` in its
+        // header, sections without a start, no slots), version 1's
         // `lagged_pairs` line after the digest, a CRC that holds.
-        let v2 = fs::read_to_string(&path).unwrap();
-        let body = &v2[..v2.rfind("crc ").unwrap()];
-        let digest_line = body
+        let v3 = fs::read_to_string(&path).unwrap();
+        let body = &v3[..v3.rfind("crc ").unwrap()];
+        let (fields, store) = body.split_at(body.find("\nstore ").unwrap() + 1);
+        let snapshot = store.split_once('\n').unwrap().1;
+        let old_snapshot = snapshot
+            .replacen("pairstore v2\n", "pairstore v1\n", 1)
+            .replacen("pairstore-delta v1\n", "", 1)
+            .replacen("\nduplicates 0 ", "\nduplicates ", 1)
+            .replacen("\nnon_duplicates 0 ", "\nnon_duplicates ", 1);
+        let old_snapshot = old_snapshot.strip_suffix("slots 0\n").unwrap();
+        let digest_line = fields
             .lines()
             .find(|l| l.starts_with("cumulative_digest"))
             .unwrap();
-        let mut v1 = body.replacen("ingest v2\n", "ingest v1\n", 1).replacen(
-            digest_line,
-            &format!("{digest_line}\nlagged_pairs 0"),
-            1,
-        );
-        let crc = stable_hash(v1.as_str());
-        let _ = writeln!(v1, "crc {crc:016x}");
-        fs::write(&path, &v1).unwrap();
-        assert!(matches!(parse_checkpoint(&v1), Err(Unreadable::Version(1))));
-        let err = IngestService::open(
-            Cluster::local(2),
-            dedup_config(),
-            IngestConfig::new(&dir),
-            &rp,
-        )
-        .err()
-        .expect("a version-1 base is refused");
-        assert!(
-            matches!(&err, IngestError::Checkpoint(m)
-                if m == "unsupported checkpoint version 1 (supported: 2)"),
-            "{err}"
-        );
-        assert_eq!(fs::read_to_string(&path).unwrap(), v1, "left as found");
+        for version in [1u64, 2] {
+            let mut fields = fields.replacen("ingest v3\n", &format!("ingest v{version}\n"), 1);
+            if version == 1 {
+                fields = fields.replacen(digest_line, &format!("{digest_line}\nlagged_pairs 0"), 1);
+            }
+            let mut old = format!("{fields}store {}\n{old_snapshot}", old_snapshot.len());
+            let crc = stable_hash(old.as_str());
+            old.push_str(&format!("crc {crc:016x}\n"));
+            fs::write(&path, &old).unwrap();
+            assert!(
+                matches!(parse_checkpoint(&old), Err(Unreadable::Version(v)) if v == version),
+                "version {version}"
+            );
+            let err = IngestService::open(
+                Cluster::local(2),
+                dedup_config(),
+                IngestConfig::new(&dir),
+                &rp,
+            )
+            .err()
+            .expect("a base in an earlier version is refused");
+            let want = format!("unsupported checkpoint version {version} (supported: 3)");
+            assert!(
+                matches!(&err, IngestError::Checkpoint(m) if *m == want),
+                "{err}"
+            );
+            assert_eq!(fs::read_to_string(&path).unwrap(), old, "left as found");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1268,8 +1259,9 @@ mod tests {
         let duplicates = svc.system().store().duplicate_count();
         drop(svc);
         let open_with = |state: &CommitState, delta: &str| {
-            let mut commit = String::new();
+            let mut commit = Vec::new();
             state.push_lines(&mut commit);
+            let mut commit = into_text(commit);
             commit.push_str(&format!("store {}\n{delta}", delta.len()));
             let mut framed = format!("record {}\n{commit}", commit.len());
             let crc = stable_hash(framed.as_str());

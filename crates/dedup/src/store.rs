@@ -4,12 +4,18 @@
 //! non-duplicate report pair database only keeps a subset of known
 //! non-duplicates" — the imbalance-driven asymmetry that shapes the whole
 //! system. Newly classified pairs feed back in (the dashed line of Fig. 1).
+//!
+//! One text grammar persists the stores: a [`PairStore::snapshot`] is a
+//! three-line header and the [`PairStore::delta`] from an empty store, so
+//! one reader checks a checkpoint's base and its log records alike. Its
+//! line helpers also serve the checkpoint's own fields (`crate::ingest`).
 
 use adr_model::{DistVec, PairId, ReportId};
 use fastknn::LabeledPair;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use simmetrics::hash::{WordMap, WordSet};
+use std::fmt::Display;
 
 /// Bounded labelled-pair store with feedback. Vectors are fixed-arity
 /// [`DistVec`]s, so entries are flat `(PairId, [f64; 8])` tuples — no
@@ -43,8 +49,9 @@ pub struct PairStore {
     /// Ids of the currently retained negatives — always in lockstep with
     /// `non_duplicates`, so at most `max_non_duplicates` entries.
     negative_ids: WordSet<PairId>,
-    /// Maximum non-duplicate pairs retained.
-    pub max_non_duplicates: usize,
+    /// Maximum non-duplicate pairs retained. Fixed at `new`: the reservoir
+    /// and the change tracking assume it never falls below the length.
+    max_non_duplicates: usize,
     /// Seed the reservoir RNG was created from (kept for snapshots: the
     /// RNG state is `seed` advanced by `overflow_offers` draws).
     seed: u64,
@@ -96,8 +103,8 @@ impl Dirty {
     }
 }
 
-/// Two lower-case hex digits per byte value: the snapshot writer emits a
-/// 16-digit word as eight table reads.
+/// Two lower-case hex digits per byte value: a 16-digit word is eight
+/// table reads.
 const HEX_PAIRS: [[u8; 2]; 256] = {
     const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut table = [[0u8; 2]; 256];
@@ -109,7 +116,7 @@ const HEX_PAIRS: [[u8; 2]; 256] = {
     table
 };
 
-fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+pub(crate) fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
     loop {
@@ -123,11 +130,37 @@ fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
     out.extend_from_slice(&digits[at..]);
 }
 
+/// `n` as 16 lower-case hex digits. Always inlined: a pair line writes
+/// eight, and as a call it slowed the snapshot and delta writers.
+#[inline(always)]
+fn push_hex(out: &mut Vec<u8>, n: u64) {
+    for byte in n.to_be_bytes() {
+        out.extend_from_slice(&HEX_PAIRS[byte as usize]);
+    }
+}
+
 /// `"{name} {n}\n"`.
-fn push_field(out: &mut Vec<u8>, name: &str, n: u64) {
+pub(crate) fn push_field(out: &mut Vec<u8>, name: &str, n: u64) {
     out.extend_from_slice(name.as_bytes());
     out.push(b' ');
     push_decimal(out, n);
+    out.push(b'\n');
+}
+
+/// `"{name} {n:016x}\n"`.
+pub(crate) fn push_hex_field(out: &mut Vec<u8>, name: &str, n: u64) {
+    out.extend_from_slice(name.as_bytes());
+    out.push(b' ');
+    push_hex(out, n);
+    out.push(b'\n');
+}
+
+/// `"{name} v{version}\n"`: the first line of a snapshot, a delta or a
+/// checkpoint base.
+pub(crate) fn push_version(out: &mut Vec<u8>, name: &str, version: u32) {
+    out.extend_from_slice(name.as_bytes());
+    out.extend_from_slice(b" v");
+    push_decimal(out, version.into());
     out.push(b'\n');
 }
 
@@ -139,9 +172,7 @@ fn push_pair(out: &mut Vec<u8>, id: &PairId, v: &DistVec) {
     push_decimal(out, id.hi);
     for x in v {
         out.push(b' ');
-        for byte in x.to_bits().to_be_bytes() {
-            out.extend_from_slice(&HEX_PAIRS[byte as usize]);
-        }
+        push_hex(out, x.to_bits());
     }
     out.push(b'\n');
 }
@@ -152,17 +183,58 @@ const PAIR_LINE_MAX: usize = 2 * 20 + 8 * 17 + 2;
 
 #[expect(
     clippy::expect_used,
-    reason = "the snapshot and delta writers emit ASCII only"
+    reason = "the store and checkpoint writers emit ASCII only"
 )]
-fn into_text(bytes: Vec<u8>) -> String {
-    String::from_utf8(bytes).expect("the snapshot writer emits ASCII only")
+pub(crate) fn into_text(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).expect("the store and checkpoint writers emit ASCII only")
+}
+
+/// The line at the head of `rest`, without its newline, advancing `rest`
+/// past it; `None` at the end of the text. A last line without a newline
+/// counts, as with [`str::lines`].
+pub(crate) fn next_line<'a>(rest: &mut &'a str) -> Option<&'a str> {
+    if rest.is_empty() {
+        return None;
+    }
+    let (line, after) = rest.split_once('\n').unwrap_or((rest, ""));
+    *rest = after;
+    Some(line)
+}
+
+/// The `value` of the `"{name} {value}"` line at the head of `rest`. The
+/// one line reader of the store and checkpoint grammars.
+pub(crate) fn field<'a>(rest: &mut &'a str, name: &str) -> Result<&'a str, String> {
+    let line = next_line(rest).ok_or_else(|| format!("missing {name}"))?;
+    line.strip_prefix(name)
+        .and_then(|value| value.strip_prefix(' '))
+        .ok_or_else(|| format!("expected {name}, got {line:?}"))
+}
+
+/// The one integer parser of the store and checkpoint grammars: `word` in
+/// `radix`, or an error naming the field.
+pub(crate) fn parse_u64(word: &str, radix: u32, name: impl Display) -> Result<u64, String> {
+    u64::from_str_radix(word, radix).map_err(|_| format!("bad {name}: {word:?}"))
+}
+
+/// A `"{name} {value}"` line whose value is a number in `radix`.
+pub(crate) fn u64_field(rest: &mut &str, name: &str, radix: u32) -> Result<u64, String> {
+    parse_u64(field(rest, name)?, radix, name)
+}
+
+/// The `version` of the `"{name} v{version}"` line at the head of `rest`.
+pub(crate) fn version(rest: &mut &str, name: &str) -> Result<u64, String> {
+    let value = field(rest, name)?;
+    let digits = value
+        .strip_prefix('v')
+        .ok_or_else(|| format!("bad {name} header: {value:?}"))?;
+    parse_u64(digits, 10, format_args!("{name} version"))
 }
 
 /// Parse the `lo hi c0 … c7` remainder of a pair line.
 fn parse_pair(parts: &mut std::str::SplitAsciiWhitespace<'_>) -> Result<(PairId, DistVec), String> {
     let mut id_part = |name: &str| -> Result<u64, String> {
         let word = parts.next().ok_or_else(|| format!("missing {name}"))?;
-        word.parse().map_err(|_| format!("bad {name}: {word:?}"))
+        parse_u64(word, 10, name)
     };
     let lo = id_part("lo")?;
     let hi = id_part("hi")?;
@@ -171,26 +243,12 @@ fn parse_pair(parts: &mut std::str::SplitAsciiWhitespace<'_>) -> Result<(PairId,
         let word = parts
             .next()
             .ok_or_else(|| format!("missing component {d}"))?;
-        let bits =
-            u64::from_str_radix(word, 16).map_err(|_| format!("bad component {d}: {word:?}"))?;
-        *slot = f64::from_bits(bits);
+        *slot = f64::from_bits(parse_u64(word, 16, format_args!("component {d}"))?);
     }
     if parts.next().is_some() {
         return Err("trailing data on pair line".into());
     }
     Ok((PairId { lo, hi }, v))
-}
-
-/// `"{name} {value}"` line → `value`.
-fn field<'a>(lines: &mut std::str::Lines<'a>, name: &str) -> Result<&'a str, String> {
-    let line = lines.next().ok_or_else(|| format!("missing {name}"))?;
-    line.strip_prefix(name)
-        .map(str::trim)
-        .ok_or_else(|| format!("expected {name}, got {line:?}"))
-}
-
-fn parse_u64(s: &str, name: &str) -> Result<u64, String> {
-    s.parse().map_err(|_| format!("bad {name}: {s:?}"))
 }
 
 impl PairStore {
@@ -237,7 +295,8 @@ impl PairStore {
             return;
         }
         if is_duplicate {
-            self.push_duplicate(id, vector);
+            self.duplicates.push((id, vector));
+            self.index_duplicate(id);
             return;
         }
         if self.non_duplicates.len() < self.max_non_duplicates {
@@ -258,10 +317,9 @@ impl PairStore {
         }
     }
 
-    /// Append a duplicate and index it. The member index is derived state,
-    /// rebuilt by `restore` and `apply_delta` rather than serialised.
-    fn push_duplicate(&mut self, id: PairId, vector: DistVec) {
-        self.duplicates.push((id, vector));
+    /// Index an appended duplicate. The member index is derived state,
+    /// rebuilt by `apply_delta` rather than serialised.
+    fn index_duplicate(&mut self, id: PairId) {
         self.duplicate_ids.insert(id);
         *self.duplicate_members.entry(id.lo).or_insert(0) += 1;
         *self.duplicate_members.entry(id.hi).or_insert(0) += 1;
@@ -320,9 +378,14 @@ impl PairStore {
     }
 
     /// Current snapshot schema version (see [`PairStore::snapshot`]).
-    pub const SNAPSHOT_VERSION: u32 = 1;
+    /// Version 2 made the body the delta from an empty store; a version-1
+    /// snapshot (its own section grammar) is refused.
+    pub const SNAPSHOT_VERSION: u32 = 2;
 
-    /// Serialise the full store state to a schema-versioned text snapshot.
+    /// Serialise the full store state to a schema-versioned text snapshot:
+    /// a three-line header — `pairstore v2`, `max_non_duplicates`, `seed` —
+    /// then the [`delta`](PairStore::delta) of this store from an empty
+    /// one (every pair appended, no slot overwritten).
     ///
     /// The format is line-oriented and exact: distance components are
     /// written as `f64::to_bits` hex so a round trip is bit-identical, and
@@ -332,27 +395,15 @@ impl PairStore {
     /// draws. A restored store therefore continues the reservoir stream
     /// exactly where the original would have.
     pub fn snapshot(&self) -> String {
-        let pairs = self.duplicates.len() + self.non_duplicates.len();
-        let mut out = Vec::with_capacity(128 + PAIR_LINE_MAX * pairs);
-        out.extend_from_slice(b"pairstore v");
-        push_decimal(&mut out, Self::SNAPSHOT_VERSION as u64);
-        out.push(b'\n');
+        let mut out = Vec::new();
+        push_version(&mut out, "pairstore", Self::SNAPSHOT_VERSION);
         push_field(
             &mut out,
             "max_non_duplicates",
             self.max_non_duplicates as u64,
         );
         push_field(&mut out, "seed", self.seed);
-        push_field(&mut out, "overflow_offers", self.overflow_offers);
-        for (section, pairs) in [
-            ("duplicates", &self.duplicates),
-            ("non_duplicates", &self.non_duplicates),
-        ] {
-            push_field(&mut out, section, pairs.len() as u64);
-            for (id, v) in pairs {
-                push_pair(&mut out, id, v);
-            }
-        }
+        self.push_delta(&mut out, &Dirty::default());
         into_text(out)
     }
 
@@ -368,37 +419,43 @@ impl PairStore {
     /// the store. [`PairStore::apply_delta`] on a store in the checkpointed
     /// state reproduces this one bit for bit, RNG included.
     pub fn delta(&self) -> String {
-        let new_duplicates = &self.duplicates[self.dirty.dup_from..];
-        let new_negatives = &self.non_duplicates[self.dirty.neg_from..];
-        let overwritten: Vec<usize> = self.dirty.overwritten().collect();
+        let mut out = Vec::new();
+        self.push_delta(&mut out, &self.dirty);
+        into_text(out)
+    }
+
+    /// The one body writer: what changed since the checkpoint `since`
+    /// describes (`Dirty::default()` for an empty store).
+    fn push_delta(&self, out: &mut Vec<u8>, since: &Dirty) {
+        let (dup_from, neg_from) = (since.dup_from, since.neg_from);
+        let new_duplicates = &self.duplicates[dup_from..];
+        let new_negatives = &self.non_duplicates[neg_from..];
+        let overwritten: Vec<usize> = since.overwritten().collect();
         let lines = new_duplicates.len() + new_negatives.len() + overwritten.len();
-        let mut out = Vec::with_capacity(128 + PAIR_LINE_MAX * lines);
-        out.extend_from_slice(b"pairstore-delta v");
-        push_decimal(&mut out, Self::DELTA_VERSION as u64);
-        out.push(b'\n');
-        push_field(&mut out, "overflow_offers", self.overflow_offers);
+        out.reserve(128 + PAIR_LINE_MAX * lines);
+        push_version(out, "pairstore-delta", Self::DELTA_VERSION);
+        push_field(out, "overflow_offers", self.overflow_offers);
         for (section, from, pairs) in [
-            ("duplicates", self.dirty.dup_from, new_duplicates),
-            ("non_duplicates", self.dirty.neg_from, new_negatives),
+            ("duplicates", dup_from, new_duplicates),
+            ("non_duplicates", neg_from, new_negatives),
         ] {
             out.extend_from_slice(section.as_bytes());
             out.push(b' ');
-            push_decimal(&mut out, from as u64);
+            push_decimal(out, from as u64);
             out.push(b' ');
-            push_decimal(&mut out, pairs.len() as u64);
+            push_decimal(out, pairs.len() as u64);
             out.push(b'\n');
             for (id, v) in pairs {
-                push_pair(&mut out, id, v);
+                push_pair(out, id, v);
             }
         }
-        push_field(&mut out, "slots", overwritten.len() as u64);
+        push_field(out, "slots", overwritten.len() as u64);
         for slot in overwritten {
             let (id, v) = &self.non_duplicates[slot];
-            push_decimal(&mut out, slot as u64);
+            push_decimal(out, slot as u64);
             out.push(b' ');
-            push_pair(&mut out, id, v);
+            push_pair(out, id, v);
         }
-        into_text(out)
     }
 
     /// Declare the current state checkpointed: the next
@@ -416,63 +473,28 @@ impl PairStore {
     /// snapshot stays far below this.
     pub const MAX_OVERFLOW_OFFERS: u64 = 1 << 32;
 
-    /// Rebuild a store from a [`PairStore::snapshot`]. Returns a
-    /// descriptive error for unknown versions or malformed input — never
+    /// Rebuild a store from a [`PairStore::snapshot`]: read the header,
+    /// create the empty store it names and [`apply_delta`] the rest, so the
+    /// base of a checkpoint passes every check a log record does. Returns
+    /// a descriptive error for unknown versions or malformed input — never
     /// panics and never loops unboundedly, however corrupt the input (the
     /// property checkpoint recovery relies on to *detect* a torn write and
     /// fall back, rather than crash on it).
+    ///
+    /// [`apply_delta`]: PairStore::apply_delta
     pub fn restore(snapshot: &str) -> Result<Self, String> {
-        let mut lines = snapshot.lines();
-        let header = lines.next().ok_or("empty snapshot")?;
-        let version: u32 = header
-            .strip_prefix("pairstore v")
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| format!("bad snapshot header: {header:?}"))?;
-        if version != Self::SNAPSHOT_VERSION {
+        let mut rest = snapshot;
+        let version = version(&mut rest, "pairstore")?;
+        if version != u64::from(Self::SNAPSHOT_VERSION) {
             return Err(format!(
                 "unsupported snapshot version {version} (supported: {})",
                 Self::SNAPSHOT_VERSION
             ));
         }
-        let max_non_duplicates = parse_u64(
-            field(&mut lines, "max_non_duplicates")?,
-            "max_non_duplicates",
-        )? as usize;
-        let seed = parse_u64(field(&mut lines, "seed")?, "seed")?;
+        let max_non_duplicates = u64_field(&mut rest, "max_non_duplicates", 10)? as usize;
+        let seed = u64_field(&mut rest, "seed", 10)?;
         let mut store = PairStore::new(max_non_duplicates, seed);
-        store.advance_overflow_offers(parse_u64(
-            field(&mut lines, "overflow_offers")?,
-            "overflow_offers",
-        )?)?;
-        // No section can legitimately hold more pairs than the snapshot has
-        // lines; rejecting overflowed counts up front keeps a corrupt count
-        // from driving a huge pre-allocation or a line-by-line crawl.
-        let line_budget = snapshot.len() / 4;
-        for section in ["duplicates", "non_duplicates"] {
-            let count = parse_u64(field(&mut lines, section)?, section)? as usize;
-            if count > line_budget + 1 {
-                return Err(format!("{section} count {count} exceeds snapshot size"));
-            }
-            if section == "non_duplicates" && count > max_non_duplicates {
-                return Err(format!(
-                    "non_duplicates count {count} exceeds capacity {max_non_duplicates}"
-                ));
-            }
-            for _ in 0..count {
-                let line = lines.next().ok_or_else(|| format!("truncated {section}"))?;
-                let (id, v) = parse_pair(&mut line.split_ascii_whitespace())?;
-                if section == "duplicates" {
-                    store.push_duplicate(id, v);
-                } else {
-                    store.non_duplicates.push((id, v));
-                    store.negative_ids.insert(id);
-                }
-            }
-        }
-        if lines.next().is_some() {
-            return Err("trailing data after snapshot".into());
-        }
-        store.mark_checkpointed();
+        store.apply_delta(rest)?;
         Ok(store)
     }
 
@@ -499,49 +521,38 @@ impl PairStore {
     }
 
     /// Apply a [`PairStore::delta`] taken from a store that was, at its
-    /// last checkpoint, in exactly this store's state. Like
-    /// [`restore`](PairStore::restore) it never panics or loops unboundedly
-    /// on hostile input: a delta that does not continue this store — an
-    /// append that does not start at the current length, a slot outside the
-    /// reservoir, a count larger than the delta itself, a pair already
-    /// stored — is an error. On error the store may be partly updated and
-    /// must be discarded. On success the store is left checkpointed.
+    /// last checkpoint, in exactly this store's state. The one body reader:
+    /// [`restore`](PairStore::restore) passes it a snapshot's body. Like
+    /// `restore` it never panics or loops unboundedly on hostile input: a
+    /// delta that does not continue this store — an append that does not
+    /// start at the current length, a slot outside the reservoir, a count
+    /// larger than the delta itself or than the reservoir, a pair already
+    /// stored or listed twice — is an error. On error the store may be
+    /// partly updated and must be discarded. On success the store is left
+    /// checkpointed.
     pub fn apply_delta(&mut self, delta: &str) -> Result<(), String> {
-        let mut lines = delta.lines();
-        let header = lines.next().ok_or("empty delta")?;
-        let version: u32 = header
-            .strip_prefix("pairstore-delta v")
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| format!("bad delta header: {header:?}"))?;
-        if version != Self::DELTA_VERSION {
+        let mut rest = delta;
+        let version = version(&mut rest, "pairstore-delta")?;
+        if version != u64::from(Self::DELTA_VERSION) {
             return Err(format!(
                 "unsupported delta version {version} (supported: {})",
                 Self::DELTA_VERSION
             ));
         }
-        self.advance_overflow_offers(parse_u64(
-            field(&mut lines, "overflow_offers")?,
-            "overflow_offers",
-        )?)?;
+        self.advance_overflow_offers(u64_field(&mut rest, "overflow_offers", 10)?)?;
+        // No section can hold more pairs than the text has lines; rejecting
+        // larger counts up front keeps a corrupt count from driving a huge
+        // allocation or a line-by-line crawl.
         let line_budget = delta.len() / 4 + 1;
-        let mut appended = [Vec::new(), Vec::new()];
-        for (section, pairs) in ["duplicates", "non_duplicates"]
-            .into_iter()
-            .zip(&mut appended)
-        {
-            let mut words = field(&mut lines, section)?.split_ascii_whitespace();
-            let mut word = |name: &str| -> Result<usize, String> {
-                let w = words
-                    .next()
-                    .ok_or_else(|| format!("missing {section} {name}"))?;
-                Ok(parse_u64(w, name)? as usize)
-            };
-            let (from, count) = (word("from")?, word("count")?);
-            let current = if section == "duplicates" {
-                self.duplicates.len()
-            } else {
-                self.non_duplicates.len()
-            };
+        // Appended pairs go straight onto the lists, so each is held once;
+        // their ids are checked and indexed once the slots are read.
+        let (dup_from, neg_from) = (self.duplicates.len(), self.non_duplicates.len());
+        for (section, current) in [("duplicates", dup_from), ("non_duplicates", neg_from)] {
+            let (from, count) = field(&mut rest, section)?
+                .split_once(' ')
+                .ok_or_else(|| format!("missing {section} count"))?;
+            let from = parse_u64(from, 10, "from")? as usize;
+            let count = parse_u64(count, 10, "count")? as usize;
             if from != current {
                 return Err(format!(
                     "{section} delta starts at {from}, the store holds {current}"
@@ -558,25 +569,29 @@ impl PairStore {
                     self.max_non_duplicates
                 ));
             }
+            let pairs = if section == "duplicates" {
+                &mut self.duplicates
+            } else {
+                &mut self.non_duplicates
+            };
             pairs.reserve(count);
             for _ in 0..count {
-                let line = lines.next().ok_or_else(|| format!("truncated {section}"))?;
+                let line = next_line(&mut rest).ok_or_else(|| format!("truncated {section}"))?;
                 pairs.push(parse_pair(&mut line.split_ascii_whitespace())?);
             }
         }
-        let count = parse_u64(field(&mut lines, "slots")?, "slots")? as usize;
+        let count = u64_field(&mut rest, "slots", 10)? as usize;
         if count > line_budget {
             return Err(format!("slots count {count} exceeds delta size"));
         }
         let mut overwrites: Vec<(usize, (PairId, DistVec))> = Vec::with_capacity(count);
         for _ in 0..count {
-            let line = lines.next().ok_or("truncated slots")?;
+            let line = next_line(&mut rest).ok_or("truncated slots")?;
             let mut parts = line.split_ascii_whitespace();
-            let slot = parse_u64(parts.next().ok_or("missing slot")?, "slot")? as usize;
-            if slot >= self.non_duplicates.len() {
+            let slot = parse_u64(parts.next().ok_or("missing slot")?, 10, "slot")? as usize;
+            if slot >= neg_from {
                 return Err(format!(
-                    "slot {slot} outside the reservoir ({} of {} filled)",
-                    self.non_duplicates.len(),
+                    "slot {slot} outside the reservoir ({neg_from} of {} filled)",
                     self.max_non_duplicates
                 ));
             }
@@ -585,7 +600,7 @@ impl PairStore {
             }
             overwrites.push((slot, parse_pair(&mut parts)?));
         }
-        if lines.next().is_some() {
+        if !rest.is_empty() {
             return Err("trailing data after delta".into());
         }
         // A pair evicted from one slot may have come back through another
@@ -594,19 +609,19 @@ impl PairStore {
         for (slot, _) in &overwrites {
             self.negative_ids.remove(&self.non_duplicates[*slot].0);
         }
-        let [new_duplicates, new_negatives] = appended;
         let repeated = |id: PairId| format!("delta repeats stored pair {id:?}");
-        for (id, v) in new_duplicates {
+        for at in dup_from..self.duplicates.len() {
+            let id = self.duplicates[at].0;
             if self.contains(&id) {
                 return Err(repeated(id));
             }
-            self.push_duplicate(id, v);
+            self.index_duplicate(id);
         }
-        for (id, v) in new_negatives {
+        for at in neg_from..self.non_duplicates.len() {
+            let id = self.non_duplicates[at].0;
             if self.contains(&id) {
                 return Err(repeated(id));
             }
-            self.non_duplicates.push((id, v));
             self.negative_ids.insert(id);
         }
         for (slot, (id, v)) in overwrites {
@@ -827,7 +842,7 @@ mod tests {
             store.add(pid(i, i + 10_000), dv(0.3 + i as f64), false);
         }
         let snap = store.snapshot();
-        assert!(snap.starts_with("pairstore v1\n"), "versioned header");
+        assert!(snap.starts_with("pairstore v2\n"), "versioned header");
         let mut restored = PairStore::restore(&snap).expect("restore");
         // Bit-identical state: a second snapshot reproduces the first.
         assert_eq!(restored.snapshot(), snap);
@@ -866,10 +881,8 @@ mod tests {
     #[test]
     fn restore_rejects_bad_snapshots() {
         assert!(PairStore::restore("").is_err());
-        assert!(
-            PairStore::restore("pairstore v99\n").is_err(),
-            "unknown version"
-        );
+        let err = PairStore::restore("pairstore v99\n").unwrap_err();
+        assert!(err.contains("unsupported snapshot version 99"), "{err}");
         let good = PairStore::new(4, 1).snapshot();
         let truncated = &good[..good.len() - 1];
         // Dropping the final newline still parses (lines() semantics), but
@@ -885,7 +898,13 @@ mod tests {
             .rsplit_once('\n')
             .unwrap()
             .0;
-        assert!(PairStore::restore(cut).is_err(), "missing pair line");
+        assert!(PairStore::restore(cut).is_err(), "missing section line");
+        let (head, _) = snap.split_once("duplicates 0 1\n").unwrap();
+        let err = PairStore::restore(&format!("{head}duplicates 0 1\n")).unwrap_err();
+        assert!(
+            err.contains("truncated duplicates"),
+            "missing pair line: {err}"
+        );
         assert!(
             PairStore::restore(&format!("{snap}extra\n")).is_err(),
             "trailing garbage"
@@ -896,8 +915,8 @@ mod tests {
     fn restore_rejects_hostile_counts_without_hanging() {
         // A malformed overflow_offers must not replay u64::MAX RNG draws.
         let hostile = format!(
-            "pairstore v1\nmax_non_duplicates 4\nseed 1\noverflow_offers {}\n\
-             duplicates 0\nnon_duplicates 0\n",
+            "pairstore v2\nmax_non_duplicates 4\nseed 1\npairstore-delta v1\n\
+             overflow_offers {}\nduplicates 0 0\nnon_duplicates 0 0\nslots 0\n",
             u64::MAX
         );
         let err = PairStore::restore(&hostile).unwrap_err();
@@ -905,17 +924,68 @@ mod tests {
         // A section count far beyond the snapshot's own size is rejected
         // up front instead of crawling line by line.
         let bloated = format!(
-            "pairstore v1\nmax_non_duplicates 4\nseed 1\noverflow_offers 0\n\
-             duplicates {}\n",
+            "pairstore v2\nmax_non_duplicates 4\nseed 1\npairstore-delta v1\n\
+             overflow_offers 0\nduplicates 0 {}\n",
             u64::MAX
         );
         let err = PairStore::restore(&bloated).unwrap_err();
-        assert!(err.contains("exceeds snapshot size"), "{err}");
+        assert!(err.contains("exceeds delta size"), "{err}");
         // More retained negatives than the stated capacity is inconsistent.
-        let over_capacity = "pairstore v1\nmax_non_duplicates 1\nseed 1\noverflow_offers 0\n\
-             duplicates 0\nnon_duplicates 3\n";
+        let over_capacity = "pairstore v2\nmax_non_duplicates 1\nseed 1\npairstore-delta v1\n\
+             overflow_offers 0\nduplicates 0 0\nnon_duplicates 0 3\n";
         let err = PairStore::restore(over_capacity).unwrap_err();
         assert!(err.contains("exceeds capacity"), "{err}");
+    }
+
+    #[test]
+    fn restore_refuses_a_version_1_snapshot() {
+        // Version 1 had its own section grammar: `overflow_offers` in the
+        // header, `duplicates <count>` without a start, no slots.
+        let v1 = "pairstore v1\nmax_non_duplicates 4\nseed 1\noverflow_offers 0\n\
+                  duplicates 0\nnon_duplicates 0\n";
+        let err = PairStore::restore(v1).unwrap_err();
+        assert_eq!(err, "unsupported snapshot version 1 (supported: 2)");
+    }
+
+    #[test]
+    fn restore_refuses_a_pair_listed_twice() {
+        // A snapshot is a delta from an empty store, so the check that
+        // keeps a record from repeating a stored pair guards it too: the
+        // member index and the id sets could not stay in lockstep with a
+        // list that holds one pair twice.
+        let mut store = PairStore::new(4, 1);
+        store.add(pid(1, 2), dv(0.1), true);
+        store.add(pid(3, 4), dv(0.9), false);
+        let snap = store.snapshot();
+        let line_of = |id: PairId| {
+            let prefix = format!("{} {} ", id.lo, id.hi);
+            let line = snap.lines().find(|l| l.starts_with(&prefix)).unwrap();
+            format!("{line}\n")
+        };
+        let (dup, neg) = (line_of(pid(1, 2)), line_of(pid(3, 4)));
+        let cases = [
+            (
+                "a duplicate twice",
+                snap.replace(
+                    &format!("duplicates 0 1\n{dup}"),
+                    &format!("duplicates 0 2\n{dup}{dup}"),
+                ),
+            ),
+            (
+                "a negative twice",
+                snap.replace(
+                    &format!("non_duplicates 0 1\n{neg}"),
+                    &format!("non_duplicates 0 2\n{neg}{neg}"),
+                ),
+            ),
+            ("a pair under both labels", snap.replace(&neg, &dup)),
+        ];
+        for (what, text) in cases {
+            assert_ne!(text, snap, "{what}: the case must edit the snapshot");
+            let err = PairStore::restore(&text).expect_err(what);
+            assert!(err.contains("repeats stored pair"), "{what}: {err}");
+        }
+        assert!(PairStore::restore(&snap).is_ok());
     }
 
     /// A store with 3 duplicates, a full 8-slot reservoir and 40 overflow
@@ -983,7 +1053,7 @@ mod tests {
             .clone()
             .apply_delta(&with("40", "3 0", "8 0", "0"))
             .is_ok());
-        rejects("", "empty delta");
+        rejects("", "missing pairstore-delta");
         rejects(&good.replace(" v1", " v9"), "unsupported delta version");
         // The reservoir RNG cannot run backwards, nor for centuries.
         rejects(&with("39", "3 0", "8 0", "0"), "behind the store");

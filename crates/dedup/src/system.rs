@@ -581,8 +581,8 @@ mod tests {
         let (mut sys, ds) = system_with_corpus(1);
         sys.bootstrap(&ds.reports, &ds.duplicate_pairs).unwrap();
         let snapshot = sys.store().snapshot();
-        assert_eq!(snapshot.len(), 59_508);
-        assert_eq!(sparklet::stable_hash(&snapshot), 10515812461782158190);
+        assert_eq!(snapshot.len(), 59_539);
+        assert_eq!(sparklet::stable_hash(&snapshot), 14124668357941831548);
     }
 
     #[test]
