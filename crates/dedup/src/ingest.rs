@@ -358,8 +358,6 @@ impl IngestService {
             .cluster()
             .journal()
             .record(EventKind::IngestRecovered {
-                generation: state.generation,
-                batch_high_water: state.batch_high_water,
                 fallback: service.recovered_fallback,
             });
         service.batch_high_water = state.batch_high_water;
@@ -482,7 +480,7 @@ impl IngestService {
         let mut attempt = 0u64;
         self.cluster().driver_fault_point("batch-start")?;
         let detections = loop {
-            let latency_start = self.cluster().journal().now_us();
+            let latency_start = self.cluster().clock().total_work().us;
             let result = if poisoned {
                 Err(SparkletError::User(format!(
                     "poisoned batch {batch} (injected)"
@@ -516,8 +514,9 @@ impl IngestService {
         self.cluster().driver_fault_point("batch-committed")?;
         let latency = self
             .cluster()
-            .journal()
-            .now_us()
+            .clock()
+            .total_work()
+            .us
             .saturating_sub(latency_start);
         self.cluster()
             .journal()
@@ -574,12 +573,7 @@ impl IngestService {
         }
         self.cluster()
             .journal()
-            .record(EventKind::IngestQuarantined {
-                batch,
-                reports: reports.len() as u64,
-                attempts,
-                reason: error.to_string(),
-            });
+            .record(EventKind::IngestQuarantined);
         self.skipped.push(batch);
         self.batch_high_water += 1;
         self.write_checkpoint()?;
@@ -985,14 +979,11 @@ mod tests {
         assert_eq!(svc2.batch_high_water(), 4);
         assert_eq!(svc2.cumulative_digest(), digest);
         assert!(!svc2.recovered_with_fallback());
-        let tags: Vec<&str> = svc2
-            .cluster()
-            .journal()
-            .events()
-            .iter()
-            .map(|e| e.kind.tag())
-            .collect();
-        assert!(tags.contains(&"ingest_recovered"));
+        let recovered = svc2.job_report().ingest;
+        assert_eq!(
+            (recovered.recoveries, recovered.checkpoint_fallbacks),
+            (1, 0)
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -319,8 +319,6 @@ pub struct ServeService {
     /// every known duplicate pair).
     excluded: HashSet<ReportId>,
     memo: SignalMemo,
-    /// Micro-batches dispatched over the service lifetime (journal index).
-    batches_served: u64,
 }
 
 /// The outcome of one open-loop run: per-request answers and latencies in
@@ -412,7 +410,6 @@ impl ServeService {
                 hits: 0,
                 lookups: 0,
             },
-            batches_served: 0,
         };
         svc.fold(system.arrival_order());
         Ok(svc)
@@ -755,15 +752,12 @@ impl ServeService {
             self.cluster
                 .journal()
                 .record(EventKind::ServeBatchExecuted {
-                    batch: self.batches_served,
                     requests: batch_len,
                     queue_depth,
                     memo_lookups: self.memo.lookups() - memo_lookups0,
                     memo_hits: self.memo.hits() - memo_hits0,
                     service_us,
-                    latency_us: completion - requests[i].arrival_us,
                 });
-            self.batches_served += 1;
             batches += 1;
             service_total += service_us;
             free_at = completion;
@@ -1705,7 +1699,7 @@ mod tests {
             "{err}"
         );
         assert_eq!(serve.memo().lookups(), 0, "nothing was answered");
-        assert_eq!(serve.batches_served, 0);
+        assert_eq!(sys.cluster().job_report().serve.batches, 0);
         assert_eq!(sys.cluster().metrics().jobs_submitted.get(), jobs);
     }
 }

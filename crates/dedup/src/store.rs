@@ -281,7 +281,8 @@ impl PairStore {
     /// Number of pair ids the store currently tracks for membership —
     /// bounded by `duplicate_count() + max_non_duplicates` no matter how
     /// many pairs the feedback loop has offered.
-    pub fn tracked_id_count(&self) -> usize {
+    #[cfg(test)]
+    fn tracked_id_count(&self) -> usize {
         self.duplicate_ids.len() + self.negative_ids.len()
     }
 
@@ -357,7 +358,8 @@ impl PairStore {
     /// Is this *report* a member of any stored duplicate pair? O(1): the
     /// per-report index is maintained on every duplicate insert, so a
     /// serving lookup never scans the pair list.
-    pub fn is_duplicate_member(&self, id: ReportId) -> bool {
+    #[cfg(test)]
+    fn is_duplicate_member(&self, id: ReportId) -> bool {
         self.duplicate_members.contains_key(&id)
     }
 
@@ -368,7 +370,8 @@ impl PairStore {
     }
 
     /// Distinct reports that appear in at least one stored duplicate pair.
-    pub fn duplicate_member_count(&self) -> usize {
+    #[cfg(test)]
+    fn duplicate_member_count(&self) -> usize {
         self.duplicate_members.len()
     }
 
@@ -380,7 +383,7 @@ impl PairStore {
     /// Current snapshot schema version (see [`PairStore::snapshot`]).
     /// Version 2 made the body the delta from an empty store; a version-1
     /// snapshot (its own section grammar) is refused.
-    pub const SNAPSHOT_VERSION: u32 = 2;
+    pub(crate) const SNAPSHOT_VERSION: u32 = 2;
 
     /// Serialise the full store state to a schema-versioned text snapshot:
     /// a three-line header — `pairstore v2`, `max_non_duplicates`, `seed` —
@@ -408,7 +411,7 @@ impl PairStore {
     }
 
     /// Current delta schema version (see [`PairStore::delta`]).
-    pub const DELTA_VERSION: u32 = 1;
+    pub(crate) const DELTA_VERSION: u32 = 1;
 
     /// Serialise what changed since the last
     /// [`mark_checkpointed`](PairStore::mark_checkpointed) (or since
@@ -471,7 +474,7 @@ impl PairStore {
     /// RNG draw per overflow offer, so an unchecked (malformed or hostile)
     /// value like `u64::MAX` would spin for centuries; any legitimate
     /// snapshot stays far below this.
-    pub const MAX_OVERFLOW_OFFERS: u64 = 1 << 32;
+    pub(crate) const MAX_OVERFLOW_OFFERS: u64 = 1 << 32;
 
     /// Rebuild a store from a [`PairStore::snapshot`]: read the header,
     /// create the empty store it names and [`apply_delta`] the rest, so the

@@ -132,9 +132,9 @@ impl PassStart {
 
     /// Coalesce the classification since `self` into one `PruneApplied`
     /// event, driver-side (tasks have no journal access): counter deltas
-    /// across its jobs. One event per product call or Algorithm 2 block
-    /// bounds journal volume by calls, never by test-pair count. A model without the distance metadata
-    /// journals its passes too, with nothing avoided.
+    /// across its jobs, folded into the report's `prune` section as one
+    /// pass per product call or Algorithm 2 block. A model without the
+    /// distance metadata journals its passes too, with nothing avoided.
     fn journal(self, cluster: &Cluster) {
         let after = PassStart::take(cluster).0;
         let delta = |i: usize| after[i].saturating_sub(self.0[i]);
@@ -860,16 +860,11 @@ mod tests {
                 + m.counter(counters::CROSS_COMPARISONS).get()
                 + positive;
             let avoided = m.counter(counters::PRUNE_EVALS_AVOIDED).get();
-            let events = cluster
-                .journal()
-                .events()
-                .iter()
-                .filter(|e| e.kind.tag() == "prune_applied")
-                .count();
-            (out, evals, positive, avoided, events)
+            let passes = cluster.job_report().prune.passes;
+            (out, evals, positive, avoided, passes)
         };
-        let (pruned, evals_on, positive_on, avoided, events_on) = run(true);
-        let (full, evals_off, positive_off, avoided_off, events_off) = run(false);
+        let (pruned, evals_on, positive_on, avoided, passes_on) = run(true);
+        let (full, evals_off, positive_off, avoided_off, passes_off) = run(false);
         assert_eq!(pruned, full, "pruning must not change a single result");
         assert!(avoided > 0, "the workload must exercise the bounds");
         assert_eq!(
@@ -882,8 +877,8 @@ mod tests {
             "the window must reject positives too: {positive_on} evaluated"
         );
         assert_eq!(avoided_off, 0, "no pruning, nothing avoided");
-        assert!(events_on > 0, "each block journals one prune event");
-        assert_eq!(events_off, events_on, "with or without anything avoided");
+        assert!(passes_on > 0, "each block journals one prune pass");
+        assert_eq!(passes_off, passes_on, "with or without anything avoided");
         // Conservation, over intra + cross + positive comparisons: every
         // one the unpruned run performs is either performed or explicitly
         // accounted as avoided by the pruned run (scan invariant: evaluated

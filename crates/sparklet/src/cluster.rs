@@ -87,7 +87,6 @@ impl Cluster {
     /// Start a cluster with the given configuration.
     pub fn new(config: ClusterConfig) -> Self {
         let metrics = ClusterMetrics::new();
-        let journal = RunJournal::new();
         let executor_storage =
             (config.memory_per_executor as f64 * BlockManager::STORAGE_FRACTION) as usize;
         let spill = SpillManager::new(
@@ -110,15 +109,12 @@ impl Cluster {
         Cluster {
             inner: Arc::new(ClusterInner {
                 metrics: metrics.clone(),
-                shuffles: ShuffleService::new(metrics.clone())
-                    .with_journal(journal.clone())
-                    .with_spill(spill.clone()),
+                shuffles: ShuffleService::new(metrics.clone()).with_spill(spill.clone()),
                 blocks: BlockManager::new(executor_storage, config.num_executors, metrics)
-                    .with_journal(journal.clone())
                     .with_spill(spill.clone()),
                 spill,
                 clock: VirtualClock::new(),
-                journal,
+                journal: RunJournal::new(),
                 executors: ExecutorRegistry::new(config.num_executors),
                 sender,
                 next_rdd_id: AtomicU64::new(0),
@@ -174,9 +170,8 @@ impl Cluster {
         &self.inner.spill
     }
 
-    /// The run journal: the faults, memory pressure and units of service
-    /// work of this cluster's lifetime (bounded; see
-    /// [`RunJournal::MAX_EVENTS`]). A healthy engine run records nothing.
+    /// The run journal: the report sections that task failures and units
+    /// of service work fold into. A healthy engine run records nothing.
     pub fn journal(&self) -> &RunJournal {
         &self.inner.journal
     }
@@ -219,17 +214,14 @@ impl Cluster {
     /// Pass a driver-side fault point labelled `label`. Each call consumes
     /// one global point index (0-based, across the cluster's lifetime); if
     /// [`crate::FaultConfig::driver_kill`] arms exactly this index, the call
-    /// journals a [`EventKind::DriverKilled`] event and returns the fatal
+    /// journals an [`EventKind::DriverKilled`] and returns the fatal
     /// [`SparkletError::DriverKilled`] — callers must *not* retry it, but
     /// drop their in-memory state and recover from a durable checkpoint.
     /// Otherwise it is free and returns `Ok(())`.
     pub fn driver_fault_point(&self, label: &str) -> Result<()> {
         let point = self.inner.driver_points.fetch_add(1, Ordering::Relaxed);
         if self.inner.config.fault.driver_kill == Some(point) {
-            self.inner.journal.record(EventKind::DriverKilled {
-                point,
-                label: label.to_string(),
-            });
+            self.inner.journal.record(EventKind::DriverKilled);
             return Err(SparkletError::DriverKilled {
                 point,
                 label: label.to_string(),
@@ -245,9 +237,9 @@ impl Cluster {
     }
 
     /// Charge `us` of driver-side work to the virtual clock as a
-    /// single-task stage named `name` and advance the journal's clock by the
-    /// same amount. Used by driver-level services (checkpoint writes, retry
-    /// backoff waits) whose cost is not incurred by any executor task.
+    /// single-task stage named `name`. Used by driver-level services
+    /// (checkpoint writes, retry backoff waits) whose cost is not incurred
+    /// by any executor task.
     pub fn charge_driver_stage(&self, name: &str, us: u64) {
         self.inner.clock.record_stage(StageRecord {
             name: name.to_string(),
@@ -256,7 +248,6 @@ impl Cluster {
             retries: 0,
             morsels: None,
         });
-        self.inner.journal.advance(us);
     }
 
     pub(crate) fn new_rdd_id(&self) -> u64 {
@@ -314,12 +305,6 @@ impl Cluster {
         }
         match handler(self, &missing) {
             Ok(()) => {
-                for &m in &missing {
-                    self.inner.journal.record(EventKind::Recomputed {
-                        shuffle: shuffle_id,
-                        map_task: m,
-                    });
-                }
                 self.inner
                     .metrics
                     .recomputed_tasks
@@ -336,31 +321,24 @@ impl Cluster {
     /// No-op if the executor is unknown or already blacklisted.
     pub(crate) fn kill_executor(&self, executor: usize) {
         let max = self.inner.config.fault.max_executor_failures;
-        let Some(outcome) = self.inner.executors.kill(executor, max) else {
+        let Some(blacklisted) = self.inner.executors.kill(executor, max) else {
             return;
         };
-        let (blocks_lost, _bytes) = self.inner.blocks.evict_executor(executor);
-        let map_outputs_lost = self.inner.shuffles.invalidate_executor(executor);
+        self.inner.blocks.evict_executor(executor);
+        self.inner.shuffles.invalidate_executor(executor);
         // The disk tier is executor-local: its spill file dies with the
         // node, orphaning every slot written under the old incarnation.
         self.inner.spill.invalidate_executor(executor);
         self.inner.metrics.executors_lost.inc();
-        if outcome.blacklisted {
+        if blacklisted {
             self.inner.metrics.executors_blacklisted.inc();
         }
-        self.inner.journal.record(EventKind::ExecutorLost {
-            executor,
-            incarnation: outcome.incarnation_lost,
-            blacklisted: outcome.blacklisted,
-            blocks_lost,
-            map_outputs_lost,
-        });
     }
 
     /// Fire any scheduled kills due at this point: `AtVirtualTime` triggers
-    /// at stage start (`completions == 0`) once the virtual clock passed
-    /// their threshold, `InStage` triggers when the named stage has seen
-    /// exactly `after_completions` completed tasks.
+    /// at stage start (`completions == 0`) once the clock's total work has
+    /// reached their threshold, `InStage` triggers when the named stage has
+    /// seen exactly `after_completions` completed tasks.
     fn process_kill_triggers(&self, stage: &str, completions: usize) {
         if self.inner.config.fault.executor_kills.is_empty() {
             return;
@@ -374,7 +352,7 @@ impl Cluster {
                 }
                 let due = match &kill.when {
                     KillWhen::AtVirtualTime { us } => {
-                        completions == 0 && self.inner.journal.now_us() >= *us
+                        completions == 0 && self.inner.clock.total_work().us >= *us
                     }
                     KillWhen::InStage {
                         name,
@@ -546,12 +524,6 @@ impl Cluster {
                     .is_current(outcome.executor, outcome.incarnation)
                 {
                     self.inner.metrics.tasks_lost.inc();
-                    self.inner.journal.record(EventKind::TaskLost {
-                        stage: stage.to_string(),
-                        task: outcome.task,
-                        attempt: outcome.attempt,
-                        executor: outcome.executor,
-                    });
                     task_us[outcome.task] += outcome.virtual_us;
                     shuffle_bytes += outcome.shuffle_bytes;
                     pending.push((outcome.task, outcome.attempt));
@@ -569,29 +541,20 @@ impl Cluster {
                     }
                     Err(e) => {
                         self.inner.metrics.tasks_failed.inc();
-                        if let SparkletError::FetchFailed { shuffle, bucket } = &e {
+                        if let SparkletError::FetchFailed { shuffle, .. } = &e {
                             self.inner.metrics.fetch_failures.inc();
-                            self.inner.journal.record(EventKind::FetchFailed {
-                                stage: stage.to_string(),
-                                task: outcome.task,
-                                shuffle: *shuffle,
-                                bucket: *bucket,
-                            });
                             failed_shuffles.push(*shuffle);
                         }
-                        let will_retry = outcome.attempt + 1 < max_attempts;
-                        self.inner.journal.record(EventKind::TaskFailed {
-                            failure: FailureLine {
+                        self.inner
+                            .journal
+                            .record(EventKind::TaskFailed(FailureLine {
                                 stage: stage.to_string(),
                                 task: outcome.task,
                                 attempt: outcome.attempt,
                                 reason: e.to_string(),
-                            },
-                            virtual_us: outcome.virtual_us,
-                            will_retry,
-                        });
+                            }));
                         retries += 1;
-                        if will_retry {
+                        if outcome.attempt + 1 < max_attempts {
                             // The reschedule delay is only paid when a retry
                             // actually follows; a final failed attempt ends
                             // the task there and then.
@@ -676,9 +639,9 @@ impl Cluster {
         std::mem::take(&mut *filed)
     }
 
-    /// Close a stage out: record its cost and advance the journal's virtual
-    /// stamp. Morsel stages also replay the steal schedule once, to bump the
-    /// morsel counters and fold it into the report's `sched` section.
+    /// Close a stage out: record its cost on the clock. Morsel stages also
+    /// replay the steal schedule once, to fold it into the report's `sched`
+    /// section.
     fn finish_stage(
         &self,
         stage: &str,
@@ -687,7 +650,6 @@ impl Cluster {
         retries: u64,
         morsels: Option<Vec<usize>>,
     ) {
-        let stage_work: u64 = task_us.iter().sum();
         if let Some(partition_of) = &morsels {
             let sim = simulate_morsels(&task_us, partition_of, self.inner.config.total_slots());
             self.inner.journal.fold_sched(&sim);
@@ -699,7 +661,6 @@ impl Cluster {
             retries,
             morsels,
         });
-        self.inner.journal.advance(stage_work);
     }
 }
 
@@ -938,18 +899,17 @@ mod tests {
         // to have crashed; a recovered service runs on a fresh cluster).
         assert!(c.driver_fault_point("later").is_ok());
         assert_eq!(c.driver_points_passed(), 4);
-        let tags: Vec<&str> = c.journal().events().iter().map(|e| e.kind.tag()).collect();
-        assert_eq!(tags, vec!["driver_killed"]);
+        assert_eq!(c.job_report().ingest.driver_kills, 1);
         c.reset_run_state();
         assert_eq!(c.driver_points_passed(), 0);
     }
 
     #[test]
-    fn charge_driver_stage_advances_clock_and_journal() {
+    fn charge_driver_stage_advances_the_clock() {
         let c = Cluster::local(2);
-        let before = c.journal().now_us();
+        let before = c.clock().total_work().us;
         c.charge_driver_stage("ingest-checkpoint", 5_000);
-        assert_eq!(c.journal().now_us(), before + 5_000);
+        assert_eq!(c.clock().total_work().us, before + 5_000);
         let task_us = c.clock().with_stages(|stages| {
             let s = stages.iter().find(|s| s.name == "ingest-checkpoint");
             s.map(|s| s.task_us.clone())
@@ -1164,8 +1124,6 @@ mod tests {
         assert!(c.blocks().get::<u8>((9, 0)).is_none());
         assert!(!c.shuffles().is_complete(4));
         assert_eq!(c.metrics().executors_lost.get(), 1);
-        let tags: Vec<&str> = c.journal().events().iter().map(|e| e.kind.tag()).collect();
-        assert!(tags.contains(&"executor_lost"));
     }
 
     #[test]
@@ -1224,9 +1182,6 @@ mod tests {
             "both readers failed once"
         );
         assert_eq!(c.metrics().recomputed_tasks.get(), 2);
-        let tags: Vec<&str> = c.journal().events().iter().map(|e| e.kind.tag()).collect();
-        assert!(tags.contains(&"fetch_failed"));
-        assert!(tags.contains(&"recomputed"));
     }
 
     #[test]
@@ -1382,20 +1337,104 @@ mod tests {
         assert_eq!(c.metrics().executors_lost.get(), 1);
     }
 
+    /// The stage at whose start a kill at virtual time `us` fires, over
+    /// three stages of unequal work (`None` if it never fires), and the
+    /// executors it cost by the end.
+    fn stage_a_kill_at_fires_in(us: u64) -> (Option<&'static str>, u64) {
+        let mut cfg = ClusterConfig::local(2);
+        cfg.fault = FaultConfig::disabled().kill_at_time(1, us);
+        let c = Cluster::new(cfg);
+        let mut fired = None;
+        for (stage, ops) in [("first", 1_000u64), ("second", 3_000), ("third", 0)] {
+            c.run_job(stage, 2, move |i, ctx| {
+                ctx.charge_ops(ops);
+                Ok(vec![i])
+            })
+            .unwrap();
+            if fired.is_none() && c.metrics().executors_lost.get() > 0 {
+                fired = Some(stage);
+            }
+        }
+        (fired, c.metrics().executors_lost.get())
+    }
+
     #[test]
     fn at_virtual_time_kills_fire_at_stage_starts() {
+        // The clock's total work after each of the first two stages, read
+        // on a fault-free cluster.
+        let probe = Cluster::local(2);
+        let mut after = Vec::new();
+        for ops in [1_000u64, 3_000] {
+            probe
+                .run_job("probe", 2, move |i, ctx| {
+                    ctx.charge_ops(ops);
+                    Ok(vec![i])
+                })
+                .unwrap();
+            after.push(probe.clock().total_work().us);
+        }
+        let (first, second) = (after[0], after[1]);
+        assert!(0 < first && first < second);
+        // A kill fires at the first stage start whose total work reached its
+        // threshold, and only once: later stages do not re-fire it.
+        for (us, stage) in [
+            (0, Some("first")),
+            (first - 1, Some("second")),
+            (first, Some("second")),
+            (first + 1, Some("third")),
+            (second, Some("third")),
+            (second + 1, None),
+        ] {
+            let lost = u64::from(stage.is_some());
+            assert_eq!(
+                stage_a_kill_at_fires_in(us),
+                (stage, lost),
+                "kill at {us} µs"
+            );
+        }
+    }
+
+    #[test]
+    fn the_clocks_running_total_is_the_work_of_the_recorded_stages() {
         let mut cfg = ClusterConfig::local(2);
-        cfg.fault = FaultConfig::disabled().kill_at_time(1, 1);
+        cfg.fault = FaultConfig::disabled().kill_in_stage(0, "killed", 1);
         let c = Cluster::new(cfg);
-        // First stage starts at virtual time 0 < 1: no kill yet.
-        c.run_job("first", 2, |i, _| Ok(vec![i])).unwrap();
-        assert_eq!(c.metrics().executors_lost.get(), 0);
-        // Second stage starts after `first`'s work advanced the clock.
-        c.run_job("second", 2, |i, _| Ok(vec![i])).unwrap();
-        assert_eq!(c.metrics().executors_lost.get(), 1);
-        // The schedule is one-shot: later stages do not re-fire it.
-        c.run_job("third", 2, |i, _| Ok(vec![i])).unwrap();
-        assert_eq!(c.metrics().executors_lost.get(), 1);
+        let recorded = |c: &Cluster| {
+            c.clock().with_stages(|st| {
+                st.iter()
+                    .map(|s| s.task_us.iter().sum::<u64>())
+                    .sum::<u64>()
+            })
+        };
+        c.run_job("plain", 3, |i, ctx| {
+            ctx.charge_ops(500 * i as u64);
+            Ok(vec![i])
+        })
+        .unwrap();
+        assert_eq!(c.clock().total_work().us, recorded(&c));
+        c.run_morsel_job(
+            "retried",
+            vec![vec![MORSEL_OPS; 3], vec![MORSEL_OPS]],
+            |&w| w,
+            |p, items, ctx| {
+                if p == 0 && ctx.attempt() == 0 {
+                    return Err(SparkletError::User("first attempt".into()));
+                }
+                ctx.charge_ops(items.iter().sum());
+                Ok(items.to_vec())
+            },
+        )
+        .unwrap();
+        assert!(c.metrics().tasks_failed.get() > 0, "a morsel was retried");
+        assert_eq!(c.clock().total_work().us, recorded(&c));
+        c.charge_driver_stage("driver", 7_000);
+        assert_eq!(c.clock().total_work().us, recorded(&c));
+        c.run_job("killed", 4, |i, _| Ok(vec![i])).unwrap();
+        assert_eq!(c.metrics().tasks_lost.get(), 1, "the kill lost a result");
+        assert_eq!(c.clock().total_work().us, recorded(&c));
+        assert!(c.clock().total_work().us > 7_000);
+        c.reset_run_state();
+        assert_eq!(c.clock().total_work().us, 0);
     }
 
     #[test]
@@ -1599,20 +1638,14 @@ mod tests {
             assert_eq!(out, (0..tasks).map(|i| vec![i]).collect::<Vec<_>>());
             assert_eq!(c.metrics().tasks_failed.get(), 1);
             assert_eq!(c.metrics().tasks_succeeded.get(), tasks as u64);
-            let failure = c
-                .journal()
-                .events()
+            let failures: Vec<(usize, u32, String)> = c
+                .job_report()
+                .failures
                 .into_iter()
-                .find_map(|e| match e.kind {
-                    EventKind::TaskFailed {
-                        failure,
-                        will_retry,
-                        ..
-                    } => Some((failure.reason, will_retry)),
-                    _ => None,
-                })
-                .expect("the panic is journaled as a failed attempt");
-            assert_eq!(failure, ("task panicked: first attempt".to_string(), true));
+                .map(|f| (f.task, f.attempt, f.reason))
+                .collect();
+            let panic = (0, 0, "task panicked: first attempt".to_string());
+            assert_eq!(failures, vec![panic], "the panic is a failed attempt");
         }
     }
 

@@ -29,15 +29,6 @@ pub struct ExecutorInfo {
     pub alive: bool,
 }
 
-/// What a kill did to an executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KillOutcome {
-    /// The incarnation that died (placements carrying it become stale).
-    pub incarnation_lost: u32,
-    /// Whether the kill pushed the executor over the failure budget.
-    pub blacklisted: bool,
-}
-
 /// Registry of all executors in a cluster, shared by the scheduler and the
 /// fault injector.
 pub struct ExecutorRegistry {
@@ -99,15 +90,14 @@ impl ExecutorRegistry {
 
     /// Kill `executor`: bump its failure count and either restart it with a
     /// new incarnation or blacklist it once `max_failures` is reached.
-    /// Returns `None` if the executor is unknown or already blacklisted
-    /// (the kill is a no-op).
-    pub(crate) fn kill(&self, executor: usize, max_failures: u32) -> Option<KillOutcome> {
+    /// Returns whether it was blacklisted, or `None` if the executor is
+    /// unknown or already blacklisted (the kill is a no-op).
+    pub(crate) fn kill(&self, executor: usize, max_failures: u32) -> Option<bool> {
         let mut slots = self.slots.lock();
         let e = slots.get_mut(executor)?;
         if !e.alive {
             return None;
         }
-        let incarnation_lost = e.incarnation;
         e.failures += 1;
         let blacklisted = e.failures >= max_failures.max(1);
         if blacklisted {
@@ -115,10 +105,7 @@ impl ExecutorRegistry {
         } else {
             e.incarnation += 1;
         }
-        Some(KillOutcome {
-            incarnation_lost,
-            blacklisted,
-        })
+        Some(blacklisted)
     }
 
     /// Revive every executor with fresh state (between experiment runs).
@@ -147,13 +134,11 @@ mod tests {
     #[test]
     fn kill_restarts_then_blacklists() {
         let r = ExecutorRegistry::new(2);
-        let k1 = r.kill(1, 2).unwrap();
-        assert!(!k1.blacklisted);
-        assert_eq!(k1.incarnation_lost, 0);
+        assert!(r.is_current(1, 0));
+        assert_eq!(r.kill(1, 2), Some(false), "restarted, not blacklisted");
         assert!(r.is_current(1, 1), "restarted with incarnation 1");
         assert!(!r.is_current(1, 0), "old incarnation is stale");
-        let k2 = r.kill(1, 2).unwrap();
-        assert!(k2.blacklisted);
+        assert_eq!(r.kill(1, 2), Some(true), "over the failure budget");
         assert_eq!(r.alive_count(), 1);
         assert!(!r.is_current(1, 1), "blacklisted executor is never current");
         assert!(r.kill(1, 2).is_none(), "killing a dead executor is a no-op");

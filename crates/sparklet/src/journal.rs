@@ -1,145 +1,39 @@
 //! Run journal and exportable job reports — sparklet's observability layer.
 //!
-//! Every cluster owns a [`RunJournal`]: an append-only log of what the
-//! counters cannot say — faults with their reasons, memory
-//! pressure, and one row per unit of service work (a pruning pass, an
-//! ingest commit, a serve micro-batch). A healthy engine run logs nothing:
-//! its routine record is [`crate::metrics::ClusterMetrics`], the clock's
-//! [`StageRecord`]s and the report's `sched` section. Timestamps are
-//! virtual: each event is stamped with the virtual work completed stages
-//! had accumulated when it was recorded — wall-clock times on the worker
-//! pool are meaningless for the paper's figures (see [`crate::simtime`]).
+//! Every cluster owns a [`RunJournal`]: the running sections of its
+//! [`JobReport`] that the counters cannot hold — the first task-attempt
+//! failures with their reasons, and one fold per unit of service work (a
+//! pruning pass, an ingest commit, a serve micro-batch). An event is folded
+//! into its section as it is recorded and not kept: the journal stores no
+//! log, so its size does not grow with the run. A healthy engine run records
+//! nothing: its routine record is [`crate::metrics::ClusterMetrics`], the
+//! clock's [`StageRecord`]s and the report's `sched` section, which the
+//! scheduler folds as each morsel stage closes. Virtual time is the
+//! [`crate::simtime::VirtualClock`]'s alone — wall-clock times on the worker
+//! pool are meaningless for the paper's figures.
 //!
-//! The log is bounded ([`RunJournal::MAX_EVENTS`]); once full, further
-//! events are counted but not stored, so a long-running feedback loop cannot
-//! grow without bound. Aggregates never depend on the dropped tail:
-//! [`RunJournal::record`] folds every event into the running `failures`,
-//! `prune`, `ingest` and `serve` sections *before* the bound check, and the
-//! scheduler folds each morsel stage's schedule into `sched` as the stage
-//! closes. A [`JobReport`] copies those sections and combines them with the
-//! [`crate::simtime::VirtualClock`] stage records and the metrics counters
-//! into a per-stage task-duration distribution (min/p50/max, straggler
-//! flags), retry/shuffle/cache totals and user counters. A report has one
-//! rendering, schema-stable JSON ([`JobReport::to_json`]), pinned byte for
-//! byte by `tests/job_report_golden.json` — like Spark's event log, the one
-//! machine format its history UI replays.
+//! A [`JobReport`] copies the journal's sections and combines them with the
+//! clock's stage records and the metrics counters into a per-stage
+//! task-duration distribution (min/p50/max, straggler flags),
+//! retry/shuffle/cache totals and user counters. A report has one rendering,
+//! schema-stable JSON ([`JobReport::to_json`]), pinned byte for byte by
+//! `tests/job_report_golden.json`.
 
 use crate::cluster::Cluster;
 use crate::simtime::{SchedSim, StageRecord};
 use parking_lot::Mutex;
-use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One journal entry: a virtual timestamp and the event itself. Its index
-/// in [`RunJournal::events`] is its order within the run.
-#[derive(Debug, Clone)]
-pub struct Event {
-    /// Virtual-clock reading (virtual work of completed stages, µs) when
-    /// the event was recorded. Events recorded while one stage runs share a
-    /// stamp; a failed attempt carries its own duration on top.
-    pub at_us: u64,
-    /// What happened.
-    pub kind: EventKind,
-}
-
-/// The event vocabulary of the journal.
+/// What the journal folds: each kind feeds one section of the
+/// [`JobReport`].
 #[derive(Debug, Clone)]
 pub enum EventKind {
-    /// A task attempt failed (it may be retried).
-    TaskFailed {
-        /// Stage, task, attempt and reason — the report's failure line.
-        failure: FailureLine,
-        /// Virtual duration wasted by this attempt (µs).
-        virtual_us: u64,
-        /// Whether another attempt follows.
-        will_retry: bool,
-    },
-    /// A cached partition was evicted under memory pressure.
-    CacheEvicted {
-        /// RDD id.
-        rdd: u64,
-        /// Partition index.
-        partition: usize,
-        /// Estimated bytes released.
-        bytes: usize,
-    },
-    /// A cache put was refused outright: the block exceeded the executor
-    /// pool and no spill codec is registered for its type.
-    /// The partition will recompute from lineage on every access.
-    CacheSkipped {
-        /// RDD id.
-        rdd: u64,
-        /// Partition index.
-        partition: usize,
-        /// Estimated size of the refused block.
-        bytes: usize,
-    },
-    /// A payload (cache block or shuffle bucket) was serialized to an
-    /// executor's spill file instead of being dropped or failing the task.
-    SpillWrite {
-        /// Executor whose spill file grew.
-        executor: usize,
-        /// Encoded bytes written.
-        bytes: u64,
-    },
-    /// A spilled payload was read back from disk (instead of recomputing
-    /// from lineage or failing a shuffle fetch).
-    SpillRead {
-        /// Executor whose spill file was read.
-        executor: usize,
-        /// Encoded bytes read.
-        bytes: u64,
-    },
-    /// An executor was killed by the fault schedule, taking its cached
-    /// blocks and shuffle map outputs with it.
-    ExecutorLost {
-        /// Executor id.
-        executor: usize,
-        /// Incarnation that died.
-        incarnation: u32,
-        /// Whether the kill exceeded the failure budget (no restart).
-        blacklisted: bool,
-        /// Cached blocks evicted with the executor.
-        blocks_lost: usize,
-        /// Shuffle map outputs invalidated with the executor.
-        map_outputs_lost: u64,
-    },
-    /// A task attempt failed because the shuffle data it reads is gone.
-    FetchFailed {
-        /// Stage of the reading task.
-        stage: String,
-        /// Reading task index.
-        task: usize,
-        /// Shuffle whose map output is missing.
-        shuffle: u64,
-        /// Bucket the reader wanted.
-        bucket: usize,
-    },
-    /// A lost shuffle map output was rebuilt from lineage.
-    Recomputed {
-        /// Shuffle id.
-        shuffle: u64,
-        /// Map task that was re-run.
-        map_task: usize,
-    },
-    /// A task's result was discarded because its executor died mid-flight;
-    /// the task is rescheduled on a survivor (not counted as a failure).
-    TaskLost {
-        /// Stage name.
-        stage: String,
-        /// Task index.
-        task: usize,
-        /// Attempt number.
-        attempt: u32,
-        /// The dead executor.
-        executor: usize,
-    },
-    /// A bound-driven pruning pass ran over one classify block. Coalesced
-    /// driver-side: one event per block, never per test pair, so journal
-    /// volume stays bounded however large the corpus. All pruning is
-    /// lossless — these events record distance evaluations *avoided*, never
-    /// results changed.
+    /// A task attempt failed (it may be retried): the report's `failures`.
+    TaskFailed(FailureLine),
+    /// A bound-driven pruning pass ran: the report's `prune`. Coalesced
+    /// driver-side, one per classify call (one per block of Algorithm 2),
+    /// never per test pair. All pruning is lossless — these record distance
+    /// evaluations *avoided*, never results changed.
     PruneApplied {
         /// Voronoi cells skipped wholesale by the annulus bound.
         cells_skipped: u64,
@@ -152,49 +46,24 @@ pub enum EventKind {
         evals_avoided: u64,
     },
     /// The driver was killed at a driver-side fault point (see
-    /// [`crate::FaultConfig::driver_kill`]). Fatal: the owning service drops
-    /// its state and recovers from its durable checkpoint.
-    DriverKilled {
-        /// Global fault-point index that fired.
-        point: u64,
-        /// Label of the code location that hit the fault point.
-        label: String,
-    },
-    /// An ingest micro-batch committed: detections folded into the
-    /// cumulative digest and a new checkpoint generation renamed into place.
-    /// Coalesced: one event per batch, never per report or per pair, so a
-    /// long-running ingest stays within the journal bound. The row is the
-    /// one the report's `ingest.batches` keeps.
+    /// [`crate::FaultConfig::driver_kill`]): `ingest.driver_kills`.
+    DriverKilled,
+    /// An ingest micro-batch committed: a row of `ingest.batches`. One per
+    /// batch, never per report or per pair.
     IngestBatchCommitted(IngestBatchRow),
     /// A poison batch exhausted `max_batch_retries`, was dumped to the
-    /// quarantine file and skipped so the service keeps making progress.
-    IngestQuarantined {
-        /// Batch index that was quarantined.
-        batch: u64,
-        /// Reports the batch carried.
-        reports: u64,
-        /// Attempts made (including the first).
-        attempts: u64,
-        /// Last failure, human-readable.
-        reason: String,
-    },
+    /// quarantine file and skipped: `ingest.batches_quarantined`.
+    IngestQuarantined,
     /// An ingest service recovered from a durable checkpoint after a driver
-    /// crash (or plain restart).
+    /// crash (or plain restart): `ingest.recoveries`.
     IngestRecovered {
-        /// Checkpoint generation that was loaded.
-        generation: u64,
-        /// First batch to (re)run after recovery.
-        batch_high_water: u64,
         /// Whether the newest generation was corrupt and recovery fell back
-        /// to an older one.
+        /// to an older one (`ingest.checkpoint_fallbacks`).
         fallback: bool,
     },
-    /// A serve micro-batch was dispatched and answered. Coalesced: one
-    /// event per admitted batch, never per request, so an open-loop load of
-    /// millions of requests stays within the journal bound.
+    /// A serve micro-batch was dispatched and answered: the report's
+    /// `serve`. One per admitted batch, never per request.
     ServeBatchExecuted {
-        /// Batch index within the serve run.
-        batch: u64,
         /// Requests coalesced into this batch.
         requests: u64,
         /// Requests still queued when this batch dispatched.
@@ -205,38 +74,11 @@ pub enum EventKind {
         memo_hits: u64,
         /// Virtual service time for the batch (µs).
         service_us: u64,
-        /// Worst request latency in the batch: dispatch wait plus service
-        /// time, measured from the earliest admitted arrival (µs).
-        latency_us: u64,
     },
 }
 
-impl EventKind {
-    /// Short kind tag, used for event-count aggregation.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            EventKind::TaskFailed { .. } => "task_failed",
-            EventKind::CacheEvicted { .. } => "cache_evicted",
-            EventKind::CacheSkipped { .. } => "cache_skipped",
-            EventKind::SpillWrite { .. } => "spill_write",
-            EventKind::SpillRead { .. } => "spill_read",
-            EventKind::ExecutorLost { .. } => "executor_lost",
-            EventKind::FetchFailed { .. } => "fetch_failed",
-            EventKind::Recomputed { .. } => "recomputed",
-            EventKind::TaskLost { .. } => "task_lost",
-            EventKind::PruneApplied { .. } => "prune_applied",
-            EventKind::DriverKilled { .. } => "driver_killed",
-            EventKind::IngestBatchCommitted { .. } => "ingest_batch_committed",
-            EventKind::IngestQuarantined { .. } => "ingest_quarantined",
-            EventKind::IngestRecovered { .. } => "ingest_recovered",
-            EventKind::ServeBatchExecuted { .. } => "serve_batch_executed",
-        }
-    }
-}
-
-/// The report sections a journal keeps as running totals: every recorded
-/// event is folded in whether or not the log still has room to store it.
-#[derive(Clone, Default)]
+/// The report sections a journal keeps as running totals.
+#[derive(Debug, Clone, Default)]
 struct Sections {
     failures: Vec<FailureLine>,
     prune: PruneReport,
@@ -245,122 +87,85 @@ struct Sections {
     sched: SchedReport,
 }
 
-impl Sections {
-    fn fold(&mut self, kind: &EventKind) {
-        if let EventKind::TaskFailed { failure, .. } = kind {
-            if self.failures.len() < MAX_REPORT_FAILURES {
-                self.failures.push(failure.clone());
-            }
-        }
-        self.prune.fold(kind);
-        self.ingest.fold(kind);
-        self.serve.fold(kind);
-    }
-}
-
-/// What the journal's lock guards. The log keeps the first
-/// [`RunJournal::MAX_EVENTS`] events recorded.
-#[derive(Default)]
-struct JournalState {
-    events: Vec<Event>,
-    dropped: u64,
-    sections: Sections,
-}
-
-#[derive(Default)]
-struct JournalInner {
-    state: Mutex<JournalState>,
-    /// Virtual work (µs) recorded by completed stages so far — the stamp
-    /// given to subsequent events.
-    virtual_now_us: AtomicU64,
-}
-
-/// Shared, bounded event journal. Cloning shares the underlying buffer
+/// Shared journal of running report sections. Cloning shares the sections
 /// (`Arc` semantics); recording takes one lock per event, and a healthy
 /// engine run records none.
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct RunJournal {
-    inner: Arc<JournalInner>,
+    sections: Arc<Mutex<Sections>>,
 }
 
 impl RunJournal {
-    /// Events retained before the journal starts counting instead of
-    /// storing. Bounds driver memory for endless feedback loops; the report
-    /// sections are folded before the bound applies, so it costs log lines,
-    /// never report truth.
-    pub const MAX_EVENTS: usize = 100_000;
-
     /// Fresh empty journal.
     pub(crate) fn new() -> Self {
         RunJournal::default()
     }
 
-    /// Fold an event into the running report sections and append it to the
-    /// log (counted instead of stored once [`Self::MAX_EVENTS`] is
-    /// reached).
+    /// Fold an event into its report section.
     pub fn record(&self, kind: EventKind) {
-        let at_us = self.now_us();
-        let mut state = self.inner.state.lock();
-        state.sections.fold(&kind);
-        if state.events.len() >= Self::MAX_EVENTS {
-            state.dropped += 1;
-            return;
+        let mut s = self.sections.lock();
+        match kind {
+            EventKind::TaskFailed(failure) => {
+                if s.failures.len() < MAX_REPORT_FAILURES {
+                    s.failures.push(failure);
+                }
+            }
+            EventKind::PruneApplied {
+                cells_skipped,
+                bound_rejected,
+                evals_done,
+                evals_avoided,
+            } => {
+                let pr = &mut s.prune;
+                pr.passes += 1;
+                pr.cells_skipped += cells_skipped;
+                pr.bound_rejected += bound_rejected;
+                pr.evals_done += evals_done;
+                pr.evals_avoided += evals_avoided;
+            }
+            EventKind::DriverKilled => s.ingest.driver_kills += 1,
+            EventKind::IngestBatchCommitted(row) => {
+                let ing = &mut s.ingest;
+                ing.batch_retries += row.retries;
+                ing.checkpoint_bytes += row.checkpoint_bytes;
+                ing.batches.push(row);
+            }
+            EventKind::IngestQuarantined => s.ingest.batches_quarantined += 1,
+            EventKind::IngestRecovered { fallback } => {
+                s.ingest.recoveries += 1;
+                s.ingest.checkpoint_fallbacks += u64::from(fallback);
+            }
+            EventKind::ServeBatchExecuted {
+                requests,
+                queue_depth,
+                memo_lookups,
+                memo_hits,
+                service_us,
+            } => {
+                let sv = &mut s.serve;
+                sv.batches += 1;
+                sv.requests += requests;
+                sv.max_queue_depth = sv.max_queue_depth.max(queue_depth);
+                let bucket = (64 - requests.max(1).next_power_of_two().leading_zeros() - 1)
+                    .min(SERVE_HIST_BUCKETS as u32 - 1);
+                sv.batch_size_hist[bucket as usize] += 1;
+                sv.memo_lookups += memo_lookups;
+                sv.memo_hits += memo_hits;
+                sv.service_us += service_us;
+            }
         }
-        state.events.push(Event { at_us, kind });
     }
 
     /// Fold one morsel stage's schedule into the running `sched` section
     /// (called by the scheduler as the stage closes).
     pub(crate) fn fold_sched(&self, sim: &SchedSim) {
-        self.inner.state.lock().sections.sched.fold(sim);
+        self.sections.lock().sched.fold(sim);
     }
 
-    /// Advance the virtual stamp by `us` (called by the scheduler when a
-    /// stage's cost is recorded).
-    pub(crate) fn advance(&self, us: u64) {
-        self.inner.virtual_now_us.fetch_add(us, Ordering::Relaxed);
-    }
-
-    /// Current virtual stamp (accumulated stage work, µs). The scheduler's
-    /// `AtVirtualTime` kill triggers compare against this at stage starts.
-    pub fn now_us(&self) -> u64 {
-        self.inner.virtual_now_us.load(Ordering::Relaxed)
-    }
-
-    /// Number of stored events.
-    pub fn len(&self) -> usize {
-        self.inner.state.lock().events.len()
-    }
-
-    /// Is the journal empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events counted but not stored (journal full).
-    pub fn dropped(&self) -> u64 {
-        self.inner.state.lock().dropped
-    }
-
-    /// Snapshot of all stored events, in recording order.
-    pub fn events(&self) -> Vec<Event> {
-        self.inner.state.lock().events.clone()
-    }
-
-    /// Drop all events, zero the running report sections and reset the
-    /// virtual stamp (between experiment configurations).
+    /// Zero the running report sections (between experiment
+    /// configurations).
     pub(crate) fn clear(&self) {
-        *self.inner.state.lock() = JournalState::default();
-        self.inner.virtual_now_us.store(0, Ordering::Relaxed);
-    }
-}
-
-impl fmt::Debug for RunJournal {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RunJournal")
-            .field("events", &self.len())
-            .field("dropped", &self.dropped())
-            .finish()
+        *self.sections.lock() = Sections::default();
     }
 }
 
@@ -453,10 +258,6 @@ pub struct ReportTotals {
     pub cache_misses: u64,
     /// Blocks evicted under memory pressure.
     pub cache_evictions: u64,
-    /// Journal events recorded (stored + dropped).
-    pub events: u64,
-    /// Journal events dropped because the buffer was full.
-    pub events_dropped: u64,
 }
 
 /// Failure-recovery totals captured into a [`JobReport`] — what the run
@@ -611,7 +412,7 @@ impl SpillReport {
 }
 
 /// Bound-driven pruning aggregates captured into a [`JobReport`]: summed
-/// over every [`EventKind::PruneApplied`] event recorded. Pruning is
+/// over every [`EventKind::PruneApplied`] recorded. Pruning is
 /// lossless by construction, so this section describes work *saved*, never
 /// results changed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -630,22 +431,6 @@ pub struct PruneReport {
 }
 
 impl PruneReport {
-    fn fold(&mut self, kind: &EventKind) {
-        if let EventKind::PruneApplied {
-            cells_skipped,
-            bound_rejected,
-            evals_done,
-            evals_avoided,
-        } = *kind
-        {
-            self.passes += 1;
-            self.cells_skipped += cells_skipped;
-            self.bound_rejected += bound_rejected;
-            self.evals_done += evals_done;
-            self.evals_avoided += evals_avoided;
-        }
-    }
-
     /// Fraction of would-be distance evaluations avoided, in `[0, 1]`.
     pub fn avoided_fraction(&self) -> f64 {
         let would_be = self.evals_done + self.evals_avoided;
@@ -658,8 +443,7 @@ impl PruneReport {
 }
 
 /// One committed micro-batch: the payload of an
-/// [`EventKind::IngestBatchCommitted`] journal event and a row of the
-/// [`IngestReport`].
+/// [`EventKind::IngestBatchCommitted`] and a row of the [`IngestReport`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IngestBatchRow {
     /// Batch index (== quarter index for quarterly replay).
@@ -680,9 +464,8 @@ pub struct IngestBatchRow {
 }
 
 /// Streaming-ingest aggregates captured into a [`JobReport`]: quarantine
-/// and recovery totals plus one latency/retry row per
-/// committed batch, folded from the coalesced ingest journal events as they
-/// are recorded. The totals are constant-size; `batches` grows by one row
+/// and recovery totals plus one latency/retry row per committed batch,
+/// folded from the ingest events as they are recorded. The totals are constant-size; `batches` grows by one row
 /// (64 bytes) a commit for the life of the service.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IngestReport {
@@ -702,33 +485,14 @@ pub struct IngestReport {
     pub checkpoint_bytes: u64,
 }
 
-impl IngestReport {
-    fn fold(&mut self, kind: &EventKind) {
-        match *kind {
-            EventKind::IngestBatchCommitted(ref row) => {
-                self.batch_retries += row.retries;
-                self.checkpoint_bytes += row.checkpoint_bytes;
-                self.batches.push(row.clone());
-            }
-            EventKind::IngestQuarantined { .. } => self.batches_quarantined += 1,
-            EventKind::IngestRecovered { fallback, .. } => {
-                self.recoveries += 1;
-                self.checkpoint_fallbacks += u64::from(fallback);
-            }
-            EventKind::DriverKilled { .. } => self.driver_kills += 1,
-            _ => {}
-        }
-    }
-}
-
 /// Power-of-two histogram buckets in a [`ServeReport`]: bucket `i` counts
 /// batches of `2^i` requests or fewer (but more than `2^(i-1)`), with the
 /// last bucket absorbing everything larger.
 pub const SERVE_HIST_BUCKETS: usize = 11;
 
 /// Serving aggregates captured into a [`JobReport`], folded from the
-/// coalesced [`EventKind::ServeBatchExecuted`] journal events (one per
-/// micro-batch) as they are recorded: constant-size however long the
+/// [`EventKind::ServeBatchExecuted`] events (one per micro-batch) as they
+/// are recorded: constant-size however long the
 /// open-loop load runs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeReport {
@@ -750,28 +514,6 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    fn fold(&mut self, kind: &EventKind) {
-        if let EventKind::ServeBatchExecuted {
-            requests,
-            queue_depth,
-            memo_lookups,
-            memo_hits,
-            service_us,
-            ..
-        } = *kind
-        {
-            self.batches += 1;
-            self.requests += requests;
-            self.max_queue_depth = self.max_queue_depth.max(queue_depth);
-            let bucket = (64 - requests.max(1).next_power_of_two().leading_zeros() - 1)
-                .min(SERVE_HIST_BUCKETS as u32 - 1);
-            self.batch_size_hist[bucket as usize] += 1;
-            self.memo_lookups += memo_lookups;
-            self.memo_hits += memo_hits;
-            self.service_us += service_us;
-        }
-    }
-
     /// Fraction of signal-memo lookups answered from the memo, in `[0, 1]`.
     pub(crate) fn memo_hit_rate(&self) -> f64 {
         if self.memo_lookups == 0 {
@@ -851,21 +593,16 @@ impl JobReport {
     /// DESIGN.md §7 "Retired"; 11 removed `ingest.deferrals` and the
     /// per-batch `deferrals` with the ingest admission gate — DESIGN.md
     /// "Retired baselines"; 12 removed `prune.memo_hits` with the
-    /// system's cross-batch distance memo, which never hit — same table).
-    pub const SCHEMA_VERSION: u32 = 12;
+    /// system's cross-batch distance memo, which never hit — same table;
+    /// 13 removed `totals.events` and `totals.events_dropped` with the
+    /// stored event log — DESIGN.md §7).
+    pub const SCHEMA_VERSION: u32 = 13;
 
     /// Snapshot a cluster's clock, metrics and journal into a report: the
-    /// journal's running sections are copied, never replayed from the log.
+    /// journal's running sections are copied.
     pub(crate) fn capture(cluster: &Cluster) -> Self {
         let m = cluster.metrics();
-        let (sections, stored, dropped) = {
-            let state = cluster.journal().inner.state.lock();
-            (
-                state.sections.clone(),
-                state.events.len() as u64,
-                state.dropped,
-            )
-        };
+        let sections = cluster.journal().sections.lock().clone();
         JobReport {
             schema_version: Self::SCHEMA_VERSION,
             stages: cluster
@@ -883,8 +620,6 @@ impl JobReport {
                 cache_hits: m.cache_hits.get(),
                 cache_misses: m.cache_misses.get(),
                 cache_evictions: m.cache_evictions.get(),
-                events: stored + dropped,
-                events_dropped: dropped,
             },
             sched: SchedReport {
                 workers: cluster.config().total_slots(),
@@ -927,8 +662,7 @@ impl JobReport {
             "\"jobs_submitted\": {}, \"tasks_launched\": {}, \"tasks_succeeded\": {}, \
              \"tasks_failed\": {}, \"memory_kills\": {}, \"shuffle_records_written\": {}, \
              \"shuffle_bytes_written\": {}, \"shuffle_records_read\": {}, \"cache_hits\": {}, \
-             \"cache_misses\": {}, \"cache_evictions\": {}, \"events\": {}, \
-             \"events_dropped\": {}",
+             \"cache_misses\": {}, \"cache_evictions\": {}",
             t.jobs_submitted,
             t.tasks_launched,
             t.tasks_succeeded,
@@ -940,8 +674,6 @@ impl JobReport {
             t.cache_hits,
             t.cache_misses,
             t.cache_evictions,
-            t.events,
-            t.events_dropped,
         ));
         out.push_str("},\n");
         let r = &self.recovery;
@@ -1170,15 +902,13 @@ mod tests {
     }
 
     /// One serve micro-batch of `requests`, as `dedup::serve` journals it.
-    fn serve_batch(batch: u64, requests: u64) -> EventKind {
+    fn serve_batch(requests: u64) -> EventKind {
         EventKind::ServeBatchExecuted {
-            batch,
             requests,
             queue_depth: 3,
             memo_lookups: 10,
             memo_hits: 4,
             service_us: 100,
-            latency_us: 250,
         }
     }
 
@@ -1197,7 +927,8 @@ mod tests {
 
     /// What the journal records of a healthy stage and its tasks: nothing.
     /// The counters, the clock's stage records and the `sched` section
-    /// account for every task and every morsel.
+    /// account for every task and every morsel; the journal's own sections
+    /// stay empty.
     #[test]
     fn journal_records_stage_and_task_events() {
         let c = Cluster::local(2);
@@ -1210,9 +941,11 @@ mod tests {
             |_, items, _| Ok(items.to_vec()),
         )
         .unwrap();
-        assert!(c.journal().is_empty(), "{:?}", c.journal().events());
         let report = c.job_report();
-        assert_eq!(report.totals.events, 0);
+        assert!(report.failures.is_empty(), "{:?}", report.failures);
+        assert_eq!(report.prune, PruneReport::default());
+        assert_eq!(report.ingest, IngestReport::default());
+        assert_eq!(report.serve, ServeReport::default());
         assert_eq!(report.totals.jobs_submitted, 2);
         assert_eq!(report.totals.tasks_launched, 3 + 7);
         assert_eq!(report.totals.tasks_succeeded, 3 + 7);
@@ -1235,31 +968,17 @@ mod tests {
         let _ = c
             .run_job::<u8, _>("doomed", 1, |_, _| Ok(vec![]))
             .unwrap_err();
-        let failed: Vec<Event> = c
-            .journal()
-            .events()
-            .into_iter()
-            .filter(|e| matches!(e.kind, EventKind::TaskFailed { .. }))
-            .collect();
-        assert_eq!(failed.len(), 2);
-        match (&failed[0].kind, &failed[1].kind) {
-            (
-                EventKind::TaskFailed {
-                    will_retry: r0,
-                    failure,
-                    ..
-                },
-                EventKind::TaskFailed { will_retry: r1, .. },
-            ) => {
-                assert!(*r0, "first failure retries");
-                assert!(!*r1, "last failure does not");
-                let reason = &failure.reason;
-                assert!(reason.contains("fault"), "reason: {reason}");
-            }
-            other => panic!("unexpected kinds: {other:?}"),
-        }
         let report = JobReport::capture(&c);
-        assert_eq!(report.failures.len(), 2);
+        let lines: Vec<(&str, usize, u32)> = report
+            .failures
+            .iter()
+            .map(|f| (f.stage.as_str(), f.task, f.attempt))
+            .collect();
+        assert_eq!(lines, vec![("doomed", 0, 0), ("doomed", 0, 1)]);
+        for failure in &report.failures {
+            let reason = &failure.reason;
+            assert!(reason.contains("fault"), "reason: {reason}");
+        }
         assert_eq!(report.totals.tasks_failed, 2);
     }
 
@@ -1284,11 +1003,8 @@ mod tests {
     #[test]
     fn ingest_section_folds_coalesced_batch_events() {
         let c = Cluster::local(2);
-        c.journal().record(EventKind::IngestRecovered {
-            generation: 3,
-            batch_high_water: 2,
-            fallback: true,
-        });
+        c.journal()
+            .record(EventKind::IngestRecovered { fallback: true });
         for batch in 2..4u64 {
             c.journal()
                 .record(EventKind::IngestBatchCommitted(IngestBatchRow {
@@ -1301,12 +1017,7 @@ mod tests {
                     checkpoint_bytes: 2_048,
                 }));
         }
-        c.journal().record(EventKind::IngestQuarantined {
-            batch: 4,
-            reports: 50,
-            attempts: 3,
-            reason: "injected".into(),
-        });
+        c.journal().record(EventKind::IngestQuarantined);
         let report = c.job_report();
         assert_eq!(report.ingest.batches.len(), 2);
         assert_eq!(report.ingest.batches[0].batch, 2);
@@ -1334,15 +1045,13 @@ mod tests {
     #[test]
     fn serve_events_fold_into_the_serve_section() {
         let c = Cluster::local(2);
-        for (batch, requests, queue_depth) in [(0u64, 1u64, 0u64), (1, 16, 3), (2, 1500, 40)] {
+        for (requests, queue_depth) in [(1u64, 0u64), (16, 3), (1500, 40)] {
             c.journal().record(EventKind::ServeBatchExecuted {
-                batch,
                 requests,
                 queue_depth,
                 memo_lookups: 10,
                 memo_hits: 4,
                 service_us: 100,
-                latency_us: 250,
             });
         }
         let report = c.job_report();
@@ -1415,23 +1124,11 @@ mod tests {
         .unwrap();
         let j = c.journal();
         j.record(prune_pass());
-        j.record(EventKind::IngestRecovered {
-            generation: 3,
-            batch_high_water: 2,
-            fallback: true,
-        });
+        j.record(EventKind::IngestRecovered { fallback: true });
         j.record(ingest_commit(2, 1));
-        j.record(EventKind::IngestQuarantined {
-            batch: 3,
-            reports: 50,
-            attempts: 3,
-            reason: "injected".into(),
-        });
-        j.record(EventKind::DriverKilled {
-            point: 9,
-            label: "ingest-commit".into(),
-        });
-        j.record(serve_batch(0, 16));
+        j.record(EventKind::IngestQuarantined);
+        j.record(EventKind::DriverKilled);
+        j.record(serve_batch(16));
         c
     }
 
@@ -1445,7 +1142,7 @@ mod tests {
         .unwrap();
         let json = c.job_report().to_json();
         // Every key, in order, is pinned by the golden file below.
-        assert!(json.contains("\"schema_version\": 12"), "{json}");
+        assert!(json.contains("\"schema_version\": 13"), "{json}");
         assert!(json.contains("quoted \\\"stage\\\"\\n"), "escaping: {json}");
         assert!(json.contains("\"things\": 6"), "user counter: {json}");
         assert!(is_json(&json), "{json}");
@@ -1480,49 +1177,13 @@ mod tests {
         let c = Cluster::local(2);
         c.run_job("x", 2, |_, _| Ok(vec![0u8])).unwrap();
         c.journal().record(prune_pass());
-        assert!(!c.journal().is_empty());
-        assert_eq!(c.job_report().prune.passes, 1);
+        c.journal().record(EventKind::DriverKilled);
+        let report = c.job_report();
+        assert_eq!((report.prune.passes, report.ingest.driver_kills), (1, 1));
         c.reset_run_state();
-        assert!(c.journal().is_empty());
-        assert_eq!(c.journal().dropped(), 0);
-        assert_eq!(
-            c.job_report().prune.passes,
-            0,
-            "sections reset with the log"
-        );
-    }
-
-    #[test]
-    fn journal_is_bounded() {
-        let j = RunJournal::new();
-        for _ in 0..(RunJournal::MAX_EVENTS + 10) {
-            j.record(EventKind::CacheEvicted {
-                rdd: 0,
-                partition: 0,
-                bytes: 1,
-            });
-        }
-        assert_eq!(j.len(), RunJournal::MAX_EVENTS);
-        assert_eq!(j.dropped(), 10);
-        j.clear();
-        assert_eq!(j.len(), 0);
-        assert_eq!(j.dropped(), 0);
-    }
-
-    #[test]
-    fn virtual_stamps_are_monotone_across_stages() {
-        let c = Cluster::local(1);
-        c.run_job("first", 2, |_, ctx| {
-            ctx.charge_ops(1000);
-            Ok(vec![0u8])
-        })
-        .unwrap();
-        c.journal().record(prune_pass());
-        c.run_job("second", 2, |_, _| Ok(vec![0u8])).unwrap();
-        c.journal().record(prune_pass());
-        let stamps: Vec<u64> = c.journal().events().iter().map(|e| e.at_us).collect();
-        assert_eq!(stamps.len(), 2);
-        assert!(0 < stamps[0] && stamps[0] < stamps[1], "{stamps:?}");
+        let report = c.job_report();
+        assert_eq!(report.prune, PruneReport::default());
+        assert_eq!(report.ingest, IngestReport::default());
     }
 
     #[test]
@@ -1661,30 +1322,23 @@ mod tests {
     #[test]
     fn prune_events_at_pair_scale_keep_the_journal_bounded() {
         // 100k-pair scale: even if a run journaled one prune event per
-        // candidate pair (it coalesces per block, but the bound must hold
-        // regardless), the log stops at MAX_EVENTS with the overflow
-        // counted — and the report still counts every pass, because the
-        // section is folded before the bound applies.
+        // candidate pair (it coalesces per block), the journal keeps only
+        // the running section, and the report counts every pass.
         let c = Cluster::local(1);
-        let recorded = RunJournal::MAX_EVENTS as u64 + 5_000;
+        let recorded = 105_000u64;
         for _ in 0..recorded {
             c.journal().record(prune_pass());
         }
-        assert_eq!(c.journal().len(), RunJournal::MAX_EVENTS);
-        assert_eq!(c.journal().dropped(), 5_000);
         let report = c.job_report();
         assert_eq!(report.prune.passes, recorded);
         assert_eq!(report.prune.evals_avoided, recorded);
-        assert_eq!(report.totals.events_dropped, 5_000);
-        assert_eq!(report.totals.events, recorded);
         let _ = report.to_json();
-        // The same for the other two services, on a log already full.
+        // The same for the other two services.
         for batch in 0..1_000 {
-            c.journal().record(serve_batch(batch, 1));
+            c.journal().record(serve_batch(1));
             c.journal().record(ingest_commit(batch, batch % 2));
         }
         let report = c.job_report();
-        assert_eq!(report.totals.events_dropped, 7_000);
         assert_eq!(report.serve.batches, 1_000);
         assert_eq!(report.serve.service_us, 100_000);
         assert_eq!(report.ingest.batches.len(), 1_000);

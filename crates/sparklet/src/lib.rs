@@ -28,6 +28,10 @@
 //! * **Metrics** ([`ClusterMetrics`]) — tasks, retries, shuffle
 //!   records/bytes, cache hits, plus named user counters (the paper's
 //!   intra-/cross-cluster comparison counts hang off these).
+//! * **Job reports** ([`JobReport`]) — the counters, the clock's stage
+//!   records and the [`RunJournal`]'s running sections (the first task
+//!   failures, and one fold per pruning pass, ingest commit or serve
+//!   micro-batch; no event log is stored), rendered as schema-stable JSON.
 //! * **Virtual time** ([`CostModelConfig`]) — every task accrues a virtual
 //!   cost (charged operations, shuffle bytes, launch overhead, retry
 //!   penalties); a deterministic list scheduler then computes the makespan
@@ -75,8 +79,8 @@ pub use error::{Result, SparkletError};
 pub use executor::ExecutorRegistry;
 pub use hash::stable_hash;
 pub use journal::{
-    json_string, BatchReport, Event, EventKind, IngestBatchRow, IngestReport, JobReport,
-    PruneReport, RecoveryReport, RunJournal, SchedReport, ServeReport,
+    json_string, BatchReport, EventKind, IngestBatchRow, IngestReport, JobReport, PruneReport,
+    RecoveryReport, RunJournal, SchedReport, ServeReport,
 };
 pub use metrics::ClusterMetrics;
 pub use pair::PairRdd;

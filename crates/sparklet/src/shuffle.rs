@@ -29,7 +29,6 @@
 //! are exhausted, the job.
 
 use crate::error::{Result, SparkletError};
-use crate::journal::{EventKind, RunJournal};
 use crate::metrics::ClusterMetrics;
 use crate::spill::{SpillManager, SpillSlot};
 use parking_lot::Mutex;
@@ -78,7 +77,6 @@ struct ShuffleStore {
 pub struct ShuffleService {
     store: Mutex<ShuffleStore>,
     metrics: ClusterMetrics,
-    journal: RunJournal,
     /// Disk tier; `None` means unbounded resident buckets (standalone
     /// shuffle services in unit tests keep the historical semantics).
     spill: Option<SpillManager>,
@@ -93,16 +91,8 @@ impl ShuffleService {
                 resident: HashMap::new(),
             }),
             metrics,
-            journal: RunJournal::new(),
             spill: None,
         }
-    }
-
-    /// Share a cluster's run journal so spilled buckets are journaled
-    /// alongside scheduler faults (builder, used by [`crate::Cluster::new`]).
-    pub(crate) fn with_journal(mut self, journal: RunJournal) -> Self {
-        self.journal = journal;
-        self
     }
 
     /// Attach the disk tier (builder, used by [`crate::Cluster::new`]): caps
@@ -129,8 +119,8 @@ impl ShuffleService {
     /// `r`. `bytes` is the estimated serialized volume (for metrics /
     /// virtual time). Keep-first: if the map task already has a live
     /// output (a racing recomputation lost), the
-    /// write is ignored and `Ok(false)` is returned — nothing is journaled
-    /// or counted for a discarded duplicate.
+    /// write is ignored and `Ok(false)` is returned — nothing is counted
+    /// for a discarded duplicate.
     ///
     /// With a disk tier attached, a write that would push the executor's
     /// resident shuffle bytes over the spill capacity is serialized
@@ -215,8 +205,6 @@ impl ShuffleService {
         }
         if spilled_buckets > 0 {
             self.metrics.buckets_spilled.add(spilled_buckets);
-            self.journal
-                .record(EventKind::SpillWrite { executor, bytes });
         }
         self.metrics.shuffle_records_written.add(records);
         self.metrics.shuffle_bytes_written.add(bytes);
@@ -349,13 +337,7 @@ impl ShuffleService {
                 Fetched::Spilled(m, slot) => {
                     let sp = self.spill.as_ref().expect("spilled bucket implies spill");
                     match sp.read(&slot) {
-                        Some(any) => {
-                            self.journal.record(EventKind::SpillRead {
-                                executor: slot.executor(),
-                                bytes: slot.len(),
-                            });
-                            any
-                        }
+                        Some(any) => any,
                         None => {
                             // The spill file died with its executor (or the
                             // bytes no longer decode): drop the map output

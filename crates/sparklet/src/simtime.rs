@@ -173,7 +173,14 @@ pub(crate) fn simulate_morsels(
 /// Accumulates [`StageRecord`]s over a run and answers makespan queries.
 #[derive(Clone, Default)]
 pub struct VirtualClock {
-    stages: Arc<Mutex<Vec<StageRecord>>>,
+    state: Arc<Mutex<ClockState>>,
+}
+
+#[derive(Default)]
+struct ClockState {
+    stages: Vec<StageRecord>,
+    /// Sum of every recorded `task_us`: [`VirtualClock::total_work`].
+    total_work_us: u64,
 }
 
 /// A virtual duration, reported in microseconds with convenience accessors.
@@ -212,24 +219,26 @@ impl VirtualClock {
 
     /// Record a completed stage.
     pub(crate) fn record_stage(&self, record: StageRecord) {
-        self.stages.lock().push(record);
+        let mut state = self.state.lock();
+        state.total_work_us += record.task_us.iter().sum::<u64>();
+        state.stages.push(record);
     }
 
     /// Drop all recorded stages (between experiment configurations).
     pub(crate) fn reset(&self) {
-        self.stages.lock().clear();
+        *self.state.lock() = ClockState::default();
     }
 
     /// Number of stages recorded so far.
     pub fn stage_count(&self) -> usize {
-        self.stages.lock().len()
+        self.state.lock().stages.len()
     }
 
     /// Read the recorded stages in place. The clock stays locked while `f`
     /// runs, so `f` must not call back into the clock; slice from a
     /// [`VirtualClock::stage_count`] mark to read only what ran since.
     pub fn with_stages<R>(&self, f: impl FnOnce(&[StageRecord]) -> R) -> R {
-        f(&self.stages.lock())
+        f(&self.state.lock().stages)
     }
 
     /// Total virtual elapsed time of the recorded run on a cluster of
@@ -248,7 +257,7 @@ impl VirtualClock {
         let executors = executors.max(1);
         let slots = executors * cores_per_executor.max(1);
         let mut total = 0u64;
-        for st in self.stages.lock().iter() {
+        for st in self.state.lock().stages.iter() {
             let compute = st.makespan_us(slots);
             let transfer = st.shuffle_bytes * cost.shuffle_byte_ns / 1000 / executors as u64;
             let coordination = cost.coordination_us_per_executor * executors as u64
@@ -259,30 +268,22 @@ impl VirtualClock {
     }
 
     /// Sum of all per-task virtual durations (total work, ignoring
-    /// parallelism). Useful as a parallelism-independent cost measure.
-    pub(crate) fn total_work(&self) -> VirtualDuration {
-        let us = self
-            .stages
-            .lock()
-            .iter()
-            .map(|s| s.task_us.iter().sum::<u64>())
-            .sum();
-        VirtualDuration { us }
+    /// parallelism), kept as a running total of the recorded stages. A
+    /// parallelism-independent cost measure, and the virtual "now" that
+    /// `AtVirtualTime` kill triggers and ingest commit latencies read.
+    pub fn total_work(&self) -> VirtualDuration {
+        VirtualDuration {
+            us: self.state.lock().total_work_us,
+        }
     }
 }
 
 impl std::fmt::Debug for VirtualClock {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stages = self.stages.lock();
+        let state = self.state.lock();
         f.debug_struct("VirtualClock")
-            .field("stages", &stages.len())
-            .field(
-                "total_task_us",
-                &stages
-                    .iter()
-                    .map(|s| s.task_us.iter().sum::<u64>())
-                    .sum::<u64>(),
-            )
+            .field("stages", &state.stages.len())
+            .field("total_task_us", &state.total_work_us)
             .finish()
     }
 }
@@ -532,5 +533,6 @@ mod tests {
         });
         clock.reset();
         assert_eq!(clock.stage_count(), 0);
+        assert_eq!(clock.total_work().us, 0);
     }
 }

@@ -64,18 +64,6 @@ pub struct SpillSlot {
     type_key: TypeId,
 }
 
-impl SpillSlot {
-    /// Encoded payload size in bytes.
-    pub(crate) fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// Executor whose spill file holds this payload.
-    pub(crate) fn executor(&self) -> usize {
-        self.executor
-    }
-}
-
 /// Fixed-width byte serialization for POD-ish element types.
 ///
 /// Implemented for the integer/float primitives, `bool`, 2- and 3-tuples
@@ -541,7 +529,7 @@ mod tests {
         let data: Vec<(u64, f64)> = (0..100).map(|i| (i, i as f64 * -0.5)).collect();
         let payload = erase(data.clone());
         let slot = m.write(0, &*payload).expect("codec pre-registered");
-        assert_eq!(slot.len(), 100 * 16);
+        assert_eq!(slot.len, 100 * 16);
         let back = m.read(&slot).expect("slot valid");
         assert_eq!(unerase::<(u64, f64)>(&back), data);
     }

@@ -20,7 +20,6 @@
 //! disk. Lineage recompute remains the fallback of last resort: it only
 //! happens when no codec exists or the spill file died with its executor.
 
-use crate::journal::{EventKind, RunJournal};
 use crate::metrics::ClusterMetrics;
 use crate::spill::{SpillManager, SpillSlot};
 use parking_lot::Mutex;
@@ -61,7 +60,6 @@ pub struct BlockManager {
     executor_capacity: usize,
     num_executors: usize,
     metrics: ClusterMetrics,
-    journal: RunJournal,
     /// Disk tier; `None` keeps the historical drop-on-pressure semantics
     /// (standalone block managers in unit tests).
     spill: Option<SpillManager>,
@@ -90,17 +88,8 @@ impl BlockManager {
             executor_capacity,
             num_executors: n,
             metrics,
-            journal: RunJournal::new(),
             spill: None,
         }
-    }
-
-    /// Share a cluster's run journal so evictions, skipped puts and spill
-    /// traffic are journaled alongside scheduler faults (builder, used by
-    /// [`crate::Cluster::new`]).
-    pub(crate) fn with_journal(mut self, journal: RunJournal) -> Self {
-        self.journal = journal;
-        self
     }
 
     /// Attach the disk tier (builder, used by [`crate::Cluster::new`]).
@@ -175,31 +164,20 @@ impl BlockManager {
     ) -> Option<Arc<Vec<T>>> {
         let spill = self.spill.as_ref()?;
         let entry = s.spilled.get(&id)?;
-        let owner = entry.owner;
-        let bytes = entry.slot.len();
-        match spill
+        let found = spill
             .read(&entry.slot)
-            .and_then(|any| any.downcast::<Vec<T>>().ok())
-        {
-            Some(v) => {
-                self.journal.record(EventKind::SpillRead {
-                    executor: owner,
-                    bytes,
-                });
-                Some(v)
-            }
-            None => {
-                s.spilled.remove(&id);
-                None
-            }
+            .and_then(|any| any.downcast::<Vec<T>>().ok());
+        if found.is_none() {
+            s.spilled.remove(&id);
         }
+        found
     }
 
     /// Insert a partition computed on `executor`, evicting that executor's
     /// LRU blocks as needed. Blocks larger than one executor's pool never
     /// enter the memory pool: with a disk tier attached they spill straight
-    /// to the owner's spill file; otherwise the put is skipped (journaled as
-    /// `CacheSkipped` — callers recompute on every access).
+    /// to the owner's spill file; otherwise the put is skipped (counted in
+    /// `cache_skipped` — callers recompute on every access).
     pub(crate) fn put<T: Send + Sync + 'static>(
         &self,
         id: BlockId,
@@ -218,11 +196,6 @@ impl BlockManager {
             }
             drop(s);
             self.metrics.cache_skipped.inc();
-            self.journal.record(EventKind::CacheSkipped {
-                rdd: id.0,
-                partition: id.1,
-                bytes: size,
-            });
             return;
         }
         let mut s = self.store.lock();
@@ -232,14 +205,9 @@ impl BlockManager {
             if old.owner != owner {
                 // Cross-owner re-put (e.g. a retry recomputed the partition
                 // on another executor): the old owner's copy is gone —
-                // journal the implicit eviction instead of adjusting
+                // count the implicit eviction instead of adjusting
                 // accounting silently.
                 self.metrics.cache_evictions.inc();
-                self.journal.record(EventKind::CacheEvicted {
-                    rdd: id.0,
-                    partition: id.1,
-                    bytes: old.size,
-                });
             }
         }
         // A fresh in-memory copy supersedes any stale spilled one.
@@ -260,11 +228,6 @@ impl BlockManager {
                         self.sub_resident(owner, b.size);
                         if !self.spill_block(&mut s, k, &*b.data, owner) {
                             self.metrics.cache_evictions.inc();
-                            self.journal.record(EventKind::CacheEvicted {
-                                rdd: k.0,
-                                partition: k.1,
-                                bytes: b.size,
-                            });
                         }
                     }
                 }
@@ -301,10 +264,6 @@ impl BlockManager {
             return false;
         };
         self.metrics.blocks_spilled.inc();
-        self.journal.record(EventKind::SpillWrite {
-            executor: owner,
-            bytes: slot.len(),
-        });
         s.spilled.insert(id, SpilledBlock { slot, owner });
         true
     }
@@ -343,7 +302,7 @@ impl BlockManager {
     /// Drop every block owned by `executor` — the storage half of an
     /// executor kill. Returns `(blocks_removed, bytes_released)`. These are
     /// failure losses, not pressure evictions, so `cache_evictions` is not
-    /// bumped; the scheduler journals one `ExecutorLost` event instead.
+    /// bumped; the scheduler counts the kill in `executors_lost` instead.
     pub(crate) fn evict_executor(&self, executor: usize) -> (usize, usize) {
         let mut s = self.store.lock();
         let keys: Vec<BlockId> = s
@@ -517,23 +476,16 @@ mod tests {
         assert_eq!(estimate_vec_size::<u64>(&[]), 0);
     }
 
-    fn bm_spill(cap: usize) -> (BlockManager, ClusterMetrics, SpillManager, RunJournal) {
+    fn bm_spill(cap: usize) -> (BlockManager, ClusterMetrics, SpillManager) {
         let metrics = ClusterMetrics::new();
-        let journal = RunJournal::new();
         let spill = SpillManager::new(1, usize::MAX, metrics.clone());
-        let m = BlockManager::new(cap, 1, metrics.clone())
-            .with_journal(journal.clone())
-            .with_spill(spill.clone());
-        (m, metrics, spill, journal)
-    }
-
-    fn tags(journal: &RunJournal) -> Vec<&'static str> {
-        journal.events().iter().map(|e| e.kind.tag()).collect()
+        let m = BlockManager::new(cap, 1, metrics.clone()).with_spill(spill.clone());
+        (m, metrics, spill)
     }
 
     #[test]
     fn oversized_put_spills_straight_to_disk_and_reads_back() {
-        let (m, metrics, _spill, journal) = bm_spill(10);
+        let (m, metrics, _spill) = bm_spill(10);
         m.put((1, 0), Arc::new(vec![7u8; 100]), 100, 0);
         assert_eq!(m.block_count(), 0, "never enters the memory pool");
         assert_eq!(metrics.blocks_spilled.get(), 1);
@@ -541,28 +493,26 @@ mod tests {
         let got: Arc<Vec<u8>> = m.get((1, 0)).expect("disk tier serves the block");
         assert_eq!(*got, vec![7u8; 100]);
         assert_eq!(metrics.cache_hits.get(), 1, "a spilled read is a hit");
+        assert!(metrics.spill_bytes_written.get() > 0);
         assert!(metrics.spill_bytes_read.get() > 0);
-        assert!(tags(&journal).contains(&"spill_write"));
-        assert!(tags(&journal).contains(&"spill_read"));
     }
 
     #[test]
     fn oversized_put_without_codec_is_journaled_as_skipped() {
-        // Regression: this used to return silently — no event, no counter —
-        // so reports claimed a clean cache while the block recomputed on
+        // Regression: this used to return silently — no counter — so
+        // reports claimed a clean cache while the block recomputed on
         // every access.
-        let (m, metrics, _spill, journal) = bm_spill(10);
+        let (m, metrics, _spill) = bm_spill(10);
         m.put((1, 0), Arc::new(vec!["x".to_string(); 50]), 100, 0);
         assert_eq!(m.block_count(), 0);
         assert_eq!(metrics.cache_skipped.get(), 1);
         assert_eq!(metrics.blocks_spilled.get(), 0);
-        assert!(tags(&journal).contains(&"cache_skipped"));
         assert!(m.get::<String>((1, 0)).is_none(), "recomputes from lineage");
     }
 
     #[test]
     fn pressure_eviction_spills_instead_of_dropping() {
-        let (m, metrics, _spill, journal) = bm_spill(100);
+        let (m, metrics, _spill) = bm_spill(100);
         m.put((1, 0), Arc::new(vec![1u8; 60]), 60, 0);
         m.put((1, 1), Arc::new(vec![2u8; 60]), 60, 0); // evicts (1,0) to disk
         assert_eq!(metrics.blocks_spilled.get(), 1);
@@ -573,30 +523,20 @@ mod tests {
         );
         let got: Arc<Vec<u8>> = m.get((1, 0)).expect("victim survives on disk");
         assert_eq!(*got, vec![1u8; 60]);
-        assert!(tags(&journal).contains(&"spill_write"));
         assert!(m.get::<u8>((1, 1)).is_some(), "resident block untouched");
     }
 
     #[test]
     fn cross_owner_reput_journals_the_implicit_eviction() {
         // Regression: re-putting an existing BlockId under a different owner
-        // adjusted `used[]` but never journaled that the old owner's copy
-        // was dropped.
+        // adjusted `used[]` but never counted that the old owner's copy was
+        // dropped.
         let metrics = ClusterMetrics::new();
-        let journal = RunJournal::new();
-        let m = BlockManager::new(100, 2, metrics.clone()).with_journal(journal.clone());
+        let m = BlockManager::new(100, 2, metrics.clone());
         m.put((1, 0), Arc::new(vec![1u8]), 30, 0);
         m.put((1, 0), Arc::new(vec![2u8]), 40, 1);
         assert_eq!(metrics.cache_evictions.get(), 1);
-        let evicted: Vec<usize> = journal
-            .events()
-            .iter()
-            .filter_map(|e| match e.kind {
-                EventKind::CacheEvicted { bytes, .. } => Some(bytes),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(evicted, vec![30], "old owner's copy journaled at its size");
+        assert_eq!((m.used_by(0), m.used_by(1)), (0, 40), "old copy released");
         // Same-owner replacement is bookkeeping, not an eviction.
         m.put((1, 0), Arc::new(vec![3u8]), 50, 1);
         assert_eq!(metrics.cache_evictions.get(), 1);
@@ -604,7 +544,7 @@ mod tests {
 
     #[test]
     fn executor_kill_forgets_spilled_copies() {
-        let (m, _metrics, spill, _journal) = bm_spill(10);
+        let (m, _metrics, spill) = bm_spill(10);
         m.put((1, 0), Arc::new(vec![9u8; 64]), 64, 0); // oversized → disk
         assert!(m.get::<u8>((1, 0)).is_some());
         // The kill path invalidates the spill file and evicts the executor.
@@ -618,7 +558,7 @@ mod tests {
 
     #[test]
     fn evict_rdd_and_clear_purge_the_disk_tier() {
-        let (m, _metrics, _spill, _journal) = bm_spill(10);
+        let (m, _metrics, _spill) = bm_spill(10);
         m.put((1, 0), Arc::new(vec![1u8; 64]), 64, 0);
         m.put((2, 0), Arc::new(vec![2u8; 64]), 64, 0);
         m.evict_rdd(1);
@@ -630,7 +570,7 @@ mod tests {
 
     #[test]
     fn fresh_put_supersedes_the_spilled_copy() {
-        let (m, _metrics, _spill, _journal) = bm_spill(100);
+        let (m, _metrics, _spill) = bm_spill(100);
         m.put((1, 0), Arc::new(vec![1u8; 60]), 60, 0);
         m.put((1, 1), Arc::new(vec![2u8; 60]), 60, 0); // spills (1,0)
         m.put((1, 0), Arc::new(vec![3u8; 10]), 10, 0); // fresh resident copy
