@@ -216,7 +216,21 @@ impl BlockingIndex {
     /// nothing. Strictly increasing — sorted, each pair once — and
     /// [`DedupSystem::detect_new`](crate::DedupSystem::detect_new) keeps
     /// this order from the distance job to the classifier.
+    ///
+    /// Two linear passes: each new report's partner walk, then an LSD
+    /// radix sort of what the walks emitted over 16-bit digits of
+    /// `(lo, hi)`, skipping every digit all pairs share (two counting
+    /// passes on ids below 2¹⁶), and an adjacent dedup.
     pub fn candidate_pairs(&self, new_ids: &[ReportId]) -> Vec<PairId> {
+        let mut out = self.partner_pairs(new_ids);
+        sort_dedup_pairs(&mut out);
+        out
+    }
+
+    /// Every new report paired with each of its partners, report by report
+    /// in `new_ids` order: [`BlockingIndex::candidate_pairs`] before its
+    /// sort. A pair of two new reports appears once per endpoint.
+    fn partner_pairs(&self, new_ids: &[ReportId]) -> Vec<PairId> {
         let mut out: Vec<PairId> = Vec::new();
         let (mut lists, mut cursors, mut rows) = (Vec::new(), Vec::new(), Vec::new());
         for &id in new_ids {
@@ -231,10 +245,6 @@ impl BlockingIndex {
                     .map(|&r| PairId::new(id, self.id_of[r as usize])),
             );
         }
-        // Sorted-merge dedup: a pair of two new reports was emitted once per
-        // endpoint; adjacent after the sort.
-        out.sort_unstable();
-        out.dedup();
         out
     }
 
@@ -326,6 +336,64 @@ impl BlockingIndex {
         assert_eq!(self.id_of, other.id_of, "id_of");
         assert_eq!(self.date_ids, other.date_ids, "date_ids");
     }
+}
+
+/// Bits per digit of [`sort_dedup_pairs`]: ids below 2¹⁶ sort in one pass
+/// per member.
+const RADIX_BITS: u32 = 16;
+
+/// Sort `pairs` ascending — by `lo`, then `hi`, [`PairId`]'s order — and
+/// drop repeats: an LSD radix sort over the eight 16-bit digits of
+/// `(lo, hi)`, least significant first, each pass a stable counting sort.
+/// A digit every pair shares leaves the order as it is, so its pass is
+/// skipped: a database whose ids fit in 16 bits costs two passes, and any
+/// `u64` id takes the same code path. Within a digit the pairs share every
+/// bit above the highest one that varies, so a pass counts only the bits
+/// up to it: ids below 10,000 take 2¹⁴ counters, not 2¹⁶. Repeats are
+/// then adjacent.
+pub(crate) fn sort_dedup_pairs(pairs: &mut Vec<PairId>) {
+    let Some(&first) = pairs.first() else {
+        return;
+    };
+    // Bit `b` of `varies[m]` is set when member `m` (0: hi, 1: lo) differs
+    // somewhere in bit `b`.
+    let mut varies = [0u64; 2];
+    for p in pairs.iter() {
+        varies[0] |= p.hi ^ first.hi;
+        varies[1] |= p.lo ^ first.lo;
+    }
+    let mut counts: Vec<usize> = Vec::new();
+    let mut sorted = vec![first; pairs.len()];
+    for (member, &varied) in varies.iter().enumerate() {
+        for shift in (0..u64::BITS).step_by(RADIX_BITS as usize) {
+            let digit_varies = varied >> shift & ((1 << RADIX_BITS) - 1);
+            if digit_varies == 0 {
+                continue;
+            }
+            let width = u64::BITS - digit_varies.leading_zeros();
+            let low_bits = (1u64 << width) - 1;
+            let digit = |p: &PairId| {
+                let word = if member == 0 { p.hi } else { p.lo };
+                (word >> shift & low_bits) as usize
+            };
+            counts.clear();
+            counts.resize(1 << width, 0);
+            for p in pairs.iter() {
+                counts[digit(p)] += 1;
+            }
+            let mut start = 0;
+            for count in counts.iter_mut() {
+                (*count, start) = (start, start + *count);
+            }
+            for p in pairs.iter() {
+                let slot = &mut counts[digit(p)];
+                sorted[*slot] = *p;
+                *slot += 1;
+            }
+            std::mem::swap(pairs, &mut sorted);
+        }
+    }
+    pairs.dedup();
 }
 
 /// A [`BlockingIndex`]'s row count and date count: where
@@ -735,6 +803,59 @@ mod tests {
                 prop_assert_eq!(&index.row_of, &control.row_of);
                 prop_assert_eq!(&index.id_of, &control.id_of);
                 prop_assert_eq!(&index.date_ids, &control.date_ids);
+            }
+
+            /// `candidate_pairs`' radix sort against the comparison sort it
+            /// replaced, over ids spread across all 64 bits (or, unless
+            /// `wide`, below 2⁷): arrival order is not id order, new
+            /// reports pair with each other, and some reports have no key
+            /// at all. Then the sort alone, on arbitrary pairs with
+            /// repeats.
+            #[test]
+            fn radix_candidates_equal_sort_unstable_and_dedup(
+                raw in prop::collection::vec(
+                    (prop::collection::vec(0u32..16, 0..3), 0u8..5),
+                    1..32,
+                ),
+                new in 0usize..12,
+                reversed in prop::bool::ANY,
+                (wide, spread, mask) in (prop::bool::ANY, 0..=u64::MAX, 0..=u64::MAX),
+                loose in prop::collection::vec((0..=u64::MAX, 0u64..4), 0..48),
+                repeats in 0usize..16,
+            ) {
+                // `i ↦ ((37 i) mod 101) · (spread | 1) ⊕ mask` is one to one.
+                let (spread, mask) = if wide { (spread | 1, mask) } else { (1, 0) };
+                let id = |i: u64| ((i * 37) % 101).wrapping_mul(spread) ^ mask;
+                let reports: Vec<ProcessedReport> = raw
+                    .into_iter()
+                    .zip(0u64..)
+                    .map(|((drugs, date), i)| report(id(i), drugs, date))
+                    .collect();
+                let (base, batch) = reports.split_at(reports.len() - new.min(reports.len()));
+                let mut index = BlockingIndex::build(base);
+                for r in batch {
+                    index.insert(r);
+                }
+                let mut new_ids: Vec<ReportId> = batch.iter().map(|r| r.id).collect();
+                if reversed {
+                    new_ids.reverse();
+                }
+                let mut expected = index.partner_pairs(&new_ids);
+                expected.sort_unstable();
+                expected.dedup();
+                prop_assert_eq!(index.candidate_pairs(&new_ids), expected);
+
+                let mut pairs: Vec<PairId> = loose
+                    .iter()
+                    .map(|&(a, step)| PairId::new(a, a.wrapping_add(step + 1)))
+                    .collect();
+                let again: Vec<PairId> = pairs.iter().copied().take(repeats).collect();
+                pairs.extend(again);
+                let mut expected = pairs.clone();
+                expected.sort_unstable();
+                expected.dedup();
+                sort_dedup_pairs(&mut pairs);
+                prop_assert_eq!(pairs, expected);
             }
         }
     }

@@ -9,8 +9,9 @@
 use crate::distance::{HeldReport, ProcessedReport};
 use adr_model::{DistVec, PairId, ReportId, DETECTION_DIMS};
 use fastknn::VecBatch;
+use simmetrics::hash::WordMap;
 use sparklet::{Cluster, Result, SparkletError};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -91,14 +92,17 @@ fn token_count(r: &ProcessedReport) -> u64 {
     (r.drug_tokens.len() + r.adr_tokens.len() + r.narrative_terms.len()) as u64
 }
 
-/// [`pair_op_weight`] of each pair in turn, keyed by report id through a
-/// [`CorpusIndex`]. Pairs that share `lo` arrive in runs (blocked
-/// candidates are in pair order), so the previous pair's `lo` and its
-/// token count are kept and a run costs one corpus lookup per pair, not
-/// two.
+/// [`pair_op_weight`] of each pair in turn. A report's token count is
+/// looked up in the [`CorpusIndex`] (a SipHash map) the first time the
+/// report is seen and kept in a [`WordMap`] by id, so a job whose pairs
+/// name a few thousand reports pays a few thousand corpus lookups, not two
+/// per pair. Pairs that share `lo` arrive in runs (blocked candidates are
+/// in pair order), so the previous pair's `lo` and its count are kept too.
 struct PairWeigher {
     corpus: CorpusIndex,
-    /// The previous pair's `lo`, with its token count (`None`: unknown).
+    /// Token count by report id (`None`: not in the corpus).
+    tokens: RefCell<WordMap<ReportId, Option<u64>>>,
+    /// The previous pair's `lo`, with its token count.
     last_lo: Cell<Option<(ReportId, Option<u64>)>>,
 }
 
@@ -106,8 +110,17 @@ impl PairWeigher {
     fn new(corpus: &CorpusIndex) -> Self {
         PairWeigher {
             corpus: Arc::clone(corpus),
+            tokens: RefCell::default(),
             last_lo: Cell::new(None),
         }
+    }
+
+    /// Report `id`'s [`token_count`], or `None` when it is not in the
+    /// corpus.
+    fn tokens(&self, id: ReportId) -> Option<u64> {
+        *(self.tokens.borrow_mut())
+            .entry(id)
+            .or_insert_with(|| self.corpus.get(&id).map(token_count))
     }
 
     /// The pair's [`pair_op_weight`]; [`PAIR_OP_BASE`] when either id is
@@ -116,11 +129,11 @@ impl PairWeigher {
     fn weigh(&self, pid: &PairId) -> u64 {
         let lo = match self.last_lo.get() {
             Some((id, tokens)) if id == pid.lo => tokens,
-            _ => self.corpus.get(&pid.lo).map(token_count),
+            _ => self.tokens(pid.lo),
         };
         self.last_lo.set(Some((pid.lo, lo)));
-        match (lo, self.corpus.get(&pid.hi)) {
-            (Some(lo), Some(hi)) => PAIR_OP_BASE + lo + token_count(hi),
+        match (lo, self.tokens(pid.hi)) {
+            (Some(lo), Some(hi)) => PAIR_OP_BASE + lo + hi,
             _ => PAIR_OP_BASE,
         }
     }

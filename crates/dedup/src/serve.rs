@@ -640,8 +640,10 @@ impl ServeService {
             })?;
             // Per-row independent, so each request's matches are identical
             // whatever else shares the batch.
-            for s in model.classify_distinct(&rows)? {
-                let (_, slots) = &row_meta[&s.id];
+            let distinct = model.classify_distinct(&rows)?;
+            for (row, &id) in rows.ids().iter().enumerate() {
+                let s = distinct.of_row(row);
+                let (_, slots) = &row_meta[&id];
                 for &(slot, cand) in slots {
                     if let ServeAnswer::Duplicate { matches, .. } = &mut answers[base + slot] {
                         matches.push(DuplicateMatch {
@@ -652,8 +654,8 @@ impl ServeService {
                     }
                 }
             }
-            // Classify returns rows in id (hash) order; present candidates
-            // in candidate-id order.
+            // Rows are in request order; present candidates in
+            // candidate-id order.
             for a in &mut answers[base..] {
                 if let ServeAnswer::Duplicate { matches, .. } = a {
                     matches.sort_by_key(|x| x.candidate);

@@ -10,8 +10,8 @@
 //! one reader checks a checkpoint's base and its log records alike. Its
 //! line helpers also serve the checkpoint's own fields (`crate::ingest`).
 
-use adr_model::{DistVec, PairId, ReportId};
-use fastknn::LabeledPair;
+use adr_model::{DistVec, PairId, ReportId, DETECTION_DIMS};
+use fastknn::{LabeledPair, VecBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use simmetrics::hash::{WordMap, WordSet};
@@ -292,9 +292,17 @@ impl PairStore {
     /// still holds are ignored (a negative already evicted from the
     /// reservoir is no longer remembered and competes as a fresh offer).
     pub fn add(&mut self, id: PairId, vector: DistVec, is_duplicate: bool) {
-        if self.contains(&id) {
-            return;
+        if !self.contains(&id) {
+            self.add_unseen(id, vector, is_duplicate);
         }
+    }
+
+    /// [`PairStore::add`] of a pair the store cannot hold, without the
+    /// membership check: a pair with a member that has just joined the
+    /// database, as every candidate of
+    /// [`DedupSystem::detect_new`](crate::DedupSystem::detect_new) has.
+    pub(crate) fn add_unseen(&mut self, id: PairId, vector: DistVec, is_duplicate: bool) {
+        debug_assert!(!self.contains(&id), "{id:?} is stored already");
         if is_duplicate {
             self.duplicates.push((id, vector));
             self.index_duplicate(id);
@@ -340,6 +348,17 @@ impl PairStore {
             id += 1;
         }
         out
+    }
+
+    /// [`PairStore::training_pairs`] as one column batch — row `i` under id
+    /// `i` — filled a column at a time from
+    /// [`labelled_vectors`](PairStore::labelled_vectors): what the
+    /// per-commit fit reads ([`fastknn::FastKnn::fit_batch`]).
+    pub(crate) fn training_batch(&self) -> VecBatch<DETECTION_DIMS> {
+        let n = self.duplicates.len() + self.non_duplicates.len();
+        let labels = self.labelled_vectors().map(|(_, label)| label).collect();
+        let cols = std::array::from_fn(|d| self.labelled_vectors().map(|(v, _)| v[d]).collect());
+        VecBatch::from_columns((0..n as u64).collect(), labels, cols)
     }
 
     /// Every stored vector with its label, in [`training_pairs`] order.
@@ -678,6 +697,20 @@ mod tests {
         assert_eq!(store.duplicate_count(), 0);
         assert_eq!(store.non_duplicate_count(), 1);
         assert!(store.contains(&pid(1, 2)));
+    }
+
+    #[test]
+    fn training_batch_is_training_pairs_in_columns() {
+        let mut store = PairStore::new(3, 5);
+        for i in 0..6u64 {
+            store.add(pid(i, i + 1), dv(i as f64 - 2.5), i % 4 == 0);
+        }
+        let mut rows = VecBatch::new();
+        for p in store.training_pairs() {
+            rows.push(p.id, &p.vector, p.positive);
+        }
+        assert_eq!(store.training_batch(), rows);
+        assert_eq!(rows.labels(), [true, true, false, false, false]);
     }
 
     #[test]

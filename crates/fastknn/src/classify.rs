@@ -60,7 +60,7 @@
 use crate::counters;
 use crate::score::{label_for, score_neighbors};
 use crate::serial::{classify_row, RowCounts};
-use crate::soa::{from_unlabeled, ScratchPool, VecBatch};
+use crate::soa::{from_labeled, from_unlabeled, ScratchPool, VecBatch};
 use crate::stage1::{stage1_row, Stage1Row};
 use crate::types::{LabeledPair, Neighborhood, ScoredPair, UnlabeledPair, PAIR_DIMS};
 use crate::voronoi::{VoronoiPartition, Walk};
@@ -170,6 +170,25 @@ enum StageOut<const D: usize> {
 /// test pair plus its stage-1 initial cutoff (see [`StageOut::Probe`]).
 type Probe<const D: usize> = (usize, (u64, [f64; D], f64));
 
+/// What [`FastKnn::classify_distinct`] returns: one result per
+/// representative row, and each row's representative.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DistinctScores {
+    /// The representatives' results, in the order of their rows, each
+    /// under its representative row's own id.
+    pub scored: Vec<ScoredPair>,
+    /// Row `i`'s representative: an index into `scored`.
+    pub rep_of_row: Vec<u32>,
+}
+
+impl DistinctScores {
+    /// Row `i`'s result: its representative's. The score, label and
+    /// shortcut are the row's own; the id is the representative's.
+    pub fn of_row(&self, i: usize) -> &ScoredPair {
+        &self.scored[self.rep_of_row[i] as usize]
+    }
+}
+
 /// A fitted distributed Fast kNN model bound to a [`Cluster`].
 pub struct FastKnn<const D: usize = PAIR_DIMS> {
     config: FastKnnConfig,
@@ -199,6 +218,18 @@ impl<const D: usize> FastKnn<D> {
         train: &[LabeledPair<D>],
         config: FastKnnConfig,
     ) -> Result<FastKnn<D>> {
+        Self::fit_batch(cluster, &from_labeled(train), config)
+    }
+
+    /// [`FastKnn::fit`] on training pairs already in columns, each row
+    /// under its id and label: what the product fits from (a store fills
+    /// the batch column by column), the same model as `fit` on the same
+    /// rows.
+    pub fn fit_batch(
+        cluster: &Cluster,
+        train: &VecBatch<D>,
+        config: FastKnnConfig,
+    ) -> Result<FastKnn<D>> {
         if train.is_empty() || config.b == 0 {
             return Err(SparkletError::User(format!(
                 "FastKnn::fit: nothing to partition ({} training pairs, b = {})",
@@ -206,7 +237,7 @@ impl<const D: usize> FastKnn<D> {
                 config.b
             )));
         }
-        let voronoi = VoronoiPartition::build(train, config.b, config.seed);
+        let voronoi = VoronoiPartition::build_batch(train, config.b, config.seed);
         Self::from_partition(cluster, voronoi, config)
     }
 
@@ -304,9 +335,11 @@ impl<const D: usize> FastKnn<D> {
     /// [`CLASSIFY_STAGE`], with the work done once per *distinct* row —
     /// §4.2's distance vectors are nearly discrete (five 0/1 fields, two
     /// short Jaccard ratios), so a bulk batch repeats each bit pattern
-    /// several times over. Returns one [`ScoredPair`] per row, sorted by id,
-    /// every field bit-identical to Algorithm 2's [`FastKnn::classify_blocks`]
-    /// on the whole batch. As there, ids must be unique within the batch.
+    /// several times over. Returns the representatives' results and each
+    /// row's representative ([`DistinctScores`]): row `i`'s result,
+    /// [`DistinctScores::of_row`], is bit-identical in score, label and
+    /// shortcut to Algorithm 2's [`FastKnn::classify_blocks`] for that row.
+    /// As there, ids must be unique within the batch.
     ///
     /// What "distinct" has to mean: a score is a function of the vector
     /// *and of the cell the row is assigned to*. Among centres tied for
@@ -318,14 +351,20 @@ impl<const D: usize> FastKnn<D> {
     /// vector that several rows hold gets [`VoronoiPartition::tie_count`]
     /// slots, a row lands in slot `id % tie_count`, and the first row in a
     /// slot represents it **under its own id**, so the stage assigns it
-    /// the very cell every row of the slot would get. The representatives
-    /// alone are classified, in runs of at least 1,024 per task, and each
-    /// row copies its representative's result.
+    /// the very cell every row of the slot would get.
+    ///
+    /// The driver's passes, on a `bulk-detect` batch of ≈ 364k rows and
+    /// ≈ 72k representatives: one hash of every row's bits (the grouping,
+    /// the largest), the tie counts of the vectors seen twice, one pass
+    /// placing every row in its slot, and the stage over the
+    /// representatives alone, in runs of at least 1,024 per task. Nothing
+    /// is scattered back or sorted: a caller reads each row through its
+    /// representative.
     ///
     /// [`FastKnn::classify_batch`] and `classify_blocks` stay Algorithm 2,
     /// per row: the paper's Figs. 6b–11 count its comparisons per test pair,
     /// and it is the oracle this is tested against.
-    pub fn classify_distinct(&self, test: &VecBatch<D>) -> Result<Vec<ScoredPair>> {
+    pub fn classify_distinct(&self, test: &VecBatch<D>) -> Result<DistinctScores> {
         // Group the rows by vector, in first-seen order. The keys are the
         // batch's own bit patterns, so they hash as words.
         let mut group_of: WordMap<[u64; D], usize> = WordMap::default();
@@ -369,17 +408,17 @@ impl<const D: usize> FastKnn<D> {
             .collect();
         // The first row to land in a slot represents it: `slot_rep` holds
         // its index in `reps`, `rep_of_row` the same for every row.
-        const EMPTY: usize = usize::MAX;
+        const EMPTY: u32 = u32::MAX;
         let mut slot_rep = vec![EMPTY; slots];
         let mut reps: Vec<usize> = Vec::new();
-        let rep_of_row: Vec<usize> = group_of_row
+        let rep_of_row: Vec<u32> = group_of_row
             .iter()
             .zip(test.ids())
             .enumerate()
             .map(|(i, (&g, &id))| {
                 let rep = &mut slot_rep[first_slot[g] + id as usize % tied[g]];
                 if *rep == EMPTY {
-                    *rep = reps.len();
+                    *rep = u32::try_from(reps.len()).expect("fewer than 2³² − 1 representatives");
                     reps.push(i);
                 }
                 *rep
@@ -390,16 +429,7 @@ impl<const D: usize> FastKnn<D> {
             .metrics()
             .counter(counters::ROWS_SHARED)
             .add((test.len() - reps.len()) as u64);
-        let mut results: Vec<ScoredPair> = rep_of_row
-            .iter()
-            .zip(test.ids())
-            .map(|(&r, &id)| ScoredPair {
-                id,
-                ..scored[r].clone()
-            })
-            .collect();
-        results.sort_by_key(|s| s.id);
-        Ok(results)
+        Ok(DistinctScores { scored, rep_of_row })
     }
 
     /// Classify rows `rows` of `test` in one [`CLASSIFY_STAGE`] of
@@ -733,6 +763,47 @@ mod tests {
         (train, test)
     }
 
+    /// [`FastKnn::classify_distinct`] scattered to its rows, each under
+    /// its own id and sorted by id — [`FastKnn::classify_blocks`]' shape —
+    /// after checking its shape: a representative for every row, and the
+    /// representatives in the order of their rows, each under the id of
+    /// the first row it answers.
+    fn scattered<const D: usize>(
+        model: &FastKnn<D>,
+        rows: &VecBatch<D>,
+    ) -> Result<Vec<ScoredPair>> {
+        let distinct = model.classify_distinct(rows)?;
+        assert_eq!(distinct.rep_of_row.len(), rows.len());
+        let mut seen = 0;
+        for (i, &rep) in distinct.rep_of_row.iter().enumerate() {
+            assert!(
+                (rep as usize) <= seen,
+                "row {i}: representative {rep} out of order"
+            );
+            if rep as usize == seen {
+                assert_eq!(
+                    distinct.scored[seen].id,
+                    rows.id(i),
+                    "representative {rep}'s id"
+                );
+                seen += 1;
+            }
+        }
+        assert_eq!(
+            seen,
+            distinct.scored.len(),
+            "every representative answers a row"
+        );
+        let mut out: Vec<ScoredPair> = (0..rows.len())
+            .map(|i| ScoredPair {
+                id: rows.id(i),
+                ..distinct.of_row(i).clone()
+            })
+            .collect();
+        out.sort_by_key(|s| s.id);
+        Ok(out)
+    }
+
     #[test]
     fn distributed_matches_brute_force() {
         let (train, test) = workload(500, 15, 80, 3);
@@ -1063,7 +1134,7 @@ mod tests {
             let model = FastKnn::fit(&cluster, &train, cfg).unwrap();
             cluster.metrics().reset();
             let out = if product {
-                model.classify_distinct(&batch)
+                scattered(&model, &batch)
             } else {
                 model.classify_blocks(&batch, 1)
             };
@@ -1094,7 +1165,7 @@ mod tests {
         let model = FastKnn::fit(&cluster, &train, FastKnnConfig::default()).unwrap();
         let batch = from_unlabeled(&test);
         let stages = cluster.job_report().stages.len();
-        let product = model.classify_distinct(&batch).unwrap();
+        let product = scattered(&model, &batch).unwrap();
         let report = cluster.job_report();
         let ran: Vec<(&str, usize)> = report.stages[stages..]
             .iter()
@@ -1256,14 +1327,14 @@ mod tests {
                 per_row[1].score.to_bits(),
                 "the siblings hold different residents"
             );
-            let shared = model.classify_distinct(&rows).unwrap();
+            let shared = scattered(&model, &rows).unwrap();
             assert_eq!(bits(&shared), bits(&per_row));
             // One vector, two slots, two representatives: nothing shared.
             let metrics = model.cluster.metrics();
             assert_eq!(metrics.counter(counters::ROWS_SHARED).get(), 0);
             // A third row in slot 0 is answered by row 0.
             rows.push(2, &[0.0; 3], false);
-            let shared = model.classify_distinct(&rows).unwrap();
+            let shared = scattered(&model, &rows).unwrap();
             assert_eq!(
                 bits(&shared),
                 bits(&model.classify_blocks(&rows, 1).unwrap())
@@ -1295,7 +1366,7 @@ mod tests {
             assert!(model.voronoi().tie_count(&[0.0; 3]) > 1);
             let picks: Vec<usize> = (0..400).map(|_| rng.gen_range(0..pool.len())).collect();
             let rows = repeated_rows(&pool, &picks, 24);
-            let shared = model.classify_distinct(&rows).unwrap();
+            let shared = scattered(&model, &rows).unwrap();
             assert_eq!(
                 bits(&shared),
                 bits(&model.classify_blocks(&rows, 3).unwrap())
@@ -1309,14 +1380,14 @@ mod tests {
         }
 
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(48))]
-
-            /// `classify_distinct` against the per-row `classify_blocks` on
-            /// what the product feeds it: lattice vectors, each repeated
-            /// many times over, under hashed ids; centres that coincide —
-            /// assembled by hand (`built == 0`) or by `build` on a
-            /// training set with one overfull corner — so vectors have
-            /// several tie slots; k from 1 to beyond a cell's population.
+            /// `classify_distinct`, scattered to its rows, against the
+            /// per-row `classify_blocks` on what the product feeds it:
+            /// lattice vectors, each repeated many times over, under hashed
+            /// ids; centres that coincide — assembled by hand (`built == 0`)
+            /// or by `build` on a training set with one overfull corner — so
+            /// vectors have several tie slots; k from 1 to beyond a cell's
+            /// population. Rows that share a representative hold its
+            /// vector, bit for bit.
             #[test]
             fn classify_distinct_is_bit_identical_to_classify_blocks(
                 negatives in lattice_points(20..80),
@@ -1340,13 +1411,26 @@ mod tests {
                 };
                 let rows = repeated_rows(&pool, &picks, salt);
                 let per_row = model.classify_blocks(&rows, 2).unwrap();
-                let shared = model.classify_distinct(&rows).unwrap();
+                let shared = scattered(&model, &rows).unwrap();
                 prop_assert_eq!(bits(&shared), bits(&per_row));
                 // No more representatives than the pool's vectors have slots.
                 let slots: usize = pool.iter().map(|v| model.voronoi().tie_count(v)).sum();
                 let shared_rows = model.cluster.metrics().counter(counters::ROWS_SHARED).get();
                 prop_assert!(rows.len() - shared_rows as usize <= slots);
+                let distinct = model.classify_distinct(&rows).unwrap();
+                let bits_of = |row: usize| rows.row(row).map(f64::to_bits);
+                let mut first_row: Vec<usize> = Vec::new();
+                for (row, &rep) in distinct.rep_of_row.iter().enumerate() {
+                    if rep as usize == first_row.len() {
+                        first_row.push(row);
+                    }
+                    prop_assert_eq!(bits_of(row), bits_of(first_row[rep as usize]));
+                }
             }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
 
             /// The product's route on eight-column pair vectors, which
             /// `build` lays out on the lattice: bit-identical to the same
@@ -1377,7 +1461,7 @@ mod tests {
                 let config = FastKnnConfig { k, b, seed: salt, ..FastKnnConfig::default() };
                 let run = |voronoi: VoronoiPartition<8>, rows: &VecBatch<8>| {
                     let model = FastKnn::from_partition(&Cluster::local(2), voronoi, config).unwrap();
-                    let scored = model.classify_distinct(rows).unwrap();
+                    let scored = scattered(&model, rows).unwrap();
                     let m = model.cluster.metrics();
                     let evals = m.counter(counters::INTRA_COMPARISONS).get()
                         + m.counter(counters::POSITIVE_COMPARISONS).get()

@@ -37,7 +37,7 @@ pub mod stage1;
 pub mod types;
 pub mod voronoi;
 
-pub use classify::{FastKnn, FastKnnConfig, CLASSIFY_STAGE};
+pub use classify::{DistinctScores, FastKnn, FastKnnConfig, CLASSIFY_STAGE};
 pub use prune::{
     admissible_radius, scan_cell_pruned, CellScanStats, TestPruner, PRUNE_SLACK_ABS,
     PRUNE_SLACK_REL,

@@ -26,6 +26,16 @@ pub fn from_unlabeled<const D: usize>(pairs: &[UnlabeledPair<D>]) -> VecBatch<D>
     batch
 }
 
+/// Pack labelled (training) pairs into a column batch (row order, ids and
+/// labels preserved).
+pub(crate) fn from_labeled<const D: usize>(pairs: &[LabeledPair<D>]) -> VecBatch<D> {
+    let mut batch = VecBatch::with_capacity(pairs.len());
+    for p in pairs {
+        batch.push(p.id, &p.vector, p.positive);
+    }
+    batch
+}
+
 /// Unpack a batch back into labelled rows.
 pub fn to_labeled<const D: usize>(batch: &VecBatch<D>) -> Vec<LabeledPair<D>> {
     (0..batch.len())

@@ -3,7 +3,9 @@
 
 use crate::lattice::{on_lattice, LatticeIndex, LATTICE_BITS};
 use crate::prune::{scan_in_order, CellScanStats};
-use crate::soa::{assign_min, distances_to_point, distances_to_point_range, VecBatch};
+use crate::soa::{
+    assign_min, distances_to_point, distances_to_point_range, from_labeled, VecBatch,
+};
 use crate::types::{LabeledPair, Neighborhood, PAIR_DIMS};
 use mlcore::kmeans::{nearest_centroid, KMeans};
 use simmetrics::{euclidean_fixed, squared_euclidean_fixed};
@@ -110,41 +112,47 @@ impl RefOrder {
 pub const KMEANS_FIT_CAP: usize = 20_000;
 
 impl<const D: usize> VoronoiPartition<D> {
-    /// Partition `train` into `b` Voronoi cells via k-means.
-    ///
-    /// `train` is read into one column batch, once. The k-means sample is
-    /// that batch or a strided gather of it, and the cells and the
-    /// positives are lists of its rows until `lay_out` gathers each
-    /// once, in its final order.
+    /// Partition `train` into `b` Voronoi cells via k-means, reading it
+    /// into one column batch first: the partition
+    /// [`FastKnn::fit_batch`](crate::FastKnn::fit_batch) builds from the
+    /// same rows in columns.
     ///
     /// # Panics
     /// Panics if `train` is empty or `b == 0`.
     pub fn build(train: &[LabeledPair<D>], b: usize, seed: u64) -> Self {
-        assert!(!train.is_empty(), "cannot partition an empty training set");
+        Self::build_batch(&from_labeled(train), b, seed)
+    }
+
+    /// Partition the rows of `all` — training pairs as columns, each under
+    /// its id and label — into `b` Voronoi cells via k-means. The k-means
+    /// sample is `all` or a strided gather of it, and the cells and the
+    /// positives are lists of its rows until `lay_out` gathers each once,
+    /// in its final order.
+    ///
+    /// # Panics
+    /// Panics if `all` is empty or `b == 0`.
+    pub(crate) fn build_batch(all: &VecBatch<D>, b: usize, seed: u64) -> Self {
+        assert!(!all.is_empty(), "cannot partition an empty training set");
         assert!(b > 0, "cluster number must be positive");
-        let mut all = VecBatch::with_capacity(train.len());
-        for p in train {
-            all.push(p.id, &p.vector, p.positive);
-        }
         let kmeans = KMeans {
             k: b,
             max_iters: 25,
             tol: 1e-9,
             seed,
         };
-        let mut centers = if train.len() > KMEANS_FIT_CAP {
-            let stride = train.len() / KMEANS_FIT_CAP + 1;
-            let sample: Vec<usize> = (0..train.len()).step_by(stride).collect();
+        let mut centers = if all.len() > KMEANS_FIT_CAP {
+            let stride = all.len() / KMEANS_FIT_CAP + 1;
+            let sample: Vec<usize> = (0..all.len()).step_by(stride).collect();
             kmeans.fit_centroids(&all.gather(&sample))
         } else {
-            kmeans.fit_centroids(&all)
+            kmeans.fit_centroids(all)
         };
         // One fused assign_min sweep (bit-identical to per-row
         // nearest_centroid) buckets every negative; the positives ride
         // along, being few (observation 1), and their cells are not read.
         let mut assigned: Vec<u32> = Vec::with_capacity(all.len());
         let mut d2: Vec<f64> = Vec::with_capacity(all.len());
-        assign_min(&all, &centers, &mut assigned, &mut d2);
+        assign_min(all, &centers, &mut assigned, &mut d2);
         // Cells as lists of rows, in training order.
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); centers.len()];
         let mut positives: Vec<usize> = Vec::new();
@@ -156,7 +164,7 @@ impl<const D: usize> VoronoiPartition<D> {
         }
         rebalance(&mut centers, &mut members);
         let lattice = D >= LATTICE_BITS && (0..LATTICE_BITS).all(|d| on_lattice(all.col(d)));
-        Self::lay_out(centers, &all, &members, &d2, &positives, lattice)
+        Self::lay_out(centers, all, &members, &d2, &positives, lattice)
     }
 
     /// A partition of the given cells with no distance metadata, as tests

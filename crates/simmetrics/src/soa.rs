@@ -88,6 +88,24 @@ impl<const D: usize> VecBatch<D> {
         batch
     }
 
+    /// Batch of the given columns: row `i` is `ids[i]`, `labels[i]` and
+    /// `cols[d][i]` for every dimension `d`.
+    ///
+    /// # Panics
+    /// Panics unless every column is as long as `ids`, and `labels` too.
+    pub fn from_columns(ids: Vec<u64>, labels: Vec<bool>, cols: [Vec<f64>; D]) -> Self {
+        let n = ids.len();
+        assert!(
+            labels.len() == n && cols.iter().all(|c| c.len() == n),
+            "every column of a batch holds one value per row"
+        );
+        VecBatch {
+            ids,
+            labels,
+            cols: cols.into(),
+        }
+    }
+
     /// Append one row.
     pub fn push(&mut self, id: u64, vector: &[f64; D], label: bool) {
         self.ids.push(id);

@@ -253,9 +253,8 @@ impl ShuffleService {
     /// Drop every map output produced by `executor` — the shuffle half of
     /// an executor kill. Affected shuffles flip back to incomplete so
     /// readers surface [`SparkletError::FetchFailed`] until the scheduler
-    /// recomputes the missing maps. Returns the number of map outputs lost.
-    pub(crate) fn invalidate_executor(&self, executor: usize) -> u64 {
-        let mut lost = 0;
+    /// recomputes the missing maps.
+    pub(crate) fn invalidate_executor(&self, executor: usize) {
         let mut s = self.store.lock();
         let mut resident = std::mem::take(&mut s.resident);
         for data in s.shuffles.values_mut() {
@@ -265,12 +264,10 @@ impl ShuffleService {
                         self.release_output(&mut resident, &output);
                     }
                     data.complete = false;
-                    lost += 1;
                 }
             }
         }
         s.resident = resident;
-        lost
     }
 
     /// Map tasks of `shuffle_id` whose outputs are missing, or `None` if
@@ -481,7 +478,7 @@ mod tests {
         svc.write_map_output(5, 1, 2, 1, 1, vec![vec![2u8]], 1)
             .unwrap();
         assert!(svc.mark_complete(5));
-        assert_eq!(svc.invalidate_executor(1), 1);
+        svc.invalidate_executor(1);
         assert!(!svc.is_complete(5), "loss flips the shuffle incomplete");
         assert_eq!(svc.missing_maps(5), Some(vec![1]));
         let err = svc.read_bucket::<u8>(5, 0).unwrap_err();
@@ -498,7 +495,8 @@ mod tests {
     fn missing_maps_of_unknown_shuffle_is_none() {
         let svc = ShuffleService::new(ClusterMetrics::new());
         assert_eq!(svc.missing_maps(42), None);
-        assert_eq!(svc.invalidate_executor(3), 0);
+        svc.invalidate_executor(3);
+        assert_eq!(svc.missing_maps(42), None, "a kill registers nothing");
     }
 
     #[test]

@@ -300,10 +300,10 @@ impl BlockManager {
     }
 
     /// Drop every block owned by `executor` — the storage half of an
-    /// executor kill. Returns `(blocks_removed, bytes_released)`. These are
-    /// failure losses, not pressure evictions, so `cache_evictions` is not
-    /// bumped; the scheduler counts the kill in `executors_lost` instead.
-    pub(crate) fn evict_executor(&self, executor: usize) -> (usize, usize) {
+    /// executor kill. These are failure losses, not pressure evictions, so
+    /// `cache_evictions` is not bumped; the scheduler counts the kill in
+    /// `executors_lost` instead.
+    pub(crate) fn evict_executor(&self, executor: usize) {
         let mut s = self.store.lock();
         let keys: Vec<BlockId> = s
             .blocks
@@ -311,19 +311,16 @@ impl BlockManager {
             .filter(|(_, b)| b.owner == executor)
             .map(|(k, _)| *k)
             .collect();
-        let mut bytes = 0;
         for k in &keys {
             if let Some(b) = s.blocks.remove(k) {
                 s.used[b.owner] -= b.size;
                 self.sub_resident(b.owner, b.size);
-                bytes += b.size;
             }
         }
         // Spilled copies die with the executor's spill file (the cluster
         // invalidates it on kill); forget the now-dangling entries so later
         // gets go straight to lineage recompute.
         s.spilled.retain(|_, e| e.owner != executor);
-        (keys.len(), bytes)
     }
 
     /// Clear the whole cache, memory and disk tier alike.
@@ -406,14 +403,17 @@ mod tests {
         m.put((1, 0), Arc::new(vec![0u8; 10]), 10, 0);
         m.put((1, 1), Arc::new(vec![0u8; 20]), 20, 1);
         m.put((2, 0), Arc::new(vec![0u8; 30]), 30, 0);
-        let (blocks, bytes) = m.evict_executor(0);
-        assert_eq!(blocks, 2);
-        assert_eq!(bytes, 40);
+        m.evict_executor(0);
         assert!(m.get::<u8>((1, 0)).is_none());
         assert!(m.get::<u8>((2, 0)).is_none());
         assert!(m.get::<u8>((1, 1)).is_some(), "survivor's block remains");
-        assert_eq!(m.used(), 20);
-        assert_eq!(m.evict_executor(0), (0, 0), "idempotent");
+        assert_eq!((m.block_count(), m.used(), m.used_by(0)), (1, 20, 0));
+        m.evict_executor(0);
+        assert_eq!(
+            (m.block_count(), m.used(), m.used_by(1)),
+            (1, 20, 20),
+            "idempotent"
+        );
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! order: ids and memo come out as if the chunks had been interned one after
 //! another into one table.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -36,7 +37,15 @@ pub struct TokenInterner {
     /// Raw lowercase narrative token → what [`term`] made of it: `None` if
     /// the filters dropped it, else the id of its stem. Every `Some(id)`
     /// here is `< tokens.len()` — [`TokenInterner::truncate`] keeps it so.
-    memo: HashMap<Box<str>, Option<u32>>,
+    memo: HashMap<Arc<str>, Option<u32>>,
+    /// The raw tokens of the memo's `Some` entries, in the order they were
+    /// made, each sharing its allocation with its memo key: what
+    /// [`TokenInterner::truncate`] reads instead of the whole memo.
+    stemmed: Vec<Arc<str>>,
+    /// `stemmed.len()` when each token was interned, indexed by id. An
+    /// entry naming id `t` was made after `t` was interned, so every entry
+    /// a truncation to `t` removes lies at or after `stemmed_from[t]`.
+    stemmed_from: Vec<u32>,
     /// Lowercasing buffer reused across calls.
     scratch: String,
 }
@@ -65,7 +74,20 @@ impl TokenInterner {
         let id = u32::try_from(self.tokens.len()).expect("interner overflow: > 4G tokens");
         self.ids.insert(Arc::clone(&token), id);
         self.tokens.push(token);
+        let stemmed = u32::try_from(self.stemmed.len()).expect("memo overflow: > 4G stems");
+        self.stemmed_from.push(stemmed);
         id
+    }
+
+    /// Memoise what the pipeline made of raw token `raw`, unless the memo
+    /// already holds it.
+    fn memoise(&mut self, raw: Arc<str>, id: Option<u32>) {
+        if let Entry::Vacant(slot) = self.memo.entry(raw) {
+            if id.is_some() {
+                self.stemmed.push(Arc::clone(slot.key()));
+            }
+            slot.insert(id);
+        }
     }
 
     /// Merge `local`, an interner that started empty and then interned the
@@ -94,9 +116,7 @@ impl TokenInterner {
             })
             .collect();
         for (raw, id) in memo {
-            self.memo
-                .entry(raw)
-                .or_insert_with(|| id.map(|id| remap[id as usize]));
+            self.memoise(raw, id.map(|id| remap[id as usize]));
         }
         remap
     }
@@ -145,7 +165,7 @@ impl TokenInterner {
                 Some(&known) => known,
                 None => {
                     let id = term(raw).map(|stem| self.intern(&stem));
-                    self.memo.insert(raw.into(), id);
+                    self.memoise(raw.into(), id);
                     id
                 }
             };
@@ -183,6 +203,10 @@ impl TokenInterner {
     /// bit-identical replays. Memo entries pointing at a forgotten id go
     /// with it: a retry may hand that id to a different stem. Marks past
     /// the current length are a no-op.
+    ///
+    /// The cost is the words interned since the mark and the memo entries
+    /// made since: those are the only ones that can name a forgotten id
+    /// (see `stemmed_from`), so the rest of the memo is never visited.
     pub fn truncate(&mut self, mark: usize) {
         if mark >= self.tokens.len() {
             return;
@@ -190,8 +214,16 @@ impl TokenInterner {
         for token in self.tokens.drain(mark..) {
             self.ids.remove(&*token);
         }
-        self.memo
-            .retain(|_, id| id.is_none_or(|id| (id as usize) < mark));
+        let since = self.stemmed_from[mark] as usize;
+        self.stemmed_from.truncate(mark);
+        for raw in self.stemmed.split_off(since) {
+            let stem = self.memo.get(&raw).copied().flatten();
+            if stem.is_some_and(|id| (id as usize) < mark) {
+                self.stemmed.push(raw);
+            } else {
+                self.memo.remove(&raw);
+            }
+        }
     }
 
     /// Follow `source`, an interner this one was cloned from when `source`
@@ -443,6 +475,128 @@ mod tests {
                 .all(|id| id.is_none_or(|id| (id as usize) < merged.len())));
             assert_eq!(merged.memo, serial.memo, "mark {mark}");
             assert_eq!(merged.ids, serial.ids, "mark {mark}");
+        }
+    }
+
+    impl TokenInterner {
+        /// [`TokenInterner::truncate`] as one scan of the whole memo, the
+        /// rule the bookkeeping has to reproduce. It leaves `stemmed` stale,
+        /// so an interner it has run on is only ever compared, never
+        /// truncated the fast way.
+        fn truncate_by_scan(&mut self, mark: usize) {
+            if mark >= self.tokens.len() {
+                return;
+            }
+            for token in self.tokens.drain(mark..) {
+                self.ids.remove(&*token);
+            }
+            self.memo
+                .retain(|_, id| id.is_none_or(|id| (id as usize) < mark));
+        }
+
+        /// [`TokenInterner::follow`] over [`TokenInterner::truncate_by_scan`].
+        fn follow_by_scan(&mut self, source: &TokenInterner, mark: usize) {
+            self.truncate_by_scan(mark);
+            for token in &source.tokens[self.tokens.len()..] {
+                self.push(Arc::clone(token));
+            }
+        }
+
+        /// Panic unless `stemmed` lists exactly the memo's `Some` entries.
+        fn assert_stemmed_is_the_memo(&self) {
+            let mut logged: Vec<&str> = self.stemmed.iter().map(|raw| &**raw).collect();
+            let mut stemmed: Vec<&str> = (self.memo.iter())
+                .filter(|(_, id)| id.is_some())
+                .map(|(raw, _)| &**raw)
+                .collect();
+            logged.sort_unstable();
+            stemmed.sort_unstable();
+            assert_eq!(logged, stemmed, "stemmed log");
+            assert_eq!(self.stemmed_from.len(), self.tokens.len());
+        }
+    }
+
+    mod truncation {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Words whose stems repeat and collide with name words.
+        const WORDS: &[&str] = &[
+            "the",
+            "headache",
+            "headaches",
+            "vomit",
+            "vomiting",
+            "Vomited",
+            "aspirin",
+            "rash",
+            "rashes",
+            "coughing",
+            "cough",
+            "naïve",
+            "ΟΔΟΣ",
+        ];
+
+        proptest! {
+            /// Random interning, marks, truncations, forks and follows,
+            /// each applied to an interner and to one that truncates by
+            /// scanning the memo: ids, tokens and memo stay equal.
+            #[test]
+            fn truncate_equals_the_memo_scan(
+                ops in prop::collection::vec(
+                    (0u8..6, prop::collection::vec(0usize..13, 0..6), 0usize..40),
+                    0..40,
+                ),
+            ) {
+                let mut fast = TokenInterner::new();
+                let mut scan = TokenInterner::new();
+                let mut marks: Vec<usize> = Vec::new();
+                // A clone of `fast` taken at `.1` tokens, interning on its own.
+                let mut fork: Option<(TokenInterner, usize)> = None;
+                for (kind, words, k) in ops {
+                    let text: Vec<&str> = words.iter().map(|&w| WORDS[w]).collect();
+                    match kind {
+                        0 => {
+                            let text = text.join(" ");
+                            prop_assert_eq!(fast.intern_terms(&text), scan.intern_terms(&text));
+                        }
+                        1 => {
+                            for word in text {
+                                prop_assert_eq!(
+                                    fast.intern_lowercase(word),
+                                    scan.intern_lowercase(word)
+                                );
+                            }
+                        }
+                        2 => marks.push(fast.mark()),
+                        3 => {
+                            // A mark taken earlier, or any count at all.
+                            let mark = marks.get(k).copied().unwrap_or(k % 24);
+                            fast.truncate(mark);
+                            scan.truncate_by_scan(mark);
+                            if fork.as_ref().is_some_and(|(_, at)| mark < *at) {
+                                fork = None;
+                            }
+                        }
+                        4 => fork = Some((fast.clone(), fast.mark())),
+                        _ => match fork.as_mut() {
+                            Some((source, _)) if k % 2 == 0 => {
+                                source.intern_terms(&text.join(" "));
+                            }
+                            Some((source, at)) => {
+                                fast.follow(source, *at);
+                                scan.follow_by_scan(source, *at);
+                                *at = fast.mark();
+                            }
+                            None => {}
+                        },
+                    }
+                    prop_assert_eq!(&fast.tokens, &scan.tokens);
+                    prop_assert_eq!(&fast.ids, &scan.ids);
+                    prop_assert_eq!(&fast.memo, &scan.memo);
+                    fast.assert_stemmed_is_the_memo();
+                }
+            }
         }
     }
 
