@@ -16,9 +16,10 @@
 
 use crate::distance::ProcessedReport;
 use adr_model::{PairId, ReportId};
+use simmetrics::hash::WordMap;
 use simmetrics::{intersect_gallop_into, union_k_sorted_into};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// A compact blocking key: a drug token (already interned by
 /// [`textprep::TokenInterner`]) or an onset date (interned by the index
@@ -49,17 +50,17 @@ pub struct BlockingIndex {
     /// Per-key posting list of dense rows, always sorted ascending and
     /// deduplicated. [`BlockingIndex::posting_list`] is its one reader;
     /// `insert` and `truncate` are its writers.
-    blocks: HashMap<BlockKey, Vec<u32>>,
+    blocks: WordMap<BlockKey, Vec<u32>>,
     /// Dense row → the [`BlockingIndex::probe_keys`] of its report, taken
     /// at insert.
     keys: Vec<Vec<BlockKey>>,
     /// Report id → dense row.
-    row_of: HashMap<ReportId, u32>,
+    row_of: WordMap<ReportId, u32>,
     /// Dense row → report id (inverse of `row_of`).
     id_of: Vec<ReportId>,
     /// Onset-date interner: equal date strings get equal ids, so
     /// [`BlockKey::Date`] equality matches string equality.
-    date_ids: HashMap<String, u32>,
+    date_ids: WordMap<String, u32>,
 }
 
 impl BlockingIndex {
@@ -446,6 +447,7 @@ mod tests {
     use super::*;
     use adr_synth::{Dataset, SynthConfig};
     use dedup_test_helpers::processed;
+    use std::collections::HashMap;
 
     mod dedup_test_helpers {
         use crate::distance::ProcessedReport;

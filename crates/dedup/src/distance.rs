@@ -12,7 +12,7 @@
 use adr_model::{AdrReport, DistVec, ReportId};
 use simmetrics::{jaccard_distance_counts, jaccard_distance_sorted, FieldDistance};
 use std::cell::Cell;
-use textprep::{Pipeline, TokenInterner};
+use textprep::{ChunkInterner, InternLog, Pipeline, TokenInterner};
 
 /// A report with its text fields preprocessed once (tokenised, stop-worded,
 /// stemmed, interned) so that pairwise comparisons are pure set operations
@@ -44,10 +44,15 @@ pub struct ProcessedReport {
     pub narrative_terms: Vec<u32>,
 }
 
-fn name_token_ids(names: &[&str], interner: &mut TokenInterner) -> Vec<u32> {
-    let mut ids: Vec<u32> = names
-        .iter()
-        .flat_map(|n| n.split_whitespace())
+/// The token ids of a comma-joined name field: each word of each name
+/// [`AdrReport::drug_names`] (or `adr_names`) lists, in order, lowercased,
+/// then sorted and deduplicated. Those names are the field's comma-separated
+/// parts, trimmed, so their words are the field's runs of characters that
+/// are neither commas nor whitespace.
+fn name_token_ids<L: InternLog>(field: &str, interner: &mut TokenInterner<L>) -> Vec<u32> {
+    let mut ids: Vec<u32> = field
+        .split(|c: char| c == ',' || c.is_whitespace())
+        .filter(|word| !word.is_empty())
         .map(|word| interner.intern_lowercase(word))
         .collect();
     ids.sort_unstable();
@@ -58,7 +63,11 @@ fn name_token_ids(names: &[&str], interner: &mut TokenInterner) -> Vec<u32> {
 impl ProcessedReport {
     /// Preprocess one report with the given text pipeline, interning every
     /// token into `interner`.
-    pub fn from_report(r: &AdrReport, pipeline: &Pipeline, interner: &mut TokenInterner) -> Self {
+    pub fn from_report<L: InternLog>(
+        r: &AdrReport,
+        pipeline: &Pipeline,
+        interner: &mut TokenInterner<L>,
+    ) -> Self {
         ProcessedReport {
             id: r.id,
             age: r.patient.calculated_age,
@@ -66,24 +75,28 @@ impl ProcessedReport {
             state: r.patient.residential_state.clone(),
             onset_date: r.reaction.onset_date.clone(),
             outcome: r.reaction.reaction_outcome_description.clone(),
-            drug_tokens: name_token_ids(&r.drug_names(), interner),
-            adr_tokens: name_token_ids(&r.adr_names(), interner),
+            drug_tokens: name_token_ids(&r.medicine.generic_name_description, interner),
+            adr_tokens: name_token_ids(&r.reaction.meddra_pt_code, interner),
             narrative_terms: pipeline.intern(&r.reaction.report_description, interner),
         }
     }
 }
 
 /// Reports each text-processing worker must get before a batch is split.
-/// Splitting costs a thread spawn per worker and, on the calling thread,
-/// one [`TokenInterner::absorb`] and one remap-and-sort of every id set per
-/// later chunk; a worker also starts with an empty memo. Measured on two
-/// vCPUs, two chunks against one thread (synthetic corpus, medians of 40,
-/// into an empty and into a 9,000-report interner): 128 reports per worker
-/// lose (×0.7–0.9), 256–768 gain ×1.1–1.4 with run-to-run noise as large
-/// as the gain, and 1,024 and up gain ×1.3–1.6. So the crossover is near
-/// 200 reports per worker; 1,024 keeps clear of the noise and keeps
-/// `detect_new`'s 1,000-report quarter (text processing ≈ 1 % of that
-/// call) and the 50-report ingest commits on the serial loop.
+/// Splitting costs a thread spawn per helper and, on the calling thread,
+/// the merge of every helper's report (its new tokens, the remap and
+/// re-sort of its id sets); a helper also starts with an empty memo, so it
+/// filters and stems each distinct word of its chunk again. Measured on
+/// two vCPUs, two chunks against one thread (synthetic corpus, medians of
+/// 40, into an empty and into a 9,000-report interner), with the byte
+/// scanner and the keyed word hasher: 128 reports per worker lose (×0.97
+/// and ×0.71), 256–512 break even into the empty interner (×1.02) and lose
+/// into the full one (×0.80–0.94), 768 gain ×1.03–1.09, 1,024 ×1.08–1.11
+/// and 2,048 ×1.07–1.21. Cheaper text processing moved the crossover from
+/// near 200 reports per worker to near 700: the per-report work shrank and
+/// the merge and the cold memo did not. 1,024 still keeps clear of it, and
+/// keeps `detect_new`'s 1,000-report quarter (text processing ≈ 1 % of
+/// that call) and the 50-report ingest commits on the serial loop.
 const MIN_REPORTS_PER_WORKER: usize = 1_024;
 
 /// Chunks [`process_reports`] cuts a batch of `reports` into on `workers`
@@ -92,17 +105,48 @@ fn text_chunks(reports: usize, workers: usize) -> usize {
     workers.min(reports / MIN_REPORTS_PER_WORKER).max(1)
 }
 
+/// Reports a helper thread processes between two hand-overs to the
+/// calling thread in [`process_reports`].
+const PIECE_REPORTS: usize = 256;
+
+/// What the calling thread of [`process_reports`] spends per report, in
+/// hundredths of what a helper spends processing one: a report it processes
+/// itself costs that plus the sink, and a helper's report costs it the
+/// absorb of the report's new tokens, the remap and re-sort of its id sets
+/// and the sink. Measured with both threads busy (phase timers over 20
+/// loads of 40,000 reports, two vCPUs): the sink is 0.23 of a helper's
+/// report, the merge 0.16 and the sink after it 0.21.
+const OWN_COST: usize = 123;
+const MERGE_COST: usize = 37;
+
+/// Reports of a batch of `reports` cut into `chunks` that the calling
+/// thread processes itself: as many as keep it busy, with the merge of the
+/// helpers' reports, until the helpers are done. With `h` of its own and
+/// `t` per helper, the calling thread spends `h·OWN_COST + (chunks−1)·t·
+/// MERGE_COST` and each helper `t·100`.
+fn head_reports(reports: usize, chunks: usize) -> usize {
+    let helpers = chunks - 1;
+    // h·OWN + (n − h)·MERGE = (n − h)·100 / helpers, solved for h.
+    let spare = 100usize.saturating_sub(helpers * MERGE_COST);
+    reports * spare / (helpers * OWN_COST + spare)
+}
+
 /// Preprocess `reports` into `interner` and hand each [`ProcessedReport`]
 /// to `sink` in input order: the reports, the ids and the interner (memo
 /// included) afterwards are exactly those of
 /// [`ProcessedReport::from_report`] called on each report in turn. The
 /// batch is cut into [`text_chunks`] contiguous chunks — Fig. 1's text
-/// processing as a map over partitions. The calling thread processes chunk
-/// 0 into `interner` while scoped threads process each later chunk into a
-/// fresh interner; then the chunks are merged in order, each with
-/// [`TokenInterner::absorb`] and its id sets remapped and re-sorted, and
-/// handed to `sink` as soon as they are. A worker panic resumes on the
-/// calling thread.
+/// processing as a map over partitions. The calling thread processes the
+/// first, [`head_reports`] long, into `interner` and sinks it, while a
+/// scoped thread per later chunk processes it into a [`ChunkInterner`] of
+/// its own and hands it over every [`PIECE_REPORTS`] reports, with the
+/// tokens those reports were the first to use. The calling thread then
+/// merges the pieces in order as they arrive: the new tokens
+/// ([`TokenInterner::absorb_tokens`]), the reports with their id sets
+/// remapped and re-sorted, into `sink`; and once a chunk's thread is done,
+/// its raw-token memo ([`TokenInterner::absorb`]). So the helpers go on
+/// processing while the calling thread merges. A helper panic resumes on
+/// the calling thread.
 pub(crate) fn process_reports(
     reports: &[AdrReport],
     pipeline: &Pipeline,
@@ -117,45 +161,60 @@ pub(crate) fn process_reports(
         }
         return;
     }
-    let (head, tail) = reports.split_at(reports.len().div_ceil(chunks));
+    let (head, tail) = reports.split_at(head_reports(reports.len(), chunks));
     std::thread::scope(|scope| {
-        let chunks: Vec<_> = tail
-            .chunks(head.len())
-            .map(|chunk| {
-                // Allocated on this thread: under a per-thread-arena
-                // allocator (glibc) it is then freed, after the merge,
-                // where this thread's next allocations reuse it.
-                let mut processed = Vec::with_capacity(chunk.len());
-                scope.spawn(move || {
-                    let mut local = TokenInterner::new();
-                    processed.extend(
-                        chunk
-                            .iter()
-                            .map(|r| ProcessedReport::from_report(r, pipeline, &mut local)),
-                    );
-                    (local, processed)
+        let helpers: Vec<_> =
+            tail.chunks(tail.len().div_ceil(chunks - 1))
+                .map(|chunk| {
+                    let pieces = chunk.chunks(PIECE_REPORTS);
+                    // Allocated on this thread: under a per-thread-arena
+                    // allocator (glibc) each is then freed, after its merge,
+                    // where this thread's next allocations reuse it.
+                    let buffers: Vec<Vec<ProcessedReport>> = (pieces.clone())
+                        .map(|piece| Vec::with_capacity(piece.len()))
+                        .collect();
+                    let (hand_over, handed) = std::sync::mpsc::sync_channel(buffers.len());
+                    let helper =
+                        scope.spawn(move || {
+                            let mut local = ChunkInterner::default();
+                            for (piece, mut processed) in pieces.zip(buffers) {
+                                let known = local.len();
+                                processed.extend(piece.iter().map(|r| {
+                                    ProcessedReport::from_report(r, pipeline, &mut local)
+                                }));
+                                let tokens = local.tokens_from(known).to_vec();
+                                if hand_over.send((processed, tokens)).is_err() {
+                                    break; // The calling thread is unwinding.
+                                }
+                            }
+                            local
+                        });
+                    (handed, helper)
                 })
-            })
-            .collect();
+                .collect();
         for r in head {
             sink(ProcessedReport::from_report(r, pipeline, interner));
         }
-        for chunk in chunks {
-            let (local, processed) = chunk
+        for (handed, helper) in helpers {
+            let mut remap = Vec::new();
+            for (processed, tokens) in handed {
+                interner.absorb_tokens(tokens, &mut remap);
+                for mut p in processed {
+                    for ids in [
+                        &mut p.drug_tokens,
+                        &mut p.adr_tokens,
+                        &mut p.narrative_terms,
+                    ] {
+                        ids.iter_mut().for_each(|id| *id = remap[*id as usize]);
+                        ids.sort_unstable();
+                    }
+                    sink(p);
+                }
+            }
+            let local = helper
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            let remap = interner.absorb(local);
-            for mut p in processed {
-                for ids in [
-                    &mut p.drug_tokens,
-                    &mut p.adr_tokens,
-                    &mut p.narrative_terms,
-                ] {
-                    ids.iter_mut().for_each(|id| *id = remap[*id as usize]);
-                    ids.sort_unstable();
-                }
-                sink(p);
-            }
+            interner.absorb(local, &mut remap);
         }
     });
 }
@@ -387,6 +446,29 @@ mod tests {
             assert_eq!(fused.len(), unfused.len());
             for id in 0..fused.len() as u32 {
                 assert_eq!(fused.resolve(id), unfused.resolve(id));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Name fields of commas, whitespace (Unicode's included) and
+        /// mixed-case words: the words `from_report` interns straight from
+        /// the field are the reference's, in the same order.
+        #[test]
+        fn name_fields_intern_like_the_listed_names(
+            drugs in "[a-cA-Cé ,\t\u{2003}]{0,24}",
+            adrs in "[a-cA-Cé ,\t\u{2003}]{0,24}",
+        ) {
+            let p = Pipeline::paper();
+            let r = report(0, 1.0, Sex::F, &drugs, &adrs, "");
+            let (mut fused, mut unfused) = (TokenInterner::new(), TokenInterner::new());
+            proptest::prop_assert_eq!(
+                ProcessedReport::from_report(&r, &p, &mut fused),
+                reference_from_report(&r, &p, &mut unfused)
+            );
+            proptest::prop_assert_eq!(fused.len(), unfused.len());
+            for id in 0..fused.len() as u32 {
+                proptest::prop_assert_eq!(fused.resolve(id), unfused.resolve(id));
             }
         }
     }
@@ -643,18 +725,34 @@ mod tests {
         let (prefix, batch) = ds.reports.split_at(300);
         for workers in [1, 2, 3, 8] {
             assert_eq!(text_chunks(batch.len(), workers), workers);
+            if workers > 1 {
+                // The helpers' stretches end in a piece shorter than the rest.
+                let head = head_reports(batch.len(), workers);
+                let stretch = (batch.len() - head).div_ceil(workers - 1);
+                assert_ne!(stretch % PIECE_REPORTS, 0, "{workers} workers");
+            }
             assert_processes_like_the_serial_loop(prefix, batch, workers);
         }
     }
 
     #[test]
     fn degenerate_batches_process_like_the_serial_loop() {
-        let ds = Dataset::generate(&SynthConfig::small(2_300, 100, 32));
+        let ds = Dataset::generate(&SynthConfig::small(3_000, 100, 32));
         let (prefix, batch) = ds.reports.split_at(200);
         for workers in [2, 8] {
             assert_processes_like_the_serial_loop(prefix, &[], workers);
             assert_processes_like_the_serial_loop(prefix, &batch[..3], workers);
         }
+        // A helper's stretch of whole pieces, and one whose last piece is a
+        // single report.
+        for rest in [0, 1] {
+            let reports = (2 * MIN_REPORTS_PER_WORKER..batch.len())
+                .find(|&n| (n - head_reports(n, 2)) % PIECE_REPORTS == rest)
+                .expect("a batch size with that cut");
+            assert_eq!(text_chunks(reports, 2), 2);
+            assert_processes_like_the_serial_loop(prefix, &batch[..reports], 2);
+        }
+        let batch = &batch[..2_100];
         // Nothing but names to intern, and some reports without names.
         let silent: Vec<AdrReport> = batch
             .iter()

@@ -1,6 +1,7 @@
 //! A word-at-a-time hasher for the driver's tables keyed by integers and
 //! float bit patterns — pair ids, report ids, the `to_bits` words of a
-//! distance vector.
+//! distance vector — and for the blocking index's keys, rows and onset
+//! dates.
 //!
 //! The standard library's SipHash resists keys chosen to collide and costs
 //! several rounds per word. [`WordHasher`] takes each 64-bit word in one
@@ -33,21 +34,34 @@ impl WordHasher {
 }
 
 impl Hasher for WordHasher {
-    /// Little-endian 8-byte words, the last one zero-padded.
+    /// Little-endian 8-byte words, the last one zero-padded. That one is
+    /// gathered byte by byte: a copy of variable length is a `memcpy` call.
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
         let mut words = bytes.chunks_exact(8);
         for word in &mut words {
-            let mut le = [0u8; 8];
-            le.copy_from_slice(word);
-            self.add(u64::from_le_bytes(le));
+            self.add(u64::from_le_bytes(word.try_into().expect("8 bytes")));
         }
         let rest = words.remainder();
         if !rest.is_empty() {
-            let mut le = [0u8; 8];
-            le[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(le));
+            self.add(
+                rest.iter()
+                    .rev()
+                    .fold(0, |word, &b| word << 8 | u64::from(b)),
+            );
         }
+    }
+
+    /// `write(&[n])`'s word, without the slice.
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    /// `write(&n.to_le_bytes())`'s word, without the slice.
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
     }
 
     #[inline]
@@ -79,6 +93,35 @@ pub type WordSet<K> = HashSet<K, BuildHasherDefault<WordHasher>>;
 mod tests {
     use super::*;
     use std::hash::BuildHasher;
+
+    #[test]
+    fn shortcuts_hash_as_their_bytes() {
+        // `write_u8`, `write_u32` and the bytewise tail give the words the
+        // zero-padded little-endian slice gives.
+        fn padded(bytes: &[u8]) -> u64 {
+            let mut h = WordHasher::default();
+            for word in bytes.chunks(8) {
+                let mut le = [0u8; 8];
+                le[..word.len()].copy_from_slice(word);
+                h.add(u64::from_le_bytes(le));
+            }
+            h.finish()
+        }
+        let hash = |f: &dyn Fn(&mut WordHasher)| {
+            let mut h = WordHasher::default();
+            f(&mut h);
+            h.finish()
+        };
+        for n in [0u32, 1, 0xFF, 0x1234_5678, u32::MAX] {
+            assert_eq!(hash(&|h| h.write_u32(n)), padded(&n.to_le_bytes()));
+            assert_eq!(hash(&|h| h.write_u8(n as u8)), padded(&[n as u8]));
+        }
+        let text = "30/04/2013 00:00:00";
+        for len in 0..=text.len() {
+            let bytes = &text.as_bytes()[..len];
+            assert_eq!(hash(&|h| h.write(bytes)), padded(bytes), "{len} bytes");
+        }
+    }
 
     #[test]
     fn lattice_vectors_spread_over_low_and_top_bits() {

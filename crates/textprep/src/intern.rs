@@ -14,41 +14,122 @@
 //! thousands of distinct words millions of times, and the memo is what makes
 //! the stop-word lookup, the stemmer and the stem's interning run once per
 //! distinct word. It lives here, not in [`crate::Pipeline`], because it holds
-//! ids and so has to be rolled back with them.
+//! ids and so has to be rolled back with them. Both tables hash with the
+//! crate's keyed word-at-a-time hasher (`hash.rs`).
 //!
 //! A batch can be interned in contiguous chunks on separate threads, each
-//! into a fresh interner, and merged with [`TokenInterner::absorb`] in chunk
-//! order: ids and memo come out as if the chunks had been interned one after
-//! another into one table.
+//! into a fresh [`ChunkInterner`], and merged with [`TokenInterner::absorb`]
+//! in chunk order: ids and memo come out as if the chunks had been interned
+//! one after another into one table. A chunk's tokens can be absorbed
+//! ahead of the rest of it ([`TokenInterner::absorb_tokens`]), so the
+//! reports of a finished stretch can be remapped while the chunk's thread
+//! goes on with the next.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::hash::TextMap;
 use crate::pipeline::term;
 use crate::tokenizer::for_each_token;
 
+/// String → dense `u32` id table, with the narrative pipeline's raw-token
+/// memo. `L` is what it records as it grows: a [`TruncationLog`] (the
+/// default), which lets it be rolled back ([`TokenInterner::truncate`]),
+/// or nothing, for a [`ChunkInterner`].
 #[derive(Debug, Default, Clone)]
-pub struct TokenInterner {
-    ids: HashMap<Arc<str>, u32>,
+pub struct TokenInterner<L = TruncationLog> {
+    ids: TextMap<Arc<str>, u32>,
     /// Arena of interned strings, indexed by id; each shares its allocation
     /// with its key in `ids`.
     tokens: Vec<Arc<str>>,
     /// Raw lowercase narrative token → what [`term`] made of it: `None` if
     /// the filters dropped it, else the id of its stem. Every `Some(id)`
     /// here is `< tokens.len()` — [`TokenInterner::truncate`] keeps it so.
-    memo: HashMap<Arc<str>, Option<u32>>,
-    /// The raw tokens of the memo's `Some` entries, in the order they were
-    /// made, each sharing its allocation with its memo key: what
-    /// [`TokenInterner::truncate`] reads instead of the whole memo.
-    stemmed: Vec<Arc<str>>,
-    /// `stemmed.len()` when each token was interned, indexed by id. An
-    /// entry naming id `t` was made after `t` was interned, so every entry
-    /// a truncation to `t` removes lies at or after `stemmed_from[t]`.
-    stemmed_from: Vec<u32>,
+    memo: TextMap<Box<str>, Option<u32>>,
+    log: L,
     /// Lowercasing buffer reused across calls.
     scratch: String,
+    /// Id buffer of [`TokenInterner::intern_terms`], reused across calls.
+    terms: Vec<u32>,
 }
+
+/// An interner for one stretch of a batch, processed on a thread of its own
+/// and merged back in order with [`TokenInterner::absorb`]. It is never
+/// truncated, so it keeps no [`TruncationLog`]. Build it with
+/// `ChunkInterner::default()`.
+pub type ChunkInterner = TokenInterner<NoLog>;
+
+mod sealed {
+    /// The methods of [`super::InternLog`], out of outside code's reach.
+    pub trait Sealed: Default + Clone + std::fmt::Debug {
+        /// A token was interned.
+        fn interned(&mut self);
+        /// The memo learned that raw token `raw` stems to an interned id.
+        fn stemmed(&mut self, raw: &str);
+    }
+}
+
+/// What an interner records as it grows: [`TruncationLog`] or [`NoLog`].
+pub trait InternLog: sealed::Sealed {}
+
+/// The record [`TokenInterner::truncate`] reads instead of the whole memo:
+/// the memo's `Some` entries in the order they were made, and where the log
+/// stood when each token was interned.
+#[derive(Debug, Default, Clone)]
+pub struct TruncationLog {
+    /// The raw tokens of the memo's `Some` entries, end to end.
+    stemmed: String,
+    /// Where each of those raw tokens ends in `stemmed`.
+    ends: Vec<u32>,
+    /// `ends.len()` when each token was interned, indexed by id. An entry
+    /// naming id `t` was made after `t` was interned, so every entry a
+    /// truncation to `t` removes lies at or after `stemmed_from[t]`.
+    stemmed_from: Vec<u32>,
+}
+
+impl sealed::Sealed for TruncationLog {
+    fn interned(&mut self) {
+        let logged = u32::try_from(self.ends.len()).expect("memo overflow: > 4G stems");
+        self.stemmed_from.push(logged);
+    }
+
+    fn stemmed(&mut self, raw: &str) {
+        self.stemmed.push_str(raw);
+        let end = u32::try_from(self.stemmed.len()).expect("truncation log over 4 GiB");
+        self.ends.push(end);
+    }
+}
+
+impl InternLog for TruncationLog {}
+
+impl TruncationLog {
+    /// Cut the log back to where it stood when token `mark` was interned,
+    /// and return the raw tokens logged since: end to end, with the offset
+    /// each ends at in the returned string.
+    fn split_off(&mut self, mark: usize) -> (String, Vec<usize>) {
+        let since = self.stemmed_from[mark] as usize;
+        self.stemmed_from.truncate(mark);
+        let base = since
+            .checked_sub(1)
+            .map_or(0, |last| self.ends[last] as usize);
+        let ends = (self.ends.drain(since..))
+            .map(|end| end as usize - base)
+            .collect();
+        (self.stemmed.split_off(base), ends)
+    }
+}
+
+/// A [`ChunkInterner`]'s log: it records nothing.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct NoLog;
+
+impl sealed::Sealed for NoLog {
+    fn interned(&mut self) {}
+
+    fn stemmed(&mut self, _raw: &str) {}
+}
+
+impl InternLog for NoLog {}
 
 fn sorted_set(mut ids: Vec<u32>) -> Vec<u32> {
     ids.sort_unstable();
@@ -60,7 +141,9 @@ impl TokenInterner {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
+impl<L: InternLog> TokenInterner<L> {
     /// Intern one token, returning its id.
     pub fn intern(&mut self, token: &str) -> u32 {
         match self.ids.get(token) {
@@ -74,27 +157,43 @@ impl TokenInterner {
         let id = u32::try_from(self.tokens.len()).expect("interner overflow: > 4G tokens");
         self.ids.insert(Arc::clone(&token), id);
         self.tokens.push(token);
-        let stemmed = u32::try_from(self.stemmed.len()).expect("memo overflow: > 4G stems");
-        self.stemmed_from.push(stemmed);
+        self.log.interned();
         id
     }
 
     /// Memoise what the pipeline made of raw token `raw`, unless the memo
     /// already holds it.
-    fn memoise(&mut self, raw: Arc<str>, id: Option<u32>) {
+    fn memoise(&mut self, raw: Box<str>, id: Option<u32>) {
         if let Entry::Vacant(slot) = self.memo.entry(raw) {
             if id.is_some() {
-                self.stemmed.push(Arc::clone(slot.key()));
+                self.log.stemmed(slot.key());
             }
             slot.insert(id);
         }
     }
 
-    /// Merge `local`, an interner that started empty and then interned the
-    /// next stretch of this interner's input, as if that stretch had been
-    /// interned here: `local`'s tokens are interned in local id order, its
-    /// raw-token memo joins this one with the ids mapped, and the map comes
-    /// back, `remap[local id] = id here`.
+    /// Intern `tokens` — the tokens a [`ChunkInterner`] gave ids
+    /// `remap.len()` on, in id order ([`TokenInterner::tokens_from`]) — as
+    /// [`TokenInterner::absorb`] would, pushing each one's id here onto
+    /// `remap`. A token new here shares its string with the chunk's.
+    pub fn absorb_tokens(
+        &mut self,
+        tokens: impl IntoIterator<Item = Arc<str>>,
+        remap: &mut Vec<u32>,
+    ) {
+        remap.extend(tokens.into_iter().map(|token| match self.ids.get(&*token) {
+            Some(&id) => id,
+            None => self.push(token),
+        }));
+    }
+
+    /// Merge `local`, a chunk interner that started empty and then interned
+    /// the next stretch of this interner's input, as if that stretch had
+    /// been interned here: `local`'s tokens are interned in local id order,
+    /// its raw-token memo joins this one with the ids mapped, and `remap`
+    /// comes back as the map `remap[local id] = id here`. On the way in,
+    /// `remap` holds the map of `local`'s first `remap.len()` tokens, which
+    /// [`TokenInterner::absorb_tokens`] interned already (empty if none).
     ///
     /// A token new here is new at its first occurrence in `local`'s
     /// stretch, and local ids are in first-occurrence order, so absorbing
@@ -102,23 +201,23 @@ impl TokenInterner {
     /// exactly the memo, of interning them all here one after another.
     /// Memo entries this interner already holds stay: the pipeline is a
     /// pure function of the raw token, so both sides agree on them.
-    pub fn absorb(&mut self, local: TokenInterner) -> Vec<u32> {
+    pub fn absorb(&mut self, local: ChunkInterner, remap: &mut Vec<u32>) {
         let TokenInterner {
             ids, tokens, memo, ..
         } = local;
         // The arena's `Arc`s are then the only owners, and move in as keys.
         drop(ids);
-        let remap: Vec<u32> = tokens
-            .into_iter()
-            .map(|token| match self.ids.get(&*token) {
-                Some(&id) => id,
-                None => self.push(token),
-            })
-            .collect();
+        let absorbed = remap.len();
+        self.absorb_tokens(tokens.into_iter().skip(absorbed), remap);
         for (raw, id) in memo {
             self.memoise(raw, id.map(|id| remap[id as usize]));
         }
-        remap
+    }
+
+    /// The tokens given ids `from` on, in id order, each sharing its string
+    /// with this interner: what [`TokenInterner::absorb_tokens`] takes.
+    pub fn tokens_from(&self, from: usize) -> &[Arc<str>] {
+        &self.tokens[from..]
     }
 
     /// Intern `word.to_lowercase()` without allocating for an ASCII word.
@@ -156,10 +255,12 @@ impl TokenInterner {
     /// token resolved through the memo. A token's first occurrence runs
     /// [`term`] and interns the stem exactly where the unmemoised path
     /// would, so ids still come out in first-seen order; later occurrences
-    /// are one hash lookup.
+    /// are one hash lookup. The ids gather in a buffer the interner keeps,
+    /// and the set comes back in a vector of its own length.
     pub(crate) fn intern_terms(&mut self, text: &str) -> Vec<u32> {
         let mut scratch = std::mem::take(&mut self.scratch);
-        let mut ids = Vec::new();
+        let mut ids = std::mem::take(&mut self.terms);
+        ids.clear();
         for_each_token(text, &mut scratch, |raw| {
             let id = match self.memo.get(raw) {
                 Some(&known) => known,
@@ -172,7 +273,11 @@ impl TokenInterner {
             ids.extend(id);
         });
         self.scratch = scratch;
-        sorted_set(ids)
+        ids.sort_unstable();
+        ids.dedup();
+        let set = ids.to_vec();
+        self.terms = ids;
+        set
     }
 
     /// The string a given id was assigned to. Panics on an id this interner
@@ -189,7 +294,9 @@ impl TokenInterner {
     pub fn is_empty(&self) -> bool {
         self.tokens.is_empty()
     }
+}
 
+impl TokenInterner {
     /// A rollback mark: the current token count. Tokens interned after
     /// taking a mark can be undone with [`TokenInterner::truncate`].
     pub fn mark(&self) -> usize {
@@ -206,7 +313,7 @@ impl TokenInterner {
     ///
     /// The cost is the words interned since the mark and the memo entries
     /// made since: those are the only ones that can name a forgotten id
-    /// (see `stemmed_from`), so the rest of the memo is never visited.
+    /// (see [`TruncationLog`]), so the rest of the memo is never visited.
     pub fn truncate(&mut self, mark: usize) {
         if mark >= self.tokens.len() {
             return;
@@ -214,14 +321,16 @@ impl TokenInterner {
         for token in self.tokens.drain(mark..) {
             self.ids.remove(&*token);
         }
-        let since = self.stemmed_from[mark] as usize;
-        self.stemmed_from.truncate(mark);
-        for raw in self.stemmed.split_off(since) {
-            let stem = self.memo.get(&raw).copied().flatten();
+        let (raws, ends) = self.log.split_off(mark);
+        let mut start = 0;
+        for end in ends {
+            let raw = &raws[start..end];
+            start = end;
+            let stem = self.memo.get(raw).copied().flatten();
             if stem.is_some_and(|id| (id as usize) < mark) {
-                self.stemmed.push(raw);
+                sealed::Sealed::stemmed(&mut self.log, raw);
             } else {
-                self.memo.remove(&raw);
+                self.memo.remove(raw);
             }
         }
     }
@@ -368,7 +477,11 @@ mod tests {
 
     /// One report's text: name words (`intern_lowercase`, as drug and ADR
     /// names are) and a narrative (the pipeline), into one id namespace.
-    fn intern_item(interner: &mut TokenInterner, names: &str, narrative: &str) -> [Vec<u32>; 2] {
+    fn intern_item<L: InternLog>(
+        interner: &mut TokenInterner<L>,
+        names: &str,
+        narrative: &str,
+    ) -> [Vec<u32>; 2] {
         let names = names
             .split_whitespace()
             .map(|word| interner.intern_lowercase(word))
@@ -378,18 +491,22 @@ mod tests {
 
     /// Intern `items` one after another into one interner, and again in
     /// chunks cut at `cuts`: chunk 0 into the merged interner, each later
-    /// chunk into a fresh one absorbed in chunk order, its id sets
-    /// remapped. Both routes must give the same id sets, the same string
-    /// behind every id and the same memo. Returns (merged, serial).
+    /// chunk into a fresh [`ChunkInterner`] absorbed in chunk order, its id
+    /// sets remapped. A chunk's tokens so far are absorbed ahead
+    /// ([`TokenInterner::absorb_tokens`]) after each item whose index is in
+    /// `early`, as a merge that remaps finished stretches does. Both routes
+    /// must give the same id sets, the same string behind every id and the
+    /// same memo. Returns (merged, serial).
     fn assert_chunked_matches_serial<S: AsRef<str>>(
         items: &[(S, S)],
         cuts: &[usize],
+        early: &[usize],
     ) -> (TokenInterner, TokenInterner) {
-        let item = |interner: &mut TokenInterner, (names, narrative): &(S, S)| {
-            intern_item(interner, names.as_ref(), narrative.as_ref())
-        };
         let mut serial = TokenInterner::new();
-        let expected: Vec<[Vec<u32>; 2]> = items.iter().map(|i| item(&mut serial, i)).collect();
+        let expected: Vec<[Vec<u32>; 2]> = items
+            .iter()
+            .map(|(names, text)| intern_item(&mut serial, names.as_ref(), text.as_ref()))
+            .collect();
 
         let mut ends: Vec<usize> = cuts.iter().map(|&c| c.min(items.len())).collect();
         ends.sort_unstable();
@@ -399,12 +516,23 @@ mod tests {
             let part = &items[start..end];
             start = end;
             if chunk == 0 {
-                got.extend(part.iter().map(|i| item(&mut merged, i)));
+                got.extend(
+                    part.iter().map(|(names, text)| {
+                        intern_item(&mut merged, names.as_ref(), text.as_ref())
+                    }),
+                );
                 continue;
             }
-            let mut local = TokenInterner::new();
-            let sets: Vec<[Vec<u32>; 2]> = part.iter().map(|i| item(&mut local, i)).collect();
-            let remap = merged.absorb(local);
+            let (mut local, mut remap) = (ChunkInterner::default(), Vec::new());
+            let mut sets = Vec::new();
+            for (i, (names, text)) in part.iter().enumerate() {
+                sets.push(intern_item(&mut local, names.as_ref(), text.as_ref()));
+                if early.contains(&(end - part.len() + i)) {
+                    let tokens = local.tokens_from(remap.len()).to_vec();
+                    merged.absorb_tokens(tokens, &mut remap);
+                }
+            }
+            merged.absorb(local, &mut remap);
             for mut report in sets {
                 for set in &mut report {
                     set.iter_mut().for_each(|id| *id = remap[*id as usize]);
@@ -438,7 +566,7 @@ mod tests {
             ("Ibuprofen vomit", "NAÏVE, vomited, STRAẞE"),
             ("odos", "ibuprofen headache"),
         ];
-        let (merged, _) = assert_chunked_matches_serial(&items, &[2, 4]);
+        let (merged, _) = assert_chunked_matches_serial(&items, &[2, 4], &[2, 4, 5]);
         let id = |s: &str| merged.ids[s];
         assert!(id("ibuprofen") > id("paracetamol"), "first seen in chunk 2");
         assert_eq!(merged.memo["headache"], merged.memo["headaches"]);
@@ -447,13 +575,15 @@ mod tests {
         assert!(merged.memo.contains_key("i\u{307}stanbul"));
         assert!(!merged.memo.contains_key("straẞe"), "lowered to straße");
 
-        // Every chunking, including empty chunks and chunk 0 empty.
+        // Every chunking, including empty chunks and chunk 0 empty, with
+        // and without tokens absorbed ahead.
         for a in 0..=items.len() {
             for b in a..=items.len() {
-                assert_chunked_matches_serial(&items, &[a, b]);
+                assert_chunked_matches_serial(&items, &[a, b], &[]);
+                assert_chunked_matches_serial(&items, &[a, b], &[1, 3, 4]);
             }
         }
-        assert_chunked_matches_serial::<&str>(&[], &[0, 0]);
+        assert_chunked_matches_serial::<&str>(&[], &[0, 0], &[0]);
     }
 
     #[test]
@@ -464,7 +594,7 @@ mod tests {
             ("codeine", "coughing and headache, then vomiting"),
             ("vomit", "rash"),
         ];
-        let (mut merged, mut serial) = assert_chunked_matches_serial(&items, &[2]);
+        let (mut merged, mut serial) = assert_chunked_matches_serial(&items, &[2], &[2]);
         for mark in (0..=serial.len()).rev() {
             merged.truncate(mark);
             serial.truncate(mark);
@@ -480,7 +610,7 @@ mod tests {
 
     impl TokenInterner {
         /// [`TokenInterner::truncate`] as one scan of the whole memo, the
-        /// rule the bookkeeping has to reproduce. It leaves `stemmed` stale,
+        /// rule the bookkeeping has to reproduce. It leaves the log stale,
         /// so an interner it has run on is only ever compared, never
         /// truncated the fast way.
         fn truncate_by_scan(&mut self, mark: usize) {
@@ -502,9 +632,16 @@ mod tests {
             }
         }
 
-        /// Panic unless `stemmed` lists exactly the memo's `Some` entries.
+        /// Panic unless the log lists exactly the memo's `Some` entries.
         fn assert_stemmed_is_the_memo(&self) {
-            let mut logged: Vec<&str> = self.stemmed.iter().map(|raw| &**raw).collect();
+            let log = &self.log;
+            let mut logged: Vec<&str> = (log.ends.iter())
+                .scan(0, |start, &end| {
+                    let raw = &log.stemmed[*start..end as usize];
+                    *start = end as usize;
+                    Some(raw)
+                })
+                .collect();
             let mut stemmed: Vec<&str> = (self.memo.iter())
                 .filter(|(_, id)| id.is_some())
                 .map(|(raw, _)| &**raw)
@@ -512,7 +649,7 @@ mod tests {
             logged.sort_unstable();
             stemmed.sort_unstable();
             assert_eq!(logged, stemmed, "stemmed log");
-            assert_eq!(self.stemmed_from.len(), self.tokens.len());
+            assert_eq!(log.stemmed_from.len(), self.tokens.len());
         }
     }
 
@@ -644,6 +781,7 @@ mod tests {
                     0..16,
                 ),
                 cuts in prop::collection::vec(0usize..16, 0..5),
+                early in prop::collection::vec(0usize..16, 0..6),
             ) {
                 let items: Vec<(String, String)> = reports
                     .iter()
@@ -651,7 +789,7 @@ mod tests {
                         (names.join(" "), words.iter().flat_map(|&(w, sep)| [w, sep]).collect())
                     })
                     .collect();
-                assert_chunked_matches_serial(&items, &cuts);
+                assert_chunked_matches_serial(&items, &cuts, &early);
             }
         }
     }

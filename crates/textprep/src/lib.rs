@@ -18,15 +18,17 @@
 //! * [`TokenInterner`] — string → `u32` interning so token sets compare as
 //!   sorted integer slices, never re-hashing strings on the pairwise hot
 //!   path, plus the raw-token memo that lets `Pipeline::intern` filter, stem
-//!   and intern once per distinct word.
+//!   and intern once per distinct word; [`ChunkInterner`] is the same table
+//!   for one stretch of a batch interned on another thread and absorbed.
 
+mod hash;
 pub mod intern;
 pub mod pipeline;
 pub mod porter;
 pub mod stopwords;
 pub mod tokenizer;
 
-pub use intern::TokenInterner;
+pub use intern::{ChunkInterner, InternLog, TokenInterner};
 pub use pipeline::Pipeline;
 pub use porter::stem;
 pub use stopwords::is_stopword;

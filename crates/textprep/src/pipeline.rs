@@ -1,6 +1,6 @@
 //! The tokenize → stopword-filter → stem pipeline of §4.2.
 
-use crate::intern::TokenInterner;
+use crate::intern::{InternLog, TokenInterner};
 use crate::porter::stem;
 use crate::stopwords::is_stopword;
 use crate::tokenizer::for_each_token;
@@ -47,7 +47,7 @@ impl Pipeline {
     /// text with no `String` per token and the stop-word lookup, stemming
     /// and interning done once per *distinct* raw token the interner has
     /// seen rather than once per occurrence.
-    pub fn intern(&self, text: &str, interner: &mut TokenInterner) -> Vec<u32> {
+    pub fn intern<L: InternLog>(&self, text: &str, interner: &mut TokenInterner<L>) -> Vec<u32> {
         interner.intern_terms(text)
     }
 }
