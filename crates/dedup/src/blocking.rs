@@ -63,6 +63,13 @@ pub struct BlockingIndex {
     date_ids: WordMap<String, u32>,
 }
 
+/// A report's blocking keys: its drug tokens, then its onset date's id
+/// when it has one — `date`, looked up (or interned) by the caller.
+fn keys_of(r: &ProcessedReport, date: Option<u32>) -> Vec<BlockKey> {
+    let drugs = r.drug_tokens.iter().map(|&t| BlockKey::Drug(t));
+    drugs.chain(date.map(BlockKey::Date)).collect()
+}
+
 impl BlockingIndex {
     /// Build an index over processed reports, keying each report by every
     /// drug token and by its onset date (when present).
@@ -76,8 +83,9 @@ impl BlockingIndex {
 
     /// Add a report to the index under the next dense row, the largest
     /// row yet: pushing it onto each of its key lists keeps every list
-    /// sorted and deduplicated. Its onset date is interned first, so its
-    /// keys are its [`BlockingIndex::probe_keys`].
+    /// sorted and deduplicated. Its onset date is interned first — one
+    /// lookup for a known date, a second to add a new one — so its keys
+    /// are its [`BlockingIndex::probe_keys`].
     ///
     /// # Panics
     /// Panics if the index already holds a report with this id.
@@ -89,13 +97,15 @@ impl BlockingIndex {
             r.id
         );
         self.id_of.push(r.id);
-        if let Some(date) = &r.onset_date {
-            if !self.date_ids.contains_key(date.as_str()) {
-                let next = self.date_ids.len() as u32;
-                self.date_ids.insert(date.clone(), next);
+        let date = r.onset_date.as_ref().map(|date| {
+            if let Some(&id) = self.date_ids.get(date.as_str()) {
+                return id;
             }
-        }
-        let keys = self.probe_keys(r);
+            let next = self.date_ids.len() as u32;
+            self.date_ids.insert(date.clone(), next);
+            next
+        });
+        let keys = keys_of(r, date);
         for key in &keys {
             let list = self.blocks.entry(*key).or_default();
             if list.last() != Some(&row) {
@@ -177,17 +187,13 @@ impl BlockingIndex {
     /// against a shared index without `&mut` access. Drug keys reuse the
     /// report's interned token ids; the date key resolves only when some
     /// indexed report already interned the same date string (a date no
-    /// indexed report carries cannot match any block anyway). The index's
-    /// one key derivation: [`BlockingIndex::insert`] interns the date and
-    /// then keys the report by this.
+    /// indexed report carries cannot match any block anyway). Like
+    /// [`BlockingIndex::insert`], which interns the date instead of looking
+    /// it up, it keys the report through [`keys_of`], the index's one key
+    /// derivation.
     pub fn probe_keys(&self, r: &ProcessedReport) -> Vec<BlockKey> {
-        let mut keys: Vec<BlockKey> = r.drug_tokens.iter().map(|&t| BlockKey::Drug(t)).collect();
-        if let Some(date) = &r.onset_date {
-            if let Some(&id) = self.date_ids.get(date) {
-                keys.push(BlockKey::Date(id));
-            }
-        }
-        keys
+        let date = (r.onset_date.as_ref()).and_then(|date| self.date_ids.get(date.as_str()));
+        keys_of(r, date.copied())
     }
 
     /// Candidate partners of a probe report *without inserting it*: the

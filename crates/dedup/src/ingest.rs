@@ -177,9 +177,11 @@ const KEEP_CHECKPOINTS: usize = 2;
 
 /// Current checkpoint schema version (2 dropped the `lagged_pairs` line
 /// with the admission gate that read it; 3 embeds the `pairstore v2`
-/// snapshot, a header and the delta from an empty store). A directory
+/// snapshot, a header and the delta from an empty store; 4 records the
+/// store's [`PairStore::training_digest`] in the `centres` line, a sum of
+/// per-row terms rather than v3's hash chain over the rows). A directory
 /// written in an earlier version is refused.
-pub const CHECKPOINT_VERSION: u32 = 3;
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Virtual cost of a checkpoint write: fixed fsync+rename latency plus a
 /// per-KiB streaming term.
@@ -199,6 +201,7 @@ struct CommitState {
     cumulative_digest: u64,
     reports: u64,
     interner_tokens: u64,
+    /// The store's [`PairStore::training_digest`].
     centres_digest: u64,
     skipped: Vec<u64>,
 }
@@ -209,20 +212,6 @@ struct Checkpoint {
     config_digest: u64,
     state: CommitState,
     store: PairStore,
-}
-
-/// Digest of the store's training set — the state the per-commit Fast kNN
-/// fit (and through it the Voronoi centres) is a deterministic function
-/// of. Recovery cross-checks it after restoring the store.
-fn centres_digest(store: &PairStore) -> u64 {
-    let mut d = 0xC3A7u64;
-    for (id, (vector, positive)) in store.labelled_vectors().enumerate() {
-        // An array hashes as a length-prefixed slice, like the `Vec<u64>`
-        // this digest was first defined over.
-        let bits: [u64; adr_model::DETECTION_DIMS] = vector.map(f64::to_bits);
-        d = stable_hash(&(d, id as u64, bits, positive));
-    }
-    d
 }
 
 /// Digest of one batch's detections, order-sensitive (the detection order
@@ -347,7 +336,8 @@ impl IngestService {
                 state.interner_tokens
             )));
         }
-        let centres = centres_digest(system.store());
+        let centres = system.store().training_digest_from_rows();
+        debug_assert_eq!(centres, system.store().training_digest());
         if centres != state.centres_digest {
             return Err(IngestError::Checkpoint(format!(
                 "restored training set digest {:016x} != checkpointed {:016x}",
@@ -626,7 +616,7 @@ impl IngestService {
             cumulative_digest: self.cumulative_digest,
             reports: self.system.report_count() as u64,
             interner_tokens: self.system.interner_len() as u64,
-            centres_digest: centres_digest(self.system.store()),
+            centres_digest: self.system.store().training_digest(),
             skipped: self.skipped.clone(),
         };
         // The compaction rule: log against the current base until its log
@@ -1011,7 +1001,7 @@ mod tests {
         assert_eq!(ckpt.state.reports, svc.system().report_count() as u64);
         assert_eq!(
             ckpt.state.centres_digest,
-            centres_digest(svc.system().store())
+            svc.system().store().training_digest_from_rows()
         );
         assert_eq!(ckpt.store.snapshot(), svc.system().store().snapshot());
         // Flipping any byte of the body breaks the CRC.
@@ -1097,12 +1087,14 @@ mod tests {
         svc.run(&rp, 1).unwrap();
         let path = svc.checkpoint_path(svc.base_generation.unwrap());
         drop(svc);
-        // Rewrite the base as versions 1 and 2 wrote it: their header, the
-        // `pairstore v1` snapshot both embedded (`overflow_offers` in its
-        // header, sections without a start, no slots), version 1's
-        // `lagged_pairs` line after the digest, a CRC that holds.
-        let v3 = fs::read_to_string(&path).unwrap();
-        let body = &v3[..v3.rfind("crc ").unwrap()];
+        // Rewrite the base as versions 1 to 3 wrote it: their header; for 1
+        // and 2 the `pairstore v1` snapshot both embedded (`overflow_offers`
+        // in its header, sections without a start, no slots) and version
+        // 1's `lagged_pairs` line after the digest; a CRC that holds.
+        // Version 3 wrote this very grammar, its `centres` line a hash chain
+        // over the rows: only the header tells it apart.
+        let v4 = fs::read_to_string(&path).unwrap();
+        let body = &v4[..v4.rfind("crc ").unwrap()];
         let (fields, store) = body.split_at(body.find("\nstore ").unwrap() + 1);
         let snapshot = store.split_once('\n').unwrap().1;
         let old_snapshot = snapshot
@@ -1115,12 +1107,13 @@ mod tests {
             .lines()
             .find(|l| l.starts_with("cumulative_digest"))
             .unwrap();
-        for version in [1u64, 2] {
-            let mut fields = fields.replacen("ingest v3\n", &format!("ingest v{version}\n"), 1);
+        for version in [1u64, 2, 3] {
+            let mut fields = fields.replacen("ingest v4\n", &format!("ingest v{version}\n"), 1);
             if version == 1 {
                 fields = fields.replacen(digest_line, &format!("{digest_line}\nlagged_pairs 0"), 1);
             }
-            let mut old = format!("{fields}store {}\n{old_snapshot}", old_snapshot.len());
+            let store = if version == 3 { snapshot } else { old_snapshot };
+            let mut old = format!("{fields}store {}\n{store}", store.len());
             let crc = stable_hash(old.as_str());
             old.push_str(&format!("crc {crc:016x}\n"));
             fs::write(&path, &old).unwrap();
@@ -1136,7 +1129,7 @@ mod tests {
             )
             .err()
             .expect("a base in an earlier version is refused");
-            let want = format!("unsupported checkpoint version {version} (supported: 3)");
+            let want = format!("unsupported checkpoint version {version} (supported: 4)");
             assert!(
                 matches!(&err, IngestError::Checkpoint(m) if *m == want),
                 "{err}"
@@ -1144,25 +1137,6 @@ mod tests {
             assert_eq!(fs::read_to_string(&path).unwrap(), old, "left as found");
         }
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn centres_digest_equals_its_training_pairs_form() {
-        // The digest was defined over `training_pairs()` with each vector
-        // collected into a `Vec<u64>`; checkpoints written that way must
-        // still pass the recovery cross-check.
-        let mut store = PairStore::new(6, 3);
-        for i in 0..40u64 {
-            let v = std::array::from_fn(|d| (i * 8 + d as u64) as f64 * 0.37 - 1.0);
-            store.add(adr_model::PairId::new(i, i + 100), v, i % 7 == 0);
-        }
-        let mut old = 0xC3A7u64;
-        for p in store.training_pairs() {
-            let bits: Vec<u64> = p.vector.iter().map(|x| x.to_bits()).collect();
-            old = stable_hash(&(old, p.id, bits, p.positive));
-        }
-        assert_eq!(centres_digest(&store), old);
-        assert_ne!(centres_digest(&PairStore::new(6, 3)), old);
     }
 
     /// A service run over `rp` whose final quarter holds two reports, so
@@ -1244,7 +1218,7 @@ mod tests {
             cumulative_digest: svc.cumulative_digest,
             reports: svc.system().report_count() as u64,
             interner_tokens: svc.system().interner_len() as u64,
-            centres_digest: centres_digest(svc.system().store()),
+            centres_digest: svc.system().store().training_digest(),
             skipped: Vec::new(),
         };
         let duplicates = svc.system().store().duplicate_count();

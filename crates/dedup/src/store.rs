@@ -9,12 +9,18 @@
 //! three-line header and the [`PairStore::delta`] from an empty store, so
 //! one reader checks a checkpoint's base and its log records alike. Its
 //! line helpers also serve the checkpoint's own fields (`crate::ingest`).
+//!
+//! The store also carries a digest of its training rows
+//! ([`PairStore::training_digest`]), kept up to date row by row as pairs
+//! arrive, so a checkpoint records it at the cost of the rows a commit
+//! changed rather than of the store.
 
 use adr_model::{DistVec, PairId, ReportId, DETECTION_DIMS};
 use fastknn::{LabeledPair, VecBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use simmetrics::hash::{WordMap, WordSet};
+use sparklet::stable_hash;
 use std::fmt::Display;
 
 /// Bounded labelled-pair store with feedback. Vectors are fixed-arity
@@ -61,6 +67,25 @@ pub struct PairStore {
     /// What changed since the last checkpoint; cloned (and so rolled back)
     /// with the store.
     dirty: Dirty,
+    /// The wrapping sum of every training row's [`row_term`]: what
+    /// [`PairStore::training_digest`] finishes. Derived state, kept in step
+    /// with the lists by every append and slot overwrite (and so cloned
+    /// and rolled back with the store), never serialised.
+    row_terms: u64,
+}
+
+/// Pairs [`PairStore::training_batch`] reads at a time: a block of 256
+/// (≈ 22 KB) stays in L1 while the eight columns are filled from it. On a
+/// 20,075-pair store, filling the columns a row at a time (eight pushes per
+/// pair) took 0.53 ms and a pass over the whole store per column 0.34 ms;
+/// blocks of 256 took 0.18 ms (standalone timing, two vCPUs).
+const TRAINING_BLOCK_ROWS: usize = 256;
+
+/// One training row's share of [`PairStore::training_digest`]: its label,
+/// its index in its own list and its vector's bits. Appending a duplicate
+/// moves no negative's index, so no other row's term changes.
+fn row_term(positive: bool, index: usize, v: &DistVec) -> u64 {
+    stable_hash(&(positive, index as u64, v.map(f64::to_bits)))
 }
 
 /// Change tracking behind [`PairStore::delta`]. The store only ever changes
@@ -265,6 +290,7 @@ impl PairStore {
             rng: StdRng::seed_from_u64(seed),
             overflow_offers: 0,
             dirty: Dirty::default(),
+            row_terms: 0,
         }
     }
 
@@ -304,11 +330,13 @@ impl PairStore {
     pub(crate) fn add_unseen(&mut self, id: PairId, vector: DistVec, is_duplicate: bool) {
         debug_assert!(!self.contains(&id), "{id:?} is stored already");
         if is_duplicate {
+            self.add_term(true, self.duplicates.len(), &vector);
             self.duplicates.push((id, vector));
             self.index_duplicate(id);
             return;
         }
         if self.non_duplicates.len() < self.max_non_duplicates {
+            self.add_term(false, self.non_duplicates.len(), &vector);
             self.non_duplicates.push((id, vector));
             self.negative_ids.insert(id);
         } else if self.max_non_duplicates > 0 {
@@ -317,13 +345,59 @@ impl PairStore {
             let offered = self.max_non_duplicates as u64 + self.overflow_offers;
             let slot = self.rng.gen_range(0..offered);
             if (slot as usize) < self.max_non_duplicates {
-                let evicted = self.non_duplicates[slot as usize].0;
+                let slot = slot as usize;
+                let evicted = self.non_duplicates[slot].0;
                 self.negative_ids.remove(&evicted);
                 self.negative_ids.insert(id);
-                self.non_duplicates[slot as usize] = (id, vector);
-                self.dirty.mark_slot(slot as usize, self.max_non_duplicates);
+                self.overwrite(slot, (id, vector));
+                self.dirty.mark_slot(slot, self.max_non_duplicates);
             }
         }
+    }
+
+    /// Count row `index` of its list, holding `v`, into the running digest.
+    fn add_term(&mut self, positive: bool, index: usize, v: &DistVec) {
+        self.row_terms = self.row_terms.wrapping_add(row_term(positive, index, v));
+    }
+
+    /// Put `pair` in reservoir slot `slot`, swapping the evicted negative's
+    /// digest term for the new one's.
+    fn overwrite(&mut self, slot: usize, pair: (PairId, DistVec)) {
+        let old = row_term(false, slot, &self.non_duplicates[slot].1);
+        self.row_terms = self.row_terms.wrapping_sub(old);
+        self.add_term(false, slot, &pair.1);
+        self.non_duplicates[slot] = pair;
+    }
+
+    /// Digest of the training set — every row's label, index in its own
+    /// list and vector bits, and the two list lengths: the state the
+    /// per-commit Fast kNN fit (and through it the Voronoi centres) is a
+    /// deterministic function of. O(1): the store keeps the rows' terms
+    /// summed as they change, so a checkpoint pays for the rows a commit
+    /// changed, not for the store.
+    pub(crate) fn training_digest(&self) -> u64 {
+        self.finish_digest(self.row_terms)
+    }
+
+    /// [`PairStore::training_digest`] recomputed from the rows, in
+    /// O(store): what recovery checks a restored store against the
+    /// checkpoint's record with.
+    pub(crate) fn training_digest_from_rows(&self) -> u64 {
+        let terms = |pairs: &[(PairId, DistVec)], positive: bool| {
+            (pairs.iter().enumerate())
+                .map(move |(i, (_, v))| row_term(positive, i, v))
+                .fold(0u64, u64::wrapping_add)
+        };
+        let sum = terms(&self.duplicates, true).wrapping_add(terms(&self.non_duplicates, false));
+        self.finish_digest(sum)
+    }
+
+    fn finish_digest(&self, row_terms: u64) -> u64 {
+        let lengths = (
+            self.duplicates.len() as u64,
+            self.non_duplicates.len() as u64,
+        );
+        stable_hash(&(0xC3A7u64, row_terms, lengths))
     }
 
     /// Index an appended duplicate. The member index is derived state,
@@ -351,22 +425,23 @@ impl PairStore {
     }
 
     /// [`PairStore::training_pairs`] as one column batch — row `i` under id
-    /// `i` — filled a column at a time from
-    /// [`labelled_vectors`](PairStore::labelled_vectors): what the
-    /// per-commit fit reads ([`fastknn::FastKnn::fit_batch`]).
+    /// `i` — in one pass over the stored pairs: what the per-commit fit
+    /// reads ([`fastknn::FastKnn::fit_batch`]). The pairs are read
+    /// [`TRAINING_BLOCK_ROWS`] at a time, and each column is filled from the
+    /// block while it is in cache.
     pub(crate) fn training_batch(&self) -> VecBatch<DETECTION_DIMS> {
         let n = self.duplicates.len() + self.non_duplicates.len();
-        let labels = self.labelled_vectors().map(|(_, label)| label).collect();
-        let cols = std::array::from_fn(|d| self.labelled_vectors().map(|(v, _)| v[d]).collect());
+        let mut labels = Vec::with_capacity(n);
+        let mut cols: [Vec<f64>; DETECTION_DIMS] = std::array::from_fn(|_| Vec::with_capacity(n));
+        for (pairs, positive) in [(&self.duplicates, true), (&self.non_duplicates, false)] {
+            labels.resize(labels.len() + pairs.len(), positive);
+            for block in pairs.chunks(TRAINING_BLOCK_ROWS) {
+                for (d, col) in cols.iter_mut().enumerate() {
+                    col.extend(block.iter().map(|(_, v)| v[d]));
+                }
+            }
+        }
         VecBatch::from_columns((0..n as u64).collect(), labels, cols)
-    }
-
-    /// Every stored vector with its label, in [`training_pairs`] order.
-    ///
-    /// [`training_pairs`]: PairStore::training_pairs
-    pub(crate) fn labelled_vectors(&self) -> impl Iterator<Item = (&DistVec, bool)> {
-        let positives = self.duplicates.iter().map(|(_, v)| (v, true));
-        positives.chain(self.non_duplicates.iter().map(|(_, v)| (v, false)))
     }
 
     /// Is this pair currently stored (under either label)?
@@ -633,25 +708,27 @@ impl PairStore {
         }
         let repeated = |id: PairId| format!("delta repeats stored pair {id:?}");
         for at in dup_from..self.duplicates.len() {
-            let id = self.duplicates[at].0;
+            let (id, v) = self.duplicates[at];
             if self.contains(&id) {
                 return Err(repeated(id));
             }
             self.index_duplicate(id);
+            self.add_term(true, at, &v);
         }
         for at in neg_from..self.non_duplicates.len() {
-            let id = self.non_duplicates[at].0;
+            let (id, v) = self.non_duplicates[at];
             if self.contains(&id) {
                 return Err(repeated(id));
             }
             self.negative_ids.insert(id);
+            self.add_term(false, at, &v);
         }
         for (slot, (id, v)) in overwrites {
             if self.contains(&id) {
                 return Err(repeated(id));
             }
             self.negative_ids.insert(id);
-            self.non_duplicates[slot] = (id, v);
+            self.overwrite(slot, (id, v));
         }
         self.mark_checkpointed();
         Ok(())
@@ -1197,6 +1274,129 @@ mod tests {
                 let pos = pos % bytes.len();
                 bytes[pos] = byte;
                 let _ = base.clone().apply_delta(std::str::from_utf8(&bytes).unwrap());
+            }
+        }
+    }
+
+    mod digest_fuzz {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Offer `(a, b, label, route)`: through `add`, or through
+        /// `add_unseen` when `route` is odd and the pair is not stored.
+        fn offer(store: &mut PairStore, (a, b, label, route): (u64, u64, u8, u8)) {
+            let (id, v) = (pid(a, b + 100), dv(a as f64 + 0.01 * b as f64));
+            if route % 2 == 1 && !store.contains(&id) {
+                store.add_unseen(id, v, label == 0);
+            } else {
+                store.add(id, v, label == 0);
+            }
+        }
+
+        fn assert_running(store: &PairStore, step: &str) {
+            assert_eq!(
+                store.training_digest(),
+                store.training_digest_from_rows(),
+                "{step}"
+            );
+        }
+
+        /// Row `row` of the training order (the duplicates, then the
+        /// negatives)'s vector.
+        fn vector_mut(store: &mut PairStore, row: usize) -> &mut DistVec {
+            match row.checked_sub(store.duplicates.len()) {
+                None => &mut store.duplicates[row].1,
+                Some(neg) => &mut store.non_duplicates[neg].1,
+            }
+        }
+
+        /// `store`'s digest recomputed after `edit` changed its lists.
+        fn edited(store: &PairStore, edit: impl FnOnce(&mut PairStore)) -> u64 {
+            let mut copy = store.clone();
+            edit(&mut copy);
+            copy.training_digest_from_rows()
+        }
+
+        proptest! {
+            #[test]
+            fn the_running_training_digest_equals_the_one_from_rows(
+                cap in 0usize..16,
+                seed in 0u64..50,
+                offers in proptest::collection::vec((0u64..40, 0u64..40, 0u8..8, 0u8..2), 0..300),
+                checkpoint_after in 0usize..300,
+                attempt in proptest::collection::vec((0u64..40, 40u64..80, 0u8..8, 0u8..2), 1..40),
+                edit in (0usize..1024, 0usize..1024, 0usize..DETECTION_DIMS, 0u32..64),
+            ) {
+                let mut live = PairStore::new(cap, seed);
+                let checkpoint_after = checkpoint_after.min(offers.len());
+                for &o in &offers[..checkpoint_after] {
+                    offer(&mut live, o);
+                    assert_running(&live, "filling");
+                }
+                let base = PairStore::restore(&live.snapshot()).unwrap();
+                prop_assert_eq!(base.training_digest(), live.training_digest());
+                live.mark_checkpointed();
+                for &o in &offers[checkpoint_after..] {
+                    offer(&mut live, o);
+                    assert_running(&live, "after the checkpoint");
+                }
+                // An attempt on a copy that is then rolled back, as the
+                // system's guard does, leaves the digest as it was.
+                let before = live.training_digest();
+                let guard = live.clone();
+                for &o in &attempt {
+                    offer(&mut live, o);
+                }
+                assert_running(&live, "attempt");
+                live = guard;
+                prop_assert_eq!(live.training_digest(), before);
+                assert_running(&live, "rolled back");
+                // The readers rebuild it: a delta onto the checkpoint, and a
+                // snapshot.
+                let mut applied = base.clone();
+                applied.apply_delta(&live.delta()).unwrap();
+                prop_assert_eq!(applied.training_digest(), before);
+                assert_running(&applied, "delta applied");
+                let restored = PairStore::restore(&live.snapshot()).unwrap();
+                prop_assert_eq!(restored.training_digest(), before);
+                assert_running(&restored, "restored");
+
+                // Any change to the rows moves it: one vector bit, ...
+                let (dups, negs) = (live.duplicate_count(), live.non_duplicate_count());
+                let (i, j, d, bit) = edit;
+                if dups + negs > 0 {
+                    let flipped = edited(&live, |s| {
+                        let v = vector_mut(s, i % (dups + negs));
+                        v[d] = f64::from_bits(v[d].to_bits() ^ 1 << bit);
+                    });
+                    prop_assert_ne!(flipped, before);
+                    // ... the places of two rows with different vectors, ...
+                    let (a, b) = (i % (dups + negs), j % (dups + negs));
+                    let mut copy = live.clone();
+                    let (va, vb) = (*vector_mut(&mut copy, a), *vector_mut(&mut copy, b));
+                    if va != vb {
+                        let swapped = edited(&live, |s| {
+                            *vector_mut(s, a) = vb;
+                            *vector_mut(s, b) = va;
+                        });
+                        prop_assert_ne!(swapped, before);
+                    }
+                }
+                // ... or one label.
+                if dups > 0 {
+                    let relabelled = edited(&live, |s| {
+                        let row = s.duplicates.remove(i % dups);
+                        s.non_duplicates.push(row);
+                    });
+                    prop_assert_ne!(relabelled, before);
+                }
+                if negs > 0 {
+                    let relabelled = edited(&live, |s| {
+                        let row = s.non_duplicates.remove(i % negs);
+                        s.duplicates.push(row);
+                    });
+                    prop_assert_ne!(relabelled, before);
+                }
             }
         }
     }

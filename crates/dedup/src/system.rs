@@ -268,9 +268,7 @@ impl DedupSystem {
     /// borrowed, a job would shift the job ids fault schedules are drawn
     /// from, and text processing charges no virtual time.
     pub(crate) fn add_reports(&mut self, reports: &[AdrReport]) {
-        let cluster = self.cluster.config();
-        let slots = (cluster.num_executors * cluster.cores_per_executor)
-            .min(sparklet::ClusterConfig::MAX_WORKER_THREADS);
+        let slots = self.cluster.config().worker_threads();
         // Mutating shared snapshots: `make_mut` copies one only while a
         // serving layer attached since the last write still holds it (see
         // [`Epoch`]), so a batch of inserts costs at most one copy of each.

@@ -237,7 +237,8 @@ impl<const D: usize> FastKnn<D> {
                 config.b
             )));
         }
-        let voronoi = VoronoiPartition::build_batch(train, config.b, config.seed);
+        let slots = cluster.config().worker_threads();
+        let voronoi = VoronoiPartition::build_batch(train, config.b, config.seed, slots);
         Self::from_partition(cluster, voronoi, config)
     }
 

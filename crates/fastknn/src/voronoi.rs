@@ -115,23 +115,24 @@ impl<const D: usize> VoronoiPartition<D> {
     /// Partition `train` into `b` Voronoi cells via k-means, reading it
     /// into one column batch first: the partition
     /// [`FastKnn::fit_batch`](crate::FastKnn::fit_batch) builds from the
-    /// same rows in columns.
+    /// same rows in columns, here all on the calling thread.
     ///
     /// # Panics
     /// Panics if `train` is empty or `b == 0`.
     pub fn build(train: &[LabeledPair<D>], b: usize, seed: u64) -> Self {
-        Self::build_batch(&from_labeled(train), b, seed)
+        Self::build_batch(&from_labeled(train), b, seed, 1)
     }
 
     /// Partition the rows of `all` — training pairs as columns, each under
     /// its id and label — into `b` Voronoi cells via k-means. The k-means
     /// sample is `all` or a strided gather of it, and the cells and the
     /// positives are lists of its rows until `lay_out` gathers each once,
-    /// in its final order.
+    /// in its final order, on up to `slots` threads (see
+    /// [`layout_parts`]). The partition is the same on any number.
     ///
     /// # Panics
     /// Panics if `all` is empty or `b == 0`.
-    pub(crate) fn build_batch(all: &VecBatch<D>, b: usize, seed: u64) -> Self {
+    pub(crate) fn build_batch(all: &VecBatch<D>, b: usize, seed: u64, slots: usize) -> Self {
         assert!(!all.is_empty(), "cannot partition an empty training set");
         assert!(b > 0, "cluster number must be positive");
         let kmeans = KMeans {
@@ -164,7 +165,8 @@ impl<const D: usize> VoronoiPartition<D> {
         }
         rebalance(&mut centers, &mut members);
         let lattice = D >= LATTICE_BITS && (0..LATTICE_BITS).all(|d| on_lattice(all.col(d)));
-        Self::lay_out(centers, all, &members, &d2, &positives, lattice)
+        let parts = layout_parts(all.len(), slots);
+        Self::lay_out(centers, all, &members, &d2, &positives, lattice, parts)
     }
 
     /// A partition of the given cells with no distance metadata, as tests
@@ -218,6 +220,12 @@ impl<const D: usize> VoronoiPartition<D> {
     /// centre, id)` and the positives' by `(distance to their mean, id)`:
     /// the centre order is the storage order. On it, every batch gets its
     /// [`LatticeIndex`] order.
+    ///
+    /// The batches — the cells, then the positives — are laid out in
+    /// `parts` contiguous runs of about equal rows ([`lay_out_batches`]):
+    /// the calling thread lays out the first while a scoped helper lays
+    /// out each later one. Each batch is laid out whole by one thread, so
+    /// the partition is the same for any `parts`.
     fn lay_out(
         centers: Vec<[f64; D]>,
         all: &VecBatch<D>,
@@ -225,6 +233,7 @@ impl<const D: usize> VoronoiPartition<D> {
         center_d2: &[f64],
         positives: &[usize],
         lattice: bool,
+        parts: usize,
     ) -> Self {
         let n = positives.len();
         let mut positive_ref = [0.0; D];
@@ -241,41 +250,38 @@ impl<const D: usize> VoronoiPartition<D> {
                 Some((lo.sqrt(), hi.sqrt()))
             })
             .collect();
+        let sizes: Vec<usize> = members.iter().map(Vec::len).chain([n]).collect();
+        let rows_of = |i: usize| members.get(i).map_or(positives, Vec::as_slice);
         let (cells, positives, lattice, center_order) = if lattice {
-            let (cells, mut indexes): (Vec<_>, Vec<_>) = (members.iter())
-                .map(|rows| {
-                    let (order, index) = LatticeIndex::build(all, rows);
-                    (Arc::new(all.gather(&order)), index)
-                })
-                .unzip();
-            let (order, index) = LatticeIndex::build(all, positives);
-            indexes.push(index);
-            (cells, all.gather(&order), Some(indexes), OnceLock::new())
+            let laid = lay_out_batches(&sizes, parts, |i| {
+                let (order, index) = LatticeIndex::build(all, rows_of(i));
+                (all.gather(&order), index)
+            });
+            let (mut cells, indexes): (Vec<_>, Vec<_>) = laid.into_iter().unzip();
+            let positives = cells.pop().expect("the positives are the last batch");
+            (cells, positives, Some(indexes), OnceLock::new())
         } else {
-            let mut orders = Vec::with_capacity(members.len() + 1);
-            let cells = (members.iter())
-                .map(|rows| {
+            let laid = lay_out_batches(&sizes, parts, |i| match members.get(i) {
+                Some(rows) => {
                     let (order, dists) = order_by(all, center_d2, rows);
-                    orders.push(RefOrder::stored(dists));
-                    Arc::new(all.gather(&order))
-                })
-                .collect();
-            let positives = all.gather(positives);
-            let mut d2 = Vec::new();
-            distances_to_point(&positives, &positive_ref, &mut d2);
-            let every_positive: Vec<usize> = (0..n).collect();
-            let (order, dists) = order_by(&positives, &d2, &every_positive);
-            orders.push(RefOrder::stored(dists));
-            (
-                cells,
-                positives.gather(&order),
-                None,
-                OnceLock::from(orders),
-            )
+                    (all.gather(&order), RefOrder::stored(dists))
+                }
+                None => {
+                    let positives = all.gather(positives);
+                    let mut d2 = Vec::new();
+                    distances_to_point(&positives, &positive_ref, &mut d2);
+                    let every_positive: Vec<usize> = (0..n).collect();
+                    let (order, dists) = order_by(&positives, &d2, &every_positive);
+                    (positives.gather(&order), RefOrder::stored(dists))
+                }
+            });
+            let (mut cells, orders): (Vec<_>, Vec<_>) = laid.into_iter().unzip();
+            let positives = cells.pop().expect("the positives are the last batch");
+            (cells, positives, None, OnceLock::from(orders))
         };
         VoronoiPartition {
             centers,
-            negative_clusters: cells,
+            negative_clusters: cells.into_iter().map(Arc::new).collect(),
             positives,
             positive_ref,
             radius_bounds,
@@ -559,6 +565,70 @@ fn rebalance<const D: usize>(centers: &mut Vec<[f64; D]>, members: &mut Vec<Vec<
             members.push(chunk);
         }
     }
+}
+
+/// Training rows per slot below which [`VoronoiPartition::build_batch`]
+/// lays its batches out on fewer threads: a scoped helper costs ≈ 55 µs to
+/// start and join, and laying out 1,024 rows ≈ 0.1 ms (two vCPUs), so a
+/// helper with fewer rows than this saves less than it costs.
+const MIN_LAYOUT_ROWS_PER_SLOT: usize = 1_024;
+
+/// Runs a layout of `rows` training rows is cut into on `slots` threads:
+/// as many as get [`MIN_LAYOUT_ROWS_PER_SLOT`] each, at least one.
+fn layout_parts(rows: usize, slots: usize) -> usize {
+    slots.min(rows / MIN_LAYOUT_ROWS_PER_SLOT).max(1)
+}
+
+/// `lay(i)` for every batch `i` in `0..sizes.len()`, in batch order. The
+/// batches, of `sizes[i]` rows, are cut into up to `parts` contiguous runs
+/// of about equal rows ([`run_starts`]); the calling thread lays out the
+/// first run while a scoped helper lays out each later one, and the
+/// results are assembled in batch order. A helper panic resumes on the
+/// calling thread.
+fn lay_out_batches<T: Send>(
+    sizes: &[usize],
+    parts: usize,
+    lay: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let starts = run_starts(sizes, parts);
+    let Some(&first_end) = starts.first() else {
+        return (0..sizes.len()).map(lay).collect();
+    };
+    let lay = &lay;
+    let ends = starts.iter().skip(1).copied().chain([sizes.len()]);
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (starts.iter().zip(ends))
+            .map(|(&start, end)| scope.spawn(move || (start..end).map(lay).collect::<Vec<T>>()))
+            .collect();
+        let mut laid: Vec<T> = Vec::with_capacity(sizes.len());
+        laid.extend((0..first_end).map(lay));
+        for helper in helpers {
+            let run = helper
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            laid.extend(run);
+        }
+        laid
+    })
+}
+
+/// Where [`lay_out_batches`] cuts batches of `sizes` rows into `parts`
+/// runs: the first batch of every run after the first, ascending. Run `k`
+/// starts at the first batch whose middle row lies past `k/parts` of all
+/// rows, so no run is empty; a batch larger than a run's share leaves
+/// fewer runs.
+fn run_starts(sizes: &[usize], parts: usize) -> Vec<usize> {
+    let total: usize = sizes.iter().sum();
+    let mut starts = Vec::with_capacity(parts.saturating_sub(1));
+    let mut before = 0;
+    for (i, &n) in sizes.iter().enumerate() {
+        let k = starts.len() + 1;
+        if i > 0 && k < parts && (2 * before + n) * parts >= 2 * total * k {
+            starts.push(i);
+        }
+        before += n;
+    }
+    starts
 }
 
 /// `rows` of `batch` in `(d2, id)` order, and their **linear** distances
@@ -847,7 +917,117 @@ mod tests {
         assert_eq!(hyperplane_distance(&[1.0, 1.0], &pi, &pi), 0.0);
     }
 
+    #[test]
+    fn runs_split_the_rows_evenly_and_are_never_empty() {
+        assert_eq!(run_starts(&[5, 5, 5, 5], 1), Vec::<usize>::new());
+        assert_eq!(run_starts(&[5, 5, 5, 5], 2), [2]);
+        assert_eq!(run_starts(&[5, 5, 5, 5], 4), [1, 2, 3]);
+        assert_eq!(run_starts(&[9, 1, 1, 1], 2), [1]);
+        assert_eq!(run_starts(&[1, 1, 1, 9], 2), [3]);
+        // A batch larger than a run's share leaves fewer runs.
+        assert_eq!(run_starts(&[1, 20, 1], 3), [1, 2]);
+        assert_eq!(run_starts(&[0, 0, 0], 2), [1]);
+        assert_eq!(run_starts(&[7], 2), Vec::<usize>::new());
+        assert_eq!(layout_parts(2 * MIN_LAYOUT_ROWS_PER_SLOT - 1, 2), 1);
+        assert_eq!(layout_parts(2 * MIN_LAYOUT_ROWS_PER_SLOT, 2), 2);
+        assert_eq!(layout_parts(20_075, 2), 2);
+        assert_eq!(layout_parts(20_075, 0), 1);
+    }
+
+    /// Two layouts of the same rows agree bit for bit: every batch's ids,
+    /// labels and columns, the lattice indexes, the radius bounds, the
+    /// positives' reference point and the centre orders.
+    fn assert_same_layout(a: &VoronoiPartition<8>, b: &VoronoiPartition<8>) {
+        let bits = |batch: &VecBatch<8>| {
+            let cols: Vec<Vec<u64>> = (0..8)
+                .map(|d| batch.col(d).iter().map(|x| x.to_bits()).collect())
+                .collect();
+            (batch.ids().to_vec(), batch.labels().to_vec(), cols)
+        };
+        assert_eq!(a.b(), b.b());
+        for i in 0..=a.b() {
+            assert_eq!(bits(a.batch(i)), bits(b.batch(i)), "batch {i}");
+        }
+        assert_eq!(format!("{:?}", a.lattice), format!("{:?}", b.lattice));
+        let bounds = |vp: &VoronoiPartition<8>| -> Vec<Option<(u64, u64)>> {
+            (vp.radius_bounds.iter())
+                .map(|r| r.map(|(lo, hi)| (lo.to_bits(), hi.to_bits())))
+                .collect()
+        };
+        assert_eq!(bounds(a), bounds(b));
+        assert_eq!(
+            a.positive_ref.map(f64::to_bits),
+            b.positive_ref.map(f64::to_bits)
+        );
+        let orders = |vp: &VoronoiPartition<8>| -> Vec<(Vec<u64>, Vec<u32>)> {
+            (vp.center_orders().iter())
+                .map(|o| {
+                    (
+                        o.dists.iter().map(|d| d.to_bits()).collect(),
+                        o.rows.clone(),
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(orders(a), orders(b));
+    }
+
     proptest! {
+        /// `lay_out` split into runs on scoped helpers lays out exactly
+        /// what the calling thread alone does, on and off the lattice, with
+        /// empty cells, a single cell and no positives among the cases.
+        /// Coarse values make distance ties, so the id tiebreaks count.
+        #[test]
+        fn split_lay_out_equals_the_calling_thread_lay_out(
+            rows in prop::collection::vec(
+                (0usize..6, 0u8..4, prop::collection::vec(0u8..4, 8)), 0..60),
+            b in 1usize..6,
+            lattice in prop::bool::ANY,
+            no_positives in prop::bool::ANY,
+            seed in 0usize..1000,
+        ) {
+            let mut all = VecBatch::<8>::new();
+            let mut cell_of = Vec::new();
+            for (i, (cell, label, values)) in rows.iter().enumerate() {
+                let v: [f64; 8] = std::array::from_fn(|d| match d < LATTICE_BITS && lattice {
+                    true => f64::from(values[d] % 2),
+                    false => f64::from(values[d]) * 0.25,
+                });
+                // Ids unique but not in row order.
+                let id = ((i + seed) * 7_919 % 65_537) as u64;
+                all.push(id, &v, *label == 0 && !no_positives);
+                cell_of.push(cell % b);
+            }
+            let centers: Vec<[f64; 8]> = (0..b)
+                .map(|c| std::array::from_fn(|d| ((c * 3 + d * 5 + seed) % 4) as f64 * 0.25))
+                .collect();
+            let center_d2: Vec<f64> = (0..all.len())
+                .map(|r| squared_euclidean_fixed(&all.row(r), &centers[cell_of[r]]))
+                .collect();
+            let mut members = vec![Vec::new(); b];
+            let mut positives = Vec::new();
+            for r in 0..all.len() {
+                match all.label(r) {
+                    true => positives.push(r),
+                    false => members[cell_of[r]].push(r),
+                }
+            }
+            let laid = |parts: usize| {
+                VoronoiPartition::lay_out(
+                    centers.clone(), &all, &members, &center_d2, &positives, lattice, parts,
+                )
+            };
+            let one = laid(1);
+            prop_assert_eq!(one.lattice.is_some(), lattice);
+            assert_center_orders(&one);
+            let sizes: Vec<usize> =
+                members.iter().map(Vec::len).chain([positives.len()]).collect();
+            prop_assert!(!run_starts(&sizes, 2).is_empty(), "two slots split");
+            for parts in [2, 3] {
+                assert_same_layout(&one, &laid(parts));
+            }
+        }
+
         /// The geometric fact observation 4 relies on: for any point x in
         /// pj's half-space, d(s, x) >= d(s, h).
         #[test]

@@ -50,8 +50,9 @@ impl ClusterConfig {
         (self.num_executors * self.cores_per_executor).max(1)
     }
 
-    /// Number of real worker threads to launch.
-    pub(crate) fn worker_threads(&self) -> usize {
+    /// Number of real worker threads to launch: the threads a driver-side
+    /// pass may also split its work across.
+    pub fn worker_threads(&self) -> usize {
         self.total_slots().min(Self::MAX_WORKER_THREADS)
     }
 }
