@@ -154,21 +154,30 @@ fn classifier(c: &mut Criterion) {
         bench.iter(|| hood.push_sq(black_box(0.5), black_box(77), false))
     });
 
-    // One stage-1 row (intra window scan, positive window scan, shortcut,
-    // Algorithm 1) on the bulk job's shape: one 2,500-resident cell, 200
-    // positives in the low-distance corner.
+    // One stage-1 row (intra scan, positive scan, shortcut, Algorithm 1)
+    // on the bulk job's shape: one 2,500-resident cell and 200 positives in
+    // the low-distance corner, as pair vectors — five 0/1 fields, drug and
+    // ADR Jaccard columns of a few values, a narrative one of many — so
+    // `Walk::Lattice` walks the lattice's trie.
     let mut rng = StdRng::seed_from_u64(14);
+    let pair = |rng: &mut StdRng, near: bool| -> [f64; 8] {
+        let (bit, scale) = if near { (0.1, 0.3) } else { (0.6, 1.0) };
+        std::array::from_fn(|d| match d {
+            0..=4 => f64::from(u8::from(rng.gen_bool(bit))),
+            5 => rng.gen_range(0..7) as f64 / 6.0 * scale,
+            6 => rng.gen_range(0..28) as f64 / 27.0 * scale,
+            _ => rng.gen_range(0..1_166) as f64 / 1_165.0 * scale,
+        })
+    };
     let mut train: Vec<LabeledPair> = Vec::with_capacity(2_700);
     for i in 0..2_500u64 {
-        let v = std::array::from_fn(|_| rng.gen_range(0.0..1.0));
-        train.push(LabeledPair::new(i, v, false));
+        train.push(LabeledPair::new(i, pair(&mut rng, false), false));
     }
     for i in 2_500..2_700u64 {
-        let v = std::array::from_fn(|_| rng.gen_range(0.0..0.15));
-        train.push(LabeledPair::new(i, v, true));
+        train.push(LabeledPair::new(i, pair(&mut rng, true), true));
     }
     let one_cell = VoronoiPartition::build(&train, 1, 14);
-    let query: [f64; 8] = std::array::from_fn(|_| rng.gen_range(0.0..1.0));
+    let query = pair(&mut rng, false);
     let mut scratch = ClassifyScratch::default();
     c.bench_function("classify/stage1_row_2500cell_200pos", |bench| {
         bench.iter(|| {

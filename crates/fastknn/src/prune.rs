@@ -17,9 +17,9 @@
 //! *candidate* pruning engine: the triangle-inequality window scan over a
 //! Voronoi cell whose residents are ordered by distance-to-centre — and
 //! over the positives, which are laid out as one more such cell around
-//! their mean (see [`crate::stage1`]).
-//! The product's lattice walk runs the same window inside each of its
-//! buckets ([`crate::lattice`]). For a query `s`
+//! their mean (see [`crate::stage1`]). The product's walk on pair vectors
+//! needs no window: its bounds are the kernel's own partial sums, exact
+//! as floats ([`crate::lattice`]). For a query `s`
 //! with `d(s, c)` to the cell centre and a running k-th-neighbour cutoff
 //! `kth`, any resident `x` satisfies
 //!
@@ -360,7 +360,7 @@ pub(crate) fn scan_in_order<const D: usize>(
 /// admissible); `offer(start, end, hood)` evaluates positions
 /// `start..end`, offers them to the hood and returns their smallest
 /// squared distance.
-pub(crate) fn walk_window(
+fn walk_window(
     sorted: &[f64],
     ds: f64,
     initial_cutoff_sq: f64,

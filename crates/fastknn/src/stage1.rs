@@ -10,11 +10,13 @@
 //! positive step is the same walk as the intra step
 //! ([`VoronoiPartition::scan_positives`]), over a hood that already holds
 //! the intra-cell neighbours. The walk leaves a positive unevaluated in one
-//! of two ways: outside its window (both walks), or in a lattice bucket
-//! whose floor `F` — a lower bound on every member's computed `d²` —
-//! exceeds the running cutoff ([`Walk::Lattice`], see [`crate::lattice`]).
-//! Either way the skipped positive is **strictly farther than the running
-//! cutoff** when it is skipped, and that is all the argument below uses.
+//! of two ways: outside its window ([`Walk::Center`], and [`Walk::Lattice`]
+//! off the lattice), or under a node of the lattice's trie — a bucket, or a
+//! value of a Jaccard column — whose floor, the kernel's partial sum and a
+//! lower bound on the computed `d²` of every row below it, exceeds the
+//! running cutoff ([`Walk::Lattice`], see [`crate::lattice`]). Either way
+//! the skipped positive is **strictly farther than the running cutoff**
+//! when it is skipped, and that is all the argument below uses.
 //! The walk must deliver two things the full loop delivered — the merged
 //! hood and `min(s, T⁺)²` — and delivers both exactly where they are read:
 //!
@@ -26,7 +28,7 @@
 //!   Then nothing tightened the cutoff (a positive admitted at exactly
 //!   `intra_kth` on the id tie-break leaves the k-th distance where it
 //!   was), so it stayed at `intra_kth_sq` and every skipped positive —
-//!   outside a window, or in a bucket with `F > intra_kth_sq` — is
+//!   outside a window, or under a floor above `intra_kth_sq` — is
 //!   strictly farther than `intra_kth`. No positive at all beats it, the
 //!   true minimum is `≥ intra_kth_sq` too, and the shortcut test
 //!   `intra_kth_sq <= min_pos_sq` fires as it would have. `min_pos_sq` is
@@ -35,10 +37,12 @@
 //!   at `d* < intra_kth`. Were the running cutoff ever below `d*`, the hood
 //!   would hold k candidates nearer than every positive — k intra-cell
 //!   negatives — and `intra_kth ≤ cutoff < d*`, a contradiction. So the
-//!   cutoff stays `≥ d*`: `p*`'s bucket has `F ≤ d*² ≤ cutoff²`, so the
-//!   lattice walk reaches it (it stops only at a floor strictly above the
-//!   cutoff), and `p*` is inside its window. It is evaluated, and the
-//!   `min_pos_sq` handed to Algorithm 1 is exact.
+//!   cutoff stays `≥ d*`: every node on `p*`'s path through the trie has a
+//!   floor `≤ d*² ≤ cutoff²`, and so has every node nearer the query on
+//!   the way there, so the lattice walk reaches it (a walk stops only at a
+//!   floor strictly above the cutoff); off the lattice `p*` is inside its
+//!   window. It is evaluated, and the `min_pos_sq` handed to Algorithm 1 is
+//!   exact.
 //!
 //! A hood that is not full has `intra_kth_sq = +∞` and the scan sweeps
 //! every positive until it fills.
@@ -188,6 +192,33 @@ pub(crate) mod tests {
         vectors
     }
 
+    /// Pair vectors whose Jaccard columns are off [`LATTICE`]: drug names
+    /// in sixths, ADR names in ninths and the narrative in 1/97 steps, so
+    /// the narrative takes many values and the sums round. `flat` zeroes
+    /// the narrative (1) or the ADR and narrative columns (2): a row's
+    /// distance is then its level-6 (or level-5) floor, and floors meet
+    /// the cutoff exactly.
+    fn rich_pair_points(
+        size: std::ops::Range<usize>,
+    ) -> impl Strategy<Value = Vec<(u8, (usize, usize, usize))>> {
+        prop::collection::vec((0u8..32, (0usize..7, 0usize..10, 0usize..98)), size)
+    }
+
+    fn rich_pair_vectors(points: Vec<(u8, (usize, usize, usize))>, flat: usize) -> Vec<[f64; 8]> {
+        points
+            .into_iter()
+            .map(|(bits, (x, y, z))| {
+                let mut v = [0.0; 8];
+                for (d, field) in v.iter_mut().enumerate().take(5) {
+                    *field = f64::from(bits >> d & 1);
+                }
+                v[5..].copy_from_slice(&[x as f64 / 6.0, y as f64 / 9.0, z as f64 / 97.0]);
+                v[8 - flat.min(2)..].fill(0.0);
+                v
+            })
+            .collect()
+    }
+
     /// Negatives under even ids and positives under odd ones, so distance
     /// ties at the cutoff fall on both sides of the k-th id.
     pub(crate) fn labelled<const D: usize>(
@@ -312,8 +343,8 @@ pub(crate) mod tests {
         }
 
         /// The same on eight-column pair vectors, which `build` lays out on
-        /// the lattice: buckets visited in Hamming order, each windowed in
-        /// the Jaccard columns, against the full loop — for queries on the
+        /// the lattice: buckets visited in Hamming order, each walked down
+        /// its trie of Jaccard values, against the full loop — for queries on the
         /// lattice, where the first bucket past the cutoff ends the scan,
         /// and off it, where buckets are skipped one by one. With `flat`,
         /// every Jaccard column is 0: each distance is then a Hamming
@@ -338,6 +369,50 @@ pub(crate) mod tests {
                 for v in negatives.iter_mut().chain(&mut positives).chain(&mut queries) {
                     v[5..].fill(0.0);
                 }
+            }
+            let positives: Vec<[f64; 8]> = match shape {
+                0 => Vec::new(),
+                1 => positives[..1].to_vec(),
+                2 => vec![positives[0]; positives.len()],
+                3 => positives,
+                _ => {
+                    queries.push(positives[0]);
+                    positives
+                }
+            };
+            let sorted = VoronoiPartition::build(&labelled(&negatives, &positives), b, seed);
+            prop_assert!(sorted.on_lattice());
+            stage1_equals_the_full_loop(&sorted, &queries, k);
+        }
+    }
+
+    proptest! {
+        /// The trie's walk on Jaccard columns as §4.2 makes them — few
+        /// drug and ADR values, many narrative ones — against the full
+        /// loop, for queries on the lattice and off it. The positive scan
+        /// inherits the intra-cell k-th distance as its initial cutoff.
+        /// With `flat`, rows share their last columns, so a level-6 (or
+        /// level-5) floor is a row's distance and meets the cutoff exactly,
+        /// on both sides of the k-th id.
+        #[test]
+        fn trie_scans_equal_the_full_loop_on_many_valued_jaccard_columns(
+            negatives in rich_pair_points(1..80),
+            positives in rich_pair_points(1..12),
+            shape in 0usize..5,
+            queries in rich_pair_points(1..6),
+            strays in rich_pair_points(0..3),
+            moves in prop::collection::vec((0usize..5, 0usize..4), 3),
+            flat in 0usize..3,
+            k in 1usize..12,
+            b in 1usize..6,
+            seed in 0u64..50,
+        ) {
+            let negatives = rich_pair_vectors(negatives, flat);
+            let positives = rich_pair_vectors(positives, flat);
+            let mut queries = rich_pair_vectors(queries, flat);
+            for (mut v, &(column, value)) in rich_pair_vectors(strays, flat).into_iter().zip(&moves) {
+                v[column] = LATTICE[value];
+                queries.push(v);
             }
             let positives: Vec<[f64; 8]> = match shape {
                 0 => Vec::new(),

@@ -1,7 +1,7 @@
 //! Voronoi partitioning of the training pairs (§4.3.1) and the
 //! hyperplane-distance bound of Eq. 7.
 
-use crate::lattice::{on_lattice, LatticeIndex, LATTICE_BITS};
+use crate::lattice::{free_of_nan, on_lattice, LatticeIndex, LATTICE_BITS};
 use crate::prune::{scan_in_order, CellScanStats};
 use crate::soa::{
     assign_min, distances_to_point, distances_to_point_range, from_labeled, VecBatch,
@@ -30,9 +30,11 @@ use std::sync::{Arc, OnceLock};
 ///   id)`, windowed by [`crate::prune::scan_cell_pruned`]. Figs. 6b–11
 ///   count its comparisons.
 /// * **[`Walk::Lattice`]**, the product's: on data whose first
-///   [`LATTICE_BITS`] columns are all 0 or 1 (§4.2's exact-match fields), a
-///   cell is at most 32 buckets visited in Hamming order
-///   ([`crate::lattice`]). On other data it is the centre order.
+///   [`LATTICE_BITS`] columns are all 0 or 1 (§4.2's exact-match fields)
+///   and whose later columns hold no NaN, a cell is a trie — at most 32
+///   buckets visited in Hamming order, each a tree of its Jaccard values
+///   walked outward from the query's ([`crate::lattice`]). On other data
+///   it is the centre order.
 ///
 /// Rows are stored once, in the order the product walks. On lattice data
 /// the centre order is a permutation over those rows, derived on the first
@@ -76,8 +78,8 @@ pub struct VoronoiPartition<const D: usize = PAIR_DIMS> {
 pub enum Walk {
     /// Algorithm 2's: by distance to the cell's centre.
     Center,
-    /// The product's: lattice buckets in Hamming order where the partition
-    /// has them, else the centre order.
+    /// The product's: the lattice's trie where the partition has one, else
+    /// the centre order.
     Lattice,
 }
 
@@ -164,7 +166,9 @@ impl<const D: usize> VoronoiPartition<D> {
             }
         }
         rebalance(&mut centers, &mut members);
-        let lattice = D >= LATTICE_BITS && (0..LATTICE_BITS).all(|d| on_lattice(all.col(d)));
+        let lattice = D > LATTICE_BITS
+            && (0..LATTICE_BITS).all(|d| on_lattice(all.col(d)))
+            && (LATTICE_BITS..D).all(|d| free_of_nan(all.col(d)));
         let parts = layout_parts(all.len(), slots);
         Self::lay_out(centers, all, &members, &d2, &positives, lattice, parts)
     }
@@ -243,28 +247,28 @@ impl<const D: usize> VoronoiPartition<D> {
                 positives.iter().map(|&r| col[r]).sum::<f64>() / n as f64
             });
         }
-        let radius_bounds = (members.iter())
-            .map(|rows| {
-                let lo = rows.iter().map(|&i| center_d2[i]).reduce(f64::min)?;
-                let hi = rows.iter().map(|&i| center_d2[i]).reduce(f64::max)?;
-                Some((lo.sqrt(), hi.sqrt()))
-            })
-            .collect();
         let sizes: Vec<usize> = members.iter().map(Vec::len).chain([n]).collect();
         let rows_of = |i: usize| members.get(i).map_or(positives, Vec::as_slice);
-        let (cells, positives, lattice, center_order) = if lattice {
+        // A cell's `(min, max)` distance to its centre, taken by the thread
+        // that lays the cell out; `f64::min` and `max` ignore order.
+        let bounds_of = |i: usize| {
+            let rows = members.get(i)?;
+            let lo = rows.iter().map(|&r| center_d2[r]).reduce(f64::min)?;
+            let hi = rows.iter().map(|&r| center_d2[r]).reduce(f64::max)?;
+            Some((lo.sqrt(), hi.sqrt()))
+        };
+        let (laid, lattice, center_order) = if lattice {
             let laid = lay_out_batches(&sizes, parts, |i| {
                 let (order, index) = LatticeIndex::build(all, rows_of(i));
-                (all.gather(&order), index)
+                ((all.gather(&order), bounds_of(i)), index)
             });
-            let (mut cells, indexes): (Vec<_>, Vec<_>) = laid.into_iter().unzip();
-            let positives = cells.pop().expect("the positives are the last batch");
-            (cells, positives, Some(indexes), OnceLock::new())
+            let (laid, indexes): (Vec<_>, Vec<_>) = laid.into_iter().unzip();
+            (laid, Some(indexes), OnceLock::new())
         } else {
             let laid = lay_out_batches(&sizes, parts, |i| match members.get(i) {
                 Some(rows) => {
                     let (order, dists) = order_by(all, center_d2, rows);
-                    (all.gather(&order), RefOrder::stored(dists))
+                    ((all.gather(&order), bounds_of(i)), RefOrder::stored(dists))
                 }
                 None => {
                     let positives = all.gather(positives);
@@ -272,13 +276,15 @@ impl<const D: usize> VoronoiPartition<D> {
                     distances_to_point(&positives, &positive_ref, &mut d2);
                     let every_positive: Vec<usize> = (0..n).collect();
                     let (order, dists) = order_by(&positives, &d2, &every_positive);
-                    (positives.gather(&order), RefOrder::stored(dists))
+                    ((positives.gather(&order), None), RefOrder::stored(dists))
                 }
             });
-            let (mut cells, orders): (Vec<_>, Vec<_>) = laid.into_iter().unzip();
-            let positives = cells.pop().expect("the positives are the last batch");
-            (cells, positives, None, OnceLock::from(orders))
+            let (laid, orders): (Vec<_>, Vec<_>) = laid.into_iter().unzip();
+            (laid, None, OnceLock::from(orders))
         };
+        let (mut cells, mut radius_bounds): (Vec<_>, Vec<_>) = laid.into_iter().unzip();
+        let positives = cells.pop().expect("the positives are the last batch");
+        radius_bounds.pop();
         VoronoiPartition {
             centers,
             negative_clusters: cells.into_iter().map(Arc::new).collect(),
@@ -652,10 +658,10 @@ fn order_by<const D: usize>(
 /// A row's sort key: its squared distance as [`f64::total_cmp`] orders
 /// it, then its id, then where the row is. Sorting keys in place is
 /// cheaper than sorting indices through a comparator that looks both up.
-pub(crate) type RowKey = (i64, u64, usize);
+type RowKey = (i64, u64, usize);
 
 /// The [`RowKey`] of the row at `at`, with squared distance `d2` and `id`.
-pub(crate) fn row_key(d2: f64, id: u64, at: usize) -> RowKey {
+fn row_key(d2: f64, id: u64, at: usize) -> RowKey {
     let bits = d2.to_bits() as i64;
     (bits ^ (((bits >> 63) as u64) >> 1) as i64, id, at)
 }
@@ -903,6 +909,24 @@ mod tests {
         let bare = vp.without_prune_metadata();
         assert!(!bare.on_lattice());
         assert!(bare.center_orders().iter().all(|o| o.dists.is_empty()));
+    }
+
+    #[test]
+    fn a_nan_after_the_bits_keeps_the_data_off_the_lattice() {
+        let special = [f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0, 0.5];
+        let train: Vec<LabeledPair<8>> = (0..40usize)
+            .map(|i| {
+                let mut v = [0.0; 8];
+                v[0] = (i % 2) as f64;
+                v[5..].copy_from_slice(&[special[i % 5], special[i / 5 % 5], 0.25]);
+                LabeledPair::new(i as u64, v, i % 5 == 0)
+            })
+            .collect();
+        let vp = VoronoiPartition::build(&train, 3, 1);
+        assert!(vp.on_lattice(), "infinities and signed zeros stay on it");
+        let mut with_nan = train.clone();
+        with_nan[17].vector[6] = f64::NAN;
+        assert!(!VoronoiPartition::build(&with_nan, 3, 1).on_lattice());
     }
 
     #[test]
